@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-check cover cover-check fmt vet figures
+.PHONY: build test race bench bench-arbiters bench-router bench-check cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,11 @@ bench:
 # kernels and their retained scalar references side by side).
 bench-arbiters:
 	$(GO) test ./internal/core -run '^$$' -bench 'Arbitrate' -benchmem
+
+# bench-router runs the router clock-edge microbenchmarks: one router
+# under a light and a saturating offered load, SPAA-rotary and WFA-rotary.
+bench-router:
+	$(GO) test ./internal/router -run '^$$' -bench 'RouterTick' -benchmem
 
 # bench-check compares a fresh run against the committed baseline and
 # fails on >15% calibration-normalized regression in ns/simulated-cycle

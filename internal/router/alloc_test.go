@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"alpha21364/internal/core"
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
@@ -14,9 +13,10 @@ import (
 // once the packet slab and scratch slices have reached their high-water
 // marks, injecting, arbitrating, and dispatching packets must not
 // allocate. Packets are self-addressed so the whole life cycle (inject,
-// SPAA nomination, grant, local delivery) runs inside one router.
+// SPAA nomination or wave, grant, local delivery) runs inside one
+// router, on every algorithm.
 func TestRouterTickAllocs(t *testing.T) {
-	for _, kind := range []core.Kind{core.KindSPAABase, core.KindPIM1} {
+	for _, kind := range routerKinds {
 		torus := topology.NewTorus(4, 4)
 		cfg := DefaultConfig(kind)
 		r, err := New(cfg, 5, torus)

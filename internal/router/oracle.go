@@ -10,6 +10,8 @@ package router
 // across resolutions.
 
 import (
+	"math/bits"
+
 	"alpha21364/internal/core"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
@@ -67,11 +69,9 @@ func (r *Router) QueueLen(in ports.In, ch vc.Channel) int {
 // the stuck buffers in its failure report.
 func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, oldestID uint64, oldestArrive sim.Ticks)) {
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
+		for w := r.occ[in]; w != 0; w &= w - 1 {
+			ch := vc.Channel(bits.TrailingZeros32(w))
 			q := &r.queues[in][ch]
-			if q.Len() == 0 {
-				continue
-			}
 			pk := q.At(0)
 			f(in, ch, q.Len(), r.slab.pkt[pk].ID, r.slab.headerArrive[pk])
 		}

@@ -29,16 +29,30 @@ type routeEntry struct {
 	dorOK  bool
 }
 
-// rowFor returns the read-port row of input in that the crossbar connects
-// to out, or -1 if neither read port reaches it.
-func (r *Router) rowFor(in ports.In, out ports.Out) int {
-	if r.cfg.Conn.Connected(ports.Row(in, 0), out) {
+// rowFor returns the read-port row of input in that the crossbar cm
+// connects to out, or -1 if neither read port reaches it.
+func rowFor(cm ports.ConnectionMatrix, in ports.In, out ports.Out) int {
+	if cm.Connected(ports.Row(in, 0), out) {
 		return ports.Row(in, 0)
 	}
-	if r.cfg.Conn.Connected(ports.Row(in, 1), out) {
+	if cm.Connected(ports.Row(in, 1), out) {
 		return ports.Row(in, 1)
 	}
 	return -1
+}
+
+// freeOutputs returns the output ports that will be free for a grant
+// issued at gaTick. Only dispatch changes a port's busy time, and no
+// dispatch happens inside an LA stage or a wave build, so each scan
+// computes the set once.
+func (r *Router) freeOutputs(gaTick sim.Ticks) ports.OutMask {
+	var free ports.OutMask
+	for out, op := range r.outputs {
+		if op.freeForGrant(gaTick, r.postArbTicks) {
+			free = free.With(ports.Out(out))
+		}
+	}
+	return free
 }
 
 // localOut picks the processor-facing output port for a packet addressed
@@ -56,8 +70,8 @@ func localOut(p *packet.Packet) ports.Out {
 	return ports.OutMC1
 }
 
-// readyMoves appends to dst the packet's ready candidate moves at gaTick,
-// in routing-preference order, and returns the extended slice:
+// readyMoves appends to dst the packet's ready candidate moves, in
+// routing-preference order, and returns the extended slice:
 //
 //   - a packet addressed to this node uses its local output port;
 //   - otherwise the adaptive channel offers up to two minimal-rectangle
@@ -69,17 +83,17 @@ func localOut(p *packet.Packet) ports.Out {
 //   - I/O-class packets route only in the deadlock-free channels (§2.1
 //     footnote).
 //
-// A move is ready when the output port will be free at grant time, the
-// crossbar connects one of the input's read ports to it, and (for network
-// moves) the downstream virtual channel has a free packet buffer.
-func (r *Router) readyMoves(pk int32, gaTick sim.Ticks, dst []move) []move {
+// A move is ready when the output port is in free (the ports free at
+// grant time, see freeOutputs), the crossbar connects one of the input's
+// read ports to it, and (for network moves) the downstream virtual
+// channel has a free packet buffer.
+func (r *Router) readyMoves(pk int32, free ports.OutMask, dst []move) []move {
 	p := r.slab.pkt[pk]
 	in := r.slab.in[pk]
 	if p.Dst == r.node {
 		out := localOut(p)
-		row := r.rowFor(in, out)
-		if row >= 0 && r.outputs[out].freeForGrant(gaTick, r.postArbTicks) {
-			dst = append(dst, move{out: out, row: row, local: true})
+		if row := r.rowOf[in][out]; row >= 0 && free.Has(out) {
+			dst = append(dst, move{out: out, row: int(row), local: true})
 		}
 		return dst
 	}
@@ -95,7 +109,7 @@ func (r *Router) readyMoves(pk int32, gaTick sim.Ticks, dst []move) []move {
 			dirs[0], dirs[1] = dirs[1], dirs[0]
 		}
 		for _, d := range dirs[:route.nDirs] {
-			if m, ok := r.networkMove(in, d, adaptiveCh, gaTick); ok {
+			if m, ok := r.networkMove(in, d, adaptiveCh, free); ok {
 				dst = append(dst, m)
 			}
 		}
@@ -109,24 +123,20 @@ func (r *Router) readyMoves(pk int32, gaTick sim.Ticks, dst []move) []move {
 	if !route.dorOK {
 		return dst
 	}
-	if m, ok := r.networkMove(in, route.dor, vc.Of(cls, route.dorSub), gaTick); ok {
+	if m, ok := r.networkMove(in, route.dor, vc.Of(cls, route.dorSub), free); ok {
 		dst = append(dst, m)
 	}
 	return dst
 }
 
-func (r *Router) networkMove(in ports.In, d topology.Dir, targetCh vc.Channel, gaTick sim.Ticks) (move, bool) {
+func (r *Router) networkMove(in ports.In, d topology.Dir, targetCh vc.Channel, free ports.OutMask) (move, bool) {
 	out := ports.OutForDir(d)
-	row := r.rowFor(in, out)
-	if row < 0 {
+	row := r.rowOf[in][out]
+	if row < 0 || !free.Has(out) {
 		return move{}, false
 	}
-	op := r.outputs[out]
-	if !op.freeForGrant(gaTick, r.postArbTicks) {
+	if op := r.outputs[out]; op.credits == nil || !op.credits.Available(targetCh) {
 		return move{}, false
 	}
-	if op.credits == nil || !op.credits.Available(targetCh) {
-		return move{}, false
-	}
-	return move{out: out, row: row, targetCh: targetCh}, true
+	return move{out: out, row: int(row), targetCh: targetCh}, true
 }

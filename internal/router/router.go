@@ -60,6 +60,11 @@ type Router struct {
 	// arrays so arbitration scans walk contiguous memory.
 	slab   pkSlab
 	queues [ports.NumIn][vc.NumChannels]vc.Ring
+	// occ[in] is the occupancy index over in's rings: bit ch is set
+	// exactly when queues[in][ch] is non-empty. addPacket's Push and
+	// dispatch's Remove are the only ring mutations, and each updates
+	// it, so scans visit the few occupied rings instead of all 152.
+	occ [ports.NumIn]uint32
 	// lru[in] is the least-recently-selected ordering over virtual
 	// channels: the front is the channel selected longest ago. The
 	// 21364's input arbiter "selects the oldest packet ... from the
@@ -95,6 +100,9 @@ type Router struct {
 	// dateline sub-channel. readyMoves consults it instead of redoing the
 	// torus offset arithmetic per scan.
 	routes []routeEntry
+	// rowOf[in][out] is the read-port row of input in that the crossbar
+	// connects to out, or -1 (see rowFor); built once from cfg.Conn.
+	rowOf [ports.NumIn][ports.NumOut]int8
 
 	// Derived tick quantities.
 	postArbTicks sim.Ticks
@@ -147,6 +155,9 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		initQueues(&r.queues[in], cfg.Buffers)
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			r.lru[in][ch] = ch
+		}
+		for out := ports.Out(0); out < ports.NumOut; out++ {
+			r.rowOf[in][out] = int8(rowFor(cfg.Conn, in, out))
 		}
 		if !in.IsNetwork() {
 			r.feeders[in] = vc.NewCredits(cfg.Buffers)
@@ -241,6 +252,7 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	s.upstream[idx] = upstream
 	s.upstreamCh[idx] = ch
 	r.queues[in][ch].Push(idx)
+	r.occ[in] |= 1 << ch
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, +1, headerArrive)
 	}
@@ -317,11 +329,20 @@ func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 func (r *Router) Buffered() int {
 	n := 0
 	for in := range r.queues {
-		for ch := range r.queues[in] {
-			n += r.queues[in][ch].Len()
+		for w := r.occ[in]; w != 0; w &= w - 1 {
+			n += r.queues[in][bits.TrailingZeros32(w)].Len()
 		}
 	}
 	return n
+}
+
+// holdsPackets reports whether any input ring is non-empty.
+func (r *Router) holdsPackets() bool {
+	var w uint32
+	for _, occ := range r.occ {
+		w |= occ
+	}
+	return w != 0
 }
 
 // Draining reports whether the anti-starvation drain is active.
@@ -355,9 +376,13 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		return
 	}
 	r.nextLA = now + sim.Ticks(r.cfg.InitInterval)*r.cfg.RouterPeriod
+	if !r.holdsPackets() {
+		return
+	}
 	gaTick := now + r.gaOffset
+	free := r.freeOutputs(gaTick)
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		pk, mv, ok := r.findNomination(in, now, gaTick)
+		pk, mv, ok := r.findNomination(in, now, free)
 		if !ok {
 			continue
 		}
@@ -382,14 +407,19 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 
 // findNomination implements the 21364 input port arbiter: the oldest
 // packet satisfying the basic constraints from the least-recently selected
-// virtual channel (§3).
-func (r *Router) findNomination(in ports.In, now, gaTick sim.Ticks) (int32, move, bool) {
+// virtual channel (§3). free is the LA stage's free-for-grant output set.
+func (r *Router) findNomination(in ports.In, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
 	s := &r.slab
+	occ := r.occ[in]
 	for _, ch := range r.lru[in] {
-		q := &r.queues[in][ch]
-		if q.Len() == 0 {
+		if occ == 0 {
+			break
+		}
+		if occ&(1<<ch) == 0 {
 			continue
 		}
+		occ &^= 1 << ch
+		q := &r.queues[in][ch]
 		limit := q.Len()
 		if limit > r.cfg.Window {
 			limit = r.cfg.Window
@@ -408,7 +438,7 @@ func (r *Router) findNomination(in ports.In, now, gaTick sim.Ticks) (int32, move
 			if best >= 0 && !r.olderThan(pk, best) {
 				continue
 			}
-			r.moves = r.readyMoves(pk, gaTick, r.moves[:0])
+			r.moves = r.readyMoves(pk, free, r.moves[:0])
 			if len(r.moves) == 0 {
 				continue
 			}
@@ -533,12 +563,15 @@ func (r *Router) tickWave(now sim.Ticks) {
 // in-flight nominations versus SPAA's 16).
 func (r *Router) buildWave(now sim.Ticks) bool {
 	r.matrix.Reset()
-	gaTick := now + r.waveGaOffset
+	if !r.holdsPackets() {
+		return false
+	}
+	free := r.freeOutputs(now + r.waveGaOffset)
 	any := false
 	s := &r.slab
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
-			q := &r.queues[in][ch]
+		for w := r.occ[in]; w != 0; w &= w - 1 {
+			q := &r.queues[in][bits.TrailingZeros32(w)]
 			limit := q.Len()
 			if limit > r.cfg.Window {
 				limit = r.cfg.Window
@@ -552,7 +585,7 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 				if r.draining && s.flags[pk]&pkOld == 0 {
 					continue
 				}
-				r.moves = r.readyMoves(pk, gaTick, r.moves[:0])
+				r.moves = r.readyMoves(pk, free, r.moves[:0])
 				if len(r.moves) == 0 {
 					continue
 				}
@@ -702,8 +735,12 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	s.flags[pk] &^= pkNominated
 	in, ch := s.in[pk], s.ch[pk]
 	r.touchVC(in, ch)
-	if !r.queues[in][ch].Remove(pk) {
+	q := &r.queues[in][ch]
+	if !q.Remove(pk) {
 		panic("router: removing packet not in queue")
+	}
+	if q.Len() == 0 {
+		r.occ[in] &^= 1 << ch
 	}
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, -1, now)

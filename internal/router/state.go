@@ -4,10 +4,11 @@ package router
 // form: one slab of parallel arrays per router, indexed by int32 handles
 // drawn from a free list, with per-(input port, virtual channel) queues
 // as fixed-capacity index rings over the slab. The arbiter inner loops
-// (SPAA nomination scans, PIM1/WFA wave builds) walk dense arrays of
-// ticks and flags instead of chasing per-packet heap objects, and the
-// steady-state router allocates nothing: slab slots and ring storage are
-// recycled as packets dispatch.
+// (SPAA nomination scans, PIM1/WFA wave builds) visit only the rings the
+// router's occupancy index (Router.occ) marks non-empty and walk dense
+// arrays of ticks and flags instead of chasing per-packet heap objects,
+// and the steady-state router allocates nothing: slab slots and ring
+// storage are recycled as packets dispatch.
 
 import (
 	"alpha21364/internal/packet"
