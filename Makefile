@@ -61,7 +61,8 @@ bench-arbiters:
 	$(GO) test ./internal/core -run '^$$' -bench 'Arbitrate' -benchmem
 
 # bench-router runs the router clock-edge microbenchmarks: one router
-# under a light and a saturating offered load, SPAA-rotary and WFA-rotary.
+# under a light and a saturating offered load, SPAA-rotary, WFA-rotary and
+# PIM1.
 bench-router:
 	$(GO) test ./internal/router -run '^$$' -bench 'RouterTick' -benchmem
 

@@ -21,7 +21,7 @@ func BenchmarkRouterTick(b *testing.B) {
 		name string
 		rate float64 // packets offered per input port per cycle
 	}{{"light", 0.02}, {"saturated", 0.5}}
-	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindWFARotary} {
+	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindWFARotary, core.KindPIM1} {
 		for _, load := range loads {
 			b.Run(kind.String()+"/"+load.name, func(b *testing.B) {
 				r, cycle := newTickLoad(b, kind, load.rate)

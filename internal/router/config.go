@@ -148,9 +148,3 @@ func (c Config) Validate() error {
 func (c Config) PinToPinCycles() int {
 	return c.PreArbNetwork + (c.ArbCycles - 1) + c.PostArb
 }
-
-// isWave reports whether the algorithm arbitrates in matrix waves
-// (PIM1/WFA) rather than SPAA's per-cycle nominations.
-func (c Config) isWave() bool {
-	return c.Kind == core.KindPIM1 || c.Kind == core.KindWFABase || c.Kind == core.KindWFARotary
-}

@@ -70,6 +70,30 @@ func localOut(p *packet.Packet) ports.Out {
 	return ports.OutMC1
 }
 
+// candidateOuts returns every output readyMoves can ever return for p on
+// input in: its local output port, or its productive directions (non-I/O
+// packets only) plus its dimension-order escape hop, each kept only when
+// the crossbar connects in to it. Only output busy times and downstream
+// credits change while p is buffered, so addPacket resolves the set once
+// and the scans skip p whenever it misses their free-output set.
+func (r *Router) candidateOuts(p *packet.Packet, in ports.In) ports.OutMask {
+	var m ports.OutMask
+	if p.Dst == r.node {
+		m = m.With(localOut(p))
+	} else {
+		route := &r.routes[p.Dst]
+		if !p.Class.IsIO() {
+			for _, d := range route.dirs[:route.nDirs] {
+				m = m.With(ports.OutForDir(d))
+			}
+		}
+		if route.dorOK {
+			m = m.With(ports.OutForDir(route.dor))
+		}
+	}
+	return m & r.cfg.Conn.LegalOuts(in)
+}
+
 // readyMoves appends to dst the packet's ready candidate moves, in
 // routing-preference order, and returns the extended slice:
 //
@@ -89,7 +113,7 @@ func localOut(p *packet.Packet) ports.Out {
 // channel has a free packet buffer.
 func (r *Router) readyMoves(pk int32, free ports.OutMask, dst []move) []move {
 	p := r.slab.pkt[pk]
-	in := r.slab.in[pk]
+	in := r.slab.meta[pk].in
 	if p.Dst == r.node {
 		out := localOut(p)
 		if row := r.rowOf[in][out]; row >= 0 && free.Has(out) {

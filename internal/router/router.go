@@ -65,17 +65,25 @@ type Router struct {
 	// dispatch's Remove are the only ring mutations, and each updates
 	// it, so scans visit the few occupied rings instead of all 152.
 	occ [ports.NumIn]uint32
-	// lru[in] is the least-recently-selected ordering over virtual
-	// channels: the front is the channel selected longest ago. The
-	// 21364's input arbiter "selects the oldest packet ... from the
-	// least-recently selected virtual channel" (§3).
-	lru [ports.NumIn][vc.NumChannels]vc.Channel
+	// lruStamp[in][ch] is when in last selected ch, on the per-router
+	// lruClock: ascending stamp order is the least-recently-selected
+	// order over in's virtual channels. The 21364's input arbiter
+	// "selects the oldest packet ... from the least-recently selected
+	// virtual channel" (§3). New stamps channel ch with ch, so channels
+	// never selected come first, in channel order; dispatch (touchVC)
+	// is the only writer.
+	lruStamp [ports.NumIn][vc.NumChannels]uint64
+	lruClock uint64
 	// feeders hold the injection credits for local ports (the processor's
 	// view of the buffer's free space); nil for network inputs, whose
 	// credits live at the upstream router's output port.
 	feeders [ports.NumIn]*vc.Credits
 
 	outputs [ports.NumOut]*outputPort
+
+	// wave is true for the matrix-wave algorithms (PIM1/WFA), false for
+	// SPAA's per-cycle nominations; fixed by New.
+	wave bool
 
 	// SPAA pipeline state.
 	policy  core.SelectPolicy
@@ -145,6 +153,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		postArbTicks: sim.Ticks(cfg.PostArb) * cfg.RouterPeriod,
 		gaOffset:     sim.Ticks(cfg.ArbCycles-1) * cfg.RouterPeriod,
 		ageTicks:     sim.Ticks(cfg.AntiStarvationAge) * cfg.RouterPeriod,
+		lruClock:     vc.NumChannels - 1,
 	}
 	waveGa := cfg.ArbCycles - 1
 	if cfg.InitInterval < waveGa {
@@ -153,8 +162,8 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 	r.waveGaOffset = sim.Ticks(waveGa) * cfg.RouterPeriod
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		initQueues(&r.queues[in], cfg.Buffers)
-		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
-			r.lru[in][ch] = ch
+		for ch := range r.lruStamp[in] {
+			r.lruStamp[in][ch] = uint64(ch)
 		}
 		for out := ports.Out(0); out < ports.NumOut; out++ {
 			r.rowOf[in][out] = int8(rowFor(cfg.Conn, in, out))
@@ -192,6 +201,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 				cfg.Kind == core.KindSPAARotary)
 		}
 	default:
+		r.wave = true
 		r.arb = core.New(cfg.Kind, r.rng.Split())
 		r.matrix = core.NewRouterMatrix()
 	}
@@ -237,20 +247,18 @@ func (r *Router) injectionChannel(p *packet.Packet) vc.Channel {
 	return vc.Of(p.Class, sub)
 }
 
-// addPacket checks a packet into the slab and its queue.
+// addPacket checks a packet into the slab and its queue, resolving the
+// outputs it may ever use.
 func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	headerArrive, tailArrive, eligibleAt sim.Ticks, upstream *vc.Credits) {
 	idx := r.slab.alloc()
 	s := &r.slab
 	s.pkt[idx] = p
-	s.ch[idx] = ch
-	s.in[idx] = in
+	s.meta[idx] = pkMeta{ch: ch, in: in, outs: r.candidateOuts(p, in)}
 	s.headerArrive[idx] = headerArrive
 	s.tailArrive[idx] = tailArrive
 	s.eligibleAt[idx] = eligibleAt
-	s.flags[idx] = 0
 	s.upstream[idx] = upstream
-	s.upstreamCh[idx] = ch
 	r.queues[in][ch].Push(idx)
 	r.occ[in] |= 1 << ch
 	if m := r.metrics; m != nil {
@@ -351,7 +359,7 @@ func (r *Router) Draining() bool { return r.draining }
 // Tick advances the router one clock cycle: GA resolution first (grants
 // commit, losers reset), then LA issue (new nominations or a new wave).
 func (r *Router) Tick(now sim.Ticks) {
-	if r.cfg.isWave() {
+	if r.wave {
 		r.tickWave(now)
 	} else {
 		r.tickSPAA(now)
@@ -386,7 +394,7 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		if !ok {
 			continue
 		}
-		r.slab.flags[pk] |= pkNominated
+		r.slab.meta[pk].flags |= pkNominated
 		r.dirPref[in]++
 		r.noms = append(r.noms, nomination{
 			pk: pk, row: mv.row, out: mv.out, targetCh: mv.targetCh,
@@ -394,11 +402,11 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		})
 		r.Counters.Nominations++
 		if f := r.flight; f != nil {
-			f.Record(now, obs.FlightNominate, r.slab.pkt[pk].ID, in, r.slab.ch[pk], mv.out)
+			f.Record(now, obs.FlightNominate, r.slab.pkt[pk].ID, in, r.slab.meta[pk].ch, mv.out)
 		}
 		if r.oracle != nil {
 			r.oracle.SPAANominate(r, now, SPAAGrant{
-				ID: r.slab.pkt[pk].ID, Row: mv.row, In: in, Ch: r.slab.ch[pk],
+				ID: r.slab.pkt[pk].ID, Row: mv.row, In: in, Ch: r.slab.meta[pk].ch,
 				Out: mv.out, TargetCh: mv.targetCh, Local: mv.local,
 			}, gaTick)
 		}
@@ -410,14 +418,8 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 // virtual channel (§3). free is the LA stage's free-for-grant output set.
 func (r *Router) findNomination(in ports.In, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
 	s := &r.slab
-	occ := r.occ[in]
-	for _, ch := range r.lru[in] {
-		if occ == 0 {
-			break
-		}
-		if occ&(1<<ch) == 0 {
-			continue
-		}
+	for occ := r.occ[in]; occ != 0; {
+		ch := r.leastRecent(in, occ)
 		occ &^= 1 << ch
 		q := &r.queues[in][ch]
 		limit := q.Len()
@@ -429,14 +431,18 @@ func (r *Router) findNomination(in ports.In, now sim.Ticks, free ports.OutMask) 
 		for i := 0; i < limit; i++ {
 			pk := q.At(i)
 			r.markOld(pk, now)
-			if s.flags[pk]&pkNominated != 0 || s.eligibleAt[pk] > now {
+			meta := s.meta[pk]
+			if meta.flags&pkNominated != 0 || s.eligibleAt[pk] > now {
 				continue
 			}
-			if r.draining && s.flags[pk]&pkOld == 0 {
+			if r.draining && meta.flags&pkOld == 0 {
 				continue
 			}
 			if best >= 0 && !r.olderThan(pk, best) {
 				continue
+			}
+			if meta.outs&free == 0 {
+				continue // every output it could use is busy
 			}
 			r.moves = r.readyMoves(pk, free, r.moves[:0])
 			if len(r.moves) == 0 {
@@ -449,6 +455,19 @@ func (r *Router) findNomination(in ports.In, now sim.Ticks, free ports.OutMask) 
 		}
 	}
 	return -1, move{}, false
+}
+
+// leastRecent returns the channel in set (a non-empty channel bitmask)
+// that input in selected longest ago: the one with the smallest stamp.
+func (r *Router) leastRecent(in ports.In, set uint32) int {
+	stamp := &r.lruStamp[in]
+	ch := bits.TrailingZeros32(set)
+	for w := set & (set - 1); w != 0; w &= w - 1 {
+		if c := bits.TrailingZeros32(w); stamp[c] < stamp[ch] {
+			ch = c
+		}
+	}
+	return ch
 }
 
 // olderThan orders two buffered packets by arrival, then packet ID.
@@ -493,7 +512,7 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				continue
 			}
 			r.gaRows = append(r.gaRows, n.row)
-			r.gaNet = append(r.gaNet, r.slab.in[n.pk].IsNetwork())
+			r.gaNet = append(r.gaNet, r.slab.meta[n.pk].in.IsNetwork())
 			r.gaIdx = append(r.gaIdx, i)
 		}
 		if len(r.gaRows) == 0 {
@@ -505,8 +524,8 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 			if k == w {
 				if r.oracle != nil {
 					r.oracleGrants = append(r.oracleGrants, SPAAGrant{
-						ID: r.slab.pkt[n.pk].ID, Row: n.row, In: r.slab.in[n.pk],
-						Ch: r.slab.ch[n.pk], Out: n.out, TargetCh: n.targetCh, Local: n.local,
+						ID: r.slab.pkt[n.pk].ID, Row: n.row, In: r.slab.meta[n.pk].in,
+						Ch: r.slab.meta[n.pk].ch, Out: n.out, TargetCh: n.targetCh, Local: n.local,
 					})
 				}
 				r.dispatch(n.pk, n.out, n.targetCh, n.local, now)
@@ -529,10 +548,11 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 }
 
 func (r *Router) reset(pk int32, now sim.Ticks) {
-	r.slab.flags[pk] &^= pkNominated
+	meta := &r.slab.meta[pk]
+	meta.flags &^= pkNominated
 	r.Counters.Collisions++
 	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightReset, r.slab.pkt[pk].ID, r.slab.in[pk], r.slab.ch[pk], ports.NumOut)
+		f.Record(now, obs.FlightReset, r.slab.pkt[pk].ID, meta.in, meta.ch, ports.NumOut)
 	}
 }
 
@@ -579,11 +599,15 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 			for i := 0; i < limit; i++ {
 				pk := q.At(i)
 				r.markOld(pk, now)
-				if s.flags[pk]&pkNominated != 0 || s.eligibleAt[pk] > now {
+				meta := s.meta[pk]
+				if meta.flags&pkNominated != 0 || s.eligibleAt[pk] > now {
 					continue
 				}
-				if r.draining && s.flags[pk]&pkOld == 0 {
+				if r.draining && meta.flags&pkOld == 0 {
 					continue
+				}
+				if meta.outs&free == 0 {
+					continue // every output it could use is busy
 				}
 				r.moves = r.readyMoves(pk, free, r.moves[:0])
 				if len(r.moves) == 0 {
@@ -615,10 +639,11 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
 			pk := r.waveCells[row][col].pk
-			s.flags[pk] |= pkNominated
+			meta := &s.meta[pk]
+			meta.flags |= pkNominated
 			r.Counters.Nominations++
 			if f := r.flight; f != nil {
-				f.Record(now, obs.FlightNominate, s.pkt[pk].ID, s.in[pk], s.ch[pk], ports.Out(col))
+				f.Record(now, obs.FlightNominate, s.pkt[pk].ID, meta.in, meta.ch, ports.Out(col))
 			}
 		}
 	}
@@ -665,7 +690,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		op := r.outputs[ports.Out(g.Col)]
 		valid := op.freeForGrant(now, r.postArbTicks) &&
 			(cell.local || (op.credits != nil && op.credits.Available(cell.targetCh)))
-		if !valid || cell.pk < 0 || r.slab.flags[cell.pk]&pkNominated == 0 {
+		if !valid || cell.pk < 0 || r.slab.meta[cell.pk].flags&pkNominated == 0 {
 			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
 				if !op.freeForGrant(now, r.postArbTicks) {
 					m.Stalls++
@@ -683,7 +708,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 	for row := 0; row < ports.NumRows; row++ {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.flags[pk]&pkNominated != 0 {
+			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.meta[pk].flags&pkNominated != 0 {
 				r.reset(pk, now)
 			}
 			r.waveCells[row][col] = waveCell{pk: -1}
@@ -696,8 +721,8 @@ func (r *Router) resolveWave(now sim.Ticks) {
 
 func (r *Router) markOld(pk int32, now sim.Ticks) {
 	s := &r.slab
-	if s.flags[pk]&pkOld == 0 && now-s.headerArrive[pk] >= r.ageTicks {
-		s.flags[pk] |= pkOld
+	if s.meta[pk].flags&pkOld == 0 && now-s.headerArrive[pk] >= r.ageTicks {
+		s.meta[pk].flags |= pkOld
 		r.oldCount++
 		if !r.draining && r.oldCount > r.cfg.AntiStarvationThreshold {
 			r.draining = true
@@ -706,21 +731,10 @@ func (r *Router) markOld(pk int32, now sim.Ticks) {
 	}
 }
 
-// touchVC moves ch to the most-recently-selected end of in's LRU order.
+// touchVC makes ch the most recently selected of in's channels.
 func (r *Router) touchVC(in ports.In, ch vc.Channel) {
-	lru := &r.lru[in]
-	idx := -1
-	for i, c := range lru {
-		if c == ch {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	copy(lru[idx:], lru[idx+1:])
-	lru[len(lru)-1] = ch
+	r.lruClock++
+	r.lruStamp[in][ch] = r.lruClock
 }
 
 // dispatch commits a grant: the packet leaves its input buffer (returning
@@ -732,8 +746,9 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	// were already reset. A successful selection is what advances the
 	// input port's least-recently-selected virtual channel order.
 	s := &r.slab
-	s.flags[pk] &^= pkNominated
-	in, ch := s.in[pk], s.ch[pk]
+	meta := &s.meta[pk]
+	meta.flags &^= pkNominated
+	in, ch := meta.in, meta.ch
 	r.touchVC(in, ch)
 	q := &r.queues[in][ch]
 	if !q.Remove(pk) {
@@ -745,15 +760,15 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, -1, now)
 	}
-	if s.flags[pk]&pkOld != 0 {
-		s.flags[pk] &^= pkOld
+	if meta.flags&pkOld != 0 {
+		meta.flags &^= pkOld
 		r.oldCount--
 		if r.oldCount == 0 {
 			r.draining = false
 		}
 	}
 	if s.upstream[pk] != nil {
-		s.upstream[pk].Release(s.upstreamCh[pk])
+		s.upstream[pk].Release(ch)
 	}
 
 	p := s.pkt[pk]

@@ -5,10 +5,11 @@ package router
 // drawn from a free list, with per-(input port, virtual channel) queues
 // as fixed-capacity index rings over the slab. The arbiter inner loops
 // (SPAA nomination scans, PIM1/WFA wave builds) visit only the rings the
-// router's occupancy index (Router.occ) marks non-empty and walk dense
-// arrays of ticks and flags instead of chasing per-packet heap objects,
-// and the steady-state router allocates nothing: slab slots and ring
-// storage are recycled as packets dispatch.
+// router's occupancy index (Router.occ) marks non-empty, walk dense
+// arrays of ticks and packed per-slot words instead of chasing
+// per-packet heap objects, and route only packets whose output mask
+// meets the free outputs; the steady-state router allocates nothing:
+// slab slots and ring storage are recycled as packets dispatch.
 
 import (
 	"alpha21364/internal/packet"
@@ -23,22 +24,32 @@ const (
 	pkOld                         // anti-starvation color
 )
 
+// pkMeta is the per-slot state every arbitration scan reads for each
+// packet it visits, packed into one word so a visit loads it once.
+type pkMeta struct {
+	ch    vc.Channel // channel occupied at this router
+	in    ports.In
+	flags uint8
+	// outs is the set of outputs readyMoves can ever return for the
+	// packet (see candidateOuts), resolved once at enqueue: a scan whose
+	// free-output set misses it skips the packet without routing it.
+	outs ports.OutMask
+}
+
 // pkSlab is the per-router packet-state arena: parallel arrays indexed
 // by int32 handles. Growth appends to every array (indices, not
 // pointers, are held elsewhere, so reallocation is safe); the free list
 // recycles slots, reaching a steady state with zero allocation.
 type pkSlab struct {
 	pkt          []*packet.Packet
-	ch           []vc.Channel // channel occupied at this router
-	in           []ports.In
+	meta         []pkMeta
 	headerArrive []sim.Ticks // header at this router's pin (or injection time)
 	tailArrive   []sim.Ticks // last flit fully arrived
 	eligibleAt   []sim.Ticks // earliest LA participation (after DW stages)
-	flags        []uint8
 	// Credit home: where to return the buffer credit this packet occupies
-	// when it leaves this router. Nil for test-injected packets.
-	upstream   []*vc.Credits
-	upstreamCh []vc.Channel
+	// (its channel, meta.ch) when it leaves this router. Nil for
+	// test-injected packets.
+	upstream []*vc.Credits
 
 	free []int32
 }
@@ -52,14 +63,11 @@ func (s *pkSlab) alloc() int32 {
 	}
 	idx := int32(len(s.pkt))
 	s.pkt = append(s.pkt, nil)
-	s.ch = append(s.ch, 0)
-	s.in = append(s.in, 0)
+	s.meta = append(s.meta, pkMeta{})
 	s.headerArrive = append(s.headerArrive, 0)
 	s.tailArrive = append(s.tailArrive, 0)
 	s.eligibleAt = append(s.eligibleAt, 0)
-	s.flags = append(s.flags, 0)
 	s.upstream = append(s.upstream, nil)
-	s.upstreamCh = append(s.upstreamCh, 0)
 	return idx
 }
 
@@ -67,7 +75,7 @@ func (s *pkSlab) alloc() int32 {
 func (s *pkSlab) release(idx int32) {
 	s.pkt[idx] = nil
 	s.upstream[idx] = nil
-	s.flags[idx] = 0
+	s.meta[idx].flags = 0
 	s.free = append(s.free, idx)
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/bits"
+
 	"alpha21364/internal/network"
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
@@ -52,6 +54,12 @@ type Generator struct {
 	// local input port) pair, indexed node*numInjPorts + port offset
 	// (processor-side injection queues).
 	pending []pendQueue
+	// pendIdx indexes the non-empty pending queues: bit slot%64 of word
+	// slot/64 is set exactly when pending[slot] holds a packet. enqueue's
+	// push sets it and tryInject's pop clears it when the queue empties
+	// (the queues' only mutations), so drainPending visits only queues
+	// with work.
+	pendIdx []uint64
 
 	nextPkt   uint64
 	completed int64
@@ -140,6 +148,7 @@ func New(cfg Config, net *network.Network, eng *sim.Engine, collector *stats.Col
 		demand:      make([]int64, net.Nodes()),
 		arena:       packet.NewArena(),
 		pending:     make([]pendQueue, net.Nodes()*numInjPorts),
+		pendIdx:     make([]uint64, (net.Nodes()*numInjPorts+63)/64),
 		eng:         eng,
 	}
 	routerPeriod := net.Router(0).Config().RouterPeriod
@@ -246,6 +255,7 @@ func (g *Generator) enqueue(node topology.Node, in ports.In, p *packet.Packet) {
 	}
 	slot := pendSlot(node, in)
 	g.pending[slot].push(p)
+	g.pendIdx[slot/64] |= 1 << (slot % 64)
 	g.tryInject(slot, node, in, g.eng.Now())
 }
 
@@ -255,11 +265,14 @@ func (g *Generator) complete(requester topology.Node) {
 	g.completed++
 }
 
-// drainPending retries one injection per (node, port) per cycle.
+// drainPending retries one injection per non-empty (node, port) queue
+// per cycle, in slot order. Injection never enqueues, so the walk only
+// ever clears bits it has already passed.
 func (g *Generator) drainPending(now sim.Ticks) {
-	for node := 0; node < g.net.Nodes(); node++ {
-		for pi, in := range injPorts {
-			g.tryInject(node*numInjPorts+pi, topology.Node(node), in, now)
+	for i, word := range g.pendIdx {
+		for w := word; w != 0; w &= w - 1 {
+			slot := i*64 + bits.TrailingZeros64(w)
+			g.tryInject(slot, topology.Node(slot/numInjPorts), injPorts[slot%numInjPorts], now)
 		}
 	}
 }
@@ -274,6 +287,9 @@ func (g *Generator) tryInject(slot int, node topology.Node, in ports.In, now sim
 		return
 	}
 	q.pop()
+	if q.len() == 0 {
+		g.pendIdx[slot/64] &^= 1 << (slot % 64)
+	}
 }
 
 // onDeliver relays deliveries to the model, then returns the packet to
