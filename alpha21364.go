@@ -29,9 +29,9 @@
 //     patterns × arrival processes × transaction models, with trace
 //     record/replay for reproducible cross-algorithm comparisons
 //     (WorkloadPattern, WorkloadProcess, WorkloadModel, Trace);
-//   - canned figure Specs and deprecated per-figure runners
-//     (Figure8 ... Figure11c) used by the cmd/sweep tool and the
-//     repository's benchmarks.
+//   - canned Specs for every paper figure (FigureSpecs), run through a
+//     Runner by the cmd/sweep tool and the repository's benchmarks; a
+//     Result's Panel and Table views are the figure's chart and rows.
 //
 // The architecture documentation lives in DESIGN.md; measured-vs-paper
 // results for every figure live in EXPERIMENTS.md.
@@ -450,11 +450,10 @@ func NewPacketArena() *PacketArena { return packet.NewArena() }
 // TimingSetup describes one timing-model simulation.
 //
 // Deprecated: describe simulations as Specs (NewSpec) and run them with
-// a Runner; TimingSetup remains for the RunTiming adapter.
+// a Runner; TimingSetup remains for RunTiming and MatrixSpec.
 type TimingSetup = experiment.TimingSetup
 
-// TimingResult is a BNF point plus diagnostics (AvgLatencyP99 is a
-// deprecated alias of LatencyP99NS).
+// TimingResult is a BNF point plus diagnostics.
 type TimingResult = experiment.TimingResult
 
 // Point is one latency/throughput measurement.
@@ -476,34 +475,8 @@ func RunTimingCtx(ctx context.Context, s TimingSetup) (TimingResult, error) {
 	return experiment.RunTimingCtx(ctx, s)
 }
 
-// SweepBNF sweeps injection rates for one algorithm, producing a BNF
-// curve. The rates are simulated concurrently (one worker per CPU) with
-// byte-identical results to a serial run; use SweepBNFOpts to bound or
-// observe the parallelism.
-//
-// Deprecated: build a Spec with WithRates and run it with a Runner; the
-// Result carries the same curve plus percentiles and diagnostics.
-func SweepBNF(s TimingSetup, rates []float64) (Series, error) {
-	return experiment.Sweep(s, rates)
-}
-
-// SweepBNFOpts is SweepBNF with explicit runner options: Options.Workers
-// bounds the concurrency (1 = serial) and Options.Progress, when non-nil,
-// observes each finished simulation.
-//
-// Deprecated: use NewRunner(WithWorkers(n), WithEventSink(fn)); see
-// SweepBNF.
-func SweepBNFOpts(o Options, s TimingSetup, rates []float64) (Series, error) {
-	return experiment.SweepOpts(o, s, rates)
-}
-
-// ProgressFunc observes sweep progress; see Options.Progress.
-//
-// Deprecated: Runner events (WithEventSink, Runner.Stream) carry the
-// same done/total/label plus the finished point itself.
-type ProgressFunc = experiment.ProgressFunc
-
-// Options tunes the per-figure experiment runners.
+// Options tunes the canned figure Specs (FigureSpecs): fidelity, seed,
+// and the study-wide toggles.
 type Options = experiment.Options
 
 // Panel is one BNF chart (several algorithms on one axis).
@@ -512,37 +485,8 @@ type Panel = experiment.Panel
 // Table is a formatted result grid.
 type Table = experiment.Table
 
-// Scenario names one cell of a scenario matrix.
-type Scenario = experiment.Scenario
-
-// ScenarioResult pairs a scenario with its timing result.
-type ScenarioResult = experiment.ScenarioResult
-
-// ScenarioMatrix sweeps algorithms × patterns × processes × rates on the
-// base setup through the parallel runner; results are byte-identical to
-// a serial run.
-//
-// Deprecated: the cross product is Spec expansion now — use MatrixSpec
-// (or NewSpec with multi-valued WithPatterns/WithProcesses) and run it
-// with a Runner.
-func ScenarioMatrix(o Options, base TimingSetup, kinds []Kind,
-	patterns []Pattern, processes []string, rates []float64) ([]ScenarioResult, error) {
-	return experiment.ScenarioMatrix(o, base, kinds, patterns, processes, rates)
-}
-
 // MatrixSpec lifts typed matrix axes into a declarative Spec.
 func MatrixSpec(base TimingSetup, kinds []Kind, patterns []Pattern,
 	processes []string, rates []float64) Spec {
 	return experiment.MatrixSpec(base, kinds, patterns, processes, rates)
 }
-
-// Figure runners reproduce the paper's evaluation; see cmd/sweep.
-var (
-	Figure8            = experiment.Figure8
-	Figure9            = experiment.Figure9
-	Figure10           = experiment.Figure10
-	Figure10Saturation = experiment.Figure10Saturation
-	Figure11a          = experiment.Figure11a
-	Figure11b          = experiment.Figure11b
-	Figure11c          = experiment.Figure11c
-)

@@ -1,6 +1,7 @@
 package alpha21364
 
 import (
+	"context"
 	"testing"
 )
 
@@ -59,14 +60,16 @@ func TestFacadeTimingRun(t *testing.T) {
 }
 
 func TestFacadeSweep(t *testing.T) {
-	series, err := SweepBNF(TimingSetup{
-		Width: 4, Height: 4, Kind: PIM1, Pattern: Uniform, Cycles: 2500, Seed: 1,
-	}, []float64{0.01, 0.03})
+	res, err := NewRunner().Run(context.Background(), NewSpec(
+		WithTopology(4, 4), WithArbiters(PIM1.String()), WithPatterns(Uniform.String()),
+		WithRates(0.01, 0.03), WithCycles(2500), WithSeed(1),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series.Points) != 2 || series.Points[1].Throughput <= series.Points[0].Throughput {
-		t.Fatalf("sweep points wrong: %+v", series.Points)
+	points := res.Series[0].Points
+	if len(points) != 2 || points[1].Throughput <= points[0].Throughput {
+		t.Fatalf("sweep points wrong: %+v", points)
 	}
 }
 

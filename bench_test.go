@@ -1,6 +1,7 @@
 package alpha21364
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,18 +17,7 @@ import (
 // benchOpts keeps figure benchmarks short enough for `go test -bench=.`
 // while preserving each figure's qualitative shape. Full-fidelity runs are
 // produced by `go run ./cmd/sweep` (75,000 cycles, full sweeps).
-// Workers is pinned to 1 so these benchmarks measure the serial sweep
-// path; the *Parallel variants below measure the worker-pool path.
-var benchOpts = experiment.Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1, Workers: 1}
-
-// benchOptsParallel is benchOpts with the sweep runner fanned across all
-// CPUs (Workers 0 = GOMAXPROCS). Comparing a figure benchmark against its
-// Parallel variant shows the sweep engine's speedup on the machine.
-var benchOptsParallel = func() experiment.Options {
-	o := benchOpts
-	o.Workers = 0
-	return o
-}()
+var benchOpts = experiment.Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1}
 
 // printOnce emits each figure's table a single time per test binary run,
 // so the benchmark harness reproduces the paper's rows without spamming
@@ -40,127 +30,65 @@ func printOnce(key string, render func() string) {
 	}
 }
 
+// benchFigure runs one panel of a canned figure Spec per iteration
+// through a Runner. workers 1 measures the serial sweep path; workers 0
+// (one per CPU) measures the worker pool, whose tables are byte-identical
+// to the serial ones — only the wall-clock differs.
+func benchFigure(b *testing.B, workers int, figure string, panel int) {
+	b.Helper()
+	specs, err := experiment.FigureSpecs(figure, benchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := specs[panel]
+	runner := experiment.NewRunner(experiment.WithWorkers(workers))
+	for i := 0; i < b.N; i++ {
+		res, err := runner.Run(context.Background(), sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		printOnce(sp.Name, func() string { return res.Table().Format() })
+	}
+}
+
 // BenchmarkFigure8 regenerates the standalone matching-capability sweep
 // (matches/cycle vs load for MCM, WFA, PIM, PIM1, SPAA).
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure8(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig8", func() string { return res.Table().Format() })
-	}
-}
+func BenchmarkFigure8(b *testing.B) { benchFigure(b, 1, "8", 0) }
 
 // BenchmarkFigure9 regenerates the output-port occupancy sweep.
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure9(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig9", func() string { return res.Table().Format() })
-	}
-}
+func BenchmarkFigure9(b *testing.B) { benchFigure(b, 1, "9", 0) }
 
-// benchPanel runs one timing panel per iteration on the serial path.
-func benchPanel(b *testing.B, key string, run func(experiment.Options) (experiment.Panel, error)) {
-	benchPanelOpts(b, benchOpts, key, run)
-}
-
-// benchPanelOpts is benchPanel with explicit options, so the same figure
-// can be benchmarked serially and through the parallel runner.
-func benchPanelOpts(b *testing.B, o experiment.Options, key string, run func(experiment.Options) (experiment.Panel, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		p, err := run(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(key, func() string { return p.Table().Format() })
-	}
-}
-
-// figure10Panel selects one of Figure 10's four panels.
-func figure10Panel(idx int) func(experiment.Options) (experiment.Panel, error) {
-	return func(o experiment.Options) (experiment.Panel, error) {
-		panels, err := experiment.Figure10(o)
-		if err != nil {
-			return experiment.Panel{}, err
-		}
-		return panels[idx], nil
-	}
-}
-
-func BenchmarkFigure10_4x4Random(b *testing.B) {
-	benchPanel(b, "fig10a", figure10Panel(0))
-}
-
-func BenchmarkFigure10_8x8Random(b *testing.B) {
-	benchPanel(b, "fig10b", figure10Panel(1))
-}
-
-func BenchmarkFigure10_8x8BitReversal(b *testing.B) {
-	benchPanel(b, "fig10c", figure10Panel(2))
-}
-
-func BenchmarkFigure10_8x8PerfectShuffle(b *testing.B) {
-	benchPanel(b, "fig10d", figure10Panel(3))
-}
+func BenchmarkFigure10_4x4Random(b *testing.B)         { benchFigure(b, 1, "10", 0) }
+func BenchmarkFigure10_8x8Random(b *testing.B)         { benchFigure(b, 1, "10", 1) }
+func BenchmarkFigure10_8x8BitReversal(b *testing.B)    { benchFigure(b, 1, "10", 2) }
+func BenchmarkFigure10_8x8PerfectShuffle(b *testing.B) { benchFigure(b, 1, "10", 3) }
 
 // BenchmarkFigure10_Saturation regenerates the saturation companion panel
 // (64 outstanding misses) in which the Rotary Rule's post-saturation
 // behavior is visible; see EXPERIMENTS.md.
-func BenchmarkFigure10_Saturation(b *testing.B) {
-	benchPanel(b, "fig10s", experiment.Figure10Saturation)
-}
+func BenchmarkFigure10_Saturation(b *testing.B) { benchFigure(b, 1, "10s", 0) }
 
-func BenchmarkFigure11a(b *testing.B) {
-	benchPanel(b, "fig11a", experiment.Figure11a)
-}
+func BenchmarkFigure11a(b *testing.B) { benchFigure(b, 1, "11a", 0) }
+func BenchmarkFigure11b(b *testing.B) { benchFigure(b, 1, "11b", 0) }
+func BenchmarkFigure11c(b *testing.B) { benchFigure(b, 1, "11c", 0) }
 
-func BenchmarkFigure11b(b *testing.B) {
-	benchPanel(b, "fig11b", experiment.Figure11b)
-}
+// ---- parallel sweep-runner variants (one worker per CPU) ----
 
-func BenchmarkFigure11c(b *testing.B) {
-	benchPanel(b, "fig11c", experiment.Figure11c)
-}
-
-// ---- parallel sweep-runner variants ----
-//
-// These regenerate the same figures through the worker pool (one worker
-// per CPU). The tables they print are byte-identical to the serial
-// benchmarks' tables; only the wall-clock differs.
-
-func BenchmarkFigure8Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure8(benchOptsParallel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig8", func() string { return res.Table().Format() })
-	}
-}
-
-func BenchmarkFigure10_8x8RandomParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig10b", figure10Panel(1))
-}
-
-func BenchmarkFigure10_SaturationParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig10s", experiment.Figure10Saturation)
-}
-
-func BenchmarkFigure11cParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig11c", experiment.Figure11c)
-}
+func BenchmarkFigure8Parallel(b *testing.B)             { benchFigure(b, 0, "8", 0) }
+func BenchmarkFigure10_8x8RandomParallel(b *testing.B)  { benchFigure(b, 0, "10", 1) }
+func BenchmarkFigure10_SaturationParallel(b *testing.B) { benchFigure(b, 0, "10s", 0) }
+func BenchmarkFigure11cParallel(b *testing.B)           { benchFigure(b, 0, "11c", 0) }
 
 // BenchmarkCollectDatasetParallel runs the entire evaluation pipeline —
-// every figure, overlapped — through the runner, the workload behind
-// `sweep -verify`.
+// every figure Spec, each fanned across one worker per CPU — the
+// workload behind `sweep -verify`.
 func BenchmarkCollectDatasetParallel(b *testing.B) {
+	runner := experiment.NewRunner()
+	exec := func(sp experiment.Spec) (*experiment.Result, error) {
+		return runner.Run(context.Background(), sp)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CollectDataset(benchOptsParallel); err != nil {
+		if _, err := experiment.CollectDataset(benchOpts, exec); err != nil {
 			b.Fatal(err)
 		}
 	}

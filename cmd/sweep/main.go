@@ -182,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	a := &app{out: stdout, log: logger, json: *jsonOut, dir: *out, stable: *stable}
 
 	o := experiment.Options{
-		Quick: *quick, Seed: *seed, Workers: *workers,
+		Quick: *quick, Seed: *seed,
 		Check: *checkFlag, Metrics: *metricsFlag,
 		Replications: *reps, Confidence: *confidence,
 		TorusShards: *torusShards,
@@ -192,9 +192,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runnerOpts = append(runnerOpts, experiment.WithWorkers(*workers))
 	if *progress {
 		start := time.Now()
-		o.Progress = func(done, total int, label string) {
-			logger.Printf("[%3d/%3d %6s] %s", done, total, time.Since(start).Round(time.Second), label)
-		}
 		eventSink = func(e experiment.Event) {
 			elapsed := time.Since(start).Round(time.Second)
 			switch e.Type {
@@ -343,7 +340,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		logger.Printf("done in %v", time.Since(start).Round(time.Second))
 		return nil
 	case *verify:
-		dataset, err := experiment.CollectDataset(o)
+		dataset, err := experiment.CollectDataset(o, a.exec)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -42,18 +43,24 @@ func run(out io.Writer, cycles int) error {
 	fmt.Fprintf(out, "  transactions:         %d completed\n", res.Completed)
 
 	// Sweep the load to trace a BNF curve (latency vs delivered
-	// throughput), the metric the paper reports in Figure 10.
-	series, err := alpha21364.SweepBNF(alpha21364.TimingSetup{
-		Width: 4, Height: 4, Kind: alpha21364.SPAABase,
-		Pattern: alpha21364.Uniform, Cycles: cycles / 2, Seed: 1,
-	}, []float64{0.01, 0.03, 0.05, 0.08})
+	// throughput), the metric the paper reports in Figure 10. A Spec
+	// describes the sweep; a Runner simulates its rates concurrently.
+	sweep, err := alpha21364.NewRunner().Run(context.Background(), alpha21364.NewSpec(
+		alpha21364.WithName("quickstart BNF"),
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.SPAABase.String()),
+		alpha21364.WithPatterns(alpha21364.Uniform.String()),
+		alpha21364.WithRates(0.01, 0.03, 0.05, 0.08),
+		alpha21364.WithCycles(cycles/2),
+		alpha21364.WithSeed(1),
+	))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "\nBNF curve (load sweep):")
-	for _, p := range series.Points {
+	for _, p := range sweep.Series[0].Points {
 		fmt.Fprintf(out, "  rate %.3f -> %.3f flits/router/ns at %.1f ns\n",
-			p.OfferedRate, p.Throughput, p.AvgLatencyNS)
+			p.Rate, p.Throughput, p.AvgLatencyNS)
 	}
 	return nil
 }

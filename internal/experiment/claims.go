@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Dataset bundles every figure's results so the paper's cross-figure
@@ -18,46 +17,45 @@ type Dataset struct {
 	Fig11c   Panel
 }
 
-// CollectDataset reruns the full evaluation. The seven figures are
-// themselves runner jobs, so their sweeps overlap instead of running one
-// figure at a time; each job writes a distinct Dataset field, which keeps
-// assembly deterministic whatever order the figures finish in. A shared
-// limiter spans the nested fan-out, so Options.Workers still bounds the
-// total number of concurrent simulations.
-func CollectDataset(o Options) (*Dataset, error) {
-	o = o.limited()
-	// Each overlapping figure has its own progress tracker; share one
-	// mutex across them so the documented one-call-at-a-time guarantee
-	// survives the nesting. (done/total stay per-sweep counts.)
-	if o.Progress != nil {
-		var mu sync.Mutex
-		inner := o.Progress
-		o.Progress = func(done, total int, label string) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(done, total, label)
-		}
-	}
+// CollectDataset reruns the full evaluation: it runs every canned figure
+// Spec (FigureSpecs, in FigureSpecNames order) through exec one Spec at a
+// time and assembles the Dataset from the Results. exec is whatever
+// executes a Spec for the caller — typically a Runner's Run under a
+// background context — so the worker count, progress events, and
+// determinism are the executor's, exactly as in cmd/sweep's figure mode.
+func CollectDataset(o Options, exec func(Spec) (*Result, error)) (*Dataset, error) {
 	d := &Dataset{}
-	jobs := []jobSpec[struct{}]{
-		{"figure 8", func() (z struct{}, err error) { d.Fig8, err = Figure8(o); return z, err }},
-		{"figure 9", func() (z struct{}, err error) { d.Fig9, err = Figure9(o); return z, err }},
-		{"figure 10", func() (z struct{}, err error) { d.Fig10, err = Figure10(o); return z, err }},
-		{"figure 10 saturation", func() (z struct{}, err error) { d.Fig10Sat, err = Figure10Saturation(o); return z, err }},
-		{"figure 11a", func() (z struct{}, err error) { d.Fig11a, err = Figure11a(o); return z, err }},
-		{"figure 11b", func() (z struct{}, err error) { d.Fig11b, err = Figure11b(o); return z, err }},
-		{"figure 11c", func() (z struct{}, err error) { d.Fig11c, err = Figure11c(o); return z, err }},
-	}
-	// The figure jobs only fan out further: they must not hold simulation
-	// slots themselves (their nested sweeps acquire the shared limiter),
-	// and per-simulation progress comes from those sweeps, so this level
-	// neither limits nor reports.
-	top := o
-	top.sem = nil
-	top.Progress = nil
-	top.Workers = len(jobs)
-	if _, _, err := runJobs(top, jobs); err != nil {
-		return nil, err
+	for _, name := range figureSpecNames {
+		specs, err := FigureSpecs(name, o)
+		if err != nil {
+			return nil, err
+		}
+		for _, sp := range specs {
+			res, err := exec(sp)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", sp.Name, err)
+			}
+			switch name {
+			case "8":
+				d.Fig8 = Figure8Result{
+					LoadFractions:  sp.Standalone.Values,
+					SaturationLoad: res.SaturationLoad,
+					Curves:         res.Curves(),
+				}
+			case "9":
+				d.Fig9 = Figure9Result{Occupancies: sp.Standalone.Values, Curves: res.Curves()}
+			case "10":
+				d.Fig10 = append(d.Fig10, res.Panel())
+			case "10s":
+				d.Fig10Sat = res.Panel()
+			case "11a":
+				d.Fig11a = res.Panel()
+			case "11b":
+				d.Fig11b = res.Panel()
+			case "11c":
+				d.Fig11c = res.Panel()
+			}
+		}
 	}
 	return d, nil
 }

@@ -15,7 +15,7 @@ func TestVerifyClaimsQuick(t *testing.T) {
 		t.Skip("claims dataset is expensive")
 	}
 	o := Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1}
-	d, err := CollectDataset(o)
+	d, err := CollectDataset(o, runnerExec(0))
 	if err != nil {
 		t.Fatal(err)
 	}

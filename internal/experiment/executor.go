@@ -36,6 +36,6 @@ type ShardExecutor interface {
 type localExecutor struct{}
 
 func (localExecutor) ExecuteShard(ctx context.Context, sh Shard, sink func(Event)) (*Result, int, error) {
-	res, err := (&Runner{opts: Options{Workers: 1}, sink: sink}).Run(ctx, sh.Spec)
+	res, err := (&Runner{workers: 1, sink: sink}).Run(ctx, sh.Spec)
 	return res, 1, err
 }

@@ -87,14 +87,14 @@ func TestRotaryHoldsThroughputBeyondSaturation(t *testing.T) {
 }
 
 func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
-		Cycles: 3000, Seed: 1,
-	}
-	series, err := Sweep(s, []float64{0.005, 0.02, 0.05})
+	res, err := runnerExec(0)(NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+		WithRates(0.005, 0.02, 0.05), WithCycles(3000), WithSeed(1),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := res.Panel().Series[0]
 	if len(series.Points) != 3 {
 		t.Fatalf("points = %d, want 3", len(series.Points))
 	}
@@ -110,9 +110,11 @@ func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
 
 func TestFigure8And9Tables(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
-	f8, err := Figure8(o)
-	if err != nil {
-		t.Fatal(err)
+	sp, res := runFigure(t, o, "8", 0, 0)
+	f8 := Figure8Result{
+		LoadFractions:  sp.Standalone.Values,
+		SaturationLoad: res.SaturationLoad,
+		Curves:         res.Curves(),
 	}
 	if len(f8.Curves) != len(Figure8Kinds) {
 		t.Fatalf("figure 8 curves = %d", len(f8.Curves))
@@ -125,10 +127,8 @@ func TestFigure8And9Tables(t *testing.T) {
 		t.Errorf("figure 8 rows = %d", len(table.Rows))
 	}
 
-	f9, err := Figure9(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp, res = runFigure(t, o, "9", 0, 0)
+	f9 := Figure9Result{Occupancies: sp.Standalone.Values, Curves: res.Curves()}
 	if len(f9.Occupancies) != 4 {
 		t.Fatalf("figure 9 occupancies = %v", f9.Occupancies)
 	}
@@ -157,10 +157,8 @@ func TestFigure8And9Tables(t *testing.T) {
 }
 
 func TestFigure10SaturationPanel(t *testing.T) {
-	p, err := Figure10Saturation(benchOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runFigure(t, benchOpts, "10s", 0, 0)
+	p := res.Panel()
 	if len(p.Series) != len(Figure10Kinds) {
 		t.Fatalf("series = %d", len(p.Series))
 	}

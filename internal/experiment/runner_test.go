@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,94 +9,65 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 )
 
-// runnerOpts returns small-scale options with the given worker count.
-func runnerOpts(workers int) Options {
-	return Options{Quick: true, CyclesOverride: 1500, MaxRatePoints: 2, Seed: 3, Workers: workers}
+// runnerOpts returns small-scale figure options.
+func runnerOpts() Options {
+	return Options{Quick: true, CyclesOverride: 1500, MaxRatePoints: 2, Seed: 3}
 }
 
-// TestParallelSerialIdentical is the runner's core guarantee: a sweep
-// fanned across eight workers produces byte-identical results to the same
-// sweep run serially. Run with -race, this also exercises the pool for
-// data races.
+// runnerExec returns an executor running each Spec through a Runner with
+// the given worker count — the shape CollectDataset takes.
+func runnerExec(workers int) func(Spec) (*Result, error) {
+	r := NewRunner(WithWorkers(workers))
+	return func(sp Spec) (*Result, error) { return r.Run(context.Background(), sp) }
+}
+
+// runFigure runs one canned figure panel through a Runner with the given
+// worker count and zeroes the one nondeterministic field.
+func runFigure(t *testing.T, o Options, figure string, panel, workers int) (Spec, *Result) {
+	t.Helper()
+	specs, err := FigureSpecs(figure, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runnerExec(workers)(specs[panel])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.ElapsedNS = 0
+	return specs[panel], res
+}
+
+// TestParallelSerialIdentical is the runner's core guarantee: a figure
+// fanned across eight workers produces byte-identical results to the
+// same figure run serially, for a timing panel and both standalone
+// sweeps. Run with -race, this also exercises the pool for data races.
 func TestParallelSerialIdentical(t *testing.T) {
-	serial, err := Figure10Saturation(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure10Saturation(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("panel diverged between serial and 8-worker runs:\n%+v\n%+v", serial, parallel)
-	}
-	if s, p := serial.Table().CSV(), parallel.Table().CSV(); s != p {
-		t.Errorf("panel CSV not byte-identical:\n%s\n%s", s, p)
-	}
-
-	f8serial, err := Figure8(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8parallel, err := Figure8(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f8serial, f8parallel) {
-		t.Errorf("Figure8Result diverged between serial and 8-worker runs:\n%+v\n%+v", f8serial, f8parallel)
-	}
-
-	f9serial, err := Figure9(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9parallel, err := Figure9(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f9serial, f9parallel) {
-		t.Errorf("Figure9Result diverged between serial and 8-worker runs:\n%+v\n%+v", f9serial, f9parallel)
-	}
-}
-
-// TestSweepOptsMatchesSweep pins the public Sweep entry point (default
-// worker-per-CPU fan-out) to an explicitly serial SweepOpts run.
-func TestSweepOptsMatchesSweep(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
-		Cycles: 2000, Seed: 5,
-	}
-	rates := []float64{0.01, 0.03, 0.05}
-	def, err := Sweep(s, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := SweepOpts(Options{Workers: 1}, s, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def, serial) {
-		t.Errorf("Sweep and serial SweepOpts diverged:\n%+v\n%+v", def, serial)
+	for _, figure := range []string{"10s", "8", "9"} {
+		_, serial := runFigure(t, runnerOpts(), figure, 0, 1)
+		_, parallel := runFigure(t, runnerOpts(), figure, 0, 8)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("figure %s diverged between serial and 8-worker runs:\n%+v\n%+v", figure, serial, parallel)
+		}
+		if s, p := serial.Table().CSV(), parallel.Table().CSV(); s != p {
+			t.Errorf("figure %s CSV not byte-identical:\n%s\n%s", figure, s, p)
+		}
 	}
 }
 
 func TestWorkerCount(t *testing.T) {
-	if got := (Options{}).workerCount(); got < 1 {
+	if got := workerCount(0); got < 1 {
 		t.Errorf("default workerCount = %d, want >= 1", got)
 	}
-	if got := (Options{Workers: 1}).workerCount(); got != 1 {
-		t.Errorf("Workers 1 -> %d", got)
+	if got := workerCount(1); got != 1 {
+		t.Errorf("workers 1 -> %d", got)
 	}
-	if got := (Options{Workers: -3}).workerCount(); got != 1 {
-		t.Errorf("Workers -3 -> %d, want serial", got)
+	if got := workerCount(-3); got != 1 {
+		t.Errorf("workers -3 -> %d, want serial", got)
 	}
-	if got := (Options{Workers: 5}).workerCount(); got != 5 {
-		t.Errorf("Workers 5 -> %d", got)
+	if got := workerCount(5); got != 5 {
+		t.Errorf("workers 5 -> %d", got)
 	}
 }
 
@@ -105,19 +77,16 @@ func TestWorkerCount(t *testing.T) {
 func TestRunJobsOrderAndError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		jobs := make([]jobSpec[int], 9)
+		jobs := make([]func() (int, error), 9)
 		for i := range jobs {
-			jobs[i] = jobSpec[int]{
-				label: fmt.Sprintf("job %d", i),
-				run: func() (int, error) {
-					if i == 5 || i == 7 {
-						return 0, fmt.Errorf("job %d: %w", i, boom)
-					}
-					return i * i, nil
-				},
+			jobs[i] = func() (int, error) {
+				if i == 5 || i == 7 {
+					return 0, fmt.Errorf("job %d: %w", i, boom)
+				}
+				return i * i, nil
 			}
 		}
-		results, firstBad, err := runJobs(Options{Workers: workers}, jobs)
+		results, firstBad, err := runJobs(context.Background(), workers, jobs)
 		if firstBad != 5 {
 			t.Errorf("workers=%d: firstBad = %d, want 5", workers, firstBad)
 		}
@@ -132,27 +101,28 @@ func TestRunJobsOrderAndError(t *testing.T) {
 	}
 }
 
-// TestRunJobsProgress checks that the progress callback fires exactly once
-// per job with a monotonically increasing done count.
+// TestRunJobsProgress checks the progress stream a Runner builds over
+// runJobs: one point-done event per job, serialized, with a monotonically
+// increasing done count, the run's total, and each job's label once.
 func TestRunJobsProgress(t *testing.T) {
+	sp := quickStandaloneSpec() // 2 arbiters x 3 values
 	for _, workers := range []int{1, 4} {
 		var calls int
 		var labels []string
-		o := Options{Workers: workers, Progress: func(done, total int, label string) {
+		r := NewRunner(WithWorkers(workers), WithEventSink(func(e Event) {
+			if e.Type != EventPointDone {
+				return
+			}
 			calls++
-			if done != calls {
-				t.Errorf("workers=%d: done = %d on call %d", workers, done, calls)
+			if e.Done != calls {
+				t.Errorf("workers=%d: done = %d on call %d", workers, e.Done, calls)
 			}
-			if total != 6 {
-				t.Errorf("workers=%d: total = %d, want 6", workers, total)
+			if e.Total != 6 {
+				t.Errorf("workers=%d: total = %d, want 6", workers, e.Total)
 			}
-			labels = append(labels, label)
-		}}
-		jobs := make([]jobSpec[int], 6)
-		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: fmt.Sprintf("j%d", i), run: func() (int, error) { return i, nil }}
-		}
-		if _, _, err := runJobs(o, jobs); err != nil {
+			labels = append(labels, e.Label)
+		}))
+		if _, err := r.Run(context.Background(), sp); err != nil {
 			t.Fatal(err)
 		}
 		if calls != 6 {
@@ -168,91 +138,56 @@ func TestRunJobsProgress(t *testing.T) {
 	}
 }
 
-// TestRunPanelErrorPreservesCompleteSeries checks the partial-result
-// contract on failure: algorithms that finished before the failing one
-// keep their series, the failing algorithm is named in the error.
-func TestRunPanelErrorPreservesCompleteSeries(t *testing.T) {
-	base := TimingSetup{
-		Width: 4, Height: 4, Pattern: traffic.Uniform, Cycles: 500, Seed: 1,
-	}
-	// KindMCM is rejected by the timing model, so the second sweep fails.
-	kinds := []core.Kind{core.KindSPAABase, core.KindMCM, core.KindWFABase}
-	p, err := runPanel("error panel", Options{Workers: 4}, base, kinds, []float64{0.01, 0.02})
-	if err == nil {
-		t.Fatal("runPanel accepted a standalone-only algorithm")
-	}
-	if len(p.Series) != 1 || p.Series[0].Label != "SPAA-base" {
-		t.Errorf("partial panel = %+v", p.Series)
-	}
-	if got := err.Error(); !strings.Contains(got, "error panel") || !strings.Contains(got, "MCM") {
-		t.Errorf("error %q does not name the panel and failing algorithm", got)
-	}
-}
-
-// TestNestedFanOutHonorsWorkerBound mimics CollectDataset's shape — an
-// unlimited top-level fan-out whose jobs each run their own leaf sweeps —
-// and asserts the shared limiter keeps the number of concurrently
-// executing leaf jobs within Options.Workers.
-func TestNestedFanOutHonorsWorkerBound(t *testing.T) {
-	o := Options{Workers: 2}.limited()
+// TestRunJobsHonorsWorkerBound asserts that runJobs never executes more
+// jobs at once than its worker count.
+func TestRunJobsHonorsWorkerBound(t *testing.T) {
 	var cur, peak atomic.Int32
-	leafJobs := func() []jobSpec[int] {
-		jobs := make([]jobSpec[int], 8)
-		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: "leaf", run: func() (int, error) {
-				c := cur.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
+	jobs := make([]func() (int, error), 16)
+	for i := range jobs {
+		jobs[i] = func() (int, error) {
+			c := cur.Add(1)
+			for {
+				p := peak.Load()
+				if c <= p || peak.CompareAndSwap(p, c) {
+					break
 				}
-				time.Sleep(2 * time.Millisecond)
-				cur.Add(-1)
-				return 0, nil
-			}}
+			}
+			time.Sleep(2 * time.Millisecond)
+			cur.Add(-1)
+			return 0, nil
 		}
-		return jobs
 	}
-	top := o
-	top.sem = nil
-	top.Workers = 4
-	topJobs := make([]jobSpec[struct{}], 4)
-	for i := range topJobs {
-		topJobs[i] = jobSpec[struct{}]{label: "figure", run: func() (struct{}, error) {
-			_, _, err := runJobs(o, leafJobs())
-			return struct{}{}, err
-		}}
-	}
-	if _, _, err := runJobs(top, topJobs); err != nil {
+	if _, _, err := runJobs(context.Background(), 2, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrent leaf jobs = %d, want <= 2", p)
+		t.Errorf("peak concurrent jobs = %d, want <= 2", p)
 	}
 }
 
 // TestRunJobsFailFast checks that jobs after an observed failure are
-// never started.
+// never started, and that a cancelled context stops dispatch with the
+// context's error.
 func TestRunJobsFailFast(t *testing.T) {
 	var executed atomic.Int32
-	makeJobs := func(n, failAt int) []jobSpec[int] {
-		jobs := make([]jobSpec[int], n)
+	makeJobs := func(n, failAt int) []func() (int, error) {
+		jobs := make([]func() (int, error), n)
 		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: "j", run: func() (int, error) {
+			jobs[i] = func() (int, error) {
 				executed.Add(1)
 				if i == failAt {
 					return 0, errors.New("fail")
 				}
 				time.Sleep(time.Millisecond)
 				return i, nil
-			}}
+			}
 		}
 		return jobs
 	}
+	ctx := context.Background()
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(Options{Workers: 1}, makeJobs(10, 2)); err == nil || firstBad != 2 {
+	if _, firstBad, err := runJobs(ctx, 1, makeJobs(10, 2)); err == nil || firstBad != 2 {
 		t.Fatalf("serial: firstBad = %d, err = %v", firstBad, err)
 	}
 	if got := executed.Load(); got != 3 {
@@ -260,7 +195,7 @@ func TestRunJobsFailFast(t *testing.T) {
 	}
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(Options{Workers: 4}, makeJobs(50, 0)); err == nil || firstBad != 0 {
+	if _, firstBad, err := runJobs(ctx, 4, makeJobs(50, 0)); err == nil || firstBad != 0 {
 		t.Fatalf("parallel: firstBad = %d, err = %v", firstBad, err)
 	}
 	// The dispatcher stops handing out work once the failure is observed.
@@ -269,78 +204,55 @@ func TestRunJobsFailFast(t *testing.T) {
 	if got := executed.Load(); got == 50 {
 		t.Error("parallel ran all 50 jobs despite job 0 failing immediately")
 	}
-}
 
-// TestSharedAbortStopsSiblingSweeps covers the CollectDataset fail-fast
-// path: once any sweep sharing a limited Options fails, sibling sweeps
-// refuse to start new jobs and report errAborted.
-func TestSharedAbortStopsSiblingSweeps(t *testing.T) {
-	o := Options{Workers: 2}.limited()
-	if _, _, err := runJobs(o, []jobSpec[int]{
-		{label: "bad", run: func() (int, error) { return 0, errors.New("root cause") }},
-	}); err == nil {
-		t.Fatal("failing sweep reported no error")
+	executed.Store(0)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, firstBad, err := runJobs(cancelled, 4, makeJobs(5, -1)); !errors.Is(err, context.Canceled) || firstBad != 0 {
+		t.Fatalf("cancelled: firstBad = %d, err = %v", firstBad, err)
 	}
-	var executed atomic.Int32
-	jobs := make([]jobSpec[int], 5)
-	for i := range jobs {
-		jobs[i] = jobSpec[int]{label: "sibling", run: func() (int, error) { executed.Add(1); return i, nil }}
-	}
-	_, firstBad, err := runJobs(o, jobs)
 	if got := executed.Load(); got != 0 {
-		t.Errorf("sibling sweep started %d jobs after the shared abort", got)
-	}
-	if firstBad != 0 || !errors.Is(err, errAborted) {
-		t.Errorf("sibling sweep: firstBad = %d, err = %v", firstBad, err)
-	}
-}
-
-// TestAbortedSweepPrefersRealCause checks the error CollectDataset
-// surfaces: when one job's failure aborts its siblings, runJobs reports
-// the underlying failure, not the errAborted sentinel of whichever
-// aborted job happens to have the lowest index.
-func TestAbortedSweepPrefersRealCause(t *testing.T) {
-	rootCause := errors.New("root cause")
-	gate := make(chan struct{})
-	jobs := []jobSpec[int]{
-		// Mimics a figure job whose nested sweep was aborted by the
-		// sibling below; it blocks until the sibling has failed.
-		{label: "aborted figure", run: func() (int, error) {
-			<-gate
-			return 0, fmt.Errorf("panel: %w", errAborted)
-		}},
-		{label: "failing figure", run: func() (int, error) {
-			defer close(gate)
-			return 0, rootCause
-		}},
-	}
-	_, firstBad, err := runJobs(Options{Workers: 2}, jobs)
-	if firstBad != 0 {
-		t.Errorf("firstBad = %d, want 0", firstBad)
-	}
-	if !errors.Is(err, rootCause) {
-		t.Errorf("err = %v, want the root cause", err)
+		t.Errorf("cancelled context still ran %d jobs", got)
 	}
 }
 
 // TestCollectDatasetParallelMatchesSerial runs the whole evaluation
-// pipeline both ways at tiny scale and requires identical datasets.
+// pipeline through a serial and an 8-worker executor at tiny scale and
+// requires identical datasets.
 func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset collection is expensive")
 	}
 	o := Options{Quick: true, CyclesOverride: 1000, MaxRatePoints: 2, Seed: 2}
-	o.Workers = 1
-	serial, err := CollectDataset(o)
+	serial, err := CollectDataset(o, runnerExec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Workers = 8
-	parallel, err := CollectDataset(o)
+	parallel, err := CollectDataset(o, runnerExec(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("dataset diverged between serial and 8-worker collection")
+	}
+}
+
+// TestCollectDatasetStopsAtFirstFailure: an executor error aborts the
+// collection at that Spec and names it.
+func TestCollectDatasetStopsAtFirstFailure(t *testing.T) {
+	boom := errors.New("boom")
+	var ran []string
+	_, err := CollectDataset(runnerOpts(), func(sp Spec) (*Result, error) {
+		ran = append(ran, sp.Name)
+		if sp.Name == "Figure 9" {
+			return nil, boom
+		}
+		return &Result{Spec: sp}, nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "Figure 9") {
+		t.Fatalf("err = %v, want the executor's error naming the spec", err)
+	}
+	if want := []string{"Figure 8", "Figure 9"}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("executor saw %q, want %q", ran, want)
 	}
 }

@@ -23,52 +23,58 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 	}
 	processes := []string{"bernoulli", "onoff"}
 	rates := []float64{0.02}
+	sp := MatrixSpec(base, kinds, patterns, processes, rates)
 
-	serial, err := ScenarioMatrix(Options{Workers: 1}, base, kinds, patterns, processes, rates)
+	serial, err := runnerExec(1)(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScenarioMatrix(Options{Workers: 8}, base, kinds, patterns, processes, rates)
+	parallel, err := runnerExec(8)(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(kinds)*len(patterns)*len(processes)*len(rates) {
-		t.Fatalf("matrix returned %d scenarios", len(serial))
+	if len(serial.Series) != len(kinds)*len(patterns)*len(processes) {
+		t.Fatalf("matrix returned %d series", len(serial.Series))
 	}
+	serial.ElapsedNS, parallel.ElapsedNS = 0, 0
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel matrix differs from serial matrix")
 	}
-	if got, want := ScenarioTable(serial).CSV(), ScenarioTable(parallel).CSV(); got != want {
+	if got, want := serial.ScenarioTable().CSV(), parallel.ScenarioTable().CSV(); got != want {
 		t.Fatal("parallel matrix CSV differs from serial")
 	}
-	for _, r := range serial {
-		if r.Packets == 0 {
-			t.Errorf("%v delivered nothing", r.Scenario)
+	for _, s := range serial.Series {
+		if len(s.Points) != len(rates) || s.Points[0].Packets == 0 {
+			t.Errorf("%s delivered nothing", s.Label)
 		}
 	}
 }
 
-// TestScenarioMatrixOrder: results come back in matrix order regardless
-// of completion order.
+// TestScenarioMatrixOrder: MatrixSpec series come back in matrix order —
+// kinds outermost, then patterns, then processes (defaulting to
+// Bernoulli) — with one point per rate, regardless of completion order.
 func TestScenarioMatrixOrder(t *testing.T) {
 	base := TimingSetup{Width: 4, Height: 4, Cycles: 300, Seed: 1}
 	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
 	patterns := []traffic.Pattern{traffic.Uniform, traffic.Tornado}
 	rates := []float64{0.01, 0.02}
-	res, err := ScenarioMatrix(Options{}, base, kinds, patterns, nil, rates)
+	res, err := runnerExec(0)(MatrixSpec(base, kinds, patterns, nil, rates))
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	for _, k := range kinds {
 		for _, p := range patterns {
-			for _, r := range rates {
-				sc := res[i].Scenario
-				if sc.Kind != k || sc.Pattern != p || sc.Process != "bernoulli" || sc.Rate != r {
-					t.Fatalf("result %d is %v, want %v/%v/bernoulli @ %g", i, sc, k, p, r)
-				}
-				i++
+			s := res.Series[i]
+			if s.Arbiter != k.String() || s.Pattern != p.String() || s.Process != "bernoulli" {
+				t.Fatalf("series %d is %s/%s/%s, want %v/%v/bernoulli", i, s.Arbiter, s.Pattern, s.Process, k, p)
 			}
+			for ri, r := range rates {
+				if s.Points[ri].Rate != r {
+					t.Errorf("series %d point %d has rate %g, want %g", i, ri, s.Points[ri].Rate, r)
+				}
+			}
+			i++
 		}
 	}
 }

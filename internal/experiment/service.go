@@ -4,9 +4,9 @@ package experiment
 // turns a Spec into a Result under a context, fanning the expanded job
 // grid across a bounded worker pool and streaming typed events —
 // run-start, point-done, series-done, run-done — as simulations finish.
-// It replaces the private runJobs/ProgressFunc plumbing as the public
-// way to execute experiments; the deprecated Sweep/figure entry points
-// are now thin adapters over it.
+// It is the one way to execute experiments: cmd/sweep's figure, matrix,
+// run, spec, and -verify modes all hand their Specs to a Runner (or to
+// the Coordinator, which runs shards through one).
 //
 // Determinism: jobs are fully fixed at expansion time and assembled by
 // index, so a Result is byte-identical whatever the worker count (only
@@ -58,8 +58,8 @@ type Event struct {
 // NewRunner. A Runner is stateless between runs and safe for concurrent
 // use by multiple goroutines.
 type Runner struct {
-	opts Options
-	sink func(Event)
+	workers int
+	sink    func(Event)
 }
 
 // RunnerOption configures a Runner.
@@ -78,7 +78,7 @@ func NewRunner(opts ...RunnerOption) *Runner {
 // per available CPU, 1 (or any negative value) runs serially. Results
 // are byte-identical regardless of the worker count.
 func WithWorkers(n int) RunnerOption {
-	return func(r *Runner) { r.opts.Workers = n }
+	return func(r *Runner) { r.workers = n }
 }
 
 // WithEventSink observes every event of every Run on this Runner. Calls
@@ -86,21 +86,6 @@ func WithWorkers(n int) RunnerOption {
 // from worker goroutines.
 func WithEventSink(fn func(Event)) RunnerOption {
 	return func(r *Runner) { r.sink = fn }
-}
-
-// optionsRunner adapts the deprecated Options plumbing (worker count,
-// ProgressFunc, and CollectDataset's shared limiter) onto a Runner.
-func optionsRunner(o Options) *Runner {
-	r := &Runner{opts: o}
-	if o.Progress != nil {
-		progress := o.Progress
-		r.sink = func(e Event) {
-			if e.Type == EventPointDone {
-				progress(e.Done, e.Total, e.Label)
-			}
-		}
-	}
-	return r
 }
 
 // Run executes the spec to completion (or cancellation) and returns the
@@ -170,8 +155,7 @@ func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result,
 	emit(Event{Type: EventRunStart, Total: total, Label: spec.title()})
 
 	// One mutex serializes event emission and the done/remaining counters
-	// across workers (the same guarantee progressTracker used to give the
-	// deprecated ProgressFunc).
+	// across workers.
 	var mu sync.Mutex
 	done := 0
 	remaining := make([]int, len(pl.series))
@@ -179,39 +163,32 @@ func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result,
 		remaining[i] = s.jobs
 	}
 
-	jobs := make([]jobSpec[ResultPoint], total)
+	jobs := make([]func() (ResultPoint, error), total)
 	for i, pj := range pl.jobs {
-		pj := pj
-		jobs[i] = jobSpec[ResultPoint]{
-			label: pj.label,
-			run: func() (ResultPoint, error) {
-				pt, err := pj.run(ctx)
-				if err != nil {
-					return pt, err
-				}
-				mu.Lock()
-				done++
+		jobs[i] = func() (ResultPoint, error) {
+			pt, err := pj.run(ctx)
+			if err != nil {
+				return pt, err
+			}
+			mu.Lock()
+			done++
+			emit(Event{
+				Type: EventPointDone, Done: done, Total: total,
+				Label: pj.label, Series: pl.series[pj.series].meta.Label, Point: &pt,
+			})
+			remaining[pj.series]--
+			if remaining[pj.series] == 0 {
 				emit(Event{
-					Type: EventPointDone, Done: done, Total: total,
-					Label: pj.label, Series: pl.series[pj.series].meta.Label, Point: &pt,
+					Type: EventSeriesDone, Done: done, Total: total,
+					Series: pl.series[pj.series].meta.Label,
 				})
-				remaining[pj.series]--
-				if remaining[pj.series] == 0 {
-					emit(Event{
-						Type: EventSeriesDone, Done: done, Total: total,
-						Series: pl.series[pj.series].meta.Label,
-					})
-				}
-				mu.Unlock()
-				return pt, nil
-			},
+			}
+			mu.Unlock()
+			return pt, nil
 		}
 	}
 
-	o := r.opts
-	o.ctx = ctx
-	o.Progress = nil // progress flows through events on this path
-	points, firstBad, err := runJobs(o, jobs)
+	points, firstBad, err := runJobs(ctx, r.workers, jobs)
 	if cerr := ctx.Err(); cerr != nil {
 		// The context's own error outranks the per-job symptom it caused.
 		err = cerr

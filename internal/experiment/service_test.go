@@ -16,21 +16,11 @@ func quickOpts() Options {
 	return Options{Quick: true, Seed: 1, CyclesOverride: 1500, MaxRatePoints: 2}
 }
 
-// TestSpecReproducesFigure10s is the acceptance check of the Spec path:
-// the canned Spec, serialized exactly as `cmd/sweep -emit-spec` writes
-// it, re-loaded exactly as `-spec` loads it, and run through the new
-// Runner, reproduces the old figure-function output byte for byte.
-func TestSpecReproducesFigure10s(t *testing.T) {
-	o := quickOpts()
-	old, err := Figure10Saturation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	specs, err := FigureSpecs("10s", o)
-	if err != nil {
-		t.Fatal(err)
-	}
+// reloadSpecs round-trips canned figure Specs exactly as cmd/sweep does:
+// serialized as `-emit-spec` writes them, re-loaded as `-spec` loads
+// them.
+func reloadSpecs(t *testing.T, specs []Spec) []Spec {
+	t.Helper()
 	data, err := EncodeSpecs(specs) // what -emit-spec prints
 	if err != nil {
 		t.Fatal(err)
@@ -39,49 +29,47 @@ func TestSpecReproducesFigure10s(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reloaded) != 1 {
-		t.Fatalf("reloaded %d specs, want 1", len(reloaded))
+	if len(reloaded) != len(specs) {
+		t.Fatalf("reloaded %d specs, want %d", len(reloaded), len(specs))
 	}
-	res, err := NewRunner(WithWorkers(4)).Run(context.Background(), reloaded[0])
+	return reloaded
+}
+
+// TestSpecReproducesFigure10s is the acceptance check of the Spec file
+// path: the canned Spec, emitted and re-loaded, and run through a
+// parallel Runner, prints the same figure table byte for byte as the
+// canned Spec run serially (what `sweep -figure 10s` prints).
+func TestSpecReproducesFigure10s(t *testing.T) {
+	o := quickOpts()
+	sp, canned := runFigure(t, o, "10s", 0, 1)
+	res, err := runnerExec(4)(reloadSpecs(t, []Spec{sp})[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Panel().Table().CSV(), old.Table().CSV(); got != want {
-		t.Errorf("spec-run output differs from the figure function:\n--- spec ---\n%s\n--- figure ---\n%s", got, want)
+	if got, want := res.Panel().Table().CSV(), canned.Panel().Table().CSV(); got != want {
+		t.Errorf("reloaded spec output differs from the canned spec:\n--- reloaded ---\n%s\n--- canned ---\n%s", got, want)
 	}
 }
 
 // TestSpecReproducesFigure8 is the standalone-mode half of the same
-// acceptance check.
+// acceptance check, in the Figure 8 table layout.
 func TestSpecReproducesFigure8(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
-	old, err := Figure8(o)
+	table := func(sp Spec, res *Result) string {
+		return Figure8Result{
+			LoadFractions:  sp.Standalone.Values,
+			SaturationLoad: res.SaturationLoad,
+			Curves:         res.Curves(),
+		}.Table().CSV()
+	}
+	sp, canned := runFigure(t, o, "8", 0, 1)
+	reloaded := reloadSpecs(t, []Spec{sp})[0]
+	res, err := runnerExec(4)(reloaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := FigureSpecs("8", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeSpecs(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := ParseSpecs(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewRunner(WithWorkers(4)).Run(context.Background(), reloaded[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Figure8Result{
-		LoadFractions:  reloaded[0].Standalone.Values,
-		SaturationLoad: res.SaturationLoad,
-		Curves:         res.Curves(),
-	}
-	if got.Table().CSV() != old.Table().CSV() {
-		t.Errorf("spec-run figure 8 differs from the figure function")
+	if table(reloaded, res) != table(sp, canned) {
+		t.Errorf("reloaded spec figure 8 differs from the canned spec")
 	}
 }
 

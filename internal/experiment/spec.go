@@ -926,9 +926,10 @@ func kindNames(kinds []core.Kind) []string {
 // FigureSpecs returns the canned Specs reproducing a paper figure — one
 // Spec per panel, so "10" yields four. "all" concatenates every figure.
 // Options supplies fidelity (Quick, CyclesOverride, MaxRatePoints), the
-// seed, and the study-wide toggles (Check, Replications); with the
-// toggles off, running the Specs through a Runner reproduces the old
-// figure-function output byte for byte.
+// seed, and the study-wide toggles (Check, Metrics, Replications,
+// TorusShards). Run the Specs through a Runner or Coordinator; a
+// Result's Panel (timing) or Curves (standalone) is the figure's data,
+// and CollectDataset assembles every figure for Verify.
 func FigureSpecs(name string, o Options) ([]Spec, error) {
 	specs, err := figureSpecs(name, o)
 	if err != nil {
@@ -994,6 +995,11 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			timingSpec("8x8, Perfect Shuffle", 8, 8, traffic.PerfectShuffle, Figure10Kinds, Rates8x8, nil),
 		}, nil
 	case "10s":
+		// The saturation companion: Figure 10's 8x8 random sweep with the
+		// outstanding-miss limit raised to 64. At the 21364's 16 misses the
+		// closed loop settles instead of collapsing; the extra in-flight
+		// pressure shows the paper's post-saturation collapse of the base
+		// algorithms (see EXPERIMENTS.md).
 		return []Spec{timingSpec(
 			"8x8, Random Traffic, 64 outstanding (saturation companion)",
 			8, 8, traffic.Uniform, Figure10Kinds, Rates8x8,

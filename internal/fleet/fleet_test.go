@@ -314,7 +314,11 @@ func TestFleetRetriesInBandError(t *testing.T) {
 // hang, bench the worker, and finish the sweep elsewhere — still
 // byte-identical.
 func TestFleetHangTimesOutAndFailsOver(t *testing.T) {
-	sp := testSpec(t)
+	// One rate point keeps the good worker's attempt well inside the
+	// 100 ms timeout: under -race on a 2-CPU host with three busy loops
+	// the default three-point shard took 47-143 ms (one point: 19-41 ms),
+	// so the good worker would often overrun it too.
+	sp := testSpec(t, experiment.WithRates(0.02))
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -343,10 +347,28 @@ func TestFleetHangTimesOutAndFailsOver(t *testing.T) {
 	if st.ShardRetries < 1 {
 		t.Errorf("retries = %d, want >= 1 (the hung attempt)", st.ShardRetries)
 	}
+	var hungSt, goodSt WorkerStatus
 	for _, ws := range f.Status() {
-		if ws.Addr == strings.TrimRight(hung.URL, "/") && ws.Alive {
-			t.Error("hung worker still marked alive")
+		switch ws.Addr {
+		case strings.TrimRight(hung.URL, "/"):
+			hungSt = ws
+		case strings.TrimRight(good.URL, "/"):
+			goodSt = ws
 		}
+	}
+	if hungSt.Failed < 1 || hungSt.Done != 0 {
+		t.Errorf("hung worker: %d failed, %d done attempts; want >= 1 failed and 0 done", hungSt.Failed, hungSt.Done)
+	}
+	if goodSt.Done != 1 {
+		t.Errorf("good worker: %d done attempts, want exactly 1", goodSt.Done)
+	}
+	// On a loaded host the good worker's attempt can overrun the timeout
+	// too. With both workers benched, the all-dead round's /healthz probe
+	// revives both by design (the hung worker answers /healthz), so the
+	// hung worker's liveness proves the hang benched it only when the good
+	// worker never failed.
+	if goodSt.Failed == 0 && hungSt.Alive {
+		t.Error("hung worker still marked alive")
 	}
 }
 

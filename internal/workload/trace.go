@@ -176,6 +176,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: trace event %d injects on non-local port %d", i, in)
 		case e.Class >= packet.NumClasses:
 			return nil, fmt.Errorf("workload: trace event %d has invalid class %d", i, class)
+		case e.In == ports.InIO && e.Class.IsIO() && e.Dst == e.Node:
+			// An I/O packet for its own node must leave through G-I/O, and
+			// the crossbar has no L-I/O -> G-I/O cell: replayed, it could
+			// never leave the router.
+			return nil, fmt.Errorf("workload: trace event %d injects %v on %v addressed to its own node %d (no L-I/O -> G-I/O crossbar path)",
+				i, e.Class, e.In, e.Node)
 		}
 		prev = e.At
 		t.Events[i] = e

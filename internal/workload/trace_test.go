@@ -81,6 +81,7 @@ func TestTraceRejectsBadInput(t *testing.T) {
 		"bad node":       "alpha21364-trace 1\ntorus 4 4\nperiod 10\nlabel \nevents 1\n10 1 99 4 0 0 1\n",
 		"network port":   "alpha21364-trace 1\ntorus 4 4\nperiod 10\nlabel \nevents 1\n10 1 0 2 0 0 1\n",
 		"bad class":      "alpha21364-trace 1\ntorus 4 4\nperiod 10\nlabel \nevents 1\n10 1 0 4 42 0 1\n",
+		"stuck I/O":      "alpha21364-trace 1\ntorus 4 4\nperiod 10\nlabel \nevents 1\n10 1 5 7 5 5 5\n",
 	} {
 		if _, err := ReadTrace(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted invalid trace", name)
