@@ -26,9 +26,9 @@
 //     network with the paper's synthetic coherence workloads (RunTiming,
 //     RunTimingCtx);
 //   - a pluggable workload suite decomposing traffic into spatial
-//     patterns × arrival processes × transaction models, with trace
-//     record/replay for reproducible cross-algorithm comparisons
-//     (WorkloadPattern, WorkloadProcess, WorkloadModel, Trace);
+//     patterns × arrival processes × transaction models, each chosen by
+//     name (PatternNames, ProcessNames, ModelNames), with trace
+//     record/replay for reproducible cross-algorithm comparisons (Trace);
 //   - canned Specs for every paper figure (FigureSpecs), run through a
 //     Runner by the cmd/sweep tool and the repository's benchmarks; a
 //     Result's Panel and Table views are the figure's chart and rows.
@@ -49,8 +49,6 @@ import (
 	"alpha21364/internal/sim"
 	"alpha21364/internal/standalone"
 	"alpha21364/internal/stats"
-	"alpha21364/internal/topology"
-	"alpha21364/internal/traffic"
 	"alpha21364/internal/workload"
 )
 
@@ -96,65 +94,11 @@ func NewRouterMatrix() *Matrix { return core.NewRouterMatrix() }
 // ParseKind resolves an algorithm name such as "SPAA-rotary".
 func ParseKind(name string) (Kind, error) { return core.ParseKind(name) }
 
-// Traffic patterns of the synthetic workloads.
-type Pattern = traffic.Pattern
-
-// Destination patterns: the paper's three (§4.2) plus the standard
-// transpose, tornado, nearest-neighbor, and hotspot suites.
-const (
-	Uniform        = traffic.Uniform
-	BitReversal    = traffic.BitReversal
-	PerfectShuffle = traffic.PerfectShuffle
-	Transpose      = traffic.Transpose
-	Tornado        = traffic.Tornado
-	Neighbor       = traffic.Neighbor
-	Hotspot        = traffic.Hotspot
-)
-
-// ParsePattern resolves a pattern name such as "bit-reversal"
-// (case-insensitive).
-func ParsePattern(name string) (Pattern, error) { return traffic.ParsePattern(name) }
-
-// PatternNames lists every destination-pattern name.
-func PatternNames() []string { return traffic.PatternNames() }
-
-// Torus is the 2D-torus topology (node ids, coordinates, permutations).
-type Torus = topology.Torus
-
-// Node identifies a processor/router in the torus.
-type Node = topology.Node
-
-// NewTorus returns a W x H torus.
-func NewTorus(w, h int) Torus { return topology.NewTorus(w, h) }
-
-// WorkloadPattern draws request destinations — the spatial axis of a
-// workload. Build one with NewWorkloadPattern or the workload suite's
-// constructors re-exported below.
-type WorkloadPattern = workload.Pattern
-
-// WorkloadProcess is the temporal arrival law of a workload.
-type WorkloadProcess = workload.Process
-
-// WorkloadModel defines what a transaction is.
-type WorkloadModel = workload.Model
-
-// NewWorkloadPattern resolves a destination pattern by name on a torus.
-func NewWorkloadPattern(name string, t Torus) (WorkloadPattern, error) {
-	return workload.NewPattern(name, t)
-}
-
-// NewWorkloadProcess resolves an arrival process ("bernoulli", "onoff",
-// "deterministic") at a mean per-node per-cycle rate.
-func NewWorkloadProcess(name string, rate float64) (WorkloadProcess, error) {
-	return workload.NewProcess(name, rate)
-}
-
-// NewHotspotPattern builds a weighted hotspot pattern: fraction of all
-// requests go to the targets (drawn by weight; nil weights = equal), the
-// rest are uniform.
-func NewHotspotPattern(t Torus, targets []Node, weights []float64, fraction float64) (WorkloadPattern, error) {
-	return workload.NewHotspot(t, targets, weights, fraction)
-}
+// PatternNames lists every destination-pattern name: the paper's three
+// (§4.2: "random", "bit-reversal", "perfect-shuffle") plus the standard
+// transpose, tornado, nearest-neighbor, and hotspot suites. Names are
+// case-insensitive; "uniform" and "shuffle" are accepted aliases.
+func PatternNames() []string { return workload.PatternNames() }
 
 // ProcessNames lists every arrival-process name.
 func ProcessNames() []string { return workload.ProcessNames() }
@@ -485,8 +429,10 @@ type Panel = experiment.Panel
 // Table is a formatted result grid.
 type Table = experiment.Table
 
-// MatrixSpec lifts typed matrix axes into a declarative Spec.
-func MatrixSpec(base TimingSetup, kinds []Kind, patterns []Pattern,
-	processes []string, rates []float64) Spec {
+// MatrixSpec lifts matrix axes — arbiter kinds, pattern and process
+// names (PatternNames, ProcessNames), and rates — into a declarative
+// Spec; base supplies every other setting that has a Spec home.
+func MatrixSpec(base TimingSetup, kinds []Kind, patterns, processes []string,
+	rates []float64) Spec {
 	return experiment.MatrixSpec(base, kinds, patterns, processes, rates)
 }

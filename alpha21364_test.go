@@ -14,15 +14,6 @@ func TestFacadeKindsParse(t *testing.T) {
 	}
 }
 
-func TestFacadePatternsParse(t *testing.T) {
-	for _, p := range []Pattern{Uniform, BitReversal, PerfectShuffle} {
-		got, err := ParsePattern(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePattern(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-}
-
 func TestFacadeStandaloneRun(t *testing.T) {
 	cfg := DefaultStandaloneConfig(0.5)
 	cfg.Cycles = 200
@@ -48,7 +39,7 @@ func TestFacadeMatrixAndArbiter(t *testing.T) {
 
 func TestFacadeTimingRun(t *testing.T) {
 	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: SPAARotary, Pattern: Uniform,
+		Width: 4, Height: 4, Kind: SPAARotary, Pattern: "random",
 		Rate: 0.01, Cycles: 4000, Seed: 1,
 	})
 	if err != nil {
@@ -61,7 +52,7 @@ func TestFacadeTimingRun(t *testing.T) {
 
 func TestFacadeSweep(t *testing.T) {
 	res, err := NewRunner().Run(context.Background(), NewSpec(
-		WithTopology(4, 4), WithArbiters(PIM1.String()), WithPatterns(Uniform.String()),
+		WithTopology(4, 4), WithArbiters(PIM1.String()), WithPatterns("random"),
 		WithRates(0.01, 0.03), WithCycles(2500), WithSeed(1),
 	))
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"alpha21364/internal/router"
 	"alpha21364/internal/sim"
 	"alpha21364/internal/standalone"
-	"alpha21364/internal/traffic"
 )
 
 // benchOpts keeps figure benchmarks short enough for `go test -bench=.`
@@ -154,7 +153,7 @@ func BenchmarkAblationRotary(b *testing.B) {
 		rows := make([][]string, 0, 4)
 		for _, k := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindWFABase, core.KindWFARotary} {
 			res, err := experiment.RunTiming(experiment.TimingSetup{
-				Width: 8, Height: 8, Kind: k, Pattern: traffic.Uniform,
+				Width: 8, Height: 8, Kind: k, Pattern: "random",
 				Rate: 0.09, MaxOutstanding: 64, Cycles: benchOpts.TimingCycles(), Seed: 1,
 			})
 			if err != nil {
@@ -220,7 +219,7 @@ func runCustomRouter(b *testing.B, mutate func(*router.Config), rate float64) ex
 func runCustomRouterKind(b *testing.B, kind core.Kind, mutate func(*router.Config), rate float64) experiment.TimingResult {
 	b.Helper()
 	res, err := experiment.RunTimingWithRouter(experiment.TimingSetup{
-		Width: 8, Height: 8, Kind: kind, Pattern: traffic.Uniform,
+		Width: 8, Height: 8, Kind: kind, Pattern: "random",
 		Rate: rate, Cycles: benchOpts.TimingCycles(), Seed: 1,
 	}, mutate)
 	if err != nil {
@@ -314,7 +313,7 @@ func BenchmarkArbitrateMCM(b *testing.B)  { benchArbiter(b, core.KindMCM) }
 // a loaded 8x8 network — the simulator's core inner loop.
 func BenchmarkRouterCycle(b *testing.B) {
 	res, err := experiment.RunTiming(experiment.TimingSetup{
-		Width: 8, Height: 8, Kind: SPAABase, Pattern: Uniform,
+		Width: 8, Height: 8, Kind: SPAABase, Pattern: "random",
 		Rate: 0.03, Cycles: b.N/64 + 1000, Seed: 1,
 	})
 	if err != nil {

@@ -65,7 +65,6 @@ import (
 	"alpha21364/internal/experiment"
 	"alpha21364/internal/fleet"
 	"alpha21364/internal/prof"
-	"alpha21364/internal/traffic"
 	"alpha21364/internal/workload"
 )
 
@@ -134,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	matrix := fs.Bool("matrix", false, "run a scenario matrix (algorithms x patterns x processes x rates)")
 	runOne := fs.Bool("run", false, "run a single scenario (implied by -record/-replay)")
 	algos := fs.String("algos", "SPAA-rotary,PIM1,WFA-rotary", "comma-separated algorithms for -matrix")
-	patterns := fs.String("patterns", strings.Join(traffic.PatternNames(), ","), "comma-separated destination patterns for -matrix")
+	patterns := fs.String("patterns", strings.Join(workload.PatternNames(), ","), "comma-separated destination patterns for -matrix")
 	processes := fs.String("processes", strings.Join(workload.ProcessNames(), ","), "comma-separated arrival processes for -matrix")
 	rates := fs.String("rates", "0.01,0.03", "comma-separated injection rates for -matrix")
 	size := fs.String("size", "8x8", "torus size WxH for -matrix and -run")
@@ -734,14 +733,7 @@ func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, 
 		}
 		kinds = append(kinds, k)
 	}
-	var pats []traffic.Pattern
-	for _, name := range splitList(patterns) {
-		p, err := traffic.ParsePattern(name)
-		if err != nil {
-			return experiment.Spec{}, err
-		}
-		pats = append(pats, p)
-	}
+	pats := splitList(patterns)
 	procs := splitList(processes)
 	var rs []float64
 	for _, f := range splitList(rates) {
@@ -805,7 +797,7 @@ func runSpecFromFlags(o experiment.Options, algo, pattern, process, model string
 
 func (a *app) printLists() {
 	fmt.Fprintln(a.out, "algorithms:", strings.Join(core.KindNames(), ", "))
-	fmt.Fprintln(a.out, "patterns:  ", strings.Join(traffic.PatternNames(), ", "))
+	fmt.Fprintln(a.out, "patterns:  ", strings.Join(workload.PatternNames(), ", "))
 	fmt.Fprintln(a.out, "processes: ", strings.Join(workload.ProcessNames(), ", "))
 	fmt.Fprintln(a.out, "models:    ", strings.Join(workload.ModelNames(), ", "))
 	fmt.Fprintln(a.out, "figures:   ", strings.Join(experiment.FigureSpecNames(), ", "))

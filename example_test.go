@@ -56,7 +56,7 @@ func ExampleRunTiming() {
 	res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
 		Width: 4, Height: 4,
 		Kind:    alpha21364.SPAABase,
-		Pattern: alpha21364.Uniform,
+		Pattern: "random",
 		Rate:    0.002,
 		Cycles:  20000,
 		Seed:    1,

@@ -27,7 +27,7 @@ func run(out io.Writer, cycles int) error {
 		Width:   4,
 		Height:  4,
 		Kind:    alpha21364.SPAABase,
-		Pattern: alpha21364.Uniform,
+		Pattern: "random",
 		Rate:    0.03,   // new transactions per node per router cycle
 		Cycles:  cycles, // router cycles at 1.2 GHz
 		Seed:    1,
@@ -49,7 +49,7 @@ func run(out io.Writer, cycles int) error {
 		alpha21364.WithName("quickstart BNF"),
 		alpha21364.WithTopology(4, 4),
 		alpha21364.WithArbiters(alpha21364.SPAABase.String()),
-		alpha21364.WithPatterns(alpha21364.Uniform.String()),
+		alpha21364.WithPatterns("random"),
 		alpha21364.WithRates(0.01, 0.03, 0.05, 0.08),
 		alpha21364.WithCycles(cycles/2),
 		alpha21364.WithSeed(1),

@@ -44,7 +44,7 @@ func run(out io.Writer, cycles int) error {
 		fmt.Fprintf(out, "%-12.3f", rate)
 		for _, kind := range kinds {
 			res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-				Width: 8, Height: 8, Kind: kind, Pattern: alpha21364.Uniform,
+				Width: 8, Height: 8, Kind: kind, Pattern: "random",
 				Rate: rate, MaxOutstanding: 64, Cycles: cycles, Seed: 1,
 			})
 			if err != nil {

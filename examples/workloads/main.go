@@ -31,10 +31,7 @@ func run(out io.Writer, cycles int) error {
 	fmt.Fprintln(out, "4x4 torus, SPAA-rotary: avg latency (ns) per pattern x process")
 	fmt.Fprintln(out)
 
-	patterns := []alpha21364.Pattern{
-		alpha21364.Uniform, alpha21364.Transpose, alpha21364.Tornado,
-		alpha21364.Neighbor, alpha21364.Hotspot,
-	}
+	patterns := []string{"random", "transpose", "tornado", "neighbor", "hotspot"}
 	processes := alpha21364.ProcessNames()
 
 	fmt.Fprintf(out, "%-16s", "pattern")
@@ -67,7 +64,7 @@ func run(out io.Writer, cycles int) error {
 	tracePath := filepath.Join(dir, "bursty-hotspot.trace")
 
 	setup := alpha21364.TimingSetup{
-		Width: 4, Height: 4, Kind: alpha21364.SPAARotary, Pattern: alpha21364.Hotspot,
+		Width: 4, Height: 4, Kind: alpha21364.SPAARotary, Pattern: "hotspot",
 		Process: "onoff", Rate: 0.03, Cycles: cycles, Seed: 1,
 		RecordTo: tracePath,
 	}

@@ -11,8 +11,8 @@ import (
 
 // Differential oracle for the bitplane kernels (satellite of the
 // word-parallel rewrite): every production arbiter and rotating grant
-// policy must reproduce its retained scalar reference (reference.go) byte
-// for byte over randomized matrix sequences. Shapes, validity densities,
+// policy must reproduce its retained scalar reference (reference_test.go)
+// byte for byte over randomized matrix sequences. Shapes, validity densities,
 // ages (with deliberate ties), keys (with deliberate duplicates, modeling
 // the adaptive two-column case), and row metadata are all randomized; the
 // production and reference instances are seeded identically and must stay

@@ -22,8 +22,8 @@
 // in sync incrementally by Set/SetMany/Clear/Reset, plus row-port and
 // network-row masks derived once from the row metadata. The arbitration
 // kernels iterate candidates with math/bits on these words instead of
-// walking Cells one by one; reference.go retains the scalar kernels as the
-// differential oracle.
+// walking Cells one by one; reference_test.go retains the scalar kernels
+// as the differential oracle.
 package core
 
 import (

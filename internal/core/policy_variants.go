@@ -13,8 +13,8 @@ import (
 // let the design space be explored (see BenchmarkAblationGrantPolicy).
 // Like the arbitration kernels, the rotating variants resolve their winner
 // on a candidate bitmask — a rotate plus TrailingZeros64 — rather than a
-// distance scan; reference.go retains the scalar forms as the differential
-// oracle.
+// distance scan; reference_test.go retains the scalar forms as the
+// differential oracle.
 
 // SelectPolicy picks the winning row for an output column among candidate
 // rows. Implementations carry per-column fairness state.

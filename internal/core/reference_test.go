@@ -1,6 +1,6 @@
 package core
 
-// reference.go retains the pre-bitplane scalar kernels, cell-by-cell
+// reference_test.go retains the pre-bitplane scalar kernels, cell-by-cell
 // transliterations of the algorithm descriptions in the paper. They are
 // the differential oracle for the word-parallel kernels: every production
 // arbiter must reproduce its reference's grants byte for byte over any
@@ -11,7 +11,8 @@ package core
 // LRS clocks, RNG draws — in the same order, so a reference arbiter seeded
 // identically to a production one stays in lock-step across calls.
 //
-// Nothing in the hot path uses these; they exist to make "the rewrite
+// They live in a test file because only the differential suite and the
+// Arbitrate microbenchmarks use them; they exist to make "the rewrite
 // changed no answers" a checkable property rather than a code-review
 // claim.
 

@@ -18,7 +18,6 @@ import (
 	"alpha21364/internal/sim"
 	"alpha21364/internal/stats"
 	"alpha21364/internal/topology"
-	"alpha21364/internal/traffic"
 	"alpha21364/internal/workload"
 )
 
@@ -110,7 +109,7 @@ const NoWarmup = -1.0
 type TimingSetup struct {
 	Width, Height  int
 	Kind           core.Kind
-	Pattern        traffic.Pattern
+	Pattern        string  // destination pattern name; "" means "random"
 	Rate           float64 // new transactions per node per router cycle
 	MaxOutstanding int     // 0 means the 21364 default of 16
 	ScalePipeline  bool    // Figure 11a's 2x-deep, 2x-fast pipeline
@@ -162,11 +161,12 @@ type TimingSetup struct {
 
 // workloadConfig expands the setup into the workload decomposition:
 // either a replay of a recorded trace, or the configured pattern ×
-// process × model combination (defaulting to the paper's uniform ×
-// Bernoulli × coherence). period is the router clock the run will use,
-// stamped into recorded traces and checked against replayed ones.
+// process × model combination (defaulting to the paper's random ×
+// Bernoulli × coherence) under the outstanding-miss cap. period is the
+// router clock the run will use, stamped into recorded traces and
+// checked against replayed ones.
 func (s TimingSetup) workloadConfig(t topology.Torus, period sim.Ticks) (workload.Config, error) {
-	var cfg workload.Config
+	cfg := workload.Config{Pattern: workload.NewUniform(t), Seed: s.Seed}
 	if s.ReplayFrom != "" {
 		trace, err := workload.ReadTraceFile(s.ReplayFrom)
 		if err != nil {
@@ -176,35 +176,30 @@ func (s TimingSetup) workloadConfig(t topology.Torus, period sim.Ticks) (workloa
 		if err := replay.CheckCompatible(s.Width, s.Height, period); err != nil {
 			return cfg, err
 		}
-		cfg = workload.Config{Process: workload.NewSilent(), Model: replay, Seed: s.Seed}
+		cfg.Process, cfg.Model = workload.NewSilent(), replay
 	} else {
-		if err := s.Pattern.Validate(t); err != nil {
-			return cfg, err
-		}
-		tcfg := traffic.DefaultConfig(s.Pattern, s.Rate)
-		tcfg.Seed = s.Seed
-		if s.MaxOutstanding > 0 {
-			tcfg.MaxOutstanding = s.MaxOutstanding
-		}
-		cfg = tcfg.Workload(t)
-		proc, err := workload.NewProcess(s.Process, s.Rate)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Process = proc
-		if s.Model != "" {
-			model, err := workload.NewModel(s.Model)
-			if err != nil {
+		var err error
+		if s.Pattern != "" {
+			if cfg.Pattern, err = workload.NewPattern(s.Pattern, t); err != nil {
 				return cfg, err
 			}
-			cfg.Model = model
+		}
+		if cfg.Process, err = workload.NewProcess(s.Process, s.Rate); err != nil {
+			return cfg, err
+		}
+		if cfg.Model, err = workload.NewModel(s.Model); err != nil {
+			return cfg, err
+		}
+		cfg.MaxOutstanding = s.MaxOutstanding
+		if cfg.MaxOutstanding <= 0 {
+			cfg.MaxOutstanding = 16
 		}
 	}
 	if s.RecordTo != "" {
 		cfg.Record = &workload.Trace{
 			Width: s.Width, Height: s.Height, Period: period,
-			Label: fmt.Sprintf("kind=%v pattern=%v process=%s rate=%g seed=%d cycles=%d",
-				s.Kind, s.Pattern, cfg.Process.Name(), s.Rate, s.Seed, s.Cycles),
+			Label: fmt.Sprintf("kind=%v pattern=%s process=%s rate=%g seed=%d cycles=%d",
+				s.Kind, cfg.Pattern.Name(), cfg.Process.Name(), s.Rate, s.Seed, s.Cycles),
 		}
 	}
 	return cfg, nil

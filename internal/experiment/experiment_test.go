@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 )
 
 // benchOpts keeps experiment tests fast.
@@ -13,7 +12,7 @@ var benchOpts = Options{Quick: true, CyclesOverride: 5000, MaxRatePoints: 3, See
 
 func TestRunTimingBasics(t *testing.T) {
 	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
+		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
 		Rate: 0.01, Cycles: 5000, Seed: 1,
 	})
 	if err != nil {
@@ -32,7 +31,7 @@ func TestRunTimingBasics(t *testing.T) {
 
 func TestRunTimingRejectsStandaloneAlgorithms(t *testing.T) {
 	_, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindMCM, Pattern: traffic.Uniform,
+		Width: 4, Height: 4, Kind: core.KindMCM, Pattern: "random",
 		Rate: 0.01, Cycles: 100, Seed: 1,
 	})
 	if err == nil {
@@ -46,7 +45,7 @@ func TestRunTimingRejectsStandaloneAlgorithms(t *testing.T) {
 func TestSPAABeatsWavesIn4x4(t *testing.T) {
 	run := func(kind core.Kind) float64 {
 		res, err := RunTiming(TimingSetup{
-			Width: 4, Height: 4, Kind: kind, Pattern: traffic.Uniform,
+			Width: 4, Height: 4, Kind: kind, Pattern: "random",
 			Rate: 0.05, Cycles: 10000, Seed: 1,
 		})
 		if err != nil {
@@ -67,7 +66,7 @@ func TestSPAABeatsWavesIn4x4(t *testing.T) {
 func TestRotaryHoldsThroughputBeyondSaturation(t *testing.T) {
 	run := func(kind core.Kind) float64 {
 		res, err := RunTiming(TimingSetup{
-			Width: 8, Height: 8, Kind: kind, Pattern: traffic.Uniform,
+			Width: 8, Height: 8, Kind: kind, Pattern: "random",
 			Rate: 0.13, MaxOutstanding: 64, Cycles: 12000, Seed: 1,
 		})
 		if err != nil {
@@ -209,7 +208,7 @@ func TestTableFormatting(t *testing.T) {
 // request the old zero-means-default encoding could not express).
 func TestWarmupFractionSentinel(t *testing.T) {
 	base := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
+		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
 		Rate: 0.03, Cycles: 4000, Seed: 1,
 	}
 	run := func(frac float64) TimingResult {
@@ -234,7 +233,7 @@ func TestWarmupFractionSentinel(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindWFARotary, Pattern: traffic.BitReversal,
+		Width: 4, Height: 4, Kind: core.KindWFARotary, Pattern: "bit-reversal",
 		Rate: 0.03, Cycles: 4000, Seed: 7,
 	}
 	a, err := RunTiming(s)

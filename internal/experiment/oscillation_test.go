@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 )
 
 // TestSaturationOscillation reproduces the paper's §3.4 observation that a
@@ -16,7 +15,7 @@ import (
 func TestSaturationOscillation(t *testing.T) {
 	run := func(rate float64, outstanding int) float64 {
 		res, err := RunTiming(TimingSetup{
-			Width: 8, Height: 8, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
+			Width: 8, Height: 8, Kind: core.KindSPAABase, Pattern: "random",
 			Rate: rate, MaxOutstanding: outstanding,
 			Cycles: 15000, Seed: 1, EpochCycles: 1500,
 		})

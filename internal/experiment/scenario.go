@@ -7,30 +7,27 @@ package experiment
 // before dispatch, so — like the figures — a parallel matrix is
 // byte-identical to a serial one.
 
-import (
-	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
-)
+import "alpha21364/internal/core"
 
 // MatrixSpec lifts the typed matrix axes into a declarative Spec — the
 // cross product becomes Spec expansion, executed by a Runner. The base
-// setup supplies the torus, run length, seed, and outstanding cap. Series
-// come out in matrix order: kinds outermost, then patterns, then
-// processes, with one point per rate.
+// setup supplies everything else that has a Spec home: the torus, run
+// length, warmup, seed, outstanding cap, transaction model, trace
+// record/replay, pipeline scaling, epochs, torus shards, and the Check
+// and Metrics toggles; its Kind, Pattern, Process, and Rate are
+// ignored in favour of the axes. Series come out in matrix order: kinds
+// outermost, then patterns, then processes, with one point per rate.
 func MatrixSpec(base TimingSetup, kinds []core.Kind,
-	patterns []traffic.Pattern, processes []string, rates []float64) Spec {
-	names := make([]string, len(patterns))
-	for i, p := range patterns {
-		names[i] = p.String()
-	}
+	patterns, processes []string, rates []float64) Spec {
 	return Spec{
 		Version:  SpecVersion,
 		Name:     "matrix",
 		Arbiters: kindNames(kinds),
 		Check:    base.Check,
+		Metrics:  base.Metrics,
 		Topology: &TopologySpec{Width: base.Width, Height: base.Height},
 		Workload: &WorkloadSpec{
-			Patterns:       names,
+			Patterns:       append([]string(nil), patterns...),
 			Processes:      append([]string(nil), processes...),
 			Model:          base.Model,
 			Rates:          append([]float64(nil), rates...),
@@ -44,6 +41,7 @@ func MatrixSpec(base TimingSetup, kinds []core.Kind,
 			Seed:           base.Seed,
 			ScalePipeline:  base.ScalePipeline,
 			EpochCycles:    base.EpochCycles,
+			TorusShards:    base.TorusShards,
 		},
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 	"alpha21364/internal/workload"
 )
 
@@ -17,10 +16,7 @@ import (
 func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 	base := TimingSetup{Width: 4, Height: 4, Cycles: 600, Seed: 3}
 	kinds := []core.Kind{core.KindSPAARotary}
-	patterns := []traffic.Pattern{
-		traffic.Uniform, traffic.BitReversal, traffic.PerfectShuffle,
-		traffic.Transpose, traffic.Tornado, traffic.Hotspot,
-	}
+	patterns := []string{"random", "bit-reversal", "perfect-shuffle", "transpose", "tornado", "hotspot"}
 	processes := []string{"bernoulli", "onoff"}
 	rates := []float64{0.02}
 	sp := MatrixSpec(base, kinds, patterns, processes, rates)
@@ -56,7 +52,7 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 func TestScenarioMatrixOrder(t *testing.T) {
 	base := TimingSetup{Width: 4, Height: 4, Cycles: 300, Seed: 1}
 	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
-	patterns := []traffic.Pattern{traffic.Uniform, traffic.Tornado}
+	patterns := []string{"random", "tornado"}
 	rates := []float64{0.01, 0.02}
 	res, err := runnerExec(0)(MatrixSpec(base, kinds, patterns, nil, rates))
 	if err != nil {
@@ -66,8 +62,8 @@ func TestScenarioMatrixOrder(t *testing.T) {
 	for _, k := range kinds {
 		for _, p := range patterns {
 			s := res.Series[i]
-			if s.Arbiter != k.String() || s.Pattern != p.String() || s.Process != "bernoulli" {
-				t.Fatalf("series %d is %s/%s/%s, want %v/%v/bernoulli", i, s.Arbiter, s.Pattern, s.Process, k, p)
+			if s.Arbiter != k.String() || s.Pattern != p || s.Process != "bernoulli" {
+				t.Fatalf("series %d is %s/%s/%s, want %v/%s/bernoulli", i, s.Arbiter, s.Pattern, s.Process, k, p)
 			}
 			for ri, r := range rates {
 				if s.Points[ri].Rate != r {
@@ -79,10 +75,50 @@ func TestScenarioMatrixOrder(t *testing.T) {
 	}
 }
 
+// TestMatrixSpecCarriesSetup: every TimingSetup field with a Spec home
+// survives MatrixSpec and expansion into every job's setup, so a caller
+// who asks for telemetry, sharding, or any other setting gets it. Only
+// the axes (Kind, Pattern, Process, Rate) come from MatrixSpec's other
+// arguments.
+func TestMatrixSpecCarriesSetup(t *testing.T) {
+	sweep := TimingSetup{
+		Width: 8, Height: 2, MaxOutstanding: 64, ScalePipeline: true, Cycles: 1234,
+		Model: "datagram", WarmupFraction: NoWarmup, Seed: 99, Check: true, Metrics: true,
+		EpochCycles: 50, TorusShards: 2,
+	}
+	recording, replay := sweep, sweep
+	recording.RecordTo = "run.trace"
+	replay.Model, replay.ReplayFrom = "", "run.trace" // a replay fixes the model too
+	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
+	for _, tc := range []struct {
+		name                string
+		base                TimingSetup
+		kinds               []core.Kind
+		patterns, processes []string
+		rates               []float64
+	}{
+		{"sweep", sweep, kinds, []string{"random", "tornado"}, []string{"bernoulli", "onoff"}, []float64{0.01, 0.02}},
+		{"recording", recording, kinds[:1], []string{"tornado"}, []string{"onoff"}, []float64{0.02}},
+		{"replay", replay, kinds, nil, nil, nil},
+	} {
+		pl, err := MatrixSpec(tc.base, tc.kinds, tc.patterns, tc.processes, tc.rates).expand()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, j := range pl.jobs {
+			got := *j.setup
+			got.Kind, got.Pattern, got.Process, got.Rate = 0, "", "", 0
+			if got != tc.base {
+				t.Errorf("%s: job %q runs with\n%+v, want\n%+v", tc.name, j.label, got, tc.base)
+			}
+		}
+	}
+}
+
 // recordSetup is the shared recording scenario of the replay tests.
 func recordSetup(dir string) TimingSetup {
 	return TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: traffic.Hotspot,
+		Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: "hotspot",
 		Rate: 0.02, Cycles: 1500, Seed: 11,
 		RecordTo: filepath.Join(dir, "run.trace"),
 	}
@@ -190,7 +226,7 @@ func TestReplayMissingTraceFails(t *testing.T) {
 // the timing harness.
 func TestDatagramModelRuns(t *testing.T) {
 	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
+		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
 		Rate: 0.02, Cycles: 1000, Seed: 1, Model: "datagram",
 	})
 	if err != nil {
@@ -212,7 +248,7 @@ func TestDatagramModelRuns(t *testing.T) {
 func TestProcessesChangeDynamicsNotLoad(t *testing.T) {
 	run := func(process string) int64 {
 		res, err := RunTiming(TimingSetup{
-			Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: traffic.Uniform,
+			Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: "random",
 			Rate: 0.01, Cycles: 8000, Seed: 5, Process: process,
 		})
 		if err != nil {
@@ -254,7 +290,7 @@ func TestRecordWriteFailureSurfaces(t *testing.T) {
 // a setup error, not a mid-simulation panic.
 func TestBitPatternOnNonPowerOfTwoIsAnError(t *testing.T) {
 	_, err := RunTiming(TimingSetup{
-		Width: 5, Height: 3, Kind: core.KindSPAARotary, Pattern: traffic.BitReversal,
+		Width: 5, Height: 3, Kind: core.KindSPAARotary, Pattern: "bit-reversal",
 		Rate: 0.01, Cycles: 100, Seed: 1,
 	})
 	if err == nil {

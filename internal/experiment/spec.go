@@ -24,7 +24,6 @@ import (
 	"alpha21364/internal/core"
 	"alpha21364/internal/standalone"
 	"alpha21364/internal/topology"
-	"alpha21364/internal/traffic"
 	"alpha21364/internal/workload"
 )
 
@@ -105,8 +104,8 @@ type TopologySpec struct {
 // processes × one transaction model, swept over injection rates, or a
 // trace replay in place of all four.
 type WorkloadSpec struct {
-	// Patterns are destination-pattern names (traffic.ParsePattern
-	// spellings); empty means ["random"].
+	// Patterns are destination-pattern names (workload.PatternNames or an
+	// alias, any letter case); empty means ["random"].
 	Patterns []string `json:"patterns,omitempty"`
 	// Processes are arrival-process names; empty means ["bernoulli"].
 	Processes []string `json:"processes,omitempty"`
@@ -493,11 +492,7 @@ func (s Spec) validateTiming() error {
 	}
 	torus := topology.NewTorus(s.Topology.Width, s.Topology.Height)
 	for i, name := range w.patterns() {
-		p, err := traffic.ParsePattern(name)
-		if err != nil {
-			return specErr("patterns[%d]: %v", i, err)
-		}
-		if err := p.Validate(torus); err != nil {
+		if _, err := workload.NewPattern(name, torus); err != nil {
 			return specErr("patterns[%d]: %v", i, err)
 		}
 	}
@@ -688,6 +683,7 @@ type planJob struct {
 	point  int
 	rep    int
 	label  string
+	setup  *TimingSetup // a timing job's whole input; nil for standalone jobs
 	run    func(ctx context.Context) (ResultPoint, error)
 }
 
@@ -758,7 +754,8 @@ func (s Spec) expandTiming() (*plan, error) {
 					rep:    rep,
 					label: repLabel(fmt.Sprintf("%s / %v replaying %s", s.title(), k, w.ReplayFrom),
 						rep, pl.reps),
-					run: timingJob(setup),
+					setup: &setup,
+					run:   timingJob(&setup),
 				})
 			}
 		}
@@ -767,22 +764,24 @@ func (s Spec) expandTiming() (*plan, error) {
 	patterns := w.patterns()
 	processes := w.processes()
 	multi := len(patterns) > 1 || len(processes) > 1
+	torus := topology.NewTorus(s.Topology.Width, s.Topology.Height)
 	for _, name := range s.Arbiters {
 		k, _ := core.ParseKind(name)
 		for _, patName := range patterns {
-			pat, _ := traffic.ParsePattern(patName)
+			p, _ := workload.NewPattern(patName, torus)
+			pat := p.Name()
 			for _, procName := range processes {
 				proc, _ := workload.CanonicalProcess(procName)
 				label := k.String()
 				if multi {
-					label = fmt.Sprintf("%v/%v/%s", k, pat, proc)
+					label = fmt.Sprintf("%v/%s/%s", k, pat, proc)
 				}
 				si := len(pl.series)
 				pl.series = append(pl.series, planSeries{
 					meta: ResultSeries{
 						Label:   label,
 						Arbiter: k.String(),
-						Pattern: pat.String(),
+						Pattern: pat,
 						Process: proc,
 						Model:   w.Model,
 					},
@@ -804,7 +803,8 @@ func (s Spec) expandTiming() (*plan, error) {
 							rep:    rep,
 							label: repLabel(fmt.Sprintf("%s / %s @ %g", s.title(), label, rate),
 								rep, pl.reps),
-							run: timingJob(setup),
+							setup: &setup,
+							run:   timingJob(&setup),
 						})
 					}
 				}
@@ -825,9 +825,9 @@ func (s Spec) title() string {
 }
 
 // timingJob wraps one timing setup as a plan job.
-func timingJob(setup TimingSetup) func(ctx context.Context) (ResultPoint, error) {
+func timingJob(setup *TimingSetup) func(ctx context.Context) (ResultPoint, error) {
 	return func(ctx context.Context) (ResultPoint, error) {
-		res, err := runTiming(ctx, setup, nil)
+		res, err := runTiming(ctx, *setup, nil)
 		if err != nil {
 			return ResultPoint{}, err
 		}
@@ -942,7 +942,7 @@ func FigureSpecs(name string, o Options) ([]Spec, error) {
 }
 
 func figureSpecs(name string, o Options) ([]Spec, error) {
-	timingSpec := func(title string, w, h int, pattern traffic.Pattern, kinds []core.Kind,
+	timingSpec := func(title string, w, h int, pattern string, kinds []core.Kind,
 		rates []float64, mutate func(*Spec)) Spec {
 		sp := Spec{
 			Version:  SpecVersion,
@@ -950,7 +950,7 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			Arbiters: kindNames(kinds),
 			Topology: &TopologySpec{Width: w, Height: h},
 			Workload: &WorkloadSpec{
-				Patterns: []string{pattern.String()},
+				Patterns: []string{pattern},
 				Rates:    append([]float64(nil), o.rates(rates)...),
 			},
 			Timing: &TimingSpec{Cycles: o.TimingCycles(), Seed: o.seed()},
@@ -989,10 +989,10 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 		}}, nil
 	case "10":
 		return []Spec{
-			timingSpec("4x4, Random Traffic", 4, 4, traffic.Uniform, Figure10Kinds, Rates4x4, nil),
-			timingSpec("8x8, Random Traffic", 8, 8, traffic.Uniform, Figure10Kinds, Rates8x8, nil),
-			timingSpec("8x8, Bit Reversal", 8, 8, traffic.BitReversal, Figure10Kinds, Rates8x8, nil),
-			timingSpec("8x8, Perfect Shuffle", 8, 8, traffic.PerfectShuffle, Figure10Kinds, Rates8x8, nil),
+			timingSpec("4x4, Random Traffic", 4, 4, "random", Figure10Kinds, Rates4x4, nil),
+			timingSpec("8x8, Random Traffic", 8, 8, "random", Figure10Kinds, Rates8x8, nil),
+			timingSpec("8x8, Bit Reversal", 8, 8, "bit-reversal", Figure10Kinds, Rates8x8, nil),
+			timingSpec("8x8, Perfect Shuffle", 8, 8, "perfect-shuffle", Figure10Kinds, Rates8x8, nil),
 		}, nil
 	case "10s":
 		// The saturation companion: Figure 10's 8x8 random sweep with the
@@ -1002,12 +1002,12 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 		// algorithms (see EXPERIMENTS.md).
 		return []Spec{timingSpec(
 			"8x8, Random Traffic, 64 outstanding (saturation companion)",
-			8, 8, traffic.Uniform, Figure10Kinds, Rates8x8,
+			8, 8, "random", Figure10Kinds, Rates8x8,
 			func(sp *Spec) { sp.Workload.MaxOutstanding = 64 },
 		)}, nil
 	case "11a":
 		return []Spec{timingSpec(
-			"2x Pipeline, 8x8, Random Traffic", 8, 8, traffic.Uniform, Figure11Kinds, Rates8x8,
+			"2x Pipeline, 8x8, Random Traffic", 8, 8, "random", Figure11Kinds, Rates8x8,
 			func(sp *Spec) {
 				sp.Timing.ScalePipeline = true
 				sp.Timing.Cycles = o.TimingCycles() * 2
@@ -1015,12 +1015,12 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 		)}, nil
 	case "11b":
 		return []Spec{timingSpec(
-			"64 requests, 8x8, Random Traffic", 8, 8, traffic.Uniform, Figure11Kinds, Rates8x8,
+			"64 requests, 8x8, Random Traffic", 8, 8, "random", Figure11Kinds, Rates8x8,
 			func(sp *Spec) { sp.Workload.MaxOutstanding = 64 },
 		)}, nil
 	case "11c":
 		return []Spec{timingSpec(
-			"12x12, Random Traffic", 12, 12, traffic.Uniform, Figure11Kinds, Rates12x12, nil,
+			"12x12, Random Traffic", 12, 12, "random", Figure11Kinds, Rates12x12, nil,
 		)}, nil
 	case "all":
 		var all []Spec

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"alpha21364/internal/workload"
 )
 
 // updateGolden regenerates the testdata golden files:
@@ -120,6 +122,7 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"no rates", func(s *Spec) { s.Workload.Rates = nil }, "rate"},
 		{"negative rate", func(s *Spec) { s.Workload.Rates = []float64{-0.1} }, "positive"},
 		{"bad pattern", func(s *Spec) { s.Workload.Patterns = []string{"zigzag"} }, "zigzag"},
+		{"empty pattern", func(s *Spec) { s.Workload.Patterns = []string{""} }, "unknown pattern"},
 		{"pattern needs pow2", func(s *Spec) {
 			s.Topology = &TopologySpec{Width: 5, Height: 3}
 			s.Workload.Patterns = []string{"bit-reversal"}
@@ -153,6 +156,42 @@ func TestSpecValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSpecValidatePatternNames pins the destination-pattern names a
+// Spec accepts: every name and alias in any letter case, the
+// bit-permutation patterns only on tori whose node count is a power of
+// two. An accepted name's series carries the canonical spelling.
+func TestSpecValidatePatternNames(t *testing.T) {
+	canonical := map[string]string{"uniform": "random", "shuffle": "perfect-shuffle"}
+	for _, name := range workload.PatternNames() {
+		canonical[name] = name
+	}
+	for name, canon := range canonical {
+		bitPerm := canon == "bit-reversal" || canon == "perfect-shuffle"
+		for _, spelling := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			for _, dims := range [][2]int{{4, 4}, {2, 8}, {5, 3}, {6, 6}} {
+				sp := validTimingSpec()
+				sp.Topology = &TopologySpec{Width: dims[0], Height: dims[1]}
+				sp.Workload.Patterns = []string{spelling}
+				pow2 := dims[0]*dims[1]&(dims[0]*dims[1]-1) == 0
+				pl, err := sp.expand()
+				if bitPerm && !pow2 {
+					if err == nil || !strings.Contains(err.Error(), "power-of-two") {
+						t.Errorf("%q on %dx%d: error %v, want a power-of-two rejection", spelling, dims[0], dims[1], err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%q on %dx%d rejected: %v", spelling, dims[0], dims[1], err)
+					continue
+				}
+				if got := pl.series[0].meta.Pattern; got != canon {
+					t.Errorf("%q on %dx%d: series pattern %q, want %q", spelling, dims[0], dims[1], got, canon)
+				}
+			}
 		}
 	}
 }

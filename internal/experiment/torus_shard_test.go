@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 )
 
 // runTorusShardedFingerprint runs the canned timing matrix with the
@@ -60,7 +59,7 @@ func TestTorusShardedGoldenFingerprint(t *testing.T) {
 func TestTorusShardedMatchesMonolithicWithOracle(t *testing.T) {
 	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindPIM1, core.KindWFABase} {
 		base := TimingSetup{
-			Width: 4, Height: 4, Kind: kind, Pattern: traffic.BitReversal,
+			Width: 4, Height: 4, Kind: kind, Pattern: "bit-reversal",
 			Rate: 0.06, Cycles: 1000, Seed: 11,
 			Check: true, Metrics: true, EpochCycles: 100,
 		}
@@ -87,7 +86,7 @@ func TestTorusShardedMatchesMonolithicWithOracle(t *testing.T) {
 // both the setup and spec layers.
 func TestTorusShardedRejectsTooManyShards(t *testing.T) {
 	_, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
+		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
 		Rate: 0.02, Cycles: 100, Seed: 1, TorusShards: 5,
 	})
 	if err == nil {
@@ -154,7 +153,7 @@ func TestTorusShardedSpeedup(t *testing.T) {
 		t.Skip("coverage instrumentation distorts the parallel tick path")
 	}
 	base := TimingSetup{
-		Width: 16, Height: 16, Kind: core.KindSPAARotary, Pattern: traffic.Uniform,
+		Width: 16, Height: 16, Kind: core.KindSPAARotary, Pattern: "random",
 		Rate: 0.09, MaxOutstanding: 64, Cycles: 1200, Seed: 1,
 	}
 	measure := func(shards int) time.Duration {

@@ -464,7 +464,12 @@ func TestFleetPartialSurvivesExhaustion(t *testing.T) {
 		panic(http.ErrAbortHandler)
 	})
 	defer w.Close()
-	f := newFleet(t, []string{w.URL}, WithRetries(1), WithHeartbeatInterval(5*time.Millisecond))
+	// The all-dead round's synchronous /healthz probe revives the worker
+	// for the second attempt. A probe times out after one heartbeat
+	// interval (at most 2 s), so a 5 ms interval let a loaded host miss
+	// it and end the run after one attempt; an hour-long interval also
+	// keeps background heartbeats out of the retry.
+	f := newFleet(t, []string{w.URL}, WithRetries(1), WithHeartbeatInterval(time.Hour))
 
 	shards, err := experiment.PlanShards(sp, 1)
 	if err != nil {

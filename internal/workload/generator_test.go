@@ -1,4 +1,4 @@
-package traffic
+package workload
 
 import (
 	"testing"
@@ -12,26 +12,42 @@ import (
 	"alpha21364/internal/topology"
 )
 
-// rig builds a network plus generator on a fresh engine.
-func rig(t *testing.T, kind core.Kind, w, h int, tcfg Config) (*Generator, *network.Network, *sim.Engine, *stats.Collector) {
+// paperConfig is the paper's §4.2 workload on a 4x4 torus: the named
+// destination pattern, Bernoulli arrivals at rate, the coherence model's
+// defaults (70% 2-hop, 73 ns memory, 25-cycle L2), and the 21364's 16
+// outstanding misses per processor.
+func paperConfig(t *testing.T, pattern string, rate float64) Config {
 	t.Helper()
-	eng := sim.NewEngine()
-	col := stats.NewCollector(0)
-	net, err := network.New(network.Config{Width: w, Height: h, Router: router.DefaultConfig(kind)}, eng, col)
+	pat, err := NewPattern(pattern, topology.NewTorus(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The generator must tick before the routers; rebuild the clock order
-	// by attaching it to its own domain registered after the network's.
-	// Events fire before edges, so attach the generator on the same period.
-	g := New(tcfg, net, eng, col)
+	return Config{
+		Pattern:        pat,
+		Process:        NewBernoulli(rate),
+		Model:          NewCoherence(),
+		MaxOutstanding: 16,
+		Seed:           1,
+	}
+}
+
+// rig builds a 4x4 network plus generator on a fresh engine, the
+// generator ticking on the router clock.
+func rig(t *testing.T, kind core.Kind, cfg Config) (*Generator, *network.Network, *sim.Engine, *stats.Collector) {
+	t.Helper()
+	eng := sim.NewEngine()
+	col := stats.NewCollector(0)
+	net, err := network.New(network.Config{Width: 4, Height: 4, Router: router.DefaultConfig(kind)}, eng, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(cfg, net, eng, col)
 	eng.AddClock(router.DefaultConfig(kind).RouterPeriod, 0, g)
 	return g, net, eng, col
 }
 
 func TestTransactionsComplete(t *testing.T) {
-	cfg := DefaultConfig(Uniform, 0.002)
-	g, net, eng, col := rig(t, core.KindSPAABase, 4, 4, cfg)
+	g, net, eng, col := rig(t, core.KindSPAABase, paperConfig(t, "random", 0.002))
 	eng.Run(40000 * sim.RouterPeriod)
 	g.Stop()
 	eng.Run(eng.Now() + 60000*sim.RouterPeriod)
@@ -55,9 +71,9 @@ func TestTransactionsComplete(t *testing.T) {
 }
 
 func TestHopMixAndClassMix(t *testing.T) {
-	cfg := DefaultConfig(Uniform, 0.004)
+	cfg := paperConfig(t, "random", 0.004)
 	cfg.Seed = 7
-	g, _, eng, col := rig(t, core.KindSPAABase, 4, 4, cfg)
+	g, _, eng, col := rig(t, core.KindSPAABase, cfg)
 	eng.Run(60000 * sim.RouterPeriod)
 	g.Stop()
 	eng.Run(eng.Now() + 60000*sim.RouterPeriod)
@@ -80,56 +96,46 @@ func TestHopMixAndClassMix(t *testing.T) {
 }
 
 func TestMaxOutstandingRespected(t *testing.T) {
-	cfg := DefaultConfig(Uniform, 1.0) // overwhelming demand
-	cfg.MaxOutstanding = 16
-	g, net, eng, _ := rig(t, core.KindSPAABase, 4, 4, cfg)
-	done := false
-	check := checker{g: g, net: net, t: t, stopAt: 5000 * sim.RouterPeriod, done: &done}
-	eng.AddClock(sim.RouterPeriod, 5, &check)
+	cfg := paperConfig(t, "random", 1.0) // overwhelming demand
+	g, net, eng, _ := rig(t, core.KindSPAABase, cfg)
+	ran := false
+	check := tickFunc(func(sim.Ticks) {
+		ran = true
+		for n := 0; n < net.Nodes(); n++ {
+			if got := g.Outstanding(topology.Node(n)); got > cfg.MaxOutstanding {
+				t.Fatalf("node %d has %d outstanding misses, cap is %d", n, got, cfg.MaxOutstanding)
+			}
+		}
+	})
+	eng.AddClock(sim.RouterPeriod, 5, check)
 	eng.Run(5000 * sim.RouterPeriod)
-	if !done {
+	if !ran {
 		t.Fatal("checker never ran")
 	}
 }
 
-type checker struct {
-	g      *Generator
-	net    *network.Network
-	t      *testing.T
-	stopAt sim.Ticks
-	done   *bool
-}
-
-func (c *checker) Tick(now sim.Ticks) {
-	*c.done = true
-	for n := 0; n < c.net.Nodes(); n++ {
-		if got := c.g.Outstanding(topology.Node(n)); got > 16 {
-			c.t.Fatalf("node %d has %d outstanding misses, cap is 16", n, got)
-		}
-	}
-}
-
 func TestPermutationPatternsRespectMapping(t *testing.T) {
-	for _, pat := range []Pattern{BitReversal, PerfectShuffle} {
-		cfg := DefaultConfig(pat, 0.003)
-		cfg.TwoHopFraction = 1.0 // only requests+responses: dst is the permutation
-		g, net, eng, col := rig(t, core.KindSPAABase, 4, 4, cfg)
+	for _, pat := range []string{"bit-reversal", "perfect-shuffle"} {
+		cfg := paperConfig(t, pat, 0.003)
+		model := NewCoherence()
+		model.TwoHopFraction = 1.0 // only requests+responses: dst is the permutation
+		cfg.Model = model
+		g, net, eng, col := rig(t, core.KindSPAABase, cfg)
 		eng.Run(20000 * sim.RouterPeriod)
 		g.Stop()
 		eng.Run(eng.Now() + 40000*sim.RouterPeriod)
 		if col.Packets() == 0 {
-			t.Fatalf("%v: nothing delivered", pat)
+			t.Fatalf("%s: nothing delivered", pat)
 		}
 		if g.InFlightTxns() != 0 || net.Buffered() != 0 {
-			t.Fatalf("%v: transactions stuck", pat)
+			t.Fatalf("%s: transactions stuck", pat)
 		}
 	}
 }
 
 func TestHigherRateRaisesThroughput(t *testing.T) {
 	run := func(rate float64) float64 {
-		cfg := DefaultConfig(Uniform, rate)
-		_, net, eng, col := rig(t, core.KindSPAABase, 4, 4, cfg)
+		_, net, eng, col := rig(t, core.KindSPAABase, paperConfig(t, "random", rate))
 		end := 20000 * sim.RouterPeriod
 		eng.Run(end)
 		return col.BNF(net.Nodes(), end).Throughput
@@ -145,11 +151,8 @@ func TestHigherRateRaisesThroughput(t *testing.T) {
 }
 
 func TestLatencyAboveZeroLoadMinimum(t *testing.T) {
-	cfg := DefaultConfig(Uniform, 0.002)
-	_, net, eng, col := rig(t, core.KindSPAABase, 4, 4, cfg)
-	end := 30000 * sim.RouterPeriod
-	eng.Run(end)
-	_ = net
+	_, _, eng, col := rig(t, core.KindSPAABase, paperConfig(t, "random", 0.002))
+	eng.Run(30000 * sim.RouterPeriod)
 	if col.Packets() == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -160,22 +163,9 @@ func TestLatencyAboveZeroLoadMinimum(t *testing.T) {
 	}
 }
 
-func TestParsePattern(t *testing.T) {
-	for p := Pattern(0); p < NumPatterns; p++ {
-		got, err := ParsePattern(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePattern(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePattern("zipf"); err == nil {
-		t.Error("ParsePattern accepted unknown pattern")
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (int64, float64) {
-		cfg := DefaultConfig(Uniform, 0.005)
-		_, net, eng, col := rig(t, core.KindPIM1, 4, 4, cfg)
+		_, net, eng, col := rig(t, core.KindPIM1, paperConfig(t, "random", 0.005))
 		end := 15000 * sim.RouterPeriod
 		eng.Run(end)
 		return col.Packets(), col.BNF(net.Nodes(), end).Throughput

@@ -2,8 +2,8 @@
 // independently pluggable pieces:
 //
 //   - a Pattern draws request destinations (the spatial axis): the paper's
-//     uniform, bit-reversal, and perfect-shuffle patterns plus transpose,
-//     tornado, nearest-neighbor, and a weighted hotspot;
+//     random (uniform), bit-reversal, and perfect-shuffle patterns plus
+//     transpose, tornado, nearest-neighbor, and a weighted hotspot;
 //   - a Process decides when new transaction demands arrive (the temporal
 //     axis): the paper's Bernoulli process, a two-state Markov-modulated
 //     bursty on/off process, and a deterministic-rate process;
@@ -11,10 +11,11 @@
 //     paper's 2-hop/3-hop coherence mix, an open-loop datagram model with
 //     a configurable packet-size mix, and a trace-replay model.
 //
-// The Generator composes one of each over the timing-model network and is
-// what internal/traffic (the paper's fixed §4.2 workload) now adapts. Any
-// run can record its injection stream to a versioned Trace; replaying the
-// trace re-injects the identical packet sequence under any arbiter.
+// The Generator composes one of each over the timing-model network; the
+// paper's §4.2 workload is the random pattern with the Bernoulli process
+// and the coherence model. Any run can record its injection stream to a
+// versioned Trace; replaying the trace re-injects the identical packet
+// sequence under any arbiter.
 package workload
 
 import (
@@ -45,7 +46,7 @@ type uniformPattern struct {
 	torus topology.Torus
 }
 
-func (uniformPattern) Name() string { return "uniform" }
+func (uniformPattern) Name() string { return "random" }
 
 func (u uniformPattern) Dest(src topology.Node, rng *sim.RNG) topology.Node {
 	for {
@@ -168,14 +169,13 @@ func (h *Hotspot) Dest(src topology.Node, rng *sim.RNG) topology.Node {
 	return h.uniform.Dest(src, rng)
 }
 
-// patternMakers maps canonical pattern names (plus aliases) to factories,
-// in listing order.
+// patternOrder lists the canonical pattern names in listing order.
 var patternOrder = []string{
-	"uniform", "bit-reversal", "perfect-shuffle", "transpose", "tornado", "neighbor", "hotspot",
+	"random", "bit-reversal", "perfect-shuffle", "transpose", "tornado", "neighbor", "hotspot",
 }
 
 var patternAliases = map[string]string{
-	"random":  "uniform", // the paper's name for uniform traffic
+	"uniform": "random", // "random" is the paper's name for uniform traffic
 	"shuffle": "perfect-shuffle",
 }
 
@@ -186,16 +186,18 @@ func PatternNames() []string {
 	return out
 }
 
-// NewPattern resolves a pattern by name (case-insensitive; "random" and
-// "shuffle" are accepted aliases) on the given torus. The hotspot pattern
-// is returned with its defaults; build custom hotspots with NewHotspot.
+// NewPattern resolves a pattern by name (case-insensitive; "uniform" and
+// "shuffle" are accepted aliases) on the given torus, rejecting the
+// bit-permutation patterns on tori whose node count is not a power of
+// two. The hotspot pattern is returned with its defaults; build custom
+// hotspots with NewHotspot.
 func NewPattern(name string, t topology.Torus) (Pattern, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	if canon, ok := patternAliases[key]; ok {
 		key = canon
 	}
 	switch key {
-	case "uniform":
+	case "random":
 		return NewUniform(t), nil
 	case "bit-reversal", "perfect-shuffle":
 		if _, ok := t.BitWidth(); !ok {

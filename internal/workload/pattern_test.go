@@ -184,11 +184,23 @@ func TestHotspotValidation(t *testing.T) {
 	}
 }
 
+// TestPatternNamesRoundTrip: every listed name resolves to a pattern
+// that reports the same name back.
+func TestPatternNamesRoundTrip(t *testing.T) {
+	torus := topology.NewTorus(4, 4)
+	for _, name := range PatternNames() {
+		p, err := NewPattern(name, torus)
+		if err != nil || p.Name() != name {
+			t.Errorf("NewPattern(%q) does not round-trip: %v", name, err)
+		}
+	}
+}
+
 func TestNewPatternAliasesAndErrors(t *testing.T) {
 	torus := topology.NewTorus(4, 4)
 	for alias, canon := range map[string]string{
-		"random": "uniform", "Shuffle": "perfect-shuffle", "UNIFORM": "uniform",
-		" Tornado ": "tornado",
+		"uniform": "random", "UNIFORM": "random", "random": "random",
+		"Shuffle": "perfect-shuffle", " Tornado ": "tornado",
 	} {
 		p, err := NewPattern(alias, torus)
 		if err != nil {
