@@ -19,6 +19,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"testing"
+
+	"alpha21364/internal/core"
+	"alpha21364/internal/router"
 )
 
 // goldenTimingFingerprint pins the timing-model matrix: 3 arbiters x
@@ -32,6 +35,10 @@ const goldenTimingFingerprint = "adeb6388ec823a562cda1ae463d42f3576f26e92f39a7a0
 
 // goldenStandaloneFingerprint pins the standalone matching-model sweep.
 const goldenStandaloneFingerprint = "74186a18c35069684ed846de5d4126bf7af646bdb76b6e2378a277b0f585bf6f"
+
+// goldenDrainFingerprint pins the anti-starvation drain matrix (see
+// TestGoldenFingerprintDrain).
+const goldenDrainFingerprint = "ed3cf6a078924772ddd6d82af84b428d18c810700e3bf38f817e2170127f01b5"
 
 // fingerprintTimingSpec is the canned timing matrix. Short enough for CI,
 // wide enough to cross every arbiter family (SPAA pipeline, PIM1/WFA
@@ -111,5 +118,50 @@ func TestGoldenFingerprintStandalone(t *testing.T) {
 	parallel := runFingerprint(t, fingerprintStandaloneSpec(), 4)
 	if parallel != serial {
 		t.Errorf("parallel run diverged from serial: %s != %s", parallel, serial)
+	}
+}
+
+// TestGoldenFingerprintDrain pins the anti-starvation path (§3.4), which
+// the matrices above never reach: their runs are far shorter than the
+// 20,000-cycle default AntiStarvationAge. Every router kind runs a
+// saturating random load and a hotspot load with the age and threshold
+// lowered until the drain engages, with the oracle and telemetry on, and
+// the JSON of every TimingResult is hashed in order.
+func TestGoldenFingerprintDrain(t *testing.T) {
+	cases := []struct {
+		pattern        string
+		rate           float64
+		age, threshold int
+	}{
+		{"random", 0.09, 30, 1},
+		{"hotspot", 0.06, 150, 6},
+	}
+	h := sha256.New()
+	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFABase, core.KindWFARotary} {
+		for _, tc := range cases {
+			res, err := RunTimingWithRouter(TimingSetup{
+				Width: 4, Height: 4, Kind: kind, Pattern: tc.pattern, Rate: tc.rate,
+				MaxOutstanding: 64, Cycles: 2000, Seed: 11, Check: true, Metrics: true,
+			}, func(c *router.Config) {
+				c.AntiStarvationAge = tc.age
+				c.AntiStarvationThreshold = tc.threshold
+			})
+			if err != nil {
+				t.Fatalf("%v %s: %v", kind, tc.pattern, err)
+			}
+			if res.DrainEntries == 0 {
+				t.Errorf("%v %s: the drain never engaged", kind, tc.pattern)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(data)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDrainFingerprint {
+		t.Errorf("drain fingerprint changed:\n  got  %s\n  want %s\n"+
+			"simulation output is no longer byte-identical; if the change is intentional, update the golden hash",
+			got, goldenDrainFingerprint)
 	}
 }
