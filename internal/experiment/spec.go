@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -129,8 +130,9 @@ type WorkloadSpec struct {
 type TimingSpec struct {
 	// Cycles is the router-cycle count per simulation (paper: 75,000).
 	Cycles int `json:"cycles"`
-	// WarmupFraction is the share of the run excluded from statistics:
-	// 0 means the 0.2 default, negative (NoWarmup) disables the warmup.
+	// WarmupFraction is the share of the run excluded from statistics,
+	// below 1: 0 means the 0.2 default, negative (NoWarmup) disables the
+	// warmup.
 	WarmupFraction float64 `json:"warmup_fraction,omitempty"`
 	// Seed feeds every RNG stream of the run.
 	Seed uint64 `json:"seed,omitempty"`
@@ -455,6 +457,9 @@ func (s Spec) validateTiming() error {
 	}
 	if s.Timing == nil || s.Timing.Cycles <= 0 {
 		return specErr("timing spec needs a positive cycle count")
+	}
+	if f := s.Timing.WarmupFraction; f >= 1 || math.IsNaN(f) {
+		return specErr("warmup_fraction %g must be below 1 (negative disables the warmup)", f)
 	}
 	if s.Timing.EpochCycles < 0 {
 		return specErr("epoch_cycles must be >= 0")

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -118,6 +119,9 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"tiny topology", func(s *Spec) { s.Topology.Width = 1 }, ">= 2"},
 		{"no timing", func(s *Spec) { s.Timing = nil }, "cycle"},
 		{"no cycles", func(s *Spec) { s.Timing.Cycles = 0 }, "cycle"},
+		{"warmup is the whole run", func(s *Spec) { s.Timing.WarmupFraction = 1 }, "warmup_fraction"},
+		{"warmup past the run", func(s *Spec) { s.Timing.WarmupFraction = 1.5 }, "warmup_fraction"},
+		{"warmup NaN", func(s *Spec) { s.Timing.WarmupFraction = math.NaN() }, "warmup_fraction"},
 		{"no workload", func(s *Spec) { s.Workload = nil }, "workload"},
 		{"no rates", func(s *Spec) { s.Workload.Rates = nil }, "rate"},
 		{"negative rate", func(s *Spec) { s.Workload.Rates = []float64{-0.1} }, "positive"},

@@ -1,7 +1,7 @@
 package router
 
 import (
-	"math/bits"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -110,49 +110,115 @@ func TestRouterFuzzArrivals(t *testing.T) {
 	}
 }
 
-// TestOccupancyIndexMatchesRings checks the scan indexes against the
-// state they summarize: after every clock edge of a random walk, on all
-// five algorithms, bit ch of occ[in] is set exactly when ring (in, ch)
-// holds a packet, and no buffered packet's output mask hides a move —
-// with only output o free, readyMoves returns a move only when o is in
-// the mask.
+// checkScanIndexes checks the scan indexes against the state they
+// summarize, reporting each mismatch: bit ch of occ[in] is set exactly
+// when ring (in, ch) holds a packet; no buffered packet's output mask
+// hides a move (with only output o free, readyMoves returns a move only
+// when o is in the mask); winOuts[in][ch] is the union of the output
+// masks of the ring's first Window packets; and oldAt is at or below the
+// tick at which each of those packets that is not yet old turns old.
+func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool {
+	t.Helper()
+	s := &r.slab
+	for in := ports.In(0); in < ports.NumIn; in++ {
+		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
+			q := &r.queues[in][ch]
+			if indexed := r.occ[in]&(1<<ch) != 0; indexed != (q.Len() > 0) {
+				t.Errorf("%s tick %d: %v/%v holds %d packets, index bit %v", label, now, in, ch, q.Len(), indexed)
+				return false
+			}
+			var window ports.OutMask
+			for i := 0; i < q.Len(); i++ {
+				pk := q.At(i)
+				outs := s.meta[pk].outs
+				for o := ports.Out(0); o < ports.NumOut; o++ {
+					if len(r.readyMoves(pk, ports.OutMask(0).With(o), nil)) > 0 && !outs.Has(o) {
+						t.Errorf("%s tick %d: packet %d (%v to %d) can move to %v outside its mask %07b",
+							label, now, s.pkt[pk].ID, s.pkt[pk].Class, s.pkt[pk].Dst, o, outs)
+						return false
+					}
+				}
+				if i >= r.cfg.Window {
+					continue
+				}
+				window |= outs
+				if oldAt := s.headerArrive[pk] + r.ageTicks; s.meta[pk].flags&pkOld == 0 && r.oldAt > oldAt {
+					t.Errorf("%s tick %d: aging bound %d is past window packet %d (%v/%v position %d), which turns old at %d",
+						label, now, r.oldAt, s.pkt[pk].ID, in, ch, i, oldAt)
+					return false
+				}
+			}
+			if r.winOuts[in][ch] != window {
+				t.Errorf("%s tick %d: %v/%v window summary %07b, its first %d packets use %07b",
+					label, now, in, ch, r.winOuts[in][ch], r.cfg.Window, window)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestOccupancyIndexMatchesRings runs checkScanIndexes after every
+// clock edge on all five algorithms: through random walks, and through a
+// ring stacked deeper than the picker window whose window turns old
+// while an output's downstream credits are held, so that each dispatch
+// after their release moves a packet that is not yet old into the
+// window.
 func TestOccupancyIndexMatchesRings(t *testing.T) {
 	f := func(seed uint16, kindSel uint8) bool {
 		kind := routerKinds[int(kindSel)%len(routerKinds)]
 		ok := true
 		fuzzRouter(t, kind, seed, func(r *Router, now sim.Ticks) {
-			for in := ports.In(0); in < ports.NumIn && ok; in++ {
-				for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
-					indexed := r.occ[in]&(1<<ch) != 0
-					if queued := r.QueueLen(in, ch); indexed != (queued > 0) {
-						t.Errorf("%v seed %d tick %d: %v/%v holds %d packets, index bit %v",
-							kind, seed, now, in, ch, queued, indexed)
-						ok = false
-						break
-					}
-				}
-			}
-			for in := ports.In(0); in < ports.NumIn && ok; in++ {
-				for w := r.occ[in]; w != 0 && ok; w &= w - 1 {
-					q := &r.queues[in][bits.TrailingZeros32(w)]
-					for i := 0; i < q.Len(); i++ {
-						pk := q.At(i)
-						outs := r.slab.meta[pk].outs
-						for o := ports.Out(0); o < ports.NumOut; o++ {
-							if len(r.readyMoves(pk, ports.OutMask(0).With(o), nil)) > 0 && !outs.Has(o) {
-								t.Errorf("%v seed %d tick %d: packet %d (%v to %d) can move to %v outside its mask %07b",
-									kind, seed, now, r.slab.pkt[pk].ID, r.slab.pkt[pk].Class, r.slab.pkt[pk].Dst, o, outs)
-								ok = false
-							}
-						}
-					}
-				}
-			}
+			ok = ok && checkScanIndexes(t, r, fmt.Sprintf("%v seed %d", kind, seed), now)
 		})
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+
+	const stacked = 12
+	for _, kind := range routerKinds {
+		cfg := DefaultConfig(kind)
+		cfg.AntiStarvationAge = 20
+		cfg.AntiStarvationThreshold = 1
+		h := newHarness(t, cfg)
+		ok := true
+		h.eng.Attach(tickFunc(func(now sim.Ticks) {
+			ok = ok && checkScanIndexes(t, h.r, kind.String()+" stacked", now)
+		}))
+		adaptive := vc.Of(packet.Request, vc.Adaptive)
+		east := []vc.Channel{adaptive, vc.Of(packet.Request, vc.VC0), vc.Of(packet.Request, vc.VC1)}
+		cr := h.r.OutputCredits(ports.OutEast)
+		held := make([]int, len(east))
+		for i, ch := range east {
+			for cr.Available(ch) {
+				cr.Reserve(ch)
+				held[i]++
+			}
+		}
+		for i := 0; i < stacked; i++ {
+			at := sim.Ticks(i) * cfg.RouterPeriod
+			id := uint64(i + 1)
+			h.eng.Schedule(at, func() {
+				h.r.Arrive(packet.New(id, packet.Request, 4, 7, at), ports.InWest, adaptive, at, nil)
+			})
+		}
+		h.eng.Run(60 * cfg.RouterPeriod)
+		if !h.r.Draining() {
+			t.Errorf("%v: the stacked window never turned old", kind)
+		}
+		h.eng.Schedule(h.eng.Now()+1, func() {
+			for i, ch := range east {
+				for ; held[i] > 0; held[i]-- {
+					cr.Release(ch)
+				}
+			}
+		})
+		h.eng.Run(h.eng.Now() + 500*cfg.RouterPeriod)
+		if len(h.departures) != stacked {
+			t.Errorf("%v: %d of %d stacked packets left", kind, len(h.departures), stacked)
+		}
 	}
 }
 

@@ -41,15 +41,22 @@ func rowFor(cm ports.ConnectionMatrix, in ports.In, out ports.Out) int {
 	return -1
 }
 
+// outFree reports whether output out will have finished its current
+// transmission by the time a grant issued at gaTick puts the first flit
+// on the wire.
+func (r *Router) outFree(out ports.Out, gaTick sim.Ticks) bool {
+	return r.busyUntil[out] <= gaTick+r.postArbTicks
+}
+
 // freeOutputs returns the output ports that will be free for a grant
 // issued at gaTick. Only dispatch changes a port's busy time, and no
 // dispatch happens inside an LA stage or a wave build, so each scan
 // computes the set once.
 func (r *Router) freeOutputs(gaTick sim.Ticks) ports.OutMask {
 	var free ports.OutMask
-	for out, op := range r.outputs {
-		if op.freeForGrant(gaTick, r.postArbTicks) {
-			free = free.With(ports.Out(out))
+	for out := ports.Out(0); out < ports.NumOut; out++ {
+		if r.outFree(out, gaTick) {
+			free = free.With(out)
 		}
 	}
 	return free
@@ -159,7 +166,7 @@ func (r *Router) networkMove(in ports.In, d topology.Dir, targetCh vc.Channel, f
 	if row < 0 || !free.Has(out) {
 		return move{}, false
 	}
-	if op := r.outputs[out]; op.credits == nil || !op.credits.Available(targetCh) {
+	if cr := r.outputs[out].credits; cr == nil || !cr.Available(targetCh) {
 		return move{}, false
 	}
 	return move{out: out, row: int(row), targetCh: targetCh}, true

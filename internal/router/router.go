@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"alpha21364/internal/core"
@@ -12,6 +13,10 @@ import (
 	"alpha21364/internal/topology"
 	"alpha21364/internal/vc"
 )
+
+// never is a tick no run reaches: the aging bound of a router whose
+// windows hold no packet that can still turn old.
+const never sim.Ticks = math.MaxInt64
 
 // Counters exposes router-level event counts for statistics and tests.
 type Counters struct {
@@ -65,6 +70,18 @@ type Router struct {
 	// dispatch's Remove are the only ring mutations, and each updates
 	// it, so scans visit the few occupied rings instead of all 152.
 	occ [ports.NumIn]uint32
+	// winOuts[in][ch] is the window summary of ring (in, ch): the union
+	// of pkMeta.outs over its first cfg.Window packets, the only ones a
+	// scan visits. oldAt is the aging bound: no window packet that is not
+	// yet old reaches AntiStarvationAge before it, so until then a visit
+	// cannot colour a packet (markOld) and a scan drops every ring whose
+	// summary misses its free outputs (scanRings). Both are kept exact at
+	// the two ring mutations: addPacket's Push and dispatch's Remove
+	// (refreshWindow) lower oldAt for the packet that enters a window,
+	// and a scan that runs at or past the bound recomputes it
+	// (recomputeOldAt).
+	winOuts [ports.NumIn][vc.NumChannels]ports.OutMask
+	oldAt   sim.Ticks
 	// lruStamp[in][ch] is when in last selected ch, on the per-router
 	// lruClock: ascending stamp order is the least-recently-selected
 	// order over in's virtual channels. The 21364's input arbiter
@@ -79,7 +96,11 @@ type Router struct {
 	// credits live at the upstream router's output port.
 	feeders [ports.NumIn]*vc.Credits
 
-	outputs [ports.NumOut]*outputPort
+	outputs [ports.NumOut]outputPort
+	// busyUntil[out] is when output out finishes transmitting its current
+	// packet; re-arbitration is possible once all flits are delivered
+	// (§2.1). dispatch is the only writer.
+	busyUntil [ports.NumOut]sim.Ticks
 
 	// wave is true for the matrix-wave algorithms (PIM1/WFA), false for
 	// SPAA's per-cycle nominations; fixed by New.
@@ -154,6 +175,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		gaOffset:     sim.Ticks(cfg.ArbCycles-1) * cfg.RouterPeriod,
 		ageTicks:     sim.Ticks(cfg.AntiStarvationAge) * cfg.RouterPeriod,
 		lruClock:     vc.NumChannels - 1,
+		oldAt:        never,
 	}
 	waveGa := cfg.ArbCycles - 1
 	if cfg.InitInterval < waveGa {
@@ -176,9 +198,6 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		for col := range r.waveCells[row] {
 			r.waveCells[row][col].pk = -1
 		}
-	}
-	for out := ports.Out(0); out < ports.NumOut; out++ {
-		r.outputs[out] = &outputPort{id: out}
 	}
 	r.routes = make([]routeEntry, torus.Nodes())
 	for dst := 0; dst < torus.Nodes(); dst++ {
@@ -259,8 +278,13 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	s.tailArrive[idx] = tailArrive
 	s.eligibleAt[idx] = eligibleAt
 	s.upstream[idx] = upstream
-	r.queues[in][ch].Push(idx)
+	q := &r.queues[in][ch]
+	q.Push(idx)
 	r.occ[in] |= 1 << ch
+	if q.Len() <= r.cfg.Window {
+		r.winOuts[in][ch] |= s.meta[idx].outs
+		r.lowerOldAt(idx)
+	}
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, +1, headerArrive)
 	}
@@ -389,8 +413,13 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 	}
 	gaTick := now + r.gaOffset
 	free := r.freeOutputs(gaTick)
+	aging := now >= r.oldAt
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		pk, mv, ok := r.findNomination(in, now, free)
+		rings := r.scanRings(in, free, aging)
+		if rings == 0 {
+			continue
+		}
+		pk, mv, ok := r.findNomination(in, rings, now, free)
 		if !ok {
 			continue
 		}
@@ -411,16 +440,20 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 			}, gaTick)
 		}
 	}
+	if aging {
+		r.recomputeOldAt()
+	}
 }
 
 // findNomination implements the 21364 input port arbiter: the oldest
 // packet satisfying the basic constraints from the least-recently selected
-// virtual channel (§3). free is the LA stage's free-for-grant output set.
-func (r *Router) findNomination(in ports.In, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
+// virtual channel (§3). rings is the set of in's rings to visit (see
+// scanRings) and free the LA stage's free-for-grant output set.
+func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
 	s := &r.slab
-	for occ := r.occ[in]; occ != 0; {
-		ch := r.leastRecent(in, occ)
-		occ &^= 1 << ch
+	for rings != 0 {
+		ch := r.leastRecent(in, rings)
+		rings &^= 1 << ch
 		q := &r.queues[in][ch]
 		limit := q.Len()
 		if limit > r.cfg.Window {
@@ -486,21 +519,26 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 	if r.oracle != nil {
 		r.oracleGrants = r.oracleGrants[:0]
 	}
-	for out := ports.Out(0); out < ports.NumOut; out++ {
+	var outs ports.OutMask
+	for i := range due {
+		outs = outs.With(due[i].out)
+	}
+	for ; outs != 0; outs &= outs - 1 {
+		out := ports.Out(bits.TrailingZeros8(uint8(outs)))
 		r.gaRows = r.gaRows[:0]
 		r.gaNet = r.gaNet[:0]
 		r.gaIdx = r.gaIdx[:0]
-		op := r.outputs[out]
+		credits := r.outputs[out].credits
 		for i := range due {
 			n := &due[i]
 			if n.out != out {
 				continue
 			}
-			valid := op.freeForGrant(now, r.postArbTicks) &&
-				(n.local || (op.credits != nil && op.credits.Available(n.targetCh)))
+			valid := r.outFree(out, now) &&
+				(n.local || (credits != nil && credits.Available(n.targetCh)))
 			if !valid {
 				if m := r.metrics; m != nil {
-					if !op.freeForGrant(now, r.postArbTicks) {
+					if !r.outFree(out, now) {
 						m.Stalls++
 					} else {
 						m.CreditWaits++
@@ -580,17 +618,18 @@ func (r *Router) tickWave(now sim.Ticks) {
 // wave. Each packet is assigned to a single read port (the pair
 // synchronizes), and all nominated packets are locked until the wave
 // resolves — the bookkeeping cost the paper cites for PIM1/WFA (up to 54
-// in-flight nominations versus SPAA's 16).
+// in-flight nominations versus SPAA's 16). The matrix is empty on entry:
+// resolveWave clears it after every wave it resolves.
 func (r *Router) buildWave(now sim.Ticks) bool {
-	r.matrix.Reset()
 	if !r.holdsPackets() {
 		return false
 	}
 	free := r.freeOutputs(now + r.waveGaOffset)
+	aging := now >= r.oldAt
 	any := false
 	s := &r.slab
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		for w := r.occ[in]; w != 0; w &= w - 1 {
+		for w := r.scanRings(in, free, aging); w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
 			limit := q.Len()
 			if limit > r.cfg.Window {
@@ -629,6 +668,9 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 				}
 			}
 		}
+	}
+	if aging {
+		r.recomputeOldAt()
 	}
 	if !any {
 		return false
@@ -687,12 +729,13 @@ func (r *Router) resolveWave(now sim.Ticks) {
 	}
 	for _, g := range grants {
 		cell := r.waveCells[g.Row][g.Col]
-		op := r.outputs[ports.Out(g.Col)]
-		valid := op.freeForGrant(now, r.postArbTicks) &&
-			(cell.local || (op.credits != nil && op.credits.Available(cell.targetCh)))
+		out := ports.Out(g.Col)
+		credits := r.outputs[out].credits
+		valid := r.outFree(out, now) &&
+			(cell.local || (credits != nil && credits.Available(cell.targetCh)))
 		if !valid || cell.pk < 0 || r.slab.meta[cell.pk].flags&pkNominated == 0 {
 			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
-				if !op.freeForGrant(now, r.postArbTicks) {
+				if !r.outFree(out, now) {
 					m.Stalls++
 				} else {
 					m.CreditWaits++
@@ -701,10 +744,11 @@ func (r *Router) resolveWave(now sim.Ticks) {
 			}
 			continue
 		}
-		r.dispatch(cell.pk, ports.Out(g.Col), cell.targetCh, cell.local, now)
+		r.dispatch(cell.pk, out, cell.targetCh, cell.local, now)
 	}
 	// Unlock every nominated packet that was not dispatched; the row
-	// validity words name exactly the cells the wave populated.
+	// validity words name exactly the cells the wave populated. Clearing
+	// the matrix here, once per wave, leaves it empty for the next build.
 	for row := 0; row < ports.NumRows; row++ {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
@@ -714,10 +758,71 @@ func (r *Router) resolveWave(now sim.Ticks) {
 			r.waveCells[row][col] = waveCell{pk: -1}
 		}
 	}
+	r.matrix.Reset()
 	r.waveActive = false
 }
 
 // ---- common ----
+
+// scanRings returns the rings of input in that a scan with free-output
+// set free must visit. While aging (at or past oldAt) a visit may colour
+// a packet old, so that is every occupied ring; before the bound, a ring
+// whose window summary misses free holds no packet the scan could pick.
+func (r *Router) scanRings(in ports.In, free ports.OutMask, aging bool) uint32 {
+	rings := r.occ[in]
+	if aging {
+		return rings
+	}
+	for w := rings; w != 0; w &= w - 1 {
+		if ch := bits.TrailingZeros32(w); r.winOuts[in][ch]&free == 0 {
+			rings &^= 1 << ch
+		}
+	}
+	return rings
+}
+
+// lowerOldAt keeps the aging bound at or below the tick at which window
+// packet pk turns old.
+func (r *Router) lowerOldAt(pk int32) {
+	if at := r.slab.headerArrive[pk] + r.ageTicks; at < r.oldAt {
+		r.oldAt = at
+	}
+}
+
+// refreshWindow recomputes ring (in, ch)'s window summary after a
+// removal from its window, and lowers the aging bound for the packet the
+// removal moved into the window, if any.
+func (r *Router) refreshWindow(in ports.In, ch vc.Channel) {
+	q := &r.queues[in][ch]
+	n := q.Len()
+	if n >= r.cfg.Window {
+		n = r.cfg.Window
+		r.lowerOldAt(q.At(n - 1))
+	}
+	var outs ports.OutMask
+	for i := 0; i < n; i++ {
+		outs |= r.slab.meta[q.At(i)].outs
+	}
+	r.winOuts[in][ch] = outs
+}
+
+// recomputeOldAt sets the aging bound from the window packets that are
+// not yet old, after a scan at or past it has coloured those it reached.
+func (r *Router) recomputeOldAt() {
+	r.oldAt = never
+	s := &r.slab
+	for in := range r.queues {
+		for w := r.occ[in]; w != 0; w &= w - 1 {
+			q := &r.queues[in][bits.TrailingZeros32(w)]
+			n := min(q.Len(), r.cfg.Window)
+			for i := 0; i < n; i++ {
+				if pk := q.At(i); s.meta[pk].flags&pkOld == 0 {
+					r.lowerOldAt(pk)
+				}
+			}
+		}
+	}
+}
 
 func (r *Router) markOld(pk int32, now sim.Ticks) {
 	s := &r.slab
@@ -757,6 +862,7 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	if q.Len() == 0 {
 		r.occ[in] &^= 1 << ch
 	}
+	r.refreshWindow(in, ch)
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, -1, now)
 	}
@@ -778,11 +884,11 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		f.Record(now, obs.FlightGrant, p.ID, in, ch, out)
 	}
 
-	op := r.outputs[out]
+	op := &r.outputs[out]
 	headerDepart := now + r.postArbTicks
 	flits := sim.Ticks(p.Flits)
 	if local {
-		op.busyUntil = headerDepart + flits*r.cfg.RouterPeriod
+		r.busyUntil[out] = headerDepart + flits*r.cfg.RouterPeriod
 		deliveredAt := headerDepart + (flits-1)*r.cfg.RouterPeriod
 		if tailArrive > deliveredAt {
 			deliveredAt = tailArrive
@@ -794,7 +900,7 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		op.deliver(p, deliveredAt)
 	} else {
 		op.credits.Reserve(targetCh)
-		op.busyUntil = headerDepart + flits*r.cfg.LinkPeriod
+		r.busyUntil[out] = headerDepart + flits*r.cfg.LinkPeriod
 		p.Hops++
 		if op.send == nil {
 			panic(fmt.Sprintf("router %d: network port %v not connected", r.node, out))

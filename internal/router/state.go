@@ -97,22 +97,12 @@ type SendFunc func(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks
 // last flit reaches the sink.
 type DeliverFunc func(p *packet.Packet, at sim.Ticks)
 
-// outputPort is one of the seven output ports.
+// outputPort is the wiring of one of the seven output ports; its busy
+// time lives in Router.busyUntil.
 type outputPort struct {
-	id ports.Out
-	// busyUntil is when the port finishes transmitting its current packet;
-	// re-arbitration is possible once all flits are delivered (§2.1).
-	busyUntil sim.Ticks
 	// credits tracks free buffer space at the downstream router's input
 	// port (network ports only).
 	credits *vc.Credits
 	send    SendFunc    // network ports
 	deliver DeliverFunc // local ports
-}
-
-// freeForGrant reports whether the port will have finished its current
-// transmission by the time a grant issued at gaTick puts the first flit on
-// the wire.
-func (o *outputPort) freeForGrant(gaTick sim.Ticks, postArb sim.Ticks) bool {
-	return o.busyUntil <= gaTick+postArb
 }
