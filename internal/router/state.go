@@ -5,11 +5,13 @@ package router
 // drawn from a free list, with per-(input port, virtual channel) queues
 // as fixed-capacity index rings over the slab. The arbiter inner loops
 // (SPAA nomination scans, PIM1/WFA wave builds) visit only the rings the
-// router's occupancy index (Router.occ) marks non-empty, walk dense
-// arrays of ticks and packed per-slot words instead of chasing
-// per-packet heap objects, and route only packets whose output mask
-// meets the free outputs; the steady-state router allocates nothing:
-// slab slots and ring storage are recycled as packets dispatch.
+// router's occupancy index (Router.occ) marks non-empty and, before the
+// aging bound, whose window summary (Router.winOuts) meets the free
+// outputs; they walk dense arrays of ticks and packed per-slot words
+// instead of chasing per-packet heap objects, and route only packets
+// whose output mask meets the free outputs. The steady-state router
+// allocates nothing: slab slots and ring storage are recycled as
+// packets dispatch.
 
 import (
 	"alpha21364/internal/packet"
