@@ -20,12 +20,10 @@ race:
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
 # replicated/checked/instrumented Runner fan-outs, and the daemon's
-# shared metrics under concurrent scrapes), the fleet dispatch paths
-# (heartbeats racing the dispatcher's liveness flips, the daemon's shard
-# semaphore and drain flag under concurrent requests), and the bitplane
-# arbitration kernels (the parallel differential suite drives every
-# word-parallel kernel against its scalar reference from concurrent
-# subtests, racing the shared mask/scratch code paths), and the spatial
+# shared metrics under concurrent scrapes), the bitplane arbitration
+# kernels (the parallel differential suite drives every word-parallel
+# kernel against its scalar reference from concurrent subtests, racing
+# the shared mask/scratch code paths), and the spatial
 # sharding assembly (per-band engine workers spinning on the wavefront's
 # publish flags, the PostBuffer flush, per-shard flight slots, and the
 # checker's per-router scratch under concurrent edge ticks).
@@ -37,8 +35,7 @@ race-pools:
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
-	$(GO) test -race -count=1 ./internal/fleet
-	$(GO) test -race -count=1 -run 'Metrics|Pprof|Shard|Drain|Healthz|BodyLimit' ./cmd/sweepd
+	$(GO) test -race -count=1 -run 'Metrics|Pprof|Drain|Healthz|BodyLimit' ./cmd/sweepd
 
 # cover writes the atomic-mode coverage profile for the whole module.
 cover:

@@ -12,10 +12,10 @@
 //     Runner.Stream); a Result is the stable machine-readable outcome
 //     with a JSONL encoder (Result.EncodeJSONL, DecodeResultJSONL);
 //   - the sweep service: a Coordinator decomposes sweeps into shard-Specs
-//     (PlanShards, MergeShardResults), caches completed points in a
-//     content-addressed store (SpecHash, OpenResultCache), and resumes
-//     interrupted runs byte-identically (NewCoordinator, WithCache);
-//     cmd/sweepd serves the same contract over stdin/HTTP;
+//     (WithShards), caches completed points in a content-addressed store
+//     (SpecHash, OpenResultCache), and resumes interrupted runs
+//     byte-identically (NewCoordinator, WithCache); cmd/sweepd serves the
+//     same contract over stdin/HTTP;
 //   - the five arbitration algorithms the paper compares — SPAA (the
 //     21364's Simple Pipelined Arbitration Algorithm), PIM and PIM1, the
 //     wrapped Wave-Front Arbiter, and MCM — plus the OPF strawman and the
@@ -334,26 +334,6 @@ func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) 
 // Check, Workload.RecordTo) do not participate, so two specs that would
 // simulate the same numbers share one cache key.
 func SpecHash(s Spec) (string, error) { return experiment.SpecHash(s) }
-
-// Shard is one independently runnable slice of a sweep: a self-contained
-// Spec plus the original-grid cells its result points map back to.
-type Shard = experiment.Shard
-
-// ShardCell addresses one (series, point) cell of a Spec's grid.
-type ShardCell = experiment.ShardCell
-
-// PlanShards decomposes a Spec's grid into at most n shard-Specs (0
-// means one per point), deterministically and covering every cell
-// exactly once; MergeShardResults reassembles the shards' Results into
-// the Result the monolithic Runner would have produced.
-func PlanShards(spec Spec, n int) ([]Shard, error) { return experiment.PlanShards(spec, n) }
-
-// MergeShardResults merges shard Results back into grid order; results
-// must be index-aligned with shards (nil entries leave their cells
-// missing and mark the merged Result partial).
-func MergeShardResults(spec Spec, shards []Shard, results []*Result) (*Result, error) {
-	return experiment.MergeShardResults(spec, shards, results)
-}
 
 // Result is the stable machine-readable outcome of running a Spec, with
 // a JSONL encoder (EncodeJSONL) and document form (WriteFile).

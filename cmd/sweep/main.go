@@ -26,11 +26,8 @@
 // cache and persist new ones as they finish, -resume to insist that
 // prior progress exists (an interrupted run picks up exactly where it
 // was killed), and -shards N to decompose each sweep into about N
-// independently runnable shard specs. -fleet HOST:PORT,... dispatches
-// those shards to remote sweepd workers (internal/fleet) instead of
-// simulating in-process, with -fleet-timeout bounding each attempt and
-// -fleet-retries bounding re-dispatch after a worker fails. Results are
-// byte-identical to an uncached, unsharded, fleetless run.
+// independently runnable shard specs. Results are byte-identical to an
+// uncached, unsharded run.
 //
 // -metrics enables the telemetry layer (internal/obs) on every timing
 // simulation: each emitted point carries an observation-only snapshot,
@@ -63,7 +60,6 @@ import (
 	"alpha21364/internal/cache"
 	"alpha21364/internal/core"
 	"alpha21364/internal/experiment"
-	"alpha21364/internal/fleet"
 	"alpha21364/internal/prof"
 	"alpha21364/internal/workload"
 )
@@ -151,9 +147,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory: completed points are served from it and new ones persisted to it")
 	resume := fs.Bool("resume", false, "with -cache-dir, require previously completed points for this invocation and simulate only the missing ones")
 	shards := fs.Int("shards", 0, "decompose each sweep into about this many shard specs (0 = one shard per point)")
-	fleetAddrs := fs.String("fleet", "", "comma-separated sweepd worker addresses (host:port): dispatch shards to the fleet instead of simulating in-process")
-	fleetTimeout := fs.Duration("fleet-timeout", fleet.DefaultTimeout, "with -fleet, per-attempt shard timeout before the worker is declared hung and the shard reassigned")
-	fleetRetries := fs.Int("fleet-retries", fleet.DefaultRetries, "with -fleet, how many times a failed shard is re-dispatched (0 = single attempt)")
 	bench := fs.Bool("bench", false, "run the benchmark suite and write BENCH_10.json")
 	benchBaseline := fs.String("bench-baseline", "", "with -bench, compare against this BENCH_*.json and fail on >15% regression")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -212,19 +205,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	var fl *fleet.Fleet
-	if *fleetAddrs != "" {
-		fl, err = fleet.New(splitList(*fleetAddrs),
-			fleet.WithTimeout(*fleetTimeout),
-			fleet.WithRetries(*fleetRetries),
-			fleet.WithLogf(logger.Printf),
-		)
-		if err != nil {
-			return err
-		}
-		defer fl.Close()
-	}
-	if store == nil && *shards == 0 && fl == nil {
+	if store == nil && *shards == 0 {
 		a.exec = func(sp experiment.Spec) (*experiment.Result, error) {
 			res, err := experiment.NewRunner(runnerOpts...).Run(context.Background(), sp)
 			if err == nil && a.stable {
@@ -241,9 +222,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if store != nil {
 				copts = append(copts, experiment.WithCache(store))
 			}
-			if fl != nil {
-				copts = append(copts, experiment.WithShardExecutor(fl))
-			}
 			if eventSink != nil {
 				copts = append(copts, experiment.WithCoordinatorEventSink(eventSink))
 			}
@@ -253,9 +231,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				st := co.Stats()
 				logger.Printf("cache: %d/%d points cached, %d simulated, %d shard(s)",
 					st.CachedPoints, st.TotalPoints, st.SimulatedPoints, st.Shards)
-				if fl != nil {
-					logger.Printf("fleet: %d shard attempt(s), %d retried", st.ShardAttempts, st.ShardRetries)
-				}
 				if a.stable {
 					experiment.StripVolatile(res)
 				}
@@ -397,8 +372,6 @@ var contradictions = buildContradictions()
 var requirements = []requirement{
 	{"bench-baseline", "bench", "the baseline comparison is part of bench mode"},
 	{"resume", "cache-dir", "resuming reads completed points from the cache"},
-	{"fleet-timeout", "fleet", "the attempt timeout governs fleet dispatch"},
-	{"fleet-retries", "fleet", "the retry budget governs fleet dispatch"},
 }
 
 func buildContradictions() []contradiction {
@@ -474,15 +447,11 @@ func buildContradictions() []contradiction {
 	for _, f := range []string{"bench", "verify", "emit-spec", "list"} {
 		add("cache-dir", f, "the result cache applies to sweep execution only")
 		add("shards", f, "shard decomposition applies to sweep execution only")
-		add("fleet", f, "fleet dispatch applies to sweep execution only")
 	}
 	// Record/replay specs bypass the cache: a file path does not
 	// content-address the trace behind it.
 	for _, f := range []string{"record", "replay"} {
 		add("cache-dir", f, "trace record/replay bypasses the result cache; run without -cache-dir")
-		// Trace files live on the local filesystem; a remote worker cannot
-		// read or write them.
-		add("fleet", f, "trace record/replay needs local trace files; run without -fleet")
 	}
 	return rules
 }

@@ -154,7 +154,6 @@ var ruleSamples = map[string]string{
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
 	"cache-dir": "cachedir", "shards": "4", "bench-baseline": "BENCH.json",
 	"resume": "true", "metrics": "true", "stable": "true",
-	"fleet": "127.0.0.1:9", "fleet-timeout": "2m", "fleet-retries": "2",
 	"torus-shards": "2",
 }
 

@@ -16,20 +16,15 @@
 // each Result's JSONL to stdout; a failed Spec produces a single
 // {"type":"error",...} line instead, and the stream continues. With
 // -http, POST /run takes one Spec document and streams the Result JSONL
-// response; POST /shard is the fleet worker surface — it runs one
-// shard-Spec serially (bounded by -max-shards, 503 when saturated) and
-// streams its Result JSONL, writing whatever completed plus an in-band
-// error line on failure so a fleet dispatcher can salvage the prefix;
-// GET /healthz reports liveness as a JSON document (status, version,
-// uptime, in-flight shards) with a bare 200 while healthy and 503 while
-// draining; GET /metrics exposes process-lifetime counters (requests,
-// points, cache hit ratio, run/shard latency histograms, fleet shard
-// counters, and per-arbiter router telemetry aggregated from
-// metrics-enabled specs) in the Prometheus text format; /debug/pprof/
-// serves the standard profiling endpoints. SIGINT/SIGTERM drain the
-// daemon: in-flight requests finish (up to -drain-timeout), new work is
-// refused with 503. Diagnostics, including the per-run cache statistics,
-// go to stderr.
+// response; GET /healthz reports liveness as a JSON document (status,
+// version, uptime) with a bare 200 while healthy and 503 while draining;
+// GET /metrics exposes process-lifetime counters (requests, points,
+// cache hit ratio, run/shard latency histograms, and per-arbiter router
+// telemetry aggregated from metrics-enabled specs) in the Prometheus
+// text format; /debug/pprof/ serves the standard profiling endpoints.
+// SIGINT/SIGTERM drain the daemon: in-flight requests finish (up to
+// -drain-timeout), new work is refused with 503. Diagnostics, including
+// the per-run cache statistics, go to stderr.
 package main
 
 import (
@@ -44,7 +39,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -55,7 +49,7 @@ import (
 
 // daemonVersion identifies this build on /healthz; bump alongside the
 // release notes in CHANGES.md.
-const daemonVersion = "0.8.0"
+const daemonVersion = "0.9.0"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
@@ -75,7 +69,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory shared by every request")
 	shards := fs.Int("shards", 0, "decompose each sweep into about this many shard specs (0 = one shard per point)")
 	workers := fs.Int("workers", 0, "concurrent shard executions per request (0 = one per CPU)")
-	maxShards := fs.Int("max-shards", 0, "concurrent POST /shard executions accepted before answering 503 (0 = one per CPU)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long SIGTERM waits for in-flight requests before forcing exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,7 +85,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	svc := newService(store, *shards, *workers, *maxShards, logger)
+	svc := newService(store, *shards, *workers, logger)
 	if *httpAddr != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -143,25 +136,17 @@ type service struct {
 	metrics *daemonMetrics
 
 	start    time.Time
-	shardSem chan struct{} // bounds concurrent POST /shard executions
-	draining atomic.Bool   // set once by shutdown; new requests answer 503
-	inflight atomic.Int64  // POST /shard executions currently running
+	draining atomic.Bool // set once by shutdown; new requests answer 503
 }
 
-// newService wires a service; maxShards <= 0 defaults to one concurrent
-// /shard execution per CPU.
-func newService(store *cache.Store, shards, workers, maxShards int, logger *log.Logger) *service {
-	if maxShards <= 0 {
-		maxShards = runtime.NumCPU()
-	}
+func newService(store *cache.Store, shards, workers int, logger *log.Logger) *service {
 	return &service{
-		store:    store,
-		shards:   shards,
-		workers:  workers,
-		log:      logger,
-		metrics:  newDaemonMetrics(),
-		start:    time.Now(),
-		shardSem: make(chan struct{}, maxShards),
+		store:   store,
+		shards:  shards,
+		workers: workers,
+		log:     logger,
+		metrics: newDaemonMetrics(),
+		start:   time.Now(),
 	}
 }
 
@@ -190,30 +175,6 @@ func (s *service) runSpec(ctx context.Context, sp experiment.Spec, w io.Writer) 
 	s.log.Printf("ran spec: %d/%d points cached, %d simulated, %d shard(s)",
 		st.CachedPoints, st.TotalPoints, st.SimulatedPoints, st.Shards)
 	return res.EncodeJSONL(w)
-}
-
-// runShard executes one shard-Spec for a fleet dispatcher and streams
-// its Result JSONL. Shards bypass the Coordinator deliberately: the
-// dispatching coordinator owns the cache and the merge, so the worker's
-// job is only to simulate the sub-grid serially and faithfully. On
-// failure the partial Result — a contiguous prefix of whole points — is
-// streamed anyway, followed by an in-band error line, so the dispatcher
-// salvages the finished points and retries only the tail.
-func (s *service) runShard(ctx context.Context, sp experiment.Spec, w io.Writer) error {
-	res, err := experiment.NewRunner(experiment.WithWorkers(1)).Run(ctx, sp)
-	if res != nil {
-		if encErr := res.EncodeJSONL(w); encErr != nil {
-			// The stream to the dispatcher broke; nothing more to say on it.
-			if err == nil {
-				err = encErr
-			}
-			return err
-		}
-	}
-	if err != nil {
-		writeErrLine(w, err)
-	}
-	return err
 }
 
 // errLine is the inline failure record of the stdin stream: consumers of
@@ -269,8 +230,7 @@ func (f flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// maxSpecBytes bounds a /run or /shard request body; Specs are small
-// documents.
+// maxSpecBytes bounds a /run request body; Specs are small documents.
 const maxSpecBytes = 1 << 20
 
 // readSpecBody reads a bounded request body and parses its Spec,
@@ -299,22 +259,20 @@ func (s *service) readSpecBody(w http.ResponseWriter, r *http.Request) (experime
 
 // healthStatus is the GET /healthz readiness document.
 type healthStatus struct {
-	Status         string  `json:"status"` // "ok" or "draining"
-	Version        string  `json:"version"`
-	UptimeSeconds  float64 `json:"uptime_seconds"`
-	InflightShards int64   `json:"inflight_shards"`
+	Status        string  `json:"status"` // "ok" or "draining"
+	Version       string  `json:"version"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 func (s *service) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// The contract fleet heartbeats rely on: bare 200 while healthy,
-		// 503 while draining. The JSON body is detail, not contract.
+		// The readiness contract: bare 200 while healthy, 503 while
+		// draining. The JSON body is detail, not contract.
 		st := healthStatus{
-			Status:         "ok",
-			Version:        daemonVersion,
-			UptimeSeconds:  time.Since(s.start).Seconds(),
-			InflightShards: s.inflight.Load(),
+			Status:        "ok",
+			Version:       daemonVersion,
+			UptimeSeconds: time.Since(s.start).Seconds(),
 		}
 		code := http.StatusOK
 		if s.draining.Load() {
@@ -327,7 +285,7 @@ func (s *service) handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.metrics.writeProm(w, s.inflight.Load()); err != nil {
+		if err := s.metrics.writeProm(w); err != nil {
 			s.log.Printf("metrics write: %v", err)
 		}
 	})
@@ -351,36 +309,6 @@ func (s *service) handler() http.Handler {
 		if err := s.runSpec(r.Context(), sp, flushWriter{w}); err != nil {
 			// Headers may already be out; report in-band like stdin mode.
 			writeErrLine(flushWriter{w}, err)
-		}
-	})
-	mux.HandleFunc("POST /shard", func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.metrics.recordShardBusy()
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		select {
-		case s.shardSem <- struct{}{}:
-			defer func() { <-s.shardSem }()
-		default:
-			// Refusing beats queueing: the dispatcher's per-attempt timeout
-			// is budget for simulating, not for waiting in line, and a 503
-			// sends the shard to a worker with capacity right now.
-			s.metrics.recordShardBusy()
-			http.Error(w, "worker saturated", http.StatusServiceUnavailable)
-			return
-		}
-		sp, ok := s.readSpecBody(w, r)
-		if !ok {
-			return
-		}
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		s.metrics.recordShard()
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		if err := s.runShard(r.Context(), sp, flushWriter{w}); err != nil {
-			s.metrics.recordShardError()
-			s.log.Printf("shard failed: %v", err)
 		}
 	})
 	return mux

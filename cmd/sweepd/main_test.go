@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
@@ -42,7 +43,7 @@ func testService(t *testing.T, dir string) *service {
 			t.Fatal(err)
 		}
 	}
-	return newService(store, 0, 1, 0, log.New(io.Discard, "", 0))
+	return newService(store, 0, 1, log.New(io.Discard, "", 0))
 }
 
 // TestStdinStreamsResults feeds a good spec, a broken one, and a second
@@ -184,4 +185,78 @@ func TestCachePersistsAcrossRequests(t *testing.T) {
 	if strip(bodies[0]) != strip(bodies[1]) {
 		t.Fatal("cached response diverged from simulated response")
 	}
+}
+
+// TestBodyLimitAnswers413 sends an oversized document to /run;
+// MaxBytesReader must cut it off with 413.
+func TestBodyLimitAnswers413(t *testing.T) {
+	srv := httptest.NewServer(testService(t, "").handler())
+	defer srv.Close()
+
+	huge := bytes.Repeat([]byte("x"), maxSpecBytes+2)
+	resp, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("/run with oversized body: got %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestHealthzReadinessDocument checks the JSON detail while healthy and
+// the 503 flip while draining.
+func TestHealthzReadinessDocument(t *testing.T) {
+	svc := testService(t, "")
+	srv := httptest.NewServer(svc.handler())
+	defer srv.Close()
+
+	get := func() (int, healthStatus) {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st healthStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("healthz is not a JSON document: %v", err)
+		}
+		return resp.StatusCode, st
+	}
+
+	code, st := get()
+	if code != http.StatusOK || st.Status != "ok" {
+		t.Fatalf("healthy /healthz: %d %q, want 200 ok", code, st.Status)
+	}
+	if st.Version != daemonVersion {
+		t.Errorf("version = %q, want %q", st.Version, daemonVersion)
+	}
+	if st.UptimeSeconds < 0 {
+		t.Errorf("uptime = %g, want >= 0", st.UptimeSeconds)
+	}
+
+	svc.draining.Store(true)
+	code, st = get()
+	if code != http.StatusServiceUnavailable || st.Status != "draining" {
+		t.Errorf("draining /healthz: %d %q, want 503 draining", code, st.Status)
+	}
+}
+
+// TestDrainingRefusesNewWork flips the drain flag and checks /run
+// refuses with 503 while /metrics stays scrapeable.
+func TestDrainingRefusesNewWork(t *testing.T) {
+	svc := testService(t, "")
+	svc.draining.Store(true)
+	srv := httptest.NewServer(svc.handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(smallSpecJSON(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining /run: got %d, want 503", resp.StatusCode)
+	}
+	scrape(t, srv.URL) // still serves metrics while draining
 }

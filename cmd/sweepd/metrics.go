@@ -36,9 +36,6 @@ type daemonMetrics struct {
 	cacheHits   int64
 	simulated   int64
 	shards      int64
-	fleetShards int64          // POST /shard executions accepted
-	fleetErrs   int64          // POST /shard executions that failed
-	fleetBusy   int64          // POST /shard refusals: saturated or draining
 	runDur      *obs.Histogram // seconds per completed run
 	shardDur    *obs.Histogram // seconds per completed shard
 	arbiters    map[string]*arbiterAgg
@@ -72,28 +69,6 @@ func (d *daemonMetrics) recordBadRequest() {
 	d.mu.Lock()
 	d.requests++
 	d.requestErrs++
-	d.mu.Unlock()
-}
-
-// recordShard counts one fleet shard execution accepted on POST /shard.
-func (d *daemonMetrics) recordShard() {
-	d.mu.Lock()
-	d.fleetShards++
-	d.mu.Unlock()
-}
-
-// recordShardError counts one accepted shard execution that failed.
-func (d *daemonMetrics) recordShardError() {
-	d.mu.Lock()
-	d.fleetErrs++
-	d.mu.Unlock()
-}
-
-// recordShardBusy counts one POST /shard refused with 503 — the worker
-// was saturated or draining, and the dispatcher will go elsewhere.
-func (d *daemonMetrics) recordShardBusy() {
-	d.mu.Lock()
-	d.fleetBusy++
 	d.mu.Unlock()
 }
 
@@ -134,10 +109,8 @@ func (d *daemonMetrics) recordRun(st experiment.CoordinatorStats, res *experimen
 	}
 }
 
-// writeProm emits the full exposition document. inflightShards is the
-// caller's live gauge of POST /shard executions in progress (it lives
-// outside the counter set so the handler can read it lock-free).
-func (d *daemonMetrics) writeProm(w io.Writer, inflightShards int64) error {
+// writeProm emits the full exposition document.
+func (d *daemonMetrics) writeProm(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := obs.NewPromWriter(w)
@@ -152,12 +125,6 @@ func (d *daemonMetrics) writeProm(w io.Writer, inflightShards int64) error {
 	counter("sweepd_cache_hits_total", "Grid points served from the result cache.", d.cacheHits)
 	counter("sweepd_points_simulated_total", "Grid points simulated by this process.", d.simulated)
 	counter("sweepd_shards_total", "Shard specs executed.", d.shards)
-	counter("sweepd_fleet_shards_total", "Fleet shard executions accepted on POST /shard.", d.fleetShards)
-	counter("sweepd_fleet_shard_errors_total", "Accepted fleet shard executions that failed.", d.fleetErrs)
-	counter("sweepd_fleet_shard_busy_total", "POST /shard requests refused while saturated or draining.", d.fleetBusy)
-
-	p.Family("sweepd_fleet_inflight_shards", "gauge", "Fleet shard executions currently running.")
-	p.Sample("sweepd_fleet_inflight_shards", float64(inflightShards))
 
 	p.Family("sweepd_cache_hit_ratio", "gauge", "Fraction of served points that came from the cache, since start.")
 	ratio := 0.0

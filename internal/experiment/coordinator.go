@@ -11,12 +11,6 @@ package experiment
 // produces. A killed run therefore resumes by re-running only its
 // missing points, and a repeated run of the same semantic spec is a pure
 // cache read.
-//
-// Where a shard simulates is the ShardExecutor's business (executor.go):
-// the default localExecutor runs each shard through an ordinary Runner
-// on a single worker, shard-level fan-out bounded by the coordinator's
-// worker count, while internal/fleet dispatches shards to remote sweepd
-// workers over HTTP/JSONL — same plan, same cache, same merged bytes.
 
 import (
 	"context"
@@ -38,7 +32,6 @@ type Coordinator struct {
 	shards  int
 	store   *cache.Store
 	sink    func(Event)
-	exec    ShardExecutor
 
 	mu    sync.Mutex
 	stats CoordinatorStats
@@ -57,13 +50,6 @@ type CoordinatorStats struct {
 	SimulatedPoints int
 	// Shards is how many shard-Specs the missing cells were planned into.
 	Shards int
-	// ShardAttempts counts shard executions started, summed over shards:
-	// with the local executor it equals Shards; a fleet executor adds one
-	// per retry or reassignment.
-	ShardAttempts int
-	// ShardRetries counts shard executions beyond each shard's first —
-	// the requeue traffic caused by worker failures and timeouts.
-	ShardRetries int
 	// ElapsedNS is the run's wall-clock duration.
 	ElapsedNS int64
 	// ShardDurationsNS is each shard's wall-clock duration, in completion
@@ -106,14 +92,6 @@ func WithShards(n int) CoordinatorOption {
 // trace behind it).
 func WithCache(store *cache.Store) CoordinatorOption {
 	return func(c *Coordinator) { c.store = store }
-}
-
-// WithShardExecutor routes every shard through e instead of the default
-// in-process serial Runner. The executor decides where a shard simulates
-// (local pool, remote fleet); the plan/cache/merge pipeline around it is
-// identical, so results stay byte-identical to a monolithic run.
-func WithShardExecutor(e ShardExecutor) CoordinatorOption {
-	return func(c *Coordinator) { c.exec = e }
 }
 
 // WithCoordinatorEventSink observes the run's progress events: run-start
@@ -259,28 +237,19 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Result, error) {
 		progressMu.Unlock()
 	}
 
-	// Fan the shards across the pool; each shard runs through the
-	// executor (in-process Runner by default, remote fleet when one is
-	// attached), and persists its completed points — whole points only —
-	// whether it finished or was cut short.
-	exec := c.exec
-	if exec == nil {
-		exec = localExecutor{}
-	}
+	// Fan the shards across the pool; each shard runs through its own
+	// serial Runner and persists its completed points — whole points
+	// only — whether it finished or was cut short.
 	var freshMu sync.Mutex
 	simulated := 0
 	jobs := make([]func() (*Result, error), len(shards))
 	for i, sh := range shards {
 		jobs[i] = func() (*Result, error) {
 			shardStart := time.Now()
-			res, attempts, runErr := exec.ExecuteShard(ctx, sh, shardSink)
+			res, runErr := (&Runner{workers: 1, sink: shardSink}).Run(ctx, sh.Spec)
 			shardNS := time.Since(shardStart).Nanoseconds()
 			c.mu.Lock()
 			c.stats.ShardDurationsNS = append(c.stats.ShardDurationsNS, shardNS)
-			c.stats.ShardAttempts += attempts
-			if attempts > 1 {
-				c.stats.ShardRetries += attempts - 1
-			}
 			c.mu.Unlock()
 			if res == nil {
 				return nil, runErr

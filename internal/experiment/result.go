@@ -298,61 +298,13 @@ func (r *Result) EncodeJSONL(w io.Writer) error {
 	return nil
 }
 
-// StreamError is an in-band {"type":"error"} record decoded from a
-// Result JSONL stream — the failure channel of sweepd's streaming
-// responses, where HTTP status is already committed when a run fails.
-// Callers that salvage partial streams (the fleet dispatcher) match it
-// with errors.As to distinguish "the worker reported a failure" from
-// "the stream itself is corrupt".
-type StreamError struct{ Msg string }
+// resultDecoder assembles a Result from its JSONL records, one line at
+// a time, in DecodeResultJSONL.
+type resultDecoder struct{ res *Result }
 
-func (e *StreamError) Error() string { return "experiment: stream error: " + e.Msg }
-
-// ResultDecoder incrementally decodes a Result JSONL stream, one record
-// per Next call. Unlike DecodeResultJSONL it keeps everything decoded so
-// far available through Result, so a consumer of an unreliable transport
-// can salvage the complete records of a stream that is later truncated
-// or corrupted — each point line is a self-contained, strictly decoded
-// measurement, trustworthy on its own.
-type ResultDecoder struct {
-	sc   *bufio.Scanner
-	res  *Result
-	line int
-}
-
-// NewResultDecoder wraps r for incremental decoding.
-func NewResultDecoder(r io.Reader) *ResultDecoder {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &ResultDecoder{sc: sc}
-}
-
-// Result returns the Result assembled from the records decoded so far —
-// nil before the header record. The same value grows with each Next.
-func (d *ResultDecoder) Result() *Result { return d.res }
-
-// Next decodes the next record into the growing Result. It returns
-// io.EOF at the clean end of the stream, a *StreamError for an in-band
-// error record, and other errors for corrupt, misordered, or truncated
-// records; any non-nil return leaves Result holding every record decoded
-// before the failure.
-func (d *ResultDecoder) Next() error {
-	for d.sc.Scan() {
-		d.line++
-		raw := d.sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		return d.decodeLine(raw)
-	}
-	if err := d.sc.Err(); err != nil {
-		return fmt.Errorf("experiment: decode result: %w", err)
-	}
-	return io.EOF
-}
-
-func (d *ResultDecoder) decodeLine(raw []byte) error {
-	line := d.line
+// decodeLine decodes record number line (1-based, blank lines counted)
+// into the growing Result.
+func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 	var probe struct {
 		Type string `json:"type"`
 	}
@@ -413,7 +365,7 @@ func (d *ResultDecoder) decodeLine(raw []byte) error {
 		if err := strictDecoder(raw).Decode(&el); err != nil {
 			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
 		}
-		return &StreamError{Msg: el.Error}
+		return fmt.Errorf("experiment: stream error: %s", el.Error)
 	default:
 		return fmt.Errorf("experiment: decode result line %d: unknown record type %q", line, probe.Type)
 	}
@@ -424,15 +376,20 @@ func (d *ResultDecoder) decodeLine(raw []byte) error {
 // rejecting unknown record types, unknown fields, missing headers,
 // in-band error records, and unsupported versions.
 func DecodeResultJSONL(r io.Reader) (*Result, error) {
-	d := NewResultDecoder(r)
-	for {
-		err := d.Next()
-		if err == io.EOF {
-			break
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var d resultDecoder
+	for line := 1; sc.Scan(); line++ {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
 		}
-		if err != nil {
+		if err := d.decodeLine(raw, line); err != nil {
 			return nil, err
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("experiment: decode result: %w", err)
 	}
 	if d.res == nil {
 		return nil, fmt.Errorf("experiment: decode result: empty stream")

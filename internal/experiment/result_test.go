@@ -76,6 +76,8 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
+	pointAt := strings.Index(good, `{"type":"point"`)
+	pointEnd := pointAt + strings.Index(good[pointAt:], "\n")
 
 	cases := []struct {
 		name string
@@ -88,6 +90,8 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 		{"unknown field", strings.Replace(good, `"type":"point"`, `"type":"point","extra":1`, 1), "unknown field"},
 		{"point before series", strings.Replace(good, `"type":"series"`, `"type":"point","series":"x","point":{}`, 1), ""},
 		{"no header", strings.TrimPrefix(good, good[:strings.Index(good, "\n")+1]), "header"},
+		{"cut mid point line", good[:(pointAt+pointEnd)/2], "decode result line"},
+		{"in-band error after a valid stream", good + `{"type":"error","error":"boom"}` + "\n", "experiment: stream error: boom"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeResultJSONL(strings.NewReader(tc.doc)); err == nil {

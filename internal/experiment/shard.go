@@ -20,9 +20,7 @@ package experiment
 //
 // Shards never span series: a single series × rate-slice subset is
 // always expressible as a strict v1 Spec, while an arbitrary cell set
-// is not. The shard-Spec + Result-JSONL boundary is deliberately the
-// whole inter-process contract, so shards can later run in remote
-// workers (cmd/sweepd) without touching the planner or merger.
+// is not.
 
 import (
 	"fmt"
@@ -142,33 +140,6 @@ func subsetSpec(parent Spec, a gridAxes, si int, points []int) Spec {
 		sub.Workload = &w
 	}
 	return sub
-}
-
-// Tail returns the sub-shard covering sh.Cells[from:] — what a retry
-// re-executes after the first from points of the shard already arrived
-// intact. The sub-shard's Spec enumerates exactly the remaining cells in
-// order, so a prefix result concatenated with the tail's points is
-// byte-identical to running the whole shard once: every point's input,
-// including its replication seeds, is fixed by the spec's own fields and
-// never by its sibling points. from <= 0 returns sh unchanged; from
-// beyond the last cell returns an empty-celled shard that must not run.
-func (sh Shard) Tail(from int) Shard {
-	if from <= 0 {
-		return sh
-	}
-	if from >= len(sh.Cells) {
-		return Shard{Spec: sh.Spec}
-	}
-	// The shard's own Spec is the parent here: it covers exactly one
-	// series, so its grid indices are 0..len(Cells)-1 in cell order.
-	points := make([]int, len(sh.Cells)-from)
-	for i := range points {
-		points[i] = from + i
-	}
-	return Shard{
-		Spec:  subsetSpec(sh.Spec, sh.Spec.axes(), 0, points),
-		Cells: sh.Cells[from:],
-	}
 }
 
 // planShardsOver groups the given cells (series-major order) into at

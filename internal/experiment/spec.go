@@ -420,7 +420,7 @@ func (s Spec) Validate() error {
 		return specErr("replications %d must be >= 0", s.Replications)
 	}
 	if s.Confidence != 0 {
-		if s.Confidence <= 0 || s.Confidence >= 1 {
+		if !finite(s.Confidence) || s.Confidence <= 0 || s.Confidence >= 1 {
 			return specErr("confidence %g must be within (0, 1)", s.Confidence)
 		}
 		if s.reps() == 1 {
@@ -444,6 +444,12 @@ func (s Spec) Validate() error {
 		return specErr("unknown mode %q (valid: %s, %s)", s.Mode, ModeTiming, ModeStandalone)
 	}
 }
+
+// finite reports whether v is neither NaN nor ±Inf. Every range check
+// in Validate is a comparison, and a comparison with NaN is false, so
+// non-finite values must be rejected explicitly. JSON cannot carry
+// them, but CLI flags and the library API can.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (s Spec) validateTiming() error {
 	if s.Standalone != nil {
@@ -513,8 +519,8 @@ func (s Spec) validateTiming() error {
 		return specErr("timing spec needs at least one rate (or a replay_from trace)")
 	}
 	for i, r := range w.Rates {
-		if r <= 0 {
-			return specErr("rates[%d]: rate %g must be positive", i, r)
+		if !finite(r) || r <= 0 {
+			return specErr("rates[%d]: rate %g must be positive and finite", i, r)
 		}
 	}
 	if w.RecordTo != "" {
@@ -551,23 +557,23 @@ func (s Spec) validateStandalone() error {
 		if sa.Load != 0 {
 			return specErr("load is only meaningful with the %s axis", AxisOccupancy)
 		}
-		if sa.Occupancy < 0 || sa.Occupancy > 1 {
+		if !finite(sa.Occupancy) || sa.Occupancy < 0 || sa.Occupancy > 1 {
 			return specErr("occupancy %g must be within [0, 1]", sa.Occupancy)
 		}
 		for i, v := range sa.Values {
-			if v < 0 {
-				return specErr("values[%d]: %s %g must be >= 0", i, sa.Axis, v)
+			if !finite(v) || v < 0 {
+				return specErr("values[%d]: %s %g must be finite and >= 0", i, sa.Axis, v)
 			}
 		}
 	case AxisOccupancy:
 		if sa.Occupancy != 0 {
 			return specErr("occupancy is the axis; set values, not a fixed occupancy")
 		}
-		if sa.Load < 0 {
-			return specErr("load %g must be >= 0", sa.Load)
+		if !finite(sa.Load) || sa.Load < 0 {
+			return specErr("load %g must be finite and >= 0", sa.Load)
 		}
 		for i, v := range sa.Values {
-			if v < 0 || v > 1 {
+			if !finite(v) || v < 0 || v > 1 {
 				return specErr("values[%d]: occupancy %g must be within [0, 1]", i, v)
 			}
 		}

@@ -125,6 +125,12 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"no workload", func(s *Spec) { s.Workload = nil }, "workload"},
 		{"no rates", func(s *Spec) { s.Workload.Rates = nil }, "rate"},
 		{"negative rate", func(s *Spec) { s.Workload.Rates = []float64{-0.1} }, "positive"},
+		{"NaN rate", func(s *Spec) { s.Workload.Rates = []float64{0.01, math.NaN()} }, "rates[1]"},
+		{"+Inf rate", func(s *Spec) { s.Workload.Rates = []float64{math.Inf(1)} }, "finite"},
+		{"NaN confidence", func(s *Spec) {
+			s.Replications = 3
+			s.Confidence = math.NaN()
+		}, "confidence"},
 		{"bad pattern", func(s *Spec) { s.Workload.Patterns = []string{"zigzag"} }, "zigzag"},
 		{"empty pattern", func(s *Spec) { s.Workload.Patterns = []string{""} }, "unknown pattern"},
 		{"pattern needs pow2", func(s *Spec) {
@@ -248,6 +254,23 @@ func TestSpecValidateStandalone(t *testing.T) {
 			s.Standalone.Axis = AxisOccupancy
 			s.Standalone.Values = []float64{2}
 		}, "within [0, 1]"},
+		{"NaN load value", func(s *Spec) { s.Standalone.Values = []float64{math.NaN()} }, "values[0]"},
+		{"+Inf load value", func(s *Spec) { s.Standalone.Values = []float64{0.5, math.Inf(1)} }, "values[1]"},
+		{"NaN occupancy", func(s *Spec) { s.Standalone.Occupancy = math.NaN() }, "occupancy"},
+		{"NaN occupancy axis value", func(s *Spec) {
+			s.Standalone.Axis = AxisOccupancy
+			s.Standalone.Values = []float64{math.NaN()}
+		}, "within [0, 1]"},
+		{"NaN fixed load", func(s *Spec) {
+			s.Standalone.Axis = AxisOccupancy
+			s.Standalone.Values = []float64{0.5}
+			s.Standalone.Load = math.NaN()
+		}, "load"},
+		{"+Inf fixed load", func(s *Spec) {
+			s.Standalone.Axis = AxisOccupancy
+			s.Standalone.Values = []float64{0.5}
+			s.Standalone.Load = math.Inf(1)
+		}, "finite"},
 		{"timing sections on standalone", func(s *Spec) {
 			s.Topology = &TopologySpec{Width: 4, Height: 4}
 		}, "timing sections"},
