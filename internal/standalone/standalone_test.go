@@ -1,6 +1,9 @@
 package standalone
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"alpha21364/internal/core"
@@ -204,5 +207,47 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 		}
 		grants := core.New(core.KindMCM, sim.NewRNG(1)).Arbitrate(m.matrix)
 		m.drain(grants)
+	}
+}
+
+// TestRunCheckedDigest pins the checked-run Results over a table that
+// reaches what no experiment golden does: picker windows shorter than the
+// queue (no Spec sets Window), busy outputs, small queues and the full
+// connection matrix. A change to how the model builds its matrix or
+// drains grants must leave every Result bit-identical.
+func TestRunCheckedDigest(t *testing.T) {
+	const want = "49668ce9668063059a9e68caf53fad06daa89c47e7da8242953511d33d872086"
+	kinds := []core.Kind{
+		core.KindMCM, core.KindWFABase, core.KindPIM, core.KindPIM1, core.KindSPAABase,
+		core.KindWFARotary, core.KindSPAARotary,
+	}
+	conns := []ports.ConnectionMatrix{ports.DefaultConnectionMatrix(), ports.FullConnectionMatrix()}
+	h := sha256.New()
+	for _, kind := range kinds {
+		for _, load := range []float64{0.5, 1.0} {
+			for _, occ := range []float64{0, 0.5} {
+				for _, window := range []int{4, 316} {
+					for _, queueCap := range []int{40, 316} {
+						for ci, conn := range conns {
+							cfg := DefaultConfig(load)
+							cfg.Cycles = 600
+							cfg.Occupancy = occ
+							cfg.Window = window
+							cfg.QueueCap = queueCap
+							cfg.Conn = conn
+							r, err := RunChecked(kind, cfg)
+							if err != nil {
+								t.Fatalf("%v load %g occupancy %g window %d cap %d conn %d: %v",
+									kind, load, occ, window, queueCap, ci, err)
+							}
+							fmt.Fprintf(h, "%g %g %d %d %d %+v\n", load, occ, window, queueCap, ci, r)
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("checked-run digest %s, want %s", got, want)
 	}
 }
