@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-router bench-check cover cover-check fmt vet figures
+.PHONY: build test race bench bench-arbiters bench-router bench-standalone bench-check cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,11 @@ bench-arbiters:
 # PIM1.
 bench-router:
 	$(GO) test ./internal/router -run '^$$' -bench 'RouterTick' -benchmem
+
+# bench-standalone runs the standalone model microbenchmarks: one
+# 1,000-cycle run per op of each Figure 8 algorithm at loads 0.5 and 1.0.
+bench-standalone:
+	$(GO) test ./internal/standalone -run '^$$' -bench 'Model' -benchmem
 
 # bench-check compares a fresh run against the committed baseline and
 # fails on >15% calibration-normalized regression in ns/simulated-cycle

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"alpha21364/internal/core"
 	"alpha21364/internal/ports"
@@ -84,12 +85,12 @@ type spkt struct {
 	dests ports.OutMask
 }
 
-// spktRing is a fixed-capacity FIFO of queued packets. Grants almost
-// always remove packets near the front (the oldest), so removal shifts
-// the shorter side — O(position) instead of an O(queue) memmove of the
-// 316-entry buffer. dst mirrors each packet's destination mask in a
-// parallel byte array so buildMatrix's skip-scan reads one byte per
-// packet (eight per word) instead of the 24-byte packet struct.
+// spktRing is a fixed-capacity FIFO of queued packets. Removing a granted
+// packet shifts the shorter side of the ring over its slot, so it costs
+// the lesser of its distance from the head and from the tail. dst
+// mirrors each packet's destination mask in a parallel byte array so the
+// matrix scans read one byte per packet (eight per word) instead of the
+// 24-byte packet struct.
 type spktRing struct {
 	buf  []spkt
 	dst  []uint8
@@ -114,20 +115,31 @@ func (r *spktRing) slot(i int) int {
 
 func (r *spktRing) at(i int) *spkt { return &r.buf[r.slot(i)] }
 
-// spans returns the index ranges [a0,a1) and [b0,b1) into the backing
-// arrays covering the first n queued packets, oldest first — at most two
-// contiguous runs, so scans avoid per-element slot arithmetic.
-func (r *spktRing) spans(n int) (a0, a1, b1 int) {
-	if r.head+n <= len(r.buf) {
-		return r.head, r.head + n, 0
+// spans returns the index ranges [a0,a1) and [0,b1) into the backing
+// arrays covering queued packets from through to-1, oldest first — at
+// most two contiguous runs, so scans avoid per-element slot arithmetic.
+func (r *spktRing) spans(from, to int) (a0, a1, b1 int) {
+	s, n := r.slot(from), to-from
+	if s+n <= len(r.buf) {
+		return s, s + n, 0
 	}
-	return r.head, len(r.buf), r.head + n - len(r.buf)
+	return s, len(r.buf), s + n - len(r.buf)
+}
+
+// find returns the index of the queued packet that arrived at age, or -1.
+// Ages strictly increase from head to tail because a port takes at most
+// one arrival per cycle, so a binary search suffices.
+func (r *spktRing) find(age int64) int {
+	i := sort.Search(r.n, func(i int) bool { return r.at(i).age >= age })
+	if i < r.n && r.at(i).age == age {
+		return i
+	}
+	return -1
 }
 
 // push appends a packet. rowBit (0 or rowBitFlag) is the packet's static
 // read-port row assignment, stored in the destination byte's spare high
-// bit (NumOut = 7 destinations fit the low bits) for the free-output
-// matrix build.
+// bit (NumOut = 7 destinations fit the low bits) for the live matrix.
 func (r *spktRing) push(p spkt, rowBit uint8) {
 	s := r.slot(r.n)
 	r.buf[s] = p
@@ -153,46 +165,43 @@ func (r *spktRing) removeAt(i int) {
 	r.n--
 }
 
-// removeKey deletes the packet with the given key, returning its
-// destination mask and whether it was present.
-func (r *spktRing) removeKey(key uint64) (ports.OutMask, bool) {
-	for i := 0; i < r.n; i++ {
-		if p := r.buf[r.slot(i)]; p.key == key {
-			r.removeAt(i)
-			return p.dests, true
-		}
-	}
-	return 0, false
-}
-
 // model is the single-router state.
 type model struct {
 	cfg    Config
 	rng    *sim.RNG
 	queues [ports.NumIn]spktRing
+	// matrix is the live all-outputs-free connection matrix: after every
+	// arrival and every grant it equals a from-scratch build of the
+	// current queues with no output busy, so cycles with every output
+	// free arbitrate on it directly. Each cell holds the oldest packet in
+	// the window of its read-port row that wants the column, so an
+	// arrival or a grant changes only the cells of one row.
 	matrix *core.Matrix
+	// scratch receives from-scratch builds: the matrix of a cycle with a
+	// busy output, and the checked run's rebuild of the live matrix. It is
+	// allocated on first use, so Figure 8 runs never pay for it.
+	scratch *core.Matrix
 	// localChoices and netChoices are each input port's legal local and
 	// network output ports, precomputed from the (static) connection
 	// matrix so destsFor draws without building the lists per arrival.
 	localChoices [ports.NumIn][]ports.Out
 	netChoices   [ports.NumIn][]ports.Out
 	// rowMasks caches each input port's two read-port row connection
-	// masks for the arrival-time row assignment.
+	// masks for the arrival-time row assignment and the live matrix.
 	rowMasks [ports.NumIn][2]ports.OutMask
 	// colCount[in][out] counts queued packets at input port in whose
 	// destination set includes out, maintained incrementally on push and
 	// drain; colMask[in] caches the mask of outs with a nonzero count.
-	// buildMatrix uses the mask to shrink its early-exit target to the
-	// columns that can actually still fill — the residual queue of an
-	// effective arbiter is dominated by a few contested columns, and
-	// without this bound the scan degenerates to the full window.
+	// build and the refill after a grant use the mask to shrink their
+	// early-exit target to the columns that can actually still fill —
+	// the residual queue of an effective arbiter is dominated by a few
+	// contested columns, and without this bound the scan degenerates to
+	// the full window.
 	colCount [ports.NumIn][ports.NumOut]int32
 	colMask  [ports.NumIn]ports.OutMask
 	// queued is the total packets across all queues, maintained on push
 	// and drain.
-	queued int
-	// rowOf remembers which row nominated each key this cycle, for grant
-	// bookkeeping.
+	queued  int
 	nextKey uint64
 }
 
@@ -232,8 +241,8 @@ const rowBitFlag = 0x80
 
 // assignBit computes a packet's static read-port row with all outputs
 // free: the row whose connection mask covers more of the packet's
-// candidate outputs, ties broken by key parity — the same rule
-// buildMatrix applies, evaluated once at arrival.
+// candidate outputs, ties broken by key parity — the same rule build
+// applies, evaluated once at arrival.
 func (m *model) assignBit(in ports.In, p *spkt) uint8 {
 	c0 := (p.dests & m.rowMasks[in][0]).Count()
 	c1 := (p.dests & m.rowMasks[in][1]).Count()
@@ -250,7 +259,8 @@ func (m *model) arrive(cycle int64) (offered, dropped int) {
 			continue
 		}
 		offered++
-		if m.queues[in].full() {
+		q := &m.queues[in]
+		if q.full() {
 			dropped++
 			continue
 		}
@@ -259,12 +269,30 @@ func (m *model) arrive(cycle int64) (offered, dropped int) {
 			age:   cycle,
 			dests: m.destsFor(in),
 		}
-		m.queues[in].push(p, m.assignBit(in, &p))
+		q.push(p, m.assignBit(in, &p))
 		m.countDests(in, p.dests, 1)
 		m.queued++
 		m.nextKey++
+		if i := q.len() - 1; i < m.cfg.Window {
+			m.admit(in, i)
+		}
 	}
 	return offered, dropped
+}
+
+// admit gives the packet at window index i, the window's youngest, every
+// still-open cell of its read-port row that it can use. Every other
+// window packet is older, so an open cell is one that no older packet of
+// the row wants, and a filled cell stays with its older holder.
+func (m *model) admit(in ports.In, i int) {
+	q := &m.queues[in]
+	s := q.slot(i)
+	rp := int(q.dst[s] >> 7)
+	row := ports.Row(in, rp)
+	p := &q.buf[s]
+	if open := p.dests & m.rowMasks[in][rp] &^ ports.OutMask(m.matrix.RowMask(row)); open != 0 {
+		m.matrix.SetMany(row, uint64(open), p.age, p.key, int32(in))
+	}
 }
 
 // destsFor draws a destination set for a packet arriving on in, following
@@ -299,19 +327,32 @@ func maskList(m ports.OutMask) []ports.Out {
 	return out
 }
 
-// buildMatrix fills the connection matrix for one arbitration pass. Each
-// packet is assigned to exactly one of its input port's two read ports
-// (the pairs synchronize so they never choose the same packet); within a
-// row, each column's cell holds the oldest packet that can use it.
-func (m *model) buildMatrix(busy ports.OutMask) {
-	mat := m.matrix
-	mat.Reset()
+// matrixFor returns the connection matrix for one arbitration pass: the
+// live matrix when every output is free, otherwise a from-scratch build
+// with the busy outputs masked.
+func (m *model) matrixFor(busy ports.OutMask) *core.Matrix {
 	if busy == 0 {
-		// All outputs free: every packet's read-port row is the one
-		// precomputed at arrival, so the two rows scan independently.
-		m.buildMatrixFree()
-		return
+		return m.matrix
 	}
+	return m.rebuild(busy)
+}
+
+// rebuild builds the connection matrix from scratch into the scratch
+// matrix, allocating it on first use.
+func (m *model) rebuild(busy ports.OutMask) *core.Matrix {
+	if m.scratch == nil {
+		m.scratch = core.NewRouterMatrix()
+	}
+	m.build(m.scratch, busy)
+	return m.scratch
+}
+
+// build fills mat for one arbitration pass. Each packet is assigned to
+// exactly one of its input port's two read ports (the pairs synchronize
+// so they never choose the same packet); within a row, each column's
+// cell holds the oldest packet that can use it.
+func (m *model) build(mat *core.Matrix, busy ports.OutMask) {
+	mat.Reset()
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		q := &m.queues[in]
 		limit := q.len()
@@ -340,7 +381,7 @@ func (m *model) buildMatrix(busy ports.OutMask) {
 		// so dests∩need ≠ 0 is exactly the old avail∩need ≠ 0 entry test,
 		// and within a chunk hits are taken lowest byte first — the same
 		// oldest-first order as the scalar scan.
-		a0, a1, b1 := q.spans(limit)
+		a0, a1, b1 := q.spans(0, limit)
 		for _, span := range [2][2]int{{a0, a1}, {0, b1}} {
 			if need0|need1 == 0 {
 				break
@@ -386,39 +427,20 @@ func (m *model) buildMatrix(busy ports.OutMask) {
 	}
 }
 
-// buildMatrixFree is buildMatrix for the no-busy-outputs case. With
-// avail == dests for every packet, the read-port row each packet targets
-// is the static assignment stored in its destination byte's high bit, so
-// the two rows of a port fill from independent scans: a packet assigned
-// to the other row — the dominant wasted visit in the shared scan under
-// weak matchings — is skipped inside the SWAR chunk test. Cells are
-// written by exactly the same oldest-packet-per-cell rule, so the matrix
-// is identical to the generic path's.
-func (m *model) buildMatrixFree() {
-	for in := ports.In(0); in < ports.NumIn; in++ {
-		q := &m.queues[in]
-		limit := q.len()
-		if limit > m.cfg.Window {
-			limit = m.cfg.Window
-		}
-		traffic := m.trafficCols(in)
-		a0, a1, b1 := q.spans(limit)
-		m.fillRowFree(q, ports.Row(in, 0), m.rowMasks[in][0]&traffic, 0, a0, a1, b1, in)
-		m.fillRowFree(q, ports.Row(in, 1), m.rowMasks[in][1]&traffic, rowBitFlag, a0, a1, b1, in)
-	}
-}
-
-// fillRowFree fills one read-port row from the packets assigned to it,
-// walking the ring's (at most) two contiguous runs oldest-first. A chunk
-// byte is a candidate only if it intersects the still-needed columns AND
-// its stored row bit matches — both resolved word-parallel, eight
-// packets per load.
-func (m *model) fillRowFree(q *spktRing, row int, need ports.OutMask, rowBit uint8, a0, a1, b1 int, in ports.In) {
+// fillRowFree fills the needed cells of one read-port row of the live
+// matrix from the packets at indexes from through to-1 that are assigned
+// to that row, walking the ring's (at most) two contiguous runs
+// oldest-first. A chunk byte is a candidate only if it intersects the
+// still-needed columns AND its stored row bit matches — both resolved
+// word-parallel, eight packets per load, so the scan skips the other
+// row's packets as cheaply as unwanted ones.
+func (m *model) fillRowFree(in ports.In, row int, rowBit uint8, need ports.OutMask, from, to int) {
 	const (
 		low7 = 0x7f7f7f7f7f7f7f7f
 		high = 0x8080808080808080
 	)
-	mat := m.matrix
+	q, mat := &m.queues[in], m.matrix
+	a0, a1, b1 := q.spans(from, to)
 	for _, span := range [2][2]int{{a0, a1}, {0, b1}} {
 		i, end := span[0], span[1]
 		for i < end && need != 0 {
@@ -456,15 +478,51 @@ func (m *model) fillRowFree(q *spktRing, row int, need ports.OutMask, rowBit uin
 func (m *model) drain(grants []core.Grant) int {
 	missing := 0
 	for _, g := range grants {
-		in := ports.In(g.Cell.Payload)
-		if dests, ok := m.queues[in].removeKey(g.Cell.Key); ok {
-			m.countDests(in, dests, -1)
-			m.queued--
-		} else {
+		if !m.remove(ports.In(g.Cell.Payload), g.Cell.Age, g.Cell.Key) {
 			missing++
 		}
 	}
 	return missing
+}
+
+// remove deletes the queued packet with the given age and key, reporting
+// whether it was queued, and repairs the live matrix: the cells the
+// packet held reopen and refill from the younger window packets of its
+// row, and if the window was full, the packet that slides in at its end
+// takes the still-open cells of its own row.
+func (m *model) remove(in ports.In, age int64, key uint64) bool {
+	q := &m.queues[in]
+	i := q.find(age)
+	if i < 0 {
+		return false
+	}
+	s := q.slot(i)
+	p, rowBit := q.buf[s], q.dst[s]&rowBitFlag
+	if p.key != key {
+		return false
+	}
+	q.removeAt(i)
+	m.countDests(in, p.dests, -1)
+	m.queued--
+
+	row := ports.Row(in, int(rowBit>>7))
+	var held ports.OutMask
+	for c := p.dests & ports.OutMask(m.matrix.RowMask(row)); c != 0; c &= c - 1 {
+		o := bits.TrailingZeros8(uint8(c))
+		if m.matrix.At(row, o).Key == key {
+			m.matrix.Clear(row, o)
+			held |= 1 << uint(o)
+		}
+	}
+	if need := held & m.trafficCols(in); need != 0 {
+		// Older packets of the row do not want the held columns, or the
+		// packet would not have held them, so the scan starts at its index.
+		m.fillRowFree(in, row, rowBit, need, i, min(q.len(), m.cfg.Window))
+	}
+	if i < m.cfg.Window && q.len() >= m.cfg.Window {
+		m.admit(in, m.cfg.Window-1)
+	}
+	return true
 }
 
 func (m *model) totalQueued() int { return m.queued }
@@ -475,18 +533,22 @@ func Run(kind core.Kind, cfg Config) Result {
 }
 
 // RunChecked is Run with the arbitration oracle enabled: every cycle's
-// connection matrix must satisfy the builder invariants (Matrix.Validate)
-// and every grant set must be a legal matching over queued packets. The
-// first violation aborts the run with an error. Arrival, occupancy, and
-// arbiter RNG streams are identical to Run's, so a clean checked run
-// measures exactly the same numbers.
+// connection matrix must satisfy the builder invariants (Matrix.Validate),
+// in every cycle with no busy output the live matrix must equal a
+// from-scratch build of the same queues, and every grant set must be a
+// legal matching over queued packets. The first violation aborts the run
+// with an error. Arrival, occupancy, and arbiter RNG streams are
+// identical to Run's, so a clean checked run measures exactly the same
+// numbers.
 func RunChecked(kind core.Kind, cfg Config) (Result, error) {
 	return runArbiter(core.New(kind, sim.NewRNG(cfg.Seed^0x9747b28c)), cfg, true)
 }
 
 // RunArbiter executes the standalone model for a caller-constructed
 // arbiter — custom PIM/iSLIP iteration counts, or user algorithms
-// implementing core.Arbiter.
+// implementing core.Arbiter. The arbiter must not modify the matrix it
+// is given: in a cycle with every output free it is the model's live
+// matrix, which carries over to the next cycle.
 func RunArbiter(arb core.Arbiter, cfg Config) Result {
 	res, _ := runArbiter(arb, cfg, false)
 	return res
@@ -513,15 +575,20 @@ func runArbiter(arb core.Arbiter, cfg Config, check bool) (Result, error) {
 				busy = busy.With(out)
 			}
 		}
-		m.buildMatrix(busy)
+		mat := m.matrixFor(busy)
 		if check {
-			if err := m.matrix.Validate(); err != nil {
+			if busy == 0 {
+				if err := sameCells(mat, m.rebuild(0)); err != nil {
+					return Result{}, fmt.Errorf("standalone: %s cycle %d: live matrix %w", arb.Name(), cycle, err)
+				}
+			}
+			if err := mat.Validate(); err != nil {
 				return Result{}, fmt.Errorf("standalone: %s cycle %d: %w", arb.Name(), cycle, err)
 			}
 		}
-		grants := arb.Arbitrate(m.matrix)
+		grants := arb.Arbitrate(mat)
 		if check {
-			if err := core.CheckMatching(m.matrix, grants); err != nil {
+			if err := core.CheckMatching(mat, grants); err != nil {
 				return Result{}, fmt.Errorf("standalone: %s cycle %d: %w", arb.Name(), cycle, err)
 			}
 		}
@@ -539,6 +606,26 @@ func runArbiter(arb core.Arbiter, cfg Config, check bool) (Result, error) {
 		DroppedPerCycle: float64(dropped) / float64(cfg.Cycles),
 		MeanQueueLen:    float64(queued) / float64(cfg.Cycles),
 	}, nil
+}
+
+// sameCells reports the first difference between got and want: a row's
+// validity word, or the Age, Key or Payload of a valid cell. The column
+// request words mirror the validity words, so they need no comparison.
+func sameCells(got, want *core.Matrix) error {
+	for r := 0; r < want.Rows; r++ {
+		if g, w := got.RowMask(r), want.RowMask(r); g != w {
+			return fmt.Errorf("row %d validity %#x, rebuild %#x", r, g, w)
+		}
+	}
+	for r := 0; r < want.Rows; r++ {
+		for v := want.RowMask(r); v != 0; v &= v - 1 {
+			c := bits.TrailingZeros64(v)
+			if g, w := got.At(r, c), want.At(r, c); g != w {
+				return fmt.Errorf("cell (%d,%d) %+v, rebuild %+v", r, c, g, w)
+			}
+		}
+	}
+	return nil
 }
 
 // MCMSaturationLoad locates the load (arrival probability per input port)

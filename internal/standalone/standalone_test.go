@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"alpha21364/internal/core"
@@ -188,25 +189,58 @@ func TestRunPanicsOnZeroCycles(t *testing.T) {
 }
 
 func TestMatrixInvariantsDuringRun(t *testing.T) {
-	// Drive the model manually and validate builder invariants each cycle.
-	cfg := quickCfg(1.0)
-	m := newModel(cfg)
-	for cycle := int64(0); cycle < 200; cycle++ {
-		m.arrive(cycle)
-		m.buildMatrix(0)
-		if err := m.matrix.Validate(); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-		// Cells must respect the connection matrix.
-		for r := 0; r < m.matrix.Rows; r++ {
-			for c := 0; c < m.matrix.Cols; c++ {
-				if m.matrix.At(r, c).Valid && !cfg.Conn.Connected(r, ports.Out(c)) {
-					t.Fatalf("cell (%d,%d) set but crossbar not connected", r, c)
+	// Drive the model manually. After every arrival phase and every drain
+	// the live matrix must equal a from-scratch build of the same queues,
+	// satisfy the builder invariants and respect the connection matrix,
+	// whichever outputs the cycle had busy.
+	for _, tc := range []struct {
+		name      string
+		window    int
+		occupancy float64
+	}{
+		{"default", 316, 0},
+		{"window 4", 4, 0},
+		{"occupancy 0.5", 316, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(1.0)
+			cfg.Window = tc.window
+			m := newModel(cfg)
+			arb := core.New(core.KindMCM, sim.NewRNG(1))
+			occRng := sim.NewRNG(2)
+			rebuilt := core.NewRouterMatrix()
+			check := func(cycle int64, phase string) {
+				t.Helper()
+				m.build(rebuilt, 0)
+				if err := sameCells(m.matrix, rebuilt); err != nil {
+					t.Fatalf("cycle %d after %s: live matrix %v", cycle, phase, err)
+				}
+				if err := m.matrix.Validate(); err != nil {
+					t.Fatalf("cycle %d after %s: %v", cycle, phase, err)
+				}
+				for r := 0; r < m.matrix.Rows; r++ {
+					for c := 0; c < m.matrix.Cols; c++ {
+						if m.matrix.At(r, c).Valid && !cfg.Conn.Connected(r, ports.Out(c)) {
+							t.Fatalf("cell (%d,%d) set but crossbar not connected", r, c)
+						}
+					}
 				}
 			}
-		}
-		grants := core.New(core.KindMCM, sim.NewRNG(1)).Arbitrate(m.matrix)
-		m.drain(grants)
+			for cycle := int64(0); cycle < 400; cycle++ {
+				m.arrive(cycle)
+				check(cycle, "arrivals")
+				var busy ports.OutMask
+				for out := ports.Out(0); out < ports.NumOut; out++ {
+					if occRng.Bernoulli(tc.occupancy) {
+						busy = busy.With(out)
+					}
+				}
+				if missing := m.drain(arb.Arbitrate(m.matrixFor(busy))); missing != 0 {
+					t.Fatalf("cycle %d: %d grant(s) named packets not queued", cycle, missing)
+				}
+				check(cycle, "grants")
+			}
+		})
 	}
 }
 
@@ -249,5 +283,62 @@ func TestRunCheckedDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("checked-run digest %s, want %s", got, want)
+	}
+}
+
+// TestDrainCountsMissingGrants checks that a grant naming no queued
+// packet, by age or by key, counts as missing and leaves the queues and
+// the live matrix as they were.
+func TestDrainCountsMissingGrants(t *testing.T) {
+	m := newModel(quickCfg(1.0))
+	for cycle := int64(0); cycle < 20; cycle++ {
+		m.arrive(cycle)
+	}
+	in := ports.In(0)
+	head := *m.queues[in].at(0)
+	queued := m.totalQueued()
+	for _, g := range []core.Grant{
+		{Cell: core.Cell{Valid: true, Age: 1000, Key: head.key, Payload: int32(in)}},
+		{Cell: core.Cell{Valid: true, Age: head.age, Key: head.key + 1000, Payload: int32(in)}},
+	} {
+		if missing := m.drain([]core.Grant{g}); missing != 1 {
+			t.Fatalf("grant %+v: %d missing, want 1", g.Cell, missing)
+		}
+	}
+	if m.totalQueued() != queued {
+		t.Fatalf("queued %d after missing grants, want %d", m.totalQueued(), queued)
+	}
+	rebuilt := core.NewRouterMatrix()
+	m.build(rebuilt, 0)
+	if err := sameCells(m.matrix, rebuilt); err != nil {
+		t.Fatalf("live matrix after missing grants: %v", err)
+	}
+}
+
+// TestSameCellsNamesFirstDifference checks the checked run's live-matrix
+// comparison on each kind of difference it reports.
+func TestSameCellsNamesFirstDifference(t *testing.T) {
+	want := core.NewRouterMatrix()
+	want.SetMany(3, 0b101, 7, 42, 1)
+	for _, tc := range []struct {
+		name string
+		set  func(m *core.Matrix)
+		err  string
+	}{
+		{"equal", func(m *core.Matrix) { m.SetMany(3, 0b101, 7, 42, 1) }, ""},
+		{"validity", func(m *core.Matrix) { m.Set(3, 0, 7, 42, 1) }, "row 3 validity 0x1, rebuild 0x5"},
+		{"key", func(m *core.Matrix) { m.SetMany(3, 0b101, 7, 42, 1); m.Set(3, 2, 7, 43, 1) }, "cell (3,2)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := core.NewRouterMatrix()
+			tc.set(got)
+			err := sameCells(got, want)
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("unexpected difference: %v", err)
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("error %v, want one containing %q", err, tc.err)
+			}
+		})
 	}
 }
