@@ -64,7 +64,8 @@ bench-router:
 	$(GO) test ./internal/router -run '^$$' -bench 'RouterTick' -benchmem
 
 # bench-standalone runs the standalone model microbenchmarks: one
-# 1,000-cycle run per op of each Figure 8 algorithm at loads 0.5 and 1.0.
+# 1,000-cycle run per op of each Figure 8 algorithm at loads 0.5 and 1.0,
+# with every output free (Figure 8) and at Figure 9's output occupancies.
 bench-standalone:
 	$(GO) test ./internal/standalone -run '^$$' -bench 'Model' -benchmem
 

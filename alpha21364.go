@@ -137,7 +137,9 @@ func RunStandalone(k Kind, cfg StandaloneConfig) StandaloneResult {
 
 // RunStandaloneArbiter is RunStandalone for a caller-constructed arbiter —
 // custom PIM/iSLIP iteration counts or user algorithms implementing
-// Arbiter.
+// Arbiter. The arbiter must not modify the matrix it is given: the model
+// keeps it across cycles and repairs only the cells that arrivals and
+// grants change, so a modified cell would corrupt later cycles.
 func RunStandaloneArbiter(arb Arbiter, cfg StandaloneConfig) StandaloneResult {
 	return standalone.RunArbiter(arb, cfg)
 }

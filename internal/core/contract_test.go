@@ -15,6 +15,9 @@ package core
 //     algorithms (SPAA, OPF) and the iterative ones (PIM, PIM1, iSLIP)
 //     deliberately admit collisions or early termination in exchange for
 //     hardware cost, so only progress is asserted for them;
+//   - read-only: Arbitrate leaves every cell and bitplane word of the
+//     matrix as it found them, since a caller may keep one matrix across
+//     calls;
 //   - no aliasing: mutating the matrix after Arbitrate must not change
 //     the returned grants (they are copies, valid until the next call);
 //   - determinism: an identically seeded fresh arbiter replaying the
@@ -120,7 +123,11 @@ func TestArbiterContract(t *testing.T) {
 			arb := tc.fresh()
 			history := make([][]Grant, rounds)
 			for i, m := range matrices {
+				cells, rows, cols := slices.Clone(m.cells), slices.Clone(m.rowValid), slices.Clone(m.colReq)
 				grants := arb.Arbitrate(m)
+				if !slices.Equal(m.cells, cells) || !slices.Equal(m.rowValid, rows) || !slices.Equal(m.colReq, cols) {
+					t.Fatalf("round %d: Arbitrate modified the matrix", i)
+				}
 				if err := CheckMatching(m, grants); err != nil {
 					t.Fatalf("round %d: illegal matching: %v", i, err)
 				}

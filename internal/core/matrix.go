@@ -244,6 +244,11 @@ type Grant struct {
 // carry their own prioritization state (round-robin pointers, LRS
 // matrices, RNG) across calls.
 //
+// Arbitrate must not modify m. A caller may keep one matrix across calls
+// and repair only the cells its queues changed, as the standalone model
+// does, so a cell an arbiter cleared or rewrote would corrupt every later
+// call.
+//
 // To keep the per-cycle hot path allocation-free, implementations return
 // an internally reused slice: the grants are valid only until the next
 // Arbitrate call on the same arbiter. Callers that need to retain them

@@ -170,17 +170,19 @@ type model struct {
 	cfg    Config
 	rng    *sim.RNG
 	queues [ports.NumIn]spktRing
-	// matrix is the live all-outputs-free connection matrix: after every
-	// arrival and every grant it equals a from-scratch build of the
-	// current queues with no output busy, so cycles with every output
-	// free arbitrate on it directly. Each cell holds the oldest packet in
-	// the window of its read-port row that wants the column, so an
-	// arrival or a grant changes only the cells of one row.
+	// matrix is the connection matrix every cycle arbitrates on. Unless
+	// stale, it is the live all-outputs-free matrix: after every arrival
+	// and every grant it equals a from-scratch build of the current
+	// queues with no output busy, so a cycle with every output free
+	// arbitrates on it directly. Each cell holds the oldest packet in the
+	// window of its read-port row that wants the column, so an arrival or
+	// a grant changes only the cells of one row. A cycle with a busy
+	// output builds from scratch over it with those outputs masked. The
+	// matrix is stale from the drain before such a cycle until the next
+	// cycle with every output free rebuilds it; arrivals and grants skip
+	// the upkeep meanwhile, so Figure 9's busy cycles cost one build each.
 	matrix *core.Matrix
-	// scratch receives from-scratch builds: the matrix of a cycle with a
-	// busy output, and the checked run's rebuild of the live matrix. It is
-	// allocated on first use, so Figure 8 runs never pay for it.
-	scratch *core.Matrix
+	stale  bool
 	// localChoices and netChoices are each input port's legal local and
 	// network output ports, precomputed from the (static) connection
 	// matrix so destsFor draws without building the lists per arrival.
@@ -273,7 +275,7 @@ func (m *model) arrive(cycle int64) (offered, dropped int) {
 		m.countDests(in, p.dests, 1)
 		m.queued++
 		m.nextKey++
-		if i := q.len() - 1; i < m.cfg.Window {
+		if i := q.len() - 1; i < m.cfg.Window && !m.stale {
 			m.admit(in, i)
 		}
 	}
@@ -327,24 +329,16 @@ func maskList(m ports.OutMask) []ports.Out {
 	return out
 }
 
-// matrixFor returns the connection matrix for one arbitration pass: the
-// live matrix when every output is free, otherwise a from-scratch build
-// with the busy outputs masked.
+// matrixFor returns the connection matrix for one arbitration pass. With
+// every output free that is the live matrix, rebuilt first if a busy
+// cycle left it stale; otherwise it is a from-scratch build with the busy
+// outputs masked, which leaves the matrix stale.
 func (m *model) matrixFor(busy ports.OutMask) *core.Matrix {
-	if busy == 0 {
-		return m.matrix
+	if busy != 0 || m.stale {
+		m.build(m.matrix, busy)
+		m.stale = busy != 0
 	}
-	return m.rebuild(busy)
-}
-
-// rebuild builds the connection matrix from scratch into the scratch
-// matrix, allocating it on first use.
-func (m *model) rebuild(busy ports.OutMask) *core.Matrix {
-	if m.scratch == nil {
-		m.scratch = core.NewRouterMatrix()
-	}
-	m.build(m.scratch, busy)
-	return m.scratch
+	return m.matrix
 }
 
 // build fills mat for one arbitration pass. Each packet is assigned to
@@ -486,10 +480,10 @@ func (m *model) drain(grants []core.Grant) int {
 }
 
 // remove deletes the queued packet with the given age and key, reporting
-// whether it was queued, and repairs the live matrix: the cells the
-// packet held reopen and refill from the younger window packets of its
-// row, and if the window was full, the packet that slides in at its end
-// takes the still-open cells of its own row.
+// whether it was queued, and repairs the live matrix unless it is stale:
+// the cells the packet held reopen and refill from the younger window
+// packets of its row, and if the window was full, the packet that slides
+// in at its end takes the still-open cells of its own row.
 func (m *model) remove(in ports.In, age int64, key uint64) bool {
 	q := &m.queues[in]
 	i := q.find(age)
@@ -504,6 +498,9 @@ func (m *model) remove(in ports.In, age int64, key uint64) bool {
 	q.removeAt(i)
 	m.countDests(in, p.dests, -1)
 	m.queued--
+	if m.stale {
+		return true
+	}
 
 	row := ports.Row(in, int(rowBit>>7))
 	var held ports.OutMask
@@ -547,8 +544,8 @@ func RunChecked(kind core.Kind, cfg Config) (Result, error) {
 // RunArbiter executes the standalone model for a caller-constructed
 // arbiter — custom PIM/iSLIP iteration counts, or user algorithms
 // implementing core.Arbiter. The arbiter must not modify the matrix it
-// is given: in a cycle with every output free it is the model's live
-// matrix, which carries over to the next cycle.
+// is given: the model keeps it across cycles with every output free and
+// repairs only the cells that arrivals and grants change.
 func RunArbiter(arb core.Arbiter, cfg Config) Result {
 	res, _ := runArbiter(arb, cfg, false)
 	return res
@@ -564,21 +561,21 @@ func runArbiter(arb core.Arbiter, cfg Config, check bool) (Result, error) {
 	// traffic to every algorithm.
 	occRng := sim.NewRNG(cfg.Seed ^ 0x5bd1e995)
 
+	var rebuilt *core.Matrix
+	if check {
+		rebuilt = core.NewRouterMatrix()
+	}
 	matches, offered, dropped, queued := 0, 0, 0, int64(0)
+	busy := busyOutputs(occRng, cfg.Occupancy)
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
 		o, d := m.arrive(int64(cycle))
 		offered += o
 		dropped += d
-		var busy ports.OutMask
-		for out := ports.Out(0); out < ports.NumOut; out++ {
-			if occRng.Bernoulli(cfg.Occupancy) {
-				busy = busy.With(out)
-			}
-		}
 		mat := m.matrixFor(busy)
 		if check {
 			if busy == 0 {
-				if err := sameCells(mat, m.rebuild(0)); err != nil {
+				m.build(rebuilt, 0)
+				if err := sameCells(mat, rebuilt); err != nil {
 					return Result{}, fmt.Errorf("standalone: %s cycle %d: live matrix %w", arb.Name(), cycle, err)
 				}
 			}
@@ -591,6 +588,13 @@ func runArbiter(arb core.Arbiter, cfg Config, check bool) (Result, error) {
 			if err := core.CheckMatching(mat, grants); err != nil {
 				return Result{}, fmt.Errorf("standalone: %s cycle %d: %w", arb.Name(), cycle, err)
 			}
+		}
+		// The next cycle's busy outputs are drawn before this cycle's
+		// drain, so the drain skips the live matrix's upkeep when the next
+		// cycle builds its own. occRng feeds nothing else, so drawing a
+		// cycle early changes no mask.
+		if busy = busyOutputs(occRng, cfg.Occupancy); busy != 0 {
+			m.stale = true
 		}
 		if missing := m.drain(grants); check && missing > 0 {
 			return Result{}, fmt.Errorf("standalone: %s cycle %d: %d grant(s) named packets not in any queue",
@@ -606,6 +610,18 @@ func runArbiter(arb core.Arbiter, cfg Config, check bool) (Result, error) {
 		DroppedPerCycle: float64(dropped) / float64(cfg.Cycles),
 		MeanQueueLen:    float64(queued) / float64(cfg.Cycles),
 	}, nil
+}
+
+// busyOutputs draws one cycle's busy output ports, each busy with
+// probability occupancy.
+func busyOutputs(rng *sim.RNG, occupancy float64) ports.OutMask {
+	var busy ports.OutMask
+	for out := ports.Out(0); out < ports.NumOut; out++ {
+		if rng.Bernoulli(occupancy) {
+			busy = busy.With(out)
+		}
+	}
+	return busy
 }
 
 // sameCells reports the first difference between got and want: a row's

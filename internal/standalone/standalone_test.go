@@ -189,10 +189,12 @@ func TestRunPanicsOnZeroCycles(t *testing.T) {
 }
 
 func TestMatrixInvariantsDuringRun(t *testing.T) {
-	// Drive the model manually. After every arrival phase and every drain
-	// the live matrix must equal a from-scratch build of the same queues,
-	// satisfy the builder invariants and respect the connection matrix,
-	// whichever outputs the cycle had busy.
+	// Drive the model manually, as runArbiter does. The matrix each cycle
+	// arbitrates on must equal a from-scratch build of the same queues
+	// with that cycle's busy outputs masked, satisfy the builder
+	// invariants and respect the connection matrix; while it is live, it
+	// must also equal the all-free build after every arrival phase and
+	// every drain.
 	for _, tc := range []struct {
 		name      string
 		window    int
@@ -200,6 +202,7 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 	}{
 		{"default", 316, 0},
 		{"window 4", 4, 0},
+		{"occupancy 0.25", 316, 0.25},
 		{"occupancy 0.5", 316, 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,11 +212,11 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 			arb := core.New(core.KindMCM, sim.NewRNG(1))
 			occRng := sim.NewRNG(2)
 			rebuilt := core.NewRouterMatrix()
-			check := func(cycle int64, phase string) {
+			check := func(cycle int64, phase string, busy ports.OutMask) {
 				t.Helper()
-				m.build(rebuilt, 0)
+				m.build(rebuilt, busy)
 				if err := sameCells(m.matrix, rebuilt); err != nil {
-					t.Fatalf("cycle %d after %s: live matrix %v", cycle, phase, err)
+					t.Fatalf("cycle %d after %s: matrix %v", cycle, phase, err)
 				}
 				if err := m.matrix.Validate(); err != nil {
 					t.Fatalf("cycle %d after %s: %v", cycle, phase, err)
@@ -226,19 +229,32 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 					}
 				}
 			}
+			free := 0
+			busy := busyOutputs(occRng, tc.occupancy)
 			for cycle := int64(0); cycle < 400; cycle++ {
 				m.arrive(cycle)
-				check(cycle, "arrivals")
-				var busy ports.OutMask
-				for out := ports.Out(0); out < ports.NumOut; out++ {
-					if occRng.Bernoulli(tc.occupancy) {
-						busy = busy.With(out)
-					}
+				if !m.stale {
+					check(cycle, "arrivals", 0)
 				}
-				if missing := m.drain(arb.Arbitrate(m.matrixFor(busy))); missing != 0 {
+				if busy == 0 {
+					free++
+				}
+				mat := m.matrixFor(busy)
+				check(cycle, "the matrix build", busy)
+				grants := arb.Arbitrate(mat)
+				// Draw the next cycle's busy outputs ahead, as runArbiter does.
+				if busy = busyOutputs(occRng, tc.occupancy); busy != 0 {
+					m.stale = true
+				}
+				if missing := m.drain(grants); missing != 0 {
 					t.Fatalf("cycle %d: %d grant(s) named packets not queued", cycle, missing)
 				}
-				check(cycle, "grants")
+				if !m.stale {
+					check(cycle, "grants", 0)
+				}
+			}
+			if free == 0 {
+				t.Fatal("no cycle had every output free")
 			}
 		})
 	}
