@@ -19,8 +19,9 @@ race:
 # specifically: the tick-wheel scheduler, the packet arena, the router
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, and the daemon's
-# shared metrics under concurrent scrapes), the bitplane arbitration
+# replicated/checked/instrumented Runner fan-outs, the cached Runner's
+# per-cell persistence from pool workers, and the daemon's shared
+# metrics under concurrent scrapes), the bitplane arbitration
 # kernels (the parallel differential suite drives every word-parallel
 # kernel against its scalar reference from concurrent subtests, racing
 # the shared mask/scratch code paths), and the spatial
@@ -33,7 +34,7 @@ race-pools:
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
-	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded' ./internal/experiment
+	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded|Cache' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
 	$(GO) test -race -count=1 -run 'Metrics|Pprof|Drain|Healthz|BodyLimit' ./cmd/sweepd
 

@@ -11,11 +11,11 @@
 //     workers and a streaming event channel (NewRunner, Runner.Run,
 //     Runner.Stream); a Result is the stable machine-readable outcome
 //     with a JSONL encoder (Result.EncodeJSONL, DecodeResultJSONL);
-//   - the sweep service: a Coordinator decomposes sweeps into shard-Specs
-//     (WithShards), caches completed points in a content-addressed store
-//     (SpecHash, OpenResultCache), and resumes interrupted runs
-//     byte-identically (NewCoordinator, WithCache); cmd/sweepd serves the
-//     same contract over stdin/HTTP;
+//   - the sweep service: a Runner given a content-addressed result store
+//     (SpecHash, OpenResultCache, WithCache) serves the points it already
+//     holds, persists each new one as it completes, and so resumes
+//     interrupted runs byte-identically; cmd/sweepd serves the same
+//     contract over stdin/HTTP;
 //   - the five arbitration algorithms the paper compares — SPAA (the
 //     21364's Simple Pipelined Arbitration Algorithm), PIM and PIM1, the
 //     wrapped Wave-Front Arbiter, and MCM — plus the OPF strawman and the
@@ -268,7 +268,8 @@ func FigureSpecs(name string, o Options) ([]Spec, error) { return experiment.Fig
 // streaming event channel; construct with NewRunner.
 type Runner = experiment.Runner
 
-// RunnerOption configures a Runner; see WithWorkers and WithEventSink.
+// RunnerOption configures a Runner; see WithWorkers, WithEventSink, and
+// WithCache.
 type RunnerOption = experiment.RunnerOption
 
 // Event is one element of a Runner's progress stream.
@@ -285,47 +286,20 @@ const (
 	EventRunDone    = experiment.EventRunDone
 )
 
-// NewRunner returns a Runner; WithWorkers bounds its concurrency and
-// WithEventSink observes its event stream.
+// NewRunner returns a Runner; WithWorkers bounds its concurrency,
+// WithEventSink observes its event stream, and WithCache attaches a
+// result store whose points it serves and fills.
 func NewRunner(opts ...RunnerOption) *Runner { return experiment.NewRunner(opts...) }
 
 var (
 	WithWorkers   = experiment.WithWorkers
 	WithEventSink = experiment.WithEventSink
-)
-
-// Coordinator is the sweep service: it decomposes a Spec's grid into
-// shard-Specs, serves cells already present in a content-addressed
-// result cache without simulating, fans the missing shards across a
-// worker pool, persists completed points as it goes (so a killed run
-// resumes by simulating only what is missing), and merges everything
-// into the exact byte stream the monolithic Runner produces.
-type Coordinator = experiment.Coordinator
-
-// CoordinatorOption configures a Coordinator; see WithCache, WithShards,
-// WithCoordinatorWorkers, and WithCoordinatorEventSink.
-type CoordinatorOption = experiment.CoordinatorOption
-
-// CoordinatorStats summarizes one Coordinator.Run: grid size, cells
-// served from cache, cells simulated, and shards planned.
-type CoordinatorStats = experiment.CoordinatorStats
-
-// NewCoordinator returns a Coordinator with one worker per CPU, no
-// cache, and one shard per point.
-func NewCoordinator(opts ...CoordinatorOption) *Coordinator {
-	return experiment.NewCoordinator(opts...)
-}
-
-var (
-	WithCache                = experiment.WithCache
-	WithShards               = experiment.WithShards
-	WithCoordinatorWorkers   = experiment.WithCoordinatorWorkers
-	WithCoordinatorEventSink = experiment.WithCoordinatorEventSink
+	WithCache     = experiment.WithCache
 )
 
 // ResultCache is a filesystem store of completed result points keyed by
 // SpecHash, with atomic per-point writes; open one with OpenResultCache
-// and attach it to a Coordinator with WithCache.
+// and attach it to a Runner with WithCache.
 type ResultCache = cache.Store
 
 // OpenResultCache opens (creating if needed) a result cache directory.

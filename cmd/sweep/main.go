@@ -23,11 +23,9 @@
 //
 // Any sweep mode (figure, matrix, run, spec) accepts -cache-dir DIR to
 // serve previously completed points from a content-addressed result
-// cache and persist new ones as they finish, -resume to insist that
+// cache and persist new ones as they finish, and -resume to insist that
 // prior progress exists (an interrupted run picks up exactly where it
-// was killed), and -shards N to decompose each sweep into about N
-// independently runnable shard specs. Results are byte-identical to an
-// uncached, unsharded run.
+// was killed). Results are byte-identical to an uncached run.
 //
 // -metrics enables the telemetry layer (internal/obs) on every timing
 // simulation: each emitted point carries an observation-only snapshot,
@@ -82,8 +80,8 @@ type app struct {
 	json   bool
 	dir    string // -out directory, "" for none
 	stable bool   // -stable: StripVolatile every Result before emission
-	// exec runs one Spec — through a plain Runner, or through the
-	// sharded/cached Coordinator when -cache-dir or -shards is given.
+	// exec runs one Spec through a Runner, on the -cache-dir store when
+	// one is given.
 	exec func(experiment.Spec) (*experiment.Result, error)
 }
 
@@ -146,7 +144,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	emitSpec := fs.Bool("emit-spec", false, "print the selected figure/matrix/run as Spec JSON instead of running")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory: completed points are served from it and new ones persisted to it")
 	resume := fs.Bool("resume", false, "with -cache-dir, require previously completed points for this invocation and simulate only the missing ones")
-	shards := fs.Int("shards", 0, "decompose each sweep into about this many shard specs (0 = one shard per point)")
 	bench := fs.Bool("bench", false, "run the benchmark suite and write BENCH_10.json")
 	benchBaseline := fs.String("bench-baseline", "", "with -bench, compare against this BENCH_*.json and fail on >15% regression")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -179,12 +176,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Replications: *reps, Confidence: *confidence,
 		TorusShards: *torusShards,
 	}
-	var eventSink func(experiment.Event)
-	var runnerOpts []experiment.RunnerOption
-	runnerOpts = append(runnerOpts, experiment.WithWorkers(*workers))
+	var progressSink func(experiment.Event)
 	if *progress {
 		start := time.Now()
-		eventSink = func(e experiment.Event) {
+		progressSink = func(e experiment.Event) {
 			elapsed := time.Since(start).Round(time.Second)
 			switch e.Type {
 			case experiment.EventRunStart:
@@ -195,7 +190,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				logger.Printf("[%3d/%3d %6s] series done: %s", e.Done, e.Total, elapsed, e.Series)
 			}
 		}
-		runnerOpts = append(runnerOpts, experiment.WithEventSink(eventSink))
 	}
 
 	var store *cache.Store
@@ -205,38 +199,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if store == nil && *shards == 0 {
-		a.exec = func(sp experiment.Spec) (*experiment.Result, error) {
-			res, err := experiment.NewRunner(runnerOpts...).Run(context.Background(), sp)
-			if err == nil && a.stable {
-				experiment.StripVolatile(res)
-			}
-			return res, err
-		}
-	} else {
-		a.exec = func(sp experiment.Spec) (*experiment.Result, error) {
-			copts := []experiment.CoordinatorOption{
-				experiment.WithCoordinatorWorkers(*workers),
-				experiment.WithShards(*shards),
-			}
-			if store != nil {
-				copts = append(copts, experiment.WithCache(store))
-			}
-			if eventSink != nil {
-				copts = append(copts, experiment.WithCoordinatorEventSink(eventSink))
-			}
-			co := experiment.NewCoordinator(copts...)
-			res, err := co.Run(context.Background(), sp)
-			if err == nil {
-				st := co.Stats()
-				logger.Printf("cache: %d/%d points cached, %d simulated, %d shard(s)",
-					st.CachedPoints, st.TotalPoints, st.SimulatedPoints, st.Shards)
-				if a.stable {
-					experiment.StripVolatile(res)
+	a.exec = func(sp experiment.Spec) (*experiment.Result, error) {
+		cached := 0
+		res, err := experiment.NewRunner(
+			experiment.WithWorkers(*workers),
+			experiment.WithCache(store),
+			experiment.WithEventSink(func(e experiment.Event) {
+				if e.Type == experiment.EventRunStart {
+					cached = e.Cached
 				}
-			}
+				if progressSink != nil {
+					progressSink(e)
+				}
+			}),
+		).Run(context.Background(), sp)
+		if err != nil {
 			return res, err
 		}
+		if store != nil {
+			points := countPoints(res)
+			logger.Printf("cache: %d/%d points cached, %d simulated", cached, points, points-cached)
+		}
+		if a.stable {
+			experiment.StripVolatile(res)
+		}
+		return res, nil
 	}
 	if *resume {
 		if err := checkResumable(store, logger, func() ([]experiment.Spec, error) {
@@ -289,11 +276,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := a.emitResult(res, res.ScenarioTable(), "scenario-matrix"); err != nil {
 			return err
 		}
-		points := 0
-		for _, s := range res.Series {
-			points += len(s.Points)
-		}
-		logger.Printf("%d scenarios in %v", points, time.Since(start).Round(time.Second))
+		logger.Printf("%d scenarios in %v", countPoints(res), time.Since(start).Round(time.Second))
 		return nil
 	case *runOne || *record != "" || *replay != "":
 		sp, err := runSpecFromFlags(o, *algo, *pattern, *process, *model, *rate, *size, *cycles, *record, *replay)
@@ -379,8 +362,8 @@ func buildContradictions() []contradiction {
 	add := func(a, b, why string) { rules = append(rules, contradiction{a, b, why}) }
 	// -spec fully describes the work; every selection flag contradicts it.
 	// (The execution flags -workers/-progress/-json/-out and the cache
-	// flags -cache-dir/-resume/-shards deliberately remain compatible:
-	// they change how a spec runs, never what it means.)
+	// flags -cache-dir/-resume deliberately remain compatible: they
+	// change how a spec runs, never what it means.)
 	for _, f := range []string{"figure", "matrix", "run", "verify", "bench", "quick", "seed", "cycles", "size",
 		"algo", "algos", "pattern", "patterns", "process", "processes", "model", "rate", "rates", "record", "replay",
 		"check", "metrics", "reps", "confidence", "torus-shards"} {
@@ -446,7 +429,6 @@ func buildContradictions() []contradiction {
 	// something other than sweep Results cannot use it.
 	for _, f := range []string{"bench", "verify", "emit-spec", "list"} {
 		add("cache-dir", f, "the result cache applies to sweep execution only")
-		add("shards", f, "shard decomposition applies to sweep execution only")
 	}
 	// Record/replay specs bypass the cache: a file path does not
 	// content-address the trace behind it.
@@ -598,6 +580,15 @@ func (a *app) runFigureSpecs(figure string, specs []experiment.Spec, plot bool) 
 	return nil
 }
 
+// countPoints is the number of grid points a Result holds.
+func countPoints(res *experiment.Result) int {
+	n := 0
+	for _, s := range res.Series {
+		n += len(s.Points)
+	}
+	return n
+}
+
 // specSlug derives a filesystem-friendly name for a spec's outputs.
 func specSlug(sp experiment.Spec, i int) string {
 	s := sp.Name
@@ -647,9 +638,8 @@ func modelName(m string) string {
 const benchRegressionTolerance = 0.15
 
 // runBench executes the benchmark suite (experiment.RunBench: Spec-driven
-// workloads through the ordinary Runner, plus the coordinated entry
-// through the sharded Coordinator), writes BENCH_10.json, and, when a
-// baseline is given, fails on >15% calibration-normalized regression.
+// workloads through the ordinary Runner), writes BENCH_10.json, and, when
+// a baseline is given, fails on >15% calibration-normalized regression.
 func (a *app) runBench(baseline string) error {
 	dir := a.dir
 	if dir == "" {

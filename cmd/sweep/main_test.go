@@ -94,7 +94,6 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		{"-record", "a", "-replay", "b"},
 		{"-cache-dir", "d", "-bench"},
 		{"-cache-dir", "d", "-record", "a", "-run"},
-		{"-shards", "4", "-verify"},
 		{"-resume"},
 		{"-torus-shards", "2", "-figure", "8"},
 		{"-torus-shards", "2", "-replay", "t.trace"},
@@ -152,7 +151,7 @@ var ruleSamples = map[string]string{
 	"rates": "0.02", "record": "t.trace", "replay": "t.trace",
 	"check": "true", "reps": "2", "confidence": "0.9", "emit-spec": "true",
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
-	"cache-dir": "cachedir", "shards": "4", "bench-baseline": "BENCH.json",
+	"cache-dir": "cachedir", "bench-baseline": "BENCH.json",
 	"resume": "true", "metrics": "true", "stable": "true",
 	"torus-shards": "2",
 }

@@ -1,14 +1,14 @@
 // Command sweepd is the sweep service daemon: the long-lived face of the
-// sharded, cached Coordinator. It accepts declarative simulation Specs —
-// one JSON document per request — runs each through the Coordinator, and
-// streams the Result back as JSONL, the same byte stream `sweep -json`
-// emits. With -cache-dir, completed points persist across requests and
-// daemon restarts, so repeated or overlapping Specs only ever simulate
-// their missing cells.
+// cached Runner. It accepts declarative simulation Specs — one JSON
+// document per request — runs each through a Runner on the shared result
+// cache, and streams the Result back as JSONL, the same byte stream
+// `sweep -json` emits. With -cache-dir, completed points persist across
+// requests and daemon restarts, so repeated or overlapping Specs only
+// ever simulate their missing cells.
 //
 // Usage:
 //
-//	sweep -emit-spec -figure 8 | sweepd [-cache-dir DIR] [-shards N] [-workers N]
+//	sweep -emit-spec -figure 8 | sweepd [-cache-dir DIR] [-workers N]
 //	sweepd -http :8080 [-cache-dir DIR] ...
 //
 // Without -http, sweepd reads a stream of Spec JSON documents from stdin
@@ -19,7 +19,7 @@
 // response; GET /healthz reports liveness as a JSON document (status,
 // version, uptime) with a bare 200 while healthy and 503 while draining;
 // GET /metrics exposes process-lifetime counters (requests, points,
-// cache hit ratio, run/shard latency histograms, and per-arbiter router
+// cache hit ratio, a run latency histogram, and per-arbiter router
 // telemetry aggregated from metrics-enabled specs) in the Prometheus
 // text format; /debug/pprof/ serves the standard profiling endpoints.
 // SIGINT/SIGTERM drain the daemon: in-flight requests finish (up to
@@ -49,7 +49,7 @@ import (
 
 // daemonVersion identifies this build on /healthz; bump alongside the
 // release notes in CHANGES.md.
-const daemonVersion = "0.9.0"
+const daemonVersion = "0.10.0"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
@@ -67,8 +67,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	httpAddr := fs.String("http", "", "listen address for the HTTP API (empty = read Spec JSON from stdin)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory shared by every request")
-	shards := fs.Int("shards", 0, "decompose each sweep into about this many shard specs (0 = one shard per point)")
-	workers := fs.Int("workers", 0, "concurrent shard executions per request (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "concurrent simulations per request (0 = one per CPU)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long SIGTERM waits for in-flight requests before forcing exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,7 +84,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	svc := newService(store, *shards, *workers, logger)
+	svc := newService(store, *workers, logger)
 	if *httpAddr != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -126,11 +125,10 @@ func serveHTTP(ctx context.Context, addr string, svc *service, drain time.Durati
 }
 
 // service holds the daemon's shared execution settings. Each request
-// gets its own Coordinator (they are cheap); the cache store is the
-// shared state that makes the daemon more than a loop over `sweep`.
+// gets its own Runner (they are cheap); the cache store is the shared
+// state that makes the daemon more than a loop over `sweep`.
 type service struct {
 	store   *cache.Store
-	shards  int
 	workers int
 	log     *log.Logger
 	metrics *daemonMetrics
@@ -139,10 +137,9 @@ type service struct {
 	draining atomic.Bool // set once by shutdown; new requests answer 503
 }
 
-func newService(store *cache.Store, shards, workers int, logger *log.Logger) *service {
+func newService(store *cache.Store, workers int, logger *log.Logger) *service {
 	return &service{
 		store:   store,
-		shards:  shards,
 		workers: workers,
 		log:     logger,
 		metrics: newDaemonMetrics(),
@@ -150,30 +147,25 @@ func newService(store *cache.Store, shards, workers int, logger *log.Logger) *se
 	}
 }
 
-func (s *service) coordinator() *experiment.Coordinator {
-	opts := []experiment.CoordinatorOption{
-		experiment.WithCoordinatorWorkers(s.workers),
-		experiment.WithShards(s.shards),
-	}
-	if s.store != nil {
-		opts = append(opts, experiment.WithCache(s.store))
-	}
-	return experiment.NewCoordinator(opts...)
-}
-
 // runSpec executes one parsed Spec and streams its Result JSONL to w.
 func (s *service) runSpec(ctx context.Context, sp experiment.Spec, w io.Writer) error {
 	s.metrics.recordRequest()
-	co := s.coordinator()
-	res, err := co.Run(ctx, sp)
+	cached := 0
+	res, err := experiment.NewRunner(
+		experiment.WithWorkers(s.workers),
+		experiment.WithCache(s.store),
+		experiment.WithEventSink(func(e experiment.Event) {
+			if e.Type == experiment.EventRunStart {
+				cached = e.Cached
+			}
+		}),
+	).Run(ctx, sp)
 	if err != nil {
 		s.metrics.recordError()
 		return err
 	}
-	st := co.Stats()
-	s.metrics.recordRun(st, res)
-	s.log.Printf("ran spec: %d/%d points cached, %d simulated, %d shard(s)",
-		st.CachedPoints, st.TotalPoints, st.SimulatedPoints, st.Shards)
+	points := s.metrics.recordRun(res, cached)
+	s.log.Printf("ran spec: %d/%d points cached, %d simulated", cached, points, points-cached)
 	return res.EncodeJSONL(w)
 }
 

@@ -43,7 +43,7 @@ func testService(t *testing.T, dir string) *service {
 			t.Fatal(err)
 		}
 	}
-	return newService(store, 0, 1, log.New(io.Discard, "", 0))
+	return newService(store, 1, log.New(io.Discard, "", 0))
 }
 
 // TestStdinStreamsResults feeds a good spec, a broken one, and a second

@@ -35,16 +35,13 @@ type daemonMetrics struct {
 	points      int64 // grid points served, cached and simulated
 	cacheHits   int64
 	simulated   int64
-	shards      int64
 	runDur      *obs.Histogram // seconds per completed run
-	shardDur    *obs.Histogram // seconds per completed shard
 	arbiters    map[string]*arbiterAgg
 }
 
 func newDaemonMetrics() *daemonMetrics {
 	return &daemonMetrics{
 		runDur:   obs.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60),
-		shardDur: obs.NewHistogram(0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
 		arbiters: map[string]*arbiterAgg{},
 	}
 }
@@ -72,20 +69,15 @@ func (d *daemonMetrics) recordBadRequest() {
 	d.mu.Unlock()
 }
 
-// recordRun folds one completed run's coordinator statistics and its
-// Result's telemetry snapshots into the process counters.
-func (d *daemonMetrics) recordRun(st experiment.CoordinatorStats, res *experiment.Result) {
+// recordRun folds one completed run — its Result's points, the cached
+// share of them, its wall-clock duration and its telemetry snapshots —
+// into the process counters, and returns the run's point count.
+func (d *daemonMetrics) recordRun(res *experiment.Result, cached int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.points += int64(st.TotalPoints)
-	d.cacheHits += int64(st.CachedPoints)
-	d.simulated += int64(st.SimulatedPoints)
-	d.shards += int64(st.Shards)
-	d.runDur.Observe(float64(st.ElapsedNS) / 1e9)
-	for _, ns := range st.ShardDurationsNS {
-		d.shardDur.Observe(float64(ns) / 1e9)
-	}
+	points := 0
 	for _, s := range res.Series {
+		points += len(s.Points)
 		for _, p := range s.Points {
 			snap := p.Metrics
 			if snap == nil {
@@ -107,6 +99,11 @@ func (d *daemonMetrics) recordRun(st experiment.CoordinatorStats, res *experimen
 			agg.delivered += snap.Network.DeliveredPackets
 		}
 	}
+	d.points += int64(points)
+	d.cacheHits += int64(cached)
+	d.simulated += int64(points - cached)
+	d.runDur.Observe(float64(res.ElapsedNS) / 1e9)
+	return points
 }
 
 // writeProm emits the full exposition document.
@@ -124,7 +121,6 @@ func (d *daemonMetrics) writeProm(w io.Writer) error {
 	counter("sweepd_points_total", "Grid points served, cached and simulated.", d.points)
 	counter("sweepd_cache_hits_total", "Grid points served from the result cache.", d.cacheHits)
 	counter("sweepd_points_simulated_total", "Grid points simulated by this process.", d.simulated)
-	counter("sweepd_shards_total", "Shard specs executed.", d.shards)
 
 	p.Family("sweepd_cache_hit_ratio", "gauge", "Fraction of served points that came from the cache, since start.")
 	ratio := 0.0
@@ -141,7 +137,6 @@ func (d *daemonMetrics) writeProm(w io.Writer) error {
 	p.Sample("sweepd_points_per_second", pps)
 
 	p.Histo("sweepd_run_duration_seconds", "Wall-clock duration of completed runs.", d.runDur)
-	p.Histo("sweepd_shard_duration_seconds", "Wall-clock duration of completed shards.", d.shardDur)
 
 	names := make([]string, 0, len(d.arbiters))
 	for name := range d.arbiters {

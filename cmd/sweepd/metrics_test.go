@@ -132,9 +132,9 @@ func TestMetricsEndpointUnderConcurrentRuns(t *testing.T) {
 	for _, name := range []string{
 		"sweepd_requests_total", "sweepd_request_errors_total",
 		"sweepd_points_total", "sweepd_cache_hits_total",
-		"sweepd_points_simulated_total", "sweepd_shards_total",
+		"sweepd_points_simulated_total",
 		"sweepd_cache_hit_ratio", "sweepd_points_per_second",
-		"sweepd_run_duration_seconds_count", "sweepd_shard_duration_seconds_count",
+		"sweepd_run_duration_seconds_count",
 		`sweepd_router_stalls_total{arbiter="PIM1"}`,
 		`sweepd_router_credit_waits_total{arbiter="PIM1"}`,
 		`sweepd_arbiter_requests_total{arbiter="PIM1"}`,

@@ -1,10 +1,10 @@
-// Package cache is the content-addressed result store behind the sweep
-// coordinator: a filesystem directory keyed by canonical Spec hash,
-// holding one file per completed grid cell (series × point). The layout
-// gives the coordinator per-point granularity — a killed sweep persists
-// exactly its whole completed points, and a restart re-plans only the
-// missing ones — and the content addressing makes a repeated run of the
-// same semantic Spec a pure read.
+// Package cache is the content-addressed result store behind the
+// experiment Runner's WithCache: a filesystem directory keyed by
+// canonical Spec hash, holding one file per completed grid cell (series ×
+// point). The layout gives the Runner per-point granularity — a killed
+// sweep persists exactly its whole completed points, and a restart
+// simulates only the missing ones — and the content addressing makes a
+// repeated run of the same semantic Spec a pure read.
 //
 // The store knows nothing about Specs or Results: keys are opaque
 // lowercase-hex content hashes, cells are (series, point) coordinates,

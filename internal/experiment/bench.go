@@ -34,14 +34,10 @@ const BenchVersion = 10
 type BenchEntry struct {
 	Name string
 	Spec Spec
-	// Shards > 0 runs the entry through the sharded Coordinator instead
-	// of the monolithic Runner, so the plan/merge overhead of the sweep
-	// service is part of the gated cost.
-	Shards int
 	// Arbiter, when non-empty, makes this an arbitration microbenchmark:
 	// the named kernel's Arbitrate over a fixed matrix ladder, no
-	// simulation around it. Spec and Shards are ignored; the entry's
-	// NSPerSimCycle is nanoseconds per arbitration.
+	// simulation around it. Spec is ignored; the entry's NSPerSimCycle
+	// is nanoseconds per arbitration.
 	Arbiter string
 }
 
@@ -57,9 +53,6 @@ type BenchEntry struct {
 //     machines, its speedup) is tracked per machine in the baseline;
 //   - timing-4x4-matrix: a small arbiter x rate matrix, the shape of the
 //     sweep workloads;
-//   - coordinated-4x4-matrix: the same matrix through the sharded
-//     Coordinator (no cache), so shard planning and merging stay within
-//     tolerance of the monolithic path;
 //   - arbitrate-<kind>: one entry per arbitration kernel, timing bare
 //     Arbitrate calls over a deterministic matrix ladder (the same
 //     workload as internal/core's BenchmarkArbitrate), so a kernel
@@ -135,18 +128,6 @@ func benchSimEntries() []BenchEntry {
 				WithCycles(2000),
 				WithSeed(1),
 			),
-		},
-		{
-			Name: "coordinated-4x4-matrix",
-			Spec: NewSpec(
-				WithName("bench coordinated 4x4 matrix"),
-				WithTopology(4, 4),
-				WithArbiters("SPAA-rotary", "PIM1"),
-				WithRates(0.01, 0.03),
-				WithCycles(2000),
-				WithSeed(1),
-			),
-			Shards: 8,
 		},
 	}
 }
@@ -312,15 +293,7 @@ func RunBench(ctx context.Context) (*BenchReport, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		var res *Result
-		var err error
-		if entry.Shards > 0 {
-			res, err = NewCoordinator(
-				WithCoordinatorWorkers(1), WithShards(entry.Shards),
-			).Run(ctx, entry.Spec)
-		} else {
-			res, err = runner.Run(ctx, entry.Spec)
-		}
+		res, err := runner.Run(ctx, entry.Spec)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {

@@ -1,6 +1,6 @@
 package experiment
 
-// hash.go is the cache-key half of the sweep service: SpecHash reduces a
+// hash.go is the cache-key half of the result cache: SpecHash reduces a
 // validated Spec to the sha256 of its canonical semantic JSON, so two
 // Specs that would simulate the same numbers share one content address
 // regardless of how they were written down.
@@ -21,9 +21,9 @@ package experiment
 //   - Workload.RecordTo captures a side-effect trace without changing
 //     the run (and record/replay specs bypass the cache anyway, because
 //     a path does not content-address the trace behind it);
-//   - worker counts, progress sinks, and shard layout live outside the
-//     Spec entirely, and PR 1's serial==parallel byte-identity is what
-//     makes excluding them sound.
+//   - worker counts and progress sinks live outside the Spec entirely,
+//     and PR 1's serial==parallel byte-identity is what makes excluding
+//     them sound.
 //
 // Hash stability is part of the cache's on-disk contract: the golden
 // tests in hash_test.go pin the hash of every canned figure Spec, so an

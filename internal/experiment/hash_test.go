@@ -127,7 +127,7 @@ func TestSpecHashRecordToExcluded(t *testing.T) {
 	}
 	// replay_from, by contrast, IS semantic (it replaces the whole
 	// injection stream) — but replay specs never reach the cache; the
-	// coordinator refuses to cache them (see specCacheable).
+	// Runner refuses to cache them (see specCacheable).
 }
 
 func TestSpecHashRejectsInvalidSpec(t *testing.T) {

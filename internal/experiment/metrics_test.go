@@ -256,30 +256,3 @@ func TestMetricsRejectedForStandalone(t *testing.T) {
 		t.Error("standalone spec with metrics validated; the standalone model has no routers to observe")
 	}
 }
-
-// TestCoordinatorStatsTiming pins the new latency fields: a run reports
-// its wall-clock duration and one duration per shard, and Stats returns
-// an independent copy of the slice.
-func TestCoordinatorStatsTiming(t *testing.T) {
-	sp := metricsTestSpec()
-	c := NewCoordinator(WithCoordinatorWorkers(2))
-	if _, err := c.Run(context.Background(), sp); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.ElapsedNS <= 0 {
-		t.Errorf("ElapsedNS = %d, want > 0", st.ElapsedNS)
-	}
-	if len(st.ShardDurationsNS) != st.Shards {
-		t.Fatalf("%d shard durations for %d shards", len(st.ShardDurationsNS), st.Shards)
-	}
-	for i, d := range st.ShardDurationsNS {
-		if d <= 0 {
-			t.Errorf("shard %d duration = %d, want > 0", i, d)
-		}
-	}
-	st.ShardDurationsNS[0] = -1
-	if c.Stats().ShardDurationsNS[0] == -1 {
-		t.Error("Stats returned a live reference to the internal durations slice")
-	}
-}

@@ -1,13 +1,12 @@
 package experiment
 
-// runner.go is the parallel job pool under Runner.run and
-// Coordinator.Run: every sweep is a set of independent simulations (or
-// shards), and runJobs fans them across a bounded pool of goroutines.
-// Determinism is preserved by construction: each job's entire input —
-// setup, seed, rate — is captured by value before dispatch, nothing is
-// drawn from shared state while jobs execute, and results are assembled
-// by job index. Parallel output is therefore byte-identical to serial
-// output.
+// runner.go is the parallel job pool under Runner.run: every sweep is a
+// set of independent simulations, and runJobs fans them across a bounded
+// pool of goroutines. Determinism is preserved by construction: each
+// job's entire input — setup, seed, rate — is captured by value before
+// dispatch, nothing is drawn from shared state while jobs execute, and
+// each job stores its result by index. Parallel output is therefore
+// byte-identical to serial output.
 
 import (
 	"context"
@@ -28,24 +27,22 @@ func workerCount(n int) int {
 	return n
 }
 
-// runJobs executes the jobs on up to workerCount(workers) goroutines and
-// returns their results assembled in job order, regardless of completion
-// order. With one worker the jobs run serially in the calling goroutine.
-// Each job must capture everything it needs by value — in particular its
-// seed — so its result cannot depend on scheduling order. The second
-// return value is the index of the first job that failed or never ran
-// (len(jobs) if every job succeeded); results at indices before it are
-// always valid, because jobs are dispatched in index order. Dispatch is
-// fail-fast: once any job errors or ctx is cancelled, jobs not yet
-// started are abandoned. The returned error is the first failed job's
-// own, or ctx's when cancellation alone cut the run short.
-func runJobs[T any](ctx context.Context, workers int, jobs []func() (T, error)) ([]T, int, error) {
-	results := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
+// runJobs runs jobs 0..n-1 on up to workerCount(workers) goroutines,
+// handing them out in index order to whichever worker is free; with one
+// worker they run serially in the calling goroutine. Each job stores its
+// own result by index and must capture everything it needs by value — in
+// particular its seed — so its result cannot depend on scheduling order.
+// The first return value is the index of the first job that failed or
+// never ran (n if every job succeeded); every job before it succeeded,
+// because jobs are dispatched in index order. Dispatch is fail-fast: once
+// any job errors or ctx is cancelled, jobs not yet started are abandoned.
+// The returned error is the first failed job's own, or ctx's when
+// cancellation alone cut the run short.
+func runJobs(ctx context.Context, workers, n int, job func(i int) error) (int, error) {
+	errs := make([]error, n)
 	var failed atomic.Bool
 	exec := func(i int) {
-		results[i], errs[i] = jobs[i]()
-		if errs[i] != nil {
+		if errs[i] = job(i); errs[i] != nil {
 			failed.Store(true)
 		}
 	}
@@ -54,8 +51,8 @@ func runJobs[T any](ctx context.Context, workers int, jobs []func() (T, error)) 
 	// dispatched counts the jobs handed out; they form a prefix of jobs,
 	// and every one of them has finished once the pool drains.
 	dispatched := 0
-	if workers = min(workerCount(workers), len(jobs)); workers <= 1 {
-		for ; dispatched < len(jobs) && !halted(); dispatched++ {
+	if workers = min(workerCount(workers), n); workers <= 1 {
+		for ; dispatched < n && !halted(); dispatched++ {
 			exec(dispatched)
 		}
 	} else {
@@ -70,7 +67,7 @@ func runJobs[T any](ctx context.Context, workers int, jobs []func() (T, error)) 
 				}
 			}()
 		}
-		for ; dispatched < len(jobs) && !halted(); dispatched++ {
+		for ; dispatched < n && !halted(); dispatched++ {
 			indices <- dispatched
 		}
 		close(indices)
@@ -79,11 +76,11 @@ func runJobs[T any](ctx context.Context, workers int, jobs []func() (T, error)) 
 
 	for i := 0; i < dispatched; i++ {
 		if errs[i] != nil {
-			return results, i, errs[i]
+			return i, errs[i]
 		}
 	}
-	if dispatched < len(jobs) {
-		return results, dispatched, ctx.Err()
+	if dispatched < n {
+		return dispatched, ctx.Err()
 	}
-	return results, dispatched, nil
+	return dispatched, nil
 }

@@ -71,22 +71,20 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRunJobsOrderAndError checks order-stable assembly and the serial
-// error contract: the reported failure is the lowest-indexed failing job,
-// and every result before it is valid.
+// TestRunJobsOrderAndError checks the serial error contract: the
+// reported failure is the lowest-indexed failing job, and every job
+// before it stored its result.
 func TestRunJobsOrderAndError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		jobs := make([]func() (int, error), 9)
-		for i := range jobs {
-			jobs[i] = func() (int, error) {
-				if i == 5 || i == 7 {
-					return 0, fmt.Errorf("job %d: %w", i, boom)
-				}
-				return i * i, nil
+		results := make([]int, 9)
+		firstBad, err := runJobs(context.Background(), workers, len(results), func(i int) error {
+			if i == 5 || i == 7 {
+				return fmt.Errorf("job %d: %w", i, boom)
 			}
-		}
-		results, firstBad, err := runJobs(context.Background(), workers, jobs)
+			results[i] = i * i
+			return nil
+		})
 		if firstBad != 5 {
 			t.Errorf("workers=%d: firstBad = %d, want 5", workers, firstBad)
 		}
@@ -142,22 +140,19 @@ func TestRunJobsProgress(t *testing.T) {
 // jobs at once than its worker count.
 func TestRunJobsHonorsWorkerBound(t *testing.T) {
 	var cur, peak atomic.Int32
-	jobs := make([]func() (int, error), 16)
-	for i := range jobs {
-		jobs[i] = func() (int, error) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
+	job := func(int) error {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
-			return 0, nil
 		}
+		time.Sleep(2 * time.Millisecond)
+		cur.Add(-1)
+		return nil
 	}
-	if _, _, err := runJobs(context.Background(), 2, jobs); err != nil {
+	if _, err := runJobs(context.Background(), 2, 16, job); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 2 {
@@ -170,24 +165,20 @@ func TestRunJobsHonorsWorkerBound(t *testing.T) {
 // context's error.
 func TestRunJobsFailFast(t *testing.T) {
 	var executed atomic.Int32
-	makeJobs := func(n, failAt int) []func() (int, error) {
-		jobs := make([]func() (int, error), n)
-		for i := range jobs {
-			jobs[i] = func() (int, error) {
-				executed.Add(1)
-				if i == failAt {
-					return 0, errors.New("fail")
-				}
-				time.Sleep(time.Millisecond)
-				return i, nil
+	failAt := func(bad int) func(int) error {
+		return func(i int) error {
+			executed.Add(1)
+			if i == bad {
+				return errors.New("fail")
 			}
+			time.Sleep(time.Millisecond)
+			return nil
 		}
-		return jobs
 	}
 	ctx := context.Background()
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(ctx, 1, makeJobs(10, 2)); err == nil || firstBad != 2 {
+	if firstBad, err := runJobs(ctx, 1, 10, failAt(2)); err == nil || firstBad != 2 {
 		t.Fatalf("serial: firstBad = %d, err = %v", firstBad, err)
 	}
 	if got := executed.Load(); got != 3 {
@@ -195,7 +186,7 @@ func TestRunJobsFailFast(t *testing.T) {
 	}
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(ctx, 4, makeJobs(50, 0)); err == nil || firstBad != 0 {
+	if firstBad, err := runJobs(ctx, 4, 50, failAt(0)); err == nil || firstBad != 0 {
 		t.Fatalf("parallel: firstBad = %d, err = %v", firstBad, err)
 	}
 	// The dispatcher stops handing out work once the failure is observed.
@@ -208,7 +199,7 @@ func TestRunJobsFailFast(t *testing.T) {
 	executed.Store(0)
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, firstBad, err := runJobs(cancelled, 4, makeJobs(5, -1)); !errors.Is(err, context.Canceled) || firstBad != 0 {
+	if firstBad, err := runJobs(cancelled, 4, 5, failAt(-1)); !errors.Is(err, context.Canceled) || firstBad != 0 {
 		t.Fatalf("cancelled: firstBad = %d, err = %v", firstBad, err)
 	}
 	if got := executed.Load(); got != 0 {

@@ -287,3 +287,44 @@ func TestRunTimingCtxMatchesRunTiming(t *testing.T) {
 		t.Errorf("ctx-supervised run diverged:\nplain      %+v\nsupervised %+v", plain, supervised)
 	}
 }
+
+// runnerOverheadAllocs bounds the Runner's own allocations on one run of
+// the standalone-fig8-shaped Spec below: Run's allocations minus those of
+// expanding the Spec and calling every job directly. It is the value
+// measured before the result cache moved into the Runner (Go 1.24.0), so
+// the cache costs an uncached run nothing and simbench's
+// allocs_per_node_cycle picks up no executor overhead.
+const runnerOverheadAllocs = 42
+
+// TestRunnerOverheadAllocs pins runnerOverheadAllocs on a serial,
+// uncached Run of the five Figure 8 kinds at loads 0.5 and 1.0.
+func TestRunnerOverheadAllocs(t *testing.T) {
+	sp := NewSpec(
+		WithName("standalone-fig8"),
+		WithArbiters("MCM", "WFA-base", "PIM", "PIM1", "SPAA-base"),
+		WithStandaloneSweep(AxisLoad, 0.5, 1.0),
+		WithCycles(4000),
+	)
+	ctx := context.Background()
+	r := NewRunner(WithWorkers(1))
+	run := testing.AllocsPerRun(3, func() {
+		if _, err := r.Run(ctx, sp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	direct := testing.AllocsPerRun(3, func() {
+		pl, err := sp.expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pj := range pl.jobs {
+			if _, err := pj.run(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if over := run - direct; over > runnerOverheadAllocs {
+		t.Errorf("Runner.Run allocates %.0f times beyond expanding and running its jobs, want <= %d",
+			over, runnerOverheadAllocs)
+	}
+}
