@@ -58,11 +58,13 @@ bench:
 bench-arbiters:
 	$(GO) test ./internal/core -run '^$$' -bench 'Arbitrate' -benchmem
 
-# bench-router runs the router clock-edge microbenchmarks: one router
+# bench-router runs the router clock-edge microbenchmarks (one router
 # under a light and a saturating offered load, SPAA-rotary, WFA-rotary and
-# PIM1.
+# PIM1), then times the nine points of simbench's torus4-sweep workload
+# one by one (BenchmarkTorusPoint, which also reports ns per node-cycle).
 bench-router:
 	$(GO) test ./internal/router -run '^$$' -bench 'RouterTick' -benchmem
+	$(GO) test . -run '^$$' -bench 'TorusPoint' -benchmem
 
 # bench-standalone runs the standalone model microbenchmarks: one
 # 1,000-cycle run per op of each Figure 8 algorithm at loads 0.5 and 1.0,

@@ -309,15 +309,29 @@ func BenchmarkArbitratePIM1(b *testing.B) { benchArbiter(b, core.KindPIM1) }
 func BenchmarkArbitratePIM(b *testing.B)  { benchArbiter(b, core.KindPIM) }
 func BenchmarkArbitrateMCM(b *testing.B)  { benchArbiter(b, core.KindMCM) }
 
-// BenchmarkRouterCycle measures the cost of simulating one router cycle of
-// a loaded 8x8 network — the simulator's core inner loop.
-func BenchmarkRouterCycle(b *testing.B) {
-	res, err := experiment.RunTiming(experiment.TimingSetup{
-		Width: 8, Height: 8, Kind: SPAABase, Pattern: "random",
-		Rate: 0.03, Cycles: b.N/64 + 1000, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkTorusPoint times the nine points of simbench's torus4-sweep
+// workload one by one: PIM1, WFA-rotary and SPAA-rotary at light (0.01),
+// knee (0.03) and saturated (0.09) load on a 4x4 torus for 4,000 cycles
+// at seed 1. One op is one point through RunTiming, and ns/node-cycle
+// divides its time by the 16 routers x 4,000 cycles it simulates.
+// Compare commits with `make bench-router`.
+func BenchmarkTorusPoint(b *testing.B) {
+	const width, height, cycles = 4, 4, 4000
+	for _, kind := range []core.Kind{core.KindPIM1, core.KindWFARotary, core.KindSPAARotary} {
+		for _, rate := range []float64{0.01, 0.03, 0.09} {
+			b.Run(fmt.Sprintf("%v/%g", kind, rate), func(b *testing.B) {
+				s := experiment.TimingSetup{
+					Width: width, Height: height, Kind: kind, Pattern: "random",
+					Rate: rate, Cycles: cycles, Seed: 1,
+				}
+				for b.Loop() {
+					if _, err := experiment.RunTiming(s); err != nil {
+						b.Fatal(err)
+					}
+				}
+				nodeCycles := float64(b.N) * width * height * cycles
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodeCycles, "ns/node-cycle")
+			})
+		}
 	}
-	_ = res
 }

@@ -84,12 +84,8 @@ func ReadMetricsSidecarFile(path string) (*MetricsSidecar, error) {
 		return nil, err
 	}
 	var sc MetricsSidecar
-	dec := strictDecoder(data)
-	if err := dec.Decode(&sc); err != nil {
+	if err := decodeStrict(data, &sc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%s: trailing data after the sidecar document", path)
 	}
 	if sc.Version != MetricsSidecarVersion {
 		return nil, fmt.Errorf("%s: unsupported metrics sidecar version %d (this build reads version %d)",

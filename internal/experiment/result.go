@@ -317,7 +317,7 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 			return fmt.Errorf("experiment: decode result line %d: duplicate header", line)
 		}
 		var h jsonlHeader
-		if err := strictDecoder(raw).Decode(&h); err != nil {
+		if err := decodeStrict(raw, &h); err != nil {
 			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
 		}
 		if h.Version != ResultVersion {
@@ -336,7 +336,7 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 			return fmt.Errorf("experiment: decode result line %d: series before header", line)
 		}
 		var s jsonlSeries
-		if err := strictDecoder(raw).Decode(&s); err != nil {
+		if err := decodeStrict(raw, &s); err != nil {
 			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
 		}
 		d.res.Series = append(d.res.Series, ResultSeries{
@@ -348,7 +348,7 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 			return fmt.Errorf("experiment: decode result line %d: point before its series", line)
 		}
 		var p jsonlPoint
-		if err := strictDecoder(raw).Decode(&p); err != nil {
+		if err := decodeStrict(raw, &p); err != nil {
 			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
 		}
 		last := &d.res.Series[len(d.res.Series)-1]
@@ -362,7 +362,7 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 			Type  string `json:"type"`
 			Error string `json:"error"`
 		}
-		if err := strictDecoder(raw).Decode(&el); err != nil {
+		if err := decodeStrict(raw, &el); err != nil {
 			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
 		}
 		return fmt.Errorf("experiment: stream error: %s", el.Error)
@@ -414,12 +414,8 @@ func ReadResultFile(path string) (*Result, error) {
 		return nil, err
 	}
 	var res Result
-	dec := strictDecoder(data)
-	if err := dec.Decode(&res); err != nil {
+	if err := decodeStrict(data, &res); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%s: trailing data after the result document", path)
 	}
 	if res.Version != ResultVersion {
 		return nil, fmt.Errorf("%s: unsupported result version %d (this build reads version %d)",

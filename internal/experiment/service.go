@@ -26,9 +26,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -386,12 +384,8 @@ func openRunCache(store *cache.Store, spec Spec, pl *plan) (*runCache, error) {
 // unknown field, or any data after the point makes the cell corrupt.
 func decodeCell(data []byte) (ResultPoint, error) {
 	var pt ResultPoint
-	dec := strictDecoder(data)
-	if err := dec.Decode(&pt); err != nil {
+	if err := decodeStrict(data, &pt); err != nil {
 		return ResultPoint{}, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return ResultPoint{}, errors.New("trailing data after the point")
 	}
 	return pt, nil
 }

@@ -17,7 +17,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -606,22 +608,28 @@ func EncodeSpecs(specs []Spec) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-func strictDecoder(data []byte) *json.Decoder {
+// decodeStrict decodes data, which must hold exactly one JSON value,
+// into v. An unknown field is an error, and so is anything but
+// whitespace after the value: json.Decoder.More misses a stray closing
+// '}' or ']', so the check reads one more token and requires io.EOF.
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
 }
 
 // ParseSpec parses and validates one spec from strict JSON: unknown
 // fields, unsupported versions, and trailing garbage are all errors.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := strictDecoder(data)
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("experiment: parse spec: %w", err)
-	}
-	if dec.More() {
-		return Spec{}, fmt.Errorf("experiment: parse spec: trailing data after the spec document")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -634,12 +642,8 @@ func ParseSpecs(data []byte) ([]Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var specs []Spec
-		dec := strictDecoder(data)
-		if err := dec.Decode(&specs); err != nil {
+		if err := decodeStrict(data, &specs); err != nil {
 			return nil, fmt.Errorf("experiment: parse specs: %w", err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("experiment: parse specs: trailing data after the spec array")
 		}
 		if len(specs) == 0 {
 			return nil, fmt.Errorf("experiment: parse specs: empty spec array")

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -322,6 +323,83 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
+// TestReadersRejectTrailingData appends each tail to a valid document
+// for every strict JSON reader. A stray closing brace or bracket, which
+// json.Decoder.More does not report, and a second value are rejected; a
+// whitespace-only tail still parses.
+func TestReadersRejectTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.json")
+	written := func(write func(string) error) []byte {
+		if err := write(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	fromFile := func(read func(string) error) func([]byte) error {
+		return func(data []byte) error {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return read(path)
+		}
+	}
+	spec, err := EncodeSpec(validTimingSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Version: ResultVersion, Spec: validTimingSpec()}
+	sc := &MetricsSidecar{Version: MetricsSidecarVersion, Name: "t"}
+	readers := []struct {
+		name string
+		doc  []byte
+		read func([]byte) error
+	}{
+		{"ParseSpec", spec, func(data []byte) error {
+			_, err := ParseSpec(data)
+			return err
+		}},
+		{"ParseSpecs", []byte("[" + strings.TrimSpace(string(spec)) + "]"), func(data []byte) error {
+			_, err := ParseSpecs(data)
+			return err
+		}},
+		{"ReadResultFile", written(res.WriteFile), fromFile(func(p string) error {
+			_, err := ReadResultFile(p)
+			return err
+		})},
+		{"ReadMetricsSidecarFile", written(sc.WriteFile), fromFile(func(p string) error {
+			_, err := ReadMetricsSidecarFile(p)
+			return err
+		})},
+	}
+	tails := []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"stray brace", "}", false},
+		{"stray bracket", "]", false},
+		{"second value", "{}", false},
+		{"whitespace", " \n\t\r\n", true},
+	}
+	for _, rd := range readers {
+		for _, tc := range tails {
+			t.Run(rd.name+"/"+tc.name, func(t *testing.T) {
+				err := rd.read(append(append([]byte{}, rd.doc...), tc.tail...))
+				if tc.ok && err != nil {
+					t.Errorf("document with a %s tail rejected: %v", tc.name, err)
+				}
+				if !tc.ok && err == nil {
+					t.Errorf("%q after the document accepted", tc.tail)
+				}
+			})
+		}
+	}
+}
+
 func TestParseSpecsArray(t *testing.T) {
 	a := validTimingSpec()
 	b := NewSpec(
@@ -384,7 +462,12 @@ func FuzzSpecParse(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte(`{"version":1,"arbiters":["PIM1"],"topology":{"width":4,"height":4},"workload":{"rates":[0.01]},"timing":{"cycles":10}}`))
+	timing := `{"version":1,"arbiters":["PIM1"],"topology":{"width":4,"height":4},"workload":{"rates":[0.01]},"timing":{"cycles":10}}`
+	f.Add([]byte(timing))
+	// A stray closing brace or bracket after a valid document, which
+	// json.Decoder.More does not report.
+	f.Add([]byte(timing + "}"))
+	f.Add([]byte(timing + "]"))
 	f.Add([]byte(`{"version":1,"mode":"standalone","arbiters":["MCM"],"standalone":{"cycles":5,"axis":"load","values":[1]}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"version":2}`))
@@ -392,6 +475,9 @@ func FuzzSpecParse(f *testing.F) {
 		sp, err := ParseSpec(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a document that is not one JSON value: %q", data)
 		}
 		out, err := EncodeSpec(sp)
 		if err != nil {

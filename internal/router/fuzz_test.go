@@ -112,15 +112,23 @@ func TestRouterFuzzArrivals(t *testing.T) {
 
 // checkScanIndexes checks the scan indexes against the state they
 // summarize, reporting each mismatch: bit ch of occ[in] is set exactly
-// when ring (in, ch) holds a packet; no buffered packet's output mask
-// hides a move (with only output o free, readyMoves returns a move only
-// when o is in the mask); winOuts[in][ch] is the union of the output
-// masks of the ring's first Window packets; and oldAt is at or below the
-// tick at which each of those packets that is not yet old turns old.
+// when ring (in, ch) holds a packet, and bit in of occIns exactly when
+// occ[in] is non-zero; no buffered packet's output mask hides a move
+// (with only output o free, readyMoves returns a move only when o is in
+// the mask); winOuts[in][ch] is the union of the output masks of the
+// ring's first Window packets; oldAt is at or below the tick at which
+// each of those packets that is not yet old turns old; the busy-output
+// mask yields the free set a compare of every output's busy time gives
+// at the next LA threshold; and, with no wave active, the wave matrix
+// holds no valid cell and waveRows is empty.
 func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool {
 	t.Helper()
 	s := &r.slab
 	for in := ports.In(0); in < ports.NumIn; in++ {
+		if indexed := r.occIns&(1<<in) != 0; indexed != (r.occ[in] != 0) {
+			t.Errorf("%s tick %d: %v ring bits %019b, input index bit %v", label, now, in, r.occ[in], indexed)
+			return false
+		}
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			q := &r.queues[in][ch]
 			if indexed := r.occ[in]&(1<<ch) != 0; indexed != (q.Len() > 0) {
@@ -154,6 +162,29 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 				return false
 			}
 		}
+	}
+	// The next LA stage's grant tick; a wave resolves before the next one
+	// is due, so the next build runs at nextWaveAt.
+	gaTick := r.nextLA + r.gaOffset
+	if r.wave {
+		gaTick = r.nextWaveAt + r.waveGaOffset
+	}
+	var want ports.OutMask
+	for out := ports.Out(0); out < ports.NumOut; out++ {
+		if r.outFree(out, gaTick) {
+			want = want.With(out)
+		}
+	}
+	// freeOutputs refreshes the mask, so ask a copy of the router.
+	if c := *r; c.freeOutputs(gaTick) != want {
+		t.Errorf("%s tick %d: busy-output mask %07b (next release %d) gives free set %07b at grant tick %d, busy times %d give %07b",
+			label, now, r.busyOuts, r.busyNext, c.freeOutputs(gaTick), gaTick, r.busyUntil, want)
+		return false
+	}
+	if r.wave && !r.waveActive && (r.waveRows != 0 || r.matrix.ValidCount() != 0) {
+		t.Errorf("%s tick %d: no wave active, yet waveRows is %016b and the matrix holds %d valid cells",
+			label, now, r.waveRows, r.matrix.ValidCount())
+		return false
 	}
 	return true
 }

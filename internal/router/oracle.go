@@ -68,7 +68,8 @@ func (r *Router) QueueLen(in ports.In, ch vc.Channel) int {
 // and header-arrival tick. The oracle's deadlock watchdog uses it to name
 // the stuck buffers in its failure report.
 func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, oldestID uint64, oldestArrive sim.Ticks)) {
-	for in := ports.In(0); in < ports.NumIn; in++ {
+	for ins := r.occIns; ins != 0; ins &= ins - 1 {
+		in := ports.In(bits.TrailingZeros8(ins))
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			ch := vc.Channel(bits.TrailingZeros32(w))
 			q := &r.queues[in][ch]

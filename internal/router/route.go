@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
@@ -49,17 +51,24 @@ func (r *Router) outFree(out ports.Out, gaTick sim.Ticks) bool {
 }
 
 // freeOutputs returns the output ports that will be free for a grant
-// issued at gaTick. Only dispatch changes a port's busy time, and no
-// dispatch happens inside an LA stage or a wave build, so each scan
-// computes the set once.
+// issued at gaTick, the complement of the busy-output mask: it rechecks
+// the mask's outputs only once the threshold reaches busyNext. gaTick
+// must not precede the previous call's (see Router.busyOuts). Only
+// dispatch changes a port's busy time, and no dispatch happens inside an
+// LA stage or a wave build, so each scan computes the set once.
 func (r *Router) freeOutputs(gaTick sim.Ticks) ports.OutMask {
-	var free ports.OutMask
-	for out := ports.Out(0); out < ports.NumOut; out++ {
-		if r.outFree(out, gaTick) {
-			free = free.With(out)
+	if t := gaTick + r.postArbTicks; t >= r.busyNext {
+		r.busyNext = never
+		for w := r.busyOuts; w != 0; w &= w - 1 {
+			out := ports.Out(bits.TrailingZeros8(uint8(w)))
+			if until := r.busyUntil[out]; until <= t {
+				r.busyOuts &^= 1 << out
+			} else {
+				r.busyNext = min(r.busyNext, until)
+			}
 		}
 	}
-	return free
+	return ports.AllOuts &^ r.busyOuts
 }
 
 // localOut picks the processor-facing output port for a packet addressed

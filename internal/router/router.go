@@ -69,7 +69,10 @@ type Router struct {
 	// exactly when queues[in][ch] is non-empty. addPacket's Push and
 	// dispatch's Remove are the only ring mutations, and each updates
 	// it, so scans visit the few occupied rings instead of all 152.
-	occ [ports.NumIn]uint32
+	// occIns is the index one level up: bit in is set exactly when
+	// occ[in] != 0, so scans walk only the occupied inputs.
+	occ    [ports.NumIn]uint32
+	occIns uint8
 	// winOuts[in][ch] is the window summary of ring (in, ch): the union
 	// of pkMeta.outs over its first cfg.Window packets, the only ones a
 	// scan visits. oldAt is the aging bound: no window packet that is not
@@ -101,6 +104,16 @@ type Router struct {
 	// packet; re-arbitration is possible once all flits are delivered
 	// (§2.1). dispatch is the only writer.
 	busyUntil [ports.NumOut]sim.Ticks
+	// busyOuts is the busy-output mask: every output outside it is free at
+	// the last LA threshold (the grant tick plus postArbTicks, see outFree),
+	// and busyNext is at or below the earliest busyUntil inside it. dispatch
+	// adds its output and lowers busyNext; freeOutputs rescans the busy bits
+	// only once a threshold reaches busyNext. This relies on a router's LA
+	// thresholds never decreasing: SPAA's are now+gaOffset+postArb and a
+	// wave's now+waveGaOffset+postArb, so an output free at one threshold
+	// stays free at every later one until a dispatch makes it busy again.
+	busyOuts ports.OutMask
+	busyNext sim.Ticks
 
 	// wave is true for the matrix-wave algorithms (PIM1/WFA), false for
 	// SPAA's per-cycle nominations; fixed by New.
@@ -119,6 +132,10 @@ type Router struct {
 	waveActive    bool
 	waveResolveAt sim.Ticks
 	nextWaveAt    sim.Ticks
+	// waveRows marks the matrix rows the current wave filled: buildWave
+	// sets a row's bit when it fills a cell there, and the lock, unlock
+	// and clear loops visit only those rows.
+	waveRows uint16
 
 	// Anti-starvation drain (§3.4).
 	oldCount int
@@ -176,6 +193,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		ageTicks:     sim.Ticks(cfg.AntiStarvationAge) * cfg.RouterPeriod,
 		lruClock:     vc.NumChannels - 1,
 		oldAt:        never,
+		busyNext:     never,
 	}
 	waveGa := cfg.ArbCycles - 1
 	if cfg.InitInterval < waveGa {
@@ -281,6 +299,7 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	q := &r.queues[in][ch]
 	q.Push(idx)
 	r.occ[in] |= 1 << ch
+	r.occIns |= 1 << in
 	if q.Len() <= r.cfg.Window {
 		r.winOuts[in][ch] |= s.meta[idx].outs
 		r.lowerOldAt(idx)
@@ -360,7 +379,8 @@ func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 // Buffered returns the number of packets buffered at the router.
 func (r *Router) Buffered() int {
 	n := 0
-	for in := range r.queues {
+	for ins := r.occIns; ins != 0; ins &= ins - 1 {
+		in := bits.TrailingZeros8(ins)
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			n += r.queues[in][bits.TrailingZeros32(w)].Len()
 		}
@@ -369,13 +389,7 @@ func (r *Router) Buffered() int {
 }
 
 // holdsPackets reports whether any input ring is non-empty.
-func (r *Router) holdsPackets() bool {
-	var w uint32
-	for _, occ := range r.occ {
-		w |= occ
-	}
-	return w != 0
-}
+func (r *Router) holdsPackets() bool { return r.occIns != 0 }
 
 // Draining reports whether the anti-starvation drain is active.
 func (r *Router) Draining() bool { return r.draining }
@@ -414,7 +428,8 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 	gaTick := now + r.gaOffset
 	free := r.freeOutputs(gaTick)
 	aging := now >= r.oldAt
-	for in := ports.In(0); in < ports.NumIn; in++ {
+	for ins := r.occIns; ins != 0; ins &= ins - 1 {
+		in := ports.In(bits.TrailingZeros8(ins))
 		rings := r.scanRings(in, free, aging)
 		if rings == 0 {
 			continue
@@ -619,16 +634,16 @@ func (r *Router) tickWave(now sim.Ticks) {
 // synchronizes), and all nominated packets are locked until the wave
 // resolves — the bookkeeping cost the paper cites for PIM1/WFA (up to 54
 // in-flight nominations versus SPAA's 16). The matrix is empty on entry:
-// resolveWave clears it after every wave it resolves.
+// resolveWave clears the cells of every wave it resolves.
 func (r *Router) buildWave(now sim.Ticks) bool {
 	if !r.holdsPackets() {
 		return false
 	}
 	free := r.freeOutputs(now + r.waveGaOffset)
 	aging := now >= r.oldAt
-	any := false
 	s := &r.slab
-	for in := ports.In(0); in < ports.NumIn; in++ {
+	for ins := r.occIns; ins != 0; ins &= ins - 1 {
+		in := ports.In(bits.TrailingZeros8(ins))
 		for w := r.scanRings(in, free, aging); w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
 			limit := q.Len()
@@ -657,14 +672,16 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 					if mv.row != row {
 						continue
 					}
-					cell := r.matrix.At(row, int(mv.out))
 					age := int64(s.headerArrive[pk])
-					if cell.Valid && !(age < cell.Age || (age == cell.Age && s.pkt[pk].ID < cell.Key)) {
-						continue
+					if r.matrix.RowMask(row)&(1<<mv.out) != 0 {
+						cell := r.matrix.At(row, int(mv.out))
+						if !(age < cell.Age || (age == cell.Age && s.pkt[pk].ID < cell.Key)) {
+							continue
+						}
 					}
 					r.matrix.Set(row, int(mv.out), age, s.pkt[pk].ID, 0)
 					r.waveCells[row][mv.out] = waveCell{pk: pk, targetCh: mv.targetCh, local: mv.local}
-					any = true
+					r.waveRows |= 1 << row
 				}
 			}
 		}
@@ -672,12 +689,13 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 	if aging {
 		r.recomputeOldAt()
 	}
-	if !any {
+	if r.waveRows == 0 {
 		return false
 	}
-	// Lock every packet that made it into a cell, walking the matrix's
-	// row validity words instead of rescanning every cell.
-	for row := 0; row < ports.NumRows; row++ {
+	// Lock every packet that made it into a cell, walking the filled rows'
+	// validity words instead of rescanning every cell.
+	for rows := r.waveRows; rows != 0; rows &= rows - 1 {
+		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
 			pk := r.waveCells[row][col].pk
@@ -746,19 +764,22 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		}
 		r.dispatch(cell.pk, out, cell.targetCh, cell.local, now)
 	}
-	// Unlock every nominated packet that was not dispatched; the row
-	// validity words name exactly the cells the wave populated. Clearing
-	// the matrix here, once per wave, leaves it empty for the next build.
-	for row := 0; row < ports.NumRows; row++ {
+	// Unlock every nominated packet that was not dispatched; the filled
+	// rows' validity words name exactly the cells the wave populated.
+	// Clearing each of those cells here leaves the matrix empty for the
+	// next build.
+	for rows := r.waveRows; rows != 0; rows &= rows - 1 {
+		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
 			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.meta[pk].flags&pkNominated != 0 {
 				r.reset(pk, now)
 			}
 			r.waveCells[row][col] = waveCell{pk: -1}
+			r.matrix.Clear(row, col)
 		}
 	}
-	r.matrix.Reset()
+	r.waveRows = 0
 	r.waveActive = false
 }
 
@@ -811,7 +832,8 @@ func (r *Router) refreshWindow(in ports.In, ch vc.Channel) {
 func (r *Router) recomputeOldAt() {
 	r.oldAt = never
 	s := &r.slab
-	for in := range r.queues {
+	for ins := r.occIns; ins != 0; ins &= ins - 1 {
+		in := bits.TrailingZeros8(ins)
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
 			n := min(q.Len(), r.cfg.Window)
@@ -860,7 +882,9 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		panic("router: removing packet not in queue")
 	}
 	if q.Len() == 0 {
-		r.occ[in] &^= 1 << ch
+		if r.occ[in] &^= 1 << ch; r.occ[in] == 0 {
+			r.occIns &^= 1 << in
+		}
 	}
 	r.refreshWindow(in, ch)
 	if m := r.metrics; m != nil {
@@ -907,5 +931,7 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		}
 		op.send(p, targetCh, headerDepart, op.credits)
 	}
+	r.busyOuts = r.busyOuts.With(out)
+	r.busyNext = min(r.busyNext, r.busyUntil[out])
 	r.Counters.Grants++
 }

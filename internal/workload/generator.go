@@ -123,10 +123,12 @@ func (q *pendQueue) pop() {
 }
 
 // New creates a generator, installs its delivery handler on the network,
-// and returns it. Attach it to the router clock domain before the routers
-// so demands arrive at the head of each cycle. The RNG is seeded exactly
-// as the pre-workload traffic generator was (seed ^ 0xfeedface), keeping
-// the paper's figures bit-identical.
+// and returns it. Every caller registers it in its own clock domain with
+// the router period, added after network.New registered the routers', so
+// on each edge the generator ticks after every router; the golden
+// fingerprints pin that order. The RNG is seeded exactly as the
+// pre-workload traffic generator was (seed ^ 0xfeedface), keeping the
+// paper's figures bit-identical.
 func New(cfg Config, net *network.Network, eng *sim.Engine, collector *stats.Collector) *Generator {
 	if cfg.Pattern == nil {
 		cfg.Pattern = NewUniform(net.Torus())
