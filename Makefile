@@ -19,12 +19,11 @@ race:
 # specifically: the tick-wheel scheduler, the packet arena, the router
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, the cached Runner's
-# per-cell persistence from pool workers, and the daemon's shared
-# metrics under concurrent scrapes), the bitplane arbitration
-# kernels (the parallel differential suite drives every word-parallel
-# kernel against its scalar reference from concurrent subtests, racing
-# the shared mask/scratch code paths), and the spatial
+# replicated/checked/instrumented Runner fan-outs, and the cached
+# Runner's per-cell persistence from pool workers), the bitplane
+# arbitration kernels (the parallel differential suite drives every
+# word-parallel kernel against its scalar reference from concurrent
+# subtests, racing the shared mask/scratch code paths), and the spatial
 # sharding assembly (per-band engine workers spinning on the wavefront's
 # publish flags, the PostBuffer flush, per-shard flight slots, and the
 # checker's per-router scratch under concurrent edge ticks).
@@ -36,7 +35,6 @@ race-pools:
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded|Cache' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
-	$(GO) test -race -count=1 -run 'Metrics|Pprof|Drain|Healthz|BodyLimit' ./cmd/sweepd
 
 # cover writes the atomic-mode coverage profile for the whole module.
 cover:

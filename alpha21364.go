@@ -14,8 +14,7 @@
 //   - the sweep service: a Runner given a content-addressed result store
 //     (SpecHash, OpenResultCache, WithCache) serves the points it already
 //     holds, persists each new one as it completes, and so resumes
-//     interrupted runs byte-identically; cmd/sweepd serves the same
-//     contract over stdin/HTTP;
+//     interrupted runs byte-identically;
 //   - the five arbitration algorithms the paper compares — SPAA (the
 //     21364's Simple Pipelined Arbitration Algorithm), PIM and PIM1, the
 //     wrapped Wave-Front Arbiter, and MCM — plus the OPF strawman and the

@@ -355,6 +355,7 @@ var contradictions = buildContradictions()
 var requirements = []requirement{
 	{"bench-baseline", "bench", "the baseline comparison is part of bench mode"},
 	{"resume", "cache-dir", "resuming reads completed points from the cache"},
+	{"markdown", "verify", "the markdown table is the claim verdicts' EXPERIMENTS.md form"},
 }
 
 func buildContradictions() []contradiction {
@@ -389,6 +390,11 @@ func buildContradictions() []contradiction {
 	add("bench", "workers", "the bench suite measures one simulation at a time (serial by design)")
 	add("bench", "progress", "bench entries are logged to stderr as they finish")
 	add("verify", "json", "claim verification emits verdict tables, not Results")
+	// Charts are drawn beside the tables of figure and spec mode only.
+	add("plot", "json", "-json streams Results without tables or charts")
+	for _, f := range []string{"matrix", "run", "record", "replay", "verify", "bench", "emit-spec", "list"} {
+		add(f, "plot", "this mode draws no BNF chart; -plot applies to figure and spec modes")
+	}
 	// Replay fixes the injection stream; generative knobs contradict it.
 	for _, f := range []string{"pattern", "rate", "process", "model"} {
 		add("replay", f, "a replayed trace fixes the injection stream")
@@ -460,8 +466,16 @@ func rejectValueContradictions(set map[string]bool, reps int, figure string) err
 	if set["confidence"] && reps < 2 {
 		return fmt.Errorf("-confidence requires -reps 2 or more (there is no interval over one run)")
 	}
-	if set["torus-shards"] && set["figure"] && (figure == "8" || figure == "9") {
-		return fmt.Errorf("-torus-shards applies to timing simulations; figure %s uses the standalone arbiter model (no torus to shard)", figure)
+	if set["figure"] && (figure == "8" || figure == "9") {
+		for _, f := range []struct{ flag, why string }{
+			{"torus-shards", "no torus to shard"},
+			{"metrics", "no router simulation to observe"},
+			{"plot", "no BNF chart to draw"},
+		} {
+			if set[f.flag] {
+				return fmt.Errorf("-%s applies to timing simulations; figure %s uses the standalone arbiter model (%s)", f.flag, figure, f.why)
+			}
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -97,6 +98,9 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		{"-resume"},
 		{"-torus-shards", "2", "-figure", "8"},
 		{"-torus-shards", "2", "-replay", "t.trace"},
+		{"-markdown", "-list"},
+		{"-metrics", "-quick", "-figure", "8"},
+		{"-plot", "-quick", "-figure", "9"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -153,7 +157,7 @@ var ruleSamples = map[string]string{
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
 	"cache-dir": "cachedir", "bench-baseline": "BENCH.json",
 	"resume": "true", "metrics": "true", "stable": "true",
-	"torus-shards": "2",
+	"torus-shards": "2", "markdown": "true", "plot": "true",
 }
 
 func sampleArg(t *testing.T, name string) string {
@@ -261,6 +265,62 @@ func TestCachedMatrixSecondRunSimulatesNothing(t *testing.T) {
 	// ElapsedNS is omitempty: stripping it means the key disappears.
 	if strings.Contains(out1.String(), `"elapsed_ns"`) {
 		t.Fatalf("-stable did not strip elapsed_ns:\n%s", out1.String())
+	}
+}
+
+// TestSpecFileArrayCachedRerun runs a two-Spec array file twice
+// against one -cache-dir: the Results stream in file order, and the
+// second run simulates nothing and emits the same bytes.
+func TestSpecFileArrayCachedRerun(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(name, arbiter string) experiment.Spec {
+		return experiment.NewSpec(
+			experiment.WithName(name),
+			experiment.WithTopology(4, 4),
+			experiment.WithArbiters(arbiter),
+			experiment.WithPatterns("random"),
+			experiment.WithRates(0.02),
+			experiment.WithCycles(300),
+			experiment.WithSeed(3),
+		)
+	}
+	data, err := experiment.EncodeSpecs([]experiment.Spec{spec("first spec", "PIM1"), spec("second spec", "SPAA-rotary")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "specs.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-spec", path, "-cache-dir", filepath.Join(dir, "cache"), "-json", "-stable", "-workers", "1"}
+	var out1, err1, out2, err2 bytes.Buffer
+	if err := run(args, &out1, &err1); err != nil {
+		t.Fatalf("cold run: %v\nstderr:\n%s", err, err1.String())
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimRight(out1.String(), "\n"), "\n") {
+		var rec struct {
+			Type string
+			Spec struct{ Name string }
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("stdout line is not JSON: %q: %v", line, err)
+		}
+		if rec.Type == "result" {
+			names = append(names, rec.Spec.Name)
+		}
+	}
+	if want := []string{"first spec", "second spec"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("result headers = %q, want %q in file order", names, want)
+	}
+	if err := run(args, &out2, &err2); err != nil {
+		t.Fatalf("warm run: %v\nstderr:\n%s", err, err2.String())
+	}
+	if got := strings.Count(err2.String(), "1/1 points cached, 0 simulated"); got != 2 {
+		t.Fatalf("warm run: %d of 2 specs served wholly from the cache:\n%s", got, err2.String())
+	}
+	if out1.String() != out2.String() {
+		t.Fatalf("cached -spec rerun output diverged:\n--- cold ---\n%s\n--- warm ---\n%s", out1.String(), out2.String())
 	}
 }
 

@@ -105,8 +105,9 @@ func TestRunnerCacheMatchesGoldenFingerprints(t *testing.T) {
 }
 
 // TestRunnerCacheSecondRunIsPureRead runs the same spec twice against
-// one store: the second run must simulate nothing and still produce the
-// identical byte stream.
+// one store: the second run must simulate nothing, write nothing (not
+// even the key's spec.json metadata), and still produce the identical
+// byte stream.
 func TestRunnerCacheSecondRunIsPureRead(t *testing.T) {
 	store := testStore(t)
 	sp := fingerprintStandaloneSpec() // 3 arbiters x 2 loads
@@ -115,7 +116,22 @@ func TestRunnerCacheSecondRunIsPureRead(t *testing.T) {
 	if first.cached != 0 || first.sims != 6 || first.points() != 6 {
 		t.Fatalf("cold run: %d cached, %d simulated, %d points; want 0, 6, 6", first.cached, first.sims, first.points())
 	}
+	key, err := SpecHash(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(store.Dir(), key, "spec.json")
+	if err := os.Remove(specPath); err != nil {
+		t.Fatalf("cold run wrote no spec metadata: %v", err)
+	}
+	noSpecWritten := func(what string) {
+		t.Helper()
+		if _, err := os.Stat(specPath); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s rewrote the key's spec.json (stat: %v); a fully cached run must write nothing", what, err)
+		}
+	}
 	warm, second := cachedFingerprint(t, store, sp, 0)
+	noSpecWritten("warm run")
 	if second.sims != 0 || second.cached != 6 {
 		t.Fatalf("warm run: %d cached, %d simulated; a cached run must simulate none", second.cached, second.sims)
 	}
@@ -130,6 +146,7 @@ func TestRunnerCacheSecondRunIsPureRead(t *testing.T) {
 	if _, third := cachedFingerprint(t, store, renamed, 0); third.sims != 0 {
 		t.Fatalf("renamed spec missed the cache: %d simulations", third.sims)
 	}
+	noSpecWritten("renamed run")
 }
 
 // TestRunnerCacheBypassedByRecordReplay checks that record/replay specs

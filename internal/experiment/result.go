@@ -357,15 +357,6 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 				line, p.Series, last.Label)
 		}
 		last.Points = append(last.Points, p.Point)
-	case "error":
-		var el struct {
-			Type  string `json:"type"`
-			Error string `json:"error"`
-		}
-		if err := decodeStrict(raw, &el); err != nil {
-			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
-		}
-		return fmt.Errorf("experiment: stream error: %s", el.Error)
 	default:
 		return fmt.Errorf("experiment: decode result line %d: unknown record type %q", line, probe.Type)
 	}
@@ -374,7 +365,7 @@ func (d *resultDecoder) decodeLine(raw []byte, line int) error {
 
 // DecodeResultJSONL reconstructs a Result from its JSONL stream,
 // rejecting unknown record types, unknown fields, missing headers,
-// in-band error records, and unsupported versions.
+// and unsupported versions.
 func DecodeResultJSONL(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -91,7 +91,7 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 		{"point before series", strings.Replace(good, `"type":"series"`, `"type":"point","series":"x","point":{}`, 1), ""},
 		{"no header", strings.TrimPrefix(good, good[:strings.Index(good, "\n")+1]), "header"},
 		{"cut mid point line", good[:(pointAt+pointEnd)/2], "decode result line"},
-		{"in-band error after a valid stream", good + `{"type":"error","error":"boom"}` + "\n", "experiment: stream error: boom"},
+		{"error record after a valid stream", good + `{"type":"error","error":"boom"}` + "\n", `unknown record type "error"`},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeResultJSONL(strings.NewReader(tc.doc)); err == nil {
@@ -100,6 +100,64 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzDecodeResultJSONL throws mutated Result streams at the strict
+// decoder: it must never panic, and any stream it accepts must re-encode
+// to a fixed point — the re-encoded stream decodes again and encodes to
+// the same bytes.
+func FuzzDecodeResultJSONL(f *testing.F) {
+	timing := NewSpec(
+		WithName("fuzz seed"),
+		WithTopology(2, 2),
+		WithArbiters("PIM1", "SPAA-rotary"),
+		WithPatterns("random"),
+		WithRates(0.02, 0.04),
+		WithCycles(200),
+		WithSeed(1),
+		WithMetrics(),
+	)
+	var stream []byte
+	for _, sp := range []Spec{quickStandaloneSpec(), timing} {
+		res, err := NewRunner(WithWorkers(1)).Run(context.Background(), sp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.EncodeJSONL(&buf); err != nil {
+			f.Fatal(err)
+		}
+		stream = buf.Bytes()
+		f.Add(stream)
+	}
+	if !bytes.Contains(stream, []byte(`"metrics":{"version":1`)) {
+		f.Fatal("timing seed carries no metrics snapshot")
+	}
+	// The metric-laden timing stream cut in the middle of its last point
+	// line, and the same stream followed by an error record.
+	last := bytes.LastIndex(stream, []byte(`{"type":"point"`))
+	f.Add(stream[:last+(len(stream)-last)/2])
+	f.Add(append(append([]byte(nil), stream...), `{"type":"error","error":"boom"}`+"\n"...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResultJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := res.EncodeJSONL(&first); err != nil {
+			t.Fatalf("accepted stream failed to encode: %v", err)
+		}
+		again, err := DecodeResultJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v\n%s", err, first.Bytes())
+		}
+		if err := again.EncodeJSONL(&second); err != nil {
+			t.Fatalf("re-decoded stream failed to encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point:\nfirst  %s\nsecond %s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // TestResultTableShapes checks the layout dispatch: standalone specs get

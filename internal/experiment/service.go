@@ -5,8 +5,7 @@ package experiment
 // grid across a bounded worker pool and streaming typed events —
 // run-start, point-done, series-done, run-done — as simulations finish.
 // It is the one way to execute experiments: cmd/sweep's figure, matrix,
-// run, spec, and -verify modes and cmd/sweepd all hand their Specs to a
-// Runner.
+// run, spec, and -verify modes all hand their Specs to a Runner.
 //
 // With a result cache attached (WithCache), the same loop serves and
 // fills it: cells — one grid point with all of its replications — that
@@ -27,6 +26,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -372,10 +372,13 @@ func openRunCache(store *cache.Store, spec Spec, pl *plan) (*runCache, error) {
 		}
 		rc.served[cl.Series*perSeries+cl.Point] = &pt
 	}
-	if meta, err := EncodeSpec(hashableSpec(spec)); err == nil {
-		// Metadata is a best-effort debugging aid; the run does not
-		// depend on it.
-		_ = store.PutSpec(key, meta)
+	// The Spec metadata is a best-effort debugging aid beside the cells;
+	// the run does not depend on it. Only a run with a cell to simulate
+	// writes it, so a run the cache serves whole stays a pure read.
+	if slices.Contains(rc.served, nil) {
+		if meta, err := EncodeSpec(hashableSpec(spec)); err == nil {
+			_ = store.PutSpec(key, meta)
+		}
 	}
 	return rc, nil
 }

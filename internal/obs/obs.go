@@ -12,16 +12,14 @@
 //     metrics themselves) is byte-identical to a disabled run's —
 //     test-enforced in internal/experiment.
 //
-// Three metric shapes cover the layer: counters and gauges are bare
-// int64/float64 fields on per-router and per-network structs (increment
-// = one add, no interface calls, no atomics — the simulation is
-// single-threaded); Histogram is a fixed-bucket histogram for the
-// service layer (cmd/sweepd), where observations are request and shard
-// latencies, not per-tick events.
+// Counters and gauges are bare int64/float64 fields on per-router and
+// per-network structs (increment = one add, no interface calls, no
+// atomics — the simulation is single-threaded); the flight recorder is a
+// fixed ring of recent router events per node.
 //
 // A run's metrics aggregate into a Snapshot: a versioned, strict-JSON
-// document attached to ResultPoint.Metrics, written to `sweep -metrics`
-// sidecars, and summed into cmd/sweepd's Prometheus exposition.
+// document attached to ResultPoint.Metrics and written to
+// `sweep -metrics` sidecars.
 package obs
 
 import (
@@ -247,59 +245,4 @@ func (m *SimMetrics) Snapshot(arbiter string, elapsed sim.Ticks) *Snapshot {
 	s.Network.DeliveredPackets = m.Network.Delivered
 	s.Network.DeliveredFlits = m.Network.DeliveredFlits
 	return s
-}
-
-// Histogram is a fixed-bucket histogram for the service layer. Bounds
-// are ascending upper bounds; an implicit +Inf bucket catches the rest.
-// It is not concurrency-safe; cmd/sweepd guards it with its own mutex.
-type Histogram struct {
-	bounds []float64
-	counts []int64
-	sum    float64
-	total  int64
-}
-
-// NewHistogram builds a histogram over the given ascending upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.total++
-}
-
-// Count returns the number of observations; Sum their total.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// Cumulative returns the cumulative bucket counts in Prometheus order:
-// one entry per bound plus the +Inf total.
-func (h *Histogram) Cumulative() []int64 {
-	out := make([]int64, len(h.counts))
-	var c int64
-	for i, n := range h.counts {
-		c += n
-		out[i] = c
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -198,40 +196,6 @@ func TestFlightDumpJSON(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0.1, 1, 10)
-	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if math.Abs(h.Sum()-55.65) > 1e-9 {
-		t.Fatalf("sum = %v", h.Sum())
-	}
-	// 0.05 and 0.1 land in le=0.1 (bounds are inclusive upper bounds),
-	// 0.5 in le=1, 5 in le=10, 50 in +Inf.
-	want := []int64{2, 3, 4, 5}
-	got := h.Cumulative()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cumulative = %v, want %v", got, want)
-		}
-	}
-	if b := h.Bounds(); len(b) != 3 || b[0] != 0.1 {
-		t.Fatalf("bounds = %v", b)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on non-ascending bounds")
-		}
-	}()
-	NewHistogram(1, 1)
-}
-
 func TestFlightRingBadDepthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -240,85 +204,3 @@ func TestFlightRingBadDepthPanics(t *testing.T) {
 	}()
 	NewFlightRing(0)
 }
-
-// TestPromExposition validates the hand-rolled writer against the text
-// exposition grammar: TYPE/HELP headers precede samples, label values
-// are escaped, and histogram buckets are cumulative and end at +Inf.
-func TestPromExposition(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewPromWriter(&buf)
-	p.Family("sweepd_points_total", "counter", "Total sweep points handled.")
-	p.Sample("sweepd_points_total", 42)
-	p.Family("sweepd_router_stalls_total", "counter", "Stalled nominations.")
-	p.Sample("sweepd_router_stalls_total", 7, "arbiter", `SPAA-"rotary"`)
-	h := NewHistogram(0.5, 2)
-	h.Observe(0.1)
-	h.Observe(1)
-	h.Observe(9)
-	p.Histo("sweepd_run_duration_seconds", "Run wall time.", h)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-
-	for _, want := range []string{
-		"# HELP sweepd_points_total Total sweep points handled.\n",
-		"# TYPE sweepd_points_total counter\n",
-		"sweepd_points_total 42\n",
-		`sweepd_router_stalls_total{arbiter="SPAA-\"rotary\""} 7` + "\n",
-		"# TYPE sweepd_run_duration_seconds histogram\n",
-		`sweepd_run_duration_seconds_bucket{le="0.5"} 1` + "\n",
-		`sweepd_run_duration_seconds_bucket{le="2"} 2` + "\n",
-		`sweepd_run_duration_seconds_bucket{le="+Inf"} 3` + "\n",
-		"sweepd_run_duration_seconds_sum 10.1\n",
-		"sweepd_run_duration_seconds_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
-	}
-
-	// Grammar check: every sample line matches the exposition format and
-	// its family header appears earlier in the stream.
-	sampleRE := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
-	seenType := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			seenType[strings.Fields(line)[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		mm := sampleRE.FindStringSubmatch(line)
-		if mm == nil {
-			t.Fatalf("bad sample line: %q", line)
-		}
-		base := mm[1]
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			base = strings.TrimSuffix(base, suf)
-		}
-		if !seenType[base] && !seenType[mm[1]] {
-			t.Fatalf("sample %q has no preceding # TYPE", line)
-		}
-	}
-}
-
-func TestPromWriterStickyError(t *testing.T) {
-	p := NewPromWriter(failWriter{})
-	p.Family("x_total", "counter", "x")
-	p.Sample("x_total", 1)
-	if p.Err() == nil {
-		t.Fatal("want sticky error")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = &failErr{}
-
-type failErr struct{}
-
-func (*failErr) Error() string { return "fail" }
