@@ -22,8 +22,8 @@
 //   - the standalone single-router matching model of Figures 8-9
 //     (RunStandalone, MCMSaturationLoad);
 //   - the cycle-accurate timing model of the 21364 router and its 2D-torus
-//     network with the paper's synthetic coherence workloads (RunTiming,
-//     RunTimingCtx);
+//     network with the paper's synthetic coherence workloads (a timing
+//     Spec run through a Runner);
 //   - a pluggable workload suite decomposing traffic into spatial
 //     patterns × arrival processes × transaction models, each chosen by
 //     name (PatternNames, ProcessNames, ModelNames), with trace
@@ -106,8 +106,7 @@ func ProcessNames() []string { return workload.ProcessNames() }
 func ModelNames() []string { return workload.ModelNames() }
 
 // Trace is a recorded injection stream: replaying it re-injects the
-// identical packet sequence under any arbiter (TimingSetup.RecordTo /
-// TimingSetup.ReplayFrom).
+// identical packet sequence under any arbiter (WithRecord / WithReplay).
 type Trace = workload.Trace
 
 // TraceEvent is one packet creation in a Trace.
@@ -346,33 +345,15 @@ type PacketArena = packet.Arena
 // NewPacketArena returns an empty arena.
 func NewPacketArena() *PacketArena { return packet.NewArena() }
 
-// TimingSetup describes one timing-model simulation.
-//
-// Deprecated: describe simulations as Specs (NewSpec) and run them with
-// a Runner; TimingSetup remains for RunTiming and MatrixSpec.
-type TimingSetup = experiment.TimingSetup
-
-// TimingResult is a BNF point plus diagnostics.
-type TimingResult = experiment.TimingResult
-
 // Point is one latency/throughput measurement.
 type Point = stats.Point
 
 // Series is a load-sweep BNF curve.
 type Series = stats.Series
 
-// NoWarmup, assigned to TimingSetup.WarmupFraction, disables the warmup
-// exclusion so statistics cover the entire run (0 keeps the 0.2 default).
+// NoWarmup, passed to WithWarmupFraction, disables the warmup exclusion
+// so statistics cover the entire run (0 keeps the 0.2 default).
 const NoWarmup = experiment.NoWarmup
-
-// RunTiming executes one timing simulation; RunTimingCtx is the same
-// under a context (cancellation stops the run promptly).
-func RunTiming(s TimingSetup) (TimingResult, error) { return experiment.RunTiming(s) }
-
-// RunTimingCtx executes one timing simulation under a context.
-func RunTimingCtx(ctx context.Context, s TimingSetup) (TimingResult, error) {
-	return experiment.RunTimingCtx(ctx, s)
-}
 
 // Options tunes the canned figure Specs (FigureSpecs): fidelity, seed,
 // and the study-wide toggles.
@@ -383,11 +364,3 @@ type Panel = experiment.Panel
 
 // Table is a formatted result grid.
 type Table = experiment.Table
-
-// MatrixSpec lifts matrix axes — arbiter kinds, pattern and process
-// names (PatternNames, ProcessNames), and rates — into a declarative
-// Spec; base supplies every other setting that has a Spec home.
-func MatrixSpec(base TimingSetup, kinds []Kind, patterns, processes []string,
-	rates []float64) Spec {
-	return experiment.MatrixSpec(base, kinds, patterns, processes, rates)
-}

@@ -37,19 +37,6 @@ func TestFacadeMatrixAndArbiter(t *testing.T) {
 	}
 }
 
-func TestFacadeTimingRun(t *testing.T) {
-	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: SPAARotary, Pattern: "random",
-		Rate: 0.01, Cycles: 4000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Packets == 0 {
-		t.Fatal("no packets delivered")
-	}
-}
-
 func TestFacadeSweep(t *testing.T) {
 	res, err := NewRunner().Run(context.Background(), NewSpec(
 		WithTopology(4, 4), WithArbiters(PIM1.String()), WithPatterns("random"),

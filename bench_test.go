@@ -8,7 +8,6 @@ import (
 
 	"alpha21364/internal/core"
 	"alpha21364/internal/experiment"
-	"alpha21364/internal/router"
 	"alpha21364/internal/sim"
 	"alpha21364/internal/standalone"
 )
@@ -93,76 +92,31 @@ func BenchmarkCollectDatasetParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPipelineDepth measures the paper's footnote 1: each
-// cycle added to the arbitration pipeline costs roughly 5% of throughput
-// under heavy load. It sweeps SPAA with 3..6 arbitration cycles.
-func BenchmarkAblationPipelineDepth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := make([][]string, 0, 4)
-		var baseTput float64
-		for extra := 0; extra <= 3; extra++ {
-			res := runCustomRouter(b, func(cfg *router.Config) {
-				cfg.ArbCycles += extra
-			}, 0.05)
-			if extra == 0 {
-				baseTput = res.Throughput
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", 3+extra),
-				fmt.Sprintf("%.4f", res.Throughput),
-				fmt.Sprintf("%.1f%%", 100*(1-res.Throughput/baseTput)),
-				fmt.Sprintf("%.1f", res.AvgLatencyNS),
-			})
-		}
-		printOnce("ablation-depth", func() string {
-			return experiment.Table{
-				Title:   "Ablation: SPAA arbitration pipeline depth (8x8 random, heavy load)",
-				Columns: []string{"arb cycles", "tput", "loss vs 3", "lat(ns)"},
-				Rows:    rows,
-			}.Format()
-		})
-	}
-}
-
-// BenchmarkAblationInitiationInterval isolates pipelining (§5.2's closing
-// experiment): a hypothetical 3-cycle WFA that still restarts only every 3
-// cycles, against SPAA's every-cycle restart.
-func BenchmarkAblationInitiationInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		spaa := runCustomRouter(b, nil, 0.05)
-		wfa3 := runCustomRouterKind(b, core.KindWFABase, func(cfg *router.Config) {
-			cfg.ArbCycles = 3 // same latency as SPAA; II stays 3
-		}, 0.05)
-		printOnce("ablation-ii", func() string {
-			return experiment.Table{
-				Title:   "Ablation: initiation interval (8x8 random; hypothetical 3-cycle WFA vs SPAA)",
-				Columns: []string{"algorithm", "II", "tput", "lat(ns)"},
-				Rows: [][]string{
-					{"SPAA-base", "1", fmt.Sprintf("%.4f", spaa.Throughput), fmt.Sprintf("%.1f", spaa.AvgLatencyNS)},
-					{"WFA-base (3-cycle)", "3", fmt.Sprintf("%.4f", wfa3.Throughput), fmt.Sprintf("%.1f", wfa3.AvgLatencyNS)},
-				},
-			}.Format()
-		})
-	}
-}
-
 // BenchmarkAblationRotary compares base and rotary variants beyond
 // saturation (the §5.2 throughput-retention claim).
 func BenchmarkAblationRotary(b *testing.B) {
+	sp := experiment.NewSpec(
+		experiment.WithTopology(8, 8),
+		experiment.WithArbiters("SPAA-base", "SPAA-rotary", "WFA-base", "WFA-rotary"),
+		experiment.WithPatterns("random"),
+		experiment.WithRates(0.09),
+		experiment.WithMaxOutstanding(64),
+		experiment.WithCycles(benchOpts.TimingCycles()),
+		experiment.WithSeed(1),
+	)
+	runner := experiment.NewRunner(experiment.WithWorkers(1))
 	for i := 0; i < b.N; i++ {
-		rows := make([][]string, 0, 4)
-		for _, k := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindWFABase, core.KindWFARotary} {
-			res, err := experiment.RunTiming(experiment.TimingSetup{
-				Width: 8, Height: 8, Kind: k, Pattern: "random",
-				Rate: 0.09, MaxOutstanding: 64, Cycles: benchOpts.TimingCycles(), Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, []string{k.String(),
-				fmt.Sprintf("%.4f", res.Throughput),
-				fmt.Sprintf("%.1f", res.AvgLatencyNS),
-				fmt.Sprintf("%d", res.DrainEntries)})
+		res, err := runner.Run(context.Background(), sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([][]string, 0, len(res.Series))
+		for _, s := range res.Series {
+			pt := s.Points[0]
+			rows = append(rows, []string{s.Arbiter,
+				fmt.Sprintf("%.4f", pt.Throughput),
+				fmt.Sprintf("%.1f", pt.AvgLatencyNS),
+				fmt.Sprintf("%d", pt.DrainEntries)})
 		}
 		printOnce("ablation-rotary", func() string {
 			return experiment.Table{
@@ -172,60 +126,6 @@ func BenchmarkAblationRotary(b *testing.B) {
 			}.Format()
 		})
 	}
-}
-
-// BenchmarkAblationGrantPolicy explores §3's output-arbiter design space:
-// SPAA with least-recently-selected (shipping), round-robin, random, and a
-// fixed priority chain.
-func BenchmarkAblationGrantPolicy(b *testing.B) {
-	policies := []struct {
-		name    string
-		factory func(rows, cols int) core.SelectPolicy
-	}{
-		{"lrs (21364)", nil},
-		{"round-robin", func(r, c int) core.SelectPolicy { return core.NewRoundRobinPolicy(r, c) }},
-		{"random", func(r, c int) core.SelectPolicy { return core.NewRandomPolicy(sim.NewRNG(7)) }},
-		{"priority-chain", func(r, c int) core.SelectPolicy { return core.NewPriorityChainPolicy() }},
-	}
-	for i := 0; i < b.N; i++ {
-		rows := make([][]string, 0, len(policies))
-		for _, pol := range policies {
-			pol := pol
-			res := runCustomRouter(b, func(cfg *router.Config) {
-				if pol.factory != nil {
-					cfg.GrantPolicyFactory = pol.factory
-				}
-			}, 0.05)
-			rows = append(rows, []string{pol.name,
-				fmt.Sprintf("%.4f", res.Throughput),
-				fmt.Sprintf("%.1f", res.AvgLatencyNS)})
-		}
-		printOnce("ablation-policy", func() string {
-			return experiment.Table{
-				Title:   "Ablation: SPAA output-arbiter grant policy (8x8 random, heavy load)",
-				Columns: []string{"policy", "tput", "lat(ns)"},
-				Rows:    rows,
-			}.Format()
-		})
-	}
-}
-
-func runCustomRouter(b *testing.B, mutate func(*router.Config), rate float64) experiment.TimingResult {
-	return runCustomRouterKind(b, core.KindSPAABase, mutate, rate)
-}
-
-// runCustomRouterKind runs an 8x8 random-traffic simulation with a mutated
-// router configuration, bypassing the standard per-kind defaults.
-func runCustomRouterKind(b *testing.B, kind core.Kind, mutate func(*router.Config), rate float64) experiment.TimingResult {
-	b.Helper()
-	res, err := experiment.RunTimingWithRouter(experiment.TimingSetup{
-		Width: 8, Height: 8, Kind: kind, Pattern: "random",
-		Rate: rate, Cycles: benchOpts.TimingCycles(), Seed: 1,
-	}, mutate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }
 
 // BenchmarkAblationPIMIterations sweeps PIM's iteration count in the
@@ -312,20 +212,26 @@ func BenchmarkArbitrateMCM(b *testing.B)  { benchArbiter(b, core.KindMCM) }
 // BenchmarkTorusPoint times the nine points of simbench's torus4-sweep
 // workload one by one: PIM1, WFA-rotary and SPAA-rotary at light (0.01),
 // knee (0.03) and saturated (0.09) load on a 4x4 torus for 4,000 cycles
-// at seed 1. One op is one point through RunTiming, and ns/node-cycle
-// divides its time by the 16 routers x 4,000 cycles it simulates.
-// Compare commits with `make bench-router`.
+// at seed 1. One op is one point, run as a one-point Spec through a
+// serial Runner, and ns/node-cycle divides its time — the Runner's
+// per-point overhead included — by the 16 routers x 4,000 cycles it
+// simulates. Compare commits with `make bench-router`.
 func BenchmarkTorusPoint(b *testing.B) {
 	const width, height, cycles = 4, 4, 4000
+	runner := experiment.NewRunner(experiment.WithWorkers(1))
 	for _, kind := range []core.Kind{core.KindPIM1, core.KindWFARotary, core.KindSPAARotary} {
 		for _, rate := range []float64{0.01, 0.03, 0.09} {
 			b.Run(fmt.Sprintf("%v/%g", kind, rate), func(b *testing.B) {
-				s := experiment.TimingSetup{
-					Width: width, Height: height, Kind: kind, Pattern: "random",
-					Rate: rate, Cycles: cycles, Seed: 1,
-				}
+				sp := experiment.NewSpec(
+					experiment.WithTopology(width, height),
+					experiment.WithArbiters(kind.String()),
+					experiment.WithPatterns("random"),
+					experiment.WithRates(rate),
+					experiment.WithCycles(cycles),
+					experiment.WithSeed(1),
+				)
 				for b.Loop() {
-					if _, err := experiment.RunTiming(s); err != nil {
+					if _, err := runner.Run(context.Background(), sp); err != nil {
 						b.Fatal(err)
 					}
 				}

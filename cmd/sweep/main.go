@@ -51,6 +51,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -260,7 +261,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return a.runSpecs(specs, *plot)
+		return a.runSpecs(*specFile, specs, *plot)
 	case *bench:
 		return a.runBench(*benchBaseline)
 	case *matrix:
@@ -532,8 +533,12 @@ func checkResumable(store *cache.Store, logger *log.Logger, load func() ([]exper
 	return nil
 }
 
-// runSpecs executes loaded spec files, printing each result.
-func (a *app) runSpecs(specs []experiment.Spec, plot bool) error {
+// runSpecs executes loaded spec files, printing each result. With -plot
+// it fails before running anything when no spec draws a chart.
+func (a *app) runSpecs(path string, specs []experiment.Spec, plot bool) error {
+	if plot && !slices.ContainsFunc(specs, func(sp experiment.Spec) bool { return sp.Mode != experiment.ModeStandalone }) {
+		return fmt.Errorf("-plot applies to timing simulations; every spec in %s uses the standalone arbiter model (no BNF chart to draw)", path)
+	}
 	start := time.Now()
 	for i, sp := range specs {
 		res, err := a.exec(sp)
@@ -698,13 +703,13 @@ func (a *app) runBench(baseline string) error {
 
 // matrixSpec parses the -matrix flags into a Spec.
 func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, size string, cycles int) (experiment.Spec, error) {
-	var kinds []core.Kind
+	var arbiters []string
 	for _, name := range splitList(algos) {
 		k, err := core.ParseKind(name)
 		if err != nil {
 			return experiment.Spec{}, err
 		}
-		kinds = append(kinds, k)
+		arbiters = append(arbiters, k.String())
 	}
 	pats := splitList(patterns)
 	procs := splitList(processes)
@@ -716,16 +721,21 @@ func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, 
 		}
 		rs = append(rs, r)
 	}
-	if len(kinds) == 0 || len(pats) == 0 || len(procs) == 0 || len(rs) == 0 {
+	if len(arbiters) == 0 || len(pats) == 0 || len(procs) == 0 || len(rs) == 0 {
 		return experiment.Spec{}, fmt.Errorf("matrix needs at least one algorithm, pattern, process, and rate")
 	}
-	base, err := baseSetup(o, size, cycles, o.Seed)
+	opts, err := baseOptions(o, size, cycles)
 	if err != nil {
 		return experiment.Spec{}, err
 	}
-	base.Model = model
-	sp := experiment.MatrixSpec(base, kinds, pats, procs, rs)
-	sp.Name = "Scenario matrix"
+	sp := experiment.NewSpec(append(opts,
+		experiment.WithName("Scenario matrix"),
+		experiment.WithArbiters(arbiters...),
+		experiment.WithPatterns(pats...),
+		experiment.WithProcesses(procs...),
+		experiment.WithModel(model),
+		experiment.WithRates(rs...),
+	)...)
 	o.ApplyStudy(&sp)
 	if err := sp.Validate(); err != nil {
 		return experiment.Spec{}, err
@@ -736,17 +746,11 @@ func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, 
 // runSpecFromFlags parses the -run flags into a single-scenario Spec.
 func runSpecFromFlags(o experiment.Options, algo, pattern, process, model string,
 	rate float64, size string, cycles int, record, replay string) (experiment.Spec, error) {
-	base, err := baseSetup(o, size, cycles, o.Seed)
+	opts, err := baseOptions(o, size, cycles)
 	if err != nil {
 		return experiment.Spec{}, err
 	}
-	opts := []experiment.SpecOption{
-		experiment.WithName("run"),
-		experiment.WithTopology(base.Width, base.Height),
-		experiment.WithArbiters(algo),
-		experiment.WithCycles(base.Cycles),
-		experiment.WithSeed(base.Seed),
-	}
+	opts = append(opts, experiment.WithName("run"), experiment.WithArbiters(algo))
 	if replay != "" {
 		opts = append(opts, experiment.WithReplay(replay))
 	} else {
@@ -858,13 +862,20 @@ func splitList(s string) []string {
 	return out
 }
 
-func baseSetup(o experiment.Options, size string, cycles int, seed uint64) (experiment.TimingSetup, error) {
+// baseOptions parses -size and -cycles (0 means the figure default)
+// into the Spec options -matrix and -run share: the torus, the run
+// length, and the seed.
+func baseOptions(o experiment.Options, size string, cycles int) ([]experiment.SpecOption, error) {
 	w, h, err := parseSize(size)
 	if err != nil {
-		return experiment.TimingSetup{}, err
+		return nil, err
 	}
 	if cycles <= 0 {
 		cycles = o.TimingCycles()
 	}
-	return experiment.TimingSetup{Width: w, Height: h, Cycles: cycles, Seed: seed}, nil
+	return []experiment.SpecOption{
+		experiment.WithTopology(w, h),
+		experiment.WithCycles(cycles),
+		experiment.WithSeed(o.Seed),
+	}, nil
 }

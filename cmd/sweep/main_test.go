@@ -110,6 +110,100 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestPlotNeedsATimingSpec: -plot with a spec file fails before running
+// anything when every spec in it uses the standalone model, which has
+// no BNF chart, and plots the timing specs of a mixed file.
+func TestPlotNeedsATimingSpec(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, specs ...experiment.Spec) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := experiment.WriteSpecFile(path, specs...); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	standalone := experiment.NewSpec(
+		experiment.WithArbiters("MCM"),
+		experiment.WithStandaloneSweep(experiment.AxisLoad, 0.5),
+		experiment.WithCycles(50),
+	)
+	timing := experiment.NewSpec(
+		experiment.WithTopology(4, 4),
+		experiment.WithArbiters("PIM1"),
+		experiment.WithRates(0.01, 0.02),
+		experiment.WithCycles(300),
+	)
+
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-spec", write("standalone.json", standalone), "-plot"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "standalone arbiter model") {
+		t.Fatalf("-plot on a standalone-only spec file: err=%v, want a standalone-model refusal", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("the refused run printed:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if err := run([]string{"-spec", write("mixed.json", standalone, timing), "-plot", "-workers", "1"}, &stdout, &stderr); err != nil {
+		t.Fatalf("-plot on a mixed spec file: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if got := strings.Count(stdout.String(), "latency(ns) up to"); got != 1 {
+		t.Fatalf("mixed spec file drew %d charts, want 1 (the timing spec's):\n%s", got, stdout.String())
+	}
+}
+
+// matrixFlagsSpec is the Spec document `-emit-spec -matrix` prints for
+// the flags of TestMatrixFlagsSpec, which CI's cached-matrix smoke runs;
+// a changed byte changes that run's cache key.
+const matrixFlagsSpec = `{
+  "version": 1,
+  "name": "Scenario matrix",
+  "arbiters": [
+    "SPAA-rotary",
+    "PIM1"
+  ],
+  "topology": {
+    "width": 4,
+    "height": 4
+  },
+  "workload": {
+    "patterns": [
+      "random"
+    ],
+    "processes": [
+      "bernoulli"
+    ],
+    "model": "coherence",
+    "rates": [
+      0.02,
+      0.04
+    ]
+  },
+  "timing": {
+    "cycles": 2000,
+    "seed": 1
+  }
+}
+`
+
+// TestMatrixFlagsSpec pins the Spec the -matrix flags build, byte for
+// byte.
+func TestMatrixFlagsSpec(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-emit-spec", "-matrix", "-algos", "SPAA-rotary,PIM1", "-patterns", "random",
+		"-processes", "bernoulli", "-rates", "0.02,0.04", "-size", "4x4", "-cycles", "2000",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if got := stdout.String(); got != matrixFlagsSpec {
+		t.Fatalf("-emit-spec -matrix printed\n%s\nwant\n%s", got, matrixFlagsSpec)
+	}
+}
+
 // TestTorusShardsFlagMatchesSerial is the CLI face of the spatial-sharding
 // byte-identity contract: the same -run with and without -torus-shards
 // must decode to equal Results, down to every point, once the one

@@ -1,6 +1,7 @@
 package alpha21364_test
 
 import (
+	"context"
 	"fmt"
 
 	"alpha21364"
@@ -49,23 +50,24 @@ func ExampleRunStandalone() {
 	// SPAA-base saturates between 4 and 5 matches/cycle: true
 }
 
-// ExampleRunTiming simulates a 16-processor 21364 torus at a light load
+// ExampleRunner_Run simulates a 16-processor 21364 torus at a light load
 // and confirms the zero-load latency band the paper calibrates in §4.3
 // (about 45 ns for the coherence mix in a 4x4 network).
-func ExampleRunTiming() {
-	res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-		Width: 4, Height: 4,
-		Kind:    alpha21364.SPAABase,
-		Pattern: "random",
-		Rate:    0.002,
-		Cycles:  20000,
-		Seed:    1,
-	})
+func ExampleRunner_Run() {
+	res, err := alpha21364.NewRunner().Run(context.Background(), alpha21364.NewSpec(
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.SPAABase.String()),
+		alpha21364.WithPatterns("random"),
+		alpha21364.WithRates(0.002),
+		alpha21364.WithCycles(20000),
+		alpha21364.WithSeed(1),
+	))
 	if err != nil {
 		panic(err)
 	}
+	p := res.Series[0].Points[0]
 	fmt.Printf("average latency within the zero-load band: %v\n",
-		res.AvgLatencyNS > 40 && res.AvgLatencyNS < 60)
+		p.AvgLatencyNS > 40 && p.AvgLatencyNS < 60)
 	// Output:
 	// average latency within the zero-load band: true
 }

@@ -23,29 +23,32 @@ func main() {
 // report to out. The test drives it at reduced fidelity; main uses 20000
 // cycles (the BNF sweep runs each point at half that).
 func run(out io.Writer, cycles int) error {
-	res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-		Width:   4,
-		Height:  4,
-		Kind:    alpha21364.SPAABase,
-		Pattern: "random",
-		Rate:    0.03,   // new transactions per node per router cycle
-		Cycles:  cycles, // router cycles at 1.2 GHz
-		Seed:    1,
-	})
+	// A Spec describes the simulation; a Runner executes it. This one has
+	// a single point: one arbiter at one rate.
+	runner := alpha21364.NewRunner()
+	res, err := runner.Run(context.Background(), alpha21364.NewSpec(
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.SPAABase.String()),
+		alpha21364.WithPatterns("random"),
+		alpha21364.WithRates(0.03),    // new transactions per node per router cycle
+		alpha21364.WithCycles(cycles), // router cycles at 1.2 GHz
+		alpha21364.WithSeed(1),
+	))
 	if err != nil {
 		return err
 	}
+	p := res.Series[0].Points[0]
 
 	fmt.Fprintln(out, "Alpha 21364 4x4 torus, SPAA arbitration, uniform coherence traffic")
-	fmt.Fprintf(out, "  delivered throughput: %.3f flits/router/ns (max 2.4)\n", res.Throughput)
-	fmt.Fprintf(out, "  average latency:      %.1f ns per packet\n", res.AvgLatencyNS)
-	fmt.Fprintf(out, "  packets delivered:    %d (%.2f hops on average)\n", res.Packets, res.MeanHops)
-	fmt.Fprintf(out, "  transactions:         %d completed\n", res.Completed)
+	fmt.Fprintf(out, "  delivered throughput: %.3f flits/router/ns (max 2.4)\n", p.Throughput)
+	fmt.Fprintf(out, "  average latency:      %.1f ns per packet\n", p.AvgLatencyNS)
+	fmt.Fprintf(out, "  packets delivered:    %d (%.2f hops on average)\n", p.Packets, p.MeanHops)
+	fmt.Fprintf(out, "  transactions:         %d completed\n", p.Completed)
 
 	// Sweep the load to trace a BNF curve (latency vs delivered
-	// throughput), the metric the paper reports in Figure 10. A Spec
-	// describes the sweep; a Runner simulates its rates concurrently.
-	sweep, err := alpha21364.NewRunner().Run(context.Background(), alpha21364.NewSpec(
+	// throughput), the metric the paper reports in Figure 10: with several
+	// rates, the Runner simulates them concurrently.
+	sweep, err := runner.Run(context.Background(), alpha21364.NewSpec(
 		alpha21364.WithName("quickstart BNF"),
 		alpha21364.WithTopology(4, 4),
 		alpha21364.WithArbiters(alpha21364.SPAABase.String()),

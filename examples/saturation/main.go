@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -29,28 +30,34 @@ func run(out io.Writer, cycles int) error {
 	fmt.Fprintln(out, "(delivered flits/router/ns as offered load rises)")
 	fmt.Fprintln(out)
 
+	// One Spec holds the whole table: a series per arbiter, a point per
+	// rate, simulated concurrently by the Runner.
 	rates := []float64{0.02, 0.04, 0.08, 0.13}
-	kinds := []alpha21364.Kind{
-		alpha21364.SPAABase, alpha21364.SPAARotary,
-		alpha21364.WFABase, alpha21364.WFARotary,
+	res, err := alpha21364.NewRunner().Run(context.Background(), alpha21364.NewSpec(
+		alpha21364.WithTopology(8, 8),
+		alpha21364.WithArbiters(
+			alpha21364.SPAABase.String(), alpha21364.SPAARotary.String(),
+			alpha21364.WFABase.String(), alpha21364.WFARotary.String(),
+		),
+		alpha21364.WithPatterns("random"),
+		alpha21364.WithRates(rates...),
+		alpha21364.WithMaxOutstanding(64),
+		alpha21364.WithCycles(cycles),
+		alpha21364.WithSeed(1),
+	))
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "%-12s", "rate")
-	for _, k := range kinds {
-		fmt.Fprintf(out, "  %-12s", k)
+	for _, s := range res.Series {
+		fmt.Fprintf(out, "  %-12s", s.Arbiter)
 	}
 	fmt.Fprintln(out)
-	for _, rate := range rates {
+	for i, rate := range rates {
 		fmt.Fprintf(out, "%-12.3f", rate)
-		for _, kind := range kinds {
-			res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-				Width: 8, Height: 8, Kind: kind, Pattern: "random",
-				Rate: rate, MaxOutstanding: 64, Cycles: cycles, Seed: 1,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  %-12.4f", res.Throughput)
+		for _, s := range res.Series {
+			fmt.Fprintf(out, "  %-12.4f", s.Points[i].Throughput)
 		}
 		fmt.Fprintln(out)
 	}

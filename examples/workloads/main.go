@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -31,25 +32,34 @@ func run(out io.Writer, cycles int) error {
 	fmt.Fprintln(out, "4x4 torus, SPAA-rotary: avg latency (ns) per pattern x process")
 	fmt.Fprintln(out)
 
+	// One Spec holds the whole grid: a series per pattern × process, in
+	// pattern-major order.
 	patterns := []string{"random", "transpose", "tornado", "neighbor", "hotspot"}
 	processes := alpha21364.ProcessNames()
+	runner := alpha21364.NewRunner()
+	ctx := context.Background()
+	grid, err := runner.Run(ctx, alpha21364.NewSpec(
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.SPAARotary.String()),
+		alpha21364.WithPatterns(patterns...),
+		alpha21364.WithProcesses(processes...),
+		alpha21364.WithRates(0.03),
+		alpha21364.WithCycles(cycles),
+		alpha21364.WithSeed(1),
+	))
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(out, "%-16s", "pattern")
 	for _, proc := range processes {
 		fmt.Fprintf(out, "  %-14s", proc)
 	}
 	fmt.Fprintln(out)
-	for _, pat := range patterns {
+	for i, pat := range patterns {
 		fmt.Fprintf(out, "%-16s", pat)
-		for _, proc := range processes {
-			res, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-				Width: 4, Height: 4, Kind: alpha21364.SPAARotary, Pattern: pat,
-				Process: proc, Rate: 0.03, Cycles: cycles, Seed: 1,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  %-14.1f", res.AvgLatencyNS)
+		for j := range processes {
+			fmt.Fprintf(out, "  %-14.1f", grid.Series[i*len(processes)+j].Points[0].AvgLatencyNS)
 		}
 		fmt.Fprintln(out)
 	}
@@ -63,12 +73,16 @@ func run(out io.Writer, cycles int) error {
 	defer os.RemoveAll(dir)
 	tracePath := filepath.Join(dir, "bursty-hotspot.trace")
 
-	setup := alpha21364.TimingSetup{
-		Width: 4, Height: 4, Kind: alpha21364.SPAARotary, Pattern: "hotspot",
-		Process: "onoff", Rate: 0.03, Cycles: cycles, Seed: 1,
-		RecordTo: tracePath,
-	}
-	recorded, err := alpha21364.RunTiming(setup)
+	recorded, err := runner.Run(ctx, alpha21364.NewSpec(
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.SPAARotary.String()),
+		alpha21364.WithPatterns("hotspot"),
+		alpha21364.WithProcesses("onoff"),
+		alpha21364.WithRates(0.03),
+		alpha21364.WithCycles(cycles),
+		alpha21364.WithSeed(1),
+		alpha21364.WithRecord(tracePath),
+	))
 	if err != nil {
 		return err
 	}
@@ -77,17 +91,20 @@ func run(out io.Writer, cycles int) error {
 		return err
 	}
 	fmt.Fprintf(out, "\nrecorded %d injections of a bursty hotspot run (SPAA-rotary: %.1f ns avg)\n",
-		len(trace.Events), recorded.AvgLatencyNS)
+		len(trace.Events), recorded.Series[0].Points[0].AvgLatencyNS)
 
-	replayed, err := alpha21364.RunTiming(alpha21364.TimingSetup{
-		Width: 4, Height: 4, Kind: alpha21364.PIM1, Cycles: cycles, Seed: 1,
-		ReplayFrom: tracePath,
-	})
+	replayed, err := runner.Run(ctx, alpha21364.NewSpec(
+		alpha21364.WithTopology(4, 4),
+		alpha21364.WithArbiters(alpha21364.PIM1.String()),
+		alpha21364.WithCycles(cycles),
+		alpha21364.WithSeed(1),
+		alpha21364.WithReplay(tracePath),
+	))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "replayed the same packet sequence under PIM1:      %.1f ns avg\n",
-		replayed.AvgLatencyNS)
+		replayed.Series[0].Points[0].AvgLatencyNS)
 	fmt.Fprintln(out, "\nSame packets, same ticks — only the arbiter changed.")
 	return nil
 }

@@ -100,132 +100,68 @@ func (o Options) ApplyStudy(sp *Spec) {
 	}
 }
 
-// NoWarmup is a TimingSetup.WarmupFraction sentinel requesting that no
-// cycles be excluded from statistics. (A literal 0 keeps the 0.2 default
-// so existing callers are unaffected.)
+// NoWarmup is a TimingSpec.WarmupFraction sentinel requesting that no
+// cycles be excluded from statistics. (A literal 0 keeps the 0.2
+// default.)
 const NoWarmup = -1.0
 
-// TimingSetup describes one timing-model run.
-type TimingSetup struct {
-	Width, Height  int
-	Kind           core.Kind
-	Pattern        string  // destination pattern name; "" means "random"
-	Rate           float64 // new transactions per node per router cycle
-	MaxOutstanding int     // 0 means the 21364 default of 16
-	ScalePipeline  bool    // Figure 11a's 2x-deep, 2x-fast pipeline
-	Cycles         int     // router cycles to simulate
-	// Process names the arrival process ("" or "bernoulli" is the paper's
-	// Bernoulli law; "onoff" is bursty, "deterministic" is fixed-rate; see
-	// workload.ProcessNames).
-	Process string
-	// Model names the transaction model ("" or "coherence" is the paper's
-	// 2-hop/3-hop mix; "datagram" is the open-loop single-packet model).
-	Model string
-	// RecordTo, when non-empty, captures the run's injection stream to a
-	// trace file at that path.
-	RecordTo string
-	// ReplayFrom, when non-empty, replays a recorded trace instead of
-	// generating traffic; Pattern, Rate, Process, and Model are ignored.
-	ReplayFrom string
-	// WarmupFraction is the share of the run excluded from statistics.
-	// 0 means the 0.2 default; a negative value (use NoWarmup) disables
-	// the warmup entirely so statistics cover the whole run.
-	WarmupFraction float64
-	Seed           uint64
-	// Check enables the online invariant oracle (internal/check): grant
-	// legality on every arbitration, periodic conservation/bounds sweeps
-	// with a packet-arena cross-check, and a deadlock watchdog. The first
-	// violation aborts the run with the structured report as the error.
-	// Checking never perturbs the simulation, so a clean checked run's
-	// results are identical to an unchecked one's.
-	Check bool
-	// Metrics enables the telemetry layer (internal/obs): per-router
-	// occupancy/stall/arbitration counters, per-link utilization, sink
-	// throughput, and a flight recorder per router (dumped by the deadlock
-	// watchdog when Check is also set). Like Check, telemetry only
-	// observes: the run's results are identical either way; the snapshot
-	// lands in TimingResult.Metrics.
-	Metrics bool
-	// EpochCycles, when positive, tracks delivered flits in epochs of that
-	// many router cycles, exposing the cyclic delivered-throughput pattern
-	// the paper describes for saturated networks (§3.4).
-	EpochCycles int
-	// TorusShards, when positive, partitions the torus into that many
-	// contiguous row bands, each owning its own tick-wheel engine,
-	// synchronized conservatively with lookahead equal to the link
-	// latency (CMB discipline; see internal/sim.ShardGroup). Results are
-	// byte-identical to a monolithic run at any shard count; 0 keeps the
-	// single-engine path. Must be at most Height.
-	TorusShards int
+// timingRun is one timing simulation's whole input: the Spec it expands
+// from, which runTiming reads for everything else, plus what the job
+// itself adds. router is the arbiter's default configuration with the
+// replication seed (which also seeds the workload), scaled when the Spec
+// asks for it; tests edit it to study routers no Spec describes.
+// pattern, process, and rate are the job's scenario point, all unset
+// for a replay.
+type timingRun struct {
+	spec             *Spec
+	router           router.Config
+	pattern, process string
+	rate             float64
 }
 
-// workloadConfig expands the setup into the workload decomposition:
-// either a replay of a recorded trace, or the configured pattern ×
-// process × model combination (defaulting to the paper's random ×
-// Bernoulli × coherence) under the outstanding-miss cap. period is the
-// router clock the run will use, stamped into recorded traces and
-// checked against replayed ones.
-func (s TimingSetup) workloadConfig(t topology.Torus, period sim.Ticks) (workload.Config, error) {
-	cfg := workload.Config{Pattern: workload.NewUniform(t), Seed: s.Seed}
-	if s.ReplayFrom != "" {
-		trace, err := workload.ReadTraceFile(s.ReplayFrom)
+func (tr *timingRun) run(ctx context.Context) (ResultPoint, error) { return runTiming(ctx, tr) }
+
+// workloadConfig expands the job into the workload decomposition: either
+// a replay of a recorded trace, or its pattern × process × model
+// combination under the outstanding-miss cap. The router clock is
+// stamped into recorded traces and checked against replayed ones.
+func (tr *timingRun) workloadConfig(t topology.Torus) (workload.Config, error) {
+	w, period, seed := tr.spec.Workload, tr.router.RouterPeriod, tr.router.Seed
+	cfg := workload.Config{Pattern: workload.NewUniform(t), Seed: seed}
+	if w.ReplayFrom != "" {
+		trace, err := workload.ReadTraceFile(w.ReplayFrom)
 		if err != nil {
 			return cfg, err
 		}
 		replay := workload.NewReplay(trace)
-		if err := replay.CheckCompatible(s.Width, s.Height, period); err != nil {
+		if err := replay.CheckCompatible(t.Width, t.Height, period); err != nil {
 			return cfg, err
 		}
 		cfg.Process, cfg.Model = workload.NewSilent(), replay
 	} else {
 		var err error
-		if s.Pattern != "" {
-			if cfg.Pattern, err = workload.NewPattern(s.Pattern, t); err != nil {
-				return cfg, err
-			}
-		}
-		if cfg.Process, err = workload.NewProcess(s.Process, s.Rate); err != nil {
+		if cfg.Pattern, err = workload.NewPattern(tr.pattern, t); err != nil {
 			return cfg, err
 		}
-		if cfg.Model, err = workload.NewModel(s.Model); err != nil {
+		if cfg.Process, err = workload.NewProcess(tr.process, tr.rate); err != nil {
 			return cfg, err
 		}
-		cfg.MaxOutstanding = s.MaxOutstanding
+		if cfg.Model, err = workload.NewModel(w.Model); err != nil {
+			return cfg, err
+		}
+		cfg.MaxOutstanding = w.MaxOutstanding
 		if cfg.MaxOutstanding <= 0 {
 			cfg.MaxOutstanding = 16
 		}
 	}
-	if s.RecordTo != "" {
+	if w.RecordTo != "" {
 		cfg.Record = &workload.Trace{
-			Width: s.Width, Height: s.Height, Period: period,
+			Width: t.Width, Height: t.Height, Period: period,
 			Label: fmt.Sprintf("kind=%v pattern=%s process=%s rate=%g seed=%d cycles=%d",
-				s.Kind, cfg.Pattern.Name(), cfg.Process.Name(), s.Rate, s.Seed, s.Cycles),
+				tr.router.Kind, cfg.Pattern.Name(), cfg.Process.Name(), tr.rate, seed, tr.spec.Timing.Cycles),
 		}
 	}
 	return cfg, nil
-}
-
-// TimingResult is one BNF point plus diagnostic counters.
-type TimingResult struct {
-	stats.Point
-	Completed    int64
-	DrainEntries int64
-	Collisions   int64
-	MeanHops     float64
-	// LatencyP50NS, LatencyP95NS, and LatencyP99NS are the packet-latency
-	// quantiles in nanoseconds, exact to the tick below 5.46 µs (see
-	// stats.Collector.PercentileLatencyNS).
-	LatencyP50NS float64
-	LatencyP95NS float64
-	LatencyP99NS float64
-	// EpochFlits and ThroughputCoV are filled when TimingSetup.EpochCycles
-	// is set: delivered flits per epoch and the coefficient of variation
-	// of the post-warmup epochs (a saturation-oscillation measure).
-	EpochFlits    []int64
-	ThroughputCoV float64
-	// Metrics is the run's telemetry snapshot when TimingSetup.Metrics is
-	// set, nil otherwise.
-	Metrics *obs.Snapshot
 }
 
 // installChecker wires the invariant oracle over a built simulation: the
@@ -272,75 +208,49 @@ func installChecker(eng *sim.Engine, net *network.Network, gen *workload.Generat
 	return chk
 }
 
-// cancelPollCycles is how often (in router cycles) a context-supervised
-// timing run polls for cancellation; it bounds how stale a cancel can go
+// cancelPollCycles is how often (in router cycles) a timing run polls
+// its context for cancellation; it bounds how stale a cancel can go
 // unnoticed inside one simulation.
 const cancelPollCycles = 512
 
-// RunTiming executes one timing simulation and returns its BNF point.
-func RunTiming(s TimingSetup) (TimingResult, error) {
-	return runTiming(nil, s, nil)
-}
-
-// RunTimingCtx is RunTiming under a context: cancellation stops the
-// simulation within cancelPollCycles router cycles and returns the
-// context's error. A nil context behaves like RunTiming.
-func RunTimingCtx(ctx context.Context, s TimingSetup) (TimingResult, error) {
-	return runTiming(ctx, s, nil)
-}
-
-// RunTimingWithRouter is RunTiming with a hook that may adjust the router
-// configuration before the network is built; the ablation benchmarks use
-// it to vary pipeline depth and initiation interval independently of the
-// per-algorithm defaults.
-func RunTimingWithRouter(s TimingSetup, mutate func(*router.Config)) (TimingResult, error) {
-	return runTiming(nil, s, mutate)
-}
-
-func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) (TimingResult, error) {
-	rcfg := router.DefaultConfig(s.Kind)
-	rcfg.Seed = s.Seed
-	if s.ScalePipeline {
-		rcfg = rcfg.ScalePipeline()
-	}
-	if mutate != nil {
-		mutate(&rcfg)
-	}
-	warmFrac := s.WarmupFraction
+// runTiming executes one timing simulation and returns its point.
+// Cancelling ctx stops the simulation within cancelPollCycles router
+// cycles and returns the context's error.
+func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
+	sp, rcfg := tr.spec, tr.router
+	width, height := sp.Topology.Width, sp.Topology.Height
+	warmFrac := sp.Timing.WarmupFraction
 	switch {
 	case warmFrac == 0:
 		warmFrac = 0.2
 	case warmFrac < 0:
 		warmFrac = 0
 	}
-	end := sim.Ticks(s.Cycles) * rcfg.RouterPeriod
+	end := sim.Ticks(sp.Timing.Cycles) * rcfg.RouterPeriod
 	warmup := sim.Ticks(float64(end) * warmFrac)
 
 	eng := sim.NewEngine()
 	col := stats.NewCollector(warmup)
 	var epochs *stats.EpochSeries
-	if s.EpochCycles > 0 {
-		epochLen := sim.Ticks(s.EpochCycles) * rcfg.RouterPeriod
+	epochLen := sim.Ticks(sp.Timing.EpochCycles) * rcfg.RouterPeriod
+	if epochLen > 0 {
 		epochs = col.TrackEpochs(epochLen)
 		epochs.Reserve(int(end/epochLen) + 1)
 	}
-	ncfg := network.Config{Width: s.Width, Height: s.Height, Router: rcfg}
+	ncfg := network.Config{Width: width, Height: height, Router: rcfg}
 	var net *network.Network
 	var sg *sim.ShardGroup
 	var err error
-	if s.TorusShards > 0 {
-		if s.TorusShards > s.Height {
-			return TimingResult{}, fmt.Errorf("experiment: torus shards %d exceeds height %d", s.TorusShards, s.Height)
-		}
-		part := topology.PartitionRows(topology.NewTorus(s.Width, s.Height), s.TorusShards)
+	if shards := sp.Timing.TorusShards; shards > 0 {
+		part := topology.PartitionRows(topology.NewTorus(width, height), shards)
 		members := make([]*sim.Engine, part.Shards())
 		for i := range members {
 			members[i] = sim.NewEngine()
 		}
-		pb := sim.NewPostBuffer(s.Width * s.Height)
+		pb := sim.NewPostBuffer(width * height)
 		net, err = network.NewSharded(ncfg, eng, members, part, pb, col)
 		if err != nil {
-			return TimingResult{}, err
+			return ResultPoint{}, err
 		}
 		sg = sim.NewShardGroup(eng, members, pb, net.Lookahead())
 		sg.SetEdge(rcfg.RouterPeriod, 0, net.TickShard)
@@ -348,17 +258,17 @@ func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) 
 	} else {
 		net, err = network.New(ncfg, eng, col)
 		if err != nil {
-			return TimingResult{}, err
+			return ResultPoint{}, err
 		}
 	}
-	wcfg, err := s.workloadConfig(net.Torus(), rcfg.RouterPeriod)
+	wcfg, err := tr.workloadConfig(net.Torus())
 	if err != nil {
-		return TimingResult{}, err
+		return ResultPoint{}, err
 	}
 	gen := workload.New(wcfg, net, eng, col)
 	eng.AddClock(rcfg.RouterPeriod, 0, gen)
 	var met *obs.SimMetrics
-	if s.Metrics {
+	if sp.Metrics {
 		met = obs.NewSimMetrics(net.Nodes(), net.NumLinks())
 		for node := 0; node < net.Nodes(); node++ {
 			r := net.Router(topology.Node(node))
@@ -368,27 +278,25 @@ func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) 
 		net.SetMetrics(&met.Network)
 	}
 	var chk *check.Checker
-	if s.Check {
+	if sp.Check {
 		chk = installChecker(eng, net, gen, rcfg.RouterPeriod, met)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return TimingResult{}, err
-		}
-		// A self-rescheduling no-op event polls the context; it never
-		// mutates simulation state, so an uncancelled supervised run stays
-		// byte-identical to an unsupervised one.
-		interval := sim.Ticks(cancelPollCycles) * rcfg.RouterPeriod
-		var poll func()
-		poll = func() {
-			if ctx.Err() != nil {
-				eng.Stop()
-				return
-			}
-			eng.ScheduleDelay(interval, poll)
+	if err := ctx.Err(); err != nil {
+		return ResultPoint{}, err
+	}
+	// A self-rescheduling no-op event polls the context; it never mutates
+	// simulation state, so an uncancelled run's results do not depend on
+	// the poll.
+	interval := sim.Ticks(cancelPollCycles) * rcfg.RouterPeriod
+	var poll func()
+	poll = func() {
+		if ctx.Err() != nil {
+			eng.Stop()
+			return
 		}
 		eng.ScheduleDelay(interval, poll)
 	}
+	eng.ScheduleDelay(interval, poll)
 	if sg != nil {
 		sg.Run(end)
 	} else {
@@ -397,44 +305,45 @@ func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) 
 	if chk != nil {
 		chk.Final(eng.Now())
 		if err := chk.Err(); err != nil {
-			return TimingResult{}, err
+			return ResultPoint{}, err
 		}
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return TimingResult{}, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return ResultPoint{}, err
 	}
 	if wcfg.Record != nil {
-		if err := wcfg.Record.WriteFile(s.RecordTo); err != nil {
-			return TimingResult{}, err
+		if err := wcfg.Record.WriteFile(sp.Workload.RecordTo); err != nil {
+			return ResultPoint{}, err
 		}
 	}
 
-	point := col.BNF(net.Nodes(), end)
-	point.OfferedRate = s.Rate
+	bnf := col.BNF(net.Nodes(), end)
 	c := net.TotalCounters()
 	lat := col.LatencySummaryNS()
-	res := TimingResult{
-		Point:        point,
+	pt := ResultPoint{
+		Rate:         tr.rate,
+		Throughput:   bnf.Throughput,
+		AvgLatencyNS: bnf.AvgLatencyNS,
+		LatencyP50NS: lat.P50NS,
+		LatencyP95NS: lat.P95NS,
+		LatencyP99NS: lat.P99NS,
+		Packets:      bnf.Packets,
 		Completed:    gen.Completed(),
 		DrainEntries: c.DrainEntries,
 		Collisions:   c.Collisions,
 		MeanHops:     col.MeanHops(),
-		LatencyP50NS: lat.P50NS,
-		LatencyP95NS: lat.P95NS,
-		LatencyP99NS: lat.P99NS,
 	}
 	if epochs != nil {
-		res.EpochFlits = epochs.Values()
-		warmEpochs := int(warmup / (sim.Ticks(s.EpochCycles) * rcfg.RouterPeriod))
+		pt.EpochFlits = epochs.Values()
 		// The last epoch may be partial (deliveries in flight at the end of
 		// the run); exclude it from the oscillation measure.
-		res.ThroughputCoV = epochs.CoefficientOfVariation(warmEpochs, len(res.EpochFlits)-1)
+		pt.ThroughputCoV = epochs.CoefficientOfVariation(int(warmup/epochLen), len(pt.EpochFlits)-1)
 	}
 	if met != nil {
 		met.Flush(end)
-		res.Metrics = met.Snapshot(s.Kind.String(), end)
+		pt.Metrics = met.Snapshot(rcfg.Kind.String(), end)
 	}
-	return res, nil
+	return pt, nil
 }
 
 // Panel is one BNF chart: several algorithms swept over the same loads.

@@ -1,61 +1,64 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-
-	"alpha21364/internal/core"
 )
 
 // benchOpts keeps experiment tests fast.
 var benchOpts = Options{Quick: true, CyclesOverride: 5000, MaxRatePoints: 3, Seed: 1}
 
 func TestRunTimingBasics(t *testing.T) {
-	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
-		Rate: 0.01, Cycles: 5000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	pt := runPoint(t, NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+		WithRates(0.01), WithCycles(5000), WithSeed(1),
+	))
+	if pt.Packets == 0 || pt.Throughput <= 0 {
+		t.Fatalf("empty result: %+v", pt)
 	}
-	if res.Packets == 0 || res.Throughput <= 0 {
-		t.Fatalf("empty result: %+v", res)
+	if pt.AvgLatencyNS < 40 {
+		t.Errorf("latency %.1f below the ~45 ns zero-load floor", pt.AvgLatencyNS)
 	}
-	if res.AvgLatencyNS < 40 {
-		t.Errorf("latency %.1f below the ~45 ns zero-load floor", res.AvgLatencyNS)
-	}
-	if res.Throughput > 2.4 {
-		t.Errorf("throughput %.3f exceeds the architectural bound", res.Throughput)
+	if pt.Throughput > 2.4 {
+		t.Errorf("throughput %.3f exceeds the architectural bound", pt.Throughput)
 	}
 }
 
 func TestRunTimingRejectsStandaloneAlgorithms(t *testing.T) {
-	_, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindMCM, Pattern: "random",
-		Rate: 0.01, Cycles: 100, Seed: 1,
-	})
+	_, err := runnerExec(1)(NewSpec(
+		WithTopology(4, 4), WithArbiters("MCM"), WithPatterns("random"),
+		WithRates(0.01), WithCycles(100), WithSeed(1),
+	))
 	if err == nil {
 		t.Fatal("MCM accepted by the timing model")
 	}
+}
+
+// throughputs runs one timing Spec and returns each series' first-point
+// throughput by arbiter.
+func throughputs(t *testing.T, sp Spec) map[string]float64 {
+	t.Helper()
+	res, err := runnerExec(0)(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, s := range res.Series {
+		out[s.Arbiter] = s.Points[0].Throughput
+	}
+	return out
 }
 
 // TestSPAABeatsWavesIn4x4 is the paper's headline timing claim at reduced
 // scale: SPAA-base delivers more than PIM1 and WFA-base under load in the
 // 4x4 random-traffic network.
 func TestSPAABeatsWavesIn4x4(t *testing.T) {
-	run := func(kind core.Kind) float64 {
-		res, err := RunTiming(TimingSetup{
-			Width: 4, Height: 4, Kind: kind, Pattern: "random",
-			Rate: 0.05, Cycles: 10000, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Throughput
-	}
-	spaa := run(core.KindSPAABase)
-	wfa := run(core.KindWFABase)
-	pim1 := run(core.KindPIM1)
+	tput := throughputs(t, NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base", "WFA-base", "PIM1"), WithPatterns("random"),
+		WithRates(0.05), WithCycles(10000), WithSeed(1),
+	))
+	spaa, wfa, pim1 := tput["SPAA-base"], tput["WFA-base"], tput["PIM1"]
 	if spaa <= wfa || spaa <= pim1 {
 		t.Fatalf("SPAA=%.4f not above WFA=%.4f / PIM1=%.4f", spaa, wfa, pim1)
 	}
@@ -64,23 +67,17 @@ func TestSPAABeatsWavesIn4x4(t *testing.T) {
 // TestRotaryHoldsThroughputBeyondSaturation checks the Rotary Rule claim
 // on the saturation companion setup (64 outstanding misses).
 func TestRotaryHoldsThroughputBeyondSaturation(t *testing.T) {
-	run := func(kind core.Kind) float64 {
-		res, err := RunTiming(TimingSetup{
-			Width: 8, Height: 8, Kind: kind, Pattern: "random",
-			Rate: 0.13, MaxOutstanding: 64, Cycles: 12000, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Throughput
-	}
+	tput := throughputs(t, NewSpec(
+		WithTopology(8, 8), WithArbiters("SPAA-base", "SPAA-rotary", "WFA-base", "WFA-rotary"),
+		WithPatterns("random"), WithRates(0.13), WithMaxOutstanding(64), WithCycles(12000), WithSeed(1),
+	))
 	// The collapse deepens with simulation length; at this short horizon a
 	// 40%+ advantage is already the paper's qualitative separation (full
 	// 75k-cycle runs show 2-7x, see EXPERIMENTS.md).
-	if base, rotary := run(core.KindSPAABase), run(core.KindSPAARotary); rotary < 1.4*base {
+	if base, rotary := tput["SPAA-base"], tput["SPAA-rotary"]; rotary < 1.4*base {
 		t.Errorf("SPAA-rotary %.4f not well above collapsed SPAA-base %.4f", rotary, base)
 	}
-	if base, rotary := run(core.KindWFABase), run(core.KindWFARotary); rotary < 1.4*base {
+	if base, rotary := tput["WFA-base"], tput["WFA-rotary"]; rotary < 1.4*base {
 		t.Errorf("WFA-rotary %.4f not well above collapsed WFA-base %.4f", rotary, base)
 	}
 }
@@ -207,22 +204,15 @@ func TestTableFormatting(t *testing.T) {
 // exactly, and the NoWarmup sentinel genuinely disables the warmup (a
 // request the old zero-means-default encoding could not express).
 func TestWarmupFractionSentinel(t *testing.T) {
-	base := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
-		Rate: 0.03, Cycles: 4000, Seed: 1,
-	}
-	run := func(frac float64) TimingResult {
-		s := base
-		s.WarmupFraction = frac
-		res, err := RunTiming(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func(frac float64) ResultPoint {
+		return runPoint(t, NewSpec(
+			WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+			WithRates(0.03), WithCycles(4000), WithSeed(1), WithWarmupFraction(frac),
+		))
 	}
 	def, explicit, none := run(0), run(0.2), run(NoWarmup)
-	if def.Point != explicit.Point {
-		t.Errorf("WarmupFraction 0 no longer matches explicit 0.2:\n%+v\n%+v", def.Point, explicit.Point)
+	if !reflect.DeepEqual(def, explicit) {
+		t.Errorf("WarmupFraction 0 no longer matches explicit 0.2:\n%+v\n%+v", def, explicit)
 	}
 	// With no warmup the collector sees every delivered packet, including
 	// the ones the 20% warmup window would have discarded.
@@ -232,16 +222,11 @@ func TestWarmupFractionSentinel(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindWFARotary, Pattern: "bit-reversal",
-		Rate: 0.03, Cycles: 4000, Seed: 7,
-	}
-	a, err := RunTiming(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := RunTiming(s)
-	if a.Point != b.Point || a.Completed != b.Completed || a.Collisions != b.Collisions {
-		t.Fatalf("same setup diverged:\n%+v\n%+v", a, b)
+	sp := NewSpec(
+		WithTopology(4, 4), WithArbiters("WFA-rotary"), WithPatterns("bit-reversal"),
+		WithRates(0.03), WithCycles(4000), WithSeed(7),
+	)
+	if a, b := runPoint(t, sp), runPoint(t, sp); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same spec diverged:\n%+v\n%+v", a, b)
 	}
 }

@@ -20,8 +20,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"alpha21364/internal/core"
-	"alpha21364/internal/router"
+	"alpha21364/internal/obs"
 )
 
 // goldenTimingFingerprint pins the timing-model matrix: 3 arbiters x
@@ -121,12 +120,32 @@ func TestGoldenFingerprintStandalone(t *testing.T) {
 	}
 }
 
+// drainRecord is the JSON record goldenDrainFingerprint hashes, one per
+// run: the hash was captured on these field names in this order, so
+// they must not change while the golden stands.
+type drainRecord struct {
+	OfferedRate   float64
+	Throughput    float64
+	AvgLatencyNS  float64
+	Packets       int64
+	Completed     int64
+	DrainEntries  int64
+	Collisions    int64
+	MeanHops      float64
+	LatencyP50NS  float64
+	LatencyP95NS  float64
+	LatencyP99NS  float64
+	EpochFlits    []int64
+	ThroughputCoV float64
+	Metrics       *obs.Snapshot
+}
+
 // TestGoldenFingerprintDrain pins the anti-starvation path (§3.4), which
 // the matrices above never reach: their runs are far shorter than the
 // 20,000-cycle default AntiStarvationAge. Every router kind runs a
 // saturating random load and a hotspot load with the age and threshold
 // lowered until the drain engages, with the oracle and telemetry on, and
-// the JSON of every TimingResult is hashed in order.
+// the JSON of every run's drainRecord is hashed in order.
 func TestGoldenFingerprintDrain(t *testing.T) {
 	cases := []struct {
 		pattern        string
@@ -137,22 +156,28 @@ func TestGoldenFingerprintDrain(t *testing.T) {
 		{"hotspot", 0.06, 150, 6},
 	}
 	h := sha256.New()
-	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFABase, core.KindWFARotary} {
+	for _, kind := range []string{"SPAA-base", "SPAA-rotary", "PIM1", "WFA-base", "WFA-rotary"} {
 		for _, tc := range cases {
-			res, err := RunTimingWithRouter(TimingSetup{
-				Width: 4, Height: 4, Kind: kind, Pattern: tc.pattern, Rate: tc.rate,
-				MaxOutstanding: 64, Cycles: 2000, Seed: 11, Check: true, Metrics: true,
-			}, func(c *router.Config) {
-				c.AntiStarvationAge = tc.age
-				c.AntiStarvationThreshold = tc.threshold
-			})
+			tr := pointRun(t, NewSpec(
+				WithTopology(4, 4), WithArbiters(kind), WithPatterns(tc.pattern), WithRates(tc.rate),
+				WithMaxOutstanding(64), WithCycles(2000), WithSeed(11), WithCheck(), WithMetrics(),
+			))
+			tr.router.AntiStarvationAge = tc.age
+			tr.router.AntiStarvationThreshold = tc.threshold
+			pt, err := runTiming(context.Background(), tr)
 			if err != nil {
-				t.Fatalf("%v %s: %v", kind, tc.pattern, err)
+				t.Fatalf("%s %s: %v", kind, tc.pattern, err)
 			}
-			if res.DrainEntries == 0 {
-				t.Errorf("%v %s: the drain never engaged", kind, tc.pattern)
+			if pt.DrainEntries == 0 {
+				t.Errorf("%s %s: the drain never engaged", kind, tc.pattern)
 			}
-			data, err := json.Marshal(res)
+			data, err := json.Marshal(drainRecord{
+				OfferedRate: pt.Rate, Throughput: pt.Throughput, AvgLatencyNS: pt.AvgLatencyNS,
+				Packets: pt.Packets, Completed: pt.Completed, DrainEntries: pt.DrainEntries,
+				Collisions: pt.Collisions, MeanHops: pt.MeanHops, LatencyP50NS: pt.LatencyP50NS,
+				LatencyP95NS: pt.LatencyP95NS, LatencyP99NS: pt.LatencyP99NS, EpochFlits: pt.EpochFlits,
+				ThroughputCoV: pt.ThroughputCoV, Metrics: pt.Metrics,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

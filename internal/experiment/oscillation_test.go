@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"testing"
-
-	"alpha21364/internal/core"
-)
+import "testing"
 
 // TestSaturationOscillation reproduces the paper's §3.4 observation that a
 // saturated network "produces a cyclic pattern of network link utilization
@@ -14,15 +10,11 @@ import (
 // steady.
 func TestSaturationOscillation(t *testing.T) {
 	run := func(rate float64, outstanding int) float64 {
-		res, err := RunTiming(TimingSetup{
-			Width: 8, Height: 8, Kind: core.KindSPAABase, Pattern: "random",
-			Rate: rate, MaxOutstanding: outstanding,
-			Cycles: 15000, Seed: 1, EpochCycles: 1500,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ThroughputCoV
+		return runPoint(t, NewSpec(
+			WithTopology(8, 8), WithArbiters("SPAA-base"), WithPatterns("random"),
+			WithRates(rate), WithMaxOutstanding(outstanding),
+			WithCycles(15000), WithSeed(1), WithEpochCycles(1500),
+		)).ThroughputCoV
 	}
 	light := run(0.01, 16)
 	saturated := run(0.09, 64)

@@ -101,26 +101,6 @@ type ResultPoint struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// timingPoint converts a TimingResult to the Result schema.
-func timingPoint(r TimingResult) ResultPoint {
-	return ResultPoint{
-		Rate:          r.OfferedRate,
-		Throughput:    r.Throughput,
-		AvgLatencyNS:  r.AvgLatencyNS,
-		LatencyP50NS:  r.LatencyP50NS,
-		LatencyP95NS:  r.LatencyP95NS,
-		LatencyP99NS:  r.LatencyP99NS,
-		Packets:       r.Packets,
-		Completed:     r.Completed,
-		DrainEntries:  r.DrainEntries,
-		Collisions:    r.Collisions,
-		MeanHops:      r.MeanHops,
-		EpochFlits:    r.EpochFlits,
-		ThroughputCoV: r.ThroughputCoV,
-		Metrics:       r.Metrics,
-	}
-}
-
 // statsPoint converts the point to the stats.Point BNF shape.
 func (p ResultPoint) statsPoint() stats.Point {
 	return stats.Point{

@@ -3,10 +3,11 @@ package experiment
 // runner.go is the parallel job pool under Runner.run: every sweep is a
 // set of independent simulations, and runJobs fans them across a bounded
 // pool of goroutines. Determinism is preserved by construction: each
-// job's entire input — setup, seed, rate — is captured by value before
-// dispatch, nothing is drawn from shared state while jobs execute, and
-// each job stores its result by index. Parallel output is therefore
-// byte-identical to serial output.
+// job's entire input — the Spec it reads, its router configuration with
+// the replication seed, its scenario point — is fixed before dispatch,
+// nothing mutable is shared while jobs execute, and each job stores its
+// result by index. Parallel output is therefore byte-identical to serial
+// output.
 
 import (
 	"context"

@@ -1,25 +1,53 @@
 package experiment
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"alpha21364/internal/core"
+	"alpha21364/internal/router"
 	"alpha21364/internal/workload"
 )
+
+// runPoint runs a one-point timing Spec through a serial Runner and
+// returns its point.
+func runPoint(t testing.TB, sp Spec) ResultPoint {
+	t.Helper()
+	res, err := runnerExec(1)(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Series[0].Points[0]
+}
+
+// pointRun expands a one-point timing Spec into its job input, whose
+// router configuration a caller may edit before runTiming.
+func pointRun(t testing.TB, sp Spec) *timingRun {
+	t.Helper()
+	pl, err := sp.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.jobs) != 1 {
+		t.Fatalf("spec expands to %d jobs, want 1", len(pl.jobs))
+	}
+	return pl.jobs[0].input.(*timingRun)
+}
 
 // TestScenarioMatrixParallelSerialIdentical runs the acceptance-criteria
 // matrix — six destination patterns × two arrival processes — for one
 // algorithm, in parallel and serially, and requires identical output.
 func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
-	base := TimingSetup{Width: 4, Height: 4, Cycles: 600, Seed: 3}
-	kinds := []core.Kind{core.KindSPAARotary}
 	patterns := []string{"random", "bit-reversal", "perfect-shuffle", "transpose", "tornado", "hotspot"}
 	processes := []string{"bernoulli", "onoff"}
-	rates := []float64{0.02}
-	sp := MatrixSpec(base, kinds, patterns, processes, rates)
+	sp := NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-rotary"),
+		WithPatterns(patterns...), WithProcesses(processes...), WithRates(0.02),
+		WithCycles(600), WithSeed(3),
+	)
 
 	serial, err := runnerExec(1)(sp)
 	if err != nil {
@@ -29,7 +57,7 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Series) != len(kinds)*len(patterns)*len(processes) {
+	if len(serial.Series) != len(patterns)*len(processes) {
 		t.Fatalf("matrix returned %d series", len(serial.Series))
 	}
 	serial.ElapsedNS, parallel.ElapsedNS = 0, 0
@@ -40,21 +68,24 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 		t.Fatal("parallel matrix CSV differs from serial")
 	}
 	for _, s := range serial.Series {
-		if len(s.Points) != len(rates) || s.Points[0].Packets == 0 {
+		if len(s.Points) != 1 || s.Points[0].Packets == 0 {
 			t.Errorf("%s delivered nothing", s.Label)
 		}
 	}
 }
 
-// TestScenarioMatrixOrder: MatrixSpec series come back in matrix order —
-// kinds outermost, then patterns, then processes (defaulting to
+// TestScenarioMatrixOrder: matrix series come back in matrix order —
+// arbiters outermost, then patterns, then processes (defaulting to
 // Bernoulli) — with one point per rate, regardless of completion order.
 func TestScenarioMatrixOrder(t *testing.T) {
-	base := TimingSetup{Width: 4, Height: 4, Cycles: 300, Seed: 1}
 	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
 	patterns := []string{"random", "tornado"}
 	rates := []float64{0.01, 0.02}
-	res, err := runnerExec(0)(MatrixSpec(base, kinds, patterns, nil, rates))
+	res, err := runnerExec(0)(NewSpec(
+		WithTopology(4, 4), WithArbiters(kindNames(kinds)...),
+		WithPatterns(patterns...), WithRates(rates...),
+		WithCycles(300), WithSeed(1),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,53 +106,75 @@ func TestScenarioMatrixOrder(t *testing.T) {
 	}
 }
 
-// TestMatrixSpecCarriesSetup: every TimingSetup field with a Spec home
-// survives MatrixSpec and expansion into every job's setup, so a caller
-// who asks for telemetry, sharding, or any other setting gets it. Only
-// the axes (Kind, Pattern, Process, Rate) come from MatrixSpec's other
-// arguments.
+// TestMatrixSpecCarriesSetup: expansion gives every job of a matrix
+// Spec the Spec itself, which runTiming reads for every setting it
+// holds, plus what the job adds: its arbiter's default router with the
+// replication's seed (scaled when the Spec asks) and its own pattern,
+// process, and rate. A replay job adds no scenario point.
 func TestMatrixSpecCarriesSetup(t *testing.T) {
-	sweep := TimingSetup{
-		Width: 8, Height: 2, MaxOutstanding: 64, ScalePipeline: true, Cycles: 1234,
-		Model: "datagram", WarmupFraction: NoWarmup, Seed: 99, Check: true, Metrics: true,
-		EpochCycles: 50, TorusShards: 2,
+	spec := func(opts ...SpecOption) Spec {
+		return NewSpec(append([]SpecOption{
+			WithTopology(8, 2), WithScaledPipeline(), WithCycles(1234),
+			WithWarmupFraction(NoWarmup), WithSeed(99), WithCheck(), WithMetrics(),
+			WithEpochCycles(50), WithTorusShards(2),
+		}, opts...)...)
 	}
-	recording, replay := sweep, sweep
-	recording.RecordTo = "run.trace"
-	replay.Model, replay.ReplayFrom = "", "run.trace" // a replay fixes the model too
-	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
 	for _, tc := range []struct {
-		name                string
-		base                TimingSetup
-		kinds               []core.Kind
-		patterns, processes []string
-		rates               []float64
+		name string
+		spec Spec
 	}{
-		{"sweep", sweep, kinds, []string{"random", "tornado"}, []string{"bernoulli", "onoff"}, []float64{0.01, 0.02}},
-		{"recording", recording, kinds[:1], []string{"tornado"}, []string{"onoff"}, []float64{0.02}},
-		{"replay", replay, kinds, nil, nil, nil},
+		{"sweep", spec(WithArbiters("SPAA-base", "PIM1"), WithReplications(2), WithMaxOutstanding(64),
+			WithModel("datagram"), WithPatterns("random", "tornado"), WithProcesses("bernoulli", "onoff"),
+			WithRates(0.01, 0.02))},
+		{"recording", spec(WithArbiters("SPAA-base"), WithMaxOutstanding(64),
+			WithPatterns("tornado"), WithProcesses("onoff"), WithRates(0.02), WithRecord("run.trace"))},
+		{"replay", spec(WithArbiters("SPAA-base", "PIM1"), WithReplications(2), WithReplay("run.trace"))},
 	} {
-		pl, err := MatrixSpec(tc.base, tc.kinds, tc.patterns, tc.processes, tc.rates).expand()
+		pl, err := tc.spec.expand()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, j := range pl.jobs {
-			got := *j.setup
-			got.Kind, got.Pattern, got.Process, got.Rate = 0, "", "", 0
-			if got != tc.base {
-				t.Errorf("%s: job %q runs with\n%+v, want\n%+v", tc.name, j.label, got, tc.base)
+			tr := j.input.(*timingRun)
+			if !reflect.DeepEqual(*tr.spec, tc.spec) {
+				t.Errorf("%s: job %q reads %+v, want its Spec %+v", tc.name, j.label, *tr.spec, tc.spec)
+			}
+			meta := pl.series[j.series].meta
+			kind, _ := core.ParseKind(meta.Arbiter)
+			want := router.DefaultConfig(kind)
+			want.Seed = repSeed(99, j.rep)
+			want = want.ScalePipeline()
+			if !reflect.DeepEqual(tr.router, want) {
+				t.Errorf("%s: job %q runs router\n%+v, want\n%+v", tc.name, j.label, tr.router, want)
+			}
+			var rate float64
+			if w := tc.spec.Workload; w.ReplayFrom == "" {
+				rate = w.Rates[j.point]
+			}
+			if tr.pattern != meta.Pattern || tr.process != meta.Process || tr.rate != rate {
+				t.Errorf("%s: job %q runs %s/%s @ %g, want %s/%s @ %g", tc.name, j.label,
+					tr.pattern, tr.process, tr.rate, meta.Pattern, meta.Process, rate)
 			}
 		}
 	}
 }
 
-// recordSetup is the shared recording scenario of the replay tests.
-func recordSetup(dir string) TimingSetup {
-	return TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: "hotspot",
-		Rate: 0.02, Cycles: 1500, Seed: 11,
-		RecordTo: filepath.Join(dir, "run.trace"),
-	}
+// recordSpec is the shared recording scenario of the replay tests.
+func recordSpec(dir string, opts ...SpecOption) Spec {
+	return NewSpec(append([]SpecOption{
+		WithTopology(4, 4), WithArbiters("SPAA-rotary"), WithPatterns("hotspot"),
+		WithRates(0.02), WithCycles(1500), WithSeed(11),
+		WithRecord(filepath.Join(dir, "run.trace")),
+	}, opts...)...)
+}
+
+// replaySpec replays the trace at path under arbiter on a torus of the
+// given size; opts override or extend it.
+func replaySpec(path, arbiter string, size, cycles int, opts ...SpecOption) Spec {
+	return NewSpec(append([]SpecOption{
+		WithTopology(size, size), WithArbiters(arbiter), WithCycles(cycles), WithSeed(11),
+		WithReplay(path),
+	}, opts...)...)
 }
 
 // TestRecordReplayByteIdentical is the determinism half of the trace
@@ -129,27 +182,14 @@ func recordSetup(dir string) TimingSetup {
 // seed reproduces the recorded run's statistics bit for bit — same
 // throughput, same latencies, same per-packet counters.
 func TestRecordReplayByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	rec := recordSetup(dir)
-	recorded, err := RunTiming(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replay := TimingSetup{
-		Width: rec.Width, Height: rec.Height, Kind: rec.Kind,
-		Cycles: rec.Cycles, Seed: rec.Seed,
-		ReplayFrom: rec.RecordTo,
-	}
-	replayed, err := RunTiming(replay)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recordSpec(t.TempDir())
+	recorded := runPoint(t, rec)
+	replayed := runPoint(t, replaySpec(rec.Workload.RecordTo, "SPAA-rotary", 4, 1500))
 	// The replay is open-loop, so transaction bookkeeping (Completed)
-	// legitimately differs; everything measured from packets must match
-	// exactly.
+	// legitimately differs, and it has no rate axis; everything measured
+	// from packets must match exactly.
 	recorded.Completed, replayed.Completed = 0, 0
-	recorded.OfferedRate, replayed.OfferedRate = 0, 0
+	recorded.Rate = 0
 	if !reflect.DeepEqual(recorded, replayed) {
 		t.Fatalf("replay diverged from the recorded run:\nrecorded %+v\nreplayed %+v", recorded, replayed)
 	}
@@ -161,24 +201,22 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 // even though the measured performance differs.
 func TestReplayCrossArbiterSameInjections(t *testing.T) {
 	dir := t.TempDir()
-	rec := recordSetup(dir)
-	if _, err := RunTiming(rec); err != nil {
-		t.Fatal(err)
-	}
-	original, err := workload.ReadTraceFile(rec.RecordTo)
+	rec := recordSpec(dir)
+	runPoint(t, rec)
+	original, err := workload.ReadTraceFile(rec.Workload.RecordTo)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindPIM1, core.KindWFABase} {
-		rerec := filepath.Join(dir, "replay-"+kind.String()+".trace")
-		replay := TimingSetup{
-			Width: rec.Width, Height: rec.Height, Kind: kind,
-			Cycles: rec.Cycles, Seed: rec.Seed,
-			ReplayFrom: rec.RecordTo,
-			RecordTo:   rerec,
-		}
-		if _, err := RunTiming(replay); err != nil {
+	for _, kind := range []string{"SPAA-rotary", "PIM1", "WFA-base"} {
+		rerec := filepath.Join(dir, "replay-"+kind+".trace")
+		tr := pointRun(t, replaySpec(rec.Workload.RecordTo, kind, 4, 1500))
+		// Spec.Validate rejects re-recording a replay, which only this
+		// check needs: record straight from the job input.
+		w := *tr.spec.Workload
+		w.RecordTo = rerec
+		tr.spec.Workload = &w
+		if _, err := runTiming(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		got, err := workload.ReadTraceFile(rerec)
@@ -186,7 +224,7 @@ func TestReplayCrossArbiterSameInjections(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(original.Events, got.Events) {
-			t.Fatalf("%v: replay injected a different packet sequence (%d vs %d events)",
+			t.Fatalf("%s: replay injected a different packet sequence (%d vs %d events)",
 				kind, len(got.Events), len(original.Events))
 		}
 	}
@@ -195,17 +233,9 @@ func TestReplayCrossArbiterSameInjections(t *testing.T) {
 // TestReplayRejectsWrongTorus: a trace recorded on one machine size must
 // not silently replay on another.
 func TestReplayRejectsWrongTorus(t *testing.T) {
-	dir := t.TempDir()
-	rec := recordSetup(dir)
-	rec.Cycles = 200
-	if _, err := RunTiming(rec); err != nil {
-		t.Fatal(err)
-	}
-	bad := TimingSetup{
-		Width: 8, Height: 8, Kind: core.KindSPAARotary, Cycles: 200, Seed: 1,
-		ReplayFrom: rec.RecordTo,
-	}
-	if _, err := RunTiming(bad); err == nil {
+	rec := recordSpec(t.TempDir(), WithCycles(200))
+	runPoint(t, rec)
+	if _, err := runnerExec(1)(replaySpec(rec.Workload.RecordTo, "SPAA-rotary", 8, 200)); err == nil {
 		t.Fatal("replay on the wrong torus size was accepted")
 	}
 }
@@ -213,11 +243,8 @@ func TestReplayRejectsWrongTorus(t *testing.T) {
 // TestReplayMissingTraceFails: a missing trace file is a run error, not a
 // silent empty run.
 func TestReplayMissingTraceFails(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAARotary, Cycles: 100, Seed: 1,
-		ReplayFrom: filepath.Join(t.TempDir(), "missing.trace"),
-	}
-	if _, err := RunTiming(s); err == nil {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	if _, err := runnerExec(1)(replaySpec(missing, "SPAA-rotary", 4, 100)); err == nil {
 		t.Fatal("missing trace accepted")
 	}
 }
@@ -225,19 +252,16 @@ func TestReplayMissingTraceFails(t *testing.T) {
 // TestDatagramModelRuns exercises the open-loop model end to end through
 // the timing harness.
 func TestDatagramModelRuns(t *testing.T) {
-	res, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
-		Rate: 0.02, Cycles: 1000, Seed: 1, Model: "datagram",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Packets == 0 {
+	pt := runPoint(t, NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+		WithRates(0.02), WithCycles(1000), WithSeed(1), WithModel("datagram"),
+	))
+	if pt.Packets == 0 {
 		t.Fatal("datagram model delivered nothing")
 	}
 	// Open loop: every demand becomes exactly one packet, so the
 	// transaction counter tracks injections, not protocol round trips.
-	if res.Completed == 0 {
+	if pt.Completed == 0 {
 		t.Fatal("datagram model completed no demands")
 	}
 }
@@ -246,19 +270,19 @@ func TestDatagramModelRuns(t *testing.T) {
 // process must deliver a comparable packet count (same offered load) to
 // Bernoulli's.
 func TestProcessesChangeDynamicsNotLoad(t *testing.T) {
-	run := func(process string) int64 {
-		res, err := RunTiming(TimingSetup{
-			Width: 4, Height: 4, Kind: core.KindSPAARotary, Pattern: "random",
-			Rate: 0.01, Cycles: 8000, Seed: 5, Process: process,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Packets
+	res, err := runnerExec(0)(NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-rotary"), WithPatterns("random"),
+		WithProcesses("bernoulli", "onoff", "deterministic"),
+		WithRates(0.01), WithCycles(8000), WithSeed(5),
+	))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bern := run("bernoulli")
-	burst := run("onoff")
-	det := run("deterministic")
+	packets := map[string]int64{}
+	for _, s := range res.Series {
+		packets[s.Process] = s.Points[0].Packets
+	}
+	bern, burst, det := packets["bernoulli"], packets["onoff"], packets["deterministic"]
 	if bern == 0 || burst == 0 || det == 0 {
 		t.Fatalf("empty run: bernoulli=%d onoff=%d deterministic=%d", bern, burst, det)
 	}
@@ -279,9 +303,7 @@ func TestRecordWriteFailureSurfaces(t *testing.T) {
 	if err := os.Chmod(dir, 0o500); err != nil {
 		t.Fatal(err)
 	}
-	s := recordSetup(filepath.Join(dir, "sub"))
-	s.Cycles = 100
-	if _, err := RunTiming(s); err == nil {
+	if _, err := runnerExec(1)(recordSpec(filepath.Join(dir, "sub"), WithCycles(100))); err == nil {
 		t.Fatal("record into unwritable directory succeeded")
 	}
 }
@@ -289,10 +311,10 @@ func TestRecordWriteFailureSurfaces(t *testing.T) {
 // TestBitPatternOnNonPowerOfTwoIsAnError: a bad pattern/torus pairing is
 // a setup error, not a mid-simulation panic.
 func TestBitPatternOnNonPowerOfTwoIsAnError(t *testing.T) {
-	_, err := RunTiming(TimingSetup{
-		Width: 5, Height: 3, Kind: core.KindSPAARotary, Pattern: "bit-reversal",
-		Rate: 0.01, Cycles: 100, Seed: 1,
-	})
+	_, err := runnerExec(1)(NewSpec(
+		WithTopology(5, 3), WithArbiters("SPAA-rotary"), WithPatterns("bit-reversal"),
+		WithRates(0.01), WithCycles(100), WithSeed(1),
+	))
 	if err == nil {
 		t.Fatal("bit-reversal on a 5x3 torus did not error")
 	}
@@ -302,24 +324,14 @@ func TestBitPatternOnNonPowerOfTwoIsAnError(t *testing.T) {
 // (2x-fast) pipeline must not replay on the default clock, where its
 // clock-phase events would fall between edges and silently vanish.
 func TestReplayRejectsDifferentClock(t *testing.T) {
-	dir := t.TempDir()
-	rec := recordSetup(dir)
-	rec.Cycles = 200
-	rec.ScalePipeline = true
-	if _, err := RunTiming(rec); err != nil {
-		t.Fatal(err)
-	}
-	bad := TimingSetup{
-		Width: rec.Width, Height: rec.Height, Kind: rec.Kind, Cycles: 200, Seed: 1,
-		ReplayFrom: rec.RecordTo,
-	}
-	if _, err := RunTiming(bad); err == nil {
+	rec := recordSpec(t.TempDir(), WithCycles(200), WithScaledPipeline())
+	runPoint(t, rec)
+	if _, err := runnerExec(1)(replaySpec(rec.Workload.RecordTo, "SPAA-rotary", 4, 200)); err == nil {
 		t.Fatal("replay on a different router clock was accepted")
 	}
 	// On the matching clock it replays fine.
-	good := bad
-	good.ScalePipeline = true
-	if _, err := RunTiming(good); err != nil {
+	good := replaySpec(rec.Workload.RecordTo, "SPAA-rotary", 4, 200, WithScaledPipeline())
+	if _, err := runnerExec(1)(good); err != nil {
 		t.Fatalf("replay on the recording clock failed: %v", err)
 	}
 }

@@ -224,7 +224,7 @@ func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result,
 			i = queue[k]
 		}
 		pj := &pl.jobs[i]
-		pt, err := pj.run(ctx)
+		pt, err := pj.input.run(ctx)
 		if err != nil {
 			return err
 		}

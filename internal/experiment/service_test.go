@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"alpha21364/internal/core"
 )
 
 // quickOpts keeps the acceptance runs fast: short simulations, two rate
@@ -269,25 +267,6 @@ func TestRunnerCancelInsideSimulation(t *testing.T) {
 	}
 }
 
-// TestRunTimingCtxMatchesRunTiming: an uncancelled supervised run is
-// byte-identical to an unsupervised one (the poll events are inert).
-func TestRunTimingCtxMatchesRunTiming(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAARotary, Rate: 0.02, Cycles: 2000, Seed: 7,
-	}
-	plain, err := RunTiming(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	supervised, err := RunTimingCtx(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, supervised) {
-		t.Errorf("ctx-supervised run diverged:\nplain      %+v\nsupervised %+v", plain, supervised)
-	}
-}
-
 // runnerOverheadAllocs bounds the Runner's own allocations on one run of
 // the standalone-fig8-shaped Spec below: Run's allocations minus those of
 // expanding the Spec and calling every job directly. It is the value
@@ -318,7 +297,7 @@ func TestRunnerOverheadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pj := range pl.jobs {
-			if _, err := pj.run(ctx); err != nil {
+			if _, err := pj.input.run(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}

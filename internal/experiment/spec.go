@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"alpha21364/internal/core"
+	"alpha21364/internal/router"
 	"alpha21364/internal/standalone"
 	"alpha21364/internal/topology"
 	"alpha21364/internal/workload"
@@ -500,6 +501,8 @@ func (s Spec) validateTiming() error {
 			return specErr("replay_from contradicts model (the trace fixes transactions)")
 		case w.RecordTo != "":
 			return specErr("replay_from contradicts record_to (re-recording a replay is a no-op)")
+		case w.MaxOutstanding != 0:
+			return specErr("replay_from contradicts max_outstanding (the trace fixes the injection stream)")
 		}
 		return nil
 	}
@@ -698,8 +701,13 @@ type planJob struct {
 	point  int
 	rep    int
 	label  string
-	setup  *TimingSetup // a timing job's whole input; nil for standalone jobs
-	run    func(ctx context.Context) (ResultPoint, error)
+	input  jobInput
+}
+
+// jobInput is one simulation's whole input, fixed at expansion: a
+// *timingRun or a *standaloneRun. run simulates it into its point.
+type jobInput interface {
+	run(ctx context.Context) (ResultPoint, error)
 }
 
 // plan is a validated, fully-expanded Spec: the flat series-major job
@@ -738,18 +746,15 @@ func repLabel(label string, rep, reps int) string {
 func (s Spec) expandTiming() (*plan, error) {
 	pl := &plan{spec: s, reps: s.reps(), confidence: s.confidence()}
 	w := s.Workload
-	base := TimingSetup{
-		Width:          s.Topology.Width,
-		Height:         s.Topology.Height,
-		MaxOutstanding: w.MaxOutstanding,
-		Cycles:         s.Timing.Cycles,
-		WarmupFraction: s.Timing.WarmupFraction,
-		ScalePipeline:  s.Timing.ScalePipeline,
-		EpochCycles:    s.Timing.EpochCycles,
-		TorusShards:    s.Timing.TorusShards,
-		Seed:           s.Timing.Seed,
-		Check:          s.Check,
-		Metrics:        s.Metrics,
+	// newRun starts replication rep of one job on arbiter k: the kind's
+	// default router, seeded for the replication, on the Spec's pipeline.
+	newRun := func(k core.Kind, rep int) *timingRun {
+		rcfg := router.DefaultConfig(k)
+		rcfg.Seed = repSeed(s.Timing.Seed, rep)
+		if s.Timing.ScalePipeline {
+			rcfg = rcfg.ScalePipeline()
+		}
+		return &timingRun{spec: &pl.spec, router: rcfg}
 	}
 	if w.ReplayFrom != "" {
 		for _, name := range s.Arbiters {
@@ -760,17 +765,12 @@ func (s Spec) expandTiming() (*plan, error) {
 				jobs: pl.reps,
 			})
 			for rep := 0; rep < pl.reps; rep++ {
-				setup := base
-				setup.Kind = k
-				setup.ReplayFrom = w.ReplayFrom
-				setup.Seed = repSeed(base.Seed, rep)
 				pl.jobs = append(pl.jobs, planJob{
 					series: si,
 					rep:    rep,
 					label: repLabel(fmt.Sprintf("%s / %v replaying %s", s.title(), k, w.ReplayFrom),
 						rep, pl.reps),
-					setup: &setup,
-					run:   timingJob(&setup),
+					input: newRun(k, rep),
 				})
 			}
 		}
@@ -804,22 +804,15 @@ func (s Spec) expandTiming() (*plan, error) {
 				})
 				for pi, rate := range w.Rates {
 					for rep := 0; rep < pl.reps; rep++ {
-						setup := base
-						setup.Kind = k
-						setup.Pattern = pat
-						setup.Process = proc
-						setup.Model = w.Model
-						setup.Rate = rate
-						setup.RecordTo = w.RecordTo
-						setup.Seed = repSeed(base.Seed, rep)
+						tr := newRun(k, rep)
+						tr.pattern, tr.process, tr.rate = pat, proc, rate
 						pl.jobs = append(pl.jobs, planJob{
 							series: si,
 							point:  pi,
 							rep:    rep,
 							label: repLabel(fmt.Sprintf("%s / %s @ %g", s.title(), label, rate),
 								rep, pl.reps),
-							setup: &setup,
-							run:   timingJob(&setup),
+							input: tr,
 						})
 					}
 				}
@@ -839,15 +832,34 @@ func (s Spec) title() string {
 	return "sweep"
 }
 
-// timingJob wraps one timing setup as a plan job.
-func timingJob(setup *TimingSetup) func(ctx context.Context) (ResultPoint, error) {
-	return func(ctx context.Context) (ResultPoint, error) {
-		res, err := runTiming(ctx, *setup, nil)
-		if err != nil {
+// standaloneRun is one standalone simulation's whole input.
+type standaloneRun struct {
+	kind  core.Kind
+	cfg   standalone.Config
+	axis  float64 // the axis value the point reports
+	check bool
+}
+
+func (sr *standaloneRun) run(ctx context.Context) (ResultPoint, error) {
+	if err := ctx.Err(); err != nil {
+		return ResultPoint{}, err
+	}
+	var res standalone.Result
+	if sr.check {
+		var err error
+		if res, err = standalone.RunChecked(sr.kind, sr.cfg); err != nil {
 			return ResultPoint{}, err
 		}
-		return timingPoint(res), nil
+	} else {
+		res = standalone.Run(sr.kind, sr.cfg)
 	}
+	return ResultPoint{
+		Axis:            sr.axis,
+		MatchesPerCycle: res.MatchesPerCycle,
+		OfferedPerCycle: res.OfferedPerCycle,
+		DroppedPerCycle: res.DroppedPerCycle,
+		MeanQueueLen:    res.MeanQueueLen,
+	}, nil
 }
 
 func (s Spec) expandStandalone() (*plan, error) {
@@ -862,7 +874,6 @@ func (s Spec) expandStandalone() (*plan, error) {
 	if needSat {
 		pl.saturationLoad = standalone.MCMSaturationLoad(cfg)
 	}
-	check := s.Check
 	for _, name := range s.Arbiters {
 		k, _ := core.ParseKind(name)
 		si := len(pl.series)
@@ -888,33 +899,12 @@ func (s Spec) expandStandalone() (*plan, error) {
 					}
 					c.Occupancy = v
 				}
-				kind, axisValue := k, v
 				pl.jobs = append(pl.jobs, planJob{
 					series: si,
 					point:  pi,
 					rep:    rep,
 					label:  repLabel(fmt.Sprintf("%s / %v @ %g", s.title(), k, v), rep, pl.reps),
-					run: func(ctx context.Context) (ResultPoint, error) {
-						if ctx != nil && ctx.Err() != nil {
-							return ResultPoint{}, ctx.Err()
-						}
-						var res standalone.Result
-						if check {
-							var err error
-							if res, err = standalone.RunChecked(kind, c); err != nil {
-								return ResultPoint{}, err
-							}
-						} else {
-							res = standalone.Run(kind, c)
-						}
-						return ResultPoint{
-							Axis:            axisValue,
-							MatchesPerCycle: res.MatchesPerCycle,
-							OfferedPerCycle: res.OfferedPerCycle,
-							DroppedPerCycle: res.DroppedPerCycle,
-							MeanQueueLen:    res.MeanQueueLen,
-						}, nil
-					},
+					input:  &standaloneRun{kind: k, cfg: c, axis: v, check: s.Check},
 				})
 			}
 		}

@@ -153,6 +153,9 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"replay with record", func(s *Spec) {
 			s.Workload = &WorkloadSpec{ReplayFrom: "x.trace", RecordTo: "y.trace"}
 		}, "record_to"},
+		{"replay with max_outstanding", func(s *Spec) {
+			s.Workload = &WorkloadSpec{ReplayFrom: "x.trace", MaxOutstanding: 1}
+		}, "contradicts max_outstanding"},
 		{"standalone section on timing spec", func(s *Spec) {
 			s.Standalone = &StandaloneSpec{Cycles: 10, Axis: AxisLoad, Values: []float64{1}}
 		}, "standalone section"},

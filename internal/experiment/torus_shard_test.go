@@ -1,7 +1,7 @@
 package experiment
 
 // torus_shard_test.go gates the spatially-sharded simulation path
-// (TimingSetup.TorusShards / spec torus_shards) on the same golden
+// (spec torus_shards) on the same golden
 // fingerprints that pin the monolithic engine: a sharded run must
 // reproduce the canned arbiter × pattern figure matrix byte for byte at
 // every shard count. The only permitted difference is the spec's own
@@ -15,8 +15,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"alpha21364/internal/core"
 )
 
 // runTorusShardedFingerprint runs the canned timing matrix with the
@@ -49,53 +47,48 @@ func TestTorusShardedGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// TestTorusShardedMatchesMonolithicWithOracle runs a checked,
-// instrumented, epoch-tracked point both ways and compares the full
-// TimingResult — covering the oracle hooks and telemetry counters under
-// concurrent edge workers, which the fingerprint (spec-level, unchecked)
-// does not. This is the race-pools target: under -race it sweeps the
-// checker's per-router scratch, the per-shard flight slots, and the
-// wavefront's publish/wait flags.
+// TestTorusShardedMatchesMonolithicWithOracle runs checked,
+// instrumented, epoch-tracked points both ways and compares every
+// field of every point — covering the oracle hooks and telemetry
+// counters under concurrent edge workers, which the fingerprint
+// (spec-level, unchecked) does not. This is the race-pools target: under
+// -race it sweeps the checker's per-router scratch, the per-shard flight
+// slots, and the wavefront's publish/wait flags.
 func TestTorusShardedMatchesMonolithicWithOracle(t *testing.T) {
-	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindPIM1, core.KindWFABase} {
-		base := TimingSetup{
-			Width: 4, Height: 4, Kind: kind, Pattern: "bit-reversal",
-			Rate: 0.06, Cycles: 1000, Seed: 11,
-			Check: true, Metrics: true, EpochCycles: 100,
-		}
-		mono, err := RunTiming(base)
+	run := func(shards int) []ResultSeries {
+		t.Helper()
+		res, err := runnerExec(1)(NewSpec(
+			WithTopology(4, 4), WithArbiters("SPAA-rotary", "PIM1", "WFA-base"),
+			WithPatterns("bit-reversal"), WithRates(0.06), WithCycles(1000), WithSeed(11),
+			WithCheck(), WithMetrics(), WithEpochCycles(100), WithTorusShards(shards),
+		))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			s := base
-			s.TorusShards = shards
-			got, err := RunTiming(s)
-			if err != nil {
-				t.Fatalf("kind=%v shards=%d: %v", kind, shards, err)
-			}
-			if !reflect.DeepEqual(mono, got) {
-				t.Errorf("kind=%v shards=%d: checked result diverged from monolithic:\nmono  %+v\nshard %+v",
-					kind, shards, mono, got)
+		return res.Series
+	}
+	mono := run(0)
+	for _, shards := range []int{1, 2, 4} {
+		got := run(shards)
+		for i := range mono {
+			if !reflect.DeepEqual(mono[i], got[i]) {
+				t.Errorf("%s shards=%d: checked result diverged from monolithic:\nmono  %+v\nshard %+v",
+					mono[i].Arbiter, shards, mono[i].Points, got[i].Points)
 			}
 		}
 	}
 }
 
-// TestTorusShardedRejectsTooManyShards pins the validation boundary at
-// both the setup and spec layers.
+// TestTorusShardedRejectsTooManyShards pins the validation boundary:
+// Spec.Validate, and so the Runner, refuses more shards than rows.
 func TestTorusShardedRejectsTooManyShards(t *testing.T) {
-	_, err := RunTiming(TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: "random",
-		Rate: 0.02, Cycles: 100, Seed: 1, TorusShards: 5,
-	})
-	if err == nil {
-		t.Fatal("TorusShards > Height was accepted by RunTiming")
-	}
 	sp := fingerprintTimingSpec()
 	WithTorusShards(5)(&sp)
 	if err := sp.Validate(); err == nil {
 		t.Fatal("torus_shards > height was accepted by Spec.Validate")
+	}
+	if _, err := runnerExec(1)(sp); err == nil {
+		t.Fatal("torus_shards > height was accepted by the Runner")
 	}
 	sp = fingerprintTimingSpec()
 	WithTorusShards(-1)(&sp)
@@ -152,17 +145,14 @@ func TestTorusShardedSpeedup(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation distorts the parallel tick path")
 	}
-	base := TimingSetup{
-		Width: 16, Height: 16, Kind: core.KindSPAARotary, Pattern: "random",
-		Rate: 0.09, MaxOutstanding: 64, Cycles: 1200, Seed: 1,
-	}
 	measure := func(shards int) time.Duration {
-		s := base
-		s.TorusShards = shards
+		sp := NewSpec(
+			WithTopology(16, 16), WithArbiters("SPAA-rotary"), WithPatterns("random"),
+			WithRates(0.09), WithMaxOutstanding(64), WithCycles(1200), WithSeed(1),
+			WithTorusShards(shards),
+		)
 		start := time.Now()
-		if _, err := RunTiming(s); err != nil {
-			t.Fatal(err)
-		}
+		runPoint(t, sp)
 		return time.Since(start)
 	}
 	measure(1) // warm (page tables, arena growth paths)
