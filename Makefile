@@ -23,17 +23,17 @@ race:
 # Runner's per-cell persistence from pool workers), the bitplane
 # arbitration kernels (the parallel differential suite drives every
 # word-parallel kernel against its scalar reference from concurrent
-# subtests, racing the shared mask/scratch code paths), and the spatial
-# sharding assembly (per-band engine workers spinning on the wavefront's
-# publish flags, the PostBuffer flush, per-shard flight slots, and the
-# checker's per-router scratch under concurrent edge ticks).
+# subtests, racing the shared mask/scratch code paths), and the
+# shard-group engine primitives and row partition in internal/sim and
+# internal/topology (per-band engine workers and the PostBuffer flush,
+# driven by their own tests; no Spec reaches them).
 race-pools:
 	$(GO) test -race -count=1 \
 		-run 'Wheel|Arena|Ring|Alloc|Slab|Engine|Generator|Shard' \
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
-	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded|Cache' ./internal/experiment
+	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
 
 # cover writes the atomic-mode coverage profile for the whole module.

@@ -36,10 +36,12 @@
 //
 // -cpuprofile and -memprofile write pprof profiles for any mode.
 // Contradictory flag combinations (for example -record with -matrix, or
-// -replay with -pattern) are rejected with an error instead of silently
-// ignoring flags. Simulations within a figure or matrix are independent,
-// so by default they are fanned across one worker per CPU; results are
-// byte-identical to a serial (-workers 1) run.
+// -replay with -pattern), and flags the chosen mode would drop (for
+// example -size outside -matrix and -run), are rejected with an error
+// instead of silently ignoring flags. Simulations within a figure or
+// matrix are independent, so by default they are fanned across one
+// worker per CPU; results are byte-identical to a serial (-workers 1)
+// run.
 package main
 
 import (
@@ -115,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	verify := fs.Bool("verify", false, "rerun everything and check the paper's claims")
 	markdown := fs.Bool("markdown", false, "with -verify, emit the EXPERIMENTS.md results table")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
-	torusShards := fs.Int("torus-shards", 0, "spatially shard each timing simulation into this many row bands, each on its own engine with CMB lookahead synchronization (results stay byte-identical; 0 = single engine)")
 	checkFlag := fs.Bool("check", false, "enable the online invariant oracle (conservation, VC bounds, grant legality, deadlock watchdog) for every simulation")
 	metricsFlag := fs.Bool("metrics", false, "enable the telemetry layer for every timing simulation: each point carries an internal/obs snapshot, and with -out a <name>.metrics.json sidecar is written")
 	stable := fs.Bool("stable", false, "zero volatile fields (wall-clock durations) in emitted Results, so two runs of the same spec compare byte-identical")
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	processes := fs.String("processes", strings.Join(workload.ProcessNames(), ","), "comma-separated arrival processes for -matrix")
 	rates := fs.String("rates", "0.01,0.03", "comma-separated injection rates for -matrix")
 	size := fs.String("size", "8x8", "torus size WxH for -matrix and -run")
-	cycles := fs.Int("cycles", 0, "router cycles per simulation (0 = figure default)")
+	cycles := fs.Int("cycles", 0, "router cycles per simulation for -matrix and -run (0 = the figure default: 75000, or 15000 with -quick)")
 	algo := fs.String("algo", "SPAA-rotary", "algorithm for -run")
 	pattern := fs.String("pattern", "random", "destination pattern for -run")
 	process := fs.String("process", "bernoulli", "arrival process for -run")
@@ -159,7 +160,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := rejectContradictions(set); err != nil {
 		return err
 	}
-	if err := rejectValueContradictions(set, *reps, *figure); err != nil {
+	if err := rejectScenarioFlags(set); err != nil {
+		return err
+	}
+	if err := rejectValueContradictions(set, *reps, *cycles, *figure); err != nil {
 		return err
 	}
 
@@ -175,7 +179,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Quick: *quick, Seed: *seed,
 		Check: *checkFlag, Metrics: *metricsFlag,
 		Replications: *reps, Confidence: *confidence,
-		TorusShards: *torusShards,
 	}
 	var progressSink func(experiment.Event)
 	if *progress {
@@ -368,7 +371,7 @@ func buildContradictions() []contradiction {
 	// change how a spec runs, never what it means.)
 	for _, f := range []string{"figure", "matrix", "run", "verify", "bench", "quick", "seed", "cycles", "size",
 		"algo", "algos", "pattern", "patterns", "process", "processes", "model", "rate", "rates", "record", "replay",
-		"check", "metrics", "reps", "confidence", "torus-shards"} {
+		"check", "metrics", "reps", "confidence"} {
 		add("spec", f, "a spec file fixes the whole scenario; edit the file instead")
 	}
 	add("emit-spec", "spec", "emitting a loaded spec is a copy; use the file directly")
@@ -390,7 +393,10 @@ func buildContradictions() []contradiction {
 	add("bench", "json", "the bench report is already machine-readable (BENCH_*.json)")
 	add("bench", "workers", "the bench suite measures one simulation at a time (serial by design)")
 	add("bench", "progress", "bench entries are logged to stderr as they finish")
+	add("bench", "quick", "the bench suite fixes its own run lengths")
+	add("bench", "seed", "the bench suite fixes its own seeds")
 	add("verify", "json", "claim verification emits verdict tables, not Results")
+	add("verify", "out", "claim verification writes no CSV or Result files")
 	// Charts are drawn beside the tables of figure and spec mode only.
 	add("plot", "json", "-json streams Results without tables or charts")
 	for _, f := range []string{"matrix", "run", "record", "replay", "verify", "bench", "emit-spec", "list"} {
@@ -402,8 +408,9 @@ func buildContradictions() []contradiction {
 	}
 	// Trace I/O belongs to single runs.
 	for _, f := range []string{"record", "replay"} {
-		add("matrix", f, "trace record/replay applies to single runs; use -run")
-		add("figure", f, "trace record/replay applies to single runs; use -run")
+		for _, mode := range []string{"matrix", "figure", "verify", "bench"} {
+			add(mode, f, "trace record/replay applies to single runs; use -run")
+		}
 	}
 	// Single-run vs matrix axis flags.
 	for _, pair := range [][2]string{
@@ -424,14 +431,6 @@ func buildContradictions() []contradiction {
 	}
 	// Recording replays every replication into the same trace file.
 	add("record", "reps", "every replication would rewrite the trace file")
-	// Trace record/replay pins the single-engine event stream; the sharded
-	// assembly reproduces the same results but not the same trace file
-	// interleavings, so the combination is rejected rather than trusted.
-	for _, f := range []string{"record", "replay"} {
-		add(f, "torus-shards", "trace record/replay runs on the single-engine path; drop -torus-shards")
-	}
-	add("bench", "torus-shards", "the bench suite fixes its own shard counts (see the timing-16x16-saturated entries)")
-	add("verify", "torus-shards", "claim verification always reruns the figures single-engine")
 	// The cache serves sweep results; modes that measure or emit
 	// something other than sweep Results cannot use it.
 	for _, f := range []string{"bench", "verify", "emit-spec", "list"} {
@@ -461,15 +460,39 @@ func rejectContradictions(set map[string]bool) error {
 	return nil
 }
 
+// rejectScenarioFlags fails when a flag describing the one scenario of
+// -run (which -record and -replay imply) or the grid of -matrix is set
+// in another mode: figure mode, -verify, a figure -emit-spec, and -bench
+// would drop it. Figure mode, the default, has no flag a pair rule could
+// name, hence this one check. (-spec's pair rules reject these flags
+// first.)
+func rejectScenarioFlags(set map[string]bool) error {
+	if set["matrix"] || set["run"] || set["record"] || set["replay"] {
+		return nil
+	}
+	for _, f := range []string{"size", "cycles", "model", "algo", "algos",
+		"pattern", "patterns", "process", "processes", "rate", "rates"} {
+		if set[f] {
+			return fmt.Errorf("-%s describes a -matrix or -run scenario; this mode would ignore it", f)
+		}
+	}
+	return nil
+}
+
 // rejectValueContradictions catches flag combinations that depend on
 // flag values rather than mere presence.
-func rejectValueContradictions(set map[string]bool, reps int, figure string) error {
+func rejectValueContradictions(set map[string]bool, reps, cycles int, figure string) error {
+	if reps < 0 {
+		return fmt.Errorf("-reps %d must be >= 0 (0 or 1 = a single run)", reps)
+	}
+	if cycles < 0 {
+		return fmt.Errorf("-cycles %d must be >= 0 (0 = the figure default)", cycles)
+	}
 	if set["confidence"] && reps < 2 {
 		return fmt.Errorf("-confidence requires -reps 2 or more (there is no interval over one run)")
 	}
 	if set["figure"] && (figure == "8" || figure == "9") {
 		for _, f := range []struct{ flag, why string }{
-			{"torus-shards", "no torus to shard"},
 			{"metrics", "no router simulation to observe"},
 			{"plot", "no BNF chart to draw"},
 		} {

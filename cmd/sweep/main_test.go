@@ -96,8 +96,6 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		{"-cache-dir", "d", "-bench"},
 		{"-cache-dir", "d", "-record", "a", "-run"},
 		{"-resume"},
-		{"-torus-shards", "2", "-figure", "8"},
-		{"-torus-shards", "2", "-replay", "t.trace"},
 		{"-markdown", "-list"},
 		{"-metrics", "-quick", "-figure", "8"},
 		{"-plot", "-quick", "-figure", "9"},
@@ -106,6 +104,64 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("args %v: expected an error", args)
+		}
+	}
+}
+
+// TestIgnoredFlagsRejected: the flags that describe a -matrix or -run
+// scenario are rejected in every mode that would drop them (figure mode
+// with and without -figure, -verify, a figure -emit-spec, and -bench),
+// and so are -quick and -seed with -bench, -out with -verify, -record
+// and -replay with -verify and -bench, and a negative -reps or -cycles.
+// Each error names its flag. The scenario flags still reach -matrix and
+// -run, including the -run that -record implies.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	// An unwritable -cpuprofile path fails any invocation that gets past
+	// flag checking before it simulates anything, so no case can start a
+	// long run.
+	noProfile := "-cpuprofile=" + filepath.Join(t.TempDir(), "missing", "cpu.pprof")
+	type tc struct {
+		args []string
+		flag string // the flag the error must name
+	}
+	var cases []tc
+	for _, mode := range [][]string{
+		{"-quick"},
+		{"-figure", "8", "-quick"},
+		{"-verify", "-quick"},
+		{"-emit-spec", "-figure", "11c", "-quick"},
+		{"-bench"},
+	} {
+		for _, f := range []string{"size", "cycles", "model", "algo", "algos", "pattern", "patterns",
+			"process", "processes", "rate", "rates"} {
+			cases = append(cases, tc{append(append([]string(nil), mode...), sampleArg(t, f)), f})
+		}
+	}
+	cases = append(cases,
+		tc{[]string{"-bench", "-quick"}, "quick"},
+		tc{[]string{"-bench", "-seed", "2"}, "seed"},
+		tc{[]string{"-verify", "-quick", "-out", t.TempDir()}, "out"},
+		tc{[]string{"-verify", "-quick", "-record", "run.trace"}, "record"},
+		tc{[]string{"-bench", "-replay", "run.trace"}, "replay"},
+		tc{[]string{"-emit-spec", "-figure", "11c", "-quick", "-reps=-3"}, "reps"},
+		tc{[]string{"-run", "-size", "4x4", "-cycles=-5"}, "cycles"},
+	)
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		err := run(append(c.args, noProfile), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) || strings.Contains(err.Error(), "cpu.pprof") {
+			t.Errorf("args %v: err = %v, want an error naming -%s", c.args, err, c.flag)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-emit-spec", "-matrix", "-size", "4x4", "-cycles", "100", "-rates", "0.02"},
+		{"-emit-spec", "-run", "-size", "4x4", "-algo", "PIM1", "-rate", "0.02"},
+		{"-emit-spec", "-record", "run.trace", "-size", "4x4", "-pattern", "tornado"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Errorf("args %v: %v", args, err)
 		}
 	}
 }
@@ -204,40 +260,6 @@ func TestMatrixFlagsSpec(t *testing.T) {
 	}
 }
 
-// TestTorusShardsFlagMatchesSerial is the CLI face of the spatial-sharding
-// byte-identity contract: the same -run with and without -torus-shards
-// must decode to equal Results, down to every point, once the one
-// intentional difference — the spec's own torus_shards provenance field —
-// is normalized away.
-func TestTorusShardsFlagMatchesSerial(t *testing.T) {
-	decode := func(extra ...string) *experiment.Result {
-		t.Helper()
-		args := append([]string{
-			"-run", "-algo", "SPAA-rotary", "-pattern", "bit-reversal", "-process", "bernoulli",
-			"-rate", "0.04", "-size", "4x4", "-cycles", "400",
-			"-json", "-stable", "-workers", "1",
-		}, extra...)
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("run %v: %v\nstderr:\n%s", args, err, stderr.String())
-		}
-		res, err := experiment.DecodeResultJSONL(strings.NewReader(stdout.String()))
-		if err != nil {
-			t.Fatalf("decode %v: %v", args, err)
-		}
-		return res
-	}
-	serial := decode()
-	sharded := decode("-torus-shards", "2")
-	if sharded.Spec.Timing == nil || sharded.Spec.Timing.TorusShards != 2 {
-		t.Fatalf("-torus-shards 2 not stamped into the spec: %+v", sharded.Spec.Timing)
-	}
-	sharded.Spec.Timing.TorusShards = 0
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("sharded -run diverged from serial:\nserial  %+v\nsharded %+v", serial, sharded)
-	}
-}
-
 // ruleSamples supplies a parseable value for every flag the rule tables
 // mention, so the enumeration tests can set any flag by name.
 var ruleSamples = map[string]string{
@@ -251,7 +273,7 @@ var ruleSamples = map[string]string{
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
 	"cache-dir": "cachedir", "bench-baseline": "BENCH.json",
 	"resume": "true", "metrics": "true", "stable": "true",
-	"torus-shards": "2", "markdown": "true", "plot": "true",
+	"markdown": "true", "plot": "true", "out": "outdir",
 }
 
 func sampleArg(t *testing.T, name string) string {

@@ -170,9 +170,9 @@ type pendingNom struct {
 }
 
 // routerState is the Checker's per-router bookkeeping. Everything a push
-// hook touches lives here (including the wave-matrix scratch), because a
-// spatially-sharded simulation ticks routers from concurrent edge
-// workers: per-router state keeps the hooks race-free without locks.
+// hook touches lives here (including the wave-matrix scratch), so hooks
+// for different routers share no mutable state: they stay race-free
+// without locks for any caller that ticks routers concurrently.
 type routerState struct {
 	pending []pendingNom
 

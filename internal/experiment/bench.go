@@ -47,10 +47,7 @@ type BenchEntry struct {
 //     saturated-load point, all five Figure 8 algorithms;
 //   - timing-8x8-saturated: the timing model deep in saturation (the
 //     regime the paper's Figures 10-11 comparisons depend on);
-//   - timing-16x16-saturated and timing-16x16-saturated-shards4: a large
-//     saturated torus run monolithic and spatially sharded into 4 row
-//     bands, so the spatial-sharding machinery's cost (and, on multi-core
-//     machines, its speedup) is tracked per machine in the baseline;
+//   - timing-16x16-saturated: a large saturated torus;
 //   - timing-4x4-matrix: a small arbiter x rate matrix, the shape of the
 //     sweep workloads;
 //   - arbitrate-<kind>: one entry per arbitration kernel, timing bare
@@ -103,19 +100,6 @@ func benchSimEntries() []BenchEntry {
 				WithMaxOutstanding(64),
 				WithCycles(1500),
 				WithSeed(1),
-			),
-		},
-		{
-			Name: "timing-16x16-saturated-shards4",
-			Spec: NewSpec(
-				WithName("bench timing 16x16 saturated shards4"),
-				WithTopology(16, 16),
-				WithArbiters("SPAA-rotary"),
-				WithRates(0.09),
-				WithMaxOutstanding(64),
-				WithCycles(1500),
-				WithSeed(1),
-				WithTorusShards(4),
 			),
 		},
 		{

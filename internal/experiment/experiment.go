@@ -45,10 +45,6 @@ type Options struct {
 	// confidence level (0 = 0.95).
 	Replications int
 	Confidence   float64
-	// TorusShards, when positive, spatially shards every timing spec the
-	// options build into that many row bands (cmd/sweep -torus-shards);
-	// standalone-model specs have no torus and are left unstamped.
-	TorusShards int
 }
 
 // TimingCycles returns the per-run router cycle count.
@@ -85,12 +81,6 @@ func (o Options) ApplyStudy(sp *Spec) {
 	}
 	if o.Metrics && sp.Mode != ModeStandalone {
 		sp.Metrics = true
-	}
-	if o.TorusShards > 0 && sp.Mode != ModeStandalone {
-		if sp.Timing == nil {
-			sp.Timing = &TimingSpec{}
-		}
-		sp.Timing.TorusShards = o.TorusShards
 	}
 	if o.Replications > 1 {
 		sp.Replications = o.Replications
@@ -218,7 +208,6 @@ const cancelPollCycles = 512
 // cycles and returns the context's error.
 func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
 	sp, rcfg := tr.spec, tr.router
-	width, height := sp.Topology.Width, sp.Topology.Height
 	warmFrac := sp.Timing.WarmupFraction
 	switch {
 	case warmFrac == 0:
@@ -237,29 +226,9 @@ func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
 		epochs = col.TrackEpochs(epochLen)
 		epochs.Reserve(int(end/epochLen) + 1)
 	}
-	ncfg := network.Config{Width: width, Height: height, Router: rcfg}
-	var net *network.Network
-	var sg *sim.ShardGroup
-	var err error
-	if shards := sp.Timing.TorusShards; shards > 0 {
-		part := topology.PartitionRows(topology.NewTorus(width, height), shards)
-		members := make([]*sim.Engine, part.Shards())
-		for i := range members {
-			members[i] = sim.NewEngine()
-		}
-		pb := sim.NewPostBuffer(width * height)
-		net, err = network.NewSharded(ncfg, eng, members, part, pb, col)
-		if err != nil {
-			return ResultPoint{}, err
-		}
-		sg = sim.NewShardGroup(eng, members, pb, net.Lookahead())
-		sg.SetEdge(rcfg.RouterPeriod, 0, net.TickShard)
-		defer sg.Close()
-	} else {
-		net, err = network.New(ncfg, eng, col)
-		if err != nil {
-			return ResultPoint{}, err
-		}
+	net, err := network.New(network.Config{Width: sp.Topology.Width, Height: sp.Topology.Height, Router: rcfg}, eng, col)
+	if err != nil {
+		return ResultPoint{}, err
 	}
 	wcfg, err := tr.workloadConfig(net.Torus())
 	if err != nil {
@@ -297,11 +266,7 @@ func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
 		eng.ScheduleDelay(interval, poll)
 	}
 	eng.ScheduleDelay(interval, poll)
-	if sg != nil {
-		sg.Run(end)
-	} else {
-		eng.Run(end)
-	}
+	eng.Run(end)
 	if chk != nil {
 		chk.Final(eng.Now())
 		if err := chk.Err(); err != nil {

@@ -116,7 +116,7 @@ func TestMatrixSpecCarriesSetup(t *testing.T) {
 		return NewSpec(append([]SpecOption{
 			WithTopology(8, 2), WithScaledPipeline(), WithCycles(1234),
 			WithWarmupFraction(NoWarmup), WithSeed(99), WithCheck(), WithMetrics(),
-			WithEpochCycles(50), WithTorusShards(2),
+			WithEpochCycles(50),
 		}, opts...)...)
 	}
 	for _, tc := range []struct {

@@ -143,6 +143,9 @@ func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan Event {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The goroutine expands the spec after Stream returns; its own deep
+	// copy keeps the caller's later edits out of the run.
+	spec = spec.clone()
 	ch := make(chan Event, 16)
 	go func() {
 		defer close(ch)

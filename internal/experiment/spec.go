@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"alpha21364/internal/core"
@@ -144,13 +145,6 @@ type TimingSpec struct {
 	// EpochCycles, when positive, tracks delivered flits per epoch of that
 	// many cycles (the §3.4 saturation-oscillation measure).
 	EpochCycles int `json:"epoch_cycles,omitempty"`
-	// TorusShards, when positive, runs each simulation spatially sharded
-	// into that many row bands with their own tick-wheel engines (CMB
-	// lookahead synchronization; byte-identical to the monolithic
-	// engine). 0 keeps the single-engine path. Included in the spec hash
-	// when set, so a sharded sweep caches separately from a monolithic
-	// one even though the results match byte for byte.
-	TorusShards int `json:"torus_shards,omitempty"`
 }
 
 // Standalone axes.
@@ -225,53 +219,53 @@ func WithArbiters(names ...string) SpecOption {
 	return func(s *Spec) { s.Arbiters = append([]string(nil), names...) }
 }
 
-func (s *Spec) workload() *WorkloadSpec {
-	if s.Workload == nil {
-		s.Workload = &WorkloadSpec{}
+// own replaces the Spec section *section with a copy of itself (a new
+// zero section when nil) and returns the copy, for an option to edit. A
+// copied Spec shares its sections with the original, so editing one in
+// place would change both. The options replace every slice they set, so
+// a shallow copy suffices.
+func own[T any](section **T) *T {
+	c := new(T)
+	if *section != nil {
+		*c = **section
 	}
-	return s.Workload
-}
-
-func (s *Spec) timing() *TimingSpec {
-	if s.Timing == nil {
-		s.Timing = &TimingSpec{}
-	}
-	return s.Timing
+	*section = c
+	return c
 }
 
 // WithPatterns sets the destination-pattern axis.
 func WithPatterns(names ...string) SpecOption {
-	return func(s *Spec) { s.workload().Patterns = append([]string(nil), names...) }
+	return func(s *Spec) { own(&s.Workload).Patterns = append([]string(nil), names...) }
 }
 
 // WithProcesses sets the arrival-process axis.
 func WithProcesses(names ...string) SpecOption {
-	return func(s *Spec) { s.workload().Processes = append([]string(nil), names...) }
+	return func(s *Spec) { own(&s.Workload).Processes = append([]string(nil), names...) }
 }
 
 // WithModel sets the transaction model.
 func WithModel(name string) SpecOption {
-	return func(s *Spec) { s.workload().Model = name }
+	return func(s *Spec) { own(&s.Workload).Model = name }
 }
 
 // WithRates sets the injection-rate sweep.
 func WithRates(rates ...float64) SpecOption {
-	return func(s *Spec) { s.workload().Rates = append([]float64(nil), rates...) }
+	return func(s *Spec) { own(&s.Workload).Rates = append([]float64(nil), rates...) }
 }
 
 // WithMaxOutstanding caps in-flight transactions per processor.
 func WithMaxOutstanding(n int) SpecOption {
-	return func(s *Spec) { s.workload().MaxOutstanding = n }
+	return func(s *Spec) { own(&s.Workload).MaxOutstanding = n }
 }
 
 // WithRecord captures the injection stream to a trace file.
 func WithRecord(path string) SpecOption {
-	return func(s *Spec) { s.workload().RecordTo = path }
+	return func(s *Spec) { own(&s.Workload).RecordTo = path }
 }
 
 // WithReplay replays a recorded trace instead of generating traffic.
 func WithReplay(path string) SpecOption {
-	return func(s *Spec) { s.workload().ReplayFrom = path }
+	return func(s *Spec) { own(&s.Workload).ReplayFrom = path }
 }
 
 // WithCycles sets the run length (router cycles, or standalone
@@ -279,10 +273,10 @@ func WithReplay(path string) SpecOption {
 func WithCycles(n int) SpecOption {
 	return func(s *Spec) {
 		if s.Mode == ModeStandalone && s.Standalone != nil {
-			s.Standalone.Cycles = n
+			own(&s.Standalone).Cycles = n
 			return
 		}
-		s.timing().Cycles = n
+		own(&s.Timing).Cycles = n
 	}
 }
 
@@ -290,32 +284,26 @@ func WithCycles(n int) SpecOption {
 func WithSeed(seed uint64) SpecOption {
 	return func(s *Spec) {
 		if s.Mode == ModeStandalone && s.Standalone != nil {
-			s.Standalone.Seed = seed
+			own(&s.Standalone).Seed = seed
 			return
 		}
-		s.timing().Seed = seed
+		own(&s.Timing).Seed = seed
 	}
 }
 
 // WithWarmupFraction sets the measurement warmup (NoWarmup disables it).
 func WithWarmupFraction(frac float64) SpecOption {
-	return func(s *Spec) { s.timing().WarmupFraction = frac }
+	return func(s *Spec) { own(&s.Timing).WarmupFraction = frac }
 }
 
 // WithScaledPipeline doubles pipeline depth and clock.
 func WithScaledPipeline() SpecOption {
-	return func(s *Spec) { s.timing().ScalePipeline = true }
-}
-
-// WithTorusShards spatially shards each simulation into n row bands
-// (0 keeps the monolithic engine).
-func WithTorusShards(n int) SpecOption {
-	return func(s *Spec) { s.timing().TorusShards = n }
+	return func(s *Spec) { own(&s.Timing).ScalePipeline = true }
 }
 
 // WithEpochCycles tracks delivered flits per epoch of n cycles.
 func WithEpochCycles(n int) SpecOption {
-	return func(s *Spec) { s.timing().EpochCycles = n }
+	return func(s *Spec) { own(&s.Timing).EpochCycles = n }
 }
 
 // WithReplications runs every point n times with derived seeds and
@@ -345,11 +333,9 @@ func WithMetrics() SpecOption {
 func WithStandaloneSweep(axis string, values ...float64) SpecOption {
 	return func(s *Spec) {
 		s.Mode = ModeStandalone
-		if s.Standalone == nil {
-			s.Standalone = &StandaloneSpec{}
-		}
-		s.Standalone.Axis = axis
-		s.Standalone.Values = append([]float64(nil), values...)
+		sa := own(&s.Standalone)
+		sa.Axis = axis
+		sa.Values = append([]float64(nil), values...)
 	}
 }
 
@@ -472,13 +458,6 @@ func (s Spec) validateTiming() error {
 	}
 	if s.Timing.EpochCycles < 0 {
 		return specErr("epoch_cycles must be >= 0")
-	}
-	if s.Timing.TorusShards < 0 {
-		return specErr("torus_shards must be >= 0")
-	}
-	if s.Timing.TorusShards > s.Topology.Height {
-		return specErr("torus_shards %d exceeds topology height %d (row-band sharding needs at least one row per shard)",
-			s.Timing.TorusShards, s.Topology.Height)
 	}
 	w := s.Workload
 	if w == nil {
@@ -724,15 +703,42 @@ type plan struct {
 	saturationLoad float64 // set for standalone saturation-relative axes
 }
 
-// expand validates the spec and lays out its job grid.
+// expand validates the spec and lays out its job grid. The plan holds a
+// deep copy of the spec, which its jobs read while they run, so a caller
+// that edits its Spec afterwards cannot change a job.
 func (s Spec) expand() (*plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	s = s.clone()
 	if s.Mode == ModeStandalone {
 		return s.expandStandalone()
 	}
 	return s.expandTiming()
+}
+
+// clone returns a deep copy of s: its sections and slices are its own.
+// slices.Clone keeps a nil slice nil and an empty one empty, so the copy
+// encodes to the same bytes.
+func (s Spec) clone() Spec {
+	s.Arbiters = slices.Clone(s.Arbiters)
+	if s.Topology != nil {
+		own(&s.Topology)
+	}
+	if s.Workload != nil {
+		w := own(&s.Workload)
+		w.Patterns = slices.Clone(w.Patterns)
+		w.Processes = slices.Clone(w.Processes)
+		w.Rates = slices.Clone(w.Rates)
+	}
+	if s.Timing != nil {
+		own(&s.Timing)
+	}
+	if s.Standalone != nil {
+		sa := own(&s.Standalone)
+		sa.Values = slices.Clone(sa.Values)
+	}
+	return s
 }
 
 // repLabel appends the replication suffix to a job label.
@@ -931,9 +937,10 @@ func kindNames(kinds []core.Kind) []string {
 // FigureSpecs returns the canned Specs reproducing a paper figure — one
 // Spec per panel, so "10" yields four. "all" concatenates every figure.
 // Options supplies fidelity (Quick, CyclesOverride, MaxRatePoints), the
-// seed, and the study-wide toggles (Check, Metrics, Replications,
-// TorusShards). Run the Specs through a Runner; a Result's Panel (timing) or Curves (standalone) is the figure's data,
-// and CollectDataset assembles every figure for Verify.
+// seed, and the study-wide toggles (Check, Metrics, Replications). Run
+// the Specs through a Runner; a Result's Panel (timing) or Curves
+// (standalone) is the figure's data, and CollectDataset assembles every
+// figure for Verify.
 func FigureSpecs(name string, o Options) ([]Spec, error) {
 	specs, err := figureSpecs(name, o)
 	if err != nil {

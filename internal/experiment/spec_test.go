@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -311,6 +312,13 @@ func TestParseSpecStrict(t *testing.T) {
 		t.Errorf("unknown field not rejected: %v", err)
 	}
 
+	// torus_shards left the schema with spatial sharding; a document that
+	// still sets it must fail and name the field.
+	removed := bytes.Replace(good, []byte(`"cycles": 1000`), []byte(`"cycles": 1000, "torus_shards": 2`), 1)
+	if _, err := ParseSpec(removed); err == nil || !strings.Contains(err.Error(), `unknown field "torus_shards"`) {
+		t.Errorf("removed field torus_shards not rejected by name: %v", err)
+	}
+
 	unknownVersion := bytes.Replace(good, []byte(`"version": 1`), []byte(`"version": 99`), 1)
 	if _, err := ParseSpec(unknownVersion); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("unknown version not rejected: %v", err)
@@ -323,6 +331,78 @@ func TestParseSpecStrict(t *testing.T) {
 
 	if _, err := ParseSpec([]byte(`not json`)); err == nil {
 		t.Error("non-JSON accepted")
+	}
+}
+
+// TestSpecCopiesShareNothing: an option applied to a copy of a Spec
+// leaves the original as it was, in both modes, and the jobs of a run
+// read their own copy of the Spec, whatever the caller edits after
+// expansion or after Stream returns.
+func TestSpecCopiesShareNothing(t *testing.T) {
+	encode := func(sp Spec) string {
+		t.Helper()
+		data, err := EncodeSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, tc := range []struct {
+		name string
+		base Spec
+		opts []SpecOption
+	}{
+		{"timing", validTimingSpec(), []SpecOption{
+			WithSeed(2), WithRates(0.05), WithCycles(7), WithPatterns("tornado"),
+			WithMaxOutstanding(3), WithEpochCycles(9), WithScaledPipeline(),
+		}},
+		{"standalone", NewSpec(WithArbiters("MCM"), WithStandaloneSweep(AxisLoad, 0.5), WithCycles(50), WithSeed(3)),
+			[]SpecOption{WithCycles(9), WithSeed(4), WithStandaloneSweep(AxisLoadFraction, 0.7)}},
+	} {
+		want := encode(tc.base)
+		copied := tc.base
+		for _, opt := range tc.opts {
+			opt(&copied)
+		}
+		if got := encode(tc.base); got != want {
+			t.Errorf("%s: options applied to a copy changed the original:\n%s\nwant\n%s", tc.name, got, want)
+		}
+	}
+
+	edit := func(sp *Spec) {
+		sp.Arbiters[0] = "PIM1"
+		sp.Workload.Rates[0] = 0.5
+		sp.Timing.Cycles = 999
+	}
+	unedited := func(sp *Spec) bool {
+		return sp.Arbiters[0] == "SPAA-rotary" && sp.Workload.Rates[0] == 0.02 && sp.Timing.Cycles == 1000
+	}
+	sp := validTimingSpec()
+	pl, err := sp.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&sp)
+	for _, j := range pl.jobs {
+		if tr := j.input.(*timingRun); !unedited(tr.spec) {
+			t.Errorf("job %q reads the caller's edits made after expansion:\n%s", j.label, encode(*tr.spec))
+		}
+	}
+
+	sp = validTimingSpec()
+	events := NewRunner(WithWorkers(1)).Stream(context.Background(), sp)
+	edit(&sp)
+	var res *Result
+	for e := range events {
+		if e.Type == EventRunDone {
+			if e.Err != nil {
+				t.Fatal(e.Err)
+			}
+			res = e.Result
+		}
+	}
+	if !unedited(&res.Spec) {
+		t.Errorf("a streamed run reads the caller's edits made after Stream returned:\n%s", encode(res.Spec))
 	}
 }
 

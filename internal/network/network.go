@@ -86,8 +86,10 @@ type link struct {
 	flight *int64
 }
 
-// send implements router.SendFunc for the link.
-func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, creditHome *vc.Credits) {
+// send implements router.SendFunc for the link. The router passes its
+// output port's credit pool, which buildNetwork stored as l.credits, so
+// arrive releases into l.credits and the creditHome argument is unused.
+func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, _ *vc.Credits) {
 	arriveAt := headerDepart + l.latency
 	*l.flight++
 	if m := l.n.metrics; m != nil {
@@ -96,23 +98,11 @@ func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Tick
 		lm.Flits += int64(p.Flits)
 		lm.BusyTicks += int64(p.Flits) * int64(l.n.linkBusyPerFlit)
 	}
-	if creditHome == l.credits {
-		if l.n.pb != nil {
-			l.n.pb.Post(l.src, l.target, arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
-		} else {
-			l.target.Post(arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
-		}
-		return
-	}
-	// A caller substituted its own credit pool (tests wiring custom
-	// topologies); fall back to the closure path.
 	if l.n.pb != nil {
-		panic("network: custom credit pools are not supported on a sharded network")
+		l.n.pb.Post(l.src, l.target, arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
+	} else {
+		l.target.Post(arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
 	}
-	l.n.eng.Schedule(arriveAt, func() {
-		*l.flight--
-		l.neighbor.Arrive(p, l.in, targetCh, arriveAt, creditHome)
-	})
 }
 
 // arrive is the link's registered receive handler.
