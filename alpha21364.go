@@ -8,8 +8,8 @@
 //     JSON-serializable description of one simulation or a whole
 //     sweep/matrix (NewSpec and the With* options, ParseSpec,
 //     FigureSpecs); a Runner executes Specs under a context with bounded
-//     workers and a streaming event channel (NewRunner, Runner.Run,
-//     Runner.Stream); a Result is the stable machine-readable outcome
+//     workers and an optional progress-event sink (NewRunner, Runner.Run,
+//     WithEventSink); a Result is the stable machine-readable outcome
 //     with a JSONL encoder (Result.EncodeJSONL, DecodeResultJSONL);
 //   - the sweep service: a Runner given a content-addressed result store
 //     (SpecHash, OpenResultCache, WithCache) serves the points it already
@@ -30,7 +30,8 @@
 //     record/replay for reproducible cross-algorithm comparisons (Trace);
 //   - canned Specs for every paper figure (FigureSpecs), run through a
 //     Runner by the cmd/sweep tool and the repository's benchmarks; a
-//     Result's Panel and Table views are the figure's chart and rows.
+//     Result's series are the figure's curves, and Result.Table and
+//     Result.Plot render its rows and chart.
 //
 // The architecture documentation lives in DESIGN.md; measured-vs-paper
 // results for every figure live in EXPERIMENTS.md.
@@ -47,7 +48,6 @@ import (
 	"alpha21364/internal/packet"
 	"alpha21364/internal/sim"
 	"alpha21364/internal/standalone"
-	"alpha21364/internal/stats"
 	"alpha21364/internal/workload"
 )
 
@@ -218,25 +218,15 @@ var (
 	WithMetrics         = experiment.WithMetrics
 )
 
-// Telemetry types: a metrics-enabled Spec (WithMetrics) attaches one
-// MetricsSnapshot — router occupancy, stalls, arbitration counters,
-// link utilization — to every ResultPoint; MetricsSidecarOf collects
-// them into the standalone document `sweep -metrics` writes, and
-// StripVolatile is the canonical normalization for byte-comparing two
-// runs of the same Spec.
-type (
-	MetricsSnapshot = obs.Snapshot
-	MetricsSidecar  = experiment.MetricsSidecar
-	MetricsPoint    = experiment.MetricsPoint
-)
+// MetricsSnapshot is the telemetry a metrics-enabled Spec (WithMetrics)
+// attaches to every ResultPoint: router occupancy, stalls, arbitration
+// counters, link utilization.
+type MetricsSnapshot = obs.Snapshot
 
 // StripVolatile zeroes a Result's wall-clock fields so repeated runs
-// compare byte-identical.
+// compare byte-identical: the canonical normalization for
+// byte-comparing two runs of the same Spec.
 func StripVolatile(r *Result) { experiment.StripVolatile(r) }
-
-// MetricsSidecarOf collects a Result's telemetry snapshots, or nil when
-// the run was not metrics-enabled.
-func MetricsSidecarOf(r *Result) *MetricsSidecar { return experiment.MetricsSidecarOf(r) }
 
 // MetricStats and ReplicationStats are the per-point multi-seed
 // statistics a replicated Spec (WithReplications) attaches to every
@@ -262,8 +252,8 @@ func EncodeSpec(s Spec) ([]byte, error)              { return experiment.EncodeS
 // "9", "10", "10s", "11a", "11b", "11c", or "all"), one Spec per panel.
 func FigureSpecs(name string, o Options) ([]Spec, error) { return experiment.FigureSpecs(name, o) }
 
-// Runner executes Specs under a context with bounded workers and a
-// streaming event channel; construct with NewRunner.
+// Runner executes Specs under a context with bounded workers, reporting
+// progress events to an optional sink; construct with NewRunner.
 type Runner = experiment.Runner
 
 // RunnerOption configures a Runner; see WithWorkers, WithEventSink, and
@@ -345,12 +335,6 @@ type PacketArena = packet.Arena
 // NewPacketArena returns an empty arena.
 func NewPacketArena() *PacketArena { return packet.NewArena() }
 
-// Point is one latency/throughput measurement.
-type Point = stats.Point
-
-// Series is a load-sweep BNF curve.
-type Series = stats.Series
-
 // NoWarmup, passed to WithWarmupFraction, disables the warmup exclusion
 // so statistics cover the entire run (0 keeps the 0.2 default).
 const NoWarmup = experiment.NoWarmup
@@ -358,9 +342,6 @@ const NoWarmup = experiment.NoWarmup
 // Options tunes the canned figure Specs (FigureSpecs): fidelity, seed,
 // and the study-wide toggles.
 type Options = experiment.Options
-
-// Panel is one BNF chart (several algorithms on one axis).
-type Panel = experiment.Panel
 
 // Table is a formatted result grid.
 type Table = experiment.Table

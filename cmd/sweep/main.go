@@ -1,6 +1,6 @@
 // Command sweep is a thin shell over the Scenario/Runner API: it loads
 // and saves declarative simulation Specs, executes them through the
-// context-aware streaming Runner, regenerates the paper's figures (which
+// context-aware Runner, regenerates the paper's figures (which
 // are canned Specs), runs scenario matrices, records/replays injection
 // traces, and runs the benchmark suite. Tables (or, with -json, Result
 // JSONL) go to stdout; diagnostics and -progress lines go to stderr, so
@@ -29,7 +29,7 @@
 //
 // -metrics enables the telemetry layer (internal/obs) on every timing
 // simulation: each emitted point carries an observation-only snapshot,
-// and with -out a <name>.metrics.json sidecar collects them. -stable
+// in the -json stream and in the -out Result JSONL alike. -stable
 // zeroes volatile fields (wall-clock durations) in emitted Results so
 // two runs of the same spec compare byte-identical — the canonical
 // normalization for warm-cache rerun checks.
@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	markdown := fs.Bool("markdown", false, "with -verify, emit the EXPERIMENTS.md results table")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
 	checkFlag := fs.Bool("check", false, "enable the online invariant oracle (conservation, VC bounds, grant legality, deadlock watchdog) for every simulation")
-	metricsFlag := fs.Bool("metrics", false, "enable the telemetry layer for every timing simulation: each point carries an internal/obs snapshot, and with -out a <name>.metrics.json sidecar is written")
+	metricsFlag := fs.Bool("metrics", false, "enable the telemetry layer for every timing simulation: each point carries an internal/obs snapshot in its Result (the -json stream and the -out JSONL)")
 	stable := fs.Bool("stable", false, "zero volatile fields (wall-clock durations) in emitted Results, so two runs of the same spec compare byte-identical")
 	reps := fs.Int("reps", 0, "replications per point: run each point N times with derived seeds and attach mean/stddev/confidence-interval statistics (0 or 1 = single run)")
 	confidence := fs.Float64("confidence", 0, "confidence level of the -reps interval (default 0.95)")
@@ -264,7 +264,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return a.runSpecs(*specFile, specs, *plot)
+		if *plot && !slices.ContainsFunc(specs, isTiming) {
+			return fmt.Errorf("-plot applies to timing simulations; every spec in %s uses the standalone arbiter model (no BNF chart to draw)", *specFile)
+		}
+		start := time.Now()
+		if err := a.runSpecs(specs, *plot, specSlug); err != nil {
+			return err
+		}
+		a.log.Printf("%d spec(s) in %v", len(specs), time.Since(start).Round(time.Second))
+		return nil
 	case *bench:
 		return a.runBench(*benchBaseline)
 	case *matrix:
@@ -321,7 +329,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Figure mode: every figure is a set of canned Specs.
+	// Figure mode: every figure is a set of canned Specs, run like a spec
+	// file but written to figure8.csv, figure10-<panel>.csv, figure11a.csv.
 	names := []string{*figure}
 	if *figure == "all" {
 		names = experiment.FigureSpecNames()
@@ -332,7 +341,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := a.runFigureSpecs(name, specs, *plot); err != nil {
+		file := func(sp experiment.Spec, i int) string {
+			if len(specs) == 1 {
+				return "figure" + name
+			}
+			return "figure" + name + "-" + specSlug(sp, i)
+		}
+		if err := a.runSpecs(specs, *plot, file); err != nil {
 			return err
 		}
 	}
@@ -378,6 +393,18 @@ func buildContradictions() []contradiction {
 	add("emit-spec", "verify", "claim verification has no single spec form")
 	add("emit-spec", "bench", "the bench suite is fixed; run it directly")
 	add("emit-spec", "json", "-emit-spec already writes Spec JSON to stdout")
+	for _, f := range []string{"workers", "progress", "out"} {
+		add("emit-spec", f, "-emit-spec prints Specs and runs nothing")
+	}
+	// -list prints the name lists and runs nothing, so it would drop every
+	// flag but the profilers'.
+	for _, f := range []string{"figure", "quick", "seed", "out", "plot", "verify", "markdown", "workers",
+		"check", "metrics", "stable", "reps", "confidence", "progress", "json", "matrix", "run",
+		"algos", "patterns", "processes", "rates", "size", "cycles", "algo", "pattern", "process",
+		"model", "rate", "record", "replay", "spec", "emit-spec", "cache-dir", "resume", "bench",
+		"bench-baseline"} {
+		add("list", f, "-list prints the name lists and runs nothing")
+	}
 	add("record", "replay", "a run either records or replays, not both")
 	// Mode selectors are mutually exclusive.
 	add("matrix", "run", "pick one mode")
@@ -399,7 +426,7 @@ func buildContradictions() []contradiction {
 	add("verify", "out", "claim verification writes no CSV or Result files")
 	// Charts are drawn beside the tables of figure and spec mode only.
 	add("plot", "json", "-json streams Results without tables or charts")
-	for _, f := range []string{"matrix", "run", "record", "replay", "verify", "bench", "emit-spec", "list"} {
+	for _, f := range []string{"matrix", "run", "record", "replay", "verify", "bench", "emit-spec"} {
 		add(f, "plot", "this mode draws no BNF chart; -plot applies to figure and spec modes")
 	}
 	// Replay fixes the injection stream; generative knobs contradict it.
@@ -426,14 +453,14 @@ func buildContradictions() []contradiction {
 	add("verify", "metrics", "claim verification compares measurements, not telemetry")
 	// -stable normalizes emitted Results; modes that emit something else
 	// have nothing to normalize.
-	for _, f := range []string{"emit-spec", "bench", "verify", "list"} {
+	for _, f := range []string{"emit-spec", "bench", "verify"} {
 		add(f, "stable", "-stable normalizes emitted Results; this mode emits none")
 	}
 	// Recording replays every replication into the same trace file.
 	add("record", "reps", "every replication would rewrite the trace file")
 	// The cache serves sweep results; modes that measure or emit
 	// something other than sweep Results cannot use it.
-	for _, f := range []string{"bench", "verify", "emit-spec", "list"} {
+	for _, f := range []string{"bench", "verify", "emit-spec"} {
 		add("cache-dir", f, "the result cache applies to sweep execution only")
 	}
 	// Record/replay specs bypass the cache: a file path does not
@@ -556,71 +583,28 @@ func checkResumable(store *cache.Store, logger *log.Logger, load func() ([]exper
 	return nil
 }
 
-// runSpecs executes loaded spec files, printing each result. With -plot
-// it fails before running anything when no spec draws a chart.
-func (a *app) runSpecs(path string, specs []experiment.Spec, plot bool) error {
-	if plot && !slices.ContainsFunc(specs, func(sp experiment.Spec) bool { return sp.Mode != experiment.ModeStandalone }) {
-		return fmt.Errorf("-plot applies to timing simulations; every spec in %s uses the standalone arbiter model (no BNF chart to draw)", path)
-	}
-	start := time.Now()
+// runSpecs executes specs in order, printing each Result's table (and,
+// with -plot, a timing Result's chart first) and writing its outputs
+// under the name file gives it.
+func (a *app) runSpecs(specs []experiment.Spec, plot bool, file func(experiment.Spec, int) string) error {
 	for i, sp := range specs {
 		res, err := a.exec(sp)
 		if err != nil {
 			return err
 		}
-		if plot && !a.json && sp.Mode != experiment.ModeStandalone {
-			fmt.Fprintln(a.out, res.Panel().Plot(72, 24))
+		if plot && !a.json && isTiming(sp) {
+			fmt.Fprintln(a.out, res.Plot(72, 24))
 		}
-		if err := a.emitResult(res, res.Table(), specSlug(sp, i)); err != nil {
-			return err
-		}
-	}
-	a.log.Printf("%d spec(s) in %v", len(specs), time.Since(start).Round(time.Second))
-	return nil
-}
-
-// runFigureSpecs executes one figure's canned specs with the historical
-// per-figure CSV naming: figure8.csv, figure10-<panel>.csv, figure11a.csv.
-func (a *app) runFigureSpecs(figure string, specs []experiment.Spec, plot bool) error {
-	for i, sp := range specs {
-		res, err := a.exec(sp)
-		if err != nil {
-			return err
-		}
-		if plot && !a.json && sp.Mode != experiment.ModeStandalone {
-			fmt.Fprintln(a.out, res.Panel().Plot(72, 24))
-		}
-		var tb experiment.Table
-		if sp.Mode == experiment.ModeStandalone {
-			// Keep the historical Figure 8/9 table layout.
-			switch sp.Name {
-			case "Figure 8":
-				f8 := experiment.Figure8Result{
-					LoadFractions:  sp.Standalone.Values,
-					SaturationLoad: res.SaturationLoad,
-					Curves:         res.Curves(),
-				}
-				tb = f8.Table()
-			default:
-				f9 := experiment.Figure9Result{
-					Occupancies: sp.Standalone.Values,
-					Curves:      res.Curves(),
-				}
-				tb = f9.Table()
-			}
-		} else {
-			tb = res.Panel().Table()
-		}
-		name := "figure" + figure
-		if len(specs) > 1 {
-			name += "-" + specSlug(sp, i)
-		}
-		if err := a.emitResult(res, tb, name); err != nil {
+		if err := a.emitResult(res, res.Table(), file(sp, i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// isTiming reports whether a spec runs the timing model, whose Results
+// have a BNF chart to draw.
+func isTiming(sp experiment.Spec) bool { return sp.Mode != experiment.ModeStandalone }
 
 // countPoints is the number of grid points a Result holds.
 func countPoints(res *experiment.Result) int {
@@ -839,26 +823,6 @@ func (a *app) writeJSONL(name string, res *experiment.Result) error {
 		return err
 	}
 	a.log.Printf("wrote %s", path)
-	return a.writeMetricsSidecar(name, res)
-}
-
-// writeMetricsSidecar mirrors a metric-laden Result's telemetry into a
-// standalone <name>.metrics.json document, then re-reads it to prove the
-// file is loadable — a corrupt sidecar should fail the run that wrote
-// it, not the consumer that scrapes it later.
-func (a *app) writeMetricsSidecar(name string, res *experiment.Result) error {
-	sc := experiment.MetricsSidecarOf(res)
-	if sc == nil || a.dir == "" {
-		return nil
-	}
-	path := filepath.Join(a.dir, name+".metrics.json")
-	if err := sc.WriteFile(path); err != nil {
-		return err
-	}
-	if _, err := experiment.ReadMetricsSidecarFile(path); err != nil {
-		return fmt.Errorf("sidecar verification failed: %w", err)
-	}
-	a.log.Printf("wrote %s (%d snapshot(s))", path, len(sc.Points))
 	return nil
 }
 

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,8 +89,12 @@ func TestTableOutputStdoutSeparation(t *testing.T) {
 }
 
 // TestContradictoryFlagsRejected spot-checks the flag contradiction
-// rules surface as errors, not silent behavior.
+// rules surface as errors, not silent behavior: a rejected invocation
+// prints nothing and writes no -out directory. -list takes no flag but
+// the profilers', and -emit-spec, which runs nothing, takes no
+// execution flag.
 func TestContradictoryFlagsRejected(t *testing.T) {
+	outDir := filepath.Join(t.TempDir(), "out")
 	cases := [][]string{
 		{"-bench", "-figure", "8"},
 		{"-bench-baseline", "x.json"},
@@ -99,12 +106,51 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		{"-markdown", "-list"},
 		{"-metrics", "-quick", "-figure", "8"},
 		{"-plot", "-quick", "-figure", "9"},
+		{"-list", "-quick", "-seed", "3"},
+		{"-list", "-figure", "9", "-check"},
+		{"-emit-spec", "-figure", "8", "-workers", "3", "-progress", "-out", outDir},
+		{"-emit-spec", "-progress"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("args %v: expected an error", args)
 		}
+		if stdout.Len() != 0 {
+			t.Errorf("args %v: the rejected invocation printed:\n%s", args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
+		t.Errorf("a rejected invocation created its -out directory (stat: %v)", err)
+	}
+}
+
+// TestListTakesNoFlag: -list rejects every flag sweep defines but the
+// profilers', read from the usage text so a flag added later needs a
+// rule (and a ruleSamples value) too, and still lists with a profiler.
+func TestListTakesNoFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v", err)
+	}
+	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1)
+	if len(flags) < 30 {
+		t.Fatalf("read %d flags from the usage text:\n%s", len(flags), stderr.String())
+	}
+	for _, m := range flags {
+		switch f := m[1]; f {
+		case "list", "cpuprofile", "memprofile":
+		default:
+			stdout.Reset()
+			if err := run([]string{"-list", sampleArg(t, f)}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
+				t.Errorf("-list -%s: err = %v, stdout:\n%s", f, err, stdout.String())
+			}
+		}
+	}
+	stdout.Reset()
+	err := run([]string{"-list", "-cpuprofile", filepath.Join(t.TempDir(), "cpu.pprof")}, &stdout, &stderr)
+	if err != nil || !strings.Contains(stdout.String(), "algorithms:") {
+		t.Errorf("-list -cpuprofile: err = %v, stdout:\n%s", err, stdout.String())
 	}
 }
 
@@ -440,52 +486,72 @@ func TestSpecFileArrayCachedRerun(t *testing.T) {
 	}
 }
 
-// TestMetricsFlagEmitsSnapshotsAndSidecar is the CLI face of the
-// telemetry layer: -metrics makes every emitted point carry a snapshot,
-// and with -out a loadable <name>.metrics.json sidecar appears.
-func TestMetricsFlagEmitsSnapshotsAndSidecar(t *testing.T) {
-	outDir := t.TempDir()
-	args := []string{
-		"-matrix", "-algos", "PIM1", "-patterns", "random", "-processes", "bernoulli",
-		"-rates", "0.02", "-size", "4x4", "-cycles", "300",
-		"-json", "-stable", "-metrics", "-out", outDir,
+// TestMetricsFlagEmitsSnapshots is the CLI face of the telemetry layer:
+// -metrics makes every emitted point carry a snapshot, on stdout and in
+// the Result JSONL that -out writes, and -out writes nothing else.
+func TestMetricsFlagEmitsSnapshots(t *testing.T) {
+	matrixArgs := func(dir string, extra ...string) []string {
+		return append([]string{
+			"-matrix", "-algos", "PIM1", "-patterns", "random", "-processes", "bernoulli",
+			"-rates", "0.02", "-size", "4x4", "-cycles", "300", "-json", "-out", dir,
+		}, extra...)
 	}
+	// readOut decodes the -out Result JSONL after checking that the
+	// directory holds only the table and the Result.
+	readOut := func(dir string) *experiment.Result {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{"scenario-matrix.csv", "scenario-matrix.jsonl"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("-out wrote %q, want %q", names, want)
+		}
+		f, err := os.Open(filepath.Join(dir, "scenario-matrix.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		res, err := experiment.DecodeResultJSONL(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	outDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run(args, &stdout, &stderr); err != nil {
+	if err := run(matrixArgs(outDir, "-stable", "-metrics"), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), `"metrics":{"version":1`) {
 		t.Fatalf("-metrics stream carries no snapshots:\n%s", stdout.String())
 	}
-	sidecar := filepath.Join(outDir, "scenario-matrix.metrics.json")
-	sc, err := experiment.ReadMetricsSidecarFile(sidecar)
-	if err != nil {
-		t.Fatalf("sidecar: %v", err)
+	res := readOut(outDir)
+	if len(res.Series) != 1 || len(res.Series[0].Points) != 1 {
+		t.Fatalf("-out Result has the wrong shape: %+v", res.Series)
 	}
-	if len(sc.Points) != 1 || sc.Points[0].Metrics == nil {
-		t.Fatalf("sidecar has %d point(s), want 1 with a snapshot", len(sc.Points))
-	}
-	if sc.Points[0].Metrics.Arbiter != "PIM1" {
-		t.Errorf("sidecar snapshot arbiter = %q, want PIM1", sc.Points[0].Metrics.Arbiter)
+	snap := res.Series[0].Points[0].Metrics
+	if snap == nil || snap.Arbiter != "PIM1" {
+		t.Fatalf("-out Result's snapshot = %+v, want PIM1's", snap)
 	}
 
-	// Without -metrics, no snapshot key and no sidecar.
+	// Without -metrics, no snapshot key on stdout or in the -out Result.
 	bareDir := t.TempDir()
-	bareArgs := []string{
-		"-matrix", "-algos", "PIM1", "-patterns", "random", "-processes", "bernoulli",
-		"-rates", "0.02", "-size", "4x4", "-cycles", "300",
-		"-json", "-out", bareDir,
-	}
 	stdout.Reset()
 	stderr.Reset()
-	if err := run(bareArgs, &stdout, &stderr); err != nil {
+	if err := run(matrixArgs(bareDir), &stdout, &stderr); err != nil {
 		t.Fatalf("bare run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	if strings.Contains(stdout.String(), `"metrics"`) {
 		t.Fatalf("bare run emitted a metrics key:\n%s", stdout.String())
 	}
-	if _, err := experiment.ReadMetricsSidecarFile(filepath.Join(bareDir, "scenario-matrix.metrics.json")); err == nil {
-		t.Error("bare run wrote a metrics sidecar")
+	if res := readOut(bareDir); res.Series[0].Points[0].Metrics != nil {
+		t.Error("bare run's -out Result carries a snapshot")
 	}
 }
 

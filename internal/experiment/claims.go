@@ -5,26 +5,20 @@ import (
 	"strings"
 )
 
-// Dataset bundles every figure's results so the paper's cross-figure
-// claims can be evaluated on one consistent set of runs.
-type Dataset struct {
-	Fig8     Figure8Result
-	Fig9     Figure9Result
-	Fig10    []Panel // 4x4 random, 8x8 random, 8x8 bit-reversal, 8x8 shuffle
-	Fig10Sat Panel   // 8x8 random, 64 outstanding, all five algorithms
-	Fig11a   Panel
-	Fig11b   Panel
-	Fig11c   Panel
-}
+// Dataset holds every canned figure's Results by figure name ("8",
+// "9", "10", "10s", "11a", "11b", "11c"), each in FigureSpecs order, so
+// the paper's cross-figure claims are evaluated on one consistent set of
+// runs.
+type Dataset map[string][]*Result
 
 // CollectDataset reruns the full evaluation: it runs every canned figure
 // Spec (FigureSpecs, in FigureSpecNames order) through exec one Spec at a
-// time and assembles the Dataset from the Results. exec is whatever
-// executes a Spec for the caller — typically a Runner's Run under a
-// background context — so the worker count, progress events, and
-// determinism are the executor's, exactly as in cmd/sweep's figure mode.
-func CollectDataset(o Options, exec func(Spec) (*Result, error)) (*Dataset, error) {
-	d := &Dataset{}
+// time and files each Result under its figure. exec is whatever executes
+// a Spec for the caller — typically a Runner's Run under a background
+// context — so the worker count, progress events, and determinism are
+// the executor's, exactly as in cmd/sweep's figure mode.
+func CollectDataset(o Options, exec func(Spec) (*Result, error)) (Dataset, error) {
+	d := Dataset{}
 	for _, name := range figureSpecNames {
 		specs, err := FigureSpecs(name, o)
 		if err != nil {
@@ -35,26 +29,7 @@ func CollectDataset(o Options, exec func(Spec) (*Result, error)) (*Dataset, erro
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", sp.Name, err)
 			}
-			switch name {
-			case "8":
-				d.Fig8 = Figure8Result{
-					LoadFractions:  sp.Standalone.Values,
-					SaturationLoad: res.SaturationLoad,
-					Curves:         res.Curves(),
-				}
-			case "9":
-				d.Fig9 = Figure9Result{Occupancies: sp.Standalone.Values, Curves: res.Curves()}
-			case "10":
-				d.Fig10 = append(d.Fig10, res.Panel())
-			case "10s":
-				d.Fig10Sat = res.Panel()
-			case "11a":
-				d.Fig11a = res.Panel()
-			case "11b":
-				d.Fig11b = res.Panel()
-			case "11c":
-				d.Fig11c = res.Panel()
-			}
+			d[name] = append(d[name], res)
 		}
 	}
 	return d, nil
@@ -68,51 +43,38 @@ type Verdict struct {
 	OK       bool
 }
 
-// series finds a curve by label within a panel.
-func (p Panel) series(label string) (int, bool) {
-	for i, s := range p.Series {
+// series returns the Result's series with the given label (empty when
+// it has none).
+func (r *Result) series(label string) ResultSeries {
+	for _, s := range r.Series {
 		if s.Label == label {
-			return i, true
+			return s
 		}
 	}
-	return 0, false
+	return ResultSeries{}
 }
 
-// saturationOf returns the peak throughput of a labeled series.
-func (p Panel) saturationOf(label string) float64 {
-	i, ok := p.series(label)
-	if !ok {
+// peak and final read a labeled series' peak and highest-load throughput.
+func (r *Result) peak(label string) float64  { return r.series(label).PeakThroughput() }
+func (r *Result) final(label string) float64 { return r.series(label).FinalThroughput() }
+
+// matches returns a standalone series' matches per cycle in axis order.
+func (r *Result) matches(label string) []float64 {
+	var v []float64
+	for _, p := range r.series(label).Points {
+		v = append(v, p.MatchesPerCycle)
+	}
+	return v
+}
+
+// firstLatency returns a timing series' average latency at its lightest
+// load.
+func (r *Result) firstLatency(label string) float64 {
+	pts := r.series(label).Points
+	if len(pts) == 0 {
 		return 0
 	}
-	return p.Series[i].SaturationThroughput()
-}
-
-// finalOf returns the highest-load throughput of a labeled series.
-func (p Panel) finalOf(label string) float64 {
-	i, ok := p.series(label)
-	if !ok {
-		return 0
-	}
-	return p.Series[i].FinalThroughput()
-}
-
-// curve returns a figure-8 curve's values by label.
-func (r Figure8Result) curve(label string) []float64 {
-	return findCurve(r.Curves, label)
-}
-
-// curve returns a figure-9 curve's values by label.
-func (r Figure9Result) curve(label string) []float64 {
-	return findCurve(r.Curves, label)
-}
-
-func findCurve(curves []StandaloneCurve, label string) []float64 {
-	for _, c := range curves {
-		if c.Label == label {
-			return c.Values
-		}
-	}
-	return nil
+	return pts[0].AvgLatencyNS
 }
 
 func last(v []float64) float64 {
@@ -125,18 +87,19 @@ func last(v []float64) float64 {
 // Verify evaluates every encoded claim of the paper against the dataset.
 // Each verdict's Measured string is self-contained so the results table in
 // EXPERIMENTS.md can be generated mechanically.
-func Verify(d *Dataset) []Verdict {
+func Verify(d Dataset) []Verdict {
 	var out []Verdict
 	add := func(id, paper, measured string, ok bool) {
 		out = append(out, Verdict{ID: id, Paper: paper, Measured: measured, OK: ok})
 	}
 
 	// ---- Figure 8 ----
-	mcm := last(d.Fig8.curve("MCM"))
-	wfa := last(d.Fig8.curve("WFA-base"))
-	pim := last(d.Fig8.curve("PIM"))
-	pim1 := last(d.Fig8.curve("PIM1"))
-	spaa := last(d.Fig8.curve("SPAA-base"))
+	f8 := d["8"][0]
+	mcm := last(f8.matches("MCM"))
+	wfa := last(f8.matches("WFA-base"))
+	pim := last(f8.matches("PIM"))
+	pim1 := last(f8.matches("PIM1"))
+	spaa := last(f8.matches("SPAA-base"))
 	add("fig8-top-three",
 		"the number of matches found by WFA and PIM are almost close to MCM's (§5.1)",
 		fmt.Sprintf("MCM %.2f, WFA %.2f, PIM %.2f matches/cycle at saturation", mcm, wfa, pim),
@@ -155,120 +118,116 @@ func Verify(d *Dataset) []Verdict {
 		mcm > 6.2)
 
 	// ---- Figure 9 ----
-	g0 := d.Fig9.curve("MCM")[0] - d.Fig9.curve("SPAA-base")[0]
-	g75 := last(d.Fig9.curve("MCM")) - last(d.Fig9.curve("SPAA-base"))
+	f9 := d["9"][0]
+	g0 := f9.matches("MCM")[0] - f9.matches("SPAA-base")[0]
+	g75 := last(f9.matches("MCM")) - last(f9.matches("SPAA-base"))
 	add("fig9-gap-vanishes",
 		"the difference between the algorithms completely disappears when 75% of the output ports are occupied",
 		fmt.Sprintf("MCM-SPAA gap: %.2f at 0%% occupancy vs %.2f at 75%%", g0, g75),
 		g75 < 0.25*g0)
 
 	// ---- Figure 10: 4x4 random ----
-	p4 := d.Fig10[0]
+	p4 := d["10"][0]
 	add("fig10-4x4-spaa-wins",
 		"with random traffic SPAA-base provides about 11% higher throughput than PIM1 and WFA-base (4x4, ~83 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-base %.3f vs WFA-base %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
-			p4.saturationOf("SPAA-base"), p4.saturationOf("WFA-base"),
-			100*(p4.saturationOf("SPAA-base")/p4.saturationOf("WFA-base")-1),
-			p4.saturationOf("PIM1"),
-			100*(p4.saturationOf("SPAA-base")/p4.saturationOf("PIM1")-1)),
-		p4.saturationOf("SPAA-base") > 1.02*p4.saturationOf("WFA-base") &&
-			p4.saturationOf("SPAA-base") > 1.02*p4.saturationOf("PIM1"))
+			p4.peak("SPAA-base"), p4.peak("WFA-base"),
+			100*(p4.peak("SPAA-base")/p4.peak("WFA-base")-1),
+			p4.peak("PIM1"),
+			100*(p4.peak("SPAA-base")/p4.peak("PIM1")-1)),
+		p4.peak("SPAA-base") > 1.02*p4.peak("WFA-base") &&
+			p4.peak("SPAA-base") > 1.02*p4.peak("PIM1"))
 	add("fig10-4x4-no-collapse",
 		"the 4x4 network does not show saturation behavior",
 		fmt.Sprintf("SPAA-base final/peak = %.2f, WFA-base final/peak = %.2f",
-			p4.finalOf("SPAA-base")/p4.saturationOf("SPAA-base"),
-			p4.finalOf("WFA-base")/p4.saturationOf("WFA-base")),
-		p4.finalOf("SPAA-base") > 0.9*p4.saturationOf("SPAA-base") &&
-			p4.finalOf("WFA-base") > 0.9*p4.saturationOf("WFA-base"))
+			p4.final("SPAA-base")/p4.peak("SPAA-base"),
+			p4.final("WFA-base")/p4.peak("WFA-base")),
+		p4.final("SPAA-base") > 0.9*p4.peak("SPAA-base") &&
+			p4.final("WFA-base") > 0.9*p4.peak("WFA-base"))
 
 	// ---- Figure 10: 8x8 random ----
-	p8 := d.Fig10[1]
+	p8 := d["10"][1]
 	add("fig10-8x8-spaa-wins",
 		"in the 8x8 network SPAA-base provides about 24% higher throughput than PIM1 and WFA-base (~122 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-base %.3f vs WFA-base %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
-			p8.saturationOf("SPAA-base"), p8.saturationOf("WFA-base"),
-			100*(p8.saturationOf("SPAA-base")/p8.saturationOf("WFA-base")-1),
-			p8.saturationOf("PIM1"),
-			100*(p8.saturationOf("SPAA-base")/p8.saturationOf("PIM1")-1)),
-		p8.saturationOf("SPAA-base") > 1.02*p8.saturationOf("WFA-base") &&
-			p8.saturationOf("SPAA-base") > 1.02*p8.saturationOf("PIM1"))
+			p8.peak("SPAA-base"), p8.peak("WFA-base"),
+			100*(p8.peak("SPAA-base")/p8.peak("WFA-base")-1),
+			p8.peak("PIM1"),
+			100*(p8.peak("SPAA-base")/p8.peak("PIM1")-1)),
+		p8.peak("SPAA-base") > 1.02*p8.peak("WFA-base") &&
+			p8.peak("SPAA-base") > 1.02*p8.peak("PIM1"))
 	add("fig10-spaa-low-load-latency",
 		"SPAA's shorter pipeline gives it lower latency before saturation (3 vs 4 cycles per hop)",
 		fmt.Sprintf("lightest-load latency: SPAA-base %.1f ns vs WFA-base %.1f ns vs PIM1 %.1f ns",
-			firstLatency(p8, "SPAA-base"), firstLatency(p8, "WFA-base"), firstLatency(p8, "PIM1")),
-		firstLatency(p8, "SPAA-base") < firstLatency(p8, "WFA-base") &&
-			firstLatency(p8, "SPAA-base") < firstLatency(p8, "PIM1"))
+			p8.firstLatency("SPAA-base"), p8.firstLatency("WFA-base"), p8.firstLatency("PIM1")),
+		p8.firstLatency("SPAA-base") < p8.firstLatency("WFA-base") &&
+			p8.firstLatency("SPAA-base") < p8.firstLatency("PIM1"))
 
 	// ---- Saturation companion (the paper's 8x8 collapse claims) ----
-	ps := d.Fig10Sat
+	ps := d["10s"][0]
 	add("fig10-rotary-spaa",
 		"SPAA-rotary improves throughput by 43% over SPAA-base beyond saturation (~280 ns)",
 		fmt.Sprintf("final throughput: SPAA-rotary %.3f vs SPAA-base %.3f (%.1fx; 64 outstanding)",
-			ps.finalOf("SPAA-rotary"), ps.finalOf("SPAA-base"),
-			ps.finalOf("SPAA-rotary")/ps.finalOf("SPAA-base")),
-		ps.finalOf("SPAA-rotary") > 1.3*ps.finalOf("SPAA-base"))
+			ps.final("SPAA-rotary"), ps.final("SPAA-base"),
+			ps.final("SPAA-rotary")/ps.final("SPAA-base")),
+		ps.final("SPAA-rotary") > 1.3*ps.final("SPAA-base"))
 	add("fig10-rotary-wfa",
 		"WFA-rotary improves throughput by 16% over WFA-base beyond saturation (~280 ns)",
 		fmt.Sprintf("final throughput: WFA-rotary %.3f vs WFA-base %.3f (%.1fx; 64 outstanding)",
-			ps.finalOf("WFA-rotary"), ps.finalOf("WFA-base"),
-			ps.finalOf("WFA-rotary")/ps.finalOf("WFA-base")),
-		ps.finalOf("WFA-rotary") > 1.15*ps.finalOf("WFA-base"))
+			ps.final("WFA-rotary"), ps.final("WFA-base"),
+			ps.final("WFA-rotary")/ps.final("WFA-base")),
+		ps.final("WFA-rotary") > 1.15*ps.final("WFA-base"))
 	add("fig10-rotary-holds",
 		"WFA-rotary's and SPAA-rotary's delivered throughputs continue to increase past the base algorithms' saturation point",
 		fmt.Sprintf("rotary final/peak: SPAA %.2f, WFA %.2f (base: %.2f, %.2f)",
-			ps.finalOf("SPAA-rotary")/ps.saturationOf("SPAA-rotary"),
-			ps.finalOf("WFA-rotary")/ps.saturationOf("WFA-rotary"),
-			ps.finalOf("SPAA-base")/ps.saturationOf("SPAA-base"),
-			ps.finalOf("WFA-base")/ps.saturationOf("WFA-base")),
-		ps.finalOf("SPAA-rotary") > 0.9*ps.saturationOf("SPAA-rotary") &&
-			ps.finalOf("WFA-rotary") > 0.9*ps.saturationOf("WFA-rotary"))
+			ps.final("SPAA-rotary")/ps.peak("SPAA-rotary"),
+			ps.final("WFA-rotary")/ps.peak("WFA-rotary"),
+			ps.final("SPAA-base")/ps.peak("SPAA-base"),
+			ps.final("WFA-base")/ps.peak("WFA-base")),
+		ps.final("SPAA-rotary") > 0.9*ps.peak("SPAA-rotary") &&
+			ps.final("WFA-rotary") > 0.9*ps.peak("WFA-rotary"))
 
 	// ---- Figure 11a: 2x pipeline ----
+	f11a := d["11a"][0]
 	add("fig11a-spaa-dominates",
 		"with a 2x-deep, 2x-fast pipeline SPAA-rotary provides greater than 60% higher throughput than PIM1 and WFA-rotary (~100 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
-			d.Fig11a.saturationOf("SPAA-rotary"), d.Fig11a.saturationOf("WFA-rotary"),
-			100*(d.Fig11a.saturationOf("SPAA-rotary")/d.Fig11a.saturationOf("WFA-rotary")-1),
-			d.Fig11a.saturationOf("PIM1"),
-			100*(d.Fig11a.saturationOf("SPAA-rotary")/d.Fig11a.saturationOf("PIM1")-1)),
-		d.Fig11a.saturationOf("SPAA-rotary") > 1.05*d.Fig11a.saturationOf("WFA-rotary") &&
-			d.Fig11a.saturationOf("SPAA-rotary") > 1.05*d.Fig11a.saturationOf("PIM1"))
+			f11a.peak("SPAA-rotary"), f11a.peak("WFA-rotary"),
+			100*(f11a.peak("SPAA-rotary")/f11a.peak("WFA-rotary")-1),
+			f11a.peak("PIM1"),
+			100*(f11a.peak("SPAA-rotary")/f11a.peak("PIM1")-1)),
+		f11a.peak("SPAA-rotary") > 1.05*f11a.peak("WFA-rotary") &&
+			f11a.peak("SPAA-rotary") > 1.05*f11a.peak("PIM1"))
 
 	// ---- Figure 11b: 64 outstanding ----
+	f11b := d["11b"][0]
 	add("fig11b-spaa-wins",
 		"even at 64 outstanding misses SPAA-rotary provides roughly 13% higher throughput than WFA-rotary (~200 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%)",
-			d.Fig11b.saturationOf("SPAA-rotary"), d.Fig11b.saturationOf("WFA-rotary"),
-			100*(d.Fig11b.saturationOf("SPAA-rotary")/d.Fig11b.saturationOf("WFA-rotary")-1)),
-		d.Fig11b.saturationOf("SPAA-rotary") > 1.0*d.Fig11b.saturationOf("WFA-rotary"))
+			f11b.peak("SPAA-rotary"), f11b.peak("WFA-rotary"),
+			100*(f11b.peak("SPAA-rotary")/f11b.peak("WFA-rotary")-1)),
+		f11b.peak("SPAA-rotary") > 1.0*f11b.peak("WFA-rotary"))
 
 	// ---- Figure 11c: 12x12 ----
+	f11c := d["11c"][0]
 	add("fig11c-spaa-wins",
 		"in a 12x12 network SPAA-rotary provides an 18% higher throughput than WFA-rotary (~200 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%)",
-			d.Fig11c.saturationOf("SPAA-rotary"), d.Fig11c.saturationOf("WFA-rotary"),
-			100*(d.Fig11c.saturationOf("SPAA-rotary")/d.Fig11c.saturationOf("WFA-rotary")-1)),
-		d.Fig11c.saturationOf("SPAA-rotary") > 1.0*d.Fig11c.saturationOf("WFA-rotary"))
+			f11c.peak("SPAA-rotary"), f11c.peak("WFA-rotary"),
+			100*(f11c.peak("SPAA-rotary")/f11c.peak("WFA-rotary")-1)),
+		f11c.peak("SPAA-rotary") > 1.0*f11c.peak("WFA-rotary"))
 
 	// ---- §4.3 calibration ----
 	add("calibration-zero-load",
 		"the minimum per-packet latency in a 4x4 network with uniform traffic is about 45 ns",
 		fmt.Sprintf("lightest-load average latency: %.1f ns (4x4 random, SPAA-base)",
-			firstLatency(p4, "SPAA-base")),
-		within(firstLatency(p4, "SPAA-base"), 40, 60))
+			p4.firstLatency("SPAA-base")),
+		within(p4.firstLatency("SPAA-base"), 40, 60))
 
 	return out
 }
 
 func within(v, lo, hi float64) bool { return v >= lo && v <= hi }
-
-func firstLatency(p Panel, label string) float64 {
-	i, ok := p.series(label)
-	if !ok || len(p.Series[i].Points) == 0 {
-		return 0
-	}
-	return p.Series[i].Points[0].AvgLatencyNS
-}
 
 // VerdictTable formats verdicts for terminal output.
 func VerdictTable(vs []Verdict) Table {

@@ -54,3 +54,100 @@ func TestVerifyClaimsQuick(t *testing.T) {
 		t.Error("markdown table malformed")
 	}
 }
+
+// bnfSeries builds a timing series from (throughput, latency) pairs.
+func bnfSeries(label string, pairs ...float64) ResultSeries {
+	s := ResultSeries{Label: label, Arbiter: label}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		s.Points = append(s.Points, ResultPoint{Throughput: pairs[i], AvgLatencyNS: pairs[i+1]})
+	}
+	return s
+}
+
+// matchSeries builds a standalone series from matches per cycle.
+func matchSeries(label string, values ...float64) ResultSeries {
+	s := ResultSeries{Label: label, Arbiter: label}
+	for _, v := range values {
+		s.Points = append(s.Points, ResultPoint{MatchesPerCycle: v})
+	}
+	return s
+}
+
+// TestVerifyReadsResults runs Verify on hand-built Results, one per
+// figure panel it reads, with series in no particular order and one
+// claim (fig11a) set to deviate. It pins every claim ID in order, each
+// verdict, and the exact measured text of one standalone and one timing
+// claim.
+func TestVerifyReadsResults(t *testing.T) {
+	d := Dataset{
+		"8": {{Series: []ResultSeries{
+			matchSeries("SPAA-base", 3.7, 4.6), matchSeries("MCM", 3.8, 6.8),
+			matchSeries("PIM", 3.8, 6.7), matchSeries("PIM1", 3.8, 6.0), matchSeries("WFA-base", 3.8, 6.78),
+		}}},
+		"9": {{Series: []ResultSeries{
+			matchSeries("MCM", 6.8, 5.2, 3.5, 1.7), matchSeries("SPAA-base", 4.6, 3.8, 2.8, 1.6),
+		}}},
+		"10": {
+			{Series: []ResultSeries{
+				bnfSeries("PIM1", 0.1, 53, 0.86, 140, 0.85, 310),
+				bnfSeries("WFA-base", 0.1, 52, 0.80, 150, 0.76, 320),
+				bnfSeries("SPAA-base", 0.1, 49.5, 0.92, 120, 0.90, 300),
+			}},
+			{Series: []ResultSeries{
+				bnfSeries("SPAA-base", 0.05, 78.3, 0.57, 200),
+				bnfSeries("WFA-base", 0.05, 90.3, 0.55, 210),
+				bnfSeries("PIM1", 0.05, 91, 0.55, 215),
+			}},
+		},
+		"10s": {{Series: []ResultSeries{
+			bnfSeries("SPAA-base", 0.3, 90, 0.45, 400, 0.22, 900),
+			bnfSeries("SPAA-rotary", 0.3, 100, 0.56, 300, 0.55, 400),
+			bnfSeries("WFA-base", 0.3, 100, 0.44, 400, 0.31, 800),
+			bnfSeries("WFA-rotary", 0.3, 110, 0.54, 320, 0.53, 420),
+		}}},
+		"11a": {{Series: []ResultSeries{
+			bnfSeries("PIM1", 0.1, 70, 0.57, 230),
+			bnfSeries("WFA-rotary", 0.1, 70, 0.58, 220),
+			bnfSeries("SPAA-rotary", 0.1, 60, 0.60, 200),
+		}}},
+		"11b": {{Series: []ResultSeries{
+			bnfSeries("WFA-rotary", 0.1, 90, 0.566, 300),
+			bnfSeries("SPAA-rotary", 0.1, 80, 0.57, 280),
+		}}},
+		"11c": {{Series: []ResultSeries{
+			bnfSeries("SPAA-rotary", 0.05, 100, 0.412, 300),
+			bnfSeries("WFA-rotary", 0.05, 110, 0.40, 320),
+		}}},
+	}
+	verdicts := Verify(d)
+	want := []struct {
+		id string
+		ok bool
+	}{
+		{"fig8-top-three", true}, {"fig8-mcm-vs-spaa", true}, {"fig8-pim1-vs-spaa", true},
+		{"fig8-mcm-near-seven", true}, {"fig9-gap-vanishes", true},
+		{"fig10-4x4-spaa-wins", true}, {"fig10-4x4-no-collapse", true},
+		{"fig10-8x8-spaa-wins", true}, {"fig10-spaa-low-load-latency", true},
+		{"fig10-rotary-spaa", true}, {"fig10-rotary-wfa", true}, {"fig10-rotary-holds", true},
+		{"fig11a-spaa-dominates", false}, {"fig11b-spaa-wins", true}, {"fig11c-spaa-wins", true},
+		{"calibration-zero-load", true},
+	}
+	if len(verdicts) != len(want) {
+		t.Fatalf("%d verdicts, want %d", len(verdicts), len(want))
+	}
+	measured := map[string]string{}
+	for i, v := range verdicts {
+		if v.ID != want[i].id || v.OK != want[i].ok {
+			t.Errorf("verdict %d = %s ok=%v (%s), want %s ok=%v", i+1, v.ID, v.OK, v.Measured, want[i].id, want[i].ok)
+		}
+		measured[v.ID] = v.Measured
+	}
+	for id, text := range map[string]string{
+		"fig8-mcm-vs-spaa":    "MCM/SPAA = 1.48 (paper 1.36)",
+		"fig10-4x4-spaa-wins": "saturation throughput: SPAA-base 0.920 vs WFA-base 0.800 (+15%) and PIM1 0.860 (+7%)",
+	} {
+		if measured[id] != text {
+			t.Errorf("%s measured %q, want %q", id, measured[id], text)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Package experiment reproduces the paper's evaluation: each figure of §5
-// is a canned Spec (FigureSpecs) that a Runner executes into a Result,
-// whose Panel, Curves, and Table views are the series/tables the paper
-// plots, and Verify checks the paper's claims against them. The cmd/sweep
-// tool and the repository's benchmarks are thin wrappers around this
-// package.
+// is a canned Spec (FigureSpecs) that a Runner executes into a Result.
+// The Result is the one shape every consumer reads: its series are the
+// curves the paper plots, Result.Table and Result.Plot render them, and
+// Verify checks the paper's claims against the figures' Results. The
+// cmd/sweep tool and the repository's benchmarks are thin wrappers
+// around this package.
 package experiment
 
 import (
@@ -311,13 +312,6 @@ func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
 	return pt, nil
 }
 
-// Panel is one BNF chart: several algorithms swept over the same loads.
-type Panel struct {
-	Title  string
-	Rates  []float64
-	Series []stats.Series
-}
-
 // Figure10Kinds are the five algorithms of Figure 10.
 var Figure10Kinds = []core.Kind{
 	core.KindPIM1, core.KindWFABase, core.KindWFARotary,
@@ -358,27 +352,7 @@ func (o Options) rates(full []float64) []float64 {
 	return out
 }
 
-// StandaloneCurve is one algorithm's standalone match-rate curve.
-type StandaloneCurve struct {
-	Label  string
-	Values []float64
-}
-
-// Figure8Result holds the standalone load sweep.
-type Figure8Result struct {
-	// LoadFractions of the MCM saturation load (horizontal axis).
-	LoadFractions  []float64
-	SaturationLoad float64
-	Curves         []StandaloneCurve
-}
-
 // Figure8Kinds are the algorithms of Figures 8 and 9.
 var Figure8Kinds = []core.Kind{
 	core.KindMCM, core.KindWFABase, core.KindPIM, core.KindPIM1, core.KindSPAABase,
-}
-
-// Figure9Result holds the occupancy sweep at the MCM saturation load.
-type Figure9Result struct {
-	Occupancies []float64
-	Curves      []StandaloneCurve
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,12 +91,12 @@ func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := res.Panel().Series[0]
+	series := res.Series[0]
 	if len(series.Points) != 3 {
 		t.Fatalf("points = %d, want 3", len(series.Points))
 	}
 	for i := 1; i < len(series.Points); i++ {
-		if series.Points[i].OfferedRate <= series.Points[i-1].OfferedRate {
+		if series.Points[i].Rate <= series.Points[i-1].Rate {
 			t.Error("offered rates not increasing")
 		}
 	}
@@ -107,38 +108,27 @@ func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
 func TestFigure8And9Tables(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
 	sp, res := runFigure(t, o, "8", 0, 0)
-	f8 := Figure8Result{
-		LoadFractions:  sp.Standalone.Values,
-		SaturationLoad: res.SaturationLoad,
-		Curves:         res.Curves(),
+	if len(res.Series) != len(Figure8Kinds) {
+		t.Fatalf("figure 8 series = %d", len(res.Series))
 	}
-	if len(f8.Curves) != len(Figure8Kinds) {
-		t.Fatalf("figure 8 curves = %d", len(f8.Curves))
+	table := res.Table()
+	if want := fmt.Sprintf("Figure 8 (MCM saturation load = %.2f pkts/port/cycle)", res.SaturationLoad); table.Title != want {
+		t.Errorf("figure 8 title = %q, want %q", table.Title, want)
 	}
-	table := f8.Table()
 	if !strings.Contains(table.Format(), "SPAA-base") {
 		t.Error("figure 8 table missing SPAA column")
 	}
-	if len(table.Rows) != len(f8.LoadFractions) {
+	if len(table.Rows) != len(sp.Standalone.Values) {
 		t.Errorf("figure 8 rows = %d", len(table.Rows))
 	}
 
 	sp, res = runFigure(t, o, "9", 0, 0)
-	f9 := Figure9Result{Occupancies: sp.Standalone.Values, Curves: res.Curves()}
-	if len(f9.Occupancies) != 4 {
-		t.Fatalf("figure 9 occupancies = %v", f9.Occupancies)
+	if len(sp.Standalone.Values) != 4 {
+		t.Fatalf("figure 9 occupancies = %v", sp.Standalone.Values)
 	}
 	// The MCM-SPAA gap must shrink as occupancy rises (Figure 9's point).
-	var mcm, spaa []float64
-	for _, c := range f9.Curves {
-		switch c.Label {
-		case "MCM":
-			mcm = c.Values
-		case "SPAA-base":
-			spaa = c.Values
-		}
-	}
-	if mcm == nil || spaa == nil {
+	mcm, spaa := res.matches("MCM"), res.matches("SPAA-base")
+	if len(mcm) != 4 || len(spaa) != 4 {
 		t.Fatal("figure 9 missing curves")
 	}
 	first := mcm[0] - spaa[0]
@@ -146,21 +136,20 @@ func TestFigure8And9Tables(t *testing.T) {
 	if last >= first {
 		t.Errorf("occupancy gap grew: %.2f -> %.2f", first, last)
 	}
-	csv := f9.Table().CSV()
-	if !strings.Contains(csv, "occupancy,") {
-		t.Errorf("CSV header malformed: %q", strings.SplitN(csv, "\n", 2)[0])
+	csv := res.Table().CSV()
+	if !strings.HasPrefix(csv, "occupancy,") || !strings.Contains(csv, "\n0.5,") {
+		t.Errorf("CSV malformed: %q", csv)
 	}
 }
 
 func TestFigure10SaturationPanel(t *testing.T) {
-	_, res := runFigure(t, benchOpts, "10s", 0, 0)
-	p := res.Panel()
-	if len(p.Series) != len(Figure10Kinds) {
-		t.Fatalf("series = %d", len(p.Series))
+	sp, res := runFigure(t, benchOpts, "10s", 0, 0)
+	if len(res.Series) != len(Figure10Kinds) {
+		t.Fatalf("series = %d", len(res.Series))
 	}
-	table := p.Table()
-	if len(table.Rows) != len(p.Rates) {
-		t.Fatalf("rows = %d, rates = %d", len(table.Rows), len(p.Rates))
+	table := res.Table()
+	if len(table.Rows) != len(sp.Workload.Rates) {
+		t.Fatalf("rows = %d, rates = %d", len(table.Rows), len(sp.Workload.Rates))
 	}
 	if !strings.Contains(table.Format(), "SPAA-rotary") {
 		t.Error("panel table missing series")

@@ -89,54 +89,6 @@ func TestMetricsObservationOnly(t *testing.T) {
 	}
 }
 
-func TestMetricsSidecarRoundTrip(t *testing.T) {
-	sp := metricsTestSpec()
-	WithMetrics()(&sp)
-	res, err := NewRunner(WithWorkers(1)).Run(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sc := MetricsSidecarOf(res)
-	if sc == nil {
-		t.Fatal("metrics run produced no sidecar")
-	}
-	wantPoints := 0
-	for _, s := range res.Series {
-		wantPoints += len(s.Points)
-	}
-	if len(sc.Points) != wantPoints {
-		t.Fatalf("sidecar has %d points, result has %d", len(sc.Points), wantPoints)
-	}
-	if sc.Name != sp.Name {
-		t.Errorf("sidecar name = %q, want %q", sc.Name, sp.Name)
-	}
-
-	path := filepath.Join(t.TempDir(), "run.metrics.json")
-	if err := sc.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMetricsSidecarFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(sc)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Error("sidecar did not round-trip byte-identically")
-	}
-
-	// A bare result yields no sidecar at all.
-	bareSpec := metricsTestSpec()
-	bare, err := NewRunner(WithWorkers(1)).Run(context.Background(), bareSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MetricsSidecarOf(bare) != nil {
-		t.Error("bare run produced a sidecar")
-	}
-}
-
 func TestStripVolatile(t *testing.T) {
 	StripVolatile(nil) // must not panic
 	r := &Result{ElapsedNS: 12345}

@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// Plot renders a panel as an ASCII BNF chart in the paper's orientation:
-// average packet latency (ns) on the vertical axis against delivered
-// throughput (flits/router/ns) on the horizontal axis, one glyph per
-// algorithm. It is deliberately terminal-sized; cmd/sweep -plot uses it so
-// curve shapes (saturation knees, rotary retention, collapse) are visible
-// without external tooling.
-func (p Panel) Plot(width, height int) string {
+// Plot renders a timing Result as an ASCII BNF chart in the paper's
+// orientation: average packet latency (ns) on the vertical axis against
+// delivered throughput (flits/router/ns) on the horizontal axis, one
+// glyph per series. It is deliberately terminal-sized; cmd/sweep -plot
+// uses it so curve shapes (saturation knees, rotary retention, collapse)
+// are visible without external tooling.
+func (r *Result) Plot(width, height int) string {
 	if width < 20 {
 		width = 64
 	}
@@ -23,14 +23,14 @@ func (p Panel) Plot(width, height int) string {
 
 	// Axis ranges over all points.
 	maxX, maxY := 0.0, 0.0
-	for _, s := range p.Series {
+	for _, s := range r.Series {
 		for _, pt := range s.Points {
 			maxX = math.Max(maxX, pt.Throughput)
 			maxY = math.Max(maxY, pt.AvgLatencyNS)
 		}
 	}
 	if maxX == 0 || maxY == 0 {
-		return p.Title + " (no data)\n"
+		return r.Spec.Name + " (no data)\n"
 	}
 	maxX *= 1.05
 	maxY *= 1.05
@@ -39,7 +39,7 @@ func (p Panel) Plot(width, height int) string {
 	for y := range grid {
 		grid[y] = []byte(strings.Repeat(" ", width))
 	}
-	for si, s := range p.Series {
+	for si, s := range r.Series {
 		g := glyphs[si%len(glyphs)]
 		for _, pt := range s.Points {
 			x := int(pt.Throughput / maxX * float64(width-1))
@@ -55,7 +55,7 @@ func (p Panel) Plot(width, height int) string {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", p.Title)
+	fmt.Fprintf(&b, "%s\n", r.Spec.Name)
 	fmt.Fprintf(&b, "latency(ns) up to %.0f | throughput(flits/router/ns) up to %.2f\n", maxY/1.05, maxX/1.05)
 	for y := 0; y < height; y++ {
 		b.WriteByte('|')
@@ -65,7 +65,7 @@ func (p Panel) Plot(width, height int) string {
 	b.WriteByte('+')
 	b.WriteString(strings.Repeat("-", width))
 	b.WriteByte('\n')
-	for si, s := range p.Series {
+	for si, s := range r.Series {
 		fmt.Fprintf(&b, "  %c = %s", glyphs[si%len(glyphs)], s.Label)
 	}
 	b.WriteString("  * = overlap\n")

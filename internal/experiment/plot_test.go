@@ -3,19 +3,17 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"alpha21364/internal/stats"
 )
 
 func TestPlotRendersAllSeries(t *testing.T) {
-	p := Panel{
-		Title: "test panel",
-		Series: []stats.Series{
-			{Label: "PIM1", Points: []stats.Point{{Throughput: 0.1, AvgLatencyNS: 50}, {Throughput: 0.5, AvgLatencyNS: 200}}},
-			{Label: "SPAA", Points: []stats.Point{{Throughput: 0.2, AvgLatencyNS: 40}, {Throughput: 0.6, AvgLatencyNS: 180}}},
+	r := &Result{
+		Spec: Spec{Name: "test panel"},
+		Series: []ResultSeries{
+			{Label: "PIM1", Points: []ResultPoint{{Throughput: 0.1, AvgLatencyNS: 50}, {Throughput: 0.5, AvgLatencyNS: 200}}},
+			{Label: "SPAA", Points: []ResultPoint{{Throughput: 0.2, AvgLatencyNS: 40}, {Throughput: 0.6, AvgLatencyNS: 180}}},
 		},
 	}
-	out := p.Plot(60, 15)
+	out := r.Plot(60, 15)
 	if !strings.Contains(out, "test panel") {
 		t.Error("plot missing title")
 	}
@@ -32,20 +30,20 @@ func TestPlotRendersAllSeries(t *testing.T) {
 }
 
 func TestPlotEmptyPanel(t *testing.T) {
-	p := Panel{Title: "empty"}
-	if out := p.Plot(40, 10); !strings.Contains(out, "no data") {
+	r := &Result{Spec: Spec{Name: "empty"}}
+	if out := r.Plot(40, 10); !strings.Contains(out, "no data") {
 		t.Errorf("empty plot output: %q", out)
 	}
 }
 
 func TestPlotClampsTinyDimensions(t *testing.T) {
-	p := Panel{
-		Title: "tiny",
-		Series: []stats.Series{
-			{Label: "x", Points: []stats.Point{{Throughput: 0.3, AvgLatencyNS: 100}}},
+	r := &Result{
+		Spec: Spec{Name: "tiny"},
+		Series: []ResultSeries{
+			{Label: "x", Points: []ResultPoint{{Throughput: 0.3, AvgLatencyNS: 100}}},
 		},
 	}
-	out := p.Plot(1, 1) // clamped to sane minimums, must not panic
+	out := r.Plot(1, 1) // clamped to sane minimums, must not panic
 	if len(out) == 0 {
 		t.Error("clamped plot empty")
 	}

@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"alpha21364/internal/obs"
-	"alpha21364/internal/stats"
 )
 
 // ResultVersion is the Result schema version this package reads and writes.
@@ -101,64 +100,104 @@ type ResultPoint struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// statsPoint converts the point to the stats.Point BNF shape.
-func (p ResultPoint) statsPoint() stats.Point {
-	return stats.Point{
-		OfferedRate:  p.Rate,
-		Throughput:   p.Throughput,
-		AvgLatencyNS: p.AvgLatencyNS,
-		Packets:      p.Packets,
+// PeakThroughput returns the series' highest delivered throughput: the
+// saturation knee the Rotary Rule is designed to hold beyond.
+func (s ResultSeries) PeakThroughput() float64 {
+	best := 0.0
+	for _, p := range s.Points {
+		if p.Throughput > best {
+			best = p.Throughput
+		}
 	}
+	return best
 }
 
-// Panel converts a timing Result to the chart shape that Verify, the
-// figure tables, and the ASCII plotter consume. Every series is
-// included, complete or not (Table renders missing cells as "-").
-func (r *Result) Panel() Panel {
-	p := Panel{Title: r.Spec.Name}
-	if r.Spec.Workload != nil {
-		p.Rates = append(p.Rates, r.Spec.Workload.Rates...)
+// FinalThroughput returns the delivered throughput at the highest swept
+// load, showing whether the network collapsed beyond saturation.
+func (s ResultSeries) FinalThroughput() float64 {
+	if len(s.Points) == 0 {
+		return 0
 	}
-	for _, s := range r.Series {
-		series := stats.Series{Label: s.Label}
-		for _, pt := range s.Points {
-			series.Points = append(series.Points, pt.statsPoint())
-		}
-		p.Series = append(p.Series, series)
-	}
-	return p
+	return s.Points[len(s.Points)-1].Throughput
 }
 
-// Curves converts a standalone Result to the per-algorithm curve shape
-// of Figures 8 and 9.
-func (r *Result) Curves() []StandaloneCurve {
-	curves := make([]StandaloneCurve, len(r.Series))
-	for i, s := range r.Series {
-		c := StandaloneCurve{Label: s.Label}
-		for _, pt := range s.Points {
-			c.Values = append(c.Values, pt.MatchesPerCycle)
+// ThroughputAtLatency interpolates the delivered throughput at a target
+// average latency, the comparison the paper quotes ("at about an average
+// packet latency of X ns, A provides Y% higher throughput than B"). It
+// walks the curve in sweep order, linearly interpolating between each
+// pair of points that straddles the target, and returns the highest
+// throughput the curve delivers at or below that latency; ok is false
+// if no point is at or below it.
+func (s ResultSeries) ThroughputAtLatency(latencyNS float64) (float64, bool) {
+	best := 0.0
+	found := false
+	for i, p := range s.Points {
+		if p.AvgLatencyNS <= latencyNS {
+			// Curve is still below the target latency: it delivers at least
+			// this throughput at the target.
+			if p.Throughput > best {
+				best, found = p.Throughput, true
+			}
+			continue
 		}
-		curves[i] = c
+		if i > 0 {
+			prev := s.Points[i-1]
+			if prev.AvgLatencyNS <= latencyNS && p.AvgLatencyNS > prev.AvgLatencyNS {
+				frac := (latencyNS - prev.AvgLatencyNS) / (p.AvgLatencyNS - prev.AvgLatencyNS)
+				tp := prev.Throughput + frac*(p.Throughput-prev.Throughput)
+				if tp > best {
+					best, found = tp, true
+				}
+			}
+		}
 	}
-	return curves
+	return best, found
 }
 
 // Table renders the result for terminal/CSV output, choosing the layout
 // by spec shape: standalone sweeps and single-axis timing sweeps render
-// as panels (axis rows × per-algorithm columns), multi-pattern or
-// multi-process matrices as one row per scenario point.
+// one row per axis value with per-series columns, multi-pattern or
+// multi-process matrices one row per scenario point.
 func (r *Result) Table() Table {
 	if r.Spec.Mode == ModeStandalone {
 		return r.standaloneTable()
 	}
 	w := r.Spec.Workload
 	// Replay results have no rate axis (the trace fixes the injection
-	// stream), so the panel layout — whose rows are rates — would render
-	// empty; matrices need a row per scenario. Both use the scenario table.
+	// stream), so the rate layout would render empty; matrices need a row
+	// per scenario. Both use the scenario table.
 	if w != nil && (w.ReplayFrom != "" || len(w.patterns()) > 1 || len(w.processes()) > 1) {
 		return r.ScenarioTable()
 	}
-	return r.Panel().Table()
+	return r.rateTable()
+}
+
+// rateTable renders a load sweep in the axes of the paper's BNF charts:
+// one row per Spec rate, with each series' throughput and latency
+// columns. A partial series renders its missing rows as "-".
+func (r *Result) rateTable() Table {
+	t := Table{Title: r.Spec.Name, Columns: []string{"rate(txn/node/cyc)"}}
+	for _, s := range r.Series {
+		t.Columns = append(t.Columns, s.Label+" tput", s.Label+" lat(ns)")
+	}
+	var rates []float64
+	if r.Spec.Workload != nil {
+		rates = r.Spec.Workload.Rates
+	}
+	for i, rate := range rates {
+		row := []string{fmt.Sprintf("%.4f", rate)}
+		for _, s := range r.Series {
+			if i < len(s.Points) {
+				row = append(row,
+					fmt.Sprintf("%.4f", s.Points[i].Throughput),
+					fmt.Sprintf("%.1f", s.Points[i].AvgLatencyNS))
+			} else {
+				row = append(row, "-", "-")
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
 }
 
 func (r *Result) standaloneTable() Table {

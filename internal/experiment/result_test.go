@@ -161,8 +161,9 @@ func FuzzDecodeResultJSONL(f *testing.F) {
 }
 
 // TestResultTableShapes checks the layout dispatch: standalone specs get
-// the axis table, single-axis sweeps get the panel table, and matrices
-// get one row per scenario.
+// the axis table, single-axis sweeps get one row per Spec rate (a
+// partial series renders its missing rows as "-"), and matrices get one
+// row per scenario.
 func TestResultTableShapes(t *testing.T) {
 	res := runQuickResult(t)
 	tb := res.Table()
@@ -171,6 +172,31 @@ func TestResultTableShapes(t *testing.T) {
 	}
 	if len(tb.Rows) != 3 || len(tb.Columns) != 3 {
 		t.Errorf("standalone table is %dx%d, want 3x3", len(tb.Rows), len(tb.Columns))
+	}
+
+	sweep := &Result{
+		Version: ResultVersion,
+		Spec: NewSpec(
+			WithName("s"),
+			WithTopology(4, 4),
+			WithArbiters("PIM1", "SPAA-base"),
+			WithRates(0.01, 0.02),
+			WithCycles(100),
+		),
+		Partial: true,
+		Series: []ResultSeries{
+			{Label: "PIM1", Arbiter: "PIM1", Points: []ResultPoint{
+				{Rate: 0.01, Throughput: 0.1, AvgLatencyNS: 50}, {Rate: 0.02, Throughput: 0.2, AvgLatencyNS: 60}}},
+			{Label: "SPAA-base", Arbiter: "SPAA-base", Points: []ResultPoint{
+				{Rate: 0.01, Throughput: 0.1, AvgLatencyNS: 45}}},
+		},
+	}
+	want := "s\n" +
+		"rate(txn/node/cyc),PIM1 tput,PIM1 lat(ns),SPAA-base tput,SPAA-base lat(ns)\n" +
+		"0.0100,0.1000,50.0,0.1000,45.0\n" +
+		"0.0200,0.2000,60.0,-,-\n"
+	if tb = sweep.Table(); tb.Title+"\n"+tb.CSV() != want {
+		t.Errorf("rate table =\n%s%s\nwant\n%s", tb.Title+"\n", tb.CSV(), want)
 	}
 
 	matrix := &Result{
@@ -198,7 +224,7 @@ func TestResultTableShapes(t *testing.T) {
 		t.Errorf("matrix table has %d rows, want 2", len(tb.Rows))
 	}
 
-	// Replay specs have no rate axis, so the panel layout would render
+	// Replay specs have no rate axis, so the rate layout would render
 	// zero rows; the measured point must still appear.
 	replay := &Result{
 		Version: ResultVersion,
@@ -216,5 +242,40 @@ func TestResultTableShapes(t *testing.T) {
 	tb = replay.Table()
 	if len(tb.Rows) != 1 {
 		t.Errorf("replay table has %d rows, want 1", len(tb.Rows))
+	}
+}
+
+func TestResultSeriesThroughputAtLatency(t *testing.T) {
+	s := ResultSeries{Label: "x", Points: []ResultPoint{
+		{Throughput: 0.1, AvgLatencyNS: 50},
+		{Throughput: 0.3, AvgLatencyNS: 80},
+		{Throughput: 0.5, AvgLatencyNS: 200},
+	}}
+	tp, ok := s.ThroughputAtLatency(80)
+	if !ok || tp < 0.299 || tp > 0.301 {
+		t.Errorf("at 80 ns = %v, %v; want 0.3", tp, ok)
+	}
+	tp, ok = s.ThroughputAtLatency(140)
+	if !ok || tp <= 0.3 || tp >= 0.5 {
+		t.Errorf("interpolated 140 ns = %v, want in (0.3, 0.5)", tp)
+	}
+	if _, ok := s.ThroughputAtLatency(10); ok {
+		t.Error("latency below the whole curve should report not found")
+	}
+}
+
+func TestResultSeriesPeakAndFinal(t *testing.T) {
+	s := ResultSeries{Points: []ResultPoint{
+		{Throughput: 0.2}, {Throughput: 0.6}, {Throughput: 0.4},
+	}}
+	if s.PeakThroughput() != 0.6 {
+		t.Errorf("peak = %v, want 0.6", s.PeakThroughput())
+	}
+	if s.FinalThroughput() != 0.4 {
+		t.Errorf("final = %v, want 0.4 (post-saturation collapse)", s.FinalThroughput())
+	}
+	var empty ResultSeries
+	if empty.FinalThroughput() != 0 || empty.PeakThroughput() != 0 {
+		t.Error("empty series should be zero")
 	}
 }

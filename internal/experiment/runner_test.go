@@ -209,7 +209,7 @@ func TestRunJobsFailFast(t *testing.T) {
 
 // TestCollectDatasetParallelMatchesSerial runs the whole evaluation
 // pipeline through a serial and an 8-worker executor at tiny scale and
-// requires identical datasets.
+// requires identical datasets, wall-clock durations aside.
 func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset collection is expensive")
@@ -222,6 +222,13 @@ func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 	parallel, err := CollectDataset(o, runnerExec(8))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range []Dataset{serial, parallel} {
+		for _, results := range d {
+			for _, res := range results {
+				StripVolatile(res)
+			}
+		}
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("dataset diverged between serial and 8-worker collection")

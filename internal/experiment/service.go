@@ -2,8 +2,9 @@ package experiment
 
 // service.go is the execution half of the Scenario/Runner API: a Runner
 // turns a Spec into a Result under a context, fanning the expanded job
-// grid across a bounded worker pool and streaming typed events —
-// run-start, point-done, series-done, run-done — as simulations finish.
+// grid across a bounded worker pool and delivering typed events —
+// run-start, point-done, series-done, run-done — to its event sink
+// (WithEventSink) as simulations finish.
 // It is the one way to execute experiments: cmd/sweep's figure, matrix,
 // run, spec, and -verify modes all hand their Specs to a Runner.
 //
@@ -33,28 +34,28 @@ import (
 	"alpha21364/internal/cache"
 )
 
-// EventType discriminates Runner stream events.
+// EventType discriminates Runner events.
 type EventType string
 
 const (
-	// EventRunStart opens the stream; Total is the number of simulations
-	// the run will perform and Cached the grid points served from the
-	// cache instead.
+	// EventRunStart opens a run; Total is the number of simulations the
+	// run will perform and Cached the grid points served from the cache
+	// instead.
 	EventRunStart EventType = "run-start"
 	// EventPointDone reports one finished simulation with its measurement.
 	EventPointDone EventType = "point-done"
 	// EventSeriesDone reports that every simulation of one series
 	// finished; a series served wholly from the cache reports none.
 	EventSeriesDone EventType = "series-done"
-	// EventRunDone closes the stream, carrying the assembled Result and
-	// the run's error, if any.
+	// EventRunDone closes a run, carrying the assembled Result and the
+	// run's error, if any.
 	EventRunDone EventType = "run-done"
 )
 
-// Event is one element of a Runner's progress stream. Done/Total count
-// finished simulations out of those the run performs. Events are
-// delivered serialized (never concurrently) but in completion order, not
-// job order.
+// Event is one element of a Runner's progress stream, delivered to the
+// sink WithEventSink installs. Done/Total count finished simulations out
+// of those the run performs. Events are delivered serialized (never
+// concurrently) but in completion order, not job order.
 type Event struct {
 	Type  EventType `json:"type"`
 	Done  int       `json:"done,omitempty"`
@@ -125,60 +126,12 @@ func WithCache(store *cache.Store) RunnerOption {
 // before the first job that failed or never ran — and the error is that
 // job's own, or the context's error when the run was cancelled.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	emit := r.sink
 	if emit == nil {
 		emit = func(Event) {}
-	}
-	return r.run(ctx, spec, emit)
-}
-
-// Stream executes the spec concurrently and returns its event channel.
-// The stream ends with exactly one run-done event carrying the Result
-// and error, after which the channel is closed. The caller must either
-// drain the channel until it closes or cancel ctx before abandoning it:
-// sends block once the buffer fills (backpressure on the workers), and
-// only cancellation releases an abandoned stream (remaining events are
-// then dropped and the channel closed).
-func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan Event {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The goroutine expands the spec after Stream returns; its own deep
-	// copy keeps the caller's later edits out of the run.
-	spec = spec.clone()
-	ch := make(chan Event, 16)
-	go func() {
-		defer close(ch)
-		emit := func(e Event) {
-			if r.sink != nil {
-				r.sink(e)
-			}
-			select {
-			case ch <- e: // fast path: buffer has room or a reader waits
-			default:
-				select {
-				case ch <- e:
-				case <-ctx.Done():
-					// The consumer cancelled and stopped draining; nobody
-					// is entitled to further events, so dropping them frees
-					// the workers to wind down instead of leaking.
-				}
-			}
-		}
-		res, err := r.run(ctx, spec, emit)
-		if res != nil {
-			return
-		}
-		// Expansion or the cache read failed before the run started:
-		// run-done is still the stream's closing event.
-		emit(Event{Type: EventRunDone, Err: err})
-	}()
-	return ch
-}
-
-func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	pl, err := spec.expand()
 	if err != nil {

@@ -44,30 +44,22 @@ func TestSpecReproducesFigure10s(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Panel().Table().CSV(), canned.Panel().Table().CSV(); got != want {
+	if got, want := res.Table().CSV(), canned.Table().CSV(); got != want {
 		t.Errorf("reloaded spec output differs from the canned spec:\n--- reloaded ---\n%s\n--- canned ---\n%s", got, want)
 	}
 }
 
 // TestSpecReproducesFigure8 is the standalone-mode half of the same
-// acceptance check, in the Figure 8 table layout.
+// acceptance check.
 func TestSpecReproducesFigure8(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
-	table := func(sp Spec, res *Result) string {
-		return Figure8Result{
-			LoadFractions:  sp.Standalone.Values,
-			SaturationLoad: res.SaturationLoad,
-			Curves:         res.Curves(),
-		}.Table().CSV()
-	}
 	sp, canned := runFigure(t, o, "8", 0, 1)
-	reloaded := reloadSpecs(t, []Spec{sp})[0]
-	res, err := runnerExec(4)(reloaded)
+	res, err := runnerExec(4)(reloadSpecs(t, []Spec{sp})[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table(reloaded, res) != table(sp, canned) {
-		t.Errorf("reloaded spec figure 8 differs from the canned spec")
+	if got, want := res.Table().CSV(), canned.Table().CSV(); got != want {
+		t.Errorf("reloaded spec figure 8 differs from the canned spec:\n--- reloaded ---\n%s\n--- canned ---\n%s", got, want)
 	}
 }
 
@@ -96,14 +88,17 @@ func TestRunnerSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamEvents checks the event protocol: run-start first,
-// every point and series reported with monotone done counts, run-done
-// last carrying the Result.
+// TestRunnerStreamEvents checks the event protocol a Run delivers to its
+// sink: run-start first, every point and series reported with monotone
+// done counts, run-done last carrying the Result that Run returns.
 func TestRunnerStreamEvents(t *testing.T) {
 	sp := quickStandaloneSpec() // 2 arbiters x 3 values
 	var events []Event
-	for e := range NewRunner(WithWorkers(1)).Stream(context.Background(), sp) {
+	res, err := NewRunner(WithWorkers(1), WithEventSink(func(e Event) {
 		events = append(events, e)
+	})).Run(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(events) == 0 {
 		t.Fatal("no events")
@@ -112,8 +107,8 @@ func TestRunnerStreamEvents(t *testing.T) {
 		t.Fatalf("first event = %+v, want run-start with total 6", events[0])
 	}
 	last := events[len(events)-1]
-	if last.Type != EventRunDone || last.Result == nil || last.Err != nil {
-		t.Fatalf("last event = %+v, want clean run-done with a result", last)
+	if last.Type != EventRunDone || last.Result != res || last.Err != nil {
+		t.Fatalf("last event = %+v, want clean run-done with Run's result", last)
 	}
 	points, series := 0, 0
 	prevDone := 0
@@ -131,30 +126,23 @@ func TestRunnerStreamEvents(t *testing.T) {
 		case EventSeriesDone:
 			series++
 		default:
-			t.Errorf("unexpected mid-stream event %+v", e)
+			t.Errorf("unexpected mid-run event %+v", e)
 		}
 	}
 	if points != 6 || series != 2 {
 		t.Errorf("saw %d point-done and %d series-done events, want 6 and 2", points, series)
 	}
-	if last.Result.Partial {
+	if res.Partial {
 		t.Error("complete run marked partial")
 	}
 }
 
 // TestRunnerInvalidSpec: expansion failures surface as errors, not
-// panics, from both Run and Stream.
+// panics.
 func TestRunnerInvalidSpec(t *testing.T) {
 	bad := Spec{Version: SpecVersion}
 	if _, err := NewRunner().Run(context.Background(), bad); err == nil {
 		t.Error("Run accepted an invalid spec")
-	}
-	var last Event
-	for e := range NewRunner().Stream(context.Background(), bad) {
-		last = e
-	}
-	if last.Type != EventRunDone || last.Err == nil {
-		t.Errorf("Stream of an invalid spec ended with %+v, want run-done with error", last)
 	}
 }
 

@@ -938,9 +938,8 @@ func kindNames(kinds []core.Kind) []string {
 // Spec per panel, so "10" yields four. "all" concatenates every figure.
 // Options supplies fidelity (Quick, CyclesOverride, MaxRatePoints), the
 // seed, and the study-wide toggles (Check, Metrics, Replications). Run
-// the Specs through a Runner; a Result's Panel (timing) or Curves
-// (standalone) is the figure's data, and CollectDataset assembles every
-// figure for Verify.
+// the Specs through a Runner; each Result is one panel's data, and
+// CollectDataset gathers every figure's Results for Verify.
 func FigureSpecs(name string, o Options) ([]Spec, error) {
 	specs, err := figureSpecs(name, o)
 	if err != nil {

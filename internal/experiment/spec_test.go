@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -337,7 +336,7 @@ func TestParseSpecStrict(t *testing.T) {
 // TestSpecCopiesShareNothing: an option applied to a copy of a Spec
 // leaves the original as it was, in both modes, and the jobs of a run
 // read their own copy of the Spec, whatever the caller edits after
-// expansion or after Stream returns.
+// expansion.
 func TestSpecCopiesShareNothing(t *testing.T) {
 	encode := func(sp Spec) string {
 		t.Helper()
@@ -388,22 +387,6 @@ func TestSpecCopiesShareNothing(t *testing.T) {
 			t.Errorf("job %q reads the caller's edits made after expansion:\n%s", j.label, encode(*tr.spec))
 		}
 	}
-
-	sp = validTimingSpec()
-	events := NewRunner(WithWorkers(1)).Stream(context.Background(), sp)
-	edit(&sp)
-	var res *Result
-	for e := range events {
-		if e.Type == EventRunDone {
-			if e.Err != nil {
-				t.Fatal(e.Err)
-			}
-			res = e.Result
-		}
-	}
-	if !unedited(&res.Spec) {
-		t.Errorf("a streamed run reads the caller's edits made after Stream returned:\n%s", encode(res.Spec))
-	}
 }
 
 // TestReadersRejectTrailingData appends each tail to a valid document
@@ -436,7 +419,6 @@ func TestReadersRejectTrailingData(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{Version: ResultVersion, Spec: validTimingSpec()}
-	sc := &MetricsSidecar{Version: MetricsSidecarVersion, Name: "t"}
 	readers := []struct {
 		name string
 		doc  []byte
@@ -452,10 +434,6 @@ func TestReadersRejectTrailingData(t *testing.T) {
 		}},
 		{"ReadResultFile", written(res.WriteFile), fromFile(func(p string) error {
 			_, err := ReadResultFile(p)
-			return err
-		})},
-		{"ReadMetricsSidecarFile", written(sc.WriteFile), fromFile(func(p string) error {
-			_, err := ReadMetricsSidecarFile(p)
 			return err
 		})},
 	}

@@ -61,63 +61,3 @@ func (t Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Table renders a BNF panel: one row per load point with per-algorithm
-// throughput and latency columns, matching the axes of the paper's charts.
-func (p Panel) Table() Table {
-	t := Table{Title: p.Title}
-	t.Columns = append(t.Columns, "rate(txn/node/cyc)")
-	for _, s := range p.Series {
-		t.Columns = append(t.Columns, s.Label+" tput", s.Label+" lat(ns)")
-	}
-	for i := range p.Rates {
-		row := []string{fmt.Sprintf("%.4f", p.Rates[i])}
-		for _, s := range p.Series {
-			if i < len(s.Points) {
-				row = append(row,
-					fmt.Sprintf("%.4f", s.Points[i].Throughput),
-					fmt.Sprintf("%.1f", s.Points[i].AvgLatencyNS))
-			} else {
-				row = append(row, "-", "-")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// Table renders the Figure 8 load sweep.
-func (r Figure8Result) Table() Table {
-	t := Table{Title: fmt.Sprintf(
-		"Figure 8: standalone matches/cycle vs load (MCM saturation load = %.2f pkts/port/cycle)",
-		r.SaturationLoad)}
-	t.Columns = append(t.Columns, "load-fraction")
-	for _, c := range r.Curves {
-		t.Columns = append(t.Columns, c.Label)
-	}
-	for i, f := range r.LoadFractions {
-		row := []string{fmt.Sprintf("%.1f", f)}
-		for _, c := range r.Curves {
-			row = append(row, fmt.Sprintf("%.2f", c.Values[i]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// Table renders the Figure 9 occupancy sweep.
-func (r Figure9Result) Table() Table {
-	t := Table{Title: "Figure 9: standalone matches/cycle vs output-port occupancy (at MCM saturation load)"}
-	t.Columns = append(t.Columns, "occupancy")
-	for _, c := range r.Curves {
-		t.Columns = append(t.Columns, c.Label)
-	}
-	for i, occ := range r.Occupancies {
-		row := []string{fmt.Sprintf("%.2f", occ)}
-		for _, c := range r.Curves {
-			row = append(row, fmt.Sprintf("%.2f", c.Values[i]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}

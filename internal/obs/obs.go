@@ -18,8 +18,8 @@
 // fixed ring of recent router events per node.
 //
 // A run's metrics aggregate into a Snapshot: a versioned, strict-JSON
-// document attached to ResultPoint.Metrics and written to
-// `sweep -metrics` sidecars.
+// document attached to ResultPoint.Metrics, so it travels in the Result
+// JSONL that `sweep -metrics` emits.
 package obs
 
 import (

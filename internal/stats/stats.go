@@ -282,9 +282,6 @@ func (e *EpochSeries) CoefficientOfVariation(from, to int) float64 {
 
 // Point is one BNF curve point.
 type Point struct {
-	// OfferedRate is the configured injection rate that produced the point
-	// (new transactions per node per router cycle).
-	OfferedRate float64
 	// Throughput is delivered flits per router per nanosecond.
 	Throughput float64
 	// AvgLatencyNS is the mean packet latency in nanoseconds.
@@ -309,64 +306,4 @@ func (c *Collector) BNF(routers int, end sim.Ticks) Point {
 
 func (p Point) String() string {
 	return fmt.Sprintf("%.4f flits/router/ns @ %.1f ns", p.Throughput, p.AvgLatencyNS)
-}
-
-// Series is a load-sweep BNF curve for one algorithm.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// ThroughputAtLatency interpolates the delivered throughput at a target
-// average latency, the comparison the paper quotes ("at about an average
-// packet latency of X ns, A provides Y% higher throughput than B"). It
-// walks the curve in sweep order and linearly interpolates between the
-// first pair of points straddling the target; returns ok=false if the
-// curve never reaches the target latency.
-func (s Series) ThroughputAtLatency(latencyNS float64) (float64, bool) {
-	best := 0.0
-	found := false
-	for i := 0; i < len(s.Points); i++ {
-		p := s.Points[i]
-		if p.AvgLatencyNS <= latencyNS {
-			// Curve is still below the target latency: it delivers at least
-			// this throughput at the target.
-			if p.Throughput > best {
-				best, found = p.Throughput, true
-			}
-			continue
-		}
-		if i > 0 {
-			prev := s.Points[i-1]
-			if prev.AvgLatencyNS <= latencyNS && p.AvgLatencyNS > prev.AvgLatencyNS {
-				frac := (latencyNS - prev.AvgLatencyNS) / (p.AvgLatencyNS - prev.AvgLatencyNS)
-				tp := prev.Throughput + frac*(p.Throughput-prev.Throughput)
-				if tp > best {
-					best, found = tp, true
-				}
-			}
-		}
-	}
-	return best, found
-}
-
-// SaturationThroughput returns the maximum delivered throughput on the
-// curve — the knee the Rotary Rule is designed to hold beyond saturation.
-func (s Series) SaturationThroughput() float64 {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
-}
-
-// FinalThroughput returns the delivered throughput at the highest swept
-// load, showing whether the network collapsed beyond saturation.
-func (s Series) FinalThroughput() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].Throughput
 }

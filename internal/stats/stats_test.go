@@ -109,41 +109,6 @@ func TestHistogramBucketsProperty(t *testing.T) {
 	}
 }
 
-func TestSeriesThroughputAtLatency(t *testing.T) {
-	s := Series{Label: "x", Points: []Point{
-		{Throughput: 0.1, AvgLatencyNS: 50},
-		{Throughput: 0.3, AvgLatencyNS: 80},
-		{Throughput: 0.5, AvgLatencyNS: 200},
-	}}
-	tp, ok := s.ThroughputAtLatency(80)
-	if !ok || tp < 0.299 || tp > 0.301 {
-		t.Errorf("at 80 ns = %v, %v; want 0.3", tp, ok)
-	}
-	tp, ok = s.ThroughputAtLatency(140)
-	if !ok || tp <= 0.3 || tp >= 0.5 {
-		t.Errorf("interpolated 140 ns = %v, want in (0.3, 0.5)", tp)
-	}
-	if _, ok := s.ThroughputAtLatency(10); ok {
-		t.Error("latency below the whole curve should report not found")
-	}
-}
-
-func TestSeriesSaturationAndFinal(t *testing.T) {
-	s := Series{Points: []Point{
-		{Throughput: 0.2}, {Throughput: 0.6}, {Throughput: 0.4},
-	}}
-	if s.SaturationThroughput() != 0.6 {
-		t.Errorf("saturation = %v, want 0.6", s.SaturationThroughput())
-	}
-	if s.FinalThroughput() != 0.4 {
-		t.Errorf("final = %v, want 0.4 (post-saturation collapse)", s.FinalThroughput())
-	}
-	var empty Series
-	if empty.FinalThroughput() != 0 || empty.SaturationThroughput() != 0 {
-		t.Error("empty series should be zero")
-	}
-}
-
 func TestClassCountsAndInjected(t *testing.T) {
 	c := NewCollector(0)
 	c.Injected(packet.New(1, packet.Request, 0, 1, 0))
