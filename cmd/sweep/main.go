@@ -34,14 +34,15 @@
 // two runs of the same spec compare byte-identical — the canonical
 // normalization for warm-cache rerun checks.
 //
-// -cpuprofile and -memprofile write pprof profiles for any mode.
-// Contradictory flag combinations (for example -record with -matrix, or
-// -replay with -pattern), and flags the chosen mode would drop (for
-// example -size outside -matrix and -run), are rejected with an error
-// instead of silently ignoring flags. Simulations within a figure or
-// matrix are independent, so by default they are fanned across one
-// worker per CPU; results are byte-identical to a serial (-workers 1)
-// run.
+// -cpuprofile and -memprofile write pprof profiles for any mode. Each
+// mode (list, spec, bench, verify, matrix, run and figure) reads a fixed
+// set of flags; an invocation that selects two modes, or sets a flag its
+// mode would drop (for example -size outside -matrix and -run), is
+// rejected with an error instead of silently ignoring the flag, and so
+// are a few contradictory pairs within one mode (for example -replay
+// with -pattern). Simulations within a figure or matrix are independent,
+// so by default they are fanned across one worker per CPU; results are
+// byte-identical to a serial (-workers 1) run.
 package main
 
 import (
@@ -51,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -114,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	out := fs.String("out", "", "directory for CSV/JSONL output (optional)")
 	plot := fs.Bool("plot", false, "also render ASCII BNF charts for timing panels")
-	verify := fs.Bool("verify", false, "rerun everything and check the paper's claims")
+	fs.Bool("verify", false, "rerun everything and check the paper's claims")
 	markdown := fs.Bool("markdown", false, "with -verify, emit the EXPERIMENTS.md results table")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
 	checkFlag := fs.Bool("check", false, "enable the online invariant oracle (conservation, VC bounds, grant legality, deadlock watchdog) for every simulation")
@@ -125,9 +127,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	progress := fs.Bool("progress", false, "log Runner events (each completed simulation) to stderr")
 	jsonOut := fs.Bool("json", false, "stream Result JSONL to stdout instead of formatted tables")
 
-	list := fs.Bool("list", false, "list algorithms, patterns, processes, models, and figures, then exit")
-	matrix := fs.Bool("matrix", false, "run a scenario matrix (algorithms x patterns x processes x rates)")
-	runOne := fs.Bool("run", false, "run a single scenario (implied by -record/-replay)")
+	fs.Bool("list", false, "list algorithms, patterns, processes, models, and figures, then exit")
+	fs.Bool("matrix", false, "run a scenario matrix (algorithms x patterns x processes x rates)")
+	fs.Bool("run", false, "run a single scenario (implied by -record/-replay)")
 	algos := fs.String("algos", "SPAA-rotary,PIM1,WFA-rotary", "comma-separated algorithms for -matrix")
 	patterns := fs.String("patterns", strings.Join(workload.PatternNames(), ","), "comma-separated destination patterns for -matrix")
 	processes := fs.String("processes", strings.Join(workload.ProcessNames(), ","), "comma-separated arrival processes for -matrix")
@@ -146,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	emitSpec := fs.Bool("emit-spec", false, "print the selected figure/matrix/run as Spec JSON instead of running")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory: completed points are served from it and new ones persisted to it")
 	resume := fs.Bool("resume", false, "with -cache-dir, require previously completed points for this invocation and simulate only the missing ones")
-	bench := fs.Bool("bench", false, "run the benchmark suite and write BENCH_10.json")
+	fs.Bool("bench", false, "run the benchmark suite and write BENCH_10.json")
 	benchBaseline := fs.String("bench-baseline", "", "with -bench, compare against this BENCH_*.json and fail on >15% regression")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -157,13 +159,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := rejectContradictions(set); err != nil {
+	m, err := selectMode(set)
+	if err != nil {
 		return err
 	}
-	if err := rejectScenarioFlags(set); err != nil {
-		return err
-	}
-	if err := rejectValueContradictions(set, *reps, *cycles, *figure); err != nil {
+	if err := checkRules(set, *reps, *cycles, *seed, *figure); err != nil {
 		return err
 	}
 
@@ -180,6 +180,54 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Check: *checkFlag, Metrics: *metricsFlag,
 		Replications: *reps, Confidence: *confidence,
 	}
+
+	// Every mode but list, bench and verify runs Specs it builds here,
+	// once: -emit-spec prints them, -resume looks them up in the cache,
+	// and execution runs them.
+	var specs []experiment.Spec
+	var files []string // spec and figure mode's output names, one per Spec
+	switch m.name {
+	case "list":
+		a.printLists()
+		return nil
+	case "bench":
+		return a.runBench(*benchBaseline)
+	case "spec":
+		if specs, err = experiment.ReadSpecFile(*specFile); err != nil {
+			return err
+		}
+		if *plot && !slices.ContainsFunc(specs, isTiming) {
+			return fmt.Errorf("-plot applies to timing simulations; every spec in %s uses the standalone arbiter model (no BNF chart to draw)", *specFile)
+		}
+		for i, sp := range specs {
+			files = append(files, specSlug(sp, i))
+		}
+	case "matrix":
+		sp, err := matrixSpec(o, *algos, *patterns, *processes, *rates, *model, *size, *cycles)
+		if err != nil {
+			return err
+		}
+		specs = []experiment.Spec{sp}
+	case "run":
+		sp, err := runSpecFromFlags(o, *algo, *pattern, *process, *model, *rate, *size, *cycles, *record, *replay)
+		if err != nil {
+			return err
+		}
+		specs = []experiment.Spec{sp}
+	case "figure":
+		if specs, files, err = figureSpecs(*figure, o); err != nil {
+			return err
+		}
+	}
+	if *emitSpec {
+		data, err := experiment.EncodeSpecs(specs)
+		if err != nil {
+			return err
+		}
+		_, err = a.out.Write(data)
+		return err
+	}
+
 	var progressSink func(experiment.Event)
 	if *progress {
 		start := time.Now()
@@ -230,58 +278,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return res, nil
 	}
 	if *resume {
-		if err := checkResumable(store, logger, func() ([]experiment.Spec, error) {
-			if *specFile != "" {
-				return experiment.ReadSpecFile(*specFile)
-			}
-			return specsFromFlags(o, *figure, *matrix, *runOne,
-				*algos, *patterns, *processes, *rates, *model, *size, *cycles,
-				*algo, *pattern, *process, *rate, "", "")
-		}); err != nil {
+		if err := checkResumable(store, logger, specs); err != nil {
 			return err
 		}
 	}
 
-	switch {
-	case *list:
-		a.printLists()
-		return nil
-	case *emitSpec:
-		specs, err := specsFromFlags(o, *figure, *matrix, *runOne || *record != "" || *replay != "",
-			*algos, *patterns, *processes, *rates, *model, *size, *cycles,
-			*algo, *pattern, *process, *rate, *record, *replay)
-		if err != nil {
-			return err
-		}
-		data, err := experiment.EncodeSpecs(specs)
-		if err != nil {
-			return err
-		}
-		_, err = a.out.Write(data)
-		return err
-	case *specFile != "":
-		specs, err := experiment.ReadSpecFile(*specFile)
-		if err != nil {
-			return err
-		}
-		if *plot && !slices.ContainsFunc(specs, isTiming) {
-			return fmt.Errorf("-plot applies to timing simulations; every spec in %s uses the standalone arbiter model (no BNF chart to draw)", *specFile)
-		}
-		start := time.Now()
-		if err := a.runSpecs(specs, *plot, specSlug); err != nil {
+	start := time.Now()
+	switch m.name {
+	case "spec":
+		if err := a.runSpecs(specs, files, *plot); err != nil {
 			return err
 		}
 		a.log.Printf("%d spec(s) in %v", len(specs), time.Since(start).Round(time.Second))
-		return nil
-	case *bench:
-		return a.runBench(*benchBaseline)
-	case *matrix:
-		sp, err := matrixSpec(o, *algos, *patterns, *processes, *rates, *model, *size, *cycles)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := a.exec(sp)
+	case "matrix":
+		res, err := a.exec(specs[0])
 		if err != nil {
 			return err
 		}
@@ -289,14 +299,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		logger.Printf("%d scenarios in %v", countPoints(res), time.Since(start).Round(time.Second))
-		return nil
-	case *runOne || *record != "" || *replay != "":
-		sp, err := runSpecFromFlags(o, *algo, *pattern, *process, *model, *rate, *size, *cycles, *record, *replay)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := a.exec(sp)
+	case "run":
+		res, err := a.exec(specs[0])
 		if err != nil {
 			return err
 		}
@@ -307,8 +311,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		logger.Printf("done in %v", time.Since(start).Round(time.Second))
-		return nil
-	case *verify:
+	case "figure":
+		if err := a.runSpecs(specs, files, *plot); err != nil {
+			return err
+		}
+		logger.Printf("done in %v", time.Since(start).Round(time.Second))
+	case "verify":
 		dataset, err := experiment.CollectDataset(o, a.exec)
 		if err != nil {
 			return err
@@ -326,232 +334,136 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		logger.Printf("%d/%d claims reproduced", len(verdicts)-bad, len(verdicts))
-		return nil
 	}
+	return nil
+}
 
-	// Figure mode: every figure is a set of canned Specs, run like a spec
-	// file but written to figure8.csv, figure10-<panel>.csv, figure11a.csv.
-	names := []string{*figure}
-	if *figure == "all" {
+// A mode is one kind of invocation. Its row is the flags it reads: the
+// ones that select it and the ones it takes besides. An invocation
+// selects one mode and may set only the flags of that mode's row, and the
+// profilers, which every mode takes; any other flag would be dropped, so
+// it is rejected instead.
+type mode struct {
+	name      string
+	selectors string // the flags that select the mode, space-separated
+	reads     string // the mode's other flags, space-separated
+}
+
+// execFlags change how figure, matrix and run mode execute their Specs,
+// never what the Specs are. -emit-spec prints the Specs and runs nothing,
+// so it turns these off, and figure mode's -plot with them.
+const execFlags = "out workers progress json stable cache-dir resume"
+
+// sweepFlags are the flags figure, matrix and run mode share: the
+// study-wide Options, -emit-spec, and the execution flags.
+const sweepFlags = "quick seed check metrics reps confidence emit-spec " + execFlags
+
+// modes lists every mode's row in the order selection tries them. Figure
+// mode, the last, is also the default when no selector is set.
+var modes = []mode{
+	{"list", "list", ""},
+	{"spec", "spec", "plot " + execFlags},
+	{"bench", "bench", "out bench-baseline"},
+	{"verify", "verify", "markdown quick seed workers progress check reps confidence"},
+	{"matrix", "matrix", "algos patterns processes rates model size cycles " + sweepFlags},
+	{"run", "run record replay", "algo pattern process rate model size cycles " + sweepFlags},
+	{"figure", "figure", "plot " + sweepFlags},
+}
+
+// selectMode returns the mode the set flags select, failing on the first
+// set flag, in name order, that the mode does not read. A second mode's
+// selector is such a flag, so two modes fail too.
+func selectMode(set map[string]bool) (mode, error) {
+	m, by := modes[len(modes)-1], ""
+	for _, c := range modes {
+		sel := strings.Fields(c.selectors)
+		if i := slices.IndexFunc(sel, func(f string) bool { return set[f] }); i >= 0 {
+			m, by = c, " (-"+sel[i]+")"
+			break
+		}
+	}
+	row := strings.Fields(m.selectors + " " + m.reads + " cpuprofile memprofile")
+	var off []string
+	if set["emit-spec"] {
+		off = strings.Fields(execFlags + " plot")
+	}
+	for _, f := range slices.Sorted(maps.Keys(set)) {
+		if !slices.Contains(row, f) {
+			return m, fmt.Errorf("-%s does not apply to %s mode%s", f, m.name, by)
+		}
+		if slices.Contains(off, f) {
+			return m, fmt.Errorf("-%s does not apply to %s mode%s with -emit-spec, which prints Specs and runs nothing", f, m.name, by)
+		}
+	}
+	return m, nil
+}
+
+// pairRules are the contradictions between flags of one row: a flag,
+// the flags it cannot be set with, and why.
+var pairRules = []struct{ flag, with, why string }{
+	{"record", "replay", "a run either records or replays, not both"},
+	{"replay", "pattern process rate model", "a replayed trace fixes the injection stream"},
+	{"cache-dir", "record replay", "trace record/replay bypasses the result cache; run without -cache-dir"},
+	{"record", "reps", "every replication would rewrite the trace file"},
+	{"plot", "json", "-json streams Results without tables or charts"},
+}
+
+// checkRules applies the rules a mode's row cannot express: the pair
+// rules, -resume's need for -cache-dir, and the rules that read a flag's
+// value.
+func checkRules(set map[string]bool, reps, cycles int, seed uint64, figure string) error {
+	for _, r := range pairRules {
+		for _, f := range strings.Fields(r.with) {
+			if set[r.flag] && set[f] {
+				return fmt.Errorf("-%s and -%s are contradictory: %s", r.flag, f, r.why)
+			}
+		}
+	}
+	standalone := figure == "8" || figure == "9"
+	switch {
+	case set["resume"] && !set["cache-dir"]:
+		return fmt.Errorf("-resume requires -cache-dir: resuming reads completed points from the cache")
+	case reps < 0:
+		return fmt.Errorf("-reps %d must be >= 0 (0 or 1 = a single run)", reps)
+	case cycles < 0:
+		return fmt.Errorf("-cycles %d must be >= 0 (0 = the figure default)", cycles)
+	case seed == 0:
+		return fmt.Errorf("-seed 0 is ambiguous (the canned figures read it as seed 1); pick a seed >= 1")
+	case set["confidence"] && reps < 2:
+		return fmt.Errorf("-confidence requires -reps 2 or more (there is no interval over one run)")
+	case standalone && set["metrics"]:
+		return fmt.Errorf("-metrics applies to timing simulations; figure %s uses the standalone arbiter model (no router simulation to observe)", figure)
+	case standalone && set["plot"]:
+		return fmt.Errorf("-plot applies to timing simulations; figure %s uses the standalone arbiter model (no BNF chart to draw)", figure)
+	}
+	return nil
+}
+
+// figureSpecs builds the canned Specs of -figure (every figure for
+// "all"), each with its output name: figure8.csv, figure10-<panel>.csv,
+// figure11a.csv.
+func figureSpecs(figure string, o experiment.Options) ([]experiment.Spec, []string, error) {
+	names := []string{figure}
+	if figure == "all" {
 		names = experiment.FigureSpecNames()
 	}
-	start := time.Now()
+	var specs []experiment.Spec
+	var files []string
 	for _, name := range names {
-		specs, err := experiment.FigureSpecs(name, o)
+		fig, err := experiment.FigureSpecs(name, o)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		file := func(sp experiment.Spec, i int) string {
-			if len(specs) == 1 {
-				return "figure" + name
+		for i, sp := range fig {
+			file := "figure" + name
+			if len(fig) > 1 {
+				file += "-" + specSlug(sp, i)
 			}
-			return "figure" + name + "-" + specSlug(sp, i)
-		}
-		if err := a.runSpecs(specs, *plot, file); err != nil {
-			return err
+			specs = append(specs, sp)
+			files = append(files, file)
 		}
 	}
-	logger.Printf("done in %v", time.Since(start).Round(time.Second))
-	return nil
-}
-
-// contradiction is one pair of flags where setting both would silently
-// override or ignore one of them; rejectContradictions fails fast instead.
-type contradiction struct {
-	a, b, why string
-}
-
-// requirement is a flag that is meaningless without another flag.
-type requirement struct {
-	flag, needs, why string
-}
-
-// contradictions is the full rule table, built once; main_test.go
-// enumerates it and proves every rule actually rejects its pair.
-var contradictions = buildContradictions()
-
-// requirements lists the dependent flags; enumerated by the same test.
-var requirements = []requirement{
-	{"bench-baseline", "bench", "the baseline comparison is part of bench mode"},
-	{"resume", "cache-dir", "resuming reads completed points from the cache"},
-	{"markdown", "verify", "the markdown table is the claim verdicts' EXPERIMENTS.md form"},
-}
-
-func buildContradictions() []contradiction {
-	var rules []contradiction
-	add := func(a, b, why string) { rules = append(rules, contradiction{a, b, why}) }
-	// -spec fully describes the work; every selection flag contradicts it.
-	// (The execution flags -workers/-progress/-json/-out and the cache
-	// flags -cache-dir/-resume deliberately remain compatible: they
-	// change how a spec runs, never what it means.)
-	for _, f := range []string{"figure", "matrix", "run", "verify", "bench", "quick", "seed", "cycles", "size",
-		"algo", "algos", "pattern", "patterns", "process", "processes", "model", "rate", "rates", "record", "replay",
-		"check", "metrics", "reps", "confidence"} {
-		add("spec", f, "a spec file fixes the whole scenario; edit the file instead")
-	}
-	add("emit-spec", "spec", "emitting a loaded spec is a copy; use the file directly")
-	add("emit-spec", "verify", "claim verification has no single spec form")
-	add("emit-spec", "bench", "the bench suite is fixed; run it directly")
-	add("emit-spec", "json", "-emit-spec already writes Spec JSON to stdout")
-	for _, f := range []string{"workers", "progress", "out"} {
-		add("emit-spec", f, "-emit-spec prints Specs and runs nothing")
-	}
-	// -list prints the name lists and runs nothing, so it would drop every
-	// flag but the profilers'.
-	for _, f := range []string{"figure", "quick", "seed", "out", "plot", "verify", "markdown", "workers",
-		"check", "metrics", "stable", "reps", "confidence", "progress", "json", "matrix", "run",
-		"algos", "patterns", "processes", "rates", "size", "cycles", "algo", "pattern", "process",
-		"model", "rate", "record", "replay", "spec", "emit-spec", "cache-dir", "resume", "bench",
-		"bench-baseline"} {
-		add("list", f, "-list prints the name lists and runs nothing")
-	}
-	add("record", "replay", "a run either records or replays, not both")
-	// Mode selectors are mutually exclusive.
-	add("matrix", "run", "pick one mode")
-	add("matrix", "figure", "pick one mode")
-	add("matrix", "verify", "pick one mode")
-	add("run", "figure", "pick one mode")
-	add("run", "verify", "pick one mode")
-	add("figure", "verify", "claim verification always reruns every figure")
-	add("bench", "figure", "the bench suite is fixed")
-	add("bench", "matrix", "the bench suite is fixed")
-	add("bench", "run", "the bench suite is fixed")
-	add("bench", "verify", "the bench suite is fixed")
-	add("bench", "json", "the bench report is already machine-readable (BENCH_*.json)")
-	add("bench", "workers", "the bench suite measures one simulation at a time (serial by design)")
-	add("bench", "progress", "bench entries are logged to stderr as they finish")
-	add("bench", "quick", "the bench suite fixes its own run lengths")
-	add("bench", "seed", "the bench suite fixes its own seeds")
-	add("verify", "json", "claim verification emits verdict tables, not Results")
-	add("verify", "out", "claim verification writes no CSV or Result files")
-	// Charts are drawn beside the tables of figure and spec mode only.
-	add("plot", "json", "-json streams Results without tables or charts")
-	for _, f := range []string{"matrix", "run", "record", "replay", "verify", "bench", "emit-spec"} {
-		add(f, "plot", "this mode draws no BNF chart; -plot applies to figure and spec modes")
-	}
-	// Replay fixes the injection stream; generative knobs contradict it.
-	for _, f := range []string{"pattern", "rate", "process", "model"} {
-		add("replay", f, "a replayed trace fixes the injection stream")
-	}
-	// Trace I/O belongs to single runs.
-	for _, f := range []string{"record", "replay"} {
-		for _, mode := range []string{"matrix", "figure", "verify", "bench"} {
-			add(mode, f, "trace record/replay applies to single runs; use -run")
-		}
-	}
-	// Single-run vs matrix axis flags.
-	for _, pair := range [][2]string{
-		{"run", "algos"}, {"run", "patterns"}, {"run", "processes"}, {"run", "rates"},
-		{"matrix", "algo"}, {"matrix", "pattern"}, {"matrix", "process"}, {"matrix", "rate"},
-	} {
-		add(pair[0], pair[1], "that axis flag belongs to the other mode")
-	}
-	// The bench suite measures the unchecked, unreplicated hot path.
-	add("bench", "check", "the bench suite measures the unchecked hot path; see DESIGN.md for the enabled cost model")
-	add("bench", "reps", "the bench suite is fixed")
-	add("bench", "metrics", "the bench suite measures the uninstrumented hot path")
-	add("verify", "metrics", "claim verification compares measurements, not telemetry")
-	// -stable normalizes emitted Results; modes that emit something else
-	// have nothing to normalize.
-	for _, f := range []string{"emit-spec", "bench", "verify"} {
-		add(f, "stable", "-stable normalizes emitted Results; this mode emits none")
-	}
-	// Recording replays every replication into the same trace file.
-	add("record", "reps", "every replication would rewrite the trace file")
-	// The cache serves sweep results; modes that measure or emit
-	// something other than sweep Results cannot use it.
-	for _, f := range []string{"bench", "verify", "emit-spec"} {
-		add("cache-dir", f, "the result cache applies to sweep execution only")
-	}
-	// Record/replay specs bypass the cache: a file path does not
-	// content-address the trace behind it.
-	for _, f := range []string{"record", "replay"} {
-		add("cache-dir", f, "trace record/replay bypasses the result cache; run without -cache-dir")
-	}
-	return rules
-}
-
-// rejectContradictions fails fast on flag combinations where one flag
-// would silently override or ignore another, walking the rule tables.
-func rejectContradictions(set map[string]bool) error {
-	for _, c := range contradictions {
-		if set[c.a] && set[c.b] {
-			return fmt.Errorf("-%s and -%s are contradictory: %s", c.a, c.b, c.why)
-		}
-	}
-	for _, r := range requirements {
-		if set[r.flag] && !set[r.needs] {
-			return fmt.Errorf("-%s requires -%s: %s", r.flag, r.needs, r.why)
-		}
-	}
-	return nil
-}
-
-// rejectScenarioFlags fails when a flag describing the one scenario of
-// -run (which -record and -replay imply) or the grid of -matrix is set
-// in another mode: figure mode, -verify, a figure -emit-spec, and -bench
-// would drop it. Figure mode, the default, has no flag a pair rule could
-// name, hence this one check. (-spec's pair rules reject these flags
-// first.)
-func rejectScenarioFlags(set map[string]bool) error {
-	if set["matrix"] || set["run"] || set["record"] || set["replay"] {
-		return nil
-	}
-	for _, f := range []string{"size", "cycles", "model", "algo", "algos",
-		"pattern", "patterns", "process", "processes", "rate", "rates"} {
-		if set[f] {
-			return fmt.Errorf("-%s describes a -matrix or -run scenario; this mode would ignore it", f)
-		}
-	}
-	return nil
-}
-
-// rejectValueContradictions catches flag combinations that depend on
-// flag values rather than mere presence.
-func rejectValueContradictions(set map[string]bool, reps, cycles int, figure string) error {
-	if reps < 0 {
-		return fmt.Errorf("-reps %d must be >= 0 (0 or 1 = a single run)", reps)
-	}
-	if cycles < 0 {
-		return fmt.Errorf("-cycles %d must be >= 0 (0 = the figure default)", cycles)
-	}
-	if set["confidence"] && reps < 2 {
-		return fmt.Errorf("-confidence requires -reps 2 or more (there is no interval over one run)")
-	}
-	if set["figure"] && (figure == "8" || figure == "9") {
-		for _, f := range []struct{ flag, why string }{
-			{"metrics", "no router simulation to observe"},
-			{"plot", "no BNF chart to draw"},
-		} {
-			if set[f.flag] {
-				return fmt.Errorf("-%s applies to timing simulations; figure %s uses the standalone arbiter model (%s)", f.flag, figure, f.why)
-			}
-		}
-	}
-	return nil
-}
-
-// specsFromFlags builds the Spec(s) the current flags describe, for
-// -emit-spec.
-func specsFromFlags(o experiment.Options, figure string, matrix, runOne bool,
-	algos, patterns, processes, rates, model, size string, cycles int,
-	algo, pattern, process string, rate float64, record, replay string) ([]experiment.Spec, error) {
-	switch {
-	case matrix:
-		sp, err := matrixSpec(o, algos, patterns, processes, rates, model, size, cycles)
-		if err != nil {
-			return nil, err
-		}
-		return []experiment.Spec{sp}, nil
-	case runOne:
-		sp, err := runSpecFromFlags(o, algo, pattern, process, model, rate, size, cycles, record, replay)
-		if err != nil {
-			return nil, err
-		}
-		return []experiment.Spec{sp}, nil
-	default:
-		return experiment.FigureSpecs(figure, o)
-	}
+	return specs, files, nil
 }
 
 // checkResumable enforces -resume's contract before any simulation: the
@@ -559,11 +471,7 @@ func specsFromFlags(o experiment.Options, figure string, matrix, runOne bool,
 // this invocation is about to run. Without -resume a populated cache is
 // still served — -resume only adds the "there must be prior progress"
 // assertion, so a typo'd flag set cannot silently restart from scratch.
-func checkResumable(store *cache.Store, logger *log.Logger, load func() ([]experiment.Spec, error)) error {
-	specs, err := load()
-	if err != nil {
-		return err
-	}
+func checkResumable(store *cache.Store, logger *log.Logger, specs []experiment.Spec) error {
 	found := 0
 	for _, sp := range specs {
 		key, err := experiment.SpecHash(sp)
@@ -585,8 +493,8 @@ func checkResumable(store *cache.Store, logger *log.Logger, load func() ([]exper
 
 // runSpecs executes specs in order, printing each Result's table (and,
 // with -plot, a timing Result's chart first) and writing its outputs
-// under the name file gives it.
-func (a *app) runSpecs(specs []experiment.Spec, plot bool, file func(experiment.Spec, int) string) error {
+// under its name in files.
+func (a *app) runSpecs(specs []experiment.Spec, files []string, plot bool) error {
 	for i, sp := range specs {
 		res, err := a.exec(sp)
 		if err != nil {
@@ -595,7 +503,7 @@ func (a *app) runSpecs(specs []experiment.Spec, plot bool, file func(experiment.
 		if plot && !a.json && isTiming(sp) {
 			fmt.Fprintln(a.out, res.Plot(72, 24))
 		}
-		if err := a.emitResult(res, res.Table(), file(sp, i)); err != nil {
+		if err := a.emitResult(res, res.Table(), files[i]); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,11 +89,11 @@ func TestTableOutputStdoutSeparation(t *testing.T) {
 	}
 }
 
-// TestContradictoryFlagsRejected spot-checks the flag contradiction
-// rules surface as errors, not silent behavior: a rejected invocation
-// prints nothing and writes no -out directory. -list takes no flag but
-// the profilers', and -emit-spec, which runs nothing, takes no
-// execution flag.
+// TestContradictoryFlagsRejected spot-checks that rejected flag sets
+// surface as errors, not silent behavior: a rejected invocation prints
+// nothing and writes no -out directory. -list takes no flag but the
+// profilers', and -emit-spec, which runs nothing, takes no execution
+// flag.
 func TestContradictoryFlagsRejected(t *testing.T) {
 	outDir := filepath.Join(t.TempDir(), "out")
 	cases := [][]string{
@@ -122,93 +123,6 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 	}
 	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
 		t.Errorf("a rejected invocation created its -out directory (stat: %v)", err)
-	}
-}
-
-// TestListTakesNoFlag: -list rejects every flag sweep defines but the
-// profilers', read from the usage text so a flag added later needs a
-// rule (and a ruleSamples value) too, and still lists with a profiler.
-func TestListTakesNoFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h: err = %v", err)
-	}
-	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1)
-	if len(flags) < 30 {
-		t.Fatalf("read %d flags from the usage text:\n%s", len(flags), stderr.String())
-	}
-	for _, m := range flags {
-		switch f := m[1]; f {
-		case "list", "cpuprofile", "memprofile":
-		default:
-			stdout.Reset()
-			if err := run([]string{"-list", sampleArg(t, f)}, &stdout, &stderr); err == nil || stdout.Len() != 0 {
-				t.Errorf("-list -%s: err = %v, stdout:\n%s", f, err, stdout.String())
-			}
-		}
-	}
-	stdout.Reset()
-	err := run([]string{"-list", "-cpuprofile", filepath.Join(t.TempDir(), "cpu.pprof")}, &stdout, &stderr)
-	if err != nil || !strings.Contains(stdout.String(), "algorithms:") {
-		t.Errorf("-list -cpuprofile: err = %v, stdout:\n%s", err, stdout.String())
-	}
-}
-
-// TestIgnoredFlagsRejected: the flags that describe a -matrix or -run
-// scenario are rejected in every mode that would drop them (figure mode
-// with and without -figure, -verify, a figure -emit-spec, and -bench),
-// and so are -quick and -seed with -bench, -out with -verify, -record
-// and -replay with -verify and -bench, and a negative -reps or -cycles.
-// Each error names its flag. The scenario flags still reach -matrix and
-// -run, including the -run that -record implies.
-func TestIgnoredFlagsRejected(t *testing.T) {
-	// An unwritable -cpuprofile path fails any invocation that gets past
-	// flag checking before it simulates anything, so no case can start a
-	// long run.
-	noProfile := "-cpuprofile=" + filepath.Join(t.TempDir(), "missing", "cpu.pprof")
-	type tc struct {
-		args []string
-		flag string // the flag the error must name
-	}
-	var cases []tc
-	for _, mode := range [][]string{
-		{"-quick"},
-		{"-figure", "8", "-quick"},
-		{"-verify", "-quick"},
-		{"-emit-spec", "-figure", "11c", "-quick"},
-		{"-bench"},
-	} {
-		for _, f := range []string{"size", "cycles", "model", "algo", "algos", "pattern", "patterns",
-			"process", "processes", "rate", "rates"} {
-			cases = append(cases, tc{append(append([]string(nil), mode...), sampleArg(t, f)), f})
-		}
-	}
-	cases = append(cases,
-		tc{[]string{"-bench", "-quick"}, "quick"},
-		tc{[]string{"-bench", "-seed", "2"}, "seed"},
-		tc{[]string{"-verify", "-quick", "-out", t.TempDir()}, "out"},
-		tc{[]string{"-verify", "-quick", "-record", "run.trace"}, "record"},
-		tc{[]string{"-bench", "-replay", "run.trace"}, "replay"},
-		tc{[]string{"-emit-spec", "-figure", "11c", "-quick", "-reps=-3"}, "reps"},
-		tc{[]string{"-run", "-size", "4x4", "-cycles=-5"}, "cycles"},
-	)
-	for _, c := range cases {
-		var stdout, stderr bytes.Buffer
-		err := run(append(c.args, noProfile), &stdout, &stderr)
-		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) || strings.Contains(err.Error(), "cpu.pprof") {
-			t.Errorf("args %v: err = %v, want an error naming -%s", c.args, err, c.flag)
-		}
-	}
-
-	for _, args := range [][]string{
-		{"-emit-spec", "-matrix", "-size", "4x4", "-cycles", "100", "-rates", "0.02"},
-		{"-emit-spec", "-run", "-size", "4x4", "-algo", "PIM1", "-rate", "0.02"},
-		{"-emit-spec", "-record", "run.trace", "-size", "4x4", "-pattern", "tornado"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Errorf("args %v: %v", args, err)
-		}
 	}
 }
 
@@ -253,6 +167,25 @@ func TestPlotNeedsATimingSpec(t *testing.T) {
 	}
 	if got := strings.Count(stdout.String(), "latency(ns) up to"); got != 1 {
 		t.Fatalf("mixed spec file drew %d charts, want 1 (the timing spec's):\n%s", got, stdout.String())
+	}
+}
+
+// TestFigureModeOutputs pins figure mode's output names, one per canned
+// Spec in -figure all order, and runs figure 9 into its two files.
+func TestFigureModeOutputs(t *testing.T) {
+	if _, files, err := figureSpecs("all", experiment.Options{Quick: true}); err != nil || !reflect.DeepEqual(files, []string{
+		"figure8", "figure9", "figure10-4x4-random-traffic", "figure10-8x8-random-traffic", "figure10-8x8-bit-reversal",
+		"figure10-8x8-perfect-shuffle", "figure10s", "figure11a", "figure11b", "figure11c"}) {
+		t.Errorf("output names = %q (err %v)", files, err)
+	}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-quick", "-figure", "9", "-workers", "1", "-out", dir}, &stdout, &stderr); err != nil {
+		t.Fatalf("figure mode: %v\nstderr:\n%s", err, stderr.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 2 || entries[0].Name() != "figure9.csv" || entries[1].Name() != "figure9.jsonl" {
+		t.Errorf("-out holds %v (err %v), want figure9.csv and figure9.jsonl", entries, err)
 	}
 }
 
@@ -306,10 +239,10 @@ func TestMatrixFlagsSpec(t *testing.T) {
 	}
 }
 
-// ruleSamples supplies a parseable value for every flag the rule tables
-// mention, so the enumeration tests can set any flag by name.
-var ruleSamples = map[string]string{
-	"spec": "specs.json", "figure": "8", "matrix": "true", "run": "true",
+// flagSamples supplies a parseable value for every flag sweep defines,
+// so the flag-checking tests can set any flag by name.
+var flagSamples = map[string]string{
+	"spec": "specs.json", "figure": "11c", "matrix": "true", "run": "true",
 	"verify": "true", "bench": "true", "quick": "true", "seed": "2",
 	"cycles": "100", "size": "4x4", "algo": "PIM1", "algos": "PIM1",
 	"pattern": "random", "patterns": "random", "process": "bernoulli",
@@ -324,74 +257,239 @@ var ruleSamples = map[string]string{
 
 func sampleArg(t *testing.T, name string) string {
 	t.Helper()
-	v, ok := ruleSamples[name]
+	v, ok := flagSamples[name]
 	if !ok {
-		t.Fatalf("rule table mentions flag %q with no sample value; add it to ruleSamples", name)
+		t.Fatalf("flag %q has no sample value; add it to flagSamples", name)
 	}
 	return "-" + name + "=" + v
 }
 
-// TestEveryContradictionRuleRejects enumerates the whole contradiction
-// table: each pair, set together (and nothing else), must be rejected
-// with an error naming both flags — proving every rule is live, every
-// flag it names exists, and no rule is shadowed by another.
+// names reports whether err names the flag -f as a whole word.
+func names(err error, f string) bool {
+	return regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f) + `([^\w-]|$)`).MatchString(err.Error())
+}
+
+// usageFlags returns every flag the usage text lists but the profilers,
+// which every mode takes.
+func usageFlags(t *testing.T) []string {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v", err)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		if m[1] != "cpuprofile" && m[1] != "memprofile" {
+			flags = append(flags, m[1])
+		}
+	}
+	if len(flags) < 30 {
+		t.Fatalf("read %d flags from the usage text:\n%s", len(flags), stderr.String())
+	}
+	return flags
+}
+
+// flagChecker returns a function that runs args and returns the error
+// flag checking raised, or nil when the invocation got past it. It adds
+// an unwritable -cpuprofile, which fails every invocation that gets past
+// flag checking before it simulates anything, so no case runs, and it
+// requires every invocation to print nothing.
+func flagChecker(t *testing.T) func(args []string) error {
+	noProfile := "-cpuprofile=" + filepath.Join(t.TempDir(), "missing", "cpu.pprof")
+	return func(args []string) error {
+		var stdout, stderr bytes.Buffer
+		err := run(append(slices.Clone(args), noProfile), &stdout, &stderr)
+		if err == nil || stdout.Len() != 0 {
+			t.Fatalf("%v: err = %v, stdout:\n%s", args, err, stdout.String())
+		}
+		if strings.Contains(err.Error(), "cpu.pprof") {
+			return nil
+		}
+		return err
+	}
+}
+
+// needs holds what a flag cannot be set without, in every row that lists
+// it.
+var needs = map[string]string{"confidence": "-reps=2", "resume": "-cache-dir=cachedir"}
+
+// rowOf returns a mode's row: its selectors, then the flags it reads.
+func rowOf(m mode) []string { return strings.Fields(m.selectors + " " + m.reads) }
+
+// checkRow checks mode m, and m again with -emit-spec when its row lists
+// it, against every usage flag: a flag is accepted exactly when the row
+// lists it and -emit-spec does not turn it off, and a rejection names the
+// flag.
+func checkRow(t *testing.T, check func([]string) error, flags []string, m mode) {
+	row := rowOf(m)
+	for _, emit := range []bool{false, true} {
+		base, off := []string{sampleArg(t, row[0])}, []string(nil)
+		if emit {
+			if !slices.Contains(row, "emit-spec") {
+				continue
+			}
+			base, off = append(base, "-emit-spec"), strings.Fields(execFlags+" plot")
+		}
+		for _, f := range flags {
+			if f == row[0] || emit && f == "emit-spec" {
+				continue
+			}
+			want := slices.Contains(row, f) && !slices.Contains(off, f)
+			args := append(slices.Clone(base), sampleArg(t, f))
+			if n, ok := needs[f]; ok && want {
+				args = append(args, n)
+			}
+			switch err := check(args); {
+			case want && err != nil:
+				t.Errorf("%v: %v, want it accepted", args, err)
+			case !want && (err == nil || !names(err, f)):
+				t.Errorf("%v: err = %v, want an error naming -%s", args, err, f)
+			}
+		}
+	}
+}
+
+// A flagCase is an invocation flag checking must reject, and the flag
+// its error must name.
+type flagCase struct {
+	args []string
+	flag string
+}
+
+// checkCases requires each case to fail flag checking naming its flag.
+func checkCases(t *testing.T, check func([]string) error, cases []flagCase) {
+	for _, c := range cases {
+		if err := check(c.args); err == nil || !names(err, c.flag) {
+			t.Errorf("args %v: err = %v, want an error naming -%s", c.args, err, c.flag)
+		}
+	}
+}
+
+// TestListTakesNoFlag requires -list to reject every flag the usage text
+// lists but the profilers', naming it, so a flag added later never
+// reaches -list unread; -list with -cpuprofile runs.
+func TestListTakesNoFlag(t *testing.T) {
+	list := modes[slices.IndexFunc(modes, func(m mode) bool { return m.name == "list" })]
+	if list.reads != "" {
+		t.Errorf("list mode reads %q, want no flag", list.reads)
+	}
+	checkRow(t, flagChecker(t), usageFlags(t), list)
+
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-list", "-cpuprofile", filepath.Join(t.TempDir(), "cpu.pprof")}, &stdout, &stderr)
+	if err != nil || !strings.Contains(stdout.String(), "algorithms:") {
+		t.Errorf("-list -cpuprofile: err = %v, stdout:\n%s", err, stdout.String())
+	}
+}
+
+// TestIgnoredFlagsRejected checks every other mode's row against every
+// usage flag (checkRow), so no mode silently drops a flag: a matrix axis
+// flag beside the -run that -record or -replay selects is rejected too.
+// The value rules reject a negative -reps or -cycles and -seed 0, and the
+// scenario flags reach -matrix and -run, including the -run that -record
+// selects.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	check, flags := flagChecker(t), usageFlags(t)
+	for _, m := range modes {
+		if m.name != "list" {
+			checkRow(t, check, flags, m)
+		}
+	}
+	checkCases(t, check, []flagCase{
+		{[]string{"-record=t.trace", "-algos=PIM1"}, "algos"},
+		{[]string{"-replay=t.trace", "-rates=0.02,0.04"}, "rates"},
+		{[]string{"-emit-spec", "-record=t.trace", "-patterns=tornado"}, "patterns"},
+		{[]string{"-emit-spec", "-figure=11c", "-quick", "-reps=-3"}, "reps"},
+		{[]string{"-run", "-size=4x4", "-cycles=-5"}, "cycles"},
+		{[]string{"-emit-spec", "-figure=11c", "-quick", "-seed=0"}, "seed"},
+		{[]string{"-emit-spec", "-run", "-size=4x4", "-seed=0"}, "seed"},
+	})
+	for _, args := range [][]string{
+		{"-emit-spec", "-matrix", "-size", "4x4", "-cycles", "100", "-rates", "0.02"},
+		{"-emit-spec", "-run", "-size", "4x4", "-algo", "PIM1", "-rate", "0.02"},
+		{"-emit-spec", "-record", "run.trace", "-size", "4x4", "-pattern", "tornado"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Errorf("args %v: %v", args, err)
+		}
+	}
+}
+
+// TestEveryContradictionRuleRejects sets both flags of each pair rule,
+// listed here so a rule dropped from pairRules fails too, and requires an
+// error naming both; each standalone figure with -metrics or -plot must
+// fail naming that flag.
 func TestEveryContradictionRuleRejects(t *testing.T) {
-	for _, c := range contradictions {
-		args := []string{sampleArg(t, c.a), sampleArg(t, c.b)}
-		var stdout, stderr bytes.Buffer
-		err := run(args, &stdout, &stderr)
-		if err == nil {
-			t.Errorf("%v: contradiction (%s, %s) not enforced", args, c.a, c.b)
-			continue
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "contradictory") ||
-			!strings.Contains(msg, "-"+c.a) || !strings.Contains(msg, "-"+c.b) {
-			t.Errorf("%v: error %q does not name the (%s, %s) contradiction", args, msg, c.a, c.b)
+	check := flagChecker(t)
+	for _, p := range [][2]string{
+		{"record", "replay"}, {"replay", "pattern"}, {"replay", "process"}, {"replay", "rate"},
+		{"replay", "model"}, {"cache-dir", "record"}, {"cache-dir", "replay"}, {"record", "reps"},
+		{"plot", "json"},
+	} {
+		args := []string{sampleArg(t, p[0]), sampleArg(t, p[1])}
+		if err := check(args); err == nil || !names(err, p[0]) || !names(err, p[1]) {
+			t.Errorf("%v: err = %v, want an error naming -%s and -%s", args, err, p[0], p[1])
 		}
 	}
+	checkCases(t, check, []flagCase{{[]string{"-figure=8", "-metrics"}, "metrics"}, {[]string{"-figure=9", "-plot"}, "plot"}})
 }
 
-// TestEveryRequirementRuleRejects enumerates the requirement table: each
-// dependent flag, set alone, must be rejected naming its prerequisite.
+// TestEveryRequirementRuleRejects sets each flag of needs without what it
+// needs, in every mode whose row lists it, and requires an error naming
+// the missing flag; -markdown and -bench-baseline fail outside -verify and
+// -bench.
 func TestEveryRequirementRuleRejects(t *testing.T) {
-	for _, r := range requirements {
-		args := []string{sampleArg(t, r.flag)}
-		var stdout, stderr bytes.Buffer
-		err := run(args, &stdout, &stderr)
-		if err == nil {
-			t.Errorf("%v: requirement %s -> %s not enforced", args, r.flag, r.needs)
-			continue
-		}
-		if !strings.Contains(err.Error(), "requires -"+r.needs) {
-			t.Errorf("%v: error %q does not name the missing -%s", args, err.Error(), r.needs)
+	cases := []flagCase{
+		{[]string{"-markdown"}, "markdown"},
+		{[]string{"-bench-baseline=BENCH.json"}, "bench-baseline"},
+		{[]string{"-verify", "-reps=1", "-confidence=0.9"}, "reps"},
+	}
+	for f, n := range needs {
+		for _, m := range modes {
+			if row := rowOf(m); slices.Contains(row, f) {
+				need := strings.TrimPrefix(strings.SplitN(n, "=", 2)[0], "-")
+				cases = append(cases, flagCase{[]string{sampleArg(t, row[0]), sampleArg(t, f)}, need})
+			}
 		}
 	}
+	checkCases(t, flagChecker(t), cases)
 }
 
-// TestRuleTablesWellFormed rejects degenerate rules: self-pairs,
-// duplicate pairs, and empty rationales.
+// TestRuleTablesWellFormed checks the flag tables against the usage text:
+// every flag sits in some mode's row, so a flag added later needs a row
+// entry (and a flagSamples value), and every row names defined flags.
+// Every pair rule has a rationale and pairs two flags of one row, since a
+// pair no row holds is rejected before the rule is read.
 func TestRuleTablesWellFormed(t *testing.T) {
-	seen := map[[2]string]bool{}
-	for _, c := range contradictions {
-		if c.a == c.b {
-			t.Errorf("rule pairs %q with itself", c.a)
-		}
-		if c.why == "" {
-			t.Errorf("rule (%s, %s) has no rationale", c.a, c.b)
-		}
-		k := [2]string{c.a, c.b}
-		if c.a > c.b {
-			k = [2]string{c.b, c.a}
-		}
-		if seen[k] {
-			t.Errorf("rule (%s, %s) appears twice", c.a, c.b)
-		}
-		seen[k] = true
+	flags := usageFlags(t)
+	inRow := func(fs ...string) bool {
+		return slices.ContainsFunc(modes, func(m mode) bool {
+			row := rowOf(m)
+			for _, f := range fs {
+				if !slices.Contains(row, f) {
+					return false
+				}
+			}
+			return true
+		})
 	}
-	for _, r := range requirements {
-		if r.flag == r.needs || r.why == "" {
-			t.Errorf("malformed requirement %+v", r)
+	for _, f := range flags {
+		if !inRow(f) {
+			t.Errorf("-%s is in no mode's row", f)
+		}
+	}
+	for _, m := range modes {
+		for _, f := range rowOf(m) {
+			if !slices.Contains(flags, f) {
+				t.Errorf("%s mode reads -%s, which sweep does not define", m.name, f)
+			}
+		}
+	}
+	for _, r := range pairRules {
+		for _, f := range strings.Fields(r.with) {
+			if r.why == "" || r.flag == f || !inRow(r.flag, f) {
+				t.Errorf("malformed pair rule (-%s, -%s)", r.flag, f)
+			}
 		}
 	}
 }

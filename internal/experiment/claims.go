@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -43,6 +44,19 @@ type Verdict struct {
 	OK       bool
 }
 
+// A claim reads figures, panels and series out of the Dataset; any one
+// the Dataset lacks reads as NaN, which fails every comparison a claim
+// makes, so the claim's verdict comes back OK: false in its usual place.
+
+// panel returns figure fig's i-th Result, or an empty Result when the
+// Dataset has none.
+func (d Dataset) panel(fig string, i int) *Result {
+	if rs := d[fig]; i < len(rs) && rs[i] != nil {
+		return rs[i]
+	}
+	return &Result{}
+}
+
 // series returns the Result's series with the given label (empty when
 // it has none).
 func (r *Result) series(label string) ResultSeries {
@@ -54,9 +68,25 @@ func (r *Result) series(label string) ResultSeries {
 	return ResultSeries{}
 }
 
+// read applies f to a labeled series, or returns NaN when the series is
+// missing or has no points.
+func (r *Result) read(label string, f func(ResultSeries) float64) float64 {
+	s := r.series(label)
+	if len(s.Points) == 0 {
+		return math.NaN()
+	}
+	return f(s)
+}
+
 // peak and final read a labeled series' peak and highest-load throughput.
-func (r *Result) peak(label string) float64  { return r.series(label).PeakThroughput() }
-func (r *Result) final(label string) float64 { return r.series(label).FinalThroughput() }
+func (r *Result) peak(label string) float64  { return r.read(label, ResultSeries.PeakThroughput) }
+func (r *Result) final(label string) float64 { return r.read(label, ResultSeries.FinalThroughput) }
+
+// firstLatency returns a timing series' average latency at its lightest
+// load.
+func (r *Result) firstLatency(label string) float64 {
+	return r.read(label, func(s ResultSeries) float64 { return s.Points[0].AvgLatencyNS })
+}
 
 // matches returns a standalone series' matches per cycle in axis order.
 func (r *Result) matches(label string) []float64 {
@@ -67,19 +97,16 @@ func (r *Result) matches(label string) []float64 {
 	return v
 }
 
-// firstLatency returns a timing series' average latency at its lightest
-// load.
-func (r *Result) firstLatency(label string) float64 {
-	pts := r.series(label).Points
-	if len(pts) == 0 {
-		return 0
+func first(v []float64) float64 {
+	if len(v) == 0 {
+		return math.NaN()
 	}
-	return pts[0].AvgLatencyNS
+	return v[0]
 }
 
 func last(v []float64) float64 {
 	if len(v) == 0 {
-		return 0
+		return math.NaN()
 	}
 	return v[len(v)-1]
 }
@@ -94,7 +121,7 @@ func Verify(d Dataset) []Verdict {
 	}
 
 	// ---- Figure 8 ----
-	f8 := d["8"][0]
+	f8 := d.panel("8", 0)
 	mcm := last(f8.matches("MCM"))
 	wfa := last(f8.matches("WFA-base"))
 	pim := last(f8.matches("PIM"))
@@ -118,8 +145,8 @@ func Verify(d Dataset) []Verdict {
 		mcm > 6.2)
 
 	// ---- Figure 9 ----
-	f9 := d["9"][0]
-	g0 := f9.matches("MCM")[0] - f9.matches("SPAA-base")[0]
+	f9 := d.panel("9", 0)
+	g0 := first(f9.matches("MCM")) - first(f9.matches("SPAA-base"))
 	g75 := last(f9.matches("MCM")) - last(f9.matches("SPAA-base"))
 	add("fig9-gap-vanishes",
 		"the difference between the algorithms completely disappears when 75% of the output ports are occupied",
@@ -127,7 +154,7 @@ func Verify(d Dataset) []Verdict {
 		g75 < 0.25*g0)
 
 	// ---- Figure 10: 4x4 random ----
-	p4 := d["10"][0]
+	p4 := d.panel("10", 0)
 	add("fig10-4x4-spaa-wins",
 		"with random traffic SPAA-base provides about 11% higher throughput than PIM1 and WFA-base (4x4, ~83 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-base %.3f vs WFA-base %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
@@ -146,7 +173,7 @@ func Verify(d Dataset) []Verdict {
 			p4.final("WFA-base") > 0.9*p4.peak("WFA-base"))
 
 	// ---- Figure 10: 8x8 random ----
-	p8 := d["10"][1]
+	p8 := d.panel("10", 1)
 	add("fig10-8x8-spaa-wins",
 		"in the 8x8 network SPAA-base provides about 24% higher throughput than PIM1 and WFA-base (~122 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-base %.3f vs WFA-base %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
@@ -164,7 +191,7 @@ func Verify(d Dataset) []Verdict {
 			p8.firstLatency("SPAA-base") < p8.firstLatency("PIM1"))
 
 	// ---- Saturation companion (the paper's 8x8 collapse claims) ----
-	ps := d["10s"][0]
+	ps := d.panel("10s", 0)
 	add("fig10-rotary-spaa",
 		"SPAA-rotary improves throughput by 43% over SPAA-base beyond saturation (~280 ns)",
 		fmt.Sprintf("final throughput: SPAA-rotary %.3f vs SPAA-base %.3f (%.1fx; 64 outstanding)",
@@ -188,7 +215,7 @@ func Verify(d Dataset) []Verdict {
 			ps.final("WFA-rotary") > 0.9*ps.peak("WFA-rotary"))
 
 	// ---- Figure 11a: 2x pipeline ----
-	f11a := d["11a"][0]
+	f11a := d.panel("11a", 0)
 	add("fig11a-spaa-dominates",
 		"with a 2x-deep, 2x-fast pipeline SPAA-rotary provides greater than 60% higher throughput than PIM1 and WFA-rotary (~100 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%) and PIM1 %.3f (+%.0f%%)",
@@ -200,7 +227,7 @@ func Verify(d Dataset) []Verdict {
 			f11a.peak("SPAA-rotary") > 1.05*f11a.peak("PIM1"))
 
 	// ---- Figure 11b: 64 outstanding ----
-	f11b := d["11b"][0]
+	f11b := d.panel("11b", 0)
 	add("fig11b-spaa-wins",
 		"even at 64 outstanding misses SPAA-rotary provides roughly 13% higher throughput than WFA-rotary (~200 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%)",
@@ -209,7 +236,7 @@ func Verify(d Dataset) []Verdict {
 		f11b.peak("SPAA-rotary") > 1.0*f11b.peak("WFA-rotary"))
 
 	// ---- Figure 11c: 12x12 ----
-	f11c := d["11c"][0]
+	f11c := d.panel("11c", 0)
 	add("fig11c-spaa-wins",
 		"in a 12x12 network SPAA-rotary provides an 18% higher throughput than WFA-rotary (~200 ns)",
 		fmt.Sprintf("saturation throughput: SPAA-rotary %.3f vs WFA-rotary %.3f (+%.0f%%)",

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -77,7 +78,7 @@ func matchSeries(label string, values ...float64) ResultSeries {
 // figure panel it reads, with series in no particular order and one
 // claim (fig11a) set to deviate. It pins every claim ID in order, each
 // verdict, and the exact measured text of one standalone and one timing
-// claim.
+// claim; then it drops a series, every panel, and every figure.
 func TestVerifyReadsResults(t *testing.T) {
 	d := Dataset{
 		"8": {{Series: []ResultSeries{
@@ -120,26 +121,9 @@ func TestVerifyReadsResults(t *testing.T) {
 		}}},
 	}
 	verdicts := Verify(d)
-	want := []struct {
-		id string
-		ok bool
-	}{
-		{"fig8-top-three", true}, {"fig8-mcm-vs-spaa", true}, {"fig8-pim1-vs-spaa", true},
-		{"fig8-mcm-near-seven", true}, {"fig9-gap-vanishes", true},
-		{"fig10-4x4-spaa-wins", true}, {"fig10-4x4-no-collapse", true},
-		{"fig10-8x8-spaa-wins", true}, {"fig10-spaa-low-load-latency", true},
-		{"fig10-rotary-spaa", true}, {"fig10-rotary-wfa", true}, {"fig10-rotary-holds", true},
-		{"fig11a-spaa-dominates", false}, {"fig11b-spaa-wins", true}, {"fig11c-spaa-wins", true},
-		{"calibration-zero-load", true},
-	}
-	if len(verdicts) != len(want) {
-		t.Fatalf("%d verdicts, want %d", len(verdicts), len(want))
-	}
+	checkVerdicts(t, verdicts, "fig11a-spaa-dominates")
 	measured := map[string]string{}
-	for i, v := range verdicts {
-		if v.ID != want[i].id || v.OK != want[i].ok {
-			t.Errorf("verdict %d = %s ok=%v (%s), want %s ok=%v", i+1, v.ID, v.OK, v.Measured, want[i].id, want[i].ok)
-		}
+	for _, v := range verdicts {
 		measured[v.ID] = v.Measured
 	}
 	for id, text := range map[string]string{
@@ -148,6 +132,37 @@ func TestVerifyReadsResults(t *testing.T) {
 	} {
 		if measured[id] != text {
 			t.Errorf("%s measured %q, want %q", id, measured[id], text)
+		}
+	}
+
+	// A claim whose figure, panel or series is missing fails in its
+	// usual place instead of panicking. Without its WFA-rotary series,
+	// 11b's claim would otherwise compare SPAA-rotary against zero.
+	d["11b"][0].Series = d["11b"][0].Series[1:]
+	checkVerdicts(t, Verify(d), "fig11a-spaa-dominates", "fig11b-spaa-wins")
+	checkVerdicts(t, Verify(Dataset{"8": {{}}, "9": {{}}}), claimIDs...)
+	checkVerdicts(t, Verify(Dataset{}), claimIDs...)
+}
+
+// claimIDs is every claim Verify encodes, in verdict order.
+var claimIDs = []string{
+	"fig8-top-three", "fig8-mcm-vs-spaa", "fig8-pim1-vs-spaa", "fig8-mcm-near-seven",
+	"fig9-gap-vanishes", "fig10-4x4-spaa-wins", "fig10-4x4-no-collapse", "fig10-8x8-spaa-wins",
+	"fig10-spaa-low-load-latency", "fig10-rotary-spaa", "fig10-rotary-wfa", "fig10-rotary-holds",
+	"fig11a-spaa-dominates", "fig11b-spaa-wins", "fig11c-spaa-wins", "calibration-zero-load",
+}
+
+// checkVerdicts fails t unless vs holds every claim in order, each OK
+// exactly when deviates does not list it.
+func checkVerdicts(t *testing.T, vs []Verdict, deviates ...string) {
+	t.Helper()
+	if len(vs) != len(claimIDs) {
+		t.Fatalf("%d verdicts, want %d", len(vs), len(claimIDs))
+	}
+	for i, v := range vs {
+		ok := !slices.Contains(deviates, claimIDs[i])
+		if v.ID != claimIDs[i] || v.OK != ok {
+			t.Errorf("verdict %d = %s ok=%v (%s), want %s ok=%v", i+1, v.ID, v.OK, v.Measured, claimIDs[i], ok)
 		}
 	}
 }

@@ -29,7 +29,8 @@ type Options struct {
 	Quick bool
 	Seed  uint64
 	// CyclesOverride, when positive, replaces the per-run router cycle
-	// count (used by the benchmark harness).
+	// count; the tests and the root package's Go benchmarks
+	// (bench_test.go) shorten their runs with it.
 	CyclesOverride int
 	// MaxRatePoints, when positive, subsamples each load sweep to at most
 	// this many points, always keeping the lightest and heaviest loads.
