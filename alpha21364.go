@@ -9,8 +9,9 @@
 //     sweep/matrix (NewSpec and the With* options, ParseSpec,
 //     FigureSpecs); a Runner executes Specs under a context with bounded
 //     workers and an optional progress-event sink (NewRunner, Runner.Run,
-//     WithEventSink); a Result is the stable machine-readable outcome
-//     with a JSONL encoder (Result.EncodeJSONL, DecodeResultJSONL);
+//     WithEventSink); a Result is the stable machine-readable outcome,
+//     serialized as one deterministic line of JSON (Result.EncodeJSONL,
+//     DecodeResultJSONL);
 //   - the sweep service: a Runner given a content-addressed result store
 //     (SpecHash, OpenResultCache, WithCache) serves the points it already
 //     holds, persists each new one as it completes, and so resumes
@@ -223,11 +224,6 @@ var (
 // counters, link utilization.
 type MetricsSnapshot = obs.Snapshot
 
-// StripVolatile zeroes a Result's wall-clock fields so repeated runs
-// compare byte-identical: the canonical normalization for
-// byte-comparing two runs of the same Spec.
-func StripVolatile(r *Result) { experiment.StripVolatile(r) }
-
 // MetricStats and ReplicationStats are the per-point multi-seed
 // statistics a replicated Spec (WithReplications) attaches to every
 // ResultPoint: mean, sample stddev, and a Student's t confidence
@@ -299,8 +295,9 @@ func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) 
 // simulate the same numbers share one cache key.
 func SpecHash(s Spec) (string, error) { return experiment.SpecHash(s) }
 
-// Result is the stable machine-readable outcome of running a Spec, with
-// a JSONL encoder (EncodeJSONL) and document form (WriteFile).
+// Result is the stable machine-readable outcome of running a Spec. Its
+// one serialized form is a line of JSON (EncodeJSONL); two runs of the
+// same Spec encode to the same bytes.
 type Result = experiment.Result
 
 // ResultSeries and ResultPoint are the rows of a Result.
@@ -312,10 +309,9 @@ type (
 // ResultVersion is the Result schema version this build reads and writes.
 const ResultVersion = experiment.ResultVersion
 
-// DecodeResultJSONL reconstructs a Result from its JSONL stream;
-// ReadResultFile loads the document form.
+// DecodeResultJSONL strictly reads one Result line, as EncodeJSONL
+// writes it.
 func DecodeResultJSONL(r io.Reader) (*Result, error) { return experiment.DecodeResultJSONL(r) }
-func ReadResultFile(path string) (*Result, error)    { return experiment.ReadResultFile(path) }
 
 // BenchReport is the machine-readable benchmark report (BENCH_*.json):
 // Spec-driven workloads measured through the ordinary Runner, reporting

@@ -2,17 +2,17 @@
 // and saves declarative simulation Specs, executes them through the
 // context-aware Runner, regenerates the paper's figures (which
 // are canned Specs), runs scenario matrices, records/replays injection
-// traces, and runs the benchmark suite. Tables (or, with -json, Result
-// JSONL) go to stdout; diagnostics and -progress lines go to stderr, so
-// piping stdout stays machine-readable. With -out it also writes CSV
-// files and Result JSONL documents.
+// traces, and runs the benchmark suite. Tables (or, with -json, one
+// Result JSON line per Spec) go to stdout; diagnostics and -progress
+// lines go to stderr, so piping stdout stays machine-readable. With -out
+// it also writes a CSV file and a one-line Result JSONL file per Spec.
 //
 // Usage:
 //
-//	sweep -spec FILE [-out DIR] [-workers N] [-progress] [-json] [-stable]
+//	sweep -spec FILE [-out DIR] [-workers N] [-progress] [-json]
 //	sweep -emit-spec [-figure F | -matrix ... | -run ...]   > specs.json
 //	sweep [-figure all|8|9|10|10s|11a|11b|11c] [-quick] [-seed N] [-out DIR]
-//	      [-workers N] [-progress] [-json] [-check] [-metrics] [-stable]
+//	      [-workers N] [-progress] [-json] [-check] [-metrics]
 //	      [-reps N [-confidence C]]
 //	sweep -matrix [-algos A,B] [-patterns P,Q] [-processes X,Y] [-rates R1,R2]
 //	      [-model M] [-size WxH] [-cycles N]
@@ -29,10 +29,9 @@
 //
 // -metrics enables the telemetry layer (internal/obs) on every timing
 // simulation: each emitted point carries an observation-only snapshot,
-// in the -json stream and in the -out Result JSONL alike. -stable
-// zeroes volatile fields (wall-clock durations) in emitted Results so
-// two runs of the same spec compare byte-identical — the canonical
-// normalization for warm-cache rerun checks.
+// in the -json stream and in the -out Result JSONL alike. A Result holds
+// no wall-clock field, so two runs of the same spec, cached or not,
+// print the same bytes.
 //
 // -cpuprofile and -memprofile write pprof profiles for any mode. Each
 // mode (list, spec, bench, verify, matrix, run and figure) reads a fixed
@@ -80,11 +79,10 @@ func main() {
 // app carries the output streams: results (tables or JSONL) go to out,
 // progress and diagnostics to the logger on errW.
 type app struct {
-	out    io.Writer
-	log    *log.Logger
-	json   bool
-	dir    string // -out directory, "" for none
-	stable bool   // -stable: StripVolatile every Result before emission
+	out  io.Writer
+	log  *log.Logger
+	json bool
+	dir  string // -out directory, "" for none
 	// exec runs one Spec through a Runner, on the -cache-dir store when
 	// one is given.
 	exec func(experiment.Spec) (*experiment.Result, error)
@@ -121,11 +119,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
 	checkFlag := fs.Bool("check", false, "enable the online invariant oracle (conservation, VC bounds, grant legality, deadlock watchdog) for every simulation")
 	metricsFlag := fs.Bool("metrics", false, "enable the telemetry layer for every timing simulation: each point carries an internal/obs snapshot in its Result (the -json stream and the -out JSONL)")
-	stable := fs.Bool("stable", false, "zero volatile fields (wall-clock durations) in emitted Results, so two runs of the same spec compare byte-identical")
 	reps := fs.Int("reps", 0, "replications per point: run each point N times with derived seeds and attach mean/stddev/confidence-interval statistics (0 or 1 = single run)")
 	confidence := fs.Float64("confidence", 0, "confidence level of the -reps interval (default 0.95)")
 	progress := fs.Bool("progress", false, "log Runner events (each completed simulation) to stderr")
-	jsonOut := fs.Bool("json", false, "stream Result JSONL to stdout instead of formatted tables")
+	jsonOut := fs.Bool("json", false, "print each Result as one JSON line on stdout instead of formatted tables")
 
 	fs.Bool("list", false, "list algorithms, patterns, processes, models, and figures, then exit")
 	fs.Bool("matrix", false, "run a scenario matrix (algorithms x patterns x processes x rates)")
@@ -163,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := checkRules(set, *reps, *cycles, *seed, *figure); err != nil {
+	if err := checkRules(set, *reps, *cycles, *figure); err != nil {
 		return err
 	}
 
@@ -173,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopProf()
 
-	a := &app{out: stdout, log: logger, json: *jsonOut, dir: *out, stable: *stable}
+	a := &app{out: stdout, log: logger, json: *jsonOut, dir: *out}
 
 	o := experiment.Options{
 		Quick: *quick, Seed: *seed,
@@ -272,9 +269,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			points := countPoints(res)
 			logger.Printf("cache: %d/%d points cached, %d simulated", cached, points, points-cached)
 		}
-		if a.stable {
-			experiment.StripVolatile(res)
-		}
 		return res, nil
 	}
 	if *resume {
@@ -352,7 +346,7 @@ type mode struct {
 // execFlags change how figure, matrix and run mode execute their Specs,
 // never what the Specs are. -emit-spec prints the Specs and runs nothing,
 // so it turns these off, and figure mode's -plot with them.
-const execFlags = "out workers progress json stable cache-dir resume"
+const execFlags = "out workers progress json cache-dir resume"
 
 // sweepFlags are the flags figure, matrix and run mode share: the
 // study-wide Options, -emit-spec, and the execution flags.
@@ -411,7 +405,7 @@ var pairRules = []struct{ flag, with, why string }{
 // checkRules applies the rules a mode's row cannot express: the pair
 // rules, -resume's need for -cache-dir, and the rules that read a flag's
 // value.
-func checkRules(set map[string]bool, reps, cycles int, seed uint64, figure string) error {
+func checkRules(set map[string]bool, reps, cycles int, figure string) error {
 	for _, r := range pairRules {
 		for _, f := range strings.Fields(r.with) {
 			if set[r.flag] && set[f] {
@@ -427,8 +421,6 @@ func checkRules(set map[string]bool, reps, cycles int, seed uint64, figure strin
 		return fmt.Errorf("-reps %d must be >= 0 (0 or 1 = a single run)", reps)
 	case cycles < 0:
 		return fmt.Errorf("-cycles %d must be >= 0 (0 = the figure default)", cycles)
-	case seed == 0:
-		return fmt.Errorf("-seed 0 is ambiguous (the canned figures read it as seed 1); pick a seed >= 1")
 	case set["confidence"] && reps < 2:
 		return fmt.Errorf("-confidence requires -reps 2 or more (there is no interval over one run)")
 	case standalone && set["metrics"]:
@@ -535,7 +527,7 @@ func specSlug(sp experiment.Spec, i int) string {
 }
 
 // printSingleRun prints the one-line summary of a single-scenario spec
-// (or, with -json, its Result JSONL).
+// (or, with -json, its Result line).
 func (a *app) printSingleRun(res *experiment.Result, size, record, replay string) error {
 	if len(res.Series) == 0 || len(res.Series[0].Points) == 0 {
 		return fmt.Errorf("no result point")
@@ -710,7 +702,7 @@ func (a *app) writeCSV(name string, tb experiment.Table) error {
 	return nil
 }
 
-// writeJSONL writes the machine-readable Result stream next to the CSV.
+// writeJSONL writes the Result, one JSON line, next to the CSV.
 func (a *app) writeJSONL(name string, res *experiment.Result) error {
 	if a.dir == "" {
 		return nil

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -19,8 +19,8 @@ import (
 
 // TestProgressGoesToStderrNotStdout pipes a -json -progress run through
 // captured buffers and checks the streams never interleave: stdout must
-// be pure Result JSONL (every line parses as a typed record), and every
-// progress line must be on stderr.
+// be the Result alone, one JSON line, and every progress line must be on
+// stderr.
 func TestProgressGoesToStderrNotStdout(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
@@ -32,28 +32,13 @@ func TestProgressGoesToStderrNotStdout(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 
-	// stdout: strictly machine-readable JSONL.
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("stdout has %d lines, want at least header+series+point:\n%s", len(lines), stdout.String())
+	// stdout: one Result line, which the strict decoder reads whole.
+	if n := strings.Count(stdout.String(), "\n"); n != 1 {
+		t.Fatalf("stdout has %d lines, want the one Result line:\n%s", n, stdout.String())
 	}
-	for i, line := range lines {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &probe); err != nil {
-			t.Fatalf("stdout line %d is not JSON (progress leaked into stdout?): %q: %v", i+1, line, err)
-		}
-		switch probe.Type {
-		case "result", "series", "point":
-		default:
-			t.Fatalf("stdout line %d has unexpected record type %q", i+1, probe.Type)
-		}
-	}
-	// The stream must round-trip through the Result decoder.
 	res, err := experiment.DecodeResultJSONL(strings.NewReader(stdout.String()))
 	if err != nil {
-		t.Fatalf("stdout is not a decodable Result stream: %v", err)
+		t.Fatalf("stdout is not a Result line (progress leaked into stdout?): %v", err)
 	}
 	if len(res.Series) != 1 || len(res.Series[0].Points) != 1 {
 		t.Fatalf("decoded result has wrong shape: %d series", len(res.Series))
@@ -65,7 +50,7 @@ func TestProgressGoesToStderrNotStdout(t *testing.T) {
 	}
 	for _, line := range strings.Split(stderr.String(), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "{") {
-			t.Fatalf("JSONL leaked into stderr: %q", line)
+			t.Fatalf("the Result leaked into stderr: %q", line)
 		}
 	}
 }
@@ -251,7 +236,7 @@ var flagSamples = map[string]string{
 	"check": "true", "reps": "2", "confidence": "0.9", "emit-spec": "true",
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
 	"cache-dir": "cachedir", "bench-baseline": "BENCH.json",
-	"resume": "true", "metrics": "true", "stable": "true",
+	"resume": "true", "metrics": "true",
 	"markdown": "true", "plot": "true", "out": "outdir",
 }
 
@@ -384,9 +369,9 @@ func TestListTakesNoFlag(t *testing.T) {
 // TestIgnoredFlagsRejected checks every other mode's row against every
 // usage flag (checkRow), so no mode silently drops a flag: a matrix axis
 // flag beside the -run that -record or -replay selects is rejected too.
-// The value rules reject a negative -reps or -cycles and -seed 0, and the
-// scenario flags reach -matrix and -run, including the -run that -record
-// selects.
+// The value rules reject a negative -reps or -cycles, and the scenario
+// flags reach -matrix and -run, including the -run that -record selects.
+// -seed 0 means seed 1, as in a Spec, so it is accepted.
 func TestIgnoredFlagsRejected(t *testing.T) {
 	check, flags := flagChecker(t), usageFlags(t)
 	for _, m := range modes {
@@ -400,13 +385,13 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		{[]string{"-emit-spec", "-record=t.trace", "-patterns=tornado"}, "patterns"},
 		{[]string{"-emit-spec", "-figure=11c", "-quick", "-reps=-3"}, "reps"},
 		{[]string{"-run", "-size=4x4", "-cycles=-5"}, "cycles"},
-		{[]string{"-emit-spec", "-figure=11c", "-quick", "-seed=0"}, "seed"},
-		{[]string{"-emit-spec", "-run", "-size=4x4", "-seed=0"}, "seed"},
 	})
 	for _, args := range [][]string{
 		{"-emit-spec", "-matrix", "-size", "4x4", "-cycles", "100", "-rates", "0.02"},
 		{"-emit-spec", "-run", "-size", "4x4", "-algo", "PIM1", "-rate", "0.02"},
 		{"-emit-spec", "-record", "run.trace", "-size", "4x4", "-pattern", "tornado"},
+		{"-emit-spec", "-figure=11c", "-quick", "-seed=0"},
+		{"-emit-spec", "-run", "-size=4x4", "-seed=0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err != nil {
@@ -496,15 +481,14 @@ func TestRuleTablesWellFormed(t *testing.T) {
 
 // TestCachedMatrixSecondRunSimulatesNothing is the CLI face of the cache
 // contract: the same -matrix invocation twice against one -cache-dir
-// must simulate zero points the second time and emit identical bytes.
-// -stable is the supported normalization: it zeroes the wall-clock
-// field at the source, so the streams compare with plain equality.
+// must simulate zero points the second time and print identical bytes.
+// A Result holds no wall-clock field, so the raw outputs are compared.
 func TestCachedMatrixSecondRunSimulatesNothing(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
 		"-matrix", "-algos", "PIM1", "-patterns", "random", "-processes", "bernoulli",
 		"-rates", "0.02,0.04", "-size", "4x4", "-cycles", "300",
-		"-json", "-stable", "-cache-dir", filepath.Join(dir, "cache"),
+		"-json", "-cache-dir", filepath.Join(dir, "cache"),
 	}
 	var out1, err1, out2, err2 bytes.Buffer
 	if err := run(args, &out1, &err1); err != nil {
@@ -520,19 +504,14 @@ func TestCachedMatrixSecondRunSimulatesNothing(t *testing.T) {
 		t.Fatalf("warm run still simulated:\n%s", err2.String())
 	}
 	if out1.String() != out2.String() {
-		t.Fatalf("cached -stable run output diverged:\n--- cold ---\n%s\n--- warm ---\n%s", out1.String(), out2.String())
-	}
-	// ElapsedNS is omitempty: stripping it means the key disappears.
-	if strings.Contains(out1.String(), `"elapsed_ns"`) {
-		t.Fatalf("-stable did not strip elapsed_ns:\n%s", out1.String())
+		t.Fatalf("cached run output diverged:\n--- cold ---\n%s\n--- warm ---\n%s", out1.String(), out2.String())
 	}
 }
 
-// TestSpecFileArrayCachedRerun runs a two-Spec array file twice
-// against one -cache-dir: the Results stream in file order, and the
-// second run simulates nothing and emits the same bytes.
-func TestSpecFileArrayCachedRerun(t *testing.T) {
-	dir := t.TempDir()
+// writeSpecArray writes a file of two timing Specs, PIM1's and
+// SPAA-rotary's, and returns its path and the Specs.
+func writeSpecArray(t *testing.T, dir string) (string, []experiment.Spec) {
+	t.Helper()
 	spec := func(name, arbiter string) experiment.Spec {
 		return experiment.NewSpec(
 			experiment.WithName(name),
@@ -544,34 +523,55 @@ func TestSpecFileArrayCachedRerun(t *testing.T) {
 			experiment.WithSeed(3),
 		)
 	}
-	data, err := experiment.EncodeSpecs([]experiment.Spec{spec("first spec", "PIM1"), spec("second spec", "SPAA-rotary")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := []experiment.Spec{spec("first spec", "PIM1"), spec("second spec", "SPAA-rotary")}
 	path := filepath.Join(dir, "specs.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := experiment.WriteSpecFile(path, specs...); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-spec", path, "-cache-dir", filepath.Join(dir, "cache"), "-json", "-stable", "-workers", "1"}
+	return path, specs
+}
+
+// TestSpecFileArrayJSONOneLinePerSpec runs a two-Spec array file with
+// -json: stdout holds exactly two lines, in file order, and each is the
+// Result line of its own Spec, which the strict decoder reads.
+func TestSpecFileArrayJSONOneLinePerSpec(t *testing.T) {
+	path, specs := writeSpecArray(t, t.TempDir())
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-spec", path, "-json", "-workers", "1"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	lines := strings.SplitAfter(stdout.String(), "\n")
+	if len(lines) != len(specs)+1 || lines[len(specs)] != "" {
+		t.Fatalf("stdout has %d lines, want one per Spec (%d):\n%s", len(lines)-1, len(specs), stdout.String())
+	}
+	for i, sp := range specs {
+		res, err := experiment.DecodeResultJSONL(strings.NewReader(lines[i]))
+		if err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if res.Spec.Name != sp.Name {
+			t.Fatalf("line %d holds %q's Result, want %q's", i+1, res.Spec.Name, sp.Name)
+		}
+		want, err := experiment.NewRunner(experiment.WithWorkers(1)).Run(context.Background(), res.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("line %d is not its Spec's Result:\ngot  %+v\nwant %+v", i+1, res, want)
+		}
+	}
+}
+
+// TestSpecFileArrayCachedRerun runs a two-Spec array file twice
+// against one -cache-dir: the second run simulates nothing and prints
+// the same bytes.
+func TestSpecFileArrayCachedRerun(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := writeSpecArray(t, dir)
+	args := []string{"-spec", path, "-cache-dir", filepath.Join(dir, "cache"), "-json", "-workers", "1"}
 	var out1, err1, out2, err2 bytes.Buffer
 	if err := run(args, &out1, &err1); err != nil {
 		t.Fatalf("cold run: %v\nstderr:\n%s", err, err1.String())
-	}
-	var names []string
-	for _, line := range strings.Split(strings.TrimRight(out1.String(), "\n"), "\n") {
-		var rec struct {
-			Type string
-			Spec struct{ Name string }
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("stdout line is not JSON: %q: %v", line, err)
-		}
-		if rec.Type == "result" {
-			names = append(names, rec.Spec.Name)
-		}
-	}
-	if want := []string{"first spec", "second spec"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("result headers = %q, want %q in file order", names, want)
 	}
 	if err := run(args, &out2, &err2); err != nil {
 		t.Fatalf("warm run: %v\nstderr:\n%s", err, err2.String())
@@ -595,8 +595,9 @@ func TestMetricsFlagEmitsSnapshots(t *testing.T) {
 		}, extra...)
 	}
 	// readOut decodes the -out Result JSONL after checking that the
-	// directory holds only the table and the Result.
-	readOut := func(dir string) *experiment.Result {
+	// directory holds only the table and the Result, and that the Result
+	// file holds the one line stdout printed.
+	readOut := func(dir, stdout string) *experiment.Result {
 		t.Helper()
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -609,12 +610,14 @@ func TestMetricsFlagEmitsSnapshots(t *testing.T) {
 		if want := []string{"scenario-matrix.csv", "scenario-matrix.jsonl"}; !reflect.DeepEqual(names, want) {
 			t.Fatalf("-out wrote %q, want %q", names, want)
 		}
-		f, err := os.Open(filepath.Join(dir, "scenario-matrix.jsonl"))
+		data, err := os.ReadFile(filepath.Join(dir, "scenario-matrix.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		res, err := experiment.DecodeResultJSONL(f)
+		if string(data) != stdout || strings.Count(stdout, "\n") != 1 {
+			t.Fatalf("-out Result file differs from the one line on stdout:\n%s\nstdout:\n%s", data, stdout)
+		}
+		res, err := experiment.DecodeResultJSONL(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,13 +626,13 @@ func TestMetricsFlagEmitsSnapshots(t *testing.T) {
 
 	outDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run(matrixArgs(outDir, "-stable", "-metrics"), &stdout, &stderr); err != nil {
+	if err := run(matrixArgs(outDir, "-metrics"), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), `"metrics":{"version":1`) {
 		t.Fatalf("-metrics stream carries no snapshots:\n%s", stdout.String())
 	}
-	res := readOut(outDir)
+	res := readOut(outDir, stdout.String())
 	if len(res.Series) != 1 || len(res.Series[0].Points) != 1 {
 		t.Fatalf("-out Result has the wrong shape: %+v", res.Series)
 	}
@@ -648,7 +651,7 @@ func TestMetricsFlagEmitsSnapshots(t *testing.T) {
 	if strings.Contains(stdout.String(), `"metrics"`) {
 		t.Fatalf("bare run emitted a metrics key:\n%s", stdout.String())
 	}
-	if res := readOut(bareDir); res.Series[0].Points[0].Metrics != nil {
+	if res := readOut(bareDir, stdout.String()); res.Series[0].Points[0].Metrics != nil {
 		t.Error("bare run's -out Result carries a snapshot")
 	}
 }

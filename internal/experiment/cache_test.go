@@ -328,6 +328,8 @@ func TestRunnerCacheCorruptCellFails(t *testing.T) {
 		{"second value after the point", append(bytes.Clone(valid), []byte(`{"rate": 99}`)...)},
 		{"stray closing brace", append(bytes.Clone(valid), '}')},
 		{"unknown field", append([]byte(`{"bogus":1,`), valid[1:]...)},
+		{"null", []byte("null")},
+		{"non-canonical spelling", append([]byte(`{"epoch_flits":[],`), valid[1:]...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := store.Put(key, cell, tc.data); err != nil {
@@ -454,4 +456,73 @@ func TestRunnerCacheHoleIsPartial(t *testing.T) {
 			t.Fatalf("series %d = %+v, want its full %d points %+v", si, got, len(want), want)
 		}
 	}
+}
+
+// FuzzRunnerCacheCell stores the fuzzed bytes as the only cell of a
+// one-point standalone Spec's key and runs the Spec on the store. The run
+// must not panic and must simulate nothing: it either fails naming the
+// cell as corrupt, or serves a point that its Result line carries
+// unchanged through EncodeJSONL and DecodeResultJSONL.
+func FuzzRunnerCacheCell(f *testing.F) {
+	sp := NewSpec(
+		WithName("cache cell fuzz"),
+		WithArbiters("PIM1"),
+		WithStandaloneSweep(AxisLoad, 0.5),
+		WithCycles(50),
+		WithSeed(1),
+	)
+	store, err := cache.Open(filepath.Join(f.TempDir(), "cache"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := NewRunner(WithCache(store)).Run(context.Background(), sp); err != nil {
+		f.Fatal(err)
+	}
+	key, err := SpecHash(sp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cell := cache.Cell{Series: 0, Point: 0}
+	valid, ok, err := store.Get(key, cell)
+	if err != nil || !ok {
+		f.Fatalf("cell (0,0) unreadable: ok=%v err=%v", ok, err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(bytes.Clone(valid), `{"rate":99}`...))
+	f.Add(append([]byte(`{"bogus":1,`), valid[1:]...))
+	f.Add([]byte("null"))
+	f.Add(append([]byte(`{"epoch_flits":[],`), valid[1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := store.Put(key, cell, data); err != nil {
+			t.Fatal(err)
+		}
+		sims := 0
+		res, err := NewRunner(WithCache(store), WithEventSink(func(e Event) {
+			if e.Type == EventPointDone {
+				sims++
+			}
+		})).Run(context.Background(), sp)
+		if sims != 0 {
+			t.Fatalf("the run simulated %d points beside a stored cell", sims)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "cache cell s0 p0 is corrupt") {
+				t.Fatalf("error does not name the cell as corrupt: %v", err)
+			}
+			return
+		}
+		var line bytes.Buffer
+		if err := res.EncodeJSONL(&line); err != nil {
+			t.Fatalf("served Result failed to encode: %v", err)
+		}
+		back, err := DecodeResultJSONL(&line)
+		if err != nil {
+			t.Fatalf("served Result's line rejected: %v\n%s", err, line.Bytes())
+		}
+		if !reflect.DeepEqual(back, res) {
+			t.Fatalf("served point changed through its Result line:\nserved %+v\nback   %+v",
+				res.Series[0].Points, back.Series[0].Points)
+		}
+	})
 }

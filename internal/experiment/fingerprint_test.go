@@ -69,11 +69,9 @@ func fingerprintStandaloneSpec() Spec {
 	return sp
 }
 
-// resultFingerprint serializes the Result with the one nondeterministic
-// field zeroed and hashes the bytes.
+// resultFingerprint serializes the Result and hashes the bytes.
 func resultFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
-	res.ElapsedNS = 0
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)

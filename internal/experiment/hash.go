@@ -39,14 +39,19 @@ import (
 )
 
 // hashableSpec strips the execution knobs, leaving the canonical
-// semantic spec that SpecHash serializes.
+// semantic spec that SpecHash serializes. Seed 0 runs seed 1, so it is
+// written as 1 and both spellings share a key.
 func hashableSpec(s Spec) Spec {
 	s.Name = ""
 	s.Check = false
 	if s.Workload != nil {
-		w := *s.Workload
-		w.RecordTo = ""
-		s.Workload = &w
+		own(&s.Workload).RecordTo = ""
+	}
+	if s.Timing != nil && s.Timing.Seed == 0 {
+		own(&s.Timing).Seed = 1
+	}
+	if s.Standalone != nil && s.Standalone.Seed == 0 {
+		own(&s.Standalone).Seed = 1
 	}
 	return s
 }

@@ -8,6 +8,8 @@ package experiment
 // definition) fails CI instead of silently orphaning existing caches.
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -183,5 +185,51 @@ func TestSpecHashGoldenFigures(t *testing.T) {
 		if !strings.Contains(strings.Join(FigureSpecNames(), ","), name) {
 			t.Errorf("golden hash for unknown figure %q", name)
 		}
+	}
+}
+
+// TestSeedZeroMeansOne: seed 0 runs seed 1 in both sections of a Spec,
+// so a timing and a standalone Spec at seed 0 give the Result and the
+// SpecHash of the same Spec at seed 1, apart from the Spec echo.
+func TestSeedZeroMeansOne(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"timing", NewSpec(
+			WithName("seed probe"),
+			WithTopology(4, 4),
+			WithArbiters("PIM1"),
+			WithPatterns("random"),
+			WithRates(0.03),
+			WithCycles(1000),
+		)},
+		{"standalone", NewSpec(
+			WithName("seed probe"),
+			WithArbiters("PIM1"),
+			WithStandaloneSweep(AxisLoad, 0.8),
+			WithCycles(200),
+		)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res [2]*Result
+			var hash [2]string
+			for seed := range 2 {
+				s := tc.spec.clone()
+				WithSeed(uint64(seed))(&s)
+				r, err := NewRunner(WithWorkers(1)).Run(context.Background(), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Spec = Spec{} // the echo records the request, not the run
+				res[seed], hash[seed] = r, mustHash(t, s)
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("seed 0 and seed 1 Results differ:\nseed 0 %+v\nseed 1 %+v", res[0].Series, res[1].Series)
+			}
+			if hash[0] != hash[1] {
+				t.Errorf("seed 0 hashes to %s, seed 1 to %s", hash[0], hash[1])
+			}
+		})
 	}
 }

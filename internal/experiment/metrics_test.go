@@ -3,14 +3,15 @@ package experiment
 // metrics_test.go enforces the telemetry layer's contracts at the
 // experiment level: a metrics-enabled run measures exactly what a bare
 // run measures (observation-only, byte-compared after stripping the
-// snapshots themselves), every timing point carries a snapshot, the
-// sidecar document round-trips, and Spec.Metrics participates in the
-// cache key so metric-laden and bare points never cross-contaminate.
+// snapshots themselves), every timing point carries a snapshot, a
+// metric-laden Result line round-trips, and Spec.Metrics participates in
+// the cache key so metric-laden and bare points never cross-contaminate.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -53,7 +54,6 @@ func TestMetricsObservationOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.ElapsedNS = 0
 		return res
 	}
 	bare := run()
@@ -89,15 +89,6 @@ func TestMetricsObservationOnly(t *testing.T) {
 	}
 }
 
-func TestStripVolatile(t *testing.T) {
-	StripVolatile(nil) // must not panic
-	r := &Result{ElapsedNS: 12345}
-	StripVolatile(r)
-	if r.ElapsedNS != 0 {
-		t.Errorf("ElapsedNS = %d after StripVolatile", r.ElapsedNS)
-	}
-}
-
 // TestMetricsResultRoundTrip pins that a metric-laden Result survives
 // the strict JSONL writer/reader unchanged, and that bare results do not
 // grow a metrics key.
@@ -108,18 +99,16 @@ func TestMetricsResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := res.WriteFile(path); err != nil {
+	var line bytes.Buffer
+	if err := res.EncodeJSONL(&line); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResultFile(path)
+	back, err := DecodeResultJSONL(&line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(res.Series)
-	b, _ := json.Marshal(back.Series)
-	if string(a) != string(b) {
-		t.Error("metric-laden result did not round-trip through JSONL")
+	if !reflect.DeepEqual(res, back) {
+		t.Error("metric-laden result did not round-trip through its JSON line")
 	}
 
 	data, _ := json.Marshal(res.Series[0].Points[0])

@@ -4,7 +4,7 @@ package experiment
 // with Replications: 1 reproduces the PR-4 fingerprints byte for byte,
 // replicated points carry well-formed mean/stddev/CI annotations whose
 // headline values are replication 0's, and the extended Result schema
-// survives both serialization forms.
+// survives its JSON line.
 
 import (
 	"bytes"
@@ -18,8 +18,7 @@ import (
 // TestReplicationsOneReproducesFingerprints: replication 0 always runs
 // the spec's own seed, so Replications: 1 must reproduce the PR-4 golden
 // fingerprints byte for byte. The spec echo inside the Result is
-// normalized exactly like ElapsedNS — it records the request, not the
-// simulation output.
+// normalized, since it records the request, not the simulation output.
 func TestReplicationsOneReproducesFingerprints(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -129,7 +128,7 @@ func TestReplicatedResultRoundTrips(t *testing.T) {
 		}
 	}
 
-	// JSONL round trip.
+	// Result line round trip.
 	var buf bytes.Buffer
 	if err := res.EncodeJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -143,19 +142,6 @@ func TestReplicatedResultRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, res) {
 		t.Error("JSONL round trip lost the replication annotation")
-	}
-
-	// Document round trip.
-	path := t.TempDir() + "/replicated.json"
-	if err := res.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := ReadResultFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back2, res) {
-		t.Error("document round trip lost the replication annotation")
 	}
 
 	// The standalone annotation serializes without the timing metrics.

@@ -3,16 +3,14 @@ package experiment
 // result.go is the stable machine-readable output schema of the
 // Scenario/Runner API. A Result embeds the Spec that produced it, one
 // series per arbiter (× pattern × process) with named latency
-// percentiles (latency_p50/p95/p99_ns), and round-trips through both an
-// indented JSON document (WriteFile) and a line-oriented JSONL stream
-// (EncodeJSONL) suitable for appending and for artifact pipelines.
+// percentiles (latency_p50/p95/p99_ns). Its one serialized form is a
+// single line of JSON (EncodeJSONL, DecodeResultJSONL), so a stream of
+// Results is one line per Result. Every byte of it is deterministic.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"alpha21364/internal/obs"
@@ -34,9 +32,6 @@ type Result struct {
 	// SaturationLoad is the MCM saturation load in packets/port/cycle,
 	// set when a standalone spec's axis is saturation-relative.
 	SaturationLoad float64 `json:"saturation_load,omitempty"`
-	// ElapsedNS is the wall-clock duration of the run; it is the one
-	// field excluded from determinism guarantees.
-	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 	// Series holds one entry per arbiter × pattern × process combination,
 	// in spec order.
 	Series []ResultSeries `json:"series"`
@@ -259,177 +254,31 @@ func (r *Result) ScenarioTable() Table {
 	return t
 }
 
-// jsonlHeader is the first line of a JSONL-encoded Result.
-type jsonlHeader struct {
-	Type           string  `json:"type"` // "result"
-	Version        int     `json:"version"`
-	Spec           Spec    `json:"spec"`
-	Partial        bool    `json:"partial,omitempty"`
-	SaturationLoad float64 `json:"saturation_load,omitempty"`
-	ElapsedNS      int64   `json:"elapsed_ns,omitempty"`
-}
-
-// jsonlSeries starts a series; its points follow, one line each.
-type jsonlSeries struct {
-	Type    string `json:"type"` // "series"
-	Label   string `json:"label"`
-	Arbiter string `json:"arbiter"`
-	Pattern string `json:"pattern,omitempty"`
-	Process string `json:"process,omitempty"`
-	Model   string `json:"model,omitempty"`
-}
-
-// jsonlPoint is one measurement line.
-type jsonlPoint struct {
-	Type   string      `json:"type"` // "point"
-	Series string      `json:"series"`
-	Point  ResultPoint `json:"point"`
-}
-
-// EncodeJSONL streams the result as line-delimited JSON: a header line
-// carrying the spec, then a series line followed by that series' point
-// lines, in order. The format round-trips through DecodeResultJSONL.
+// EncodeJSONL writes the result as one line of JSON, the Result
+// document followed by a newline, so a stream of Results holds one line
+// per Result. The line round-trips through DecodeResultJSONL.
 func (r *Result) EncodeJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonlHeader{
-		Type:           "result",
-		Version:        r.Version,
-		Spec:           r.Spec,
-		Partial:        r.Partial,
-		SaturationLoad: r.SaturationLoad,
-		ElapsedNS:      r.ElapsedNS,
-	}); err != nil {
+	if err := json.NewEncoder(w).Encode(r); err != nil {
 		return fmt.Errorf("experiment: encode result: %w", err)
 	}
-	for _, s := range r.Series {
-		if err := enc.Encode(jsonlSeries{
-			Type: "series", Label: s.Label, Arbiter: s.Arbiter,
-			Pattern: s.Pattern, Process: s.Process, Model: s.Model,
-		}); err != nil {
-			return fmt.Errorf("experiment: encode result: %w", err)
-		}
-		for _, p := range s.Points {
-			if err := enc.Encode(jsonlPoint{Type: "point", Series: s.Label, Point: p}); err != nil {
-				return fmt.Errorf("experiment: encode result: %w", err)
-			}
-		}
-	}
 	return nil
 }
 
-// resultDecoder assembles a Result from its JSONL records, one line at
-// a time, in DecodeResultJSONL.
-type resultDecoder struct{ res *Result }
-
-// decodeLine decodes record number line (1-based, blank lines counted)
-// into the growing Result.
-func (d *resultDecoder) decodeLine(raw []byte, line int) error {
-	var probe struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return fmt.Errorf("experiment: decode result line %d: %w", line, err)
-	}
-	switch probe.Type {
-	case "result":
-		if d.res != nil {
-			return fmt.Errorf("experiment: decode result line %d: duplicate header", line)
-		}
-		var h jsonlHeader
-		if err := decodeStrict(raw, &h); err != nil {
-			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
-		}
-		if h.Version != ResultVersion {
-			return fmt.Errorf("experiment: decode result line %d: unsupported version %d (this build reads version %d)",
-				line, h.Version, ResultVersion)
-		}
-		d.res = &Result{
-			Version:        h.Version,
-			Spec:           h.Spec,
-			Partial:        h.Partial,
-			SaturationLoad: h.SaturationLoad,
-			ElapsedNS:      h.ElapsedNS,
-		}
-	case "series":
-		if d.res == nil {
-			return fmt.Errorf("experiment: decode result line %d: series before header", line)
-		}
-		var s jsonlSeries
-		if err := decodeStrict(raw, &s); err != nil {
-			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
-		}
-		d.res.Series = append(d.res.Series, ResultSeries{
-			Label: s.Label, Arbiter: s.Arbiter,
-			Pattern: s.Pattern, Process: s.Process, Model: s.Model,
-		})
-	case "point":
-		if d.res == nil || len(d.res.Series) == 0 {
-			return fmt.Errorf("experiment: decode result line %d: point before its series", line)
-		}
-		var p jsonlPoint
-		if err := decodeStrict(raw, &p); err != nil {
-			return fmt.Errorf("experiment: decode result line %d: %w", line, err)
-		}
-		last := &d.res.Series[len(d.res.Series)-1]
-		if p.Series != last.Label {
-			return fmt.Errorf("experiment: decode result line %d: point for series %q under series %q",
-				line, p.Series, last.Label)
-		}
-		last.Points = append(last.Points, p.Point)
-	default:
-		return fmt.Errorf("experiment: decode result line %d: unknown record type %q", line, probe.Type)
-	}
-	return nil
-}
-
-// DecodeResultJSONL reconstructs a Result from its JSONL stream,
-// rejecting unknown record types, unknown fields, missing headers,
-// and unsupported versions.
+// DecodeResultJSONL reads one Result document, as EncodeJSONL writes it,
+// from the whole of r: unknown fields, a second document, trailing data
+// and unsupported versions are errors.
 func DecodeResultJSONL(r io.Reader) (*Result, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var d resultDecoder
-	for line := 1; sc.Scan(); line++ {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if err := d.decodeLine(raw, line); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("experiment: decode result: %w", err)
-	}
-	if d.res == nil {
-		return nil, fmt.Errorf("experiment: decode result: empty stream")
-	}
-	return d.res, nil
-}
-
-// WriteFile saves the result as one indented JSON document.
-func (r *Result) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiment: encode result: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadResultFile loads a Result document written by WriteFile, with the
-// same strictness as the JSONL decoder.
-func ReadResultFile(path string) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
 	}
 	var res Result
 	if err := decodeStrict(data, &res); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("experiment: decode result: %w", err)
 	}
 	if res.Version != ResultVersion {
-		return nil, fmt.Errorf("%s: unsupported result version %d (this build reads version %d)",
-			path, res.Version, ResultVersion)
+		return nil, fmt.Errorf("experiment: decode result: unsupported version %d (this build reads version %d)",
+			res.Version, ResultVersion)
 	}
 	return &res, nil
 }

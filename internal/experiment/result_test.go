@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +25,6 @@ func runQuickResult(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.ElapsedNS = 0 // the one nondeterministic field
 	return res
 }
 
@@ -35,6 +33,9 @@ func TestResultJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := res.EncodeJSONL(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != 1 || !strings.HasSuffix(buf.String(), "\n") {
+		t.Fatalf("a Result encodes to %d newlines, want one line:\n%s", n, buf.String())
 	}
 	back, err := DecodeResultJSONL(&buf)
 	if err != nil {
@@ -54,20 +55,12 @@ func TestResultGoldenJSONL(t *testing.T) {
 	checkGolden(t, "standalone.result.jsonl", buf.Bytes())
 }
 
-func TestResultFileRoundTrip(t *testing.T) {
-	res := runQuickResult(t)
-	path := filepath.Join(t.TempDir(), "result.json")
-	if err := res.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadResultFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, back) {
-		t.Errorf("file round-trip changed the result")
-	}
-}
+// oldResultStream is the head of a Result in the three-record JSONL
+// framing (result, series and point lines) that earlier builds wrote.
+const oldResultStream = `{"type":"result","version":1,"spec":{"version":1,"name":"schema probe","mode":"standalone","arbiters":["MCM"],"standalone":{"cycles":50,"seed":1,"axis":"load","values":[0.5]}}}
+{"type":"series","label":"MCM","arbiter":"MCM"}
+{"type":"point","series":"MCM","point":{"axis":0.5,"matches_per_cycle":3.92,"offered_per_cycle":4,"mean_queue_len":2.14}}
+`
 
 func TestDecodeResultJSONLStrict(t *testing.T) {
 	res := runQuickResult(t)
@@ -76,8 +69,6 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.String()
-	pointAt := strings.Index(good, `{"type":"point"`)
-	pointEnd := pointAt + strings.Index(good[pointAt:], "\n")
 
 	cases := []struct {
 		name string
@@ -85,26 +76,27 @@ func TestDecodeResultJSONLStrict(t *testing.T) {
 		want string
 	}{
 		{"empty", "", "empty"},
-		{"unknown version", strings.Replace(good, `"version":1`, `"version":7`, 1), "version"},
-		{"unknown record type", strings.Replace(good, `"type":"series"`, `"type":"serie"`, 1), "unknown record type"},
-		{"unknown field", strings.Replace(good, `"type":"point"`, `"type":"point","extra":1`, 1), "unknown field"},
-		{"point before series", strings.Replace(good, `"type":"series"`, `"type":"point","series":"x","point":{}`, 1), ""},
-		{"no header", strings.TrimPrefix(good, good[:strings.Index(good, "\n")+1]), "header"},
-		{"cut mid point line", good[:(pointAt+pointEnd)/2], "decode result line"},
-		{"error record after a valid stream", good + `{"type":"error","error":"boom"}` + "\n", `unknown record type "error"`},
+		{"blank line", "\n", "empty"},
+		{"null", "null\n", "null"},
+		{"unknown version", strings.Replace(good, `"version":1`, `"version":7`, 1), "version 7"},
+		{"unknown field", `{"extra":1,` + good[1:], `unknown field "extra"`},
+		{"truncated", good[:len(good)/2], "unexpected EOF"},
+		{"second Result", good + good, "trailing data"},
+		{"stray brace", good + "}", "trailing data"},
+		{"three-record stream", oldResultStream, `unknown field "type"`},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeResultJSONL(strings.NewReader(tc.doc)); err == nil {
 			t.Errorf("%s: decoder accepted the document", tc.name)
-		} else if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-// FuzzDecodeResultJSONL throws mutated Result streams at the strict
-// decoder: it must never panic, and any stream it accepts must re-encode
-// to a fixed point — the re-encoded stream decodes again and encodes to
+// FuzzDecodeResultJSONL throws mutated Result lines at the strict
+// decoder: it must never panic, and any line it accepts must re-encode
+// to a fixed point — the re-encoded line decodes again and encodes to
 // the same bytes.
 func FuzzDecodeResultJSONL(f *testing.F) {
 	timing := NewSpec(
@@ -117,7 +109,7 @@ func FuzzDecodeResultJSONL(f *testing.F) {
 		WithSeed(1),
 		WithMetrics(),
 	)
-	var stream []byte
+	var line []byte
 	for _, sp := range []Spec{quickStandaloneSpec(), timing} {
 		res, err := NewRunner(WithWorkers(1)).Run(context.Background(), sp)
 		if err != nil {
@@ -127,17 +119,17 @@ func FuzzDecodeResultJSONL(f *testing.F) {
 		if err := res.EncodeJSONL(&buf); err != nil {
 			f.Fatal(err)
 		}
-		stream = buf.Bytes()
-		f.Add(stream)
+		line = buf.Bytes()
+		f.Add(line)
 	}
-	if !bytes.Contains(stream, []byte(`"metrics":{"version":1`)) {
+	if !bytes.Contains(line, []byte(`"metrics":{"version":1`)) {
 		f.Fatal("timing seed carries no metrics snapshot")
 	}
-	// The metric-laden timing stream cut in the middle of its last point
-	// line, and the same stream followed by an error record.
-	last := bytes.LastIndex(stream, []byte(`{"type":"point"`))
-	f.Add(stream[:last+(len(stream)-last)/2])
-	f.Add(append(append([]byte(nil), stream...), `{"type":"error","error":"boom"}`+"\n"...))
+	// The metric-laden timing line cut in half, the same line followed by
+	// a second value, and a stream in the old three-record framing.
+	f.Add(line[:len(line)/2])
+	f.Add(append(bytes.Clone(line), `{"type":"error","error":"boom"}`+"\n"...))
+	f.Add([]byte(oldResultStream))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResultJSONL(bytes.NewReader(data))
 		if err != nil {
@@ -145,14 +137,14 @@ func FuzzDecodeResultJSONL(f *testing.F) {
 		}
 		var first, second bytes.Buffer
 		if err := res.EncodeJSONL(&first); err != nil {
-			t.Fatalf("accepted stream failed to encode: %v", err)
+			t.Fatalf("accepted line failed to encode: %v", err)
 		}
 		again, err := DecodeResultJSONL(bytes.NewReader(first.Bytes()))
 		if err != nil {
-			t.Fatalf("re-encoded stream rejected: %v\n%s", err, first.Bytes())
+			t.Fatalf("re-encoded line rejected: %v\n%s", err, first.Bytes())
 		}
 		if err := again.EncodeJSONL(&second); err != nil {
-			t.Fatalf("re-decoded stream failed to encode: %v", err)
+			t.Fatalf("re-decoded line failed to encode: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("re-encoding is not a fixed point:\nfirst  %s\nsecond %s", first.Bytes(), second.Bytes())

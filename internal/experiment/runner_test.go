@@ -24,7 +24,7 @@ func runnerExec(workers int) func(Spec) (*Result, error) {
 }
 
 // runFigure runs one canned figure panel through a Runner with the given
-// worker count and zeroes the one nondeterministic field.
+// worker count.
 func runFigure(t *testing.T, o Options, figure string, panel, workers int) (Spec, *Result) {
 	t.Helper()
 	specs, err := FigureSpecs(figure, o)
@@ -35,7 +35,6 @@ func runFigure(t *testing.T, o Options, figure string, panel, workers int) (Spec
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.ElapsedNS = 0
 	return specs[panel], res
 }
 
@@ -222,13 +221,6 @@ func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 	parallel, err := CollectDataset(o, runnerExec(8))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, d := range []Dataset{serial, parallel} {
-		for _, results := range d {
-			for _, res := range results {
-				StripVolatile(res)
-			}
-		}
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("dataset diverged between serial and 8-worker collection")

@@ -60,7 +60,6 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 	if len(serial.Series) != len(patterns)*len(processes) {
 		t.Fatalf("matrix returned %d series", len(serial.Series))
 	}
-	serial.ElapsedNS, parallel.ElapsedNS = 0, 0
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel matrix differs from serial matrix")
 	}

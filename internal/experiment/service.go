@@ -18,18 +18,19 @@ package experiment
 //
 // Determinism: jobs are fully fixed at expansion time and assembled by
 // index, so a Result is byte-identical whatever the worker count and
-// whether or not a cache served it (only ElapsedNS varies).
+// whether or not a cache served it. A Result holds no wall-clock field.
 // Cancellation: the context is checked between jobs and polled inside
 // each timing simulation every cancelPollCycles router cycles, so Run
 // returns promptly with a partial, well-formed Result.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"alpha21364/internal/cache"
 )
@@ -137,7 +138,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	var rc *runCache
 	if r.store != nil && specCacheable(spec) {
 		if rc, err = openRunCache(r.store, spec, pl); err != nil {
@@ -212,7 +212,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 		served = rc.served
 	}
 	res := pl.assemble(points, served, firstBad)
-	res.ElapsedNS = time.Since(start).Nanoseconds()
 	mu.Lock()
 	emit(Event{Type: EventRunDone, Done: done, Total: total, Result: res, Err: err})
 	mu.Unlock()
@@ -339,12 +338,18 @@ func openRunCache(store *cache.Store, spec Spec, pl *plan) (*runCache, error) {
 	return rc, nil
 }
 
-// decodeCell strictly decodes one cached point: a truncated document, an
-// unknown field, or any data after the point makes the cell corrupt.
+// decodeCell strictly decodes one cached point. A cell holds exactly
+// the bytes persist writes, the point's json.Marshal, so a truncated
+// document, an unknown field, data after the point, a null, or the point
+// in any other spelling (an empty list, a repeated key) makes the cell
+// corrupt. What it serves therefore encodes back to the cell's bytes.
 func decodeCell(data []byte) (ResultPoint, error) {
 	var pt ResultPoint
 	if err := decodeStrict(data, &pt); err != nil {
 		return ResultPoint{}, err
+	}
+	if canon, err := json.Marshal(pt); err != nil || !bytes.Equal(canon, data) {
+		return ResultPoint{}, errors.New("not the canonical encoding of a point")
 	}
 	return pt, nil
 }

@@ -138,7 +138,7 @@ type TimingSpec struct {
 	// below 1: 0 means the 0.2 default, negative (NoWarmup) disables the
 	// warmup.
 	WarmupFraction float64 `json:"warmup_fraction,omitempty"`
-	// Seed feeds every RNG stream of the run.
+	// Seed feeds every RNG stream of the run; 0 means 1.
 	Seed uint64 `json:"seed,omitempty"`
 	// ScalePipeline doubles pipeline depth and clock (Figure 11a).
 	ScalePipeline bool `json:"scale_pipeline,omitempty"`
@@ -591,17 +591,24 @@ func EncodeSpecs(specs []Spec) ([]byte, error) {
 }
 
 // decodeStrict decodes data, which must hold exactly one JSON value,
-// into v. An unknown field is an error, and so is anything but
-// whitespace after the value: json.Decoder.More misses a stray closing
-// '}' or ']', so the check reads one more token and requires io.EOF.
+// into v. It is the one reader of Specs, Results and cache cells. An
+// unknown field is an error, and so is anything but whitespace after
+// the value: json.Decoder.More misses a stray closing '}' or ']', so the
+// check reads one more token and requires io.EOF. A top-level null is
+// an error too, since it would leave v as its zero value.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := dec.Decode(v); err == io.EOF {
+		return errors.New("empty JSON document")
+	} else if err != nil {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after the JSON document")
+	}
+	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
+		return errors.New("null JSON document")
 	}
 	return nil
 }
@@ -754,9 +761,13 @@ func (s Spec) expandTiming() (*plan, error) {
 	w := s.Workload
 	// newRun starts replication rep of one job on arbiter k: the kind's
 	// default router, seeded for the replication, on the Spec's pipeline.
+	seed := s.Timing.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	newRun := func(k core.Kind, rep int) *timingRun {
 		rcfg := router.DefaultConfig(k)
-		rcfg.Seed = repSeed(s.Timing.Seed, rep)
+		rcfg.Seed = repSeed(seed, rep)
 		if s.Timing.ScalePipeline {
 			rcfg = rcfg.ScalePipeline()
 		}

@@ -394,31 +394,15 @@ func TestSpecCopiesShareNothing(t *testing.T) {
 // json.Decoder.More does not report, and a second value are rejected; a
 // whitespace-only tail still parses.
 func TestReadersRejectTrailingData(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.json")
-	written := func(write func(string) error) []byte {
-		if err := write(path); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	fromFile := func(read func(string) error) func([]byte) error {
-		return func(data []byte) error {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return read(path)
-		}
-	}
 	spec, err := EncodeSpec(validTimingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := &Result{Version: ResultVersion, Spec: validTimingSpec()}
+	var line bytes.Buffer
+	if err := res.EncodeJSONL(&line); err != nil {
+		t.Fatal(err)
+	}
 	readers := []struct {
 		name string
 		doc  []byte
@@ -432,10 +416,10 @@ func TestReadersRejectTrailingData(t *testing.T) {
 			_, err := ParseSpecs(data)
 			return err
 		}},
-		{"ReadResultFile", written(res.WriteFile), fromFile(func(p string) error {
-			_, err := ReadResultFile(p)
+		{"DecodeResultJSONL", line.Bytes(), func(data []byte) error {
+			_, err := DecodeResultJSONL(bytes.NewReader(data))
 			return err
-		})},
+		}},
 	}
 	tails := []struct {
 		name, tail string
