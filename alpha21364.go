@@ -29,7 +29,8 @@
 //     patterns × arrival processes × transaction models, each chosen by
 //     name (PatternNames, ProcessNames, ModelNames), with trace
 //     record/replay for reproducible cross-algorithm comparisons (Trace);
-//   - canned Specs for every paper figure (FigureSpecs), run through a
+//   - canned Specs for every paper figure (FigureSpecs, at full or quick
+//     fidelity and seed 1; the Spec options set the rest), run through a
 //     Runner by the cmd/sweep tool and the repository's benchmarks; a
 //     Result's series are the figure's curves, and Result.Table and
 //     Result.Plot render its rows and chart.
@@ -46,7 +47,6 @@ import (
 	"alpha21364/internal/core"
 	"alpha21364/internal/experiment"
 	"alpha21364/internal/obs"
-	"alpha21364/internal/packet"
 	"alpha21364/internal/sim"
 	"alpha21364/internal/standalone"
 	"alpha21364/internal/workload"
@@ -192,7 +192,8 @@ const (
 	AxisOccupancy    = experiment.AxisOccupancy
 )
 
-// NewSpec builds a Spec from functional options.
+// NewSpec builds a Spec by applying its options in order; WithCycles and
+// WithSeed reach a standalone section only after WithStandaloneSweep.
 func NewSpec(opts ...SpecOption) Spec { return experiment.NewSpec(opts...) }
 
 // Spec construction options; see the experiment package for details.
@@ -245,8 +246,11 @@ func WriteSpecFile(path string, specs ...Spec) error { return experiment.WriteSp
 func EncodeSpec(s Spec) ([]byte, error)              { return experiment.EncodeSpec(s) }
 
 // FigureSpecs returns the canned Specs reproducing a paper figure ("8",
-// "9", "10", "10s", "11a", "11b", "11c", or "all"), one Spec per panel.
-func FigureSpecs(name string, o Options) ([]Spec, error) { return experiment.FigureSpecs(name, o) }
+// "9", "10", "10s", "11a", "11b", "11c", or "all"), one Spec per panel,
+// at seed 1 and the paper's fidelity or, with quick, the shorter CI
+// fidelity. Apply any other setting with the Spec options (WithSeed,
+// WithCheck, ...).
+func FigureSpecs(name string, quick bool) ([]Spec, error) { return experiment.FigureSpecs(name, quick) }
 
 // Runner executes Specs under a context with bounded workers, reporting
 // progress events to an optional sink; construct with NewRunner.
@@ -267,7 +271,6 @@ const (
 	EventRunStart   = experiment.EventRunStart
 	EventPointDone  = experiment.EventPointDone
 	EventSeriesDone = experiment.EventSeriesDone
-	EventRunDone    = experiment.EventRunDone
 )
 
 // NewRunner returns a Runner; WithWorkers bounds its concurrency,
@@ -324,20 +327,9 @@ type BenchReport = experiment.BenchReport
 func RunBench(ctx context.Context) (*BenchReport, error) { return experiment.RunBench(ctx) }
 func ReadBenchFile(path string) (*BenchReport, error)    { return experiment.ReadBenchFile(path) }
 
-// PacketArena pools packets with generation-checked handles; simulation
-// hot paths draw packets from an arena and release them at delivery.
-type PacketArena = packet.Arena
-
-// NewPacketArena returns an empty arena.
-func NewPacketArena() *PacketArena { return packet.NewArena() }
-
 // NoWarmup, passed to WithWarmupFraction, disables the warmup exclusion
 // so statistics cover the entire run (0 keeps the 0.2 default).
 const NoWarmup = experiment.NoWarmup
-
-// Options tunes the canned figure Specs (FigureSpecs): fidelity, seed,
-// and the study-wide toggles.
-type Options = experiment.Options
 
 // Table is a formatted result grid.
 type Table = experiment.Table

@@ -12,10 +12,30 @@ import (
 	"alpha21364/internal/standalone"
 )
 
-// benchOpts keeps figure benchmarks short enough for `go test -bench=.`
+// benchCycles keeps figure benchmarks short enough for `go test -bench=.`
 // while preserving each figure's qualitative shape. Full-fidelity runs are
 // produced by `go run ./cmd/sweep` (75,000 cycles, full sweeps).
-var benchOpts = experiment.Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1}
+const benchCycles = 4000
+
+// shrink scales a quick canned figure Spec down to benchmark size: each
+// timing run lasts benchCycles router cycles (twice that on Figure 11a's
+// scaled pipeline, as the figure doubles its cycles) and each load sweep
+// keeps its lightest, middle and heaviest rates. Standalone Specs keep
+// their quick fidelity.
+func shrink(sp experiment.Spec) experiment.Spec {
+	if sp.Mode == experiment.ModeStandalone {
+		return sp
+	}
+	tm, w := *sp.Timing, *sp.Workload
+	tm.Cycles = benchCycles
+	if tm.ScalePipeline {
+		tm.Cycles *= 2
+	}
+	r := w.Rates
+	w.Rates = []float64{r[0], r[(len(r)-1)/2], r[len(r)-1]}
+	sp.Timing, sp.Workload = &tm, &w
+	return sp
+}
 
 // printOnce emits each figure's table a single time per test binary run,
 // so the benchmark harness reproduces the paper's rows without spamming
@@ -34,11 +54,11 @@ func printOnce(key string, render func() string) {
 // to the serial ones — only the wall-clock differs.
 func benchFigure(b *testing.B, workers int, figure string, panel int) {
 	b.Helper()
-	specs, err := experiment.FigureSpecs(figure, benchOpts)
+	specs, err := experiment.FigureSpecs(figure, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp := specs[panel]
+	sp := shrink(specs[panel])
 	runner := experiment.NewRunner(experiment.WithWorkers(workers))
 	for i := 0; i < b.N; i++ {
 		res, err := runner.Run(context.Background(), sp)
@@ -83,10 +103,10 @@ func BenchmarkFigure11cParallel(b *testing.B)           { benchFigure(b, 0, "11c
 func BenchmarkCollectDatasetParallel(b *testing.B) {
 	runner := experiment.NewRunner()
 	exec := func(sp experiment.Spec) (*experiment.Result, error) {
-		return runner.Run(context.Background(), sp)
+		return runner.Run(context.Background(), shrink(sp))
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CollectDataset(benchOpts, exec); err != nil {
+		if _, err := experiment.CollectDataset(true, exec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +121,7 @@ func BenchmarkAblationRotary(b *testing.B) {
 		experiment.WithPatterns("random"),
 		experiment.WithRates(0.09),
 		experiment.WithMaxOutstanding(64),
-		experiment.WithCycles(benchOpts.TimingCycles()),
+		experiment.WithCycles(benchCycles),
 		experiment.WithSeed(1),
 	)
 	runner := experiment.NewRunner(experiment.WithWorkers(1))

@@ -172,11 +172,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	a := &app{out: stdout, log: logger, json: *jsonOut, dir: *out}
 
-	o := experiment.Options{
-		Quick: *quick, Seed: *seed,
-		Check: *checkFlag, Metrics: *metricsFlag,
-		Replications: *reps, Confidence: *confidence,
-	}
+	study := studyOptions(*seed, *checkFlag, *metricsFlag, *reps, *confidence)
 
 	// Every mode but list, bench and verify runs Specs it builds here,
 	// once: -emit-spec prints them, -resume looks them up in the cache,
@@ -200,19 +196,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 			files = append(files, specSlug(sp, i))
 		}
 	case "matrix":
-		sp, err := matrixSpec(o, *algos, *patterns, *processes, *rates, *model, *size, *cycles)
+		sp, err := matrixSpec(study, *quick, *algos, *patterns, *processes, *rates, *model, *size, *cycles)
 		if err != nil {
 			return err
 		}
 		specs = []experiment.Spec{sp}
 	case "run":
-		sp, err := runSpecFromFlags(o, *algo, *pattern, *process, *model, *rate, *size, *cycles, *record, *replay)
+		sp, err := runSpecFromFlags(study, *quick, *algo, *pattern, *process, *model, *rate, *size, *cycles, *record, *replay)
 		if err != nil {
 			return err
 		}
 		specs = []experiment.Spec{sp}
 	case "figure":
-		if specs, files, err = figureSpecs(*figure, o); err != nil {
+		if specs, files, err = figureSpecs(*figure, *quick, study); err != nil {
 			return err
 		}
 	}
@@ -311,7 +307,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		logger.Printf("done in %v", time.Since(start).Round(time.Second))
 	case "verify":
-		dataset, err := experiment.CollectDataset(o, a.exec)
+		dataset, err := experiment.CollectDataset(*quick, func(sp experiment.Spec) (*experiment.Result, error) {
+			return a.exec(withStudy(sp, study))
+		})
 		if err != nil {
 			return err
 		}
@@ -348,8 +346,8 @@ type mode struct {
 // so it turns these off, and figure mode's -plot with them.
 const execFlags = "out workers progress json cache-dir resume"
 
-// sweepFlags are the flags figure, matrix and run mode share: the
-// study-wide Options, -emit-spec, and the execution flags.
+// sweepFlags are the flags figure, matrix and run mode share: -quick,
+// the study flags (studyOptions), -emit-spec, and the execution flags.
 const sweepFlags = "quick seed check metrics reps confidence emit-spec " + execFlags
 
 // modes lists every mode's row in the order selection tries them. Figure
@@ -431,10 +429,44 @@ func checkRules(set map[string]bool, reps, cycles int, figure string) error {
 	return nil
 }
 
+// studyOptions returns the Spec options of the study flags, which
+// figure, matrix and run mode apply to every Spec they build and verify
+// to every canned Spec it runs. -seed 0 means seed 1, as a Spec's seed 0
+// does. -metrics observes timing Specs only: the standalone model has no
+// routers. -reps 1 is a single run, so it leaves the Spec as it is.
+func studyOptions(seed uint64, check, metrics bool, reps int, confidence float64) []experiment.SpecOption {
+	if seed == 0 {
+		seed = 1
+	}
+	study := []experiment.SpecOption{experiment.WithSeed(seed)}
+	if check {
+		study = append(study, experiment.WithCheck())
+	}
+	if metrics {
+		study = append(study, func(sp *experiment.Spec) {
+			if isTiming(*sp) {
+				experiment.WithMetrics()(sp)
+			}
+		})
+	}
+	if reps > 1 {
+		study = append(study, experiment.WithReplications(reps), experiment.WithConfidence(confidence))
+	}
+	return study
+}
+
+// withStudy returns sp with the study options applied.
+func withStudy(sp experiment.Spec, study []experiment.SpecOption) experiment.Spec {
+	for _, opt := range study {
+		opt(&sp)
+	}
+	return sp
+}
+
 // figureSpecs builds the canned Specs of -figure (every figure for
-// "all"), each with its output name: figure8.csv, figure10-<panel>.csv,
-// figure11a.csv.
-func figureSpecs(figure string, o experiment.Options) ([]experiment.Spec, []string, error) {
+// "all") with the study options applied, each with its output name:
+// figure8.csv, figure10-<panel>.csv, figure11a.csv.
+func figureSpecs(figure string, quick bool, study []experiment.SpecOption) ([]experiment.Spec, []string, error) {
 	names := []string{figure}
 	if figure == "all" {
 		names = experiment.FigureSpecNames()
@@ -442,7 +474,7 @@ func figureSpecs(figure string, o experiment.Options) ([]experiment.Spec, []stri
 	var specs []experiment.Spec
 	var files []string
 	for _, name := range names {
-		fig, err := experiment.FigureSpecs(name, o)
+		fig, err := experiment.FigureSpecs(name, quick)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -451,7 +483,7 @@ func figureSpecs(figure string, o experiment.Options) ([]experiment.Spec, []stri
 			if len(fig) > 1 {
 				file += "-" + specSlug(sp, i)
 			}
-			specs = append(specs, sp)
+			specs = append(specs, withStudy(sp, study))
 			files = append(files, file)
 		}
 	}
@@ -608,8 +640,9 @@ func (a *app) runBench(baseline string) error {
 	return nil
 }
 
-// matrixSpec parses the -matrix flags into a Spec.
-func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, size string, cycles int) (experiment.Spec, error) {
+// matrixSpec parses the -matrix flags into a Spec with the study
+// options applied.
+func matrixSpec(study []experiment.SpecOption, quick bool, algos, patterns, processes, rates, model, size string, cycles int) (experiment.Spec, error) {
 	var arbiters []string
 	for _, name := range splitList(algos) {
 		k, err := core.ParseKind(name)
@@ -631,29 +664,30 @@ func matrixSpec(o experiment.Options, algos, patterns, processes, rates, model, 
 	if len(arbiters) == 0 || len(pats) == 0 || len(procs) == 0 || len(rs) == 0 {
 		return experiment.Spec{}, fmt.Errorf("matrix needs at least one algorithm, pattern, process, and rate")
 	}
-	opts, err := baseOptions(o, size, cycles)
+	opts, err := baseOptions(quick, size, cycles)
 	if err != nil {
 		return experiment.Spec{}, err
 	}
-	sp := experiment.NewSpec(append(opts,
+	opts = append(opts,
 		experiment.WithName("Scenario matrix"),
 		experiment.WithArbiters(arbiters...),
 		experiment.WithPatterns(pats...),
 		experiment.WithProcesses(procs...),
 		experiment.WithModel(model),
 		experiment.WithRates(rs...),
-	)...)
-	o.ApplyStudy(&sp)
+	)
+	sp := experiment.NewSpec(append(opts, study...)...)
 	if err := sp.Validate(); err != nil {
 		return experiment.Spec{}, err
 	}
 	return sp, nil
 }
 
-// runSpecFromFlags parses the -run flags into a single-scenario Spec.
-func runSpecFromFlags(o experiment.Options, algo, pattern, process, model string,
+// runSpecFromFlags parses the -run flags into a single-scenario Spec
+// with the study options applied.
+func runSpecFromFlags(study []experiment.SpecOption, quick bool, algo, pattern, process, model string,
 	rate float64, size string, cycles int, record, replay string) (experiment.Spec, error) {
-	opts, err := baseOptions(o, size, cycles)
+	opts, err := baseOptions(quick, size, cycles)
 	if err != nil {
 		return experiment.Spec{}, err
 	}
@@ -671,8 +705,7 @@ func runSpecFromFlags(o experiment.Options, algo, pattern, process, model string
 			opts = append(opts, experiment.WithRecord(record))
 		}
 	}
-	sp := experiment.NewSpec(opts...)
-	o.ApplyStudy(&sp)
+	sp := experiment.NewSpec(append(opts, study...)...)
 	if err := sp.Validate(); err != nil {
 		return experiment.Spec{}, err
 	}
@@ -749,20 +782,22 @@ func splitList(s string) []string {
 	return out
 }
 
-// baseOptions parses -size and -cycles (0 means the figure default)
-// into the Spec options -matrix and -run share: the torus, the run
-// length, and the seed.
-func baseOptions(o experiment.Options, size string, cycles int) ([]experiment.SpecOption, error) {
+// baseOptions parses -size and -cycles (0 means the figure default, at
+// -quick fidelity or not) into the Spec options -matrix and -run share:
+// the torus and the run length.
+func baseOptions(quick bool, size string, cycles int) ([]experiment.SpecOption, error) {
 	w, h, err := parseSize(size)
 	if err != nil {
 		return nil, err
 	}
 	if cycles <= 0 {
-		cycles = o.TimingCycles()
+		cycles = experiment.FigureCycles
+		if quick {
+			cycles = experiment.QuickFigureCycles
+		}
 	}
 	return []experiment.SpecOption{
 		experiment.WithTopology(w, h),
 		experiment.WithCycles(cycles),
-		experiment.WithSeed(o.Seed),
 	}, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -158,7 +159,7 @@ func TestPlotNeedsATimingSpec(t *testing.T) {
 // TestFigureModeOutputs pins figure mode's output names, one per canned
 // Spec in -figure all order, and runs figure 9 into its two files.
 func TestFigureModeOutputs(t *testing.T) {
-	if _, files, err := figureSpecs("all", experiment.Options{Quick: true}); err != nil || !reflect.DeepEqual(files, []string{
+	if _, files, err := figureSpecs("all", true, nil); err != nil || !reflect.DeepEqual(files, []string{
 		"figure8", "figure9", "figure10-4x4-random-traffic", "figure10-8x8-random-traffic", "figure10-8x8-bit-reversal",
 		"figure10-8x8-perfect-shuffle", "figure10s", "figure11a", "figure11b", "figure11c"}) {
 		t.Errorf("output names = %q (err %v)", files, err)
@@ -221,6 +222,39 @@ func TestMatrixFlagsSpec(t *testing.T) {
 	}
 	if got := stdout.String(); got != matrixFlagsSpec {
 		t.Fatalf("-emit-spec -matrix printed\n%s\nwant\n%s", got, matrixFlagsSpec)
+	}
+}
+
+// TestEmitSpecHashes pins the sha256 of the Specs figure, matrix and run
+// mode print, with and without the study flags (-seed -check -metrics
+// -reps -confidence). A changed hash changes the cache key of every run
+// of that invocation. -reps 1 and -seed 0 print the bytes of leaving the
+// flag unset and of -seed 1.
+func TestEmitSpecHashes(t *testing.T) {
+	for _, tc := range []struct{ args, sha string }{
+		{"-figure all", "8ede9232bb4541367fa95ba7373af3baef88ca541023811e157c6985b80cb745"},
+		{"-quick -figure all", "fb0407d7a3250443396cf5cccae8fd2828ba8be2101b950291852e305820356c"},
+		{"-quick -figure all -seed 7 -check -metrics -reps 3 -confidence 0.9", "6418457c17f23a1234f51138f46ea44238a4982dc03400bc32e62ade99322828"},
+		{"-figure 8 -seed 7 -check -reps 2", "e2df83c9a8f4fada037b69d61f8c5c1072f397d35bd96b3f99100ccdc7d0f573"},
+		{"-quick -figure 10 -reps 1", "4212687b3e99f3db5b35ff336ab2e3abe9551d0e553e1bf8eff147d3a983eae5"},
+		{"-quick -figure 10", "4212687b3e99f3db5b35ff336ab2e3abe9551d0e553e1bf8eff147d3a983eae5"},
+		{"-matrix", "2b7ee4c7df20d29fdc18f3cfe43229e700a6cd3baedbcd3da7f2924305933f1a"},
+		{"-matrix -size 4x4 -seed 3 -check -metrics -reps 2 -confidence 0.9", "9e3f9fdcbc3099b5ed2f0ff5cdf9298d495ad8e578d3078c020d8c0bfed4d42c"},
+		{"-run", "24126b38a13068417d2a7986d11ce6de83dcc4f6d726adf291995d57ec2f30e5"},
+		{"-run -size 4x4 -seed 3 -check -metrics -reps 2", "d7cb03259e10464f9e60c2f25b924b0089bc904a7f3e797f7f36d060cc6427be"},
+		{"-run -size 4x4 -seed 1", "ef5a76cee1d0e1bc4487ef9e70a365c31ffa4e46bcdf0c50533406eb488faadb"},
+		{"-run -size 4x4 -seed 0", "ef5a76cee1d0e1bc4487ef9e70a365c31ffa4e46bcdf0c50533406eb488faadb"},
+		{"-matrix -size 4x4 -seed 1", "0e6e586fa1ec959ac93fa9bd367d7fc227348a5fe9b22d10d2610fe02a849e55"},
+		{"-matrix -size 4x4 -seed 0", "0e6e586fa1ec959ac93fa9bd367d7fc227348a5fe9b22d10d2610fe02a849e55"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-emit-spec"}, strings.Fields(tc.args)...), &stdout, &stderr); err != nil {
+			t.Errorf("-emit-spec %s: %v\nstderr:\n%s", tc.args, err, stderr.String())
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != tc.sha {
+			t.Errorf("-emit-spec %s: stdout sha256 %s, want %s", tc.args, got, tc.sha)
+		}
 	}
 }
 

@@ -58,9 +58,6 @@ func ParseKind(name string) (Kind, error) {
 		name, strings.Join(kindNames[:], ", "))
 }
 
-// Rotary reports whether the kind applies the Rotary Rule.
-func (k Kind) Rotary() bool { return k == KindWFARotary || k == KindSPAARotary }
-
 // PIMFullIterations is the iteration count for full PIM on the 21364: PIM
 // usually converges within log2(N) iterations and the router has N = 16
 // input port arbiters (paper §3.1).

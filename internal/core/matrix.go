@@ -18,7 +18,7 @@
 //
 // Bitplane representation: alongside the Cell slice, the matrix maintains
 // per-row validity masks (bit c of RowMask(r) ⇔ cell (r,c) valid) and
-// per-column request words (bit r of ColMask(c) ⇔ cell (r,c) valid), kept
+// per-column request words (bit r of colReq[c] ⇔ cell (r,c) valid), kept
 // in sync incrementally by Set/SetMany/Clear/Reset, plus row-port and
 // network-row masks derived once from the row metadata. The arbitration
 // kernels iterate candidates with math/bits on these words instead of
@@ -186,13 +186,6 @@ func (m *Matrix) At(row, col int) Cell { return m.cells[row*m.Cols+col] }
 // RowMask returns the validity word of a row: bit c set ⇔ cell (row, c)
 // is valid.
 func (m *Matrix) RowMask(row int) uint64 { return m.rowValid[row] }
-
-// ColMask returns the request word of a column: bit r set ⇔ cell (r, col)
-// is valid.
-func (m *Matrix) ColMask(col int) uint64 { return m.colReq[col] }
-
-// NetworkRowMask returns the mask of rows fed by network input ports.
-func (m *Matrix) NetworkRowMask() uint64 { return m.netRows }
 
 // PortRowMask returns the mask of rows belonging to an input port.
 func (m *Matrix) PortRowMask(port int) uint64 { return m.portRows[port] }

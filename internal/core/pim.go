@@ -22,7 +22,7 @@ import (
 // because multiple iterations are unimplementable in the 1.2 GHz pipeline —
 // runs exactly one iteration.
 //
-// Bitplane kernel: a column's requesters are ColMask(col) masked by the
+// Bitplane kernel: a column's requesters are its request word masked by the
 // still-unmatched rows — one AND instead of a row scan — and the random
 // winner is the k-th set bit. The RNG draw order (grant per column
 // ascending, then accept per granted row ascending) matches the retained
@@ -54,9 +54,6 @@ func NewPIM1(rng *sim.RNG) *PIM { return NewPIM(1, rng) }
 
 // Name implements Arbiter.
 func (a *PIM) Name() string { return a.name }
-
-// Iterations returns the configured iteration count.
-func (a *PIM) Iterations() int { return a.iterations }
 
 // selectByte[b][k] is the position of the k-th (0-based) set bit of the
 // byte b, so nthSetBit resolves within a byte by table lookup instead of

@@ -50,9 +50,6 @@ func (a *WFA) Name() string {
 	return "WFA-base"
 }
 
-// Rotary reports whether this instance applies the Rotary Rule.
-func (a *WFA) Rotary() bool { return a.rotary }
-
 // Arbitrate implements Arbiter.
 func (a *WFA) Arbitrate(m *Matrix) []Grant {
 	n := m.Rows // diagonal modulus; Rows >= Cols in the 21364 (16 x 7)

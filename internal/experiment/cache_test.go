@@ -354,10 +354,12 @@ func TestRunnerCacheFigureMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure matrix is too slow for -short")
 	}
-	o := Options{Quick: true, CyclesOverride: 600, MaxRatePoints: 2, Seed: 1}
-	specs, err := FigureSpecs("all", o)
+	specs, err := FigureSpecs("all", true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range specs {
+		shrink(600, 2)(&specs[i])
 	}
 	store := testStore(t)
 	for _, sp := range specs {

@@ -13,15 +13,16 @@ import (
 type Dataset map[string][]*Result
 
 // CollectDataset reruns the full evaluation: it runs every canned figure
-// Spec (FigureSpecs, in FigureSpecNames order) through exec one Spec at a
-// time and files each Result under its figure. exec is whatever executes
-// a Spec for the caller — typically a Runner's Run under a background
-// context — so the worker count, progress events, and determinism are
-// the executor's, exactly as in cmd/sweep's figure mode.
-func CollectDataset(o Options, exec func(Spec) (*Result, error)) (Dataset, error) {
+// Spec (FigureSpecs at full or quick fidelity, in FigureSpecNames order)
+// through exec one Spec at a time and files each Result under its
+// figure. exec is whatever executes a Spec for the caller — typically a
+// Runner's Run under a background context, after any study options the
+// caller applies — so the worker count, progress events, and determinism
+// are the executor's, exactly as in cmd/sweep's figure mode.
+func CollectDataset(quick bool, exec func(Spec) (*Result, error)) (Dataset, error) {
 	d := Dataset{}
 	for _, name := range figureSpecNames {
-		specs, err := FigureSpecs(name, o)
+		specs, err := FigureSpecs(name, quick)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,7 @@ func TestVerifyClaimsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims dataset is expensive")
 	}
-	o := Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1}
-	d, err := CollectDataset(o, runnerExec(0))
+	d, err := CollectDataset(true, runnerExec(0, shrink(4000, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

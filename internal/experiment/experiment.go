@@ -22,75 +22,14 @@ import (
 	"alpha21364/internal/workload"
 )
 
-// Options tunes how faithfully the experiments are rerun. Quick mode
-// shortens the simulations for CI and benchmarks; the full mode matches
-// the paper's 75,000-cycle runs.
-type Options struct {
-	Quick bool
-	Seed  uint64
-	// CyclesOverride, when positive, replaces the per-run router cycle
-	// count; the tests and the root package's Go benchmarks
-	// (bench_test.go) shorten their runs with it.
-	CyclesOverride int
-	// MaxRatePoints, when positive, subsamples each load sweep to at most
-	// this many points, always keeping the lightest and heaviest loads.
-	MaxRatePoints int
-	// Check enables the online invariant oracle on every canned spec the
-	// options build (cmd/sweep -check).
-	Check bool
-	// Metrics enables the telemetry layer on every timing spec the options
-	// build (cmd/sweep -metrics); standalone-model specs have no router
-	// simulation to observe and are left unstamped.
-	Metrics bool
-	// Replications, when > 1, replicates every point of the canned specs
-	// with derived seeds (cmd/sweep -reps); Confidence is the interval's
-	// confidence level (0 = 0.95).
-	Replications int
-	Confidence   float64
-}
-
-// TimingCycles returns the per-run router cycle count.
-func (o Options) TimingCycles() int {
-	if o.CyclesOverride > 0 {
-		return o.CyclesOverride
-	}
-	if o.Quick {
-		return 15000
-	}
-	return 75000
-}
-
-// StandaloneCycles returns the standalone-model iteration count.
-func (o Options) StandaloneCycles() int {
-	if o.Quick {
-		return 400
-	}
-	return 1000
-}
-
-func (o Options) seed() uint64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
-
-// ApplyStudy stamps the study-wide toggles — invariant checking and
-// replication — into a spec built from these options.
-func (o Options) ApplyStudy(sp *Spec) {
-	if o.Check {
-		sp.Check = true
-	}
-	if o.Metrics && sp.Mode != ModeStandalone {
-		sp.Metrics = true
-	}
-	if o.Replications > 1 {
-		sp.Replications = o.Replications
-		if o.Confidence != 0 {
-			sp.Confidence = o.Confidence
-		}
-	}
-}
+// The canned figures' run lengths (FigureSpecs): the paper's 75,000
+// router cycles per timing run, or 15,000 at quick fidelity, which
+// shortens the runs for CI and benchmarks. Standalone figures run 1,000
+// iterations, or 400 at quick fidelity.
+const (
+	FigureCycles      = 75000
+	QuickFigureCycles = 15000
+)
 
 // NoWarmup is a TimingSpec.WarmupFraction sentinel requesting that no
 // cycles be excluded from statistics. (A literal 0 keeps the 0.2
@@ -330,25 +269,18 @@ var (
 	Rates12x12 = []float64{0.001, 0.003, 0.006, 0.01, 0.014, 0.018, 0.024, 0.032, 0.045, 0.06}
 )
 
-func (o Options) rates(full []float64) []float64 {
-	want := len(full)
-	if o.Quick {
-		want = (len(full) + 1) / 2
-	}
-	if o.MaxRatePoints > 0 && o.MaxRatePoints < want {
-		want = o.MaxRatePoints
-	}
-	if want >= len(full) {
-		return full
+// subsample evenly picks want of the rates, always keeping the lightest
+// and heaviest loads; a quick figure keeps half of each sweep.
+func subsample(rates []float64, want int) []float64 {
+	if want >= len(rates) {
+		return rates
 	}
 	if want < 2 {
 		want = 2
 	}
-	// Evenly subsample, always keeping the lightest and heaviest loads.
 	out := make([]float64, 0, want)
 	for i := 0; i < want; i++ {
-		idx := i * (len(full) - 1) / (want - 1)
-		out = append(out, full[idx])
+		out = append(out, rates[i*(len(rates)-1)/(want-1)])
 	}
 	return out
 }

@@ -7,8 +7,25 @@ import (
 	"testing"
 )
 
-// benchOpts keeps experiment tests fast.
-var benchOpts = Options{Quick: true, CyclesOverride: 5000, MaxRatePoints: 3, Seed: 1}
+// shrink scales a quick canned figure Spec down for tests: each timing
+// run lasts cycles router cycles (twice that on Figure 11a's scaled
+// pipeline, as the figure doubles its cycles) and each load sweep keeps
+// at most rates points, the lightest and heaviest among them. Standalone
+// Specs keep their quick fidelity.
+func shrink(cycles, rates int) SpecOption {
+	return func(sp *Spec) {
+		if sp.Mode == ModeStandalone {
+			return
+		}
+		tm := own(&sp.Timing)
+		tm.Cycles = cycles
+		if tm.ScalePipeline {
+			tm.Cycles *= 2
+		}
+		w := own(&sp.Workload)
+		w.Rates = subsample(w.Rates, rates)
+	}
+}
 
 func TestRunTimingBasics(t *testing.T) {
 	pt := runPoint(t, NewSpec(
@@ -106,8 +123,7 @@ func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
 }
 
 func TestFigure8And9Tables(t *testing.T) {
-	o := Options{Quick: true, Seed: 1}
-	sp, res := runFigure(t, o, "8", 0, 0)
+	sp, res := runFigure(t, "8", 0, 0)
 	if len(res.Series) != len(Figure8Kinds) {
 		t.Fatalf("figure 8 series = %d", len(res.Series))
 	}
@@ -122,7 +138,7 @@ func TestFigure8And9Tables(t *testing.T) {
 		t.Errorf("figure 8 rows = %d", len(table.Rows))
 	}
 
-	sp, res = runFigure(t, o, "9", 0, 0)
+	sp, res = runFigure(t, "9", 0, 0)
 	if len(sp.Standalone.Values) != 4 {
 		t.Fatalf("figure 9 occupancies = %v", sp.Standalone.Values)
 	}
@@ -143,7 +159,7 @@ func TestFigure8And9Tables(t *testing.T) {
 }
 
 func TestFigure10SaturationPanel(t *testing.T) {
-	sp, res := runFigure(t, benchOpts, "10s", 0, 0)
+	sp, res := runFigure(t, "10s", 0, 0, shrink(5000, 3))
 	if len(res.Series) != len(Figure10Kinds) {
 		t.Fatalf("series = %d", len(res.Series))
 	}
@@ -158,17 +174,18 @@ func TestFigure10SaturationPanel(t *testing.T) {
 
 func TestRateSubsampling(t *testing.T) {
 	full := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	o := Options{MaxRatePoints: 3}
-	got := o.rates(full)
-	if len(got) != 3 || got[0] != 1 || got[2] != 10 {
+	if got := subsample(full, 3); !reflect.DeepEqual(got, []float64{1, 5, 10}) {
 		t.Fatalf("subsample = %v", got)
 	}
-	if ends := (Options{}).rates(full); len(ends) != len(full) {
+	if ends := subsample(full, len(full)); len(ends) != len(full) {
 		t.Errorf("no-op subsample changed length: %v", ends)
 	}
-	q := Options{Quick: true}
-	if qr := q.rates(full); len(qr) != 5 || qr[0] != 1 || qr[4] != 10 {
-		t.Errorf("quick subsample = %v", qr)
+	specs, err := FigureSpecs("10", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qr := specs[0].Workload.Rates; !reflect.DeepEqual(qr, []float64{0.005, 0.02, 0.04, 0.065, 0.13}) {
+		t.Errorf("quick 4x4 rates = %v, want every other rate of Rates4x4 and the heaviest", qr)
 	}
 }
 

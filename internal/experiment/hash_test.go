@@ -139,10 +139,10 @@ func TestSpecHashRejectsInvalidSpec(t *testing.T) {
 }
 
 // goldenFigureHashes pins the cache key of every canned figure Spec
-// (Options zero value: full fidelity, seed 1). A mismatch means the
-// canonical semantic form drifted and every existing cache would be
-// orphaned — if the change is intentional (schema evolution, new figure
-// definition), update the golden and say so in the PR.
+// (full fidelity, seed 1). A mismatch means the canonical semantic form
+// drifted and every existing cache would be orphaned — if the change is
+// intentional (schema evolution, new figure definition), update the
+// golden and say so in the PR.
 var goldenFigureHashes = map[string][]string{
 	"8": {"b620f22bb25a0633131a55c3be0efefbc96c6cdf35d60b7e2ce0a3ce1de549f7"},
 	"9": {"3120544288ddbbb2d553c61527a9aaebce3f0186e8d46b745f5a38232c1a4050"},
@@ -160,7 +160,7 @@ var goldenFigureHashes = map[string][]string{
 
 func TestSpecHashGoldenFigures(t *testing.T) {
 	for _, name := range FigureSpecNames() {
-		specs, err := FigureSpecs(name, Options{})
+		specs, err := FigureSpecs(name, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,16 +59,14 @@ func TestFigureMatrixGreenWithCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure matrix is too slow for -short")
 	}
-	o := Options{Quick: true, CyclesOverride: 1000, MaxRatePoints: 2, Seed: 1, Check: true}
-	specs, err := FigureSpecs("all", o)
+	specs, err := FigureSpecs("all", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner := NewRunner()
 	for _, sp := range specs {
-		if !sp.Check {
-			t.Fatalf("%s: Options.Check was not stamped into the canned spec", sp.Name)
-		}
+		shrink(1000, 2)(&sp)
+		WithCheck()(&sp)
 		if _, err := runner.Run(context.Background(), sp); err != nil {
 			t.Errorf("%s: %v", sp.Name, err)
 		}

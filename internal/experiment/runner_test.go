@@ -11,31 +11,36 @@ import (
 	"time"
 )
 
-// runnerOpts returns small-scale figure options.
-func runnerOpts() Options {
-	return Options{Quick: true, CyclesOverride: 1500, MaxRatePoints: 2, Seed: 3}
-}
-
-// runnerExec returns an executor running each Spec through a Runner with
-// the given worker count — the shape CollectDataset takes.
-func runnerExec(workers int) func(Spec) (*Result, error) {
+// runnerExec returns an executor running each Spec, with opts applied,
+// through a Runner with the given worker count — the shape
+// CollectDataset takes.
+func runnerExec(workers int, opts ...SpecOption) func(Spec) (*Result, error) {
 	r := NewRunner(WithWorkers(workers))
-	return func(sp Spec) (*Result, error) { return r.Run(context.Background(), sp) }
+	return func(sp Spec) (*Result, error) {
+		for _, opt := range opts {
+			opt(&sp)
+		}
+		return r.Run(context.Background(), sp)
+	}
 }
 
-// runFigure runs one canned figure panel through a Runner with the given
-// worker count.
-func runFigure(t *testing.T, o Options, figure string, panel, workers int) (Spec, *Result) {
+// runFigure runs one quick canned figure panel, with opts applied,
+// through a Runner with the given worker count.
+func runFigure(t *testing.T, figure string, panel, workers int, opts ...SpecOption) (Spec, *Result) {
 	t.Helper()
-	specs, err := FigureSpecs(figure, o)
+	specs, err := FigureSpecs(figure, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runnerExec(workers)(specs[panel])
+	sp := specs[panel]
+	for _, opt := range opts {
+		opt(&sp)
+	}
+	res, err := runnerExec(workers)(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return specs[panel], res
+	return sp, res
 }
 
 // TestParallelSerialIdentical is the runner's core guarantee: a figure
@@ -44,8 +49,8 @@ func runFigure(t *testing.T, o Options, figure string, panel, workers int) (Spec
 // sweeps. Run with -race, this also exercises the pool for data races.
 func TestParallelSerialIdentical(t *testing.T) {
 	for _, figure := range []string{"10s", "8", "9"} {
-		_, serial := runFigure(t, runnerOpts(), figure, 0, 1)
-		_, parallel := runFigure(t, runnerOpts(), figure, 0, 8)
+		_, serial := runFigure(t, figure, 0, 1, shrink(1500, 2), WithSeed(3))
+		_, parallel := runFigure(t, figure, 0, 8, shrink(1500, 2), WithSeed(3))
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("figure %s diverged between serial and 8-worker runs:\n%+v\n%+v", figure, serial, parallel)
 		}
@@ -213,12 +218,11 @@ func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset collection is expensive")
 	}
-	o := Options{Quick: true, CyclesOverride: 1000, MaxRatePoints: 2, Seed: 2}
-	serial, err := CollectDataset(o, runnerExec(1))
+	serial, err := CollectDataset(true, runnerExec(1, shrink(1000, 2), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CollectDataset(o, runnerExec(8))
+	parallel, err := CollectDataset(true, runnerExec(8, shrink(1000, 2), WithSeed(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +236,7 @@ func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 func TestCollectDatasetStopsAtFirstFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []string
-	_, err := CollectDataset(runnerOpts(), func(sp Spec) (*Result, error) {
+	_, err := CollectDataset(true, func(sp Spec) (*Result, error) {
 		ran = append(ran, sp.Name)
 		if sp.Name == "Figure 9" {
 			return nil, boom

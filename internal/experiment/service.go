@@ -3,8 +3,8 @@ package experiment
 // service.go is the execution half of the Scenario/Runner API: a Runner
 // turns a Spec into a Result under a context, fanning the expanded job
 // grid across a bounded worker pool and delivering typed events —
-// run-start, point-done, series-done, run-done — to its event sink
-// (WithEventSink) as simulations finish.
+// run-start, point-done, series-done — to its event sink (WithEventSink)
+// as simulations finish; Run itself returns the Result and the error.
 // It is the one way to execute experiments: cmd/sweep's figure, matrix,
 // run, spec, and -verify modes all hand their Specs to a Runner.
 //
@@ -48,9 +48,6 @@ const (
 	// EventSeriesDone reports that every simulation of one series
 	// finished; a series served wholly from the cache reports none.
 	EventSeriesDone EventType = "series-done"
-	// EventRunDone closes a run, carrying the assembled Result and the
-	// run's error, if any.
-	EventRunDone EventType = "run-done"
 )
 
 // Event is one element of a Runner's progress stream, delivered to the
@@ -70,10 +67,6 @@ type Event struct {
 	Series string `json:"series,omitempty"`
 	// Point carries the measurement of a point-done event.
 	Point *ResultPoint `json:"point,omitempty"`
-	// Result carries the assembled result of a run-done event.
-	Result *Result `json:"result,omitempty"`
-	// Err is the run's failure, if any (run-done only).
-	Err error `json:"-"`
 }
 
 // Runner executes Specs. The zero value is unusable; construct with
@@ -211,11 +204,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if rc != nil {
 		served = rc.served
 	}
-	res := pl.assemble(points, served, firstBad)
-	mu.Lock()
-	emit(Event{Type: EventRunDone, Done: done, Total: total, Result: res, Err: err})
-	mu.Unlock()
-	return res, err
+	return pl.assemble(points, served, firstBad), err
 }
 
 // cellPoint is the measured point of one cell, given its replications'

@@ -180,28 +180,15 @@ type StandaloneSpec struct {
 // SpecOption mutates a Spec under construction; see NewSpec.
 type SpecOption func(*Spec)
 
-// NewSpec builds a Spec from functional options. Option order does not
-// matter: WithCycles/WithSeed applied before WithStandaloneSweep land in
-// a timing section that NewSpec migrates into the standalone one.
+// NewSpec builds a Spec by applying its options in order. WithCycles and
+// WithSeed write the standalone section only once WithStandaloneSweep or
+// WithStandalone has switched the Spec to standalone mode; applied
+// before the switch they set a timing section, which Validate rejects on
+// a standalone Spec.
 func NewSpec(opts ...SpecOption) Spec {
 	s := Spec{Version: SpecVersion}
 	for _, opt := range opts {
 		opt(&s)
-	}
-	// Mode-aware options (WithCycles, WithSeed) applied before the spec
-	// switched to standalone mode parked their values in a timing section.
-	// When that section carries nothing else and no other timing sections
-	// exist, it is unambiguous: move the values where they belong.
-	if s.Mode == ModeStandalone && s.Standalone != nil && s.Timing != nil &&
-		s.Topology == nil && s.Workload == nil &&
-		*s.Timing == (TimingSpec{Cycles: s.Timing.Cycles, Seed: s.Timing.Seed}) {
-		if s.Standalone.Cycles == 0 {
-			s.Standalone.Cycles = s.Timing.Cycles
-		}
-		if s.Standalone.Seed == 0 {
-			s.Standalone.Seed = s.Timing.Seed
-		}
-		s.Timing = nil
 	}
 	return s
 }
@@ -947,24 +934,21 @@ func kindNames(kinds []core.Kind) []string {
 
 // FigureSpecs returns the canned Specs reproducing a paper figure — one
 // Spec per panel, so "10" yields four. "all" concatenates every figure.
-// Options supplies fidelity (Quick, CyclesOverride, MaxRatePoints), the
-// seed, and the study-wide toggles (Check, Metrics, Replications). Run
-// the Specs through a Runner; each Result is one panel's data, and
-// CollectDataset gathers every figure's Results for Verify.
-func FigureSpecs(name string, o Options) ([]Spec, error) {
-	specs, err := figureSpecs(name, o)
-	if err != nil {
-		return nil, err
+// Each runs at seed 1, at the paper's fidelity or, with quick, at the
+// shorter runs and half-density load sweeps CI and benchmarks use; a
+// caller sets anything else with the Spec's own options. Run the Specs
+// through a Runner; each Result is one panel's data, and CollectDataset
+// gathers every figure's Results for Verify.
+func FigureSpecs(name string, quick bool) ([]Spec, error) {
+	cycles, standaloneCycles := FigureCycles, 1000
+	if quick {
+		cycles, standaloneCycles = QuickFigureCycles, 400
 	}
-	for i := range specs {
-		o.ApplyStudy(&specs[i])
-	}
-	return specs, nil
-}
-
-func figureSpecs(name string, o Options) ([]Spec, error) {
 	timingSpec := func(title string, w, h int, pattern string, kinds []core.Kind,
 		rates []float64, mutate func(*Spec)) Spec {
+		if quick {
+			rates = subsample(rates, (len(rates)+1)/2)
+		}
 		sp := Spec{
 			Version:  SpecVersion,
 			Name:     title,
@@ -972,9 +956,9 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			Topology: &TopologySpec{Width: w, Height: h},
 			Workload: &WorkloadSpec{
 				Patterns: []string{pattern},
-				Rates:    append([]float64(nil), o.rates(rates)...),
+				Rates:    append([]float64(nil), rates...),
 			},
-			Timing: &TimingSpec{Cycles: o.TimingCycles(), Seed: o.seed()},
+			Timing: &TimingSpec{Cycles: cycles, Seed: 1},
 		}
 		if mutate != nil {
 			mutate(&sp)
@@ -989,8 +973,8 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			Mode:     ModeStandalone,
 			Arbiters: kindNames(Figure8Kinds),
 			Standalone: &StandaloneSpec{
-				Cycles: o.StandaloneCycles(),
-				Seed:   o.seed(),
+				Cycles: standaloneCycles,
+				Seed:   1,
 				Axis:   AxisLoadFraction,
 				Values: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
 			},
@@ -1002,8 +986,8 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			Mode:     ModeStandalone,
 			Arbiters: kindNames(Figure8Kinds),
 			Standalone: &StandaloneSpec{
-				Cycles: o.StandaloneCycles(),
-				Seed:   o.seed(),
+				Cycles: standaloneCycles,
+				Seed:   1,
 				Axis:   AxisOccupancy,
 				Values: []float64{0, 0.25, 0.5, 0.75},
 			},
@@ -1031,7 +1015,7 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 			"2x Pipeline, 8x8, Random Traffic", 8, 8, "random", Figure11Kinds, Rates8x8,
 			func(sp *Spec) {
 				sp.Timing.ScalePipeline = true
-				sp.Timing.Cycles = o.TimingCycles() * 2
+				sp.Timing.Cycles = cycles * 2
 			},
 		)}, nil
 	case "11b":
@@ -1046,7 +1030,7 @@ func figureSpecs(name string, o Options) ([]Spec, error) {
 	case "all":
 		var all []Spec
 		for _, n := range figureSpecNames {
-			specs, err := figureSpecs(n, o)
+			specs, err := FigureSpecs(n, quick)
 			if err != nil {
 				return nil, err
 			}

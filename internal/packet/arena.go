@@ -5,9 +5,8 @@ package packet
 // it when its delivery is fully processed. Storage grows in fixed-size
 // chunks, never reallocating, so *Packet pointers handed out by New stay
 // valid for the packet's whole lifetime. Every slot carries a generation
-// counter; Ref handles embed the generation, making stale handles and
-// double releases detectable instead of silently corrupting a recycled
-// packet.
+// counter, which a packet records when drawn, making double releases
+// detectable instead of silently corrupting a recycled packet.
 
 import (
 	"fmt"
@@ -19,26 +18,14 @@ import (
 // arenaChunkSize is the number of packet slots added per growth step.
 const arenaChunkSize = 256
 
-// Ref is a generation-checked handle to an arena packet. The zero Ref is
-// invalid. Refs pack into two machine words and are safe to carry through
-// event payloads; Arena.Get validates the generation on every lookup.
-type Ref struct {
-	idx uint32
-	gen uint32
-}
-
-// Valid reports whether the handle was ever issued (it may still be
-// stale; Get checks that).
-func (r Ref) Valid() bool { return r.gen != 0 }
-
 // Arena is a pool of packets. It is not safe for concurrent use; each
 // simulation owns its own arena, matching the engine's single-threaded
 // dispatch.
 type Arena struct {
 	chunks [][]Packet
 	// gens[i] is the current generation of slot i: odd while the slot is
-	// live, even while it is free. A Ref matches only while its gen equals
-	// the slot's.
+	// live, even while it is free. A packet is live only while the gen
+	// it recorded equals its slot's.
 	gens []uint32
 	free []uint32
 	live int
@@ -49,9 +36,6 @@ func NewArena() *Arena { return &Arena{} }
 
 // Live returns the number of packets currently checked out.
 func (a *Arena) Live() int { return a.live }
-
-// Cap returns the number of slots the arena has grown to.
-func (a *Arena) Cap() int { return len(a.gens) }
 
 func (a *Arena) grow() {
 	base := uint32(len(a.gens))
@@ -85,34 +69,16 @@ func (a *Arena) New(id uint64, c Class, src, dst topology.Node, created sim.Tick
 		Dst:     dst,
 		Created: created,
 		arena:   a,
-		ref:     Ref{idx: idx, gen: a.gens[idx]},
+		slot:    idx,
+		gen:     a.gens[idx],
 	}
 	a.live++
 	return p
 }
 
-// Ref returns the packet's generation-checked handle, or the zero Ref
-// for packets not drawn from an arena (plain packet.New packets).
-func (a *Arena) Ref(p *Packet) Ref {
-	if p.arena != a {
-		return Ref{}
-	}
-	return p.ref
-}
-
 // Owns reports whether p was drawn from this arena and is still live.
 func (a *Arena) Owns(p *Packet) bool {
-	return p.arena == a && a.gens[p.ref.idx] == p.ref.gen
-}
-
-// Get resolves a handle to its packet. It returns nil when the handle is
-// stale — the packet was released (and possibly recycled) after the Ref
-// was taken.
-func (a *Arena) Get(r Ref) *Packet {
-	if r.gen == 0 || r.idx >= uint32(len(a.gens)) || a.gens[r.idx] != r.gen {
-		return nil
-	}
-	return a.slot(r.idx)
+	return p.arena == a && a.gens[p.slot] == p.gen
 }
 
 // Release returns a packet to the arena. It panics on double release or
@@ -122,14 +88,14 @@ func (a *Arena) Release(p *Packet) {
 	if p.arena != a {
 		panic(fmt.Sprintf("packet: releasing %v to an arena it does not belong to", p))
 	}
-	idx := p.ref.idx
-	if a.gens[idx] != p.ref.gen {
+	idx := p.slot
+	if a.gens[idx] != p.gen {
 		panic(fmt.Sprintf("packet: double release of %v (slot %d gen %d, packet gen %d)",
-			p, idx, a.gens[idx], p.ref.gen))
+			p, idx, a.gens[idx], p.gen))
 	}
 	a.gens[idx]++ // odd -> even: free
 	p.arena = nil
-	p.ref = Ref{}
+	p.slot, p.gen = 0, 0
 	a.free = append(a.free, idx)
 	a.live--
 }

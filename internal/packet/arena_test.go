@@ -15,27 +15,19 @@ func TestArenaNewMatchesPacketNew(t *testing.T) {
 func TestArenaReuseAndGenerations(t *testing.T) {
 	a := NewArena()
 	p1 := a.New(1, Request, 0, 1, 0)
-	r1 := a.Ref(p1)
-	if a.Get(r1) != p1 {
-		t.Fatal("live ref did not resolve")
-	}
-	if a.Live() != 1 {
-		t.Fatalf("live = %d, want 1", a.Live())
+	slot := p1.slot
+	if a.Live() != 1 || p1.gen != 1 {
+		t.Fatalf("live = %d, gen = %d, want 1 and 1", a.Live(), p1.gen)
 	}
 	a.Release(p1)
-	if a.Live() != 0 {
-		t.Fatalf("live = %d after release, want 0", a.Live())
+	if a.Live() != 0 || a.gens[slot] != 2 {
+		t.Fatalf("live = %d, slot gen = %d after release, want 0 and 2", a.Live(), a.gens[slot])
 	}
-	if a.Get(r1) != nil {
-		t.Fatal("stale ref resolved after release")
-	}
-	// The slot is recycled; the old ref must stay stale.
+	// The slot is recycled under the next generation.
 	p2 := a.New(2, Forward, 2, 3, 10)
-	if a.Get(r1) != nil {
-		t.Fatal("stale ref resolved against recycled slot")
-	}
-	if r2 := a.Ref(p2); a.Get(r2) != p2 {
-		t.Fatal("recycled slot's new ref did not resolve")
+	if p2 != p1 || p2.slot != slot || p2.gen != 3 || !a.Owns(p2) {
+		t.Fatalf("recycled packet %v: slot %d gen %d, owned %v; want slot %d at gen 3, owned",
+			p2, p2.slot, p2.gen, a.Owns(p2), slot)
 	}
 }
 
@@ -50,8 +42,8 @@ func TestArenaPointerStabilityAcrossGrowth(t *testing.T) {
 			t.Fatalf("packet %d corrupted after growth: id %d", i, p.ID)
 		}
 	}
-	if a.Cap() < arenaChunkSize*4 {
-		t.Fatalf("cap = %d, want at least %d", a.Cap(), arenaChunkSize*4)
+	if len(a.gens) < arenaChunkSize*4 {
+		t.Fatalf("cap = %d, want at least %d", len(a.gens), arenaChunkSize*4)
 	}
 }
 

@@ -73,9 +73,11 @@ type Packet struct {
 	TxnID   uint64    // owning coherence transaction, 0 if none
 	Hops    int       // router-to-router hops taken so far
 
-	// arena bookkeeping, set only for packets drawn from an Arena.
+	// arena bookkeeping, set only for packets drawn from an Arena: the
+	// slot the packet occupies and the slot's generation when drawn.
 	arena *Arena
-	ref   Ref
+	slot  uint32
+	gen   uint32
 }
 
 // New returns a packet of the given class with the class's flit count.

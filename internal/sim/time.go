@@ -38,7 +38,4 @@ func FromNS(ns float64) Ticks {
 	return Ticks(ns*float64(TicksPerNS) + 0.5)
 }
 
-// Cycles returns n periods of the given clock as a tick count.
-func Cycles(n int, period Ticks) Ticks { return Ticks(n) * period }
-
 func (t Ticks) String() string { return fmt.Sprintf("%.3fns", t.NS()) }

@@ -31,9 +31,6 @@ const fineBuckets = 1 << 16
 type Collector struct {
 	warmupEnd sim.Ticks
 
-	injectedPackets int64 // all injections, including warmup
-	measuredStart   sim.Ticks
-
 	packets    int64
 	flits      int64
 	latencySum sim.Ticks
@@ -66,12 +63,6 @@ func (c *Collector) TrackEpochs(epoch sim.Ticks) *EpochSeries {
 func NewCollector(warmupEnd sim.Ticks) *Collector {
 	return &Collector{warmupEnd: warmupEnd, latencyMin: math.MaxInt64}
 }
-
-// WarmupEnd returns the measurement start boundary.
-func (c *Collector) WarmupEnd() sim.Ticks { return c.warmupEnd }
-
-// Injected counts a packet handed to a source local port.
-func (c *Collector) Injected(p *packet.Packet) { c.injectedPackets++ }
 
 // Delivered records a packet's arrival at its destination local port.
 func (c *Collector) Delivered(p *packet.Packet, at sim.Ticks) {
@@ -113,9 +104,6 @@ func bucketOf(lat sim.Ticks) int {
 
 // Packets returns the number of measured deliveries.
 func (c *Collector) Packets() int64 { return c.packets }
-
-// InjectedPackets returns the number of injections (including warmup).
-func (c *Collector) InjectedPackets() int64 { return c.injectedPackets }
 
 // Flits returns the measured delivered flit count.
 func (c *Collector) Flits() int64 { return c.flits }

@@ -109,14 +109,9 @@ func TestHistogramBucketsProperty(t *testing.T) {
 	}
 }
 
-func TestClassCountsAndInjected(t *testing.T) {
+func TestClassCounts(t *testing.T) {
 	c := NewCollector(0)
-	c.Injected(packet.New(1, packet.Request, 0, 1, 0))
-	c.Injected(packet.New(2, packet.Forward, 0, 1, 0))
 	c.Delivered(packet.New(3, packet.Forward, 0, 1, 0), 10)
-	if c.InjectedPackets() != 2 {
-		t.Errorf("injected = %d, want 2", c.InjectedPackets())
-	}
 	if c.ClassPackets(packet.Forward) != 1 || c.ClassPackets(packet.Request) != 0 {
 		t.Error("per-class counts wrong")
 	}

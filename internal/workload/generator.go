@@ -38,12 +38,11 @@ type Config struct {
 // deliveries back to the Model. It is a sim.Clocked component on the
 // router clock.
 type Generator struct {
-	cfg       Config
-	net       *network.Network
-	collector *stats.Collector
-	rng       *sim.RNG
-	model     Model
-	process   Process
+	cfg     Config
+	net     *network.Network
+	rng     *sim.RNG
+	model   Model
+	process Process
 
 	outstanding []int
 	demand      []int64
@@ -128,8 +127,9 @@ func (q *pendQueue) pop() {
 // on each edge the generator ticks after every router; the golden
 // fingerprints pin that order. The RNG is seeded exactly as the
 // pre-workload traffic generator was (seed ^ 0xfeedface), keeping the
-// paper's figures bit-identical.
-func New(cfg Config, net *network.Network, eng *sim.Engine, collector *stats.Collector) *Generator {
+// paper's figures bit-identical. The collector argument is unused, as
+// the network records every delivery; simbench still passes one.
+func New(cfg Config, net *network.Network, eng *sim.Engine, _ *stats.Collector) *Generator {
 	if cfg.Pattern == nil {
 		cfg.Pattern = NewUniform(net.Torus())
 	}
@@ -142,7 +142,6 @@ func New(cfg Config, net *network.Network, eng *sim.Engine, collector *stats.Col
 	g := &Generator{
 		cfg:         cfg,
 		net:         net,
-		collector:   collector,
 		rng:         sim.NewRNG(cfg.Seed ^ 0xfeedface),
 		model:       cfg.Model,
 		process:     cfg.Process,
@@ -168,9 +167,6 @@ func New(cfg Config, net *network.Network, eng *sim.Engine, collector *stats.Col
 	net.OnDeliver(g.onDeliver)
 	return g
 }
-
-// Model returns the generator's transaction model.
-func (g *Generator) Model() Model { return g.model }
 
 // Completed returns the number of finished transactions.
 func (g *Generator) Completed() int64 { return g.completed }
@@ -225,14 +221,13 @@ func (g *Generator) Tick(now sim.Ticks) {
 	g.drainPending(now)
 }
 
-// newPacket mints the next packet at the current engine time, records it
-// with the statistics collector, and leaves a placeholder trace event
-// (the injection point is completed by enqueue).
+// newPacket mints the next packet at the current engine time and leaves
+// a placeholder trace event (the injection point is completed by
+// enqueue).
 func (g *Generator) newPacket(cl packet.Class, src, dst topology.Node, txnID uint64) *packet.Packet {
 	g.nextPkt++
 	p := g.arena.New(g.nextPkt, cl, src, dst, g.eng.Now())
 	p.TxnID = txnID
-	g.collector.Injected(p)
 	if g.cfg.Record != nil {
 		g.cfg.Record.Events = append(g.cfg.Record.Events, Event{
 			At:      g.eng.Now(),

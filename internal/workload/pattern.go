@@ -158,9 +158,6 @@ func DefaultHotspot(t topology.Torus) *Hotspot {
 
 func (h *Hotspot) Name() string { return "hotspot" }
 
-// Targets returns the hotspot nodes.
-func (h *Hotspot) Targets() []topology.Node { return h.targets }
-
 // Dest implements Pattern.
 func (h *Hotspot) Dest(src topology.Node, rng *sim.RNG) topology.Node {
 	if rng.Bernoulli(h.fraction) {
