@@ -16,7 +16,7 @@ race:
 	$(GO) test -race -short ./...
 
 # race-pools points the race detector at the pooled/arena hot paths
-# specifically: the tick-wheel scheduler, the packet arena, the router
+# specifically: the engine's event queue, the packet arena, the router
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
 # replicated/checked/instrumented Runner fan-outs, and the cached
@@ -29,7 +29,7 @@ race:
 # driven by their own tests; no Spec reaches them).
 race-pools:
 	$(GO) test -race -count=1 \
-		-run 'Wheel|Arena|Ring|Alloc|Slab|Engine|Generator|Shard' \
+		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator|Shard' \
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology

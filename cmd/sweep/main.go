@@ -212,6 +212,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	// The study options can make a built Spec invalid (-confidence 2), so
+	// every mode's Specs are checked here, before -emit-spec prints them
+	// or the Runner starts on the first.
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return err
+		}
+	}
 	if *emitSpec {
 		data, err := experiment.EncodeSpecs(specs)
 		if err != nil {
@@ -676,11 +684,7 @@ func matrixSpec(study []experiment.SpecOption, quick bool, algos, patterns, proc
 		experiment.WithModel(model),
 		experiment.WithRates(rs...),
 	)
-	sp := experiment.NewSpec(append(opts, study...)...)
-	if err := sp.Validate(); err != nil {
-		return experiment.Spec{}, err
-	}
-	return sp, nil
+	return experiment.NewSpec(append(opts, study...)...), nil
 }
 
 // runSpecFromFlags parses the -run flags into a single-scenario Spec
@@ -705,11 +709,7 @@ func runSpecFromFlags(study []experiment.SpecOption, quick bool, algo, pattern, 
 			opts = append(opts, experiment.WithRecord(record))
 		}
 	}
-	sp := experiment.NewSpec(append(opts, study...)...)
-	if err := sp.Validate(); err != nil {
-		return experiment.Spec{}, err
-	}
-	return sp, nil
+	return experiment.NewSpec(append(opts, study...)...), nil
 }
 
 func (a *app) printLists() {

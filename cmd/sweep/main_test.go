@@ -258,6 +258,27 @@ func TestEmitSpecHashes(t *testing.T) {
 	}
 }
 
+// TestStudyOptionsValidated checks that every mode validates its Specs
+// after the study options are applied: an invalid -confidence fails
+// before -emit-spec prints anything and before a simulation starts.
+func TestStudyOptionsValidated(t *testing.T) {
+	for _, args := range []string{
+		"-emit-spec -quick -figure 10s -reps 3 -confidence 2",
+		"-quick -figure 10s -reps 3 -confidence 2 -workers 1",
+		"-emit-spec -matrix -size 4x4 -reps 3 -confidence 2",
+		"-emit-spec -run -size 4x4 -reps 3 -confidence 2",
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(strings.Fields(args), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "confidence 2 must be within (0, 1)") {
+			t.Errorf("%s: err = %v, want the confidence range error", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed %d bytes on stdout, want none", args, stdout.Len())
+		}
+	}
+}
+
 // flagSamples supplies a parseable value for every flag sweep defines,
 // so the flag-checking tests can set any flag by name.
 var flagSamples = map[string]string{

@@ -479,11 +479,11 @@ func (s Spec) validateTiming() error {
 		}
 	}
 	for i, name := range w.processes() {
-		if _, err := workload.CanonicalProcess(name); err != nil {
+		if _, err := workload.NewProcess(name, 0); err != nil {
 			return specErr("processes[%d]: %v", i, err)
 		}
 	}
-	if _, err := workload.CanonicalModel(w.Model); err != nil {
+	if _, err := workload.NewModel(w.Model); err != nil {
 		return specErr("model: %v", err)
 	}
 	if len(w.Rates) == 0 {
@@ -790,7 +790,8 @@ func (s Spec) expandTiming() (*plan, error) {
 			p, _ := workload.NewPattern(patName, torus)
 			pat := p.Name()
 			for _, procName := range processes {
-				proc, _ := workload.CanonicalProcess(procName)
+				pr, _ := workload.NewProcess(procName, 0)
+				proc := pr.Name()
 				label := k.String()
 				if multi {
 					label = fmt.Sprintf("%v/%s/%s", k, pat, proc)

@@ -76,7 +76,7 @@ type link struct {
 	credits  *vc.Credits // the sending output port's pool
 	h        sim.HandlerID
 	idx      int // index into the network's per-link metrics
-	// target is the engine owning the receiving router's wheel (the
+	// target is the engine owning the receiving router's events (the
 	// monolithic engine, or the neighbor's shard engine when sharded).
 	target *sim.Engine
 	// src is the sending node id — the PostBuffer ordering key that
@@ -127,7 +127,7 @@ func New(cfg Config, eng *sim.Engine, collector *stats.Collector) (*Network, err
 }
 
 // build constructs and wires routers, links, and sinks. Monolithic
-// callers pass nil part/members/pb and every wheel is hub's; sharded
+// callers pass nil part/members/pb and every event is hub's; sharded
 // callers supply the partition, one member engine per band, and the
 // edge-phase post buffer.
 func buildNetwork(cfg Config, hub *sim.Engine, collector *stats.Collector,

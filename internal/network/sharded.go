@@ -12,8 +12,8 @@ import (
 
 // sharded.go is the spatially-sharded assembly of the torus: the router
 // rows are split into contiguous bands (topology.PartitionRows), each
-// band's link-arrival events live in their own member engine's tick
-// wheel, and the router clock edge runs one goroutine per band walking
+// band's link-arrival events live in their own member engine's event
+// queue, and the router clock edge runs one goroutine per band walking
 // the partition's anti-diagonal wavefront schedule. Cross-band coupling
 // during an edge is exactly the credit-pool release a router performs on
 // its upstream neighbor's pool, and the schedule's WaitOn/Publish flags

@@ -50,3 +50,31 @@ func TestEngineSelfReschedulingAllocs(t *testing.T) {
 		t.Fatalf("self-rescheduling dispatch allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestEngineFarSelfReschedulingAllocs covers the cancellation poll's
+// shape: a closure re-scheduling itself 5,120 ticks ahead, past the
+// ring's span, so every dispatch goes through the far heap.
+func TestEngineFarSelfReschedulingAllocs(t *testing.T) {
+	const delay = 5120
+	e := NewEngine()
+	polls := 0
+	var poll func()
+	poll = func() {
+		polls++
+		e.ScheduleDelay(delay, poll)
+	}
+	e.ScheduleDelay(delay, poll)
+	e.Run(4 * delay) // warm
+
+	at := e.Now()
+	allocs := testing.AllocsPerRun(500, func() {
+		at += 3 * delay
+		e.Run(at)
+	})
+	if allocs != 0 {
+		t.Fatalf("far self-rescheduling dispatch allocates %.2f/op, want 0", allocs)
+	}
+	if want := int(at / delay); polls != want {
+		t.Fatalf("poll ran %d times, want %d", polls, want)
+	}
+}

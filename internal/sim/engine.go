@@ -45,8 +45,8 @@ const funcHandler HandlerID = 0
 // Engine is a deterministic single-threaded simulation engine combining a
 // cycle-driven clock model (for the router pipelines) with an event queue
 // (for link arrivals, memory responses, and other timed callbacks). The
-// queue is a hierarchical, bitmap-indexed tick wheel over pooled event
-// nodes (see wheel.go), so steady-state scheduling allocates nothing.
+// queue is a ring of near-tick slots plus a heap of far events over pooled
+// event nodes (see queue.go), so steady-state scheduling allocates nothing.
 //
 // Dispatch order within one tick: first all events due at the tick (in
 // (time, schedule) order, including events scheduled for the same tick by
@@ -57,7 +57,7 @@ const funcHandler HandlerID = 0
 type Engine struct {
 	now      Ticks
 	seq      uint64
-	q        timerWheel
+	q        eventQueue
 	handlers []Handler
 	domains  []*clockDomain
 	stopped  bool
@@ -100,7 +100,7 @@ func (e *Engine) Post(at Ticks, h HandlerID, args EventArgs) {
 	e.seq++
 	n := e.q.alloc()
 	n.at, n.seq, n.h, n.args = at, e.seq, h, args
-	e.q.insert(n, false)
+	e.q.push(n, e.now)
 }
 
 // PostDelay posts handler h after delay ticks.
@@ -137,72 +137,99 @@ func (e *Engine) Attach(components ...Clocked) {
 // Stop halts Run before the next dispatch.
 func (e *Engine) Stop() { e.stopped = true }
 
-// nextDispatch returns the earliest tick >= e.now with pending work.
-func (e *Engine) nextDispatch() (Ticks, bool) {
-	var best Ticks
-	found := false
-	if t, ok := e.q.nextAt(); ok {
-		if t < e.now {
-			t = e.now
+// Run advances simulated time up to and including tick `until`,
+// dispatching events and clock edges in deterministic order. Each pass
+// of the loop is one tick with work, in the phase order a ShardGroup
+// repeats across its engines: move to the tick, dispatch its due events,
+// fire its clock edges, leave it.
+func (e *Engine) Run(until Ticks) {
+	e.stopped = false
+	for !e.stopped {
+		next, ok := e.nextDispatch()
+		if !ok || next > until {
+			e.moveTo(until)
+			return
 		}
-		best, found = t, true
+		e.moveTo(next)
+		if !e.dispatchDue() {
+			return
+		}
+		e.tickDomains()
+		if next == until {
+			return
+		}
+		e.endTick()
 	}
+}
+
+// nextDispatch returns the earliest tick >= e.now with pending work:
+// an event or a clock edge.
+func (e *Engine) nextDispatch() (Ticks, bool) {
+	best, found := e.nextEventAt()
 	for _, d := range e.domains {
 		if len(d.components) == 0 {
 			continue
 		}
-		t := d.nextEdgeAt(e.now)
-		if !found || t < best {
+		if t := d.nextEdgeAt(e.now); !found || t < best {
 			best, found = t, true
 		}
 	}
 	return best, found
 }
 
-// Run advances simulated time up to and including tick `until`, dispatching
-// events and clock edges in deterministic order.
-func (e *Engine) Run(until Ticks) {
-	e.stopped = false
-	for !e.stopped {
-		next, ok := e.nextDispatch()
-		if !ok || next > until {
-			if e.now < until {
-				e.now = until
-				e.q.advanceTo(until)
-			}
-			return
-		}
-		if next > e.now {
-			e.now = next
-		}
-		// The wheel's origin can lag e.now by one tick after the loop's
-		// e.now++; advancing by one tick is always safe (no event can lie
-		// strictly between consecutive integers).
-		e.q.advanceTo(e.now)
-		for {
-			n := e.q.popDue(e.now)
-			if n == nil {
-				break
-			}
-			fn := e.handlers[n.h]
-			args := n.args
-			e.q.release(n)
-			fn(args)
-			if e.stopped {
-				return
-			}
-		}
-		for _, d := range e.domains {
-			if e.now >= d.phase && (e.now-d.phase)%d.period == 0 {
-				for _, c := range d.components {
-					c.Tick(e.now)
-				}
-			}
-		}
-		if e.now == until {
-			return
-		}
-		e.q.sweepStale(e.now)
-		e.now++
+// nextEventAt returns the earliest pending event time, clamped to now.
+func (e *Engine) nextEventAt() (Ticks, bool) {
+	t, ok := e.q.nextAt(e.now)
+	if ok && t < e.now {
+		t = e.now
 	}
+	return t, ok
+}
+
+// moveTo advances the clock to t; time never rewinds. Callers pass a
+// tick no later than the engine's earliest pending event, so the queue's
+// ring never holds a tick the clock has passed.
+func (e *Engine) moveTo(t Ticks) {
+	if t > e.now {
+		e.now = t
+	}
+}
+
+// dispatchDue runs every event due at the current tick, including events
+// scheduled for this tick by earlier ones, in (time, seq) order. It
+// reports false when a handler stopped the engine.
+func (e *Engine) dispatchDue() bool {
+	for {
+		n := e.q.popDue(e.now)
+		if n == nil {
+			return true
+		}
+		fn := e.handlers[n.h]
+		args := n.args
+		e.q.release(n)
+		fn(args)
+		if e.stopped {
+			return false
+		}
+	}
+}
+
+// tickDomains fires every clock domain whose edge falls on the current
+// tick, components in registration order.
+func (e *Engine) tickDomains() {
+	for _, d := range e.domains {
+		if e.now >= d.phase && (e.now-d.phase)%d.period == 0 {
+			for _, c := range d.components {
+				c.Tick(e.now)
+			}
+		}
+	}
+}
+
+// endTick leaves the current tick: the events clocked components posted
+// for it move to the far heap, to run first on the next tick with work,
+// and the clock steps.
+func (e *Engine) endTick() {
+	e.q.retire(e.now)
+	e.now++
 }

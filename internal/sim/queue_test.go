@@ -1,10 +1,11 @@
 package sim
 
-// wheel_test.go covers the tick-wheel scheduler's edge cases — same-tick
-// event/clock ordering, far-future scheduling past one (and several)
-// wheel rotations, scheduling at or before the current tick — and
-// mirrors the whole structure against the old binary-heap queue with a
-// randomized differential test.
+// queue_test.go covers the event queue's edge cases — same-tick
+// event/clock ordering, delays on both sides of the ring's span and past
+// 2^32 ticks, events a clocked component leaves behind for the far heap,
+// a replay-shaped burst of far events, scheduling at or before the
+// current tick — and mirrors the whole structure against a plain binary
+// heap with a randomized differential test.
 
 import (
 	"container/heap"
@@ -12,7 +13,7 @@ import (
 	"testing"
 )
 
-// ---- reference implementation: the pre-tick-wheel binary heap ----
+// ---- reference implementation: a plain binary heap ----
 
 type refEvent struct {
 	at  Ticks
@@ -40,7 +41,7 @@ func (q *refQueue) Pop() any {
 	return e
 }
 
-// refEngine replays the old engine's event semantics: dispatch in
+// refEngine implements the engine's event semantics on a plain heap: dispatch in
 // (at, seq) order, past times clamped to now at schedule time.
 type refEngine struct {
 	now    Ticks
@@ -87,16 +88,16 @@ func (r *refEngine) run(until Ticks, onDispatch func(id int)) []int {
 	return order
 }
 
-// ---- tick-wheel edge cases ----
+// ---- queue edge cases ----
 
 type clockedFunc func(Ticks)
 
 func (f clockedFunc) Tick(now Ticks) { f(now) }
 
-// TestWheelSameTickEventThenClock pins the intra-tick order: events due
+// TestQueueSameTickEventThenClock pins the intra-tick order: events due
 // at a tick run before that tick's clock edges, and an event scheduled
 // at the current tick by a clocked component runs on the following tick.
-func TestWheelSameTickEventThenClock(t *testing.T) {
+func TestQueueSameTickEventThenClock(t *testing.T) {
 	e := NewEngine()
 	var seq []string
 	e.AddClock(10, 0, clockedFunc(func(now Ticks) {
@@ -121,24 +122,23 @@ func TestWheelSameTickEventThenClock(t *testing.T) {
 	}
 }
 
-// TestWheelFarFuture schedules events past one wheel rotation at every
-// level, past the whole wheel horizon (the overflow list), and checks
-// dispatch times.
-func TestWheelFarFuture(t *testing.T) {
+// TestQueueFarFuture schedules events on both sides of the ring's span,
+// several ring rotations ahead and past 2^32 ticks, and checks dispatch
+// times.
+func TestQueueFarFuture(t *testing.T) {
 	e := NewEngine()
 	delays := []Ticks{
-		1, 255, 256, 257, // level 0/1 boundary
-		wheelSlots*3 + 7,              // several level-0 rotations
-		1<<16 - 1, 1 << 16, 1<<16 + 1, // level 1/2 boundary
-		1<<24 - 1, 1 << 24, 1<<24 + 13, // level 2/3 boundary
-		wheelSpan - 1, wheelSpan, wheelSpan + 12345, // horizon/overflow
+		1, 95, 876,
+		1023, 1024, 1025, // the ring's span
+		3*1024 + 7, 5120, // several rotations
+		1<<32 - 1, 1 << 32, 1<<32 + 12345, 1 << 40, // past 2^32
 	}
 	got := make([]Ticks, len(delays))
 	for i, d := range delays {
 		at, idx := d, i
 		e.Schedule(at, func() { got[idx] = e.Now() })
 	}
-	e.Run(wheelSpan + 20000)
+	e.Run(1<<40 + 20000)
 	for i, d := range delays {
 		if got[i] != d {
 			t.Errorf("event %d (at %d) ran at %d", i, d, got[i])
@@ -146,10 +146,66 @@ func TestWheelFarFuture(t *testing.T) {
 	}
 }
 
-// TestWheelScheduleAtOrBeforeNow checks the clamping rule: scheduling at
+// TestQueueRetiredBeforeFar pins the order on the tick after a clocked
+// component posts for its own tick: the retired events, in post order,
+// run ahead of a far event due on that next tick, which runs ahead of a
+// near event posted for it later.
+func TestQueueRetiredBeforeFar(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	e.AddClock(1000, 0, clockedFunc(func(now Ticks) {
+		if now == 2000 {
+			e.Schedule(now, log("stale-1"))
+			e.Schedule(now+1, log("near"))
+			e.Schedule(now, log("stale-2"))
+			e.Schedule(now, log("stale-3"))
+		}
+	}))
+	e.Schedule(2001, log("far")) // 2001 ticks ahead: the far heap
+	e.Run(2500)
+	want := []string{"stale-1", "stale-2", "stale-3", "far", "near"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestQueueFarBurstPostOrder posts 1,000 events for one far tick before
+// Run, as a replayed trace does, and checks they dispatch in post order
+// at that tick.
+func TestQueueFarBurstPostOrder(t *testing.T) {
+	const at = 50000
+	e := NewEngine()
+	var got []int
+	h := e.RegisterHandler(func(args EventArgs) {
+		if e.Now() != at {
+			t.Fatalf("event %d ran at %d, want %d", args.A, e.Now(), at)
+		}
+		got = append(got, int(args.A))
+	})
+	for i := 0; i < 1000; i++ {
+		e.Post(at, h, EventArgs{A: int64(i)})
+	}
+	e.Run(at + 1)
+	if len(got) != 1000 {
+		t.Fatalf("dispatched %d events, want 1000", len(got))
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("dispatch %d ran event %d, want post order", i, id)
+		}
+	}
+}
+
+// TestQueueScheduleAtOrBeforeNow checks the clamping rule: scheduling at
 // or before the current tick dispatches at the next opportunity, in
 // schedule order, never rewinding time.
-func TestWheelScheduleAtOrBeforeNow(t *testing.T) {
+func TestQueueScheduleAtOrBeforeNow(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.Schedule(100, func() {
@@ -167,7 +223,8 @@ func TestWheelScheduleAtOrBeforeNow(t *testing.T) {
 }
 
 // TestPostRegisteredHandler exercises the static-callback API directly:
-// payloads arrive intact, in (at, seq) order, across wheel levels.
+// payloads arrive intact, in (at, seq) order, from the ring and the far
+// heap.
 func TestPostRegisteredHandler(t *testing.T) {
 	e := NewEngine()
 	type rec struct {
@@ -194,31 +251,34 @@ func TestPostRegisteredHandler(t *testing.T) {
 }
 
 // horizonFor draws event id's chained-schedule delay deterministically,
-// so the wheel engine and the reference heap make identical decisions
-// without sharing state.
+// so the engine and the reference heap make identical decisions without
+// sharing state. The draws fall on both sides of the ring's span.
 func horizonFor(trial, id int, now Ticks) Ticks {
 	r := rand.New(rand.NewSource(int64(id)*2654435761 + int64(trial)))
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0:
 		return now // same tick
 	case 1:
 		return now + Ticks(r.Intn(16)) // near
 	case 2:
-		return now + Ticks(r.Intn(1024)) // wraps level 0
+		return now + Ticks(r.Intn(1024)) // anywhere in the ring
 	case 3:
-		return now + Ticks(r.Intn(1<<17)) // level 2
+		return now + 1022 + Ticks(r.Intn(5)) // 1,022..1,026: the span's edge
 	case 4:
+		return now + 1024 + Ticks(r.Intn(1<<17)) // far heap
+	case 5:
 		return now - Ticks(r.Intn(64)) // past: clamps
 	default:
-		return now + wheelSpan + Ticks(r.Intn(4096)) // overflow
+		return now + 1<<32 + Ticks(r.Intn(4096)) // past 2^32
 	}
 }
 
-// TestWheelDifferentialRandom mirrors the wheel against the reference
+// TestQueueDifferentialRandom mirrors the queue against the reference
 // heap over randomized workloads: bursts of schedules at mixed horizons
-// (same tick, near, wrapped, far, overflow) and chained re-scheduling
-// from inside dispatches. Dispatch order must match id for id.
-func TestWheelDifferentialRandom(t *testing.T) {
+// (same tick, near, the ring's edge, far, past 2^32) and chained
+// re-scheduling from inside dispatches. Dispatch order must match id for
+// id.
+func TestQueueDifferentialRandom(t *testing.T) {
 	const chainLimit = 4000
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
@@ -233,7 +293,7 @@ func TestWheelDifferentialRandom(t *testing.T) {
 			seeds = append(seeds, seeded{at: horizonFor(trial, -i-1, 0), id: i + 1})
 		}
 
-		// Wheel engine: every dispatch of an id divisible by 3 chains one
+		// Engine: every dispatch of an id divisible by 3 chains one
 		// more event at horizonFor(nextID).
 		e := NewEngine()
 		idSrc := len(seeds)
@@ -268,20 +328,20 @@ func TestWheelDifferentialRandom(t *testing.T) {
 		})
 
 		if len(got) != len(refOrder) {
-			t.Fatalf("trial %d: wheel dispatched %d events, heap %d", trial, len(got), len(refOrder))
+			t.Fatalf("trial %d: engine dispatched %d events, heap %d", trial, len(got), len(refOrder))
 		}
 		for i := range got {
 			if got[i] != refOrder[i] {
-				t.Fatalf("trial %d: dispatch %d: wheel ran id %d, heap id %d", trial, i, got[i], refOrder[i])
+				t.Fatalf("trial %d: dispatch %d: engine ran id %d, heap id %d", trial, i, got[i], refOrder[i])
 			}
 		}
 	}
 }
 
-// TestWheelSegmentedRuns splits one workload across many short Run calls
+// TestQueueSegmentedRuns splits one workload across many short Run calls
 // with arbitrary boundaries (including boundaries landing exactly on
 // event ticks) and checks the dispatch order still matches the heap.
-func TestWheelSegmentedRuns(t *testing.T) {
+func TestQueueSegmentedRuns(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 101))
 		type seeded struct {
@@ -313,11 +373,11 @@ func TestWheelSegmentedRuns(t *testing.T) {
 		e.Run(1 << 20)
 
 		if len(got) != len(refOrder) {
-			t.Fatalf("trial %d: wheel dispatched %d events, heap %d", trial, len(got), len(refOrder))
+			t.Fatalf("trial %d: engine dispatched %d events, heap %d", trial, len(got), len(refOrder))
 		}
 		for i := range got {
 			if got[i] != refOrder[i] {
-				t.Fatalf("trial %d: dispatch %d: wheel ran id %d, heap id %d", trial, i, got[i], refOrder[i])
+				t.Fatalf("trial %d: dispatch %d: engine ran id %d, heap id %d", trial, i, got[i], refOrder[i])
 			}
 		}
 	}

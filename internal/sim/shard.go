@@ -3,7 +3,7 @@ package sim
 // shard.go is the multi-engine half of the simulator: a ShardGroup runs
 // one hub engine plus k member engines in conservative lockstep, the
 // classic CMB (Chandy-Misra-Bryant) null-message discipline collapsed to
-// its synchronous special case. Each member engine owns the tick wheel
+// its synchronous special case. Each member engine owns the event queue
 // for one spatial shard of the network (its routers' link-arrival
 // events); the hub engine owns everything global — sink deliveries, the
 // workload generator's clock domain, the invariant checker's sweeps, the
@@ -15,7 +15,7 @@ package sim
 // pipeline depth plus the wire latency; Flush asserts the bound). All
 // cross-engine posting happens through a PostBuffer that is flushed by
 // the coordinating goroutine between phases, so when the group advances
-// to tick t, every wheel already holds every event it will ever receive
+// to tick t, every queue already holds every event it will ever receive
 // for t — the CMB safety condition "no message in flight earlier than
 // min(neighbor horizons) + lookahead" holds trivially, with the barrier
 // protocol standing in for per-channel null messages.
@@ -25,9 +25,9 @@ package sim
 // the router clock edge, then the hub's clock domains), and the
 // PostBuffer serializes every edge-phase post in sender-node order —
 // exactly the order a single engine would have assigned its global
-// sequence numbers, so each wheel's (time, seq) dispatch order matches
-// the monolithic order restricted to that wheel's events. The events
-// that do swap order across wheels (link arrivals on two different
+// sequence numbers, so each queue's (time, seq) dispatch order matches
+// the monolithic order restricted to that queue's events. The events
+// that do swap order across queues (link arrivals on two different
 // routers, an arrival vs. a hub delivery) touch disjoint simulation
 // state, so no observable byte depends on the swap. The edge phase
 // itself is delegated to an EdgeJob that must preserve the serial
@@ -75,69 +75,6 @@ func (b *PostBuffer) Post(src int, target *Engine, at Ticks, h HandlerID, args E
 		panic("sim: PostBuffer.Post outside an edge phase")
 	}
 	b.perSrc[src] = append(b.perSrc[src], pendingPost{target: target, at: at, h: h, args: args})
-}
-
-// ---- Engine sub-steps ----
-//
-// ShardGroup.Run interleaves the phases of several engines within one
-// tick, so it needs Engine.Run's body split into its constituent steps.
-// Each helper mirrors the corresponding lines of Run exactly.
-
-// moveTo advances the engine's clock and wheel origin to t (never
-// backward). The group only calls it with t at or before the engine's
-// earliest pending work, which is the wheel's advanceTo precondition.
-func (e *Engine) moveTo(t Ticks) {
-	if t > e.now {
-		e.now = t
-	}
-	e.q.advanceTo(e.now)
-}
-
-// dispatchDue runs every event due at the current tick, including events
-// scheduled for this tick by earlier ones, in (time, seq) order. It
-// reports false when a handler stopped the engine.
-func (e *Engine) dispatchDue() bool {
-	for {
-		n := e.q.popDue(e.now)
-		if n == nil {
-			return true
-		}
-		fn := e.handlers[n.h]
-		args := n.args
-		e.q.release(n)
-		fn(args)
-		if e.stopped {
-			return false
-		}
-	}
-}
-
-// tickDomains fires every clock domain whose edge falls on the current
-// tick, components in registration order.
-func (e *Engine) tickDomains() {
-	for _, d := range e.domains {
-		if e.now >= d.phase && (e.now-d.phase)%d.period == 0 {
-			for _, c := range d.components {
-				c.Tick(e.now)
-			}
-		}
-	}
-}
-
-// endTick sweeps same-tick stragglers into the overdue list and steps
-// the clock, exactly like the tail of Run's loop.
-func (e *Engine) endTick() {
-	e.q.sweepStale(e.now)
-	e.now++
-}
-
-// nextEventAt returns the earliest pending event time, clamped to now.
-func (e *Engine) nextEventAt() (Ticks, bool) {
-	t, ok := e.q.nextAt()
-	if ok && t < e.now {
-		t = e.now
-	}
-	return t, ok
 }
 
 // edgeCmd tells a worker to run its shard's edge job.
@@ -272,7 +209,7 @@ func (g *ShardGroup) runEdge(now Ticks) {
 }
 
 // flush replays the edge's buffered posts in source order, assigning
-// each target wheel the same relative sequence order a monolithic
+// each target queue the same relative sequence order a monolithic
 // engine's global counter would have, and asserts the lookahead bound
 // on every member-bound (cross-shard-capable) post.
 func (g *ShardGroup) flush(now Ticks) {

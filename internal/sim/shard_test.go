@@ -49,11 +49,11 @@ func newShardRig(t *testing.T, lookahead Ticks) *shardRig {
 
 // TestShardGroupDispatchOrder proves the group's per-tick phase contract:
 // member events dispatch before hub events at the same tick, events obey
-// (time, seq) order within each wheel, and flushed edge posts preserve
+// (time, seq) order within each engine, and flushed edge posts preserve
 // source order.
 func TestShardGroupDispatchOrder(t *testing.T) {
 	r := newShardRig(t, 10)
-	// Same-tick events across wheels: members dispatch (in member order)
+	// Same-tick events across engines: members dispatch (in member order)
 	// before the hub.
 	r.hub.Post(5, r.hs[0], EventArgs{A: 100})
 	r.members[1].Post(5, r.hs[2], EventArgs{A: 300})
@@ -72,7 +72,7 @@ func TestShardGroupDispatchOrder(t *testing.T) {
 
 // TestShardGroupEdgeAndFlush drives an edge job that cross-posts between
 // shards through the PostBuffer and checks the arrivals land in the
-// neighbor's wheel at the posted tick, in source order.
+// neighbor's engine at the posted tick, in source order.
 func TestShardGroupEdgeAndFlush(t *testing.T) {
 	const lookahead = 10
 	r := newShardRig(t, lookahead)
@@ -89,7 +89,7 @@ func TestShardGroupEdgeAndFlush(t *testing.T) {
 	}
 	r.g.Run(10)
 	// Edge 0's posts all dispatch at tick 10: member events first (member
-	// 0's wheel got shard 1's post; member 1's got shard 0's), then hub
+	// 0's engine got shard 1's post; member 1's got shard 0's), then hub
 	// events in flush (source) order.
 	want := []shardEvent{{0, 10, 101}, {1, 10, 1}, {-1, 10, 2}, {-1, 10, 102}}
 	if len(r.log) != len(want) {

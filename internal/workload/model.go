@@ -286,23 +286,6 @@ func ModelNames() []string {
 	return out
 }
 
-// CanonicalModel resolves a transaction-model name (case-insensitive, ""
-// meaning coherence) to its canonical registry name without constructing
-// the model; the Spec validator's counterpart to CanonicalProcess.
-func CanonicalModel(name string) (string, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if key == "" {
-		return "coherence", nil
-	}
-	for _, n := range modelOrder {
-		if n == key {
-			return n, nil
-		}
-	}
-	return "", fmt.Errorf("workload: unknown transaction model %q (valid: %s)",
-		name, strings.Join(modelOrder, ", "))
-}
-
 // NewModel resolves a transaction model by name (case-insensitive) with
 // its default parameters.
 func NewModel(name string) (Model, error) {

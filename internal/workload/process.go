@@ -186,27 +186,6 @@ func ProcessNames() []string {
 	return out
 }
 
-// CanonicalProcess resolves an arrival-process name (case-insensitive,
-// aliases included, "" meaning bernoulli) to its canonical registry name
-// without constructing the process. Spec validation uses it so that
-// serialized scenario descriptions carry one stable spelling per process.
-func CanonicalProcess(name string) (string, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if canon, ok := processAliases[key]; ok {
-		key = canon
-	}
-	if key == "" {
-		return "bernoulli", nil
-	}
-	for _, n := range processOrder {
-		if n == key {
-			return n, nil
-		}
-	}
-	return "", fmt.Errorf("workload: unknown arrival process %q (valid: %s)",
-		name, strings.Join(processOrder, ", "))
-}
-
 // NewProcess resolves an arrival process by name (case-insensitive;
 // "bursty" and "periodic" are accepted aliases) at the given mean rate.
 func NewProcess(name string, rate float64) (Process, error) {
