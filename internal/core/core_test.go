@@ -455,14 +455,26 @@ func TestCheckMatchingCatchesViolations(t *testing.T) {
 	m.Set(0, 0, 1, 1, 0)
 	m.Set(0, 1, 1, 2, 0)
 	m.Set(1, 0, 1, 3, 0)
-	if err := CheckMatching(m, []Grant{{Row: 0, Col: 0}, {Row: 0, Col: 1}}); err == nil {
-		t.Error("duplicate row not caught")
-	}
-	if err := CheckMatching(m, []Grant{{Row: 0, Col: 0}, {Row: 1, Col: 0}}); err == nil {
-		t.Error("duplicate column not caught")
-	}
-	if err := CheckMatching(m, []Grant{{Row: 5, Col: 5}}); err == nil {
-		t.Error("invalid cell not caught")
+	grant := func(row, col int) Grant { return Grant{Row: row, Col: col, Cell: m.At(row, col)} }
+	for _, tc := range []struct {
+		name   string
+		grants []Grant
+		err    string
+	}{
+		{"legal", []Grant{grant(0, 1), grant(1, 0)}, ""},
+		{"duplicate row", []Grant{grant(0, 0), grant(0, 1)}, "row 0 granted twice"},
+		{"duplicate column", []Grant{grant(0, 0), grant(1, 0)}, "column 0 granted twice"},
+		{"invalid cell", []Grant{grant(5, 5)}, "invalid cell"},
+		// A grant carrying another cell's packet would drain that packet.
+		{"forged cell", []Grant{{Row: 0, Col: 0, Cell: m.At(0, 1)}}, "carries"},
+	} {
+		err := CheckMatching(m, tc.grants)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
+		}
 	}
 }
 

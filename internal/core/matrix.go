@@ -251,8 +251,10 @@ type Arbiter interface {
 	Arbitrate(m *Matrix) []Grant
 }
 
-// CheckMatching verifies that grants form a matching over valid cells of m;
-// it is used by tests and by the simulator's self-checks.
+// CheckMatching verifies that grants form a matching over valid cells of m
+// and that each grant carries its cell unchanged, since a caller reads the
+// granted packet from the cell; it is used by tests and by the simulator's
+// self-checks.
 func CheckMatching(m *Matrix, grants []Grant) error {
 	var rowUsed, colUsed uint64
 	for _, g := range grants {
@@ -261,6 +263,9 @@ func CheckMatching(m *Matrix, grants []Grant) error {
 		}
 		if m.rowValid[g.Row]&(1<<uint(g.Col)) == 0 {
 			return fmt.Errorf("core: grant (%d,%d) on invalid cell", g.Row, g.Col)
+		}
+		if c := m.At(g.Row, g.Col); g.Cell != c {
+			return fmt.Errorf("core: grant (%d,%d) carries %+v, the cell holds %+v", g.Row, g.Col, g.Cell, c)
 		}
 		if rowUsed&(1<<uint(g.Row)) != 0 {
 			return fmt.Errorf("core: row %d granted twice", g.Row)

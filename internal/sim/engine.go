@@ -61,6 +61,10 @@ type Engine struct {
 	handlers []Handler
 	domains  []*clockDomain
 	stopped  bool
+	// inTick is set when Run returned at its until tick after the tick's
+	// clock edges: the next Run leaves the tick first, so its edges and
+	// the events they posted for it do not run again.
+	inTick bool
 }
 
 // NewEngine returns an engine with time at zero.
@@ -141,9 +145,18 @@ func (e *Engine) Stop() { e.stopped = true }
 // dispatching events and clock edges in deterministic order. Each pass
 // of the loop is one tick with work, in the phase order a ShardGroup
 // repeats across its engines: move to the tick, dispatch its due events,
-// fire its clock edges, leave it.
+// fire its clock edges, leave it. A Run that ends on a tick with work
+// stays in it, so Now() reads until; the next Run leaves it first, which
+// makes Run(a) then Run(b) the same as Run(b).
 func (e *Engine) Run(until Ticks) {
 	e.stopped = false
+	if e.inTick {
+		if until <= e.now {
+			return
+		}
+		e.inTick = false
+		e.endTick()
+	}
 	for !e.stopped {
 		next, ok := e.nextDispatch()
 		if !ok || next > until {
@@ -156,6 +169,7 @@ func (e *Engine) Run(until Ticks) {
 		}
 		e.tickDomains()
 		if next == until {
+			e.inTick = true
 			return
 		}
 		e.endTick()

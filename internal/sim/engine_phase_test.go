@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +79,46 @@ func TestEngineEventEdgeInterleavingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// edgePoster records each clock edge and, on each, posts an event for
+// the edge's own tick, recording the tick the event runs at.
+type edgePoster struct {
+	e   *Engine
+	log *[]string
+}
+
+func (p edgePoster) Tick(now Ticks) {
+	*p.log = append(*p.log, fmt.Sprintf("edge %d", now))
+	p.e.Schedule(now, func() { *p.log = append(*p.log, fmt.Sprintf("event of edge %d at %d", now, p.e.Now())) })
+}
+
+// TestSplitRunMatchesOneRun checks that Run(a) then Run(b) fires the same
+// edges and events at the same ticks as Run(b) alone, for splits on and
+// between edge ticks and a repeated until, and that each Run leaves Now()
+// at its until.
+func TestSplitRunMatchesOneRun(t *testing.T) {
+	run := func(untils ...Ticks) string {
+		var log []string
+		e := NewEngine()
+		e.AddClock(10, 0, edgePoster{e, &log})
+		for _, u := range untils {
+			e.Run(u)
+			if e.Now() != u {
+				t.Errorf("Run(%d) of %d left Now() at %d", u, untils, e.Now())
+			}
+		}
+		return strings.Join(log, "\n")
+	}
+	whole := run(20)
+	if want := "edge 0\nevent of edge 0 at 1\nedge 10\nevent of edge 10 at 11\nedge 20"; whole != want {
+		t.Fatalf("Run(20):\n%s\nwant:\n%s", whole, want)
+	}
+	for _, untils := range [][]Ticks{{10, 20}, {5, 10, 15, 20}, {10, 10, 20}, {0, 9, 10, 11, 20}} {
+		if got := run(untils...); got != whole {
+			t.Errorf("Run %d:\n%s\nwant, as Run(20):\n%s", untils, got, whole)
+		}
 	}
 }
 

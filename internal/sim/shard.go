@@ -230,7 +230,9 @@ func (g *ShardGroup) flush(now Ticks) {
 // Run advances the whole group up to and including tick `until`,
 // dispatching each tick's phases in the monolithic engine's order:
 // member events, hub events, the parallel router edge, hub clock
-// domains. Stopping the hub engine (Engine.Stop) halts the group.
+// domains. Stopping the hub engine (Engine.Stop) halts the group. Like
+// Engine.Run, a Run that ends on a tick with work stays in it (the hub
+// records it), and the next Run leaves it first.
 func (g *ShardGroup) Run(until Ticks) {
 	if g.closed {
 		panic("sim: Run on a closed ShardGroup")
@@ -239,6 +241,13 @@ func (g *ShardGroup) Run(until Ticks) {
 		g.start()
 	}
 	g.hub.stopped = false
+	if g.hub.inTick {
+		if until <= g.hub.now {
+			return
+		}
+		g.hub.inTick = false
+		g.endTick()
+	}
 	for !g.hub.stopped {
 		next, ok := g.nextDispatch()
 		if !ok || next > until {
@@ -260,12 +269,18 @@ func (g *ShardGroup) Run(until Ticks) {
 		}
 		g.hub.tickDomains()
 		if next == until {
+			g.hub.inTick = true
 			return
 		}
-		g.hub.endTick()
-		for _, m := range g.members {
-			m.endTick()
-		}
+		g.endTick()
+	}
+}
+
+// endTick leaves the current tick on every engine of the group.
+func (g *ShardGroup) endTick() {
+	g.hub.endTick()
+	for _, m := range g.members {
+		m.endTick()
 	}
 }
 

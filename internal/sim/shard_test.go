@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -156,6 +158,38 @@ func TestShardGroupDomainsAfterEdge(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestShardGroupSplitRunMatchesOneRun is TestSplitRunMatchesOneRun for a
+// group: split Runs fire the same router edges, hub clock edges and hub
+// events at the same ticks as one Run, and leave the clock at until.
+func TestShardGroupSplitRunMatchesOneRun(t *testing.T) {
+	run := func(untils ...Ticks) string {
+		r := newShardRig(t, 10)
+		var log []string
+		r.g.SetEdge(10, 0, func(shard int, now Ticks, edge uint64) {
+			if shard == 0 {
+				log = append(log, fmt.Sprintf("router edge %d", now))
+			}
+		})
+		r.hub.AddClock(10, 0, edgePoster{r.hub, &log})
+		for _, u := range untils {
+			r.g.Run(u)
+			if r.hub.Now() != u || r.members[0].Now() != u {
+				t.Errorf("Run(%d) of %d left the hub at %d, a member at %d", u, untils, r.hub.Now(), r.members[0].Now())
+			}
+		}
+		return strings.Join(log, "\n")
+	}
+	whole := run(20)
+	if want := "router edge 0\nedge 0\nevent of edge 0 at 1\nrouter edge 10\nedge 10\nevent of edge 10 at 11\nrouter edge 20\nedge 20"; whole != want {
+		t.Fatalf("Run(20):\n%s\nwant:\n%s", whole, want)
+	}
+	for _, untils := range [][]Ticks{{10, 20}, {5, 10, 15, 20}, {10, 10, 20}, {0, 9, 10, 11, 20}} {
+		if got := run(untils...); got != whole {
+			t.Errorf("Run %d:\n%s\nwant, as Run(20):\n%s", untils, got, whole)
 		}
 	}
 }

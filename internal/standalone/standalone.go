@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"alpha21364/internal/core"
 	"alpha21364/internal/ports"
@@ -78,98 +77,108 @@ type Result struct {
 	MeanQueueLen    float64 // time-averaged total queued packets
 }
 
-// spkt is a queued packet in the standalone model.
-type spkt struct {
-	key   uint64
-	age   int64 // arrival cycle
-	dests ports.OutMask
+// spktQueue is one input port's queue. Its packets live in three linear
+// arrays, one entry per packet: arrival cycle, key, and a destination
+// byte holding the destination mask with the read-port row assignment in
+// the spare high bit (NumOut = 7 destinations fit the low bits), so the
+// matrix scans read one byte per packet, eight per word. A packet keeps
+// its index from push to removal, so a grant can name it by index.
+// Removing a packet zeroes its destination byte, leaving a hole: a hole
+// has no destination bit, so every scan skips it and nothing shifts over
+// it. The live packets and the holes between them lie in [head, tail),
+// head on the oldest live packet or equal to tail; ages strictly increase
+// from head to tail because a port takes at most one arrival per cycle.
+// A push that finds the end of the arrays first compacts the queue,
+// moving the live packets to the front, which changes their indexes.
+//
+// The window is the first window live packets, the ones the arbiters see;
+// win is one past its youngest, so [head, win) holds exactly
+// min(n, window) live packets.
+type spktQueue struct {
+	age []int64
+	key []uint64
+	dst []uint8
+
+	head, tail, win, n int
+	capacity, window   int
 }
 
-// spktRing is a fixed-capacity FIFO of queued packets. Removing a granted
-// packet shifts the shorter side of the ring over its slot, so it costs
-// the lesser of its distance from the head and from the tail. dst
-// mirrors each packet's destination mask in a parallel byte array so the
-// matrix scans read one byte per packet (eight per word) instead of the
-// 24-byte packet struct.
-type spktRing struct {
-	buf  []spkt
-	dst  []uint8
-	head int
-	n    int
-}
+func (q *spktQueue) full() bool { return q.n == q.capacity }
 
-func (r *spktRing) init(capacity int) {
-	r.buf = make([]spkt, capacity)
-	r.dst = make([]uint8, capacity)
-}
-func (r *spktRing) len() int   { return r.n }
-func (r *spktRing) full() bool { return r.n == len(r.buf) }
+// dests returns the destination mask of the packet at index i.
+func (q *spktQueue) dests(i int) ports.OutMask { return ports.OutMask(q.dst[i] &^ rowBitFlag) }
 
-func (r *spktRing) slot(i int) int {
-	s := r.head + i
-	if s >= len(r.buf) {
-		s -= len(r.buf)
+// live reports whether index i holds a queued packet.
+func (q *spktQueue) live(i int) bool { return i >= q.head && i < q.tail && q.dst[i] != 0 }
+
+// push appends a packet whose destination byte is dst (never zero) and
+// returns its index. compacted reports that the push first compacted the
+// queue, which can change the index of every live packet.
+func (q *spktQueue) push(age int64, key uint64, dst uint8) (i int, compacted bool) {
+	if q.tail == len(q.dst) {
+		q.compact()
+		compacted = true
 	}
-	return s
-}
-
-func (r *spktRing) at(i int) *spkt { return &r.buf[r.slot(i)] }
-
-// spans returns the index ranges [a0,a1) and [0,b1) into the backing
-// arrays covering queued packets from through to-1, oldest first — at
-// most two contiguous runs, so scans avoid per-element slot arithmetic.
-func (r *spktRing) spans(from, to int) (a0, a1, b1 int) {
-	s, n := r.slot(from), to-from
-	if s+n <= len(r.buf) {
-		return s, s + n, 0
+	i = q.tail
+	q.age[i], q.key[i], q.dst[i] = age, key, dst
+	q.tail++
+	q.n++
+	if q.n <= q.window {
+		q.win = q.tail
 	}
-	return s, len(r.buf), s + n - len(r.buf)
+	return i, compacted
 }
 
-// find returns the index of the queued packet that arrived at age, or -1.
-// Ages strictly increase from head to tail because a port takes at most
-// one arrival per cycle, so a binary search suffices.
-func (r *spktRing) find(age int64) int {
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).age >= age })
-	if i < r.n && r.at(i).age == age {
-		return i
-	}
-	return -1
-}
-
-// push appends a packet. rowBit (0 or rowBitFlag) is the packet's static
-// read-port row assignment, stored in the destination byte's spare high
-// bit (NumOut = 7 destinations fit the low bits) for the live matrix.
-func (r *spktRing) push(p spkt, rowBit uint8) {
-	s := r.slot(r.n)
-	r.buf[s] = p
-	r.dst[s] = uint8(p.dests) | rowBit
-	r.n++
-}
-
-func (r *spktRing) removeAt(i int) {
-	if i < r.n-1-i {
-		for j := i; j > 0; j-- {
-			s, sp := r.slot(j), r.slot(j-1)
-			r.buf[s] = r.buf[sp]
-			r.dst[s] = r.dst[sp]
-		}
-		r.head = r.slot(1)
-	} else {
-		for j := i; j < r.n-1; j++ {
-			s, sn := r.slot(j), r.slot(j+1)
-			r.buf[s] = r.buf[sn]
-			r.dst[s] = r.dst[sn]
+// compact moves the live packets, in order, to the front of the arrays.
+func (q *spktQueue) compact() {
+	j := 0
+	for i := q.head; i < q.tail; i++ {
+		if q.dst[i] != 0 {
+			q.age[j], q.key[j], q.dst[j] = q.age[i], q.key[i], q.dst[i]
+			j++
 		}
 	}
-	r.n--
+	q.head, q.tail, q.win = 0, j, min(j, q.window)
 }
+
+// remove turns the live packet at index i into a hole. If the packet was
+// in the window, the oldest packet behind the window joins it; remove
+// returns that packet's index, or -1 when none joined.
+func (q *spktQueue) remove(i int) (joined int) {
+	q.dst[i] = 0
+	q.n--
+	joined = -1
+	if i < q.win {
+		for q.win < q.tail && q.dst[q.win] == 0 {
+			q.win++
+		}
+		if q.win < q.tail {
+			joined = q.win
+			q.win++
+		}
+	}
+	for q.head < q.tail && q.dst[q.head] == 0 {
+		q.head++
+	}
+	return joined
+}
+
+// queueLen sizes each queue's arrays at 1.5 times QueueCap, so holes can
+// fill half a full queue's length before a push compacts.
+func queueLen(capacity int) int { return capacity + capacity/2 }
+
+// handle is the matrix cell Payload naming the packet at index i of input
+// port in's queue; remove reads it back from the grant.
+func handle(in ports.In, i int) int32 { return int32(i<<3 | int(in)) }
+
+// maxQueueLen is the longest queue array whose every index fits a handle.
+const maxQueueLen = 1 << 28
 
 // model is the single-router state.
 type model struct {
 	cfg    Config
 	rng    *sim.RNG
-	queues [ports.NumIn]spktRing
+	queues [ports.NumIn]spktQueue
 	// matrix is the connection matrix every cycle arbitrates on. Unless
 	// stale, it is the live all-outputs-free matrix: after every arrival
 	// and every grant it equals a from-scratch build of the current
@@ -181,6 +190,8 @@ type model struct {
 	// matrix is stale from the drain before such a cycle until the next
 	// cycle with every output free rebuilds it; arrivals and grants skip
 	// the upkeep meanwhile, so Figure 9's busy cycles cost one build each.
+	// A compaction moves the indexes the cells' handles name, so it makes
+	// the matrix stale too.
 	matrix *core.Matrix
 	stale  bool
 	// localChoices and netChoices are each input port's legal local and
@@ -226,14 +237,27 @@ func (m *model) countDests(in ports.In, dests ports.OutMask, delta int32) {
 }
 
 func newModel(cfg Config) *model {
+	n := queueLen(cfg.QueueCap)
+	if n > maxQueueLen {
+		panic(fmt.Sprintf("standalone: QueueCap %d is too large for a grant handle", cfg.QueueCap))
+	}
 	m := &model{cfg: cfg, rng: sim.NewRNG(cfg.Seed), matrix: core.NewRouterMatrix(), nextKey: 1}
+	// Each array is one allocation the ports share, which keeps set-up
+	// at three allocations for the queues.
+	age := make([]int64, int(ports.NumIn)*n)
+	key := make([]uint64, int(ports.NumIn)*n)
+	dst := make([]uint8, int(ports.NumIn)*n)
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		legal := cfg.Conn.LegalOuts(in)
 		m.localChoices[in] = maskList(legal & ports.LocalOuts)
 		m.netChoices[in] = maskList(legal & ports.NetworkOuts)
 		m.rowMasks[in][0] = cfg.Conn[ports.Row(in, 0)]
 		m.rowMasks[in][1] = cfg.Conn[ports.Row(in, 1)]
-		m.queues[in].init(cfg.QueueCap)
+		lo, hi := int(in)*n, int(in+1)*n
+		m.queues[in] = spktQueue{
+			age: age[lo:hi:hi], key: key[lo:hi:hi], dst: dst[lo:hi:hi],
+			capacity: cfg.QueueCap, window: max(cfg.Window, 0),
+		}
 	}
 	return m
 }
@@ -245,10 +269,10 @@ const rowBitFlag = 0x80
 // free: the row whose connection mask covers more of the packet's
 // candidate outputs, ties broken by key parity — the same rule build
 // applies, evaluated once at arrival.
-func (m *model) assignBit(in ports.In, p *spkt) uint8 {
-	c0 := (p.dests & m.rowMasks[in][0]).Count()
-	c1 := (p.dests & m.rowMasks[in][1]).Count()
-	if c1 > c0 || (c1 == c0 && c0 != 0 && p.key%2 == 1) {
+func (m *model) assignBit(in ports.In, dests ports.OutMask, key uint64) uint8 {
+	c0 := (dests & m.rowMasks[in][0]).Count()
+	c1 := (dests & m.rowMasks[in][1]).Count()
+	if c1 > c0 || (c1 == c0 && c0 != 0 && key%2 == 1) {
 		return rowBitFlag
 	}
 	return 0
@@ -266,34 +290,37 @@ func (m *model) arrive(cycle int64) (offered, dropped int) {
 			dropped++
 			continue
 		}
-		p := spkt{
-			key:   m.nextKey,
-			age:   cycle,
-			dests: m.destsFor(in),
-		}
-		q.push(p, m.assignBit(in, &p))
-		m.countDests(in, p.dests, 1)
-		m.queued++
+		dests, key := m.destsFor(in), m.nextKey
 		m.nextKey++
-		if i := q.len() - 1; i < m.cfg.Window && !m.stale {
+		i, compacted := q.push(cycle, key, uint8(dests)|m.assignBit(in, dests, key))
+		if compacted {
+			m.stale = true
+			if testHookCompact != nil {
+				testHookCompact()
+			}
+		}
+		m.countDests(in, dests, 1)
+		m.queued++
+		if i < q.win && !m.stale {
 			m.admit(in, i)
 		}
 	}
 	return offered, dropped
 }
 
-// admit gives the packet at window index i, the window's youngest, every
+// testHookCompact, when set, is called on every queue compaction.
+var testHookCompact func()
+
+// admit gives the packet at index i, the window's youngest, every
 // still-open cell of its read-port row that it can use. Every other
 // window packet is older, so an open cell is one that no older packet of
 // the row wants, and a filled cell stays with its older holder.
 func (m *model) admit(in ports.In, i int) {
 	q := &m.queues[in]
-	s := q.slot(i)
-	rp := int(q.dst[s] >> 7)
+	rp := int(q.dst[i] >> 7)
 	row := ports.Row(in, rp)
-	p := &q.buf[s]
-	if open := p.dests & m.rowMasks[in][rp] &^ ports.OutMask(m.matrix.RowMask(row)); open != 0 {
-		m.matrix.SetMany(row, uint64(open), p.age, p.key, int32(in))
+	if open := q.dests(i) & m.rowMasks[in][rp] &^ ports.OutMask(m.matrix.RowMask(row)); open != 0 {
+		m.matrix.SetMany(row, uint64(open), q.age[i], q.key[i], handle(in, i))
 	}
 }
 
@@ -349,10 +376,6 @@ func (m *model) build(mat *core.Matrix, busy ports.OutMask) {
 	mat.Reset()
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		q := &m.queues[in]
-		limit := q.len()
-		if limit > m.cfg.Window {
-			limit = m.cfg.Window
-		}
 		row0, row1 := ports.Row(in, 0), ports.Row(in, 1)
 		mask0, mask1 := m.cfg.Conn[row0], m.cfg.Conn[row1]
 		// Early-exit bound: arrivals are strictly age-ordered within a
@@ -368,101 +391,88 @@ func (m *model) build(mat *core.Matrix, busy ports.OutMask) {
 		traffic := m.trafficCols(in)
 		need0 := mask0 &^ busy & traffic
 		need1 := mask1 &^ busy & traffic
-		// The ring is walked oldest-first as (at most) two contiguous
-		// runs of the parallel destination-byte array, eight packets per
-		// uint64 load: a chunk with no byte intersecting the still-needed
-		// columns is skipped with one AND. need0/need1 have no busy bits,
-		// so dests∩need ≠ 0 is exactly the old avail∩need ≠ 0 entry test,
-		// and within a chunk hits are taken lowest byte first — the same
-		// oldest-first order as the scalar scan.
-		a0, a1, b1 := q.spans(0, limit)
-		for _, span := range [2][2]int{{a0, a1}, {0, b1}} {
-			if need0|need1 == 0 {
-				break
+		// The window [head, win) is walked oldest-first through the
+		// destination-byte array, eight packets per uint64 load: a chunk
+		// with no byte intersecting the still-needed columns is skipped
+		// with one AND, and a hole, with no destination bit, never
+		// intersects. need0/need1 have no busy bits, so dests∩need ≠ 0 is
+		// exactly the old avail∩need ≠ 0 entry test, and within a chunk
+		// hits are taken lowest byte first — the same oldest-first order
+		// as the scalar scan.
+		for i, end := q.head, q.win; i < end && need0|need1 != 0; {
+			if end-i >= 8 {
+				w := binary.LittleEndian.Uint64(q.dst[i:])
+				hits := w & (0x0101010101010101 * uint64(need0|need1))
+				if hits == 0 {
+					i += 8
+					continue
+				}
+				i += bits.TrailingZeros64(hits) >> 3
 			}
-			i, end := span[0], span[1]
-			for i < end && need0|need1 != 0 {
-				if end-i >= 8 {
-					w := binary.LittleEndian.Uint64(q.dst[i:])
-					hits := w & (0x0101010101010101 * uint64(need0|need1))
-					if hits == 0 {
-						i += 8
-						continue
-					}
-					i += bits.TrailingZeros64(hits) >> 3
-				}
-				p := &q.buf[i]
-				avail := p.dests &^ busy
-				if avail&(need0|need1) == 0 {
-					i++
-					continue
-				}
-				// Assign the packet to the read port that covers more of its
-				// candidate outputs; break ties by packet key.
-				c0, c1 := (avail & mask0).Count(), (avail & mask1).Count()
-				row, rowMask, need := row0, mask0, &need0
-				switch {
-				case c1 > c0:
-					row, rowMask, need = row1, mask1, &need1
-				case c1 == c0 && c0 == 0:
-					i++
-					continue
-				case c1 == c0 && p.key%2 == 1:
-					row, rowMask, need = row1, mask1, &need1
-				}
-				// SetMany writes the whole contribution mask in one call,
-				// updating the matrix's row validity word once.
-				contrib := avail & rowMask & *need
-				mat.SetMany(row, uint64(contrib), p.age, p.key, int32(in))
-				*need &^= contrib
+			avail := q.dests(i) &^ busy
+			if avail&(need0|need1) == 0 {
 				i++
+				continue
 			}
+			// Assign the packet to the read port that covers more of its
+			// candidate outputs; break ties by packet key.
+			c0, c1 := (avail & mask0).Count(), (avail & mask1).Count()
+			row, rowMask, need := row0, mask0, &need0
+			switch {
+			case c1 > c0:
+				row, rowMask, need = row1, mask1, &need1
+			case c1 == c0 && c0 == 0:
+				i++
+				continue
+			case c1 == c0 && q.key[i]%2 == 1:
+				row, rowMask, need = row1, mask1, &need1
+			}
+			// SetMany writes the whole contribution mask in one call,
+			// updating the matrix's row validity word once.
+			contrib := avail & rowMask & *need
+			mat.SetMany(row, uint64(contrib), q.age[i], q.key[i], handle(in, i))
+			*need &^= contrib
+			i++
 		}
 	}
 }
 
 // fillRowFree fills the needed cells of one read-port row of the live
 // matrix from the packets at indexes from through to-1 that are assigned
-// to that row, walking the ring's (at most) two contiguous runs
-// oldest-first. A chunk byte is a candidate only if it intersects the
-// still-needed columns AND its stored row bit matches — both resolved
-// word-parallel, eight packets per load, so the scan skips the other
-// row's packets as cheaply as unwanted ones.
+// to that row, oldest first. A chunk byte is a candidate only if it
+// intersects the still-needed columns AND its stored row bit matches —
+// both resolved word-parallel, eight packets per load, so the scan skips
+// the other row's packets and the holes as cheaply as unwanted ones.
 func (m *model) fillRowFree(in ports.In, row int, rowBit uint8, need ports.OutMask, from, to int) {
 	const (
 		low7 = 0x7f7f7f7f7f7f7f7f
 		high = 0x8080808080808080
 	)
 	q, mat := &m.queues[in], m.matrix
-	a0, a1, b1 := q.spans(from, to)
-	for _, span := range [2][2]int{{a0, a1}, {0, b1}} {
-		i, end := span[0], span[1]
-		for i < end && need != 0 {
-			if end-i >= 8 {
-				w := binary.LittleEndian.Uint64(q.dst[i:])
-				x := w & (0x0101010101010101 * uint64(need))
-				// nz marks (in bit 7) each byte with any needed column;
-				// the byte's own bit 7 is the stored row assignment.
-				nz := (((x & low7) + low7) | x) & high
-				cand := nz & (w ^ high)
-				if rowBit != 0 {
-					cand = nz & w & high
-				}
-				if cand == 0 {
-					i += 8
-					continue
-				}
-				i += bits.TrailingZeros64(cand) >> 3
-			} else if q.dst[i]&rowBitFlag != rowBit || ports.OutMask(q.dst[i])&need == 0 {
-				i++
+	for i := from; i < to && need != 0; {
+		if to-i >= 8 {
+			w := binary.LittleEndian.Uint64(q.dst[i:])
+			x := w & (0x0101010101010101 * uint64(need))
+			// nz marks (in bit 7) each byte with any needed column;
+			// the byte's own bit 7 is the stored row assignment.
+			nz := (((x & low7) + low7) | x) & high
+			cand := nz & (w ^ high)
+			if rowBit != 0 {
+				cand = nz & w & high
+			}
+			if cand == 0 {
+				i += 8
 				continue
 			}
-			p := &q.buf[i]
-			contrib := p.dests & need
-			mat.SetMany(row, uint64(contrib), p.age, p.key, int32(in))
-			need &^= contrib
+			i += bits.TrailingZeros64(cand) >> 3
+		} else if q.dst[i]&rowBitFlag != rowBit || ports.OutMask(q.dst[i])&need == 0 {
 			i++
+			continue
 		}
+		contrib := q.dests(i) & need
+		mat.SetMany(row, uint64(contrib), q.age[i], q.key[i], handle(in, i))
+		need &^= contrib
+		i++
 	}
 }
 
@@ -472,31 +482,27 @@ func (m *model) fillRowFree(in ports.In, row int, rowBit uint8, need ports.OutMa
 func (m *model) drain(grants []core.Grant) int {
 	missing := 0
 	for _, g := range grants {
-		if !m.remove(ports.In(g.Cell.Payload), g.Cell.Age, g.Cell.Key) {
+		if !m.remove(g.Cell.Payload, g.Cell.Age, g.Cell.Key) {
 			missing++
 		}
 	}
 	return missing
 }
 
-// remove deletes the queued packet with the given age and key, reporting
-// whether it was queued, and repairs the live matrix unless it is stale:
-// the cells the packet held reopen and refill from the younger window
-// packets of its row, and if the window was full, the packet that slides
-// in at its end takes the still-open cells of its own row.
-func (m *model) remove(in ports.In, age int64, key uint64) bool {
+// remove deletes the queued packet that handle h names, reporting whether
+// h named one with the given age and key, and repairs the live matrix
+// unless it is stale: the cells the packet held reopen and refill from
+// the younger window packets of its row, and the packet that joins the
+// window in its place, if any, takes the still-open cells of its own row.
+func (m *model) remove(h int32, age int64, key uint64) bool {
+	in, i := ports.In(h&7), int(h>>3)
 	q := &m.queues[in]
-	i := q.find(age)
-	if i < 0 {
+	if !q.live(i) || q.age[i] != age || q.key[i] != key {
 		return false
 	}
-	s := q.slot(i)
-	p, rowBit := q.buf[s], q.dst[s]&rowBitFlag
-	if p.key != key {
-		return false
-	}
-	q.removeAt(i)
-	m.countDests(in, p.dests, -1)
+	dests, rowBit := q.dests(i), q.dst[i]&rowBitFlag
+	joined := q.remove(i)
+	m.countDests(in, dests, -1)
 	m.queued--
 	if m.stale {
 		return true
@@ -504,7 +510,7 @@ func (m *model) remove(in ports.In, age int64, key uint64) bool {
 
 	row := ports.Row(in, int(rowBit>>7))
 	var held ports.OutMask
-	for c := p.dests & ports.OutMask(m.matrix.RowMask(row)); c != 0; c &= c - 1 {
+	for c := dests & ports.OutMask(m.matrix.RowMask(row)); c != 0; c &= c - 1 {
 		o := bits.TrailingZeros8(uint8(c))
 		if m.matrix.At(row, o).Key == key {
 			m.matrix.Clear(row, o)
@@ -513,11 +519,11 @@ func (m *model) remove(in ports.In, age int64, key uint64) bool {
 	}
 	if need := held & m.trafficCols(in); need != 0 {
 		// Older packets of the row do not want the held columns, or the
-		// packet would not have held them, so the scan starts at its index.
-		m.fillRowFree(in, row, rowBit, need, i, min(q.len(), m.cfg.Window))
+		// packet would not have held them, so the scan starts after it.
+		m.fillRowFree(in, row, rowBit, need, i+1, q.win)
 	}
-	if i < m.cfg.Window && q.len() >= m.cfg.Window {
-		m.admit(in, m.cfg.Window-1)
+	if joined >= 0 {
+		m.admit(in, joined)
 	}
 	return true
 }
@@ -545,7 +551,11 @@ func RunChecked(kind core.Kind, cfg Config) (Result, error) {
 // arbiter — custom PIM/iSLIP iteration counts, or user algorithms
 // implementing core.Arbiter. The arbiter must not modify the matrix it
 // is given: the model keeps it across cycles with every output free and
-// repairs only the cells that arrivals and grants change.
+// repairs only the cells that arrivals and grants change. Each grant
+// must carry its matrix cell unchanged: the cell's Payload is the
+// model's handle for the packet, the queue index the grant removes, and
+// a grant whose cell does not name a queued packet by handle, age and
+// key removes nothing.
 func RunArbiter(arb core.Arbiter, cfg Config) Result {
 	res, _ := runArbiter(arb, cfg, false)
 	return res

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,6 +190,21 @@ func TestRunPanicsOnZeroCycles(t *testing.T) {
 	Run(core.KindMCM, Config{})
 }
 
+func TestRunPanicsOnQueueCapBeyondHandles(t *testing.T) {
+	if h := handle(ports.NumIn-1, maxQueueLen-1); h != math.MaxInt32 {
+		t.Fatalf("largest handle %d, want %d", h, math.MaxInt32)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Run with handles beyond int32 should panic")
+		}
+	}()
+	// The check comes before the queues are allocated.
+	cfg := quickCfg(1.0)
+	cfg.QueueCap = maxQueueLen
+	Run(core.KindMCM, cfg)
+}
+
 func TestMatrixInvariantsDuringRun(t *testing.T) {
 	// Drive the model manually, as runArbiter does. The matrix each cycle
 	// arbitrates on must equal a from-scratch build of the same queues
@@ -264,8 +281,13 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 // reaches what no experiment golden does: picker windows shorter than the
 // queue (no Spec sets Window), busy outputs, small queues and the full
 // connection matrix. A change to how the model builds its matrix or
-// drains grants must leave every Result bit-identical.
+// drains grants must leave every Result bit-identical. Every saturated
+// 40-packet queue must compact, so the checked runs cover the rebuild
+// that follows a compaction.
 func TestRunCheckedDigest(t *testing.T) {
+	compactions := 0
+	testHookCompact = func() { compactions++ }
+	defer func() { testHookCompact = nil }()
 	const want = "49668ce9668063059a9e68caf53fad06daa89c47e7da8242953511d33d872086"
 	kinds := []core.Kind{
 		core.KindMCM, core.KindWFABase, core.KindPIM, core.KindPIM1, core.KindSPAABase,
@@ -285,10 +307,15 @@ func TestRunCheckedDigest(t *testing.T) {
 							cfg.Window = window
 							cfg.QueueCap = queueCap
 							cfg.Conn = conn
+							before := compactions
 							r, err := RunChecked(kind, cfg)
 							if err != nil {
 								t.Fatalf("%v load %g occupancy %g window %d cap %d conn %d: %v",
 									kind, load, occ, window, queueCap, ci, err)
+							}
+							if load == 1.0 && queueCap == 40 && compactions == before {
+								t.Fatalf("%v load 1 occupancy %g window %d cap 40 conn %d: no queue compacted",
+									kind, occ, window, ci)
 							}
 							fmt.Fprintf(h, "%g %g %d %d %d %+v\n", load, occ, window, queueCap, ci, r)
 						}
@@ -303,32 +330,77 @@ func TestRunCheckedDigest(t *testing.T) {
 }
 
 // TestDrainCountsMissingGrants checks that a grant naming no queued
-// packet, by age or by key, counts as missing and leaves the queues and
-// the live matrix as they were.
+// packet counts as missing and leaves the queues and the live matrix as
+// they were: the right handle with a wrong age or key, and handles that
+// name a hole, the index one past tail, the index before head, or a
+// queued packet's index with another port.
 func TestDrainCountsMissingGrants(t *testing.T) {
 	m := newModel(quickCfg(1.0))
 	for cycle := int64(0); cycle < 20; cycle++ {
 		m.arrive(cycle)
 	}
 	in := ports.In(0)
-	head := *m.queues[in].at(0)
+	q := &m.queues[in]
+	// Grant the packets at indexes 0 and 2: head moves to 1, and index 2
+	// becomes a hole between head and tail.
+	type packet struct {
+		age int64
+		key uint64
+	}
+	at := func(i int) packet { return packet{q.age[i], q.key[i]} }
+	first, hole := at(0), at(2)
+	for i, p := range []packet{first, hole} {
+		if !m.remove(handle(in, 2*i), p.age, p.key) {
+			t.Fatalf("queued packet at index %d not removed", 2*i)
+		}
+	}
+	if q.head != 1 || q.live(2) {
+		t.Fatalf("head %d, index 2 live %v: want head 1 and a hole at 2", q.head, q.live(2))
+	}
+	head := at(q.head)
+	before := snapshotQueues(m)
 	queued := m.totalQueued()
-	for _, g := range []core.Grant{
-		{Cell: core.Cell{Valid: true, Age: 1000, Key: head.key, Payload: int32(in)}},
-		{Cell: core.Cell{Valid: true, Age: head.age, Key: head.key + 1000, Payload: int32(in)}},
+	for _, tc := range []struct {
+		name string
+		h    int32
+		p    packet
+	}{
+		{"wrong age", handle(in, q.head), packet{1000, head.key}},
+		{"wrong key", handle(in, q.head), packet{head.age, head.key + 1000}},
+		{"hole", handle(in, 2), hole},
+		{"past tail", handle(in, q.tail), at(q.tail)},
+		{"before head", handle(in, q.head-1), first},
+		{"wrong port", handle(in+1, q.head), head},
 	} {
+		g := core.Grant{Cell: core.Cell{Valid: true, Age: tc.p.age, Key: tc.p.key, Payload: tc.h}}
 		if missing := m.drain([]core.Grant{g}); missing != 1 {
-			t.Fatalf("grant %+v: %d missing, want 1", g.Cell, missing)
+			t.Fatalf("%s: grant %+v: %d missing, want 1", tc.name, g.Cell, missing)
 		}
 	}
 	if m.totalQueued() != queued {
 		t.Fatalf("queued %d after missing grants, want %d", m.totalQueued(), queued)
+	}
+	if after := snapshotQueues(m); !reflect.DeepEqual(after, before) {
+		t.Fatal("missing grants changed a queue")
 	}
 	rebuilt := core.NewRouterMatrix()
 	m.build(rebuilt, 0)
 	if err := sameCells(m.matrix, rebuilt); err != nil {
 		t.Fatalf("live matrix after missing grants: %v", err)
 	}
+}
+
+// snapshotQueues copies every queue's positions and counts, and the
+// contents of its arrays from head to tail.
+func snapshotQueues(m *model) []spktQueue {
+	var out []spktQueue
+	for _, q := range m.queues {
+		q.age = append([]int64(nil), q.age[q.head:q.tail]...)
+		q.key = append([]uint64(nil), q.key[q.head:q.tail]...)
+		q.dst = append([]uint8(nil), q.dst[q.head:q.tail]...)
+		out = append(out, q)
+	}
+	return out
 }
 
 // TestSameCellsNamesFirstDifference checks the checked run's live-matrix
