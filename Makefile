@@ -20,19 +20,17 @@ race:
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
 # replicated/checked/instrumented Runner fan-outs, and the cached
-# Runner's per-cell persistence from pool workers), the bitplane
+# Runner's per-cell persistence from pool workers), and the bitplane
 # arbitration kernels (the parallel differential suite drives every
 # word-parallel kernel against its scalar reference from concurrent
-# subtests, racing the shared mask/scratch code paths), and the
-# shard-group engine primitives and row partition in internal/sim and
-# internal/topology (per-band engine workers and the PostBuffer flush,
-# driven by their own tests; no Spec reaches them).
+# subtests, racing the shared mask/scratch code paths). The whole suite
+# runs under -race -short in CI's full job as well.
 race-pools:
 	$(GO) test -race -count=1 \
-		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator|Shard' \
+		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator' \
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
-	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
+	$(GO) test -race -count=1 ./internal/check ./internal/obs
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
 

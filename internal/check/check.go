@@ -171,8 +171,8 @@ type pendingNom struct {
 
 // routerState is the Checker's per-router bookkeeping. Everything a push
 // hook touches lives here (including the wave-matrix scratch), so hooks
-// for different routers share no mutable state: they stay race-free
-// without locks for any caller that ticks routers concurrently.
+// for different routers share no mutable state and would stay race-free
+// without locks if routers were ever ticked concurrently.
 type routerState struct {
 	pending []pendingNom
 
@@ -182,11 +182,12 @@ type routerState struct {
 	colBuf []int
 }
 
-// Checker is the oracle. The pull sweeps are single-threaded (the
-// harness schedules them on the hub engine); the push hooks may be
-// invoked concurrently for *different* routers — each router's state is
+// Checker is the oracle. The pull sweeps run as events on the engine.
+// No caller ticks routers concurrently any more: every router edge runs
+// on one goroutine. The hooks keep their concurrency safety until the
+// router's hook fields change (ROADMAP item 9): each router's state is
 // private, the failure fast path is an atomic flag, and the first
-// violation wins under a mutex. Concurrent hook callers must be
+// violation wins under a mutex. Concurrent hook callers would have to be
 // registered in Probes.Routers (New prepopulates their states); the
 // lazy-registration path exists for serial hand-built rigs only.
 type Checker struct {

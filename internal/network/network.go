@@ -6,7 +6,6 @@ package network
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"alpha21364/internal/obs"
 	"alpha21364/internal/packet"
@@ -29,13 +28,11 @@ type Config struct {
 // advance coherence transactions.
 type DeliverHandler func(p *packet.Packet, at sim.Ticks)
 
-// Network is a torus of routers bound to a simulation engine — either
-// one monolithic engine (New) or a hub plus per-shard member engines
-// synchronized by a sim.ShardGroup (NewSharded).
+// Network is a torus of routers bound to a simulation engine.
 type Network struct {
 	cfg       Config
 	torus     topology.Torus
-	eng       *sim.Engine // the hub engine (the only engine when monolithic)
+	eng       *sim.Engine
 	routers   []*router.Router
 	collector *stats.Collector
 	onDeliver DeliverHandler
@@ -43,24 +40,13 @@ type Network struct {
 	// through it instead of allocating a closure per packet.
 	deliverH sim.HandlerID
 	// flight counts packets dispatched onto a link but not yet committed
-	// to the neighbor's buffer (conservation accounting). One slot per
-	// shard — the sending shard's edge worker increments its own slot,
-	// so the counters never race; monolithic networks have one slot.
-	flight []int64
+	// to the neighbor's buffer (conservation accounting).
+	flight int64
 	// metrics, when non-nil, receives link and sink telemetry (nil-checked
 	// on the hot path, exactly like the router's hooks); linkBusyPerFlit
 	// is the wire serialization time per flit it charges.
 	metrics         *obs.NetworkMetrics
 	linkBusyPerFlit sim.Ticks
-
-	// Sharded-mode state (nil/empty when monolithic): the edge-phase
-	// post buffer, the row-band partition, the per-shard wavefront
-	// schedules, and the per-router edge-completion flags the schedules'
-	// cross-shard waits spin on.
-	pb    *sim.PostBuffer
-	part  *topology.Partition
-	sched [][]topology.Step
-	flags []atomic.Uint64
 }
 
 // link is one directed inter-router wire. Its receive-side handler is
@@ -76,14 +62,6 @@ type link struct {
 	credits  *vc.Credits // the sending output port's pool
 	h        sim.HandlerID
 	idx      int // index into the network's per-link metrics
-	// target is the engine owning the receiving router's events (the
-	// monolithic engine, or the neighbor's shard engine when sharded).
-	target *sim.Engine
-	// src is the sending node id — the PostBuffer ordering key that
-	// keeps sharded boundary posts in monolithic node order.
-	src int
-	// flight is the sending shard's in-flight slot.
-	flight *int64
 }
 
 // send implements router.SendFunc for the link. The router passes its
@@ -91,62 +69,59 @@ type link struct {
 // arrive releases into l.credits and the creditHome argument is unused.
 func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, _ *vc.Credits) {
 	arriveAt := headerDepart + l.latency
-	*l.flight++
+	l.n.flight++
 	if m := l.n.metrics; m != nil {
 		lm := &m.Links[l.idx]
 		lm.Packets++
 		lm.Flits += int64(p.Flits)
 		lm.BusyTicks += int64(p.Flits) * int64(l.n.linkBusyPerFlit)
 	}
-	if l.n.pb != nil {
-		l.n.pb.Post(l.src, l.target, arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
-	} else {
-		l.target.Post(arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
-	}
+	l.n.eng.Post(arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
 }
 
 // arrive is the link's registered receive handler.
 func (l *link) arrive(args sim.EventArgs) {
-	*l.flight--
+	l.n.flight--
 	l.neighbor.Arrive(args.P.(*packet.Packet), l.in, vc.Channel(args.B), sim.Ticks(args.A), l.credits)
 }
 
-// New builds and wires the network and attaches every router to a router-
-// clock domain on eng. Deliveries are recorded into collector.
+// New builds and wires the network and registers its router clock edge,
+// tickRouters, as one clock domain on eng. Deliveries are recorded into
+// collector.
 func New(cfg Config, eng *sim.Engine, collector *stats.Collector) (*Network, error) {
-	n, err := buildNetwork(cfg, eng, collector, nil, nil, nil)
+	n, err := buildNetwork(cfg, eng, collector)
 	if err != nil {
 		return nil, err
 	}
-	clocked := make([]sim.Clocked, len(n.routers))
-	for i, r := range n.routers {
-		clocked[i] = r
-	}
-	eng.AddClock(cfg.Router.RouterPeriod, 0, clocked...)
+	eng.AddClock(cfg.Router.RouterPeriod, 0, clockFunc(n.tickRouters))
 	return n, nil
 }
 
-// build constructs and wires routers, links, and sinks. Monolithic
-// callers pass nil part/members/pb and every event is hub's; sharded
-// callers supply the partition, one member engine per band, and the
-// edge-phase post buffer.
-func buildNetwork(cfg Config, hub *sim.Engine, collector *stats.Collector,
-	part *topology.Partition, members []*sim.Engine, pb *sim.PostBuffer) (*Network, error) {
+// clockFunc adapts a function to sim.Clocked.
+type clockFunc func(now sim.Ticks)
+
+func (f clockFunc) Tick(now sim.Ticks) { f(now) }
+
+// tickRouters is the router clock edge: every router ticks, in node
+// order. A router's tick releases credits into its upstream neighbors'
+// pools, so the order is part of the simulated behaviour.
+func (n *Network) tickRouters(now sim.Ticks) {
+	for _, r := range n.routers {
+		r.Tick(now)
+	}
+}
+
+// buildNetwork constructs and wires routers, links, and sinks, with
+// every event on eng.
+func buildNetwork(cfg Config, eng *sim.Engine, collector *stats.Collector) (*Network, error) {
 	torus := topology.NewTorus(cfg.Width, cfg.Height)
 	n := &Network{
 		cfg:       cfg,
 		torus:     torus,
-		eng:       hub,
+		eng:       eng,
 		collector: collector,
 		routers:   make([]*router.Router, torus.Nodes()),
-		part:      part,
-		pb:        pb,
 	}
-	shards := 1
-	if part != nil {
-		shards = part.Shards()
-	}
-	n.flight = make([]int64, shards)
 	for node := 0; node < torus.Nodes(); node++ {
 		r, err := router.New(cfg.Router, topology.Node(node), torus)
 		if err != nil {
@@ -154,14 +129,11 @@ func buildNetwork(cfg Config, hub *sim.Engine, collector *stats.Collector,
 		}
 		n.routers[node] = r
 	}
-	n.deliverH = hub.RegisterHandler(n.deliverEvent)
+	n.deliverH = eng.RegisterHandler(n.deliverEvent)
+	sink := n.sink
 	linkLatency := sim.Ticks(cfg.Router.LinkLatencyCycles) * cfg.Router.LinkPeriod
 	for node := 0; node < torus.Nodes(); node++ {
 		r := n.routers[node]
-		srcShard := 0
-		if part != nil {
-			srcShard = part.ShardOf(topology.Node(node))
-		}
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			out := ports.OutForDir(d)
 			dst := torus.Neighbor(topology.Node(node), d)
@@ -171,39 +143,24 @@ func buildNetwork(cfg Config, hub *sim.Engine, collector *stats.Collector,
 				in:       ports.InFromDir(d.Opposite()),
 				latency:  linkLatency,
 				idx:      node*int(topology.NumDirs) + int(d),
-				target:   hub,
-				src:      node,
-				flight:   &n.flight[srcShard],
 			}
-			if part != nil {
-				l.target = members[part.ShardOf(dst)]
-			}
-			l.h = l.target.RegisterHandler(l.arrive)
+			l.h = eng.RegisterHandler(l.arrive)
 			r.ConnectNetwork(out, l.send)
 			l.credits = r.OutputCredits(out)
 		}
 		for _, out := range []ports.Out{ports.OutMC0, ports.OutMC1, ports.OutIO} {
-			r.ConnectLocal(out, n.makeSink(node))
+			r.ConnectLocal(out, sink)
 		}
 	}
 	return n, nil
 }
 
-// makeSink returns the DeliverFunc for a local output port: the delivery
-// is posted through the shared sink handler, which records statistics and
-// notifies the traffic model at the time the last flit reaches the
-// processor. On a sharded network the post is buffered (sinks fire during
-// the parallel edge) keyed by the delivering node, preserving the
-// monolithic posting order.
-func (n *Network) makeSink(node int) router.DeliverFunc {
-	if n.pb != nil {
-		return func(p *packet.Packet, at sim.Ticks) {
-			n.pb.Post(node, n.eng, at, n.deliverH, sim.EventArgs{A: int64(at), P: p})
-		}
-	}
-	return func(p *packet.Packet, at sim.Ticks) {
-		n.eng.Post(at, n.deliverH, sim.EventArgs{A: int64(at), P: p})
-	}
+// sink is the DeliverFunc of every local output port: the delivery is
+// posted through the registered sink handler, which records statistics
+// and notifies the traffic model at the time the last flit reaches the
+// processor.
+func (n *Network) sink(p *packet.Packet, at sim.Ticks) {
+	n.eng.Post(at, n.deliverH, sim.EventArgs{A: int64(at), P: p})
 }
 
 // deliverEvent is the registered sink handler.
@@ -246,15 +203,8 @@ func (n *Network) Inject(p *packet.Packet, node topology.Node, in ports.In, now 
 
 // LinkFlight returns the number of packets dispatched onto inter-router
 // links but not yet committed to the neighbor's buffer; the invariant
-// oracle's conservation check uses it. Callers must be quiesced with
-// respect to a clock edge (the checker's sweeps and tests are).
-func (n *Network) LinkFlight() int64 {
-	var total int64
-	for _, f := range n.flight {
-		total += f
-	}
-	return total
-}
+// oracle's conservation check uses it.
+func (n *Network) LinkFlight() int64 { return n.flight }
 
 // NumLinks returns the number of directed inter-router links (four per
 // router) — the size SetMetrics expects m.Links to have.

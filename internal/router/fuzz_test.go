@@ -27,13 +27,14 @@ func (f tickFunc) Tick(now sim.Ticks) { f(now) }
 // injection at a local port (which may also be an I/O packet, routed in
 // the deadlock-free channels only), to a random destination
 // (self-addressed packets exit locally). onTick, when non-nil, runs after
-// every router clock edge. It returns the harness once the engine has
-// drained and the number of packets the router accepted.
+// every router clock edge, in a second clock domain of the same period.
+// It returns the harness once the engine has drained and the number of
+// packets the router accepted.
 func fuzzRouter(t *testing.T, kind core.Kind, seed uint16, onTick func(r *Router, now sim.Ticks)) (*harness, int) {
 	cfg := DefaultConfig(kind)
 	h := newHarness(t, cfg)
 	if onTick != nil {
-		h.eng.Attach(tickFunc(func(now sim.Ticks) { onTick(h.r, now) }))
+		h.eng.AddClock(cfg.RouterPeriod, 0, tickFunc(func(now sim.Ticks) { onTick(h.r, now) }))
 	}
 	rng := sim.NewRNG(uint64(seed) + 1)
 	netClasses := []packet.Class{packet.Request, packet.Forward, packet.BlockResponse, packet.NonBlockResponse}
@@ -215,7 +216,7 @@ func TestOccupancyIndexMatchesRings(t *testing.T) {
 		cfg.AntiStarvationThreshold = 1
 		h := newHarness(t, cfg)
 		ok := true
-		h.eng.Attach(tickFunc(func(now sim.Ticks) {
+		h.eng.AddClock(cfg.RouterPeriod, 0, tickFunc(func(now sim.Ticks) {
 			ok = ok && checkScanIndexes(t, h.r, kind.String()+" stacked", now)
 		}))
 		adaptive := vc.Of(packet.Request, vc.Adaptive)

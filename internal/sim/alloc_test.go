@@ -36,7 +36,7 @@ func TestEngineSelfReschedulingAllocs(t *testing.T) {
 	e := NewEngine()
 	var h HandlerID
 	h = e.RegisterHandler(func(args EventArgs) {
-		e.PostDelay(5, h, args)
+		e.Post(e.Now()+5, h, args)
 	})
 	e.Post(0, h, EventArgs{})
 	e.Run(100) // warm

@@ -107,11 +107,6 @@ func (e *Engine) Post(at Ticks, h HandlerID, args EventArgs) {
 	e.q.push(n, e.now)
 }
 
-// PostDelay posts handler h after delay ticks.
-func (e *Engine) PostDelay(delay Ticks, h HandlerID, args EventArgs) {
-	e.Post(e.now+delay, h, args)
-}
-
 // Schedule runs fn at the given absolute tick. It is a thin adapter over
 // Post: the closure itself is the only allocation, so prefer
 // RegisterHandler/Post on hot paths. Scheduling at or before the current
@@ -132,22 +127,15 @@ func (e *Engine) AddClock(period, phase Ticks, components ...Clocked) {
 	e.domains = append(e.domains, &clockDomain{period: period, phase: phase, components: components})
 }
 
-// Attach adds components to the most recently added clock domain.
-func (e *Engine) Attach(components ...Clocked) {
-	d := e.domains[len(e.domains)-1]
-	d.components = append(d.components, components...)
-}
-
 // Stop halts Run before the next dispatch.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run advances simulated time up to and including tick `until`,
 // dispatching events and clock edges in deterministic order. Each pass
-// of the loop is one tick with work, in the phase order a ShardGroup
-// repeats across its engines: move to the tick, dispatch its due events,
-// fire its clock edges, leave it. A Run that ends on a tick with work
-// stays in it, so Now() reads until; the next Run leaves it first, which
-// makes Run(a) then Run(b) the same as Run(b).
+// of the loop is one tick with work: move to the tick, dispatch its due
+// events, fire its clock edges, leave it. A Run that ends on a tick with
+// work stays in it, so Now() reads until; the next Run leaves it first,
+// which makes Run(a) then Run(b) the same as Run(b).
 func (e *Engine) Run(until Ticks) {
 	e.stopped = false
 	if e.inTick {
@@ -177,9 +165,13 @@ func (e *Engine) Run(until Ticks) {
 }
 
 // nextDispatch returns the earliest tick >= e.now with pending work:
-// an event or a clock edge.
+// an event or a clock edge. Events a clocked component posted for an
+// earlier tick wait in the far heap and are due now.
 func (e *Engine) nextDispatch() (Ticks, bool) {
-	best, found := e.nextEventAt()
+	best, found := e.q.nextAt(e.now)
+	if found && best < e.now {
+		best = e.now
+	}
 	for _, d := range e.domains {
 		if len(d.components) == 0 {
 			continue
@@ -189,15 +181,6 @@ func (e *Engine) nextDispatch() (Ticks, bool) {
 		}
 	}
 	return best, found
-}
-
-// nextEventAt returns the earliest pending event time, clamped to now.
-func (e *Engine) nextEventAt() (Ticks, bool) {
-	t, ok := e.q.nextAt(e.now)
-	if ok && t < e.now {
-		t = e.now
-	}
-	return t, ok
 }
 
 // moveTo advances the clock to t; time never rewinds. Callers pass a

@@ -44,17 +44,6 @@ func TestTwoClockDomainRatio(t *testing.T) {
 	}
 }
 
-func TestAttachAddsToLatestDomain(t *testing.T) {
-	e := NewEngine()
-	a, b := &tickCounter{}, &tickCounter{}
-	e.AddClock(10, 0, a)
-	e.Attach(b)
-	e.Run(20)
-	if len(a.ticks) != len(b.ticks) || len(a.ticks) != 3 {
-		t.Fatalf("attached component ticked %d vs %d", len(b.ticks), len(a.ticks))
-	}
-}
-
 // TestEngineEventEdgeInterleavingProperty: for random event times, every
 // event fires exactly once, in time order, and never after an edge of the
 // same tick.

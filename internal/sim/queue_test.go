@@ -237,7 +237,7 @@ func TestPostRegisteredHandler(t *testing.T) {
 	})
 	e.Post(500, h, EventArgs{A: 2, B: 20})
 	e.Post(5, h, EventArgs{A: 1, B: 10})
-	e.PostDelay(1<<18, h, EventArgs{A: 3, B: 30})
+	e.Post(1<<18, h, EventArgs{A: 3, B: 30})
 	e.Run(1 << 20)
 	want := []rec{{1, 10, 5}, {2, 20, 500}, {3, 30, 1 << 18}}
 	if len(got) != len(want) {

@@ -2,195 +2,20 @@ package topology
 
 import "fmt"
 
-// partition.go plans the spatial sharding of a torus: contiguous row
-// bands of routers, the cross-band (boundary) links, and a per-band
-// anti-diagonal execution schedule whose cross-band waits reproduce the
-// serial node-order visibility between vertically coupled routers.
-//
-// The only cross-router state mutated during a clock edge is the credit
-// pool a router shares with each downstream neighbor, and the serial
-// (monolithic) engine ticks routers in node-id order. A parallel edge is
-// therefore byte-identical to the serial one iff, for every torus link
-// (a, b), the lower-id endpoint ticks before the higher-id endpoint
-// observes it. The anti-diagonal level L(x, y) = x + y orders every
-// neighbor pair the same way node ids do — including both wraps: on a
-// row, (0, y) < (W-1, y) in both id and level; on a column, (x, 0) <
-// (x, H-1) in both. So executing each band's cells in ascending level
-// (ties in ascending y, then the serial id order within a row) and
-// making each band's first row wait on the row above it (previous band's
-// last row; for band 0's first row, row H-1 via the wrap) preserves
-// exactly the serial visibility order while letting the bands pipeline
-// along the diagonal wavefront.
+// Partition is the one-band split of a torus that network.NewSharded
+// takes. simbench/trace.go is its only caller; ROADMAP items 8–9 delete
+// it.
+type Partition struct{}
 
-// Step is one router tick in a shard's edge schedule.
-type Step struct {
-	// Node is the router to tick.
-	Node Node
-	// WaitOn lists routers in *other* shards whose tick this step must
-	// observe first (the vertically adjacent cross-band neighbors).
-	WaitOn []Node
-	// Publish marks steps whose completion other shards wait on; the
-	// executor must make the tick visible (publish its edge flag)
-	// before moving on.
-	Publish bool
-}
-
-// Partition is a row-band decomposition of a torus into k shards. Band
-// b owns rows [RowStart[b], RowStart[b+1]) — contiguous, non-empty, and
-// covering every row — so each router, its generator slot, and its
-// sinks belong to exactly one shard.
-type Partition struct {
-	T Torus
-	// RowStart has k+1 entries; band b is rows RowStart[b]..RowStart[b+1]-1.
-	RowStart []int
-	shardOf  []int // node id -> shard
-	sched    [][]Step
-}
-
-// PartitionRows splits the torus into k contiguous row bands of
-// near-equal height (the first height%k bands get the extra row). k
-// must be between 1 and the torus height.
+// PartitionRows returns the one-band partition of t. It panics for any
+// other band count: multi-band sharding was removed. simbench/trace.go
+// is its only caller; ROADMAP items 8–9 delete it.
 func PartitionRows(t Torus, k int) *Partition {
-	if k < 1 || k > t.Height {
-		panic(fmt.Sprintf("topology: shard count %d outside 1..%d", k, t.Height))
+	if k != 1 {
+		panic(fmt.Sprintf("topology: shard count %d, want 1", k))
 	}
-	p := &Partition{T: t, RowStart: make([]int, k+1)}
-	base, extra := t.Height/k, t.Height%k
-	row := 0
-	for b := 0; b < k; b++ {
-		p.RowStart[b] = row
-		row += base
-		if b < extra {
-			row++
-		}
-	}
-	p.RowStart[k] = row
-	p.shardOf = make([]int, t.Nodes())
-	for b := 0; b < k; b++ {
-		for y := p.RowStart[b]; y < p.RowStart[b+1]; y++ {
-			for x := 0; x < t.Width; x++ {
-				p.shardOf[t.Node(Coord{X: x, Y: y})] = b
-			}
-		}
-	}
-	p.buildSchedules()
-	return p
+	return &Partition{}
 }
 
-// Shards returns the number of bands.
-func (p *Partition) Shards() int { return len(p.RowStart) - 1 }
-
-// ShardOf returns the shard owning node n.
-func (p *Partition) ShardOf(n Node) int { return p.shardOf[n] }
-
-// BoundaryLink is a directed torus link whose endpoints live in
-// different shards; traversals of these links become cross-shard posts.
-type BoundaryLink struct {
-	From, To Node
-	Dir      Dir
-}
-
-// BoundaryLinks enumerates every directed link that crosses a shard
-// boundary, in (From, Dir) order.
-func (p *Partition) BoundaryLinks() []BoundaryLink {
-	var out []BoundaryLink
-	for n := Node(0); int(n) < p.T.Nodes(); n++ {
-		for d := Dir(0); d < NumDirs; d++ {
-			to := p.T.Neighbor(n, d)
-			if p.shardOf[n] != p.shardOf[to] {
-				out = append(out, BoundaryLink{From: n, To: to, Dir: d})
-			}
-		}
-	}
-	return out
-}
-
-// Schedule returns shard b's edge schedule: its cells in ascending
-// anti-diagonal level (ties in ascending y), with cross-band waits and
-// publishes attached. The returned slice is shared; callers must not
-// mutate it.
-func (p *Partition) Schedule(b int) []Step { return p.sched[b] }
-
-func (p *Partition) buildSchedules() {
-	k := p.Shards()
-	p.sched = make([][]Step, k)
-	if k == 1 {
-		// One band: the serial node-order walk needs no waits. (Level
-		// order would work too, but node order matches the monolithic
-		// clock domain exactly and costs nothing.)
-		steps := make([]Step, p.T.Nodes())
-		for n := range steps {
-			steps[n].Node = Node(n)
-		}
-		p.sched[0] = steps
-		return
-	}
-	// publish[n] marks nodes some other band waits on.
-	publish := make([]bool, p.T.Nodes())
-	waits := make([][]Node, p.T.Nodes())
-	for b := 0; b < k; b++ {
-		// A band's first row reads the credit pools it shares with the
-		// row above (owned by the previous band; band 0 wraps to row
-		// H-1). In level terms the upper cell always ticks first —
-		// (x, y-1) has a lower level than (x, y), and for the wrap pair
-		// ((x, H-1), (x, 0)) the serial order ticks (x, 0) first, which
-		// level order also guarantees — so a wait on the neighbor's
-		// edge flag is sufficient; no cycles are possible.
-		first := p.RowStart[b]
-		for x := 0; x < p.T.Width; x++ {
-			n := p.T.Node(Coord{X: x, Y: first})
-			up := p.T.Neighbor(n, North)
-			waits[n] = addNode(waits[n], up)
-			publish[up] = true
-			if b == 0 {
-				// The wrap dependency runs the other way: row H-1's
-				// cells (last band) wait on row 0's (band 0), because
-				// serial order ticks row 0 first.
-				waits[up] = addNode(waits[up], n)
-				publish[n] = true
-			}
-		}
-	}
-	// Band 0's first-row waits point at row H-1, which ticks *after*
-	// row 0 in serial order — remove them (the credit pools row 0
-	// shares northward with row H-1 must be read pre-tick values, which
-	// is exactly what not-waiting provides).
-	for x := 0; x < p.T.Width; x++ {
-		n := p.T.Node(Coord{X: x, Y: 0})
-		up := p.T.Neighbor(n, North)
-		waits[n] = removeNode(waits[n], up)
-	}
-	for b := 0; b < k; b++ {
-		var steps []Step
-		for level := p.RowStart[b]; level <= p.RowStart[b+1]-1+p.T.Width-1; level++ {
-			for y := p.RowStart[b]; y < p.RowStart[b+1]; y++ {
-				x := level - y
-				if x < 0 || x >= p.T.Width {
-					continue
-				}
-				n := p.T.Node(Coord{X: x, Y: y})
-				steps = append(steps, Step{Node: n, WaitOn: waits[n], Publish: publish[n]})
-			}
-		}
-		p.sched[b] = steps
-	}
-}
-
-func addNode(s []Node, n Node) []Node {
-	for _, v := range s {
-		if v == n {
-			return s
-		}
-	}
-	return append(s, n)
-}
-
-func removeNode(s []Node, n Node) []Node {
-	out := s[:0]
-	for _, v := range s {
-		if v != n {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// Shards returns the number of bands, 1.
+func (p *Partition) Shards() int { return 1 }

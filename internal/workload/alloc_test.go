@@ -54,51 +54,74 @@ func TestGeneratorInjectionAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedInjectionAllocs is TestGeneratorInjectionAllocs over the
-// spatially-sharded assembly: hub + per-band member engines, the
-// wavefront edge, and the PostBuffer flush must hold the same near-zero
-// steady-state budget (pooled event nodes, retained buffer capacity; the
-// only tolerated residue is the transaction table's map internals).
-func TestShardedInjectionAllocs(t *testing.T) {
-	hub := sim.NewEngine()
-	col := stats.NewCollector(0)
-	rcfg := router.DefaultConfig(core.KindSPAABase)
-	rcfg.Seed = 1
-	const w, h, shards = 4, 4, 2
-	part := topology.PartitionRows(topology.NewTorus(w, h), shards)
-	members := make([]*sim.Engine, shards)
-	for i := range members {
-		members[i] = sim.NewEngine()
-	}
-	pb := sim.NewPostBuffer(w * h)
-	net, err := network.NewSharded(network.Config{Width: w, Height: h, Router: rcfg}, hub, members, part, pb, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := New(Config{
-		Process:        NewBernoulli(0.05),
-		MaxOutstanding: 16,
-		Seed:           1,
-	}, net, hub, col)
-	hub.AddClock(rcfg.RouterPeriod, 0, gen)
-	sg := sim.NewShardGroup(hub, members, pb, net.Lookahead())
-	sg.SetEdge(rcfg.RouterPeriod, 0, net.TickShard)
-	defer sg.Close()
+// TestShardedRunMatchesEngineRun runs the generator's load through both
+// ways of driving the router edge: network.New plus Engine.Run, which
+// every Spec runs, and simbench's traced path, NewSharded plus a
+// one-band sim.ShardGroup. The counters and latency summary must agree
+// exactly, before and after a drain. A loaded run makes the order in
+// which the edge ticks the routers visible: routers release credits into
+// their neighbors' pools during the edge.
+func TestShardedRunMatchesEngineRun(t *testing.T) {
+	const w, h, cycles, drainCycles = 4, 4, 3000, 20000
+	for _, kind := range []core.Kind{core.KindPIM1, core.KindWFABase, core.KindWFARotary, core.KindSPAABase, core.KindSPAARotary} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rcfg := router.DefaultConfig(kind)
+			rcfg.Seed = 1
+			cfg := network.Config{Width: w, Height: h, Router: rcfg}
+			wcfg := Config{Process: NewBernoulli(0.09), MaxOutstanding: 16, Seed: 1}
+			end := sim.Ticks(cycles) * rcfg.RouterPeriod
+			drained := end + sim.Ticks(drainCycles)*rcfg.RouterPeriod
 
-	const window = 64 * 10
-	until := sim.Ticks(2000 * 10)
-	sg.Run(until)
+			eng := sim.NewEngine()
+			col := stats.NewCollector(0)
+			net, err := network.New(cfg, eng, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := New(wcfg, net, eng, col)
+			eng.AddClock(rcfg.RouterPeriod, 0, gen)
 
-	allocs := testing.AllocsPerRun(100, func() {
-		until += window
-		sg.Run(until)
-	})
-	perCycle := allocs / 64
-	if perCycle > 1 {
-		t.Fatalf("sharded steady state allocates %.2f/router-cycle (%.1f per %d-cycle window), want <= 1",
-			perCycle, allocs, 64)
-	}
-	if gen.Completed() == 0 {
-		t.Fatal("no transactions completed; the workload never ran")
+			hub := sim.NewEngine()
+			shardCol := stats.NewCollector(0)
+			members := []*sim.Engine{sim.NewEngine()}
+			pb := sim.NewPostBuffer(w * h)
+			shardNet, err := network.NewSharded(cfg, hub, members, topology.PartitionRows(topology.NewTorus(w, h), 1), pb, shardCol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sg := sim.NewShardGroup(hub, members, pb, shardNet.Lookahead())
+			defer sg.Close()
+			sg.SetEdge(rcfg.RouterPeriod, 0, shardNet.TickShard)
+			shardGen := New(wcfg, shardNet, hub, shardCol)
+			hub.AddClock(rcfg.RouterPeriod, 0, shardGen)
+
+			same := func(when string) {
+				t.Helper()
+				if got, want := shardNet.TotalCounters(), net.TotalCounters(); got != want {
+					t.Fatalf("%s: sharded counters %+v, Engine.Run %+v", when, got, want)
+				}
+				if got, want := shardCol.LatencySummaryNS(), col.LatencySummaryNS(); got != want {
+					t.Fatalf("%s: sharded latency %+v, Engine.Run %+v", when, got, want)
+				}
+				shardNet.CheckInvariants() // panics on a violated credit bound
+			}
+			eng.Run(end)
+			sg.Run(end)
+			if col.Packets() == 0 {
+				t.Fatal("the load delivered no packet")
+			}
+			same("loaded")
+			gen.Stop()
+			shardGen.Stop()
+			eng.Run(drained)
+			sg.Run(drained)
+			same("drained")
+			if n := shardNet.Buffered(); n != 0 {
+				t.Errorf("%d packets still buffered in the sharded network", n)
+			}
+			if f := shardNet.LinkFlight(); f != 0 {
+				t.Errorf("%d packets in link flight after the drain, want 0", f)
+			}
+		})
 	}
 }
