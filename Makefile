@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-router bench-standalone bench-check cover cover-check fmt vet figures
+.PHONY: build test race bench bench-arbiters bench-router bench-standalone bench-setup bench-check cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ bench-router:
 # with every output free (Figure 8) and at Figure 9's output occupancies.
 bench-standalone:
 	$(GO) test ./internal/standalone -run '^$$' -bench 'Model' -benchmem
+
+# bench-setup times the construction of one timing point (engine,
+# statistics collector and network.New) on 4x4, 8x8 and 16x16 tori for
+# each router algorithm, with allocations and bytes per build.
+bench-setup:
+	$(GO) test ./internal/network -run '^$$' -bench 'NetworkNew' -benchmem
 
 # bench-check compares a fresh run against the committed baseline and
 # fails on >15% calibration-normalized regression in ns/simulated-cycle

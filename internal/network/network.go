@@ -39,6 +39,11 @@ type Network struct {
 	// deliverH is the registered sink handler: local-port deliveries post
 	// through it instead of allocating a closure per packet.
 	deliverH sim.HandlerID
+	// links holds every directed link, link node*4+d leaving node toward
+	// direction d; linkH is the one registered handler that receives a
+	// flight on any of them.
+	links []link
+	linkH sim.HandlerID
 	// flight counts packets dispatched onto a link but not yet committed
 	// to the neighbor's buffer (conservation accounting).
 	flight int64
@@ -49,19 +54,19 @@ type Network struct {
 	linkBusyPerFlit sim.Ticks
 }
 
-// link is one directed inter-router wire. Its receive-side handler is
-// registered once at wiring time, so a packet flight costs one pooled
-// event node and no allocation: the payload is the packet pointer, the
-// arrival tick, and the target channel; everything else (neighbor, input
-// port, upstream credit pool) is fixed per link.
+// link is one directed inter-router wire. Every link's flights go
+// through the network's one registered link handler, so a packet flight
+// costs one pooled event node and no allocation: the payload is the
+// packet pointer, the arrival tick, and the link index next to the target
+// channel (B = idx<<8 | ch); everything else (neighbor, input port,
+// upstream credit pool) is fixed per link.
 type link struct {
 	n        *Network
 	neighbor *router.Router
 	in       ports.In
 	latency  sim.Ticks
 	credits  *vc.Credits // the sending output port's pool
-	h        sim.HandlerID
-	idx      int // index into the network's per-link metrics
+	idx      int         // index into n.links and the per-link metrics
 }
 
 // send implements router.SendFunc for the link. The router passes its
@@ -76,13 +81,16 @@ func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Tick
 		lm.Flits += int64(p.Flits)
 		lm.BusyTicks += int64(p.Flits) * int64(l.n.linkBusyPerFlit)
 	}
-	l.n.eng.Post(arriveAt, l.h, sim.EventArgs{A: int64(arriveAt), B: int64(targetCh), P: p})
+	l.n.eng.Post(arriveAt, l.n.linkH, sim.EventArgs{
+		A: int64(arriveAt), B: int64(l.idx)<<8 | int64(targetCh), P: p,
+	})
 }
 
-// arrive is the link's registered receive handler.
-func (l *link) arrive(args sim.EventArgs) {
-	l.n.flight--
-	l.neighbor.Arrive(args.P.(*packet.Packet), l.in, vc.Channel(args.B), sim.Ticks(args.A), l.credits)
+// linkArrive is the registered receive handler of every link.
+func (n *Network) linkArrive(args sim.EventArgs) {
+	l := &n.links[args.B>>8]
+	n.flight--
+	l.neighbor.Arrive(args.P.(*packet.Packet), l.in, vc.Channel(args.B&0xff), sim.Ticks(args.A), l.credits)
 }
 
 // New builds and wires the network and registers its router clock edge,
@@ -130,21 +138,24 @@ func buildNetwork(cfg Config, eng *sim.Engine, collector *stats.Collector) (*Net
 		n.routers[node] = r
 	}
 	n.deliverH = eng.RegisterHandler(n.deliverEvent)
+	n.linkH = eng.RegisterHandler(n.linkArrive)
 	sink := n.sink
 	linkLatency := sim.Ticks(cfg.Router.LinkLatencyCycles) * cfg.Router.LinkPeriod
+	n.links = make([]link, n.NumLinks())
 	for node := 0; node < torus.Nodes(); node++ {
 		r := n.routers[node]
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			out := ports.OutForDir(d)
 			dst := torus.Neighbor(topology.Node(node), d)
-			l := &link{
+			idx := node*int(topology.NumDirs) + int(d)
+			l := &n.links[idx]
+			*l = link{
 				n:        n,
 				neighbor: n.routers[dst],
 				in:       ports.InFromDir(d.Opposite()),
 				latency:  linkLatency,
-				idx:      node*int(topology.NumDirs) + int(d),
+				idx:      idx,
 			}
-			l.h = eng.RegisterHandler(l.arrive)
 			r.ConnectNetwork(out, l.send)
 			l.credits = r.OutputCredits(out)
 		}

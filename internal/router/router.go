@@ -60,9 +60,10 @@ type Router struct {
 	rng   *sim.RNG
 
 	// Packet state lives in a struct-of-arrays slab; the per-(input port,
-	// channel) queues are fixed-capacity index rings over it, and the
-	// remaining per-input-port state is flattened into router-level
-	// arrays so arbitration scans walk contiguous memory.
+	// channel) queues are fixed-capacity index rings over it, each owning
+	// its slice of one handle block New allocates, and the remaining
+	// per-input-port state is flattened into router-level arrays so
+	// arbitration scans walk contiguous memory.
 	slab   pkSlab
 	queues [ports.NumIn][vc.NumChannels]vc.Ring
 	// occ[in] is the occupancy index over in's rings: bit ch is set
@@ -94,10 +95,14 @@ type Router struct {
 	// is the only writer.
 	lruStamp [ports.NumIn][vc.NumChannels]uint64
 	lruClock uint64
-	// feeders hold the injection credits for local ports (the processor's
-	// view of the buffer's free space); nil for network inputs, whose
-	// credits live at the upstream router's output port.
-	feeders [ports.NumIn]*vc.Credits
+	// credits holds the router's eight credit pools by value. Network
+	// output ports are 0–3 and local input ports 4–7, so credits[out] is
+	// network output out's view of its neighbour's input buffer
+	// (outputs[out].credits points at it once ConnectNetwork wires the
+	// port), and credits[in] is local input in's injection pool (the
+	// processor's view of the buffer's free space). Network inputs have
+	// no pool here: their credits live at the upstream router's output.
+	credits [ports.NumIn]vc.Credits
 
 	outputs [ports.NumOut]outputPort
 	// busyUntil[out] is when output out finishes transmitting its current
@@ -200,8 +205,18 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		waveGa = cfg.InitInterval
 	}
 	r.waveGaOffset = sim.Ticks(waveGa) * cfg.RouterPeriod
+	// Every ring is a three-index slice of one block, exactly its
+	// channel's capacity long, so no ring can reach into its neighbour.
+	var caps [vc.NumChannels]int
+	for ch := range caps {
+		caps[ch] = cfg.Buffers.Capacity(vc.Channel(ch))
+	}
+	block := make([]int32, int(ports.NumIn)*cfg.Buffers.Total())
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		initQueues(&r.queues[in], cfg.Buffers)
+		for ch, c := range caps {
+			r.queues[in][ch].Init(block[:c:c])
+			block = block[c:]
+		}
 		for ch := range r.lruStamp[in] {
 			r.lruStamp[in][ch] = uint64(ch)
 		}
@@ -209,7 +224,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 			r.rowOf[in][out] = int8(rowFor(cfg.Conn, in, out))
 		}
 		if !in.IsNetwork() {
-			r.feeders[in] = vc.NewCredits(cfg.Buffers)
+			r.credits[in].Init(cfg.Buffers)
 		}
 	}
 	for row := range r.waveCells {
@@ -259,7 +274,8 @@ func (r *Router) ConnectNetwork(out ports.Out, send SendFunc) {
 		panic(fmt.Sprintf("router: %v is not a network port", out))
 	}
 	r.outputs[out].send = send
-	r.outputs[out].credits = vc.NewCredits(r.cfg.Buffers)
+	r.credits[out].Init(r.cfg.Buffers)
+	r.outputs[out].credits = &r.credits[out]
 }
 
 // ConnectLocal wires a processor-facing output port to its sink.
@@ -317,7 +333,7 @@ func (r *Router) Inject(p *packet.Packet, in ports.In, now sim.Ticks) bool {
 	if in.IsNetwork() {
 		panic(fmt.Sprintf("router: cannot inject on network port %v", in))
 	}
-	feeder := r.feeders[in]
+	feeder := &r.credits[in]
 	ch := r.injectionChannel(p)
 	if !feeder.Available(ch) {
 		return false
@@ -343,7 +359,7 @@ func (r *Router) InjectionSpace(in ports.In, cl packet.Class, dst topology.Node)
 		panic(fmt.Sprintf("router: %v is not a local port", in))
 	}
 	p := packet.Packet{Class: cl, Dst: dst}
-	return r.feeders[in].Free(r.injectionChannel(&p))
+	return r.credits[in].Free(r.injectionChannel(&p))
 }
 
 // OutputCredits exposes a network output port's downstream credit pool;
@@ -361,7 +377,7 @@ func (r *Router) OutputCredits(out ports.Out) *vc.Credits {
 // packet leaves this router.
 func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 	headerArrive sim.Ticks, creditHome *vc.Credits) {
-	if r.queues[in][targetCh].Len() >= r.cfg.Buffers.Capacity(targetCh) {
+	if r.queues[in][targetCh].Full() {
 		panic(fmt.Sprintf("router %d: buffer overflow on %v/%v — credit accounting broken",
 			r.node, in, targetCh))
 	}

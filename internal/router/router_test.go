@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"alpha21364/internal/core"
@@ -411,8 +412,9 @@ func TestArriveOverflowPanics(t *testing.T) {
 	ch := vc.Of(packet.Request, vc.Adaptive)
 	r.Arrive(packet.New(1, packet.Request, 4, 7, 0), ports.InWest, ch, 0, nil)
 	defer func() {
-		if recover() == nil {
-			t.Error("over-capacity Arrive should panic (credit protocol violation)")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "buffer overflow on L-W/request/adaptive") {
+			t.Errorf("over-capacity Arrive panicked with %q, want the router's buffer-overflow message", msg)
 		}
 	}()
 	r.Arrive(packet.New(2, packet.Request, 4, 7, 0), ports.InWest, ch, 0, nil)

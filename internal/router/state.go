@@ -81,14 +81,6 @@ func (s *pkSlab) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// initQueues sizes one input port's per-channel rings to the configured
-// buffer capacities.
-func initQueues(queues *[vc.NumChannels]vc.Ring, cfg vc.Config) {
-	for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
-		queues[ch].Init(cfg.Capacity(ch))
-	}
-}
-
 // SendFunc forwards a dispatched packet across a link: the packet leaves
 // this router on a network output port at headerDepart and must appear at
 // the neighbor with the given channel. creditHome is the credit pool to

@@ -25,6 +25,9 @@ const histBuckets = 32
 // whose upper-bound quantiles only engage deep in saturation collapse.
 const fineBuckets = 1 << 16
 
+// fineMin is the fine region's length after its first growth.
+const fineMin = 1 << 10
+
 // Collector accumulates delivery statistics. Measurements before the
 // warmup boundary are ignored, as the paper discards cold-start transients
 // in its 75,000-cycle runs.
@@ -38,10 +41,11 @@ type Collector struct {
 	latencyMax sim.Ticks
 	hist       [histBuckets]int64
 	// fine counts latencies below fineBuckets ticks exactly, one bucket
-	// per tick; fineCount is their total. A fixed 256 KiB array per
-	// collector (one per simulation) in exchange for exact quantiles and
-	// no per-sample allocation.
-	fine      [fineBuckets]uint32
+	// per tick; fineCount is their total. It starts empty and Delivered
+	// doubles it, from fineMin buckets up to fineBuckets, until it covers
+	// the largest latency recorded, so a collector holds only the range
+	// its run reaches and the steady state records without allocating.
+	fine      []uint32
 	fineCount int64
 	hops      int64
 
@@ -87,11 +91,26 @@ func (c *Collector) Delivered(p *packet.Packet, at sim.Ticks) {
 	}
 	c.hist[bucketOf(lat)]++
 	if lat < fineBuckets {
+		if int(lat) >= len(c.fine) {
+			c.growFine(lat)
+		}
 		c.fine[lat]++
 		c.fineCount++
 	}
 	c.hops += int64(p.Hops)
 	c.perClassPackets[p.Class]++
+}
+
+// growFine doubles the fine region, keeping its counts, until it covers
+// lat (which is below fineBuckets).
+func (c *Collector) growFine(lat sim.Ticks) {
+	n := max(len(c.fine), fineMin)
+	for int(lat) >= n {
+		n *= 2
+	}
+	fine := make([]uint32, n)
+	copy(fine, c.fine)
+	c.fine = fine
 }
 
 func bucketOf(lat sim.Ticks) int {
@@ -159,7 +178,7 @@ func (c *Collector) PercentileLatencyNS(p float64) float64 {
 		// latency in the fine region is smaller than any latency outside
 		// it.
 		var cum int64
-		for t := 0; t < fineBuckets; t++ {
+		for t := range c.fine {
 			cum += int64(c.fine[t])
 			if cum >= target {
 				return sim.Ticks(t).NS()

@@ -187,11 +187,11 @@ func (t Torus) DORDir(cur, dst Node) (Dir, bool) {
 }
 
 // WrapsAhead reports whether the remaining dimension-order path from cur to
-// dst, moving in direction d, crosses the torus wrap edge. Following
-// Dally's two-channel scheme, a hop sequence that still has to cross the
-// wrap edge uses VC0 below the crossing and VC1 at and beyond it; the
-// standard position-based formulation is: use VC1 exactly when the wrap
-// edge lies ahead on the remaining path in the routing dimension.
+// dst, moving in direction d, crosses the torus wrap edge. It is the
+// dateline rule of Dally's two-channel scheme as the router applies it:
+// a packet uses VC1 exactly when the wrap edge lies ahead on its
+// remaining path in the routing dimension, and VC0 once it has crossed
+// the edge or when its path never does.
 func (t Torus) WrapsAhead(cur, dst Node, d Dir) bool {
 	cc, dc := t.Coord(cur), t.Coord(dst)
 	switch d {

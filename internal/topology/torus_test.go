@@ -198,6 +198,55 @@ func TestWrapsAheadRing(t *testing.T) {
 	}
 }
 
+// wrapsOnWalk walks from cur toward dst in direction d until the
+// coordinate of d's dimension matches dst's, and reports whether a hop
+// crosses that dimension's wrap link: a step east or south that lowers
+// the coordinate, or one west or north that raises it.
+func wrapsOnWalk(tor Torus, cur, dst Node, d Dir) bool {
+	axis := func(n Node) int {
+		c := tor.Coord(n)
+		if d == East || d == West {
+			return c.X
+		}
+		return c.Y
+	}
+	wrapped := false
+	for n, hops := cur, 0; axis(n) != axis(dst); hops++ {
+		if hops > tor.Width+tor.Height {
+			panic("walk never reaches dst's coordinate")
+		}
+		next := tor.Neighbor(n, d)
+		if forward := d == East || d == South; forward == (axis(next) < axis(n)) {
+			wrapped = true
+		}
+		n = next
+	}
+	return wrapped
+}
+
+// TestWrapsAheadMatchesWalk pins the dateline rule the router's dorSub
+// implements: a packet takes VC1 exactly when the remaining path in its
+// dimension-order direction still crosses the wrap link, and VC0 once it
+// has crossed it or when it never will. Every (cur, dst) pair is checked
+// on square, odd and rectangular tori.
+func TestWrapsAheadMatchesWalk(t *testing.T) {
+	for _, size := range [][2]int{{2, 2}, {3, 3}, {5, 3}, {8, 8}} {
+		tor := NewTorus(size[0], size[1])
+		for cur := Node(0); int(cur) < tor.Nodes(); cur++ {
+			for dst := Node(0); int(dst) < tor.Nodes(); dst++ {
+				d, ok := tor.DORDir(cur, dst)
+				if !ok {
+					continue
+				}
+				if got, want := tor.WrapsAhead(cur, dst, d), wrapsOnWalk(tor, cur, dst, d); got != want {
+					t.Errorf("%dx%d: WrapsAhead(%v, %v, %v) = %v, walk crosses the wrap link: %v",
+						size[0], size[1], tor.Coord(cur), tor.Coord(dst), d, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBitReversal(t *testing.T) {
 	tor := NewTorus(4, 4) // 16 nodes, 4 bits
 	cases := map[Node]Node{

@@ -14,19 +14,18 @@ import "fmt"
 
 // Ring is a fixed-capacity FIFO of int32 handles with ordered indexing
 // and order-preserving mid-queue removal. The zero Ring has capacity 0;
-// size it with Init.
+// give it storage with Init.
 type Ring struct {
 	buf  []int32
 	head int
 	n    int
 }
 
-// Init sets the ring's capacity, dropping any contents.
-func (r *Ring) Init(capacity int) {
-	if capacity < 0 {
-		panic("vc: negative ring capacity")
-	}
-	r.buf = make([]int32, capacity)
+// Init makes buf the ring's storage, dropping any contents: the ring's
+// capacity is len(buf). The ring never writes outside buf, so many rings
+// can share one block, each owning a slice of it.
+func (r *Ring) Init(buf []int32) {
+	r.buf = buf
 	r.head, r.n = 0, 0
 }
 

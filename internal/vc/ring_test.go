@@ -15,7 +15,7 @@ func ringContents(r *Ring) []int32 {
 
 func TestRingFIFOOrder(t *testing.T) {
 	var r Ring
-	r.Init(4)
+	r.Init(make([]int32, 4))
 	for i := int32(1); i <= 4; i++ {
 		r.Push(i)
 	}
@@ -35,7 +35,7 @@ func TestRingFIFOOrder(t *testing.T) {
 
 func TestRingMidRemovalPreservesOrder(t *testing.T) {
 	var r Ring
-	r.Init(8)
+	r.Init(make([]int32, 8))
 	// Wrap the ring first so removal crosses the buffer seam.
 	for i := int32(0); i < 6; i++ {
 		r.Push(i)
@@ -61,7 +61,7 @@ func TestRingMidRemovalPreservesOrder(t *testing.T) {
 
 func TestRingRemoveValue(t *testing.T) {
 	var r Ring
-	r.Init(4)
+	r.Init(make([]int32, 4))
 	r.Push(10)
 	r.Push(20)
 	r.Push(30)
@@ -79,7 +79,7 @@ func TestRingRemoveValue(t *testing.T) {
 
 func TestRingPushFullPanics(t *testing.T) {
 	var r Ring
-	r.Init(1)
+	r.Init(make([]int32, 1))
 	r.Push(1)
 	defer func() {
 		if recover() == nil {
@@ -90,11 +90,17 @@ func TestRingPushFullPanics(t *testing.T) {
 }
 
 // TestRingDifferentialSlice mirrors the ring against a plain slice over
-// random push/remove sequences, across wraps.
+// random push/remove sequences, across wraps. The ring's storage is the
+// middle of a larger block, as the router carves its rings out of one
+// block, and the words around it must never change.
 func TestRingDifferentialSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	block := make([]int32, 4+16+4)
+	for i := range block {
+		block[i] = -7
+	}
 	var r Ring
-	r.Init(16)
+	r.Init(block[4:20:20])
 	var ref []int32
 	next := int32(0)
 	for step := 0; step < 20000; step++ {
@@ -114,6 +120,11 @@ func TestRingDifferentialSlice(t *testing.T) {
 			if r.At(i) != v {
 				t.Fatalf("step %d: ring %v, ref %v", step, ringContents(&r), ref)
 			}
+		}
+	}
+	for _, i := range []int{0, 1, 2, 3, 20, 21, 22, 23} {
+		if block[i] != -7 {
+			t.Fatalf("ring wrote %d outside its storage, at block[%d]", block[i], i)
 		}
 	}
 }

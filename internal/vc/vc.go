@@ -159,13 +159,13 @@ type Credits struct {
 	free [NumChannels]int
 }
 
-// NewCredits returns a credit tracker initialized to the capacities in cfg.
-func NewCredits(cfg Config) *Credits {
-	cr := &Credits{}
+// Init sets every channel's free count to its capacity in cfg. The zero
+// Credits has no free buffer; a pool lives by value in its owner and is
+// initialized in place.
+func (cr *Credits) Init(cfg Config) {
 	for ch := Channel(0); ch < NumChannels; ch++ {
 		cr.free[ch] = cfg.Capacity(ch)
 	}
-	return cr
 }
 
 // Available reports whether at least one packet buffer is free on ch.

@@ -103,7 +103,8 @@ func TestCapacityMatchesTotal(t *testing.T) {
 
 func TestCreditsReserveRelease(t *testing.T) {
 	cfg := DefaultConfig()
-	cr := NewCredits(cfg)
+	var cr Credits
+	cr.Init(cfg)
 	ch := Of(packet.Request, VC0)
 	if !cr.Available(ch) {
 		t.Fatal("fresh credits unavailable")
@@ -120,7 +121,8 @@ func TestCreditsReserveRelease(t *testing.T) {
 }
 
 func TestCreditsReservePanicsWhenExhausted(t *testing.T) {
-	cr := NewCredits(uniformConfig(1))
+	var cr Credits
+	cr.Init(uniformConfig(1))
 	ch := Of(packet.Forward, VC1)
 	cr.Reserve(ch)
 	defer func() {
@@ -133,7 +135,8 @@ func TestCreditsReservePanicsWhenExhausted(t *testing.T) {
 
 func TestCheckBoundsCatchesDoubleRelease(t *testing.T) {
 	cfg := DefaultConfig()
-	cr := NewCredits(cfg)
+	var cr Credits
+	cr.Init(cfg)
 	ch := Of(packet.Request, Adaptive)
 	cr.Release(ch) // double release: one more than capacity
 	defer func() {
@@ -146,7 +149,8 @@ func TestCheckBoundsCatchesDoubleRelease(t *testing.T) {
 
 func TestCreditsConservation(t *testing.T) {
 	cfg := DefaultConfig()
-	cr := NewCredits(cfg)
+	var cr Credits
+	cr.Init(cfg)
 	ch := Of(packet.BlockResponse, Adaptive)
 	f := func(ops []bool) bool {
 		held := 0
