@@ -16,22 +16,26 @@ race:
 	$(GO) test -race -short ./...
 
 # race-pools points the race detector at the pooled/arena hot paths
-# specifically: the engine's event queue, the packet arena, the router
-# slab/rings, and the workload injection queues — plus the oracle and
-# telemetry hook paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, and the cached
-# Runner's per-cell persistence from pool workers), and the bitplane
-# arbitration kernels (the parallel differential suite drives every
-# word-parallel kernel against its scalar reference from concurrent
-# subtests, racing the shared mask/scratch code paths). The whole suite
-# runs under -race -short in CI's full job as well.
+# specifically: the engine's event queue and its 64-node chunks, the
+# packet arena and its chunk growth, the router's one-block slab, ring
+# headers and nomination FIFO bound, the workload injection queues, the
+# network build's link wiring, and the whole-run allocation pin over a
+# 4x4 point (TestWholeRunAllocs) — plus the oracle and telemetry hook
+# paths (invariant checker, obs counters/flight rings,
+# replicated/checked/instrumented Runner fan-outs, the cached Runner's
+# per-cell persistence from pool workers, and the pool's panic
+# containment), and the bitplane arbitration kernels (the parallel
+# differential suite drives every word-parallel kernel against its
+# scalar reference from concurrent subtests, racing the shared
+# mask/scratch code paths). The whole suite runs under -race -short in
+# CI's full job as well.
 race-pools:
 	$(GO) test -race -count=1 \
 		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator' \
-		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
+		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload ./internal/network
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs
-	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache' ./internal/experiment
+	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache|Panic' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
 
 # cover writes the atomic-mode coverage profile for the whole module.

@@ -29,9 +29,9 @@ func testRouter(t *testing.T) (*router.Router, *int64) {
 	sent := new(int64)
 	for d := topology.Dir(0); d < topology.NumDirs; d++ {
 		r.ConnectNetwork(ports.OutForDir(d),
-			func(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, creditHome *vc.Credits) {
+			router.SendFunc(func(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, creditHome *vc.Credits) {
 				*sent++
-			})
+			}))
 	}
 	for _, out := range []ports.Out{ports.OutMC0, ports.OutMC1, ports.OutIO} {
 		r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {})

@@ -112,7 +112,7 @@ func (a *ISLIP) Arbitrate(m *Matrix) []Grant {
 		}
 	}
 
-	grants := a.grants[:0]
+	grants := sizeGrants(a.grants, m)
 	for g := rowsAll(m.Rows) &^ unmatchedRows; g != 0; g &= g - 1 {
 		r := bits.TrailingZeros64(g)
 		grants = append(grants, Grant{Row: r, Col: matchRow[r], Cell: m.At(r, matchRow[r])})

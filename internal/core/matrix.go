@@ -72,14 +72,18 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 1 || rows > MaxDim || cols < 1 || cols > MaxDim {
 		panic(fmt.Sprintf("core: matrix shape %dx%d outside 1..%d", rows, cols, MaxDim))
 	}
+	// One block holds the validity planes and room for a port-row plane
+	// per row, which SyncRowMeta fills without allocating.
+	planes := make([]uint64, 2*rows+cols)
 	m := &Matrix{
 		Rows:       rows,
 		Cols:       cols,
 		RowPort:    make([]int8, rows),
 		RowNetwork: make([]bool, rows),
 		cells:      make([]Cell, rows*cols),
-		rowValid:   make([]uint64, rows),
-		colReq:     make([]uint64, cols),
+		rowValid:   planes[:rows:rows],
+		colReq:     planes[rows : rows+cols : rows+cols],
+		portRows:   planes[rows+cols : rows+cols],
 	}
 	for i := range m.RowPort {
 		m.RowPort[i] = int8(i)
@@ -245,10 +249,36 @@ type Grant struct {
 // To keep the per-cycle hot path allocation-free, implementations return
 // an internally reused slice: the grants are valid only until the next
 // Arbitrate call on the same arbiter. Callers that need to retain them
-// must copy.
+// must copy. The slice and any scratch are sized once to the matrix, on
+// the first call or by Reserve.
 type Arbiter interface {
 	Name() string
 	Arbitrate(m *Matrix) []Grant
+}
+
+// reserver is an Arbiter whose scratch Reserve can size ahead of time.
+type reserver interface {
+	reserve(m *Matrix)
+}
+
+// Reserve sizes a's grant slice and scratch for matrices shaped like m,
+// as its first Arbitrate on m would, so a caller that builds an arbiter
+// once per run (the timing router) pays for them while it is built. It
+// changes no arbitration state. Only the arbiters the timing router runs,
+// PIM and WFA, implement it; the others size on their first call.
+func Reserve(a Arbiter, m *Matrix) {
+	if r, ok := a.(reserver); ok {
+		r.reserve(m)
+	}
+}
+
+// sizeGrants returns g emptied, with room for a maximal matching on m,
+// min(Rows, Cols) grants: one allocation the first time, none after.
+func sizeGrants(g []Grant, m *Matrix) []Grant {
+	if n := min(m.Rows, m.Cols); cap(g) < n {
+		return make([]Grant, 0, n)
+	}
+	return g[:0]
 }
 
 // CheckMatching verifies that grants form a matching over valid cells of m

@@ -123,7 +123,7 @@ func (a *MCM) Arbitrate(m *Matrix) []Grant {
 		}
 	}
 
-	grants := a.grants[:0]
+	grants := sizeGrants(a.grants, m)
 	for lr := liveRows; lr != 0; lr &= lr - 1 {
 		r := bits.TrailingZeros64(lr)
 		if c := matchRow[r]; c != -1 {

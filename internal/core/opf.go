@@ -57,7 +57,7 @@ func (a *OPF) Arbitrate(m *Matrix) []Grant {
 	}
 	a.noms = noms
 	// Each output port serves the oldest nomination; collisions lose.
-	grants := a.grants[:0]
+	grants := sizeGrants(a.grants, m)
 	for w := nomCols; w != 0; w &= w - 1 {
 		c := bits.TrailingZeros64(w)
 		best := -1

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"alpha21364/internal/sim"
@@ -41,9 +40,9 @@ func NewPIM(iterations int, rng *sim.RNG) *PIM {
 	if iterations < 1 {
 		panic("core: PIM needs at least one iteration")
 	}
-	name := fmt.Sprintf("PIM%d", iterations)
-	if iterations > 1 {
-		name = "PIM"
+	name := "PIM"
+	if iterations == 1 {
+		name = "PIM1"
 	}
 	return &PIM{iterations: iterations, rng: rng, name: name}
 }
@@ -94,12 +93,18 @@ func nthSetBit(w uint64, k int) int {
 	return base + int(selectByte[uint8(w)][k])
 }
 
-// Arbitrate implements Arbiter.
-func (a *PIM) Arbitrate(m *Matrix) []Grant {
+// reserve sizes the per-row scratch and the grant slice for m.
+func (a *PIM) reserve(m *Matrix) {
 	if cap(a.matchRow) < m.Rows {
 		a.matchRow = make([]int, m.Rows)
 		a.rowMask = make([]uint64, m.Rows)
 	}
+	a.grants = sizeGrants(a.grants, m)
+}
+
+// Arbitrate implements Arbiter.
+func (a *PIM) Arbitrate(m *Matrix) []Grant {
+	a.reserve(m)
 	matchRow := a.matchRow[:m.Rows]
 	rowMask := a.rowMask[:m.Rows] // all-zero between calls (see accept step)
 	unmatchedRows := rowsAll(m.Rows)
@@ -146,7 +151,7 @@ func (a *PIM) Arbitrate(m *Matrix) []Grant {
 		}
 	}
 
-	grants := a.grants[:0]
+	grants := a.grants
 	for g := rowsAll(m.Rows) &^ unmatchedRows; g != 0; g &= g - 1 {
 		r := bits.TrailingZeros64(g)
 		grants = append(grants, Grant{Row: r, Col: matchRow[r], Cell: m.At(r, matchRow[r])})

@@ -10,20 +10,17 @@ import "math/bits"
 // model and the timing router so prioritization state persists correctly.
 type GrantPolicy struct {
 	rotary bool
-	// lastSelected[col][row] is the virtual time the row was last granted
-	// by the column; zero means never.
-	lastSelected [][]int64
+	rows   int
+	// lastSelected[col*rows+row] is the virtual time the row was last
+	// granted by the column; zero means never.
+	lastSelected []int64
 	clock        int64
 }
 
 // NewGrantPolicy returns an LRS policy for a rows x cols matrix; with
 // rotary set, network rows take absolute priority over local rows.
 func NewGrantPolicy(rows, cols int, rotary bool) *GrantPolicy {
-	p := &GrantPolicy{rotary: rotary, lastSelected: make([][]int64, cols)}
-	for c := range p.lastSelected {
-		p.lastSelected[c] = make([]int64, rows)
-	}
-	return p
+	return &GrantPolicy{rotary: rotary, rows: rows, lastSelected: make([]int64, rows*cols)}
 }
 
 // Rotary reports whether the policy applies the Rotary Rule.
@@ -53,7 +50,7 @@ func (p *GrantPolicy) Select(col int, rows []int, network []bool) int {
 			consider = netIdx
 		}
 	}
-	last := p.lastSelected[col]
+	last := p.lastSelected[col*p.rows : (col+1)*p.rows]
 	best := -1
 	var bestLast int64
 	for im := consider; im != 0; im &= im - 1 {

@@ -148,7 +148,7 @@ func (a *SPAA) Grant(m *Matrix, noms []Grant) []Grant {
 	for i := range noms {
 		nomCols |= 1 << uint(noms[i].Col)
 	}
-	grants := a.grants[:0]
+	grants := sizeGrants(a.grants, m)
 	for w := nomCols; w != 0; w &= w - 1 {
 		c := bits.TrailingZeros64(w)
 		a.nomRow = a.nomRow[:0]

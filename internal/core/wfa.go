@@ -50,15 +50,18 @@ func (a *WFA) Name() string {
 	return "WFA-base"
 }
 
-// Arbitrate implements Arbiter.
-func (a *WFA) Arbitrate(m *Matrix) []Grant {
-	n := m.Rows // diagonal modulus; Rows >= Cols in the 21364 (16 x 7)
-	if m.Cols > n {
-		n = m.Cols
-	}
-	if cap(a.diag) < n {
+// reserve sizes the diagonal table and the grant slice for m.
+func (a *WFA) reserve(m *Matrix) {
+	if n := max(m.Rows, m.Cols); cap(a.diag) < n {
 		a.diag = make([]uint64, n)
 	}
+	a.grants = sizeGrants(a.grants, m)
+}
+
+// Arbitrate implements Arbiter.
+func (a *WFA) Arbitrate(m *Matrix) []Grant {
+	a.reserve(m)
+	n := max(m.Rows, m.Cols) // diagonal modulus; Rows >= Cols in the 21364 (16 x 7)
 	diag := a.diag[:n]
 	for d := range diag {
 		diag[d] = 0
@@ -78,7 +81,7 @@ func (a *WFA) Arbitrate(m *Matrix) []Grant {
 
 	rowFree := rowsAll(m.Rows)
 	colFree := rowsAll(m.Cols)
-	grants := a.grants[:0]
+	grants := a.grants
 	if a.rotary {
 		// Rotary Rule: network-input rows sweep first at rotating priority;
 		// local rows then fill the remaining columns.

@@ -44,7 +44,7 @@ func (a *WFAPlain) Arbitrate(m *Matrix) []Grant {
 
 	rowFree := rowsAll(m.Rows)
 	colFree := rowsAll(m.Cols)
-	grants := a.grants[:0]
+	grants := sizeGrants(a.grants, m)
 	for d := 0; d < nd; d++ {
 		// Plain diagonal d: cells (i, d-i). Conflict-free within the
 		// diagonal, strictly ordered across diagonals.

@@ -21,7 +21,10 @@ package experiment
 // whether or not a cache served it. A Result holds no wall-clock field.
 // Cancellation: the context is checked between jobs and polled inside
 // each timing simulation every cancelPollCycles router cycles, so Run
-// returns promptly with a partial, well-formed Result.
+// returns promptly with a partial, well-formed Result. Containment: a
+// simulation that panics fails its job with a *PanicError instead of
+// taking the process down, so a bad point ends the run like any other
+// job error, and the cells finished before it still persist.
 
 import (
 	"bytes"
@@ -29,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 
@@ -123,16 +127,23 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	emit := r.sink
-	if emit == nil {
-		emit = func(Event) {}
-	}
 	pl, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
+	return r.runPlan(ctx, pl)
+}
+
+// runPlan executes an expanded spec; Run documents the outcome.
+func (r *Runner) runPlan(ctx context.Context, pl *plan) (*Result, error) {
+	emit := r.sink
+	if emit == nil {
+		emit = func(Event) {}
+	}
+	spec := pl.spec
 	var rc *runCache
 	if r.store != nil && specCacheable(spec) {
+		var err error
 		if rc, err = openRunCache(r.store, spec, pl); err != nil {
 			return nil, err
 		}
@@ -173,7 +184,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 			i = queue[k]
 		}
 		pj := &pl.jobs[i]
-		pt, err := pj.input.run(ctx)
+		pt, err := runContained(ctx, pj)
 		if err != nil {
 			return err
 		}
@@ -205,6 +216,33 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
 		served = rc.served
 	}
 	return pl.assemble(points, served, firstBad), err
+}
+
+// PanicError reports a simulation that panicked: the Runner recovers the
+// panic in the worker that ran the job and fails the job with this error.
+// Label names the job as its point-done event would, Value is what the
+// simulation panicked with and Stack the panicking goroutine's stack.
+type PanicError struct {
+	Label string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("experiment: %s panicked: %v\n%s", e.Label, e.Value, e.Stack)
+}
+
+// runContained runs one job's simulation and turns a panic into a
+// *PanicError. Only the simulation runs under the recover: the event
+// emission after it holds the run's mutex, and a panic recovered there
+// would leave the mutex held and hang the other workers.
+func runContained(ctx context.Context, pj *planJob) (pt ResultPoint, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Label: pj.label, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return pj.input.run(ctx)
 }
 
 // cellPoint is the measured point of one cell, given its replications'

@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"alpha21364/internal/cache"
 )
 
 // reloadSpecs round-trips canned figure Specs exactly as cmd/sweep does:
@@ -280,5 +285,60 @@ func TestRunnerOverheadAllocs(t *testing.T) {
 	if over := run - direct; over > runnerOverheadAllocs {
 		t.Errorf("Runner.Run allocates %.0f times beyond expanding and running its jobs, want <= %d",
 			over, runnerOverheadAllocs)
+	}
+}
+
+// panicInput is a job input whose simulation panics.
+type panicInput struct{}
+
+func (panicInput) run(context.Context) (ResultPoint, error) { panic("bad point") }
+
+// TestRunnerContainsSimulationPanic makes the second point of a
+// three-point sweep panic. On the serial path and on the worker pool the
+// run must fail with a *PanicError that names the job and carries the
+// panic value and the panicking stack, return the first point in a
+// partial Result, and persist the first point's cell.
+func TestRunnerContainsSimulationPanic(t *testing.T) {
+	sp := NewSpec(
+		WithTopology(4, 4),
+		WithArbiters("SPAA-rotary"),
+		WithPatterns("random"),
+		WithRates(0.02, 0.04, 0.06),
+		WithCycles(300),
+		WithSeed(21),
+	)
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pl, err := sp.expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.jobs[1].input = panicInput{}
+			store := testStore(t)
+			res, err := NewRunner(WithWorkers(workers), WithCache(store)).runPlan(context.Background(), pl)
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("run returned %v, want a *PanicError", err)
+			}
+			if pe.Label != pl.jobs[1].label || pe.Value != "bad point" {
+				t.Errorf("PanicError names %q with value %v, want %q with \"bad point\"", pe.Label, pe.Value, pl.jobs[1].label)
+			}
+			if !bytes.Contains(pe.Stack, []byte("panicInput.run")) {
+				t.Errorf("PanicError stack does not reach the panicking run:\n%s", pe.Stack)
+			}
+			if res == nil || !res.Partial || len(res.Series[0].Points) != 1 {
+				t.Fatalf("run returned %+v, want a partial Result with the first point", res)
+			}
+			cells, err := store.Cells(mustHash(t, sp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(cells, cache.Cell{Series: 0, Point: 0}) || slices.Contains(cells, cache.Cell{Series: 0, Point: 1}) {
+				t.Fatalf("cache holds %v, want cell (0,0) and not the panicked (0,1)", cells)
+			}
+			if workers == 1 && len(cells) != 1 {
+				t.Fatalf("serial run cached %v, want only cell (0,0)", cells)
+			}
+		})
 	}
 }

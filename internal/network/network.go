@@ -54,12 +54,14 @@ type Network struct {
 	linkBusyPerFlit sim.Ticks
 }
 
-// link is one directed inter-router wire. Every link's flights go
-// through the network's one registered link handler, so a packet flight
-// costs one pooled event node and no allocation: the payload is the
-// packet pointer, the arrival tick, and the link index next to the target
-// channel (B = idx<<8 | ch); everything else (neighbor, input port,
-// upstream credit pool) is fixed per link.
+// link is one directed inter-router wire and the router.Sender of the
+// output port it leaves from: wiring the port stores the *link, so a
+// build allocates nothing per link beyond the one links slice. Every
+// link's flights go through the network's one registered link handler,
+// so a packet flight costs one pooled event node and no allocation: the
+// payload is the packet pointer, the arrival tick, and the link index
+// next to the target channel (B = idx<<8 | ch); everything else
+// (neighbor, input port, upstream credit pool) is fixed per link.
 type link struct {
 	n        *Network
 	neighbor *router.Router
@@ -69,10 +71,10 @@ type link struct {
 	idx      int         // index into n.links and the per-link metrics
 }
 
-// send implements router.SendFunc for the link. The router passes its
-// output port's credit pool, which buildNetwork stored as l.credits, so
-// arrive releases into l.credits and the creditHome argument is unused.
-func (l *link) send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, _ *vc.Credits) {
+// Send implements router.Sender. The router passes its output port's
+// credit pool, which buildNetwork stored as l.credits, so linkArrive
+// releases into l.credits and the creditHome argument is unused.
+func (l *link) Send(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks, _ *vc.Credits) {
 	arriveAt := headerDepart + l.latency
 	l.n.flight++
 	if m := l.n.metrics; m != nil {
@@ -156,7 +158,7 @@ func buildNetwork(cfg Config, eng *sim.Engine, collector *stats.Collector) (*Net
 				latency:  linkLatency,
 				idx:      idx,
 			}
-			r.ConnectNetwork(out, l.send)
+			r.ConnectNetwork(out, l)
 			l.credits = r.OutputCredits(out)
 		}
 		for _, out := range []ports.Out{ports.OutMC0, ports.OutMC1, ports.OutIO} {

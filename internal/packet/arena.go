@@ -37,12 +37,19 @@ func NewArena() *Arena { return &Arena{} }
 // Live returns the number of packets currently checked out.
 func (a *Arena) Live() int { return a.live }
 
+// grow adds a chunk of arenaChunkSize slots. It runs only when no slot
+// is free, and sizes gens and free for every slot at once: free never
+// holds more indices than there are slots, so a release never grows it.
 func (a *Arena) grow() {
-	base := uint32(len(a.gens))
+	base := len(a.gens)
+	slots := base + arenaChunkSize
 	a.chunks = append(a.chunks, make([]Packet, arenaChunkSize))
-	for i := 0; i < arenaChunkSize; i++ {
-		a.gens = append(a.gens, 0)
-		a.free = append(a.free, base+uint32(i))
+	gens := make([]uint32, slots)
+	copy(gens, a.gens)
+	a.gens = gens
+	a.free = make([]uint32, arenaChunkSize, slots)
+	for i := range a.free {
+		a.free[i] = uint32(base + i)
 	}
 }
 

@@ -106,3 +106,36 @@ func TestArenaAllocFree(t *testing.T) {
 		t.Fatalf("steady-state New/Release allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestArenaGrowthAllocs pins the arena's growth: a chunk of
+// arenaChunkSize packets costs the chunk, its generations and free list
+// sized at once, and now and then the chunk list, so drawing n packets
+// from a fresh arena allocates at most 4 times per chunk; releasing them
+// and drawing them again allocates nothing.
+func TestArenaGrowthAllocs(t *testing.T) {
+	const chunks = 4
+	held := make([]*Packet, 0, chunks*arenaChunkSize)
+	draw := func(a *Arena) {
+		held = held[:0]
+		for i := 0; i < chunks*arenaChunkSize; i++ {
+			held = append(held, a.New(uint64(i), Request, 0, 1, 0))
+		}
+	}
+	base := testing.AllocsPerRun(5, func() { NewArena() })
+	if got := testing.AllocsPerRun(5, func() { draw(NewArena()) }) - base; got > 4*chunks {
+		t.Errorf("drawing %d packets allocates %.0f times, want at most %d", chunks*arenaChunkSize, got, 4*chunks)
+	}
+	a := NewArena()
+	draw(a)
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range held {
+			a.Release(p)
+		}
+		draw(a)
+	}); allocs != 0 {
+		t.Errorf("releasing and redrawing %d packets allocates %.0f, want 0", len(held), allocs)
+	}
+	if a.Live() != chunks*arenaChunkSize {
+		t.Errorf("arena holds %d live packets, want %d", a.Live(), chunks*arenaChunkSize)
+	}
+}

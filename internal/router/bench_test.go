@@ -24,7 +24,7 @@ func BenchmarkRouterTick(b *testing.B) {
 	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindWFARotary, core.KindPIM1} {
 		for _, load := range loads {
 			b.Run(kind.String()+"/"+load.name, func(b *testing.B) {
-				r, cycle := newTickLoad(b, kind, load.rate)
+				r, cycle := newTickLoad(b, DefaultConfig(kind), load.rate)
 				// Fill the buffers and grow the slab to its high-water
 				// mark before timing.
 				for i := 0; i < 2000; i++ {
@@ -40,29 +40,28 @@ func BenchmarkRouterTick(b *testing.B) {
 	}
 }
 
-// newTickLoad builds one router of the given kind and returns it with a
-// function that runs one router cycle: each of the eight input ports is offered a
+// newTickLoad builds one router with configuration cfg and returns it
+// with a function that runs one router cycle: each of the eight input ports is offered a
 // packet of a random class with probability rate, to a uniform random
 // destination — injected at local ports, and at network ports arriving
 // in its adaptive channel when that ring has space. Network outputs
 // return their credit at once and local outputs consume, so only the
 // router's own arbitration limits throughput. The whole cycle runs out of
 // a packet arena and allocates nothing in steady state.
-func newTickLoad(b *testing.B, kind core.Kind, rate float64) (*Router, func()) {
+func newTickLoad(tb testing.TB, cfg Config, rate float64) (*Router, func()) {
 	const node = 5
 	torus := topology.NewTorus(4, 4)
-	cfg := DefaultConfig(kind)
 	r, err := New(cfg, node, torus)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	arena := packet.NewArena()
 	for out := ports.Out(0); out < ports.NumOut; out++ {
 		if out.IsNetwork() {
-			r.ConnectNetwork(out, func(p *packet.Packet, ch vc.Channel, _ sim.Ticks, home *vc.Credits) {
+			r.ConnectNetwork(out, SendFunc(func(p *packet.Packet, ch vc.Channel, _ sim.Ticks, home *vc.Credits) {
 				home.Release(ch)
 				arena.Release(p)
-			})
+			}))
 		} else {
 			r.ConnectLocal(out, func(p *packet.Packet, _ sim.Ticks) { arena.Release(p) })
 		}

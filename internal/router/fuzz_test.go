@@ -138,12 +138,13 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 			}
 			var window ports.OutMask
 			for i := 0; i < q.Len(); i++ {
-				pk := q.At(i)
-				outs := s.meta[pk].outs
+				pk := int32(q.At(r.handles, i))
+				rec := &s.recs[pk]
+				outs := rec.meta.outs
 				for o := ports.Out(0); o < ports.NumOut; o++ {
 					if len(r.readyMoves(pk, ports.OutMask(0).With(o), nil)) > 0 && !outs.Has(o) {
 						t.Errorf("%s tick %d: packet %d (%v to %d) can move to %v outside its mask %07b",
-							label, now, s.pkt[pk].ID, s.pkt[pk].Class, s.pkt[pk].Dst, o, outs)
+							label, now, rec.pkt.ID, rec.pkt.Class, rec.pkt.Dst, o, outs)
 						return false
 					}
 				}
@@ -151,9 +152,9 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 					continue
 				}
 				window |= outs
-				if oldAt := s.headerArrive[pk] + r.ageTicks; s.meta[pk].flags&pkOld == 0 && r.oldAt > oldAt {
+				if oldAt := rec.headerArrive + r.ageTicks; rec.meta.flags&pkOld == 0 && r.oldAt > oldAt {
 					t.Errorf("%s tick %d: aging bound %d is past window packet %d (%v/%v position %d), which turns old at %d",
-						label, now, r.oldAt, s.pkt[pk].ID, in, ch, i, oldAt)
+						label, now, r.oldAt, rec.pkt.ID, in, ch, i, oldAt)
 					return false
 				}
 			}

@@ -73,8 +73,8 @@ func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, old
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			ch := vc.Channel(bits.TrailingZeros32(w))
 			q := &r.queues[in][ch]
-			pk := q.At(0)
-			f(in, ch, q.Len(), r.slab.pkt[pk].ID, r.slab.headerArrive[pk])
+			rec := &r.slab.recs[q.At(r.handles, 0)]
+			f(in, ch, q.Len(), rec.pkt.ID, rec.headerArrive)
 		}
 	}
 }

@@ -128,8 +128,8 @@ func (r *Router) candidateOuts(p *packet.Packet, in ports.In) ports.OutMask {
 // read ports to it, and (for network moves) the downstream virtual
 // channel has a free packet buffer.
 func (r *Router) readyMoves(pk int32, free ports.OutMask, dst []move) []move {
-	p := r.slab.pkt[pk]
-	in := r.slab.meta[pk].in
+	rec := &r.slab.recs[pk]
+	p, in := rec.pkt, rec.meta.in
 	if p.Dst == r.node {
 		out := localOut(p)
 		if row := r.rowOf[in][out]; row >= 0 && free.Has(out) {

@@ -59,13 +59,14 @@ type Router struct {
 	torus topology.Torus
 	rng   *sim.RNG
 
-	// Packet state lives in a struct-of-arrays slab; the per-(input port,
+	// Packet state lives in a slab of records; the per-(input port,
 	// channel) queues are fixed-capacity index rings over it, each owning
-	// its slice of one handle block New allocates, and the remaining
+	// its span of one block of 16-bit handles New allocates, and the remaining
 	// per-input-port state is flattened into router-level arrays so
 	// arbitration scans walk contiguous memory.
-	slab   pkSlab
-	queues [ports.NumIn][vc.NumChannels]vc.Ring
+	slab    pkSlab
+	handles []uint16
+	queues  [ports.NumIn][vc.NumChannels]vc.Ring
 	// occ[in] is the occupancy index over in's rings: bit ch is set
 	// exactly when queues[in][ch] is non-empty. addPacket's Push and
 	// dispatch's Remove are the only ring mutations, and each updates
@@ -124,9 +125,14 @@ type Router struct {
 	// SPAA's per-cycle nominations; fixed by New.
 	wave bool
 
-	// SPAA pipeline state.
+	// SPAA pipeline state. noms is the FIFO of in-flight nominations,
+	// ordered by resolveAt; New gives it its bound as capacity: an LA
+	// stage nominates at most once per input port, and only the stages
+	// of the last gaOffset ticks are unresolved, at most
+	// ceil(gaOffset / LA interval) of them (16 nominations by default,
+	// 40 under ScalePipeline).
 	policy  core.SelectPolicy
-	noms    []nomination // FIFO ordered by resolveAt
+	noms    []nomination
 	dirPref [ports.NumIn]uint8
 	nextLA  sim.Ticks
 
@@ -176,17 +182,29 @@ type Router struct {
 	metrics *obs.RouterMetrics
 	flight  *obs.FlightRing
 
-	// scratch
-	gaRows []int
-	gaNet  []bool
-	gaIdx  []int
-	moves  []move
+	// Scratch of fixed size. A router ticks every cycle, so a GA round
+	// resolves one LA stage's nominations, at most one per input port,
+	// and an output's candidates fit gaRows, gaNet and gaIdx; readyMoves
+	// returns at most two moves (two productive directions, or one local
+	// or escape hop).
+	gaRows [ports.NumIn]int
+	gaNet  [ports.NumIn]bool
+	gaIdx  [ports.NumIn]int
+	moves  [2]move
 }
 
 // New builds a router for the given node of the torus.
 func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	// The router buffers at most blockLen packets, one per ring entry, so
+	// its slab never hands out a handle of blockLen or more: every handle
+	// fits a ring's 16-bit entries when the block fits its 16-bit offsets.
+	blockLen := int(ports.NumIn) * cfg.Buffers.Total()
+	if blockLen > vc.MaxRingBlock {
+		return nil, fmt.Errorf("router: %d packet buffers per input port need %d ring handles, more than the %d a ring header addresses",
+			cfg.Buffers.Total(), blockLen, vc.MaxRingBlock)
 	}
 	r := &Router{
 		cfg:          cfg,
@@ -205,17 +223,18 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		waveGa = cfg.InitInterval
 	}
 	r.waveGaOffset = sim.Ticks(waveGa) * cfg.RouterPeriod
-	// Every ring is a three-index slice of one block, exactly its
-	// channel's capacity long, so no ring can reach into its neighbour.
+	// Every ring owns a span of one handle block, exactly its channel's
+	// capacity long, so no ring can reach into its neighbour.
 	var caps [vc.NumChannels]int
 	for ch := range caps {
 		caps[ch] = cfg.Buffers.Capacity(vc.Channel(ch))
 	}
-	block := make([]int32, int(ports.NumIn)*cfg.Buffers.Total())
+	r.handles = make([]uint16, blockLen)
+	off := 0
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for ch, c := range caps {
-			r.queues[in][ch].Init(block[:c:c])
-			block = block[c:]
+			r.queues[in][ch].Init(off, c)
+			off += c
 		}
 		for ch := range r.lruStamp[in] {
 			r.lruStamp[in][ch] = uint64(ch)
@@ -244,8 +263,11 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 			}
 		}
 	}
+	r.slab.grow()
 	switch cfg.Kind {
 	case core.KindSPAABase, core.KindSPAARotary:
+		stages := (cfg.ArbCycles - 1 + cfg.InitInterval - 1) / cfg.InitInterval
+		r.noms = make([]nomination, 0, stages*int(ports.NumIn))
 		if cfg.GrantPolicyFactory != nil {
 			r.policy = cfg.GrantPolicyFactory(ports.NumRows, int(ports.NumOut))
 		} else {
@@ -256,6 +278,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		r.wave = true
 		r.arb = core.New(cfg.Kind, r.rng.Split())
 		r.matrix = core.NewRouterMatrix()
+		core.Reserve(r.arb, r.matrix)
 	}
 	return r, nil
 }
@@ -266,10 +289,10 @@ func (r *Router) Node() topology.Node { return r.node }
 // Config returns the router's configuration.
 func (r *Router) Config() Config { return r.cfg }
 
-// ConnectNetwork wires a torus output port: send is invoked on dispatch,
-// and downstream describes the neighbor input buffer the port holds
-// credits for.
-func (r *Router) ConnectNetwork(out ports.Out, send SendFunc) {
+// ConnectNetwork wires a torus output port: send carries every packet
+// the port dispatches, and the port's credit pool, which OutputCredits
+// returns, tracks the neighbor input buffer at the other end.
+func (r *Router) ConnectNetwork(out ports.Out, send Sender) {
 	if !out.IsNetwork() {
 		panic(fmt.Sprintf("router: %v is not a network port", out))
 	}
@@ -305,20 +328,22 @@ func (r *Router) injectionChannel(p *packet.Packet) vc.Channel {
 func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	headerArrive, tailArrive, eligibleAt sim.Ticks, upstream *vc.Credits) {
 	idx := r.slab.alloc()
-	s := &r.slab
-	s.pkt[idx] = p
-	s.meta[idx] = pkMeta{ch: ch, in: in, outs: r.candidateOuts(p, in)}
-	s.headerArrive[idx] = headerArrive
-	s.tailArrive[idx] = tailArrive
-	s.eligibleAt[idx] = eligibleAt
-	s.upstream[idx] = upstream
+	rec := &r.slab.recs[idx]
+	*rec = pkRec{
+		meta:         pkMeta{ch: ch, in: in, outs: r.candidateOuts(p, in)},
+		eligibleAt:   eligibleAt,
+		headerArrive: headerArrive,
+		pkt:          p,
+		tailArrive:   tailArrive,
+		upstream:     upstream,
+	}
 	q := &r.queues[in][ch]
-	q.Push(idx)
+	q.Push(r.handles, uint16(idx))
 	r.occ[in] |= 1 << ch
 	r.occIns |= 1 << in
 	if q.Len() <= r.cfg.Window {
-		r.winOuts[in][ch] |= s.meta[idx].outs
-		r.lowerOldAt(idx)
+		r.winOuts[in][ch] |= rec.meta.outs
+		r.lowerOldAt(rec)
 	}
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, +1, headerArrive)
@@ -454,19 +479,23 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		if !ok {
 			continue
 		}
-		r.slab.meta[pk].flags |= pkNominated
+		rec := &r.slab.recs[pk]
+		rec.meta.flags |= pkNominated
 		r.dirPref[in]++
+		if len(r.noms) == cap(r.noms) {
+			panic("router: nomination FIFO beyond its bound")
+		}
 		r.noms = append(r.noms, nomination{
 			pk: pk, row: mv.row, out: mv.out, targetCh: mv.targetCh,
 			local: mv.local, resolveAt: gaTick,
 		})
 		r.Counters.Nominations++
 		if f := r.flight; f != nil {
-			f.Record(now, obs.FlightNominate, r.slab.pkt[pk].ID, in, r.slab.meta[pk].ch, mv.out)
+			f.Record(now, obs.FlightNominate, rec.pkt.ID, in, rec.meta.ch, mv.out)
 		}
 		if r.oracle != nil {
 			r.oracle.SPAANominate(r, now, SPAAGrant{
-				ID: r.slab.pkt[pk].ID, Row: mv.row, In: in, Ch: r.slab.meta[pk].ch,
+				ID: rec.pkt.ID, Row: mv.row, In: in, Ch: rec.meta.ch,
 				Out: mv.out, TargetCh: mv.targetCh, Local: mv.local,
 			}, gaTick)
 		}
@@ -481,7 +510,7 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 // virtual channel (§3). rings is the set of in's rings to visit (see
 // scanRings) and free the LA stage's free-for-grant output set.
 func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
-	s := &r.slab
+	s, handles := &r.slab, r.handles
 	for rings != 0 {
 		ch := r.leastRecent(in, rings)
 		rings &^= 1 << ch
@@ -493,26 +522,27 @@ func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free p
 		best := int32(-1)
 		var bestMove move
 		for i := 0; i < limit; i++ {
-			pk := q.At(i)
-			r.markOld(pk, now)
-			meta := s.meta[pk]
-			if meta.flags&pkNominated != 0 || s.eligibleAt[pk] > now {
+			pk := int32(q.At(handles, i))
+			rec := &s.recs[pk]
+			r.markOld(rec, now)
+			meta := rec.meta
+			if meta.flags&pkNominated != 0 || rec.eligibleAt > now {
 				continue
 			}
 			if r.draining && meta.flags&pkOld == 0 {
 				continue
 			}
-			if best >= 0 && !r.olderThan(pk, best) {
+			if best >= 0 && !olderThan(rec, &s.recs[best]) {
 				continue
 			}
 			if meta.outs&free == 0 {
 				continue // every output it could use is busy
 			}
-			r.moves = r.readyMoves(pk, free, r.moves[:0])
-			if len(r.moves) == 0 {
+			moves := r.readyMoves(pk, free, r.moves[:0])
+			if len(moves) == 0 {
 				continue
 			}
-			best, bestMove = pk, r.moves[0]
+			best, bestMove = pk, moves[0]
 		}
 		if best >= 0 {
 			return best, bestMove, true
@@ -535,12 +565,11 @@ func (r *Router) leastRecent(in ports.In, set uint32) int {
 }
 
 // olderThan orders two buffered packets by arrival, then packet ID.
-func (r *Router) olderThan(a, b int32) bool {
-	s := &r.slab
-	if s.headerArrive[a] != s.headerArrive[b] {
-		return s.headerArrive[a] < s.headerArrive[b]
+func olderThan(a, b *pkRec) bool {
+	if a.headerArrive != b.headerArrive {
+		return a.headerArrive < b.headerArrive
 	}
-	return s.pkt[a].ID < s.pkt[b].ID
+	return a.pkt.ID < b.pkt.ID
 }
 
 // resolveSPAA is the GA stage: for each output port with due nominations,
@@ -556,9 +585,7 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 	}
 	for ; outs != 0; outs &= outs - 1 {
 		out := ports.Out(bits.TrailingZeros8(uint8(outs)))
-		r.gaRows = r.gaRows[:0]
-		r.gaNet = r.gaNet[:0]
-		r.gaIdx = r.gaIdx[:0]
+		k := 0 // candidates in gaRows, gaNet and gaIdx
 		credits := r.outputs[out].credits
 		for i := range due {
 			n := &due[i]
@@ -580,21 +607,23 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				n.pk = -1
 				continue
 			}
-			r.gaRows = append(r.gaRows, n.row)
-			r.gaNet = append(r.gaNet, r.slab.meta[n.pk].in.IsNetwork())
-			r.gaIdx = append(r.gaIdx, i)
+			r.gaRows[k] = n.row
+			r.gaNet[k] = r.slab.recs[n.pk].meta.in.IsNetwork()
+			r.gaIdx[k] = i
+			k++
 		}
-		if len(r.gaRows) == 0 {
+		if k == 0 {
 			continue
 		}
-		w := r.policy.Select(int(out), r.gaRows, r.gaNet)
-		for k, idx := range r.gaIdx {
+		w := r.policy.Select(int(out), r.gaRows[:k], r.gaNet[:k])
+		for c, idx := range r.gaIdx[:k] {
 			n := &due[idx]
-			if k == w {
+			if c == w {
 				if r.oracle != nil {
+					rec := &r.slab.recs[n.pk]
 					r.oracleGrants = append(r.oracleGrants, SPAAGrant{
-						ID: r.slab.pkt[n.pk].ID, Row: n.row, In: r.slab.meta[n.pk].in,
-						Ch: r.slab.meta[n.pk].ch, Out: n.out, TargetCh: n.targetCh, Local: n.local,
+						ID: rec.pkt.ID, Row: n.row, In: rec.meta.in,
+						Ch: rec.meta.ch, Out: n.out, TargetCh: n.targetCh, Local: n.local,
 					})
 				}
 				r.dispatch(n.pk, n.out, n.targetCh, n.local, now)
@@ -617,11 +646,11 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 }
 
 func (r *Router) reset(pk int32, now sim.Ticks) {
-	meta := &r.slab.meta[pk]
-	meta.flags &^= pkNominated
+	rec := &r.slab.recs[pk]
+	rec.meta.flags &^= pkNominated
 	r.Counters.Collisions++
 	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightReset, r.slab.pkt[pk].ID, meta.in, meta.ch, ports.NumOut)
+		f.Record(now, obs.FlightReset, rec.pkt.ID, rec.meta.in, rec.meta.ch, ports.NumOut)
 	}
 }
 
@@ -657,7 +686,7 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 	}
 	free := r.freeOutputs(now + r.waveGaOffset)
 	aging := now >= r.oldAt
-	s := &r.slab
+	s, handles := &r.slab, r.handles
 	for ins := r.occIns; ins != 0; ins &= ins - 1 {
 		in := ports.In(bits.TrailingZeros8(ins))
 		for w := r.scanRings(in, free, aging); w != 0; w &= w - 1 {
@@ -667,10 +696,11 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 				limit = r.cfg.Window
 			}
 			for i := 0; i < limit; i++ {
-				pk := q.At(i)
-				r.markOld(pk, now)
-				meta := s.meta[pk]
-				if meta.flags&pkNominated != 0 || s.eligibleAt[pk] > now {
+				pk := int32(q.At(handles, i))
+				rec := &s.recs[pk]
+				r.markOld(rec, now)
+				meta := rec.meta
+				if meta.flags&pkNominated != 0 || rec.eligibleAt > now {
 					continue
 				}
 				if r.draining && meta.flags&pkOld == 0 {
@@ -679,23 +709,24 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 				if meta.outs&free == 0 {
 					continue // every output it could use is busy
 				}
-				r.moves = r.readyMoves(pk, free, r.moves[:0])
-				if len(r.moves) == 0 {
+				moves := r.readyMoves(pk, free, r.moves[:0])
+				if len(moves) == 0 {
 					continue
 				}
-				row := r.assignRow(in, r.moves, s.pkt[pk].ID)
-				for _, mv := range r.moves {
+				id := rec.pkt.ID
+				row := r.assignRow(in, moves, id)
+				for _, mv := range moves {
 					if mv.row != row {
 						continue
 					}
-					age := int64(s.headerArrive[pk])
+					age := int64(rec.headerArrive)
 					if r.matrix.RowMask(row)&(1<<mv.out) != 0 {
 						cell := r.matrix.At(row, int(mv.out))
-						if !(age < cell.Age || (age == cell.Age && s.pkt[pk].ID < cell.Key)) {
+						if !(age < cell.Age || (age == cell.Age && id < cell.Key)) {
 							continue
 						}
 					}
-					r.matrix.Set(row, int(mv.out), age, s.pkt[pk].ID, 0)
+					r.matrix.Set(row, int(mv.out), age, id, 0)
 					r.waveCells[row][mv.out] = waveCell{pk: pk, targetCh: mv.targetCh, local: mv.local}
 					r.waveRows |= 1 << row
 				}
@@ -714,12 +745,11 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			pk := r.waveCells[row][col].pk
-			meta := &s.meta[pk]
-			meta.flags |= pkNominated
+			rec := &s.recs[r.waveCells[row][col].pk]
+			rec.meta.flags |= pkNominated
 			r.Counters.Nominations++
 			if f := r.flight; f != nil {
-				f.Record(now, obs.FlightNominate, s.pkt[pk].ID, meta.in, meta.ch, ports.Out(col))
+				f.Record(now, obs.FlightNominate, rec.pkt.ID, rec.meta.in, rec.meta.ch, ports.Out(col))
 			}
 		}
 	}
@@ -767,7 +797,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		credits := r.outputs[out].credits
 		valid := r.outFree(out, now) &&
 			(cell.local || (credits != nil && credits.Available(cell.targetCh)))
-		if !valid || cell.pk < 0 || r.slab.meta[cell.pk].flags&pkNominated == 0 {
+		if !valid || cell.pk < 0 || r.slab.recs[cell.pk].meta.flags&pkNominated == 0 {
 			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
 				if !r.outFree(out, now) {
 					m.Stalls++
@@ -788,7 +818,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.meta[pk].flags&pkNominated != 0 {
+			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.recs[pk].meta.flags&pkNominated != 0 {
 				r.reset(pk, now)
 			}
 			r.waveCells[row][col] = waveCell{pk: -1}
@@ -819,9 +849,9 @@ func (r *Router) scanRings(in ports.In, free ports.OutMask, aging bool) uint32 {
 }
 
 // lowerOldAt keeps the aging bound at or below the tick at which window
-// packet pk turns old.
-func (r *Router) lowerOldAt(pk int32) {
-	if at := r.slab.headerArrive[pk] + r.ageTicks; at < r.oldAt {
+// packet rec turns old.
+func (r *Router) lowerOldAt(rec *pkRec) {
+	if at := rec.headerArrive + r.ageTicks; at < r.oldAt {
 		r.oldAt = at
 	}
 }
@@ -834,11 +864,11 @@ func (r *Router) refreshWindow(in ports.In, ch vc.Channel) {
 	n := q.Len()
 	if n >= r.cfg.Window {
 		n = r.cfg.Window
-		r.lowerOldAt(q.At(n - 1))
+		r.lowerOldAt(&r.slab.recs[q.At(r.handles, n-1)])
 	}
 	var outs ports.OutMask
 	for i := 0; i < n; i++ {
-		outs |= r.slab.meta[q.At(i)].outs
+		outs |= r.slab.recs[q.At(r.handles, i)].meta.outs
 	}
 	r.winOuts[in][ch] = outs
 }
@@ -854,18 +884,17 @@ func (r *Router) recomputeOldAt() {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
 			n := min(q.Len(), r.cfg.Window)
 			for i := 0; i < n; i++ {
-				if pk := q.At(i); s.meta[pk].flags&pkOld == 0 {
-					r.lowerOldAt(pk)
+				if rec := &s.recs[q.At(r.handles, i)]; rec.meta.flags&pkOld == 0 {
+					r.lowerOldAt(rec)
 				}
 			}
 		}
 	}
 }
 
-func (r *Router) markOld(pk int32, now sim.Ticks) {
-	s := &r.slab
-	if s.meta[pk].flags&pkOld == 0 && now-s.headerArrive[pk] >= r.ageTicks {
-		s.meta[pk].flags |= pkOld
+func (r *Router) markOld(rec *pkRec, now sim.Ticks) {
+	if rec.meta.flags&pkOld == 0 && now-rec.headerArrive >= r.ageTicks {
+		rec.meta.flags |= pkOld
 		r.oldCount++
 		if !r.draining && r.oldCount > r.cfg.AntiStarvationThreshold {
 			r.draining = true
@@ -888,13 +917,12 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	// The granted packet leaves the input buffer; losers of this GA round
 	// were already reset. A successful selection is what advances the
 	// input port's least-recently-selected virtual channel order.
-	s := &r.slab
-	meta := &s.meta[pk]
-	meta.flags &^= pkNominated
-	in, ch := meta.in, meta.ch
+	rec := &r.slab.recs[pk]
+	rec.meta.flags &^= pkNominated
+	in, ch := rec.meta.in, rec.meta.ch
 	r.touchVC(in, ch)
 	q := &r.queues[in][ch]
-	if !q.Remove(pk) {
+	if !q.Remove(r.handles, uint16(pk)) {
 		panic("router: removing packet not in queue")
 	}
 	if q.Len() == 0 {
@@ -906,19 +934,19 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, -1, now)
 	}
-	if meta.flags&pkOld != 0 {
-		meta.flags &^= pkOld
+	if rec.meta.flags&pkOld != 0 {
+		rec.meta.flags &^= pkOld
 		r.oldCount--
 		if r.oldCount == 0 {
 			r.draining = false
 		}
 	}
-	if s.upstream[pk] != nil {
-		s.upstream[pk].Release(ch)
+	if rec.upstream != nil {
+		rec.upstream.Release(ch)
 	}
 
-	p := s.pkt[pk]
-	tailArrive := s.tailArrive[pk]
+	p := rec.pkt
+	tailArrive := rec.tailArrive
 	r.slab.release(pk)
 	if f := r.flight; f != nil {
 		f.Record(now, obs.FlightGrant, p.ID, in, ch, out)
@@ -945,7 +973,7 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		if op.send == nil {
 			panic(fmt.Sprintf("router %d: network port %v not connected", r.node, out))
 		}
-		op.send(p, targetCh, headerDepart, op.credits)
+		op.send.Send(p, targetCh, headerDepart, op.credits)
 	}
 	r.busyOuts = r.busyOuts.With(out)
 	r.busyNext = min(r.busyNext, r.busyUntil[out])

@@ -183,10 +183,10 @@ func TestWrapChannelSelection(t *testing.T) {
 	var got []vc.Channel
 	for out := ports.Out(0); out < ports.NumOut; out++ {
 		if out.IsNetwork() {
-			r.ConnectNetwork(out, func(p *packet.Packet, ch vc.Channel, at sim.Ticks, home *vc.Credits) {
+			r.ConnectNetwork(out, SendFunc(func(p *packet.Packet, ch vc.Channel, at sim.Ticks, home *vc.Credits) {
 				got = append(got, ch)
 				home.Release(ch)
-			})
+			}))
 		} else {
 			r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {})
 		}

@@ -45,12 +45,12 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	for out := ports.Out(0); out < ports.NumOut; out++ {
 		out := out
 		if out.IsNetwork() {
-			r.ConnectNetwork(out, func(p *packet.Packet, ch vc.Channel, depart sim.Ticks, home *vc.Credits) {
+			r.ConnectNetwork(out, SendFunc(func(p *packet.Packet, ch vc.Channel, depart sim.Ticks, home *vc.Credits) {
 				h.departures = append(h.departures, departure{p, out, ch, depart})
 				// Return the credit as if the neighbor forwarded instantly,
 				// unless a test wants to hold it.
 				home.Release(ch)
-			})
+			}))
 		} else {
 			r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {
 				h.deliveries = append(h.deliveries, delivery{p, at})
@@ -285,9 +285,9 @@ func TestCreditBackpressureBlocksDispatch(t *testing.T) {
 	var departs int
 	for out := ports.Out(0); out < ports.NumOut; out++ {
 		if out.IsNetwork() {
-			r.ConnectNetwork(out, func(p *packet.Packet, ch vc.Channel, at sim.Ticks, home *vc.Credits) {
+			r.ConnectNetwork(out, SendFunc(func(p *packet.Packet, ch vc.Channel, at sim.Ticks, home *vc.Credits) {
 				departs++ // never release credits: downstream stays full
-			})
+			}))
 		} else {
 			r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {})
 		}

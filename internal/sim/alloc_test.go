@@ -78,3 +78,40 @@ func TestEngineFarSelfReschedulingAllocs(t *testing.T) {
 		t.Fatalf("poll ran %d times, want %d", polls, want)
 	}
 }
+
+// TestQueueGrowsNodesInChunks pins the event-node pool: a queue holding
+// n events has allocated ceil(n / nodeChunk) node chunks, one allocation
+// each, and once they dispatch, as many new events allocate nothing.
+func TestQueueGrowsNodesInChunks(t *testing.T) {
+	post := func(e *Engine, h HandlerID, n int) {
+		for i := 0; i < n; i++ {
+			e.Post(e.Now()+Ticks(1+i%500), h, EventArgs{A: int64(i)})
+		}
+	}
+	fresh := func(n int) {
+		e := NewEngine()
+		post(e, e.RegisterHandler(func(EventArgs) {}), n)
+	}
+	base := testing.AllocsPerRun(5, func() { fresh(0) })
+	for _, n := range []int{1, nodeChunk, nodeChunk + 1, 3 * nodeChunk, 3*nodeChunk + 1} {
+		want := (n + nodeChunk - 1) / nodeChunk
+		if got := testing.AllocsPerRun(5, func() { fresh(n) }) - base; got != float64(want) {
+			t.Errorf("%d events: %.0f allocations, want %d node chunks", n, got, want)
+		}
+	}
+	e := NewEngine()
+	fired := 0
+	h := e.RegisterHandler(func(EventArgs) { fired++ })
+	post(e, h, 3*nodeChunk)
+	e.Run(e.Now() + 1000)
+	if allocs := testing.AllocsPerRun(5, func() {
+		post(e, h, 3*nodeChunk)
+		e.Run(e.Now() + 1000)
+	}); allocs != 0 {
+		t.Errorf("reposting %d dispatched events allocates %.0f, want 0", 3*nodeChunk, allocs)
+	}
+	// One round before AllocsPerRun, its warm-up round and five more.
+	if want := 7 * 3 * nodeChunk; fired != want {
+		t.Errorf("%d events fired, want %d", fired, want)
+	}
+}

@@ -2,10 +2,10 @@ package sim
 
 // queue.go is the engine's event queue: a ring of FIFO slots for near
 // events plus a binary min-heap for the rest, both over intrusive event
-// nodes drawn from a free list. Steady-state scheduling allocates
-// nothing: a node is recycled the moment its event dispatches, a slot's
-// membership is the nodes' own next pointers, and the heap's slice keeps
-// its capacity.
+// nodes drawn from a free list. Nodes come in chunks of nodeChunk, one
+// allocation each, and steady-state scheduling allocates nothing: a node
+// is recycled the moment its event dispatches, a slot's membership is
+// the nodes' own next pointers, and the heap's slice keeps its capacity.
 //
 // Ring. An event due fewer than ringSlots ticks after the current tick
 // goes to slot at&ringMask. Every ring event lies in [now, now+ringSlots),
@@ -33,6 +33,11 @@ const (
 	ringSlots = 1 << 10
 	ringMask  = ringSlots - 1
 )
+
+// nodeChunk is the number of event nodes one allocation adds to the free
+// list when it runs dry: a 4x4 timing point's queue takes one chunk at
+// light load and a few at saturation.
+const nodeChunk = 64
 
 // eventNode is one scheduled event: an intrusive list node carrying a
 // registered-handler id and its small fixed-size payload.
@@ -62,15 +67,20 @@ type eventQueue struct {
 	free *eventNode
 }
 
-// alloc takes a node from the free list, or allocates one the first time
-// the queue grows past its high-water mark.
+// alloc takes a node from the free list, which grows by a chunk of
+// nodeChunk nodes each time the queue passes its high-water mark.
 func (q *eventQueue) alloc() *eventNode {
-	if n := q.free; n != nil {
-		q.free = n.next
-		n.next = nil
-		return n
+	if q.free == nil {
+		chunk := new([nodeChunk]eventNode)
+		for i := range chunk[:nodeChunk-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		q.free = &chunk[0]
 	}
-	return &eventNode{}
+	n := q.free
+	q.free = n.next
+	n.next = nil
+	return n
 }
 
 // release recycles a dispatched node.

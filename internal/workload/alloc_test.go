@@ -125,3 +125,51 @@ func TestShardedRunMatchesEngineRun(t *testing.T) {
 		})
 	}
 }
+
+// TestWholeRunAllocs pins what a timing point allocates after it is
+// built, over its whole run rather than a warmed steady state: a 4x4
+// torus (engine, collector, network.New, New) at light and saturating
+// load with 16 outstanding transactions, for every router kind and for
+// SPAA-rotary under ScalePipeline. The run's count is AllocsPerRun over
+// build plus a 4,000-cycle run, minus AllocsPerRun over the build
+// alone; both are deterministic. Every pool the run fills is sized at
+// construction or grows in fixed chunks, so what remains is a few
+// chunk, histogram and backpressure-queue growths per point: 7–9 at
+// 0.01 and 14–28 at 0.09.
+func TestWholeRunAllocs(t *testing.T) {
+	const w, h, cycles, maxRunAllocs = 4, 4, 4000, 40
+	type point struct {
+		name string
+		cfg  router.Config
+	}
+	var points []point
+	for _, kind := range []core.Kind{core.KindPIM1, core.KindWFABase, core.KindWFARotary, core.KindSPAABase, core.KindSPAARotary} {
+		points = append(points, point{kind.String(), router.DefaultConfig(kind)})
+	}
+	points = append(points, point{"SPAA-rotary/scaled", router.DefaultConfig(core.KindSPAARotary).ScalePipeline()})
+	for _, pt := range points {
+		for _, rate := range []float64{0.01, 0.09} {
+			rcfg := pt.cfg
+			end := sim.Ticks(cycles) * rcfg.RouterPeriod
+			build := func() *sim.Engine {
+				eng := sim.NewEngine()
+				col := stats.NewCollector(end / 5)
+				net, err := network.New(network.Config{Width: w, Height: h, Router: rcfg}, eng, col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := New(Config{Process: NewBernoulli(rate), MaxOutstanding: 16, Seed: 1}, net, eng, col)
+				eng.AddClock(rcfg.RouterPeriod, 0, gen)
+				return eng
+			}
+			built := testing.AllocsPerRun(1, func() { build() })
+			whole := testing.AllocsPerRun(1, func() { build().Run(end) })
+			if run := whole - built; run > maxRunAllocs {
+				t.Errorf("%s at %g: the %d-cycle run makes %.0f allocations after construction (%.0f with the build, %.0f building), want at most %d",
+					pt.name, rate, cycles, run, whole, built, maxRunAllocs)
+			} else {
+				t.Logf("%s at %g: %.0f run allocations (%.0f building)", pt.name, rate, run, built)
+			}
+		}
+	}
+}

@@ -155,14 +155,15 @@ func New(cfg Config, net *network.Network, eng *sim.Engine, _ *stats.Collector) 
 	routerPeriod := net.Router(0).Config().RouterPeriod
 	g.process.Bind(net.Nodes())
 	g.model.Bind(&Env{
-		Torus:        net.Torus(),
-		Pattern:      cfg.Pattern,
-		RNG:          g.rng,
-		Eng:          eng,
-		RouterPeriod: routerPeriod,
-		NewPacket:    g.newPacket,
-		Enqueue:      g.enqueue,
-		Complete:     g.complete,
+		Torus:          net.Torus(),
+		Pattern:        cfg.Pattern,
+		RNG:            g.rng,
+		Eng:            eng,
+		RouterPeriod:   routerPeriod,
+		MaxOutstanding: cfg.MaxOutstanding,
+		NewPacket:      g.newPacket,
+		Enqueue:        g.enqueue,
+		Complete:       g.complete,
 	})
 	net.OnDeliver(g.onDeliver)
 	return g
@@ -243,7 +244,10 @@ func (g *Generator) newPacket(cl packet.Class, src, dst topology.Node, txnID uin
 }
 
 // enqueue adds a packet to a node's processor-side injection queue and
-// tries to push it into the router immediately.
+// tries to push the queue's front into the router immediately. A packet
+// that finds its queue empty is the front, so it is offered to the
+// router first and touches the queue only when the router refuses it:
+// the same Inject call at the same tick, without a push and pop.
 func (g *Generator) enqueue(node topology.Node, in ports.In, p *packet.Packet) {
 	if g.cfg.Record != nil {
 		// Fix up the injection point of the event newPacket just appended.
@@ -251,9 +255,16 @@ func (g *Generator) enqueue(node topology.Node, in ports.In, p *packet.Packet) {
 		ev.Node, ev.In = node, in
 	}
 	slot := pendSlot(node, in)
-	g.pending[slot].push(p)
-	g.pendIdx[slot/64] |= 1 << (slot % 64)
-	g.tryInject(slot, node, in, g.eng.Now())
+	q := &g.pending[slot]
+	if q.len() > 0 {
+		q.push(p)
+		g.tryInject(slot, node, in, g.eng.Now())
+		return
+	}
+	if !g.net.Inject(p, node, in, g.eng.Now()) {
+		q.push(p)
+		g.pendIdx[slot/64] |= 1 << (slot % 64)
+	}
 }
 
 // complete closes one of requester's transactions.

@@ -22,6 +22,10 @@ type Env struct {
 	Eng     *sim.Engine
 	// RouterPeriod is the router clock period in ticks.
 	RouterPeriod sim.Ticks
+	// MaxOutstanding is the generator's cap on each processor's open
+	// transactions (zero or negative: uncapped); a model may size its
+	// transaction table from it.
+	MaxOutstanding int
 	// NewPacket mints the next packet (sequential id, creation time now,
 	// stats and trace recording applied) without enqueuing it.
 	NewPacket func(cl packet.Class, src, dst topology.Node, txnID uint64) *packet.Packet
@@ -51,7 +55,8 @@ type Model interface {
 	InFlight() int
 }
 
-// coherenceTxn tracks one coherence transaction.
+// coherenceTxn tracks one coherence transaction; the model's table holds
+// it by value.
 type coherenceTxn struct {
 	requester topology.Node
 	home      topology.Node
@@ -75,9 +80,11 @@ type Coherence struct {
 
 	env       *Env
 	l2Latency sim.Ticks
-	txns      map[uint64]*coherenceTxn
-	freeTxns  []*coherenceTxn
-	nextTxn   uint64
+	// txns holds the open transactions by id. Bind sizes it for the
+	// generator's cap, nodes x MaxOutstanding, so a capped run never
+	// grows it.
+	txns    map[uint64]coherenceTxn
+	nextTxn uint64
 	// memH and ownerH are the registered protocol-step handlers: the home
 	// memory/directory response and the owner's L2 response. Both carry
 	// only the transaction id, so no packet is captured past its delivery.
@@ -100,20 +107,9 @@ func (c *Coherence) Name() string { return "coherence" }
 func (c *Coherence) Bind(env *Env) {
 	c.env = env
 	c.l2Latency = sim.Ticks(c.L2LatencyCycles) * env.RouterPeriod
-	c.txns = make(map[uint64]*coherenceTxn)
+	c.txns = make(map[uint64]coherenceTxn, env.Torus.Nodes()*max(env.MaxOutstanding, 0))
 	c.memH = env.Eng.RegisterHandler(c.memoryStep)
 	c.ownerH = env.Eng.RegisterHandler(c.ownerStep)
-}
-
-// newTxn draws a transaction from the free pool.
-func (c *Coherence) newTxn() *coherenceTxn {
-	if n := len(c.freeTxns); n > 0 {
-		t := c.freeTxns[n-1]
-		c.freeTxns = c.freeTxns[:n-1]
-		*t = coherenceTxn{}
-		return t
-	}
-	return &coherenceTxn{}
 }
 
 func (c *Coherence) InFlight() int { return len(c.txns) }
@@ -126,8 +122,7 @@ func (c *Coherence) Tick(sim.Ticks) {}
 // bit for bit.
 func (c *Coherence) Start(requester topology.Node, now sim.Ticks) {
 	c.nextTxn++
-	t := c.newTxn()
-	t.requester = requester
+	t := coherenceTxn{requester: requester}
 	t.home = c.env.Pattern.Dest(requester, c.env.RNG)
 	t.twoHop = c.env.RNG.Bernoulli(c.TwoHopFraction)
 	if !t.twoHop {
@@ -144,8 +139,8 @@ func (c *Coherence) Start(requester topology.Node, now sim.Ticks) {
 // delivered packet may be recycled by its arena the moment Deliver
 // returns.
 func (c *Coherence) Deliver(p *packet.Packet, at sim.Ticks) {
-	t := c.txns[p.TxnID]
-	if t == nil {
+	t, ok := c.txns[p.TxnID]
+	if !ok {
 		return // packet outside transaction bookkeeping (replays, tests)
 	}
 	switch p.Class {
@@ -157,7 +152,6 @@ func (c *Coherence) Deliver(p *packet.Packet, at sim.Ticks) {
 		c.env.Eng.Post(at+c.l2Latency, c.ownerH, sim.EventArgs{A: int64(p.TxnID)})
 	case packet.BlockResponse:
 		delete(c.txns, p.TxnID)
-		c.freeTxns = append(c.freeTxns, t)
 		c.env.Complete(t.requester)
 	}
 }
@@ -166,8 +160,8 @@ func (c *Coherence) Deliver(p *packet.Packet, at sim.Ticks) {
 // for 2-hop transactions, the forward to the owner for 3-hop ones.
 func (c *Coherence) memoryStep(args sim.EventArgs) {
 	txnID := uint64(args.A)
-	t := c.txns[txnID]
-	if t == nil {
+	t, ok := c.txns[txnID]
+	if !ok {
 		return // transaction gone (generator stopped mid-protocol)
 	}
 	if t.twoHop {
@@ -182,8 +176,8 @@ func (c *Coherence) memoryStep(args sim.EventArgs) {
 // ownerStep is the 3-hop owner's block response.
 func (c *Coherence) ownerStep(args sim.EventArgs) {
 	txnID := uint64(args.A)
-	t := c.txns[txnID]
-	if t == nil {
+	t, ok := c.txns[txnID]
+	if !ok {
 		return
 	}
 	resp := c.env.NewPacket(packet.BlockResponse, t.owner, t.requester, txnID)

@@ -53,3 +53,29 @@ func TestPendingIndexMatchesQueues(t *testing.T) {
 	}
 	t.Logf("%d queue-ticks backed up", backedUp)
 }
+
+// TestGeneratorInjectsBeforeQueueing checks that a packet finding its
+// injection queue empty goes to the router before it touches the queue:
+// at light load the router always has room, so after a 4,000-cycle run
+// every queue is still unallocated although thousands of packets were
+// injected.
+func TestGeneratorInjectsBeforeQueueing(t *testing.T) {
+	eng := sim.NewEngine()
+	col := stats.NewCollector(0)
+	rcfg := router.DefaultConfig(core.KindSPAARotary)
+	net, err := network.New(network.Config{Width: 4, Height: 4, Router: rcfg}, eng, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := New(Config{Process: NewBernoulli(0.01), MaxOutstanding: 16, Seed: 1}, net, eng, col)
+	eng.AddClock(rcfg.RouterPeriod, 0, gen)
+	eng.Run(4000 * rcfg.RouterPeriod)
+	if n := net.TotalCounters().Injected; n < 1000 {
+		t.Fatalf("%d packets injected, want the light load's thousand or more", n)
+	}
+	for slot := range gen.pending {
+		if q := &gen.pending[slot]; q.buf != nil {
+			t.Fatalf("slot %d's queue was pushed (buffer of %d): a packet was queued though the router had room", slot, cap(q.buf))
+		}
+	}
+}
