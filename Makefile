@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-router bench-standalone bench-setup bench-check cover cover-check fmt vet figures
+.PHONY: build test race race-pools inline-check bench bench-arbiters bench-router bench-standalone bench-setup bench-check cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -17,26 +17,52 @@ race:
 
 # race-pools points the race detector at the pooled/arena hot paths
 # specifically: the engine's event queue and its 64-node chunks, the
-# packet arena and its chunk growth, the router's one-block slab, ring
-# headers and nomination FIFO bound, the workload injection queues, the
-# network build's link wiring, and the whole-run allocation pin over a
-# 4x4 point (TestWholeRunAllocs) — plus the oracle and telemetry hook
-# paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, the cached Runner's
-# per-cell persistence from pool workers, and the pool's panic
-# containment), and the bitplane arbitration kernels (the parallel
-# differential suite drives every word-parallel kernel against its
-# scalar reference from concurrent subtests, racing the shared
-# mask/scratch code paths). The whole suite runs under -race -short in
-# CI's full job as well.
+# packet arena and its geometric growth, the router's one-block slab,
+# ring headers and nomination FIFO bound, the workload injection queues,
+# the network build's link wiring, and the whole-run allocation pin over
+# a 4x4 point (TestWholeRunAllocs) — plus the router's one observation
+# seam (the watch: the oracle, metrics and flight recorder installed
+# alone and together, TestMetricsObservationOnly and the watched
+# allocation pin), the invariant checker (its own suite and the tests
+# that run it over a network: network's TestInvariant* and workload's
+# TestShardedRunMatchesEngineRun and TestTorusAutomorphismInvariance),
+# obs counters and flight rings, the replicated/checked/instrumented
+# Runner fan-outs, the cached Runner's per-cell persistence from pool
+# workers, and the pool's panic containment — and the bitplane
+# arbitration kernels (the parallel differential suite drives every
+# word-parallel kernel against its scalar reference from concurrent
+# subtests, racing the shared mask/scratch code paths). The whole suite
+# runs under -race -short in CI's full job as well.
 race-pools:
 	$(GO) test -race -count=1 \
-		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator' \
+		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator|Invariant|Automorphism' \
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload ./internal/network
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache|Panic' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
+
+# inline-check fails when the compiler stops inlining a hot-path helper:
+# the router's per-packet and per-ring scan helpers, the ring header
+# operations and the credit-pool operations the arbitration loops call.
+# Each must stay within the inlining budget (go build -gcflags=-m
+# prints "can inline" for it); a helper that outgrows it turns a field
+# read into a call on every packet a scan visits.
+INLINE_FUNCS = \
+	'(*Router).reset' '(*Router).markOld' '(*Router).touchVC' '(*Router).lowerOldAt' \
+	'(*Router).outFree' '(*Router).freeOutputs' '(*Router).scanRings' \
+	'(*Router).leastRecent' '(*Router).holdsPackets' \
+	'(*Ring).At' '(*Ring).Len' '(*Ring).Full' '(*Ring).Push' '(*Ring).Init' \
+	'(*Credits).Available' '(*Credits).Reserve' '(*Credits).Release'
+
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/router ./internal/vc 2>&1 | sed 's/^[^ ]*: //')"; \
+	status=0; \
+	for f in $(INLINE_FUNCS); do \
+		printf '%s\n' "$$out" | grep -qxF "can inline $$f" || { echo "inline-check: $$f no longer inlines"; status=1; }; \
+	done; \
+	[ $$status -eq 0 ] && echo "inline-check: all hot-path helpers inline"; \
+	exit $$status
 
 # cover writes the atomic-mode coverage profile for the whole module.
 cover:

@@ -5,26 +5,33 @@
 // or livelock. It exists because golden fingerprints pin *a* behavior,
 // not a *correct* one: after an aggressive hot-path refactor the
 // fingerprints can reproduce a wrong behavior byte for byte, while the
-// invariants here hold only for correct ones.
+// invariants here hold only for correct ones. It is the simulator's one
+// invariant checker: tests that need conservation or credit bounds run
+// a Checker too.
 //
 // The oracle has two halves:
 //
-//   - Push hooks: the router reports every arbitration decision through
-//     the router.Oracle interface (SPAA nominations and resolutions,
-//     PIM1/WFA wave matrices and grants), and the Checker verifies grant
-//     legality online — every grant matches a pending request, no read
-//     port or output port is granted twice in a resolution, and wave
-//     matrices satisfy the 21364 builder constraints.
-//   - Pull sweeps: Sweep (scheduled periodically by the harness) and
-//     Final (at drain) read the network's conservation counters, every
-//     router's buffer occupancy and credit pools, and the packet arena's
-//     live count, and run the deadlock/livelock watchdog.
+//   - Push hooks: New installs the Checker as the router.Oracle of every
+//     router it watches, and the routers report every arbitration
+//     decision through it (SPAA nominations and resolutions, PIM1/WFA
+//     wave matrices and grants). The Checker verifies grant legality
+//     online — every grant matches a pending request, no read port or
+//     output port is granted twice in a resolution, and wave matrices
+//     satisfy the 21364 builder constraints.
+//   - Pull sweeps: Sweep (which Schedule runs every sweepCycles router
+//     cycles) and Final (at drain) read the network's conservation
+//     counters, every router's buffer occupancy and credit pools, and the
+//     packet arena's live count, and run the deadlock/livelock watchdog.
 //
-// Cost model: when disabled nothing is wired — the router's only residual
-// cost is one nil test per GA resolution, and the hot-path allocation
-// counts stay at zero. When enabled, the hooks add bounded per-resolution
-// work (no maps, reused scratch) and the sweeps add an O(routers ×
-// channels) scan every EveryCycles cycles.
+// Cost model: when disabled nothing is wired — each of the router's hook
+// sites costs one nil test, and the hot-path allocation counts stay at
+// zero. When enabled, the hooks add bounded per-resolution work (reused
+// scratch, one map lookup for the router's pending nominations) and the
+// sweeps add an O(routers × channels) scan every sweepCycles cycles.
+//
+// A Checker serves one simulation, on the goroutine that runs it: the
+// router hooks and the sweep events arrive in event order, so it needs
+// no lock.
 package check
 
 import (
@@ -32,8 +39,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"alpha21364/internal/core"
 	"alpha21364/internal/obs"
@@ -43,37 +48,20 @@ import (
 	"alpha21364/internal/vc"
 )
 
-// Config tunes the oracle. The zero value picks the defaults.
-type Config struct {
-	// HorizonCycles is the deadlock watchdog's no-progress horizon: with
+const (
+	// horizonCycles is the deadlock watchdog's no-progress horizon: with
 	// packets in flight and no delivery for this many router cycles, the
-	// watchdog declares the network stuck. 0 means 10000 cycles — far
-	// beyond any healthy run's inter-delivery gap, including saturation.
-	HorizonCycles int
-	// EveryCycles is the periodic sweep interval in router cycles; 0
-	// means 256.
-	EveryCycles int
-	// RouterPeriod converts cycle counts to engine ticks; 0 means
-	// sim.RouterPeriod.
-	RouterPeriod sim.Ticks
-}
+	// watchdog declares the network stuck. It is far beyond any healthy
+	// run's inter-delivery gap, including saturation.
+	horizonCycles = 10000
+	// sweepCycles is the router-cycle interval at which Schedule runs
+	// Sweep.
+	sweepCycles = 256
+)
 
-func (c Config) withDefaults() Config {
-	if c.HorizonCycles <= 0 {
-		c.HorizonCycles = 10000
-	}
-	if c.EveryCycles <= 0 {
-		c.EveryCycles = 256
-	}
-	if c.RouterPeriod <= 0 {
-		c.RouterPeriod = sim.RouterPeriod
-	}
-	return c
-}
-
-// Probes give the Checker its read-only view of the simulation. Routers
-// is required; every function probe is optional (nil skips the checks
-// that need it), so hand-built test rigs can wire only what they have.
+// Probes give the Checker its read-only view of the simulation. Every
+// probe is optional (nil skips the checks that need it), so hand-built
+// test rigs can wire only what they have.
 type Probes struct {
 	// Injected and Delivered are the network-wide conservation counters:
 	// packets accepted at local input ports and packets dispatched to
@@ -94,14 +82,14 @@ type Probes struct {
 	// Stop halts the simulation on the first violation (typically
 	// Engine.Stop); the Checker still records the violation without it.
 	Stop func()
-	// Routers are the routers to watch. The Checker installs nothing;
-	// the harness is responsible for SetOracle on each.
+	// Routers are the routers to watch. New installs the Checker as the
+	// oracle of each; the sweeps bound their buffers and credit pools;
+	// the watchdog names their stuck buffers and dumps the flight
+	// recorder of each router holding one, turning "stuck
+	// (router,in,ch)" into a replayable last-N-events trace. The first
+	// router's clock period sets the sweep interval and the watchdog
+	// horizon in ticks (sim.RouterPeriod without routers).
 	Routers []*router.Router
-	// FlightRings, when non-nil, holds each router's flight recorder,
-	// parallel to Routers. The deadlock watchdog dumps the stuck routers'
-	// rings into its Violation, turning "stuck (router,in,ch)" into a
-	// replayable last-N-events trace.
-	FlightRings []*obs.FlightRing
 }
 
 // StuckVC names one stuck buffer in a watchdog report.
@@ -136,8 +124,8 @@ type Violation struct {
 	Msg string `json:"msg"`
 	// Stuck lists the stuck buffers of a watchdog violation.
 	Stuck []StuckVC `json:"stuck,omitempty"`
-	// Trace holds the stuck routers' flight-recorder dumps (watchdog
-	// violations with Probes.FlightRings wired): the last-N engine events
+	// Trace holds the flight-recorder dumps of a watchdog violation's
+	// stuck routers that have one installed: the last-N engine events
 	// per stuck router, oldest first.
 	Trace []obs.FlightDump `json:"trace,omitempty"`
 }
@@ -169,37 +157,21 @@ type pendingNom struct {
 	resolveAt sim.Ticks
 }
 
-// routerState is the Checker's per-router bookkeeping. Everything a push
-// hook touches lives here (including the wave-matrix scratch), so hooks
-// for different routers share no mutable state and would stay race-free
-// without locks if routers were ever ticked concurrently.
-type routerState struct {
-	pending []pendingNom
+// Checker is the oracle. Its push hooks run inside the routers' ticks and
+// its pull sweeps as events on the engine; after the first violation it
+// checks nothing more.
+type Checker struct {
+	probes Probes
+	period sim.Ticks // the routers' clock period
+	// pending holds each router's SPAA nominations awaiting their GA
+	// resolution.
+	pending map[*router.Router][]pendingNom
+	v       *Violation
 
-	// Reused scratch for the wave-matrix and grant-legality checks.
+	// Reused scratch for the wave-matrix check.
 	keyBuf []uint64
 	rowBuf []int
 	colBuf []int
-}
-
-// Checker is the oracle. The pull sweeps run as events on the engine.
-// No caller ticks routers concurrently any more: every router edge runs
-// on one goroutine. The hooks keep their concurrency safety until the
-// router's hook fields change (ROADMAP item 9): each router's state is
-// private, the failure fast path is an atomic flag, and the first
-// violation wins under a mutex. Concurrent hook callers would have to be
-// registered in Probes.Routers (New prepopulates their states); the
-// lazy-registration path exists for serial hand-built rigs only.
-type Checker struct {
-	cfg    Config
-	probes Probes
-	states map[*router.Router]*routerState
-
-	// failed is the hooks' lock-free "already violated" fast path; mu
-	// serializes recording the first violation and lazy registration.
-	failed atomic.Bool
-	mu     sync.Mutex
-	v      *Violation
 
 	// Watchdog state.
 	watchInit     bool
@@ -207,71 +179,61 @@ type Checker struct {
 	progressAt    sim.Ticks
 }
 
-// New builds a Checker over the given probes. Install it on each router
-// with SetOracle to enable the grant-legality hooks; schedule Sweep
-// periodically and call Final at drain for the rest.
-func New(cfg Config, probes Probes) *Checker {
+// New builds a Checker over the given probes and installs it as the
+// oracle of every router in probes.Routers, which enables the
+// grant-legality hooks. Schedule runs the periodic sweeps; call Final at
+// drain for the rest.
+func New(probes Probes) *Checker {
 	c := &Checker{
-		cfg:    cfg.withDefaults(),
-		probes: probes,
-		states: make(map[*router.Router]*routerState, len(probes.Routers)),
+		probes:  probes,
+		period:  sim.RouterPeriod,
+		pending: make(map[*router.Router][]pendingNom, len(probes.Routers)),
+	}
+	if len(probes.Routers) > 0 {
+		c.period = probes.Routers[0].Config().RouterPeriod
 	}
 	for _, r := range probes.Routers {
-		c.states[r] = &routerState{}
+		r.SetOracle(c)
 	}
 	return c
 }
 
-// Interval returns the sweep period in engine ticks.
-func (c *Checker) Interval() sim.Ticks {
-	return sim.Ticks(c.cfg.EveryCycles) * c.cfg.RouterPeriod
+// Schedule runs Sweep on eng every sweepCycles router cycles, starting
+// one interval from now, until the first violation. The sweeps only read
+// simulation state, so a clean checked run stays byte-identical to an
+// unchecked one.
+func (c *Checker) Schedule(eng *sim.Engine) {
+	interval := sweepCycles * c.period
+	var sweep func()
+	sweep = func() {
+		c.Sweep(eng.Now())
+		if c.v == nil {
+			eng.ScheduleDelay(interval, sweep)
+		}
+	}
+	eng.ScheduleDelay(interval, sweep)
 }
 
 // Err returns the first violation as an error, nil if none.
 func (c *Checker) Err() error {
-	if v := c.Violation(); v != nil {
-		return v
+	if c.v == nil {
+		return nil
 	}
-	return nil
-}
-
-// Violation returns the structured first failure, nil if none.
-func (c *Checker) Violation() *Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.v
 }
 
-// fail records the first violation and stops the simulation. Concurrent
-// callers race for first; exactly one records and calls Stop.
+// Violation returns the structured first failure, nil if none.
+func (c *Checker) Violation() *Violation { return c.v }
+
+// fail records the first violation and stops the simulation.
 func (c *Checker) fail(v *Violation) {
-	c.mu.Lock()
 	if c.v != nil {
-		c.mu.Unlock()
 		return
 	}
 	c.v = v
-	c.failed.Store(true)
-	c.mu.Unlock()
 	if c.probes.Stop != nil {
 		c.probes.Stop()
 	}
-}
-
-// state returns r's bookkeeping, registering it on first use (serial
-// rigs only; see the Checker doc comment).
-func (c *Checker) state(r *router.Router) *routerState {
-	if st := c.states[r]; st != nil {
-		return st
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.states[r]
-	if st == nil {
-		st = &routerState{}
-		c.states[r] = st
-	}
-	return st
 }
 
 func (c *Checker) failf(invariant string, node int, at sim.Ticks, format string, args ...any) {
@@ -283,27 +245,26 @@ func (c *Checker) failf(invariant string, node int, at sim.Ticks, format string,
 // SPAANominate implements router.Oracle: it records the nomination so the
 // matching resolution can be verified against a pending request.
 func (c *Checker) SPAANominate(r *router.Router, now sim.Ticks, g router.SPAAGrant, resolveAt sim.Ticks) {
-	if c.failed.Load() {
+	if c.v != nil {
 		return
 	}
-	st := c.state(r)
 	if resolveAt < now {
 		c.failf("grant-legality", int(r.Node()), now,
 			"nomination of packet %d resolves in the past (tick %d)", g.ID, resolveAt)
 		return
 	}
-	st.pending = append(st.pending, pendingNom{g: g, resolveAt: resolveAt})
+	c.pending[r] = append(c.pending[r], pendingNom{g: g, resolveAt: resolveAt})
 }
 
 // SPAAResolve implements router.Oracle: every committed grant must match
 // a pending nomination due now, and no read-port row or output port may
 // be granted twice in one resolution.
 func (c *Checker) SPAAResolve(r *router.Router, now sim.Ticks, grants []router.SPAAGrant) {
-	if c.failed.Load() {
+	if c.v != nil {
 		return
 	}
 	node := int(r.Node())
-	st := c.states[r]
+	pending := c.pending[r]
 	for i := range grants {
 		g := &grants[i]
 		for j := 0; j < i; j++ {
@@ -320,38 +281,35 @@ func (c *Checker) SPAAResolve(r *router.Router, now sim.Ticks, grants []router.S
 				return
 			}
 		}
-		if st == nil || !consumePending(st, g, now) {
+		var ok bool
+		if pending, ok = consumePending(pending, g, now); !ok {
 			c.failf("grant-legality", node, now,
 				"grant of packet %d to %v matches no pending nomination", g.ID, g.Out)
 			return
 		}
 	}
-	if st == nil {
-		return
-	}
 	// Every nomination due by now has been resolved (granted or reset);
 	// drop the batch.
-	kept := st.pending[:0]
-	for _, p := range st.pending {
+	kept := pending[:0]
+	for _, p := range pending {
 		if p.resolveAt > now {
 			kept = append(kept, p)
 		}
 	}
-	st.pending = kept
+	c.pending[r] = kept
 }
 
-// consumePending finds and removes the pending nomination a grant
-// commits.
-func consumePending(st *routerState, g *router.SPAAGrant, now sim.Ticks) bool {
-	for i := range st.pending {
-		p := &st.pending[i]
+// consumePending removes from pending the nomination a grant commits,
+// reporting whether there was one.
+func consumePending(pending []pendingNom, g *router.SPAAGrant, now sim.Ticks) ([]pendingNom, bool) {
+	for i := range pending {
+		p := &pending[i]
 		if p.g.ID == g.ID && p.g.Out == g.Out && p.g.Row == g.Row && p.resolveAt <= now {
-			st.pending[i] = st.pending[len(st.pending)-1]
-			st.pending = st.pending[:len(st.pending)-1]
-			return true
+			pending[i] = pending[len(pending)-1]
+			return pending[:len(pending)-1], true
 		}
 	}
-	return false
+	return pending, false
 }
 
 // WaveResolve implements router.Oracle: the connection matrix must
@@ -359,40 +317,39 @@ func consumePending(st *routerState, g *router.SPAAGrant, now sim.Ticks) bool {
 // two columns, every valid cell a real request) and the grants must form
 // a matching over valid cells.
 func (c *Checker) WaveResolve(r *router.Router, now sim.Ticks, m *core.Matrix, grants []core.Grant) {
-	if c.failed.Load() {
+	if c.v != nil {
 		return
 	}
 	node := int(r.Node())
-	st := c.state(r)
 	// Builder invariants over the matrix, iterating the row validity
 	// words so only populated cells are visited.
-	st.keyBuf, st.rowBuf, st.colBuf = st.keyBuf[:0], st.rowBuf[:0], st.colBuf[:0]
+	c.keyBuf, c.rowBuf, c.colBuf = c.keyBuf[:0], c.rowBuf[:0], c.colBuf[:0]
 	for row := 0; row < m.Rows; row++ {
 		for w := m.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
 			cell := m.At(row, col)
 			seen := false
-			for i, k := range st.keyBuf {
+			for i, k := range c.keyBuf {
 				if k != cell.Key {
 					continue
 				}
 				seen = true
-				if st.rowBuf[i] != row {
+				if c.rowBuf[i] != row {
 					c.failf("wave-matrix", node, now,
-						"packet %d nominated by rows %d and %d", cell.Key, st.rowBuf[i], row)
+						"packet %d nominated by rows %d and %d", cell.Key, c.rowBuf[i], row)
 					return
 				}
-				st.colBuf[i]++
-				if st.colBuf[i] > 2 {
+				c.colBuf[i]++
+				if c.colBuf[i] > 2 {
 					c.failf("wave-matrix", node, now,
 						"packet %d nominated to more than two columns", cell.Key)
 					return
 				}
 			}
 			if !seen {
-				st.keyBuf = append(st.keyBuf, cell.Key)
-				st.rowBuf = append(st.rowBuf, row)
-				st.colBuf = append(st.colBuf, 1)
+				c.keyBuf = append(c.keyBuf, cell.Key)
+				c.rowBuf = append(c.rowBuf, row)
+				c.colBuf = append(c.colBuf, 1)
 			}
 		}
 	}
@@ -427,10 +384,9 @@ func (c *Checker) WaveResolve(r *router.Router, now sim.Ticks, m *core.Matrix, g
 
 // Sweep runs the periodic invariants at tick now: buffer occupancy and
 // credit bounds per (port, channel), packet conservation, the arena leak
-// cross-check, and the deadlock watchdog. Schedule it every Interval()
-// ticks.
+// cross-check, and the deadlock watchdog.
 func (c *Checker) Sweep(now sim.Ticks) {
-	if c.failed.Load() {
+	if c.v != nil {
 		return
 	}
 	c.checkBounds(now)
@@ -440,7 +396,7 @@ func (c *Checker) Sweep(now sim.Ticks) {
 // Final runs the drain-time invariants: everything Sweep checks except
 // the watchdog (a run may legitimately end with packets in flight).
 func (c *Checker) Final(now sim.Ticks) {
-	if c.failed.Load() {
+	if c.v != nil {
 		return
 	}
 	c.checkBounds(now)
@@ -534,8 +490,8 @@ func (c *Checker) checkFlow(now sim.Ticks, watchdog bool) {
 }
 
 // checkWatchdog declares the network stuck when packets are in flight but
-// nothing has been delivered for the configured horizon, and names the
-// stuck buffers.
+// nothing has been delivered for horizonCycles, names the stuck buffers,
+// and dumps the flight recorders of the routers holding them.
 func (c *Checker) checkWatchdog(now sim.Ticks, delivered, inFlight int64) {
 	if !c.watchInit || delivered != c.lastDelivered {
 		c.watchInit = true
@@ -543,8 +499,7 @@ func (c *Checker) checkWatchdog(now sim.Ticks, delivered, inFlight int64) {
 		c.progressAt = now
 		return
 	}
-	horizon := sim.Ticks(c.cfg.HorizonCycles) * c.cfg.RouterPeriod
-	if inFlight == 0 || now-c.progressAt < horizon {
+	if inFlight == 0 || now-c.progressAt < horizonCycles*c.period {
 		return
 	}
 	v := &Violation{
@@ -552,33 +507,18 @@ func (c *Checker) checkWatchdog(now sim.Ticks, delivered, inFlight int64) {
 		Node:      -1,
 		At:        now,
 		Msg: fmt.Sprintf("%d packets in flight but no delivery for %d ticks (horizon %d cycles)",
-			inFlight, now-c.progressAt, c.cfg.HorizonCycles),
+			inFlight, now-c.progressAt, horizonCycles),
 	}
 	for _, r := range c.probes.Routers {
-		node := int(r.Node())
+		node, stuck := int(r.Node()), len(v.Stuck)
 		r.ScanOccupied(func(in ports.In, ch vc.Channel, queued int, oldestID uint64, oldestArrive sim.Ticks) {
 			v.Stuck = append(v.Stuck, StuckVC{
 				Node: node, In: in, Ch: ch, Queued: queued,
 				OldestID: oldestID, Waited: now - oldestArrive,
 			})
 		})
-	}
-	// With flight recorders wired, attach each stuck router's trace once.
-	if len(c.probes.FlightRings) == len(c.probes.Routers) {
-		dumped := make(map[int]bool)
-		for i, r := range c.probes.Routers {
-			node := int(r.Node())
-			ring := c.probes.FlightRings[i]
-			if ring == nil || dumped[node] {
-				continue
-			}
-			for _, s := range v.Stuck {
-				if s.Node == node {
-					dumped[node] = true
-					v.Trace = append(v.Trace, ring.Dump(node))
-					break
-				}
-			}
+		if ring := r.Flight(); ring != nil && len(v.Stuck) > stuck {
+			v.Trace = append(v.Trace, ring.Dump(node))
 		}
 	}
 	c.fail(v)

@@ -39,20 +39,6 @@ func testRouter(t *testing.T) (*router.Router, *int64) {
 	return r, sent
 }
 
-// driveSweeps attaches the checker's periodic sweep to the engine the way
-// the experiment harness does.
-func driveSweeps(eng *sim.Engine, chk *Checker) {
-	interval := chk.Interval()
-	var sweep func()
-	sweep = func() {
-		chk.Sweep(eng.Now())
-		if chk.Err() == nil {
-			eng.ScheduleDelay(interval, sweep)
-		}
-	}
-	eng.ScheduleDelay(interval, sweep)
-}
-
 // stalledInjector keeps offering packets toward a fixed destination until
 // the router's injection buffer refuses them.
 type stalledInjector struct {
@@ -85,19 +71,16 @@ func TestWatchdogTripsOnStalledRouter(t *testing.T) {
 	inj := &stalledInjector{r: r, dst: topology.Node(2), want: 400}
 	eng.AddClock(cfg.RouterPeriod, 0, r, inj)
 
-	ring := obs.NewFlightRing(obs.DefaultFlightDepth)
-	r.SetFlight(ring)
-	chk := New(Config{HorizonCycles: 200, EveryCycles: 20, RouterPeriod: cfg.RouterPeriod}, Probes{
-		Injected:    func() int64 { return r.Counters.Injected },
-		Delivered:   func() int64 { return r.Counters.DeliveredLocal },
-		Buffered:    r.Buffered,
-		LinkFlight:  func() int64 { return *sent },
-		Stop:        eng.Stop,
-		Routers:     []*router.Router{r},
-		FlightRings: []*obs.FlightRing{ring},
+	r.SetFlight(obs.NewFlightRing(obs.DefaultFlightDepth))
+	chk := New(Probes{
+		Injected:   func() int64 { return r.Counters.Injected },
+		Delivered:  func() int64 { return r.Counters.DeliveredLocal },
+		Buffered:   r.Buffered,
+		LinkFlight: func() int64 { return *sent },
+		Stop:       eng.Stop,
+		Routers:    []*router.Router{r},
 	})
-	r.SetOracle(chk)
-	driveSweeps(eng, chk)
+	chk.Schedule(eng)
 
 	eng.Run(cfg.RouterPeriod * 100000)
 	v := chk.Violation()
@@ -156,7 +139,7 @@ func TestSPAAGrantLegality(t *testing.T) {
 	g := router.SPAAGrant{ID: 7, Row: 9, In: ports.InCache, Out: ports.OutEast, TargetCh: 0}
 
 	t.Run("grant without nomination", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		chk.SPAAResolve(r, 100, []router.SPAAGrant{g})
 		v := chk.Violation()
 		if v == nil || v.Invariant != "grant-legality" {
@@ -168,7 +151,7 @@ func TestSPAAGrantLegality(t *testing.T) {
 	})
 
 	t.Run("nominated grant is legal once", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		chk.SPAANominate(r, 50, g, 100)
 		chk.SPAAResolve(r, 100, []router.SPAAGrant{g})
 		if err := chk.Err(); err != nil {
@@ -182,7 +165,7 @@ func TestSPAAGrantLegality(t *testing.T) {
 	})
 
 	t.Run("nomination not yet due", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		chk.SPAANominate(r, 50, g, 100)
 		chk.SPAAResolve(r, 99, []router.SPAAGrant{g})
 		if chk.Violation() == nil {
@@ -191,7 +174,7 @@ func TestSPAAGrantLegality(t *testing.T) {
 	})
 
 	t.Run("output granted twice", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		g2 := g
 		g2.ID, g2.Row = 8, 11
 		chk.SPAANominate(r, 50, g, 100)
@@ -204,7 +187,7 @@ func TestSPAAGrantLegality(t *testing.T) {
 	})
 
 	t.Run("row granted twice", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		g2 := g
 		g2.ID, g2.Out = 8, ports.OutNorth
 		chk.SPAANominate(r, 50, g, 100)
@@ -228,7 +211,7 @@ func TestWaveGrantLegality(t *testing.T) {
 	}
 
 	t.Run("legal wave passes", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		m := mk()
 		chk.WaveResolve(r, 100, m, []core.Grant{
 			{Row: 0, Col: 0, Cell: m.At(0, 0)},
@@ -240,7 +223,7 @@ func TestWaveGrantLegality(t *testing.T) {
 	})
 
 	t.Run("packet in two rows", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		m := mk()
 		m.Set(5, 3, 11, 2, 0) // packet 2 now nominated by rows 2 and 5
 		chk.WaveResolve(r, 100, m, nil)
@@ -251,7 +234,7 @@ func TestWaveGrantLegality(t *testing.T) {
 	})
 
 	t.Run("packet in three columns", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		m := mk()
 		m.Set(2, 3, 11, 2, 0)
 		chk.WaveResolve(r, 100, m, nil)
@@ -262,7 +245,7 @@ func TestWaveGrantLegality(t *testing.T) {
 	})
 
 	t.Run("grant on empty cell", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		m := mk()
 		chk.WaveResolve(r, 100, m, []core.Grant{{Row: 4, Col: 4}})
 		v := chk.Violation()
@@ -272,7 +255,7 @@ func TestWaveGrantLegality(t *testing.T) {
 	})
 
 	t.Run("column granted twice", func(t *testing.T) {
-		chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+		chk := New(Probes{Routers: []*router.Router{r}})
 		m := mk()
 		m.Set(4, 0, 12, 3, 0)
 		chk.WaveResolve(r, 100, m, []core.Grant{
@@ -288,7 +271,7 @@ func TestWaveGrantLegality(t *testing.T) {
 
 func TestConservationAndArena(t *testing.T) {
 	t.Run("leak detected", func(t *testing.T) {
-		chk := New(Config{}, Probes{
+		chk := New(Probes{
 			Injected:  func() int64 { return 10 },
 			Delivered: func() int64 { return 4 },
 			Buffered:  func() int { return 3 }, // 3 packets unaccounted for
@@ -301,7 +284,7 @@ func TestConservationAndArena(t *testing.T) {
 	})
 
 	t.Run("arena leak detected", func(t *testing.T) {
-		chk := New(Config{}, Probes{
+		chk := New(Probes{
 			Injected:  func() int64 { return 10 },
 			Delivered: func() int64 { return 7 },
 			Buffered:  func() int { return 3 },
@@ -316,7 +299,7 @@ func TestConservationAndArena(t *testing.T) {
 	})
 
 	t.Run("consistent state passes", func(t *testing.T) {
-		chk := New(Config{}, Probes{
+		chk := New(Probes{
 			Injected:          func() int64 { return 10 },
 			Delivered:         func() int64 { return 6 },
 			Buffered:          func() int { return 3 },
@@ -335,7 +318,7 @@ func TestConservationAndArena(t *testing.T) {
 
 func TestCreditBounds(t *testing.T) {
 	r, _ := testRouter(t)
-	chk := New(Config{}, Probes{Routers: []*router.Router{r}})
+	chk := New(Probes{Routers: []*router.Router{r}})
 	chk.Sweep(10)
 	if err := chk.Err(); err != nil {
 		t.Fatalf("fresh router flagged: %v", err)
@@ -357,7 +340,7 @@ func TestCreditBounds(t *testing.T) {
 // recorded and later sweeps are inert.
 func TestCheckerStopsAtFirstViolation(t *testing.T) {
 	stops := 0
-	chk := New(Config{}, Probes{
+	chk := New(Probes{
 		Injected:  func() int64 { return 1 },
 		Delivered: func() int64 { return 0 },
 		Buffered:  func() int { return 0 },

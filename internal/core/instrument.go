@@ -2,34 +2,6 @@ package core
 
 import "alpha21364/internal/obs"
 
-// Instrumented wrappers for the telemetry layer (internal/obs). Each
-// delegates to the wrapped implementation unchanged — same winners, same
-// internal fairness-state evolution — and only adds counter writes, so
-// wrapping is observation-only by construction. The router installs them
-// when metrics are enabled; the default (unwrapped) path pays nothing.
-
-type instrumentedPolicy struct {
-	inner SelectPolicy
-	m     *obs.ArbiterMetrics
-}
-
-// InstrumentPolicy wraps a SelectPolicy so every Select call counts its
-// competitors (Requests), the single winner (Grants), and the losers
-// (Conflicts) into m.
-func InstrumentPolicy(p SelectPolicy, m *obs.ArbiterMetrics) SelectPolicy {
-	return instrumentedPolicy{inner: p, m: m}
-}
-
-func (ip instrumentedPolicy) Name() string { return ip.inner.Name() }
-
-func (ip instrumentedPolicy) Select(col int, rows []int, network []bool) int {
-	w := ip.inner.Select(col, rows, network)
-	ip.m.Requests += int64(len(rows))
-	ip.m.Grants++
-	ip.m.Conflicts += int64(len(rows) - 1)
-	return w
-}
-
 type instrumentedArbiter struct {
 	inner Arbiter
 	m     *obs.ArbiterMetrics
@@ -37,7 +9,12 @@ type instrumentedArbiter struct {
 
 // InstrumentArbiter wraps a matrix Arbiter so every Arbitrate call
 // counts the valid nominations offered (Requests), the matching found
-// (Grants), and the unmatched remainder (Conflicts) into m.
+// (Grants), and the unmatched remainder (Conflicts) into m. It is the
+// telemetry layer's (internal/obs) counter for an arbiter no router
+// holds, such as the standalone model's; a router counts its own
+// arbitration in place. The wrapper delegates unchanged — same grants,
+// same internal fairness-state evolution — and only adds counter
+// writes, so wrapping is observation-only by construction.
 func InstrumentArbiter(a Arbiter, m *obs.ArbiterMetrics) Arbiter {
 	return instrumentedArbiter{inner: a, m: m}
 }

@@ -6,49 +6,6 @@ import (
 	"alpha21364/internal/obs"
 )
 
-// TestInstrumentPolicyObservationOnly checks that the wrapped policy
-// returns the same winners as the bare one (with identical internal
-// state evolution) while counting requests/grants/conflicts.
-func TestInstrumentPolicyObservationOnly(t *testing.T) {
-	bare := NewLRSPolicy(8, 7, true)
-	var m obs.ArbiterMetrics
-	wrapped := InstrumentPolicy(NewLRSPolicy(8, 7, true), &m)
-
-	if wrapped.Name() != bare.Name() {
-		t.Fatalf("Name = %q, want %q", wrapped.Name(), bare.Name())
-	}
-
-	calls := [][2][]int{
-		// rows, network-as-ints (1 = network-fed)
-		{{0, 2, 5}, {1, 0, 1}},
-		{{3}, {0}},
-		{{1, 4}, {1, 1}},
-		{{0, 2, 5}, {1, 0, 1}},
-	}
-	var wantReq, wantConf int64
-	for i, c := range calls {
-		rows := c[0]
-		network := make([]bool, len(rows))
-		for j, n := range c[1] {
-			network[j] = n == 1
-		}
-		col := i % 7
-		wb := bare.Select(col, rows, network)
-		ww := wrapped.Select(col, rows, network)
-		if wb != ww {
-			t.Fatalf("call %d: wrapped winner %d, bare winner %d", i, ww, wb)
-		}
-		wantReq += int64(len(rows))
-		wantConf += int64(len(rows) - 1)
-	}
-	if m.Requests != wantReq || m.Grants != int64(len(calls)) || m.Conflicts != wantConf {
-		t.Fatalf("metrics = %+v, want req=%d grants=%d conf=%d", m, wantReq, len(calls), wantConf)
-	}
-	if m.Requests != m.Grants+m.Conflicts {
-		t.Fatalf("requests (%d) != grants (%d) + conflicts (%d)", m.Requests, m.Grants, m.Conflicts)
-	}
-}
-
 // TestInstrumentArbiterObservationOnly checks the matrix-arbiter wrapper
 // delegates unchanged and accounts every valid nomination.
 func TestInstrumentArbiterObservationOnly(t *testing.T) {

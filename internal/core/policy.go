@@ -26,6 +26,15 @@ func NewGrantPolicy(rows, cols int, rotary bool) *GrantPolicy {
 // Rotary reports whether the policy applies the Rotary Rule.
 func (p *GrantPolicy) Rotary() bool { return p.rotary }
 
+// Name implements SelectPolicy: "lrs", or "rotary-lrs" under the Rotary
+// Rule.
+func (p *GrantPolicy) Name() string {
+	if p.rotary {
+		return "rotary-lrs"
+	}
+	return "lrs"
+}
+
 // Select picks the winning row for column col among candidate rows.
 // network[i] tells whether rows[i] is fed by a network input port. It
 // returns the index into rows of the winner and records the selection.

@@ -26,24 +26,11 @@ type SelectPolicy interface {
 	Select(col int, rows []int, network []bool) int
 }
 
-// LRS adapts GrantPolicy to SelectPolicy (the 21364's shipping policy).
-type lrsPolicy struct{ p *GrantPolicy }
-
-// NewLRSPolicy returns the least-recently-selected policy; with rotary
-// set, network rows take absolute priority.
+// NewLRSPolicy returns the least-recently-selected policy, the 21364's
+// shipping one: a GrantPolicy, which with rotary set gives network rows
+// absolute priority.
 func NewLRSPolicy(rows, cols int, rotary bool) SelectPolicy {
-	return lrsPolicy{NewGrantPolicy(rows, cols, rotary)}
-}
-
-func (l lrsPolicy) Name() string {
-	if l.p.Rotary() {
-		return "rotary-lrs"
-	}
-	return "lrs"
-}
-
-func (l lrsPolicy) Select(col int, rows []int, network []bool) int {
-	return l.p.Select(col, rows, network)
+	return NewGrantPolicy(rows, cols, rotary)
 }
 
 // RoundRobin grants the first requesting row at or after a per-column

@@ -100,19 +100,12 @@ func (tr *timingRun) workloadConfig(t topology.Torus) (workload.Config, error) {
 // and sweeps the conservation/bounds/watchdog invariants on a periodic
 // self-rescheduling event. The sweep only reads simulation state, so an
 // uncompromised checked run stays byte-identical to an unchecked one.
-func installChecker(eng *sim.Engine, net *network.Network, gen *workload.Generator, period sim.Ticks, met *obs.SimMetrics) *check.Checker {
+func installChecker(eng *sim.Engine, net *network.Network, gen *workload.Generator) *check.Checker {
 	routers := make([]*router.Router, net.Nodes())
-	for node := 0; node < net.Nodes(); node++ {
+	for node := range routers {
 		routers[node] = net.Router(topology.Node(node))
 	}
-	var rings []*obs.FlightRing
-	if met != nil {
-		rings = make([]*obs.FlightRing, len(routers))
-		for i := range routers {
-			rings[i] = &met.Flight[i]
-		}
-	}
-	chk := check.New(check.Config{RouterPeriod: period}, check.Probes{
+	chk := check.New(check.Probes{
 		Injected:          func() int64 { return net.TotalCounters().Injected },
 		Delivered:         func() int64 { return net.TotalCounters().DeliveredLocal },
 		Buffered:          net.Buffered,
@@ -122,20 +115,8 @@ func installChecker(eng *sim.Engine, net *network.Network, gen *workload.Generat
 		Sunk:              gen.Sunk,
 		Stop:              eng.Stop,
 		Routers:           routers,
-		FlightRings:       rings,
 	})
-	for _, r := range routers {
-		r.SetOracle(chk)
-	}
-	interval := chk.Interval()
-	var sweep func()
-	sweep = func() {
-		chk.Sweep(eng.Now())
-		if chk.Err() == nil {
-			eng.ScheduleDelay(interval, sweep)
-		}
-	}
-	eng.ScheduleDelay(interval, sweep)
+	chk.Schedule(eng)
 	return chk
 }
 
@@ -189,7 +170,7 @@ func runTiming(ctx context.Context, tr *timingRun) (ResultPoint, error) {
 	}
 	var chk *check.Checker
 	if sp.Check {
-		chk = installChecker(eng, net, gen, rcfg.RouterPeriod, met)
+		chk = installChecker(eng, net, gen)
 	}
 	if err := ctx.Err(); err != nil {
 		return ResultPoint{}, err

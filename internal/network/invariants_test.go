@@ -3,23 +3,44 @@ package network
 import (
 	"testing"
 
+	"alpha21364/internal/check"
 	"alpha21364/internal/core"
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
+	"alpha21364/internal/router"
 	"alpha21364/internal/sim"
 	"alpha21364/internal/topology"
 )
 
-// invariantChecker runs CheckInvariants on every router-clock edge during
-// a simulation, catching credit leaks the moment they happen.
-type invariantChecker struct{ net *Network }
+// checker installs the invariant oracle over net: grant legality on
+// every router's arbitration, and buffer and credit bounds and packet
+// conservation at each Sweep or Final.
+func checker(net *Network) *check.Checker {
+	routers := make([]*router.Router, net.Nodes())
+	for node := range routers {
+		routers[node] = net.Router(topology.Node(node))
+	}
+	return check.New(check.Probes{
+		Injected:   func() int64 { return net.TotalCounters().Injected },
+		Delivered:  func() int64 { return net.TotalCounters().DeliveredLocal },
+		Buffered:   net.Buffered,
+		LinkFlight: net.LinkFlight,
+		Routers:    routers,
+	})
+}
 
-func (c *invariantChecker) Tick(now sim.Ticks) { c.net.CheckInvariants() }
+// finalEveryCycle runs the Checker's drain-time invariants on every
+// router-clock edge during a simulation, catching credit leaks the
+// moment they happen.
+type finalEveryCycle struct{ chk *check.Checker }
+
+func (c finalEveryCycle) Tick(now sim.Ticks) { c.chk.Final(now) }
 
 func TestInvariantsHoldUnderRandomTraffic(t *testing.T) {
 	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindWFARotary, core.KindPIM1} {
 		net, eng, col := build(t, kind, 4, 4)
-		eng.AddClock(sim.RouterPeriod, 3, &invariantChecker{net})
+		chk := checker(net)
+		eng.AddClock(sim.RouterPeriod, 3, finalEveryCycle{chk})
 		rng := sim.NewRNG(77)
 		id := uint64(0)
 		// Inject random bursts over time from random nodes.
@@ -37,7 +58,10 @@ func TestInvariantsHoldUnderRandomTraffic(t *testing.T) {
 			})
 		}
 		eng.Run(200000)
-		net.CheckInvariants()
+		chk.Final(eng.Now())
+		if err := chk.Err(); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
 		if col.Packets() == 0 {
 			t.Fatalf("%v: nothing delivered", kind)
 		}
@@ -49,12 +73,11 @@ func TestInvariantsHoldUnderRandomTraffic(t *testing.T) {
 
 func TestInvariantViolationDetected(t *testing.T) {
 	net, _, _ := build(t, core.KindSPAABase, 4, 4)
+	chk := checker(net)
 	// Sabotage a credit pool: a double release must be caught.
 	net.Router(0).OutputCredits(ports.OutEast).Release(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckInvariants missed a credit double-release")
-		}
-	}()
-	net.CheckInvariants()
+	chk.Final(0)
+	if v := chk.Violation(); v == nil || v.Invariant != "credit-bounds" || v.Node != 0 {
+		t.Errorf("the checker missed a credit double release on router 0: %v", v)
+	}
 }

@@ -243,25 +243,6 @@ func (n *Network) Buffered() int {
 	return total
 }
 
-// CheckInvariants verifies cross-router conservation: no credit pool
-// exceeds its capacity (double release) or goes negative, and every
-// injected packet is either delivered or still buffered. It panics on
-// violation; tests call it after (and during) simulations.
-func (n *Network) CheckInvariants() {
-	cfg := n.cfg.Router.Buffers
-	for _, r := range n.routers {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			r.OutputCredits(ports.OutForDir(d)).CheckBounds(cfg)
-		}
-	}
-	c := n.TotalCounters()
-	held := int64(n.Buffered()) + n.LinkFlight()
-	if c.Injected != c.DeliveredLocal+held {
-		panic(fmt.Sprintf("network: %d injected != %d delivered + %d buffered/in-flight",
-			c.Injected, c.DeliveredLocal, held))
-	}
-}
-
 // TotalCounters sums the per-router counters.
 func (n *Network) TotalCounters() router.Counters {
 	var t router.Counters

@@ -1,11 +1,12 @@
 // Package obs is the simulation telemetry layer: preallocated metric
-// structs whose hot-path updates are plain int64 field writes, wired into
-// the simulator through nil-checked hooks exactly like the invariant
-// oracle (internal/check). The same two guarantees hold:
+// structs whose hot-path updates are plain int64 field writes. A router
+// holds its RouterMetrics and FlightRing in its one watch, beside the
+// invariant oracle (internal/check); the network holds its
+// NetworkMetrics behind one nil-checked pointer. Two guarantees hold:
 //
 //   - Disabled (the default): nothing is wired. The router and network
-//     hot paths pay one nil test per event and allocate nothing — the
-//     AllocsPerRun pins and the bench-baseline gate cover this.
+//     hot paths pay one nil test per hook site and allocate nothing —
+//     the AllocsPerRun pins and the bench-baseline gate cover this.
 //   - Enabled: observation only. Metrics read simulation state and write
 //     their own counters; they never post events, reserve credits, or
 //     touch RNG streams, so a metrics-enabled run's Result (minus the
@@ -28,10 +29,11 @@ import (
 	"alpha21364/internal/vc"
 )
 
-// ArbiterMetrics counts one router's arbitration outcomes. Requests,
-// Grants, and Conflicts are incremented inside internal/core (the
-// instrumented arbiter/policy wrappers); NomFailures by the router when
-// a nomination is invalidated before arbitration (output busy or no
+// ArbiterMetrics counts one router's arbitration outcomes. The router
+// counts Requests, Grants, and Conflicts right after its grant policy's
+// Select or its wave arbiter's Arbitrate (core.InstrumentArbiter counts
+// them for an arbiter no router holds), and NomFailures when a
+// nomination is invalidated before arbitration (output busy or no
 // downstream credit).
 type ArbiterMetrics struct {
 	// Requests counts GA-stage competitors considered by the arbitration
@@ -62,8 +64,8 @@ func (q *queueTrack) delta(d int32, now sim.Ticks) {
 	q.cur += d
 }
 
-// RouterMetrics is one router's preallocated counter block. The router
-// holds a nil-checked pointer to it; every update is a field write.
+// RouterMetrics is one router's preallocated counter block. The
+// router's watch holds a pointer to it; every update is a field write.
 type RouterMetrics struct {
 	queues [ports.NumIn][vc.NumChannels]queueTrack
 	// Stalls counts nominations invalidated because the output port was

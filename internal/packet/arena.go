@@ -38,18 +38,24 @@ func NewArena() *Arena { return &Arena{} }
 func (a *Arena) Live() int { return a.live }
 
 // grow adds a chunk of arenaChunkSize slots. It runs only when no slot
-// is free, and sizes gens and free for every slot at once: free never
-// holds more indices than there are slots, so a release never grows it.
+// is free. gens and free are reallocated together, at twice the slot
+// count, only when the slots outgrow them, so filling n slots copies
+// O(n) words in all. free's capacity stays at least the slot count, and
+// free never holds more indices than there are slots, so a release never
+// grows it.
 func (a *Arena) grow() {
 	base := len(a.gens)
 	slots := base + arenaChunkSize
 	a.chunks = append(a.chunks, make([]Packet, arenaChunkSize))
-	gens := make([]uint32, slots)
-	copy(gens, a.gens)
-	a.gens = gens
-	a.free = make([]uint32, arenaChunkSize, slots)
-	for i := range a.free {
-		a.free[i] = uint32(base + i)
+	if slots > cap(a.gens) {
+		gens := make([]uint32, base, 2*slots)
+		copy(gens, a.gens)
+		a.gens = gens
+		a.free = make([]uint32, 0, 2*slots)
+	}
+	a.gens = a.gens[:slots]
+	for i := base; i < slots; i++ {
+		a.free = append(a.free, uint32(i))
 	}
 }
 

@@ -1,6 +1,11 @@
 package packet
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 func TestArenaNewMatchesPacketNew(t *testing.T) {
 	a := NewArena()
@@ -137,5 +142,40 @@ func TestArenaGrowthAllocs(t *testing.T) {
 	}
 	if a.Live() != chunks*arenaChunkSize {
 		t.Errorf("arena holds %d live packets, want %d", a.Live(), chunks*arenaChunkSize)
+	}
+}
+
+// TestArenaGrowthIsLinear pins the cost of filling a large arena: the
+// slot bookkeeping (gens and free) grows geometrically, so drawing 64
+// chunks of packets from a fresh arena takes under two allocations per
+// chunk and, beyond the chunks themselves, under 64 bytes per slot in
+// all (85 allocations and 36 bytes per slot). Resizing the bookkeeping
+// to the exact slot count on every chunk copies O(slots²) bytes: 200
+// allocations and 281 bytes per slot here.
+func TestArenaGrowthIsLinear(t *testing.T) {
+	const chunks, maxBytesPerSlot = 64, 64
+	slots := chunks * arenaChunkSize
+	fill := func() *Arena {
+		a := NewArena()
+		for i := 0; i < slots; i++ {
+			a.New(uint64(i), Request, 0, 1, 0)
+		}
+		return a
+	}
+	if allocs := testing.AllocsPerRun(3, func() { fill() }); allocs >= 2*chunks {
+		t.Errorf("drawing %d packets allocates %.0f times, want fewer than %d", slots, allocs, 2*chunks)
+	}
+	chunkBytes := uint64(slots) * uint64(unsafe.Sizeof(Packet{}))
+	bytes := uint64(math.MaxUint64)
+	for range 3 { // the least of three runs, against other goroutines' allocations
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fill()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if extra := bytes - min(bytes, chunkBytes); extra > maxBytesPerSlot*uint64(slots) {
+		t.Errorf("drawing %d packets allocates %d bytes beyond the %d of the chunks: %.0f per slot, want at most %d",
+			slots, extra, chunkBytes, float64(extra)/float64(slots), maxBytesPerSlot)
 	}
 }

@@ -11,10 +11,18 @@ import (
 	"alpha21364/internal/topology"
 )
 
+// nopOracle is an Oracle that checks nothing, so a test can watch a
+// router with every observer installed.
+type nopOracle struct{}
+
+func (nopOracle) SPAANominate(*Router, sim.Ticks, SPAAGrant, sim.Ticks)      {}
+func (nopOracle) SPAAResolve(*Router, sim.Ticks, []SPAAGrant)                {}
+func (nopOracle) WaveResolve(*Router, sim.Ticks, *core.Matrix, []core.Grant) {}
+
 // runMetricsRig drives one self-addressed router for a fixed number of
-// injection cycles with the given telemetry installed, returning the
-// counters and final time.
-func runMetricsRig(t *testing.T, kind core.Kind, m *obs.RouterMetrics, f *obs.FlightRing) (Counters, sim.Ticks) {
+// injection cycles after install (when non-nil) has watched it,
+// returning the counters and final time.
+func runMetricsRig(t *testing.T, kind core.Kind, install func(r *Router)) (Counters, sim.Ticks) {
 	t.Helper()
 	torus := topology.NewTorus(4, 4)
 	cfg := DefaultConfig(kind)
@@ -22,8 +30,9 @@ func runMetricsRig(t *testing.T, kind core.Kind, m *obs.RouterMetrics, f *obs.Fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetMetrics(m)
-	r.SetFlight(f)
+	if install != nil {
+		install(r)
+	}
 	arena := packet.NewArena()
 	for _, out := range []ports.Out{ports.OutMC0, ports.OutMC1, ports.OutIO} {
 		r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {
@@ -43,25 +52,48 @@ func runMetricsRig(t *testing.T, kind core.Kind, m *obs.RouterMetrics, f *obs.Fl
 			now += cfg.RouterPeriod
 		}
 	}
-	r.FlushMetrics(now)
 	return r.Counters, now
 }
 
 // TestMetricsObservationOnly runs the same deterministic traffic with
-// and without telemetry installed and requires identical router
-// counters: metrics and the flight recorder must not perturb the
-// simulation.
+// and without the router watched and requires identical router
+// counters: the oracle, metrics and the flight recorder must not perturb
+// the simulation. Each watched run must also fill the counter block
+// exactly as metrics alone do: installing the block twice counts each
+// event once, and the other observers add nothing to it.
 func TestMetricsObservationOnly(t *testing.T) {
+	watches := []struct {
+		name    string
+		install func(r *Router, m *obs.RouterMetrics)
+	}{
+		{"metrics", func(r *Router, m *obs.RouterMetrics) { r.SetMetrics(m) }},
+		{"metrics twice", func(r *Router, m *obs.RouterMetrics) { r.SetMetrics(m); r.SetMetrics(m) }},
+		{"oracle, metrics and flight", func(r *Router, m *obs.RouterMetrics) {
+			r.SetOracle(nopOracle{})
+			r.SetMetrics(m)
+			r.SetFlight(obs.NewFlightRing(64))
+		}},
+	}
 	for _, kind := range []core.Kind{core.KindSPAARotary, core.KindPIM1, core.KindWFARotary} {
-		bare, _ := runMetricsRig(t, kind, nil, nil)
+		bare, _ := runMetricsRig(t, kind, nil)
 		var m obs.RouterMetrics
-		instrumented, end := runMetricsRig(t, kind, &m, obs.NewFlightRing(64))
-		if bare != instrumented {
-			t.Fatalf("%v: counters diverged with metrics on:\nbare %+v\n  obs %+v", kind, bare, instrumented)
+		var end sim.Ticks
+		for i, c := range watches {
+			var got obs.RouterMetrics
+			watched, at := runMetricsRig(t, kind, func(r *Router) { c.install(r, &got) })
+			if bare != watched {
+				t.Fatalf("%v, %s: counters diverged:\nbare %+v\n  obs %+v", kind, c.name, bare, watched)
+			}
+			if i == 0 {
+				m, end = got, at
+			} else if got != m {
+				t.Errorf("%v, %s: counter block %+v, want the metrics-only run's %+v", kind, c.name, got.Arb, m.Arb)
+			}
 		}
+		m.Flush(end)
 		// Consistency between the two counting systems.
-		if m.Arb.Grants < instrumented.Grants {
-			t.Errorf("%v: arb grants %d < dispatches %d", kind, m.Arb.Grants, instrumented.Grants)
+		if m.Arb.Grants < bare.Grants {
+			t.Errorf("%v: arb grants %d < dispatches %d", kind, m.Arb.Grants, bare.Grants)
 		}
 		if m.Arb.Requests != m.Arb.Grants+m.Arb.Conflicts {
 			t.Errorf("%v: requests %d != grants %d + conflicts %d",
@@ -88,7 +120,7 @@ func TestMetricsObservationOnly(t *testing.T) {
 // inject → nominate → grant sequence in order.
 func TestFlightRecorderCapturesLifecycle(t *testing.T) {
 	f := obs.NewFlightRing(1024)
-	_, _ = runMetricsRig(t, core.KindSPAARotary, nil, f)
+	_, _ = runMetricsRig(t, core.KindSPAARotary, func(r *Router) { r.SetFlight(f) })
 	ev := f.Events()
 	if len(ev) == 0 {
 		t.Fatal("flight ring empty after traffic")
@@ -118,8 +150,8 @@ func TestFlightRecorderCapturesLifecycle(t *testing.T) {
 }
 
 // TestRouterTickAllocsWithMetrics extends the steady-state allocation
-// pin over the metrics-enabled path: telemetry increments must stay
-// plain field writes.
+// pin over the watched path: telemetry increments must stay plain field
+// writes, and the oracle's grant record must stop growing.
 func TestRouterTickAllocsWithMetrics(t *testing.T) {
 	for _, kind := range []core.Kind{core.KindSPAABase, core.KindPIM1} {
 		torus := topology.NewTorus(4, 4)
@@ -129,6 +161,7 @@ func TestRouterTickAllocsWithMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m obs.RouterMetrics
+		r.SetOracle(nopOracle{})
 		r.SetMetrics(&m)
 		r.SetFlight(obs.NewFlightRing(obs.DefaultFlightDepth))
 		arena := packet.NewArena()

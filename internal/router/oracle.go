@@ -3,11 +3,10 @@ package router
 // oracle.go is the router's window for online invariant checking
 // (internal/check): an Oracle installed with SetOracle observes every
 // arbitration decision as it commits, and the read-only accessors below
-// let it sweep buffer state between cycles. The hooks are designed to be
-// free when unused — a nil oracle costs exactly one pointer test per GA
-// resolution and nothing per cycle otherwise — and allocation-free when
-// installed: grant records are appended to a slice the router reuses
-// across resolutions.
+// let it sweep buffer state between cycles. The oracle is one of the
+// three observers the router's watch holds (watch.go): unwatched, each
+// hook site costs one nil test; watched, the hooks allocate nothing once
+// the grant record the router reuses across resolutions has grown.
 
 import (
 	"math/bits"
@@ -53,9 +52,6 @@ type Oracle interface {
 	// loop filters stale cells.
 	WaveResolve(r *Router, now sim.Ticks, m *core.Matrix, grants []core.Grant)
 }
-
-// SetOracle installs (or, with nil, removes) the arbitration oracle.
-func (r *Router) SetOracle(o Oracle) { r.oracle = o }
 
 // QueueLen returns the number of packets buffered on one (input port,
 // virtual channel) ring.

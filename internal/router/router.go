@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"alpha21364/internal/core"
-	"alpha21364/internal/obs"
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
@@ -96,9 +95,10 @@ type Router struct {
 	// is the only writer.
 	lruStamp [ports.NumIn][vc.NumChannels]uint64
 	lruClock uint64
-	// credits holds the router's eight credit pools by value. Network
-	// output ports are 0–3 and local input ports 4–7, so credits[out] is
-	// network output out's view of its neighbour's input buffer
+	// credits holds the router's eight credit pools by value, each filled
+	// by New from one table of the 19 channel capacities. Network output
+	// ports are 0–3 and local input ports 4–7, so credits[out] is network
+	// output out's view of its neighbour's input buffer
 	// (outputs[out].credits points at it once ConnectNetwork wires the
 	// port), and credits[in] is local input in's injection pool (the
 	// processor's view of the buffer's free space). Network inputs have
@@ -173,14 +173,9 @@ type Router struct {
 
 	Counters Counters
 
-	// oracle, when non-nil, observes every arbitration decision for
-	// online invariant checking; oracleGrants is its reused record buffer.
-	oracle       Oracle
-	oracleGrants []SPAAGrant
-
-	// metrics and flight, when non-nil, receive telemetry (see metrics.go).
-	metrics *obs.RouterMetrics
-	flight  *obs.FlightRing
+	// watch, when non-nil, observes the pipeline: the arbitration oracle,
+	// telemetry counters and flight recorder (see watch.go).
+	watch *watch
 
 	// Scratch of fixed size. A router ticks every cycle, so a GA round
 	// resolves one LA stage's nominations, at most one per input port,
@@ -242,9 +237,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		for out := ports.Out(0); out < ports.NumOut; out++ {
 			r.rowOf[in][out] = int8(rowFor(cfg.Conn, in, out))
 		}
-		if !in.IsNetwork() {
-			r.credits[in].Init(cfg.Buffers)
-		}
+		r.credits[in].Init(&caps)
 	}
 	for row := range r.waveCells {
 		for col := range r.waveCells[row] {
@@ -297,7 +290,6 @@ func (r *Router) ConnectNetwork(out ports.Out, send Sender) {
 		panic(fmt.Sprintf("router: %v is not a network port", out))
 	}
 	r.outputs[out].send = send
-	r.credits[out].Init(r.cfg.Buffers)
 	r.outputs[out].credits = &r.credits[out]
 }
 
@@ -345,8 +337,8 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 		r.winOuts[in][ch] |= rec.meta.outs
 		r.lowerOldAt(rec)
 	}
-	if m := r.metrics; m != nil {
-		m.QueueDelta(in, ch, +1, headerArrive)
+	if w := r.watch; w != nil {
+		w.buffered(rec)
 	}
 }
 
@@ -370,9 +362,6 @@ func (r *Router) Inject(p *packet.Packet, in ports.In, now sim.Ticks) bool {
 		now+sim.Ticks(r.cfg.PreArbLocal)*r.cfg.RouterPeriod,
 		feeder)
 	r.Counters.Injected++
-	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightInject, p.ID, in, ch, ports.NumOut)
-	}
 	return true
 }
 
@@ -412,9 +401,6 @@ func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 		headerArrive+sim.Ticks(r.cfg.PreArbNetwork)*r.cfg.RouterPeriod,
 		creditHome)
 	r.Counters.Arrived++
-	if f := r.flight; f != nil {
-		f.Record(headerArrive, obs.FlightArrive, p.ID, in, targetCh, ports.NumOut)
-	}
 }
 
 // Buffered returns the number of packets buffered at the router.
@@ -490,14 +476,8 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 			local: mv.local, resolveAt: gaTick,
 		})
 		r.Counters.Nominations++
-		if f := r.flight; f != nil {
-			f.Record(now, obs.FlightNominate, rec.pkt.ID, in, rec.meta.ch, mv.out)
-		}
-		if r.oracle != nil {
-			r.oracle.SPAANominate(r, now, SPAAGrant{
-				ID: rec.pkt.ID, Row: mv.row, In: in, Ch: rec.meta.ch,
-				Out: mv.out, TargetCh: mv.targetCh, Local: mv.local,
-			}, gaTick)
+		if w := r.watch; w != nil {
+			w.nominated(r, now, rec, mv.out, &r.noms[len(r.noms)-1])
 		}
 	}
 	if aging {
@@ -576,9 +556,6 @@ func olderThan(a, b *pkRec) bool {
 // the grant policy picks a winner among still-valid requests; the rest are
 // reset for re-nomination (SPAA step 3).
 func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
-	if r.oracle != nil {
-		r.oracleGrants = r.oracleGrants[:0]
-	}
 	var outs ports.OutMask
 	for i := range due {
 		outs = outs.With(due[i].out)
@@ -595,15 +572,10 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 			valid := r.outFree(out, now) &&
 				(n.local || (credits != nil && credits.Available(n.targetCh)))
 			if !valid {
-				if m := r.metrics; m != nil {
-					if !r.outFree(out, now) {
-						m.Stalls++
-					} else {
-						m.CreditWaits++
-					}
-					m.Arb.NomFailures++
+				if w := r.watch; w != nil {
+					w.failed(!r.outFree(out, now))
 				}
-				r.reset(n.pk, now)
+				r.reset(&r.slab.recs[n.pk], now)
 				n.pk = -1
 				continue
 			}
@@ -615,20 +587,17 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 		if k == 0 {
 			continue
 		}
-		w := r.policy.Select(int(out), r.gaRows[:k], r.gaNet[:k])
+		win := r.policy.Select(int(out), r.gaRows[:k], r.gaNet[:k])
+		if w := r.watch; w != nil {
+			n := &due[r.gaIdx[win]]
+			w.selected(k, &r.slab.recs[n.pk], n)
+		}
 		for c, idx := range r.gaIdx[:k] {
 			n := &due[idx]
-			if c == w {
-				if r.oracle != nil {
-					rec := &r.slab.recs[n.pk]
-					r.oracleGrants = append(r.oracleGrants, SPAAGrant{
-						ID: rec.pkt.ID, Row: n.row, In: rec.meta.in,
-						Ch: rec.meta.ch, Out: n.out, TargetCh: n.targetCh, Local: n.local,
-					})
-				}
+			if c == win {
 				r.dispatch(n.pk, n.out, n.targetCh, n.local, now)
 			} else {
-				r.reset(n.pk, now)
+				r.reset(&r.slab.recs[n.pk], now)
 				r.Counters.WastedSpecReads++
 			}
 			n.pk = -1
@@ -640,17 +609,18 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 			panic("router: unresolved nomination")
 		}
 	}
-	if r.oracle != nil {
-		r.oracle.SPAAResolve(r, now, r.oracleGrants)
+	if w := r.watch; w != nil {
+		w.resolved(r, now)
 	}
 }
 
-func (r *Router) reset(pk int32, now sim.Ticks) {
-	rec := &r.slab.recs[pk]
+// reset returns packet rec, whose nomination failed or lost, to the
+// buffered state.
+func (r *Router) reset(rec *pkRec, now sim.Ticks) {
 	rec.meta.flags &^= pkNominated
 	r.Counters.Collisions++
-	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightReset, rec.pkt.ID, rec.meta.in, rec.meta.ch, ports.NumOut)
+	if w := r.watch; w != nil {
+		w.reset(now, rec)
 	}
 }
 
@@ -748,8 +718,8 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 			rec := &s.recs[r.waveCells[row][col].pk]
 			rec.meta.flags |= pkNominated
 			r.Counters.Nominations++
-			if f := r.flight; f != nil {
-				f.Record(now, obs.FlightNominate, rec.pkt.ID, rec.meta.in, rec.meta.ch, ports.Out(col))
+			if w := r.watch; w != nil {
+				w.nominated(r, now, rec, ports.Out(col), nil)
 			}
 		}
 	}
@@ -788,8 +758,8 @@ func (r *Router) assignRow(in ports.In, moves []move, id uint64) int {
 
 func (r *Router) resolveWave(now sim.Ticks) {
 	grants := r.arb.Arbitrate(r.matrix)
-	if r.oracle != nil {
-		r.oracle.WaveResolve(r, now, r.matrix, grants)
+	if w := r.watch; w != nil {
+		w.waveArbitrated(r, now, r.matrix, grants)
 	}
 	for _, g := range grants {
 		cell := r.waveCells[g.Row][g.Col]
@@ -798,13 +768,8 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		valid := r.outFree(out, now) &&
 			(cell.local || (credits != nil && credits.Available(cell.targetCh)))
 		if !valid || cell.pk < 0 || r.slab.recs[cell.pk].meta.flags&pkNominated == 0 {
-			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
-				if !r.outFree(out, now) {
-					m.Stalls++
-				} else {
-					m.CreditWaits++
-				}
-				m.Arb.NomFailures++
+			if w := r.watch; w != nil && !valid && cell.pk >= 0 {
+				w.failed(!r.outFree(out, now))
 			}
 			continue
 		}
@@ -819,7 +784,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
 			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.recs[pk].meta.flags&pkNominated != 0 {
-				r.reset(pk, now)
+				r.reset(&r.slab.recs[pk], now)
 			}
 			r.waveCells[row][col] = waveCell{pk: -1}
 			r.matrix.Clear(row, col)
@@ -931,9 +896,6 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 		}
 	}
 	r.refreshWindow(in, ch)
-	if m := r.metrics; m != nil {
-		m.QueueDelta(in, ch, -1, now)
-	}
 	if rec.meta.flags&pkOld != 0 {
 		rec.meta.flags &^= pkOld
 		r.oldCount--
@@ -944,13 +906,13 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	if rec.upstream != nil {
 		rec.upstream.Release(ch)
 	}
+	if w := r.watch; w != nil {
+		w.granted(now, rec, out)
+	}
 
 	p := rec.pkt
 	tailArrive := rec.tailArrive
 	r.slab.release(pk)
-	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightGrant, p.ID, in, ch, out)
-	}
 
 	op := &r.outputs[out]
 	headerDepart := now + r.postArbTicks

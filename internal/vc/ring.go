@@ -38,11 +38,11 @@ type Ring struct {
 // Init places the ring at block[off:off+capacity], dropping any
 // contents. The ring never touches the block outside that span, so many
 // rings can share one block, each owning a slice of it. It panics unless
-// 0 <= off, 0 <= capacity and off+capacity <= MaxRingBlock.
+// 0 <= off, 0 <= capacity and off+capacity <= MaxRingBlock; the panic
+// message is constant so that Init inlines.
 func (r *Ring) Init(off, capacity int) {
 	if off < 0 || capacity < 0 || off+capacity > MaxRingBlock {
-		panic(fmt.Sprintf("vc: ring at %d with capacity %d does not fit a %d-handle block",
-			off, capacity, MaxRingBlock))
+		panic("vc: ring does not fit a MaxRingBlock-handle block")
 	}
 	*r = Ring{off: uint16(off), cap: uint16(capacity)}
 }

@@ -159,14 +159,11 @@ type Credits struct {
 	free [NumChannels]int
 }
 
-// Init sets every channel's free count to its capacity in cfg. The zero
-// Credits has no free buffer; a pool lives by value in its owner and is
-// initialized in place.
-func (cr *Credits) Init(cfg Config) {
-	for ch := Channel(0); ch < NumChannels; ch++ {
-		cr.free[ch] = cfg.Capacity(ch)
-	}
-}
+// Init sets every channel's free count to its capacity, caps[ch] (a
+// Config's Capacity of each channel, which the owner evaluates once for
+// all its pools). The zero Credits has no free buffer; a pool lives by
+// value in its owner and is initialized in place.
+func (cr *Credits) Init(caps *[NumChannels]int) { cr.free = *caps }
 
 // Available reports whether at least one packet buffer is free on ch.
 func (cr *Credits) Available(ch Channel) bool { return cr.free[ch] > 0 }
@@ -186,17 +183,3 @@ func (cr *Credits) Reserve(ch Channel) {
 
 // Release returns one credit on ch.
 func (cr *Credits) Release(ch Channel) { cr.free[ch]++ }
-
-// CheckBounds panics if any channel has more free credits than its
-// configured capacity — that would indicate a double release.
-func (cr *Credits) CheckBounds(cfg Config) {
-	for ch := Channel(0); ch < NumChannels; ch++ {
-		if cr.free[ch] > cfg.Capacity(ch) {
-			panic(fmt.Sprintf("vc: channel %v has %d free credits, capacity %d",
-				ch, cr.free[ch], cfg.Capacity(ch)))
-		}
-		if cr.free[ch] < 0 {
-			panic(fmt.Sprintf("vc: channel %v has negative credits", ch))
-		}
-	}
-}

@@ -104,7 +104,7 @@ func TestCapacityMatchesTotal(t *testing.T) {
 func TestCreditsReserveRelease(t *testing.T) {
 	cfg := DefaultConfig()
 	var cr Credits
-	cr.Init(cfg)
+	cr.Init(capacities(cfg))
 	ch := Of(packet.Request, VC0)
 	if !cr.Available(ch) {
 		t.Fatal("fresh credits unavailable")
@@ -117,12 +117,14 @@ func TestCreditsReserveRelease(t *testing.T) {
 	if !cr.Available(ch) {
 		t.Fatal("release did not restore credit")
 	}
-	cr.CheckBounds(cfg)
+	if free := cr.Free(ch); free != cfg.Capacity(ch) {
+		t.Fatalf("%d free credits after reserve and release, want the capacity %d", free, cfg.Capacity(ch))
+	}
 }
 
 func TestCreditsReservePanicsWhenExhausted(t *testing.T) {
 	var cr Credits
-	cr.Init(uniformConfig(1))
+	cr.Init(capacities(uniformConfig(1)))
 	ch := Of(packet.Forward, VC1)
 	cr.Reserve(ch)
 	defer func() {
@@ -133,24 +135,10 @@ func TestCreditsReservePanicsWhenExhausted(t *testing.T) {
 	cr.Reserve(ch)
 }
 
-func TestCheckBoundsCatchesDoubleRelease(t *testing.T) {
-	cfg := DefaultConfig()
-	var cr Credits
-	cr.Init(cfg)
-	ch := Of(packet.Request, Adaptive)
-	cr.Release(ch) // double release: one more than capacity
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckBounds should panic on over-capacity credits")
-		}
-	}()
-	cr.CheckBounds(cfg)
-}
-
 func TestCreditsConservation(t *testing.T) {
 	cfg := DefaultConfig()
 	var cr Credits
-	cr.Init(cfg)
+	cr.Init(capacities(cfg))
 	ch := Of(packet.BlockResponse, Adaptive)
 	f := func(ops []bool) bool {
 		held := 0
@@ -173,6 +161,16 @@ func TestCreditsConservation(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// capacities returns each channel's capacity in cfg, the table
+// Credits.Init takes.
+func capacities(cfg Config) *[NumChannels]int {
+	var caps [NumChannels]int
+	for ch := range caps {
+		caps[ch] = cfg.Capacity(Channel(ch))
+	}
+	return &caps
 }
 
 // uniformConfig builds a Config with the same adaptive capacity for every

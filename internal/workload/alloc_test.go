@@ -94,6 +94,7 @@ func TestShardedRunMatchesEngineRun(t *testing.T) {
 			sg.SetEdge(rcfg.RouterPeriod, 0, shardNet.TickShard)
 			shardGen := New(wcfg, shardNet, hub, shardCol)
 			hub.AddClock(rcfg.RouterPeriod, 0, shardGen)
+			chk := Checker(shardNet, shardGen)
 
 			same := func(when string) {
 				t.Helper()
@@ -103,7 +104,10 @@ func TestShardedRunMatchesEngineRun(t *testing.T) {
 				if got, want := shardCol.LatencySummaryNS(), col.LatencySummaryNS(); got != want {
 					t.Fatalf("%s: sharded latency %+v, Engine.Run %+v", when, got, want)
 				}
-				shardNet.CheckInvariants() // panics on a violated credit bound
+				chk.Final(hub.Now())
+				if err := chk.Err(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
 			}
 			eng.Run(end)
 			sg.Run(end)

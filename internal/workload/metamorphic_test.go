@@ -53,7 +53,8 @@ func translation(t topology.Torus, dx, dy int) (fwd, inv func(topology.Node) top
 }
 
 // runPattern executes one small timing simulation under the given
-// pattern and returns its aggregate BNF point.
+// pattern, with the invariant oracle watching, and returns its aggregate
+// BNF point.
 func runPattern(t *testing.T, pat workload.Pattern, cycles int) stats.Point {
 	t.Helper()
 	rcfg := router.DefaultConfig(core.KindSPAARotary)
@@ -72,8 +73,13 @@ func runPattern(t *testing.T, pat workload.Pattern, cycles int) stats.Point {
 		Pattern: pat, Process: proc, MaxOutstanding: 16, Seed: 9,
 	}, net, eng, col)
 	eng.AddClock(rcfg.RouterPeriod, 0, gen)
+	chk := workload.Checker(net, gen)
+	chk.Schedule(eng)
 	eng.Run(end)
-	net.CheckInvariants()
+	chk.Final(eng.Now())
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
+	}
 	return col.BNF(net.Nodes(), end)
 }
 
