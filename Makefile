@@ -18,7 +18,8 @@ race:
 # race-pools points the race detector at the pooled/arena hot paths
 # specifically: the engine's event queue and its 64-node chunks, the
 # packet arena and its geometric growth, the router's one-block slab,
-# ring headers and nomination FIFO bound, the workload injection queues,
+# the queues linked through it (their differential tests and fuzz seeds)
+# and its nomination FIFO bound, the workload injection queues,
 # the network build's link wiring, and the whole-run allocation pin over
 # a 4x4 point (TestWholeRunAllocs) — plus the router's one observation
 # seam (the watch: the oracle, metrics and flight recorder installed
@@ -36,14 +37,14 @@ race:
 race-pools:
 	$(GO) test -race -count=1 \
 		-run 'Queue|Arena|Ring|Alloc|Slab|Engine|Generator|Invariant|Automorphism' \
-		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload ./internal/network
+		./internal/sim ./internal/packet ./internal/router ./internal/workload ./internal/network
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|Cache|Panic' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
 
 # inline-check fails when the compiler stops inlining a hot-path helper:
-# the router's per-packet and per-ring scan helpers, the ring header
+# the router's per-packet and per-queue scan helpers, the queue
 # operations and the credit-pool operations the arbitration loops call.
 # Each must stay within the inlining budget (go build -gcflags=-m
 # prints "can inline" for it); a helper that outgrows it turns a field
@@ -52,7 +53,7 @@ INLINE_FUNCS = \
 	'(*Router).reset' '(*Router).markOld' '(*Router).touchVC' '(*Router).lowerOldAt' \
 	'(*Router).outFree' '(*Router).freeOutputs' '(*Router).scanRings' \
 	'(*Router).leastRecent' '(*Router).holdsPackets' \
-	'(*Ring).At' '(*Ring).Len' '(*Ring).Full' '(*Ring).Push' '(*Ring).Init' \
+	'(*queue).push' '(*queue).unlink' '(*queue).Len' '(*queue).Full' \
 	'(*Credits).Available' '(*Credits).Reserve' '(*Credits).Release'
 
 inline-check:

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"alpha21364/internal/core"
@@ -14,14 +15,14 @@ import (
 var routerKinds = []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFABase, core.KindWFARotary}
 
 // TestBuildNetworkAllocs pins what wiring a torus costs: every router
-// places its 152 rings in one handle block, keeps its credit pools by
+// links its 152 queues through its packet slab, keeps its credit pools by
 // value and sizes its slab, nomination FIFO or arbiter scratch once, and
 // the links share one slice and one registered handler and are wired as
 // the routers' Senders, so a build makes at most maxAllocsPerRouter
-// allocations per router, whatever the algorithm or the torus size (8.2–8.7
-// for SPAA and 14.2–15.6 for the wave kinds, on 4x4 and 8x8).
+// allocations per router, whatever the algorithm or the torus size (7.2–7.6
+// for SPAA and 13.2–14.6 for the wave kinds, on 4x4 and 8x8).
 func TestBuildNetworkAllocs(t *testing.T) {
-	const maxAllocsPerRouter = 16
+	const maxAllocsPerRouter = 15
 	for _, size := range []int{4, 8} {
 		for _, kind := range routerKinds {
 			cfg := Config{Width: size, Height: size, Router: router.DefaultConfig(kind)}
@@ -33,6 +34,38 @@ func TestBuildNetworkAllocs(t *testing.T) {
 			if perRouter := allocs / float64(size*size); perRouter > maxAllocsPerRouter {
 				t.Errorf("%dx%d %v: buildNetwork makes %.0f allocations, %.1f per router, want at most %d",
 					size, size, kind, allocs, perRouter, maxAllocsPerRouter)
+			}
+		}
+	}
+}
+
+// TestBuildNetworkBytes bounds the bytes a torus build allocates per
+// router: a router's queues are headers over its packet slab, with no
+// storage of their own. On 4x4 and 8x8 tori a build takes 11,196–11,475
+// bytes per router for SPAA and 14,940–15,395 for the wave kinds, whose
+// routers add the connection matrix and arbiter scratch; the bounds,
+// 12 KiB and 16 KiB, leave 6–7% of headroom, less than one 5 KB block
+// per router.
+func TestBuildNetworkBytes(t *testing.T) {
+	for _, size := range []int{4, 8} {
+		for _, kind := range routerKinds {
+			cfg := Config{Width: size, Height: size, Router: router.DefaultConfig(kind)}
+			maxBytes := 16 << 10
+			if kind == core.KindSPAABase || kind == core.KindSPAARotary {
+				maxBytes = 12 << 10
+			}
+			const builds = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < builds; i++ {
+				if _, err := buildNetwork(cfg, sim.NewEngine(), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perRouter := float64(after.TotalAlloc-before.TotalAlloc) / builds / float64(size*size); perRouter > float64(maxBytes) {
+				t.Errorf("%dx%d %v: buildNetwork allocates %.0f bytes per router, want at most %d",
+					size, size, kind, perRouter, maxBytes)
 			}
 		}
 	}

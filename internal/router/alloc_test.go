@@ -44,7 +44,7 @@ func TestRouterTickAllocs(t *testing.T) {
 				now += cfg.RouterPeriod
 			}
 		}
-		// Warm slab, rings, and scratch past their high-water marks.
+		// Warm slab, queues, and scratch past their high-water marks.
 		for i := 0; i < 50; i++ {
 			cycle()
 		}

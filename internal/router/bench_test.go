@@ -13,7 +13,7 @@ import (
 
 // BenchmarkRouterTick measures the router clock edge: one op is one
 // router cycle of a single router under a steady offered load (see
-// newTickLoad), at a light rate that leaves most rings empty and at a
+// newTickLoad), at a light rate that leaves most queues empty and at a
 // saturating rate that keeps the buffers backed up; "buffered" reports
 // the packets held at the end. Compare commits with `make bench-router`.
 func BenchmarkRouterTick(b *testing.B) {
@@ -44,7 +44,7 @@ func BenchmarkRouterTick(b *testing.B) {
 // with a function that runs one router cycle: each of the eight input ports is offered a
 // packet of a random class with probability rate, to a uniform random
 // destination — injected at local ports, and at network ports arriving
-// in its adaptive channel when that ring has space. Network outputs
+// in its adaptive channel when that queue has space. Network outputs
 // return their credit at once and local outputs consume, so only the
 // router's own arbitration limits throughput. The whole cycle runs out of
 // a packet arena and allocates nothing in steady state.

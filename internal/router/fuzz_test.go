@@ -113,11 +113,14 @@ func TestRouterFuzzArrivals(t *testing.T) {
 
 // checkScanIndexes checks the scan indexes against the state they
 // summarize, reporting each mismatch: bit ch of occ[in] is set exactly
-// when ring (in, ch) holds a packet, and bit in of occIns exactly when
-// occ[in] is non-zero; no buffered packet's output mask hides a move
-// (with only output o free, readyMoves returns a move only when o is in
-// the mask); winOuts[in][ch] is the union of the output masks of the
-// ring's first Window packets; oldAt is at or below the tick at which
+// when queue (in, ch) holds a packet, and bit in of occIns exactly when
+// occ[in] is non-zero; each queue's links lead from its head to its tail
+// through its length in packets, in non-decreasing header arrival (the
+// order findNomination's early stop relies on); no buffered packet's
+// output mask hides a move (with only output o free, readyMoves returns
+// a move only when o is in the mask); winOuts[in][ch] is the union of
+// the output masks of the queue's first Window packets, and inOuts[in]
+// the union of in's summaries; oldAt is at or below the tick at which
 // each of those packets that is not yet old turns old; the busy-output
 // mask yields the free set a compare of every output's busy time gives
 // at the next LA threshold; and, with no wave active, the wave matrix
@@ -127,19 +130,35 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 	s := &r.slab
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		if indexed := r.occIns&(1<<in) != 0; indexed != (r.occ[in] != 0) {
-			t.Errorf("%s tick %d: %v ring bits %019b, input index bit %v", label, now, in, r.occ[in], indexed)
+			t.Errorf("%s tick %d: %v queue bits %019b, input index bit %v", label, now, in, r.occ[in], indexed)
 			return false
 		}
+		var inWindow ports.OutMask
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			q := &r.queues[in][ch]
 			if indexed := r.occ[in]&(1<<ch) != 0; indexed != (q.Len() > 0) {
 				t.Errorf("%s tick %d: %v/%v holds %d packets, index bit %v", label, now, in, ch, q.Len(), indexed)
 				return false
 			}
+			if got := queueContents(s, q); len(got) != q.Len() || (q.Len() > 0 && got[len(got)-1] != q.tail) {
+				t.Errorf("%s tick %d: %v/%v links %v from its head, want %d packets ending at its tail %d",
+					label, now, in, ch, got, q.Len(), q.tail)
+				return false
+			}
 			var window ports.OutMask
-			for i := 0; i < q.Len(); i++ {
-				pk := int32(q.At(r.handles, i))
+			prev := uint16(nilHandle)
+			for i, pk := 0, q.head; i < q.Len(); i, pk = i+1, s.recs[pk].next {
 				rec := &s.recs[pk]
+				if rec.prev != prev {
+					t.Errorf("%s tick %d: %v/%v position %d links back to %d, want %d", label, now, in, ch, i, rec.prev, prev)
+					return false
+				}
+				if i > 0 && rec.headerArrive < s.recs[prev].headerArrive {
+					t.Errorf("%s tick %d: %v/%v position %d arrived at %d, before position %d's %d",
+						label, now, in, ch, i, rec.headerArrive, i-1, s.recs[prev].headerArrive)
+					return false
+				}
+				prev = pk
 				outs := rec.meta.outs
 				for o := ports.Out(0); o < ports.NumOut; o++ {
 					if len(r.readyMoves(pk, ports.OutMask(0).With(o), nil)) > 0 && !outs.Has(o) {
@@ -163,6 +182,11 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 					label, now, in, ch, r.winOuts[in][ch], r.cfg.Window, window)
 				return false
 			}
+			inWindow |= window
+		}
+		if r.inOuts[in] != inWindow {
+			t.Errorf("%s tick %d: %v input summary %07b, its queues' windows use %07b", label, now, in, r.inOuts[in], inWindow)
+			return false
 		}
 	}
 	// The next LA stage's grant tick; a wave resolves before the next one
@@ -193,7 +217,7 @@ func checkScanIndexes(t *testing.T, r *Router, label string, now sim.Ticks) bool
 
 // TestOccupancyIndexMatchesRings runs checkScanIndexes after every
 // clock edge on all five algorithms: through random walks, and through a
-// ring stacked deeper than the picker window whose window turns old
+// queue stacked deeper than the picker window whose window turns old
 // while an output's downstream credits are held, so that each dispatch
 // after their release moves a packet that is not yet old into the
 // window.

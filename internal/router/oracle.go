@@ -54,13 +54,13 @@ type Oracle interface {
 }
 
 // QueueLen returns the number of packets buffered on one (input port,
-// virtual channel) ring.
+// virtual channel) queue.
 func (r *Router) QueueLen(in ports.In, ch vc.Channel) int {
 	return r.queues[in][ch].Len()
 }
 
-// ScanOccupied calls f for every non-empty (input port, channel) ring
-// with the ring's occupancy and its front — oldest-buffered — packet's id
+// ScanOccupied calls f for every non-empty (input port, channel) queue
+// with the queue's occupancy and its head — oldest-buffered — packet's id
 // and header-arrival tick. The oracle's deadlock watchdog uses it to name
 // the stuck buffers in its failure report.
 func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, oldestID uint64, oldestArrive sim.Ticks)) {
@@ -69,7 +69,7 @@ func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, old
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			ch := vc.Channel(bits.TrailingZeros32(w))
 			q := &r.queues[in][ch]
-			rec := &r.slab.recs[q.At(r.handles, 0)]
+			rec := &r.slab.recs[q.head]
 			f(in, ch, q.Len(), rec.pkt.ID, rec.headerArrive)
 		}
 	}

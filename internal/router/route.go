@@ -127,7 +127,7 @@ func (r *Router) candidateOuts(p *packet.Packet, in ports.In) ports.OutMask {
 // grant time, see freeOutputs), the crossbar connects one of the input's
 // read ports to it, and (for network moves) the downstream virtual
 // channel has a free packet buffer.
-func (r *Router) readyMoves(pk int32, free ports.OutMask, dst []move) []move {
+func (r *Router) readyMoves(pk uint16, free ports.OutMask, dst []move) []move {
 	rec := &r.slab.recs[pk]
 	p, in := rec.pkt, rec.meta.in
 	if p.Dst == r.node {

@@ -32,9 +32,9 @@ type Counters struct {
 }
 
 // nomination is one SPAA in-flight nomination traveling LA -> RE -> GA.
-// pk is a slab handle.
+// pk is a slab handle, nilHandle once GA has resolved it.
 type nomination struct {
-	pk        int32
+	pk        uint16
 	row       int
 	out       ports.Out
 	targetCh  vc.Channel
@@ -43,9 +43,9 @@ type nomination struct {
 }
 
 // waveCell carries the packet and move behind one wave-matrix cell; pk is
-// a slab handle, -1 when the cell is empty.
+// a slab handle, nilHandle when the cell is empty.
 type waveCell struct {
-	pk       int32
+	pk       uint16
 	targetCh vc.Channel
 	local    bool
 }
@@ -59,32 +59,32 @@ type Router struct {
 	rng   *sim.RNG
 
 	// Packet state lives in a slab of records; the per-(input port,
-	// channel) queues are fixed-capacity index rings over it, each owning
-	// its span of one block of 16-bit handles New allocates, and the remaining
-	// per-input-port state is flattened into router-level arrays so
-	// arbitration scans walk contiguous memory.
-	slab    pkSlab
-	handles []uint16
-	queues  [ports.NumIn][vc.NumChannels]vc.Ring
-	// occ[in] is the occupancy index over in's rings: bit ch is set
-	// exactly when queues[in][ch] is non-empty. addPacket's Push and
-	// dispatch's Remove are the only ring mutations, and each updates
-	// it, so scans visit the few occupied rings instead of all 152.
+	// channel) queues link their records through it in arrival order (see
+	// queue), and the remaining per-input-port state is flattened into
+	// router-level arrays so arbitration scans walk contiguous memory.
+	slab   pkSlab
+	queues [ports.NumIn][vc.NumChannels]queue
+	// occ[in] is the occupancy index over in's queues: bit ch is set
+	// exactly when queues[in][ch] is non-empty. addPacket's push and
+	// dispatch's unlink are the only queue mutations, and each updates
+	// it, so scans visit the few occupied queues instead of all 152.
 	// occIns is the index one level up: bit in is set exactly when
 	// occ[in] != 0, so scans walk only the occupied inputs.
 	occ    [ports.NumIn]uint32
 	occIns uint8
-	// winOuts[in][ch] is the window summary of ring (in, ch): the union
+	// winOuts[in][ch] is the window summary of queue (in, ch): the union
 	// of pkMeta.outs over its first cfg.Window packets, the only ones a
-	// scan visits. oldAt is the aging bound: no window packet that is not
-	// yet old reaches AntiStarvationAge before it, so until then a visit
-	// cannot colour a packet (markOld) and a scan drops every ring whose
-	// summary misses its free outputs (scanRings). Both are kept exact at
-	// the two ring mutations: addPacket's Push and dispatch's Remove
-	// (refreshWindow) lower oldAt for the packet that enters a window,
-	// and a scan that runs at or past the bound recomputes it
+	// scan visits, and inOuts[in] is the union of in's summaries. oldAt
+	// is the aging bound: no window packet that is not yet old reaches
+	// AntiStarvationAge before it, so until then a visit cannot colour a
+	// packet (markOld) and a scan drops every input and queue whose
+	// summary misses its free outputs (scanRings). All three are kept
+	// exact at the two queue mutations: addPacket's push and dispatch's
+	// unlink (refreshWindow) lower oldAt for the packet that enters a
+	// window, and a scan that runs at or past the bound recomputes it
 	// (recomputeOldAt).
 	winOuts [ports.NumIn][vc.NumChannels]ports.OutMask
+	inOuts  [ports.NumIn]ports.OutMask
 	oldAt   sim.Ticks
 	// lruStamp[in][ch] is when in last selected ch, on the per-router
 	// lruClock: ascending stamp order is the least-recently-selected
@@ -193,13 +193,21 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The router buffers at most blockLen packets, one per ring entry, so
-	// its slab never hands out a handle of blockLen or more: every handle
-	// fits a ring's 16-bit entries when the block fits its 16-bit offsets.
-	blockLen := int(ports.NumIn) * cfg.Buffers.Total()
-	if blockLen > vc.MaxRingBlock {
-		return nil, fmt.Errorf("router: %d packet buffers per input port need %d ring handles, more than the %d a ring header addresses",
-			cfg.Buffers.Total(), blockLen, vc.MaxRingBlock)
+	// One capacity table fills every queue header and credit pool.
+	var caps [vc.NumChannels]int
+	for ch := range caps {
+		if caps[ch] = cfg.Buffers.Capacity(vc.Channel(ch)); caps[ch] < 0 {
+			return nil, fmt.Errorf("router: channel %v has a negative capacity, %d", vc.Channel(ch), caps[ch])
+		}
+	}
+	// A router holds at most buffered packets, and its slab grows only
+	// when every record holds one, so it never hands out a handle of
+	// buffered or more: each handle is a 16-bit link other than nilHandle
+	// when buffered is at most nilHandle.
+	buffered := int(ports.NumIn) * cfg.Buffers.Total()
+	if buffered > nilHandle {
+		return nil, fmt.Errorf("router: %d packet buffers per input port need %d packet handles, more than the %d a 16-bit queue link names",
+			cfg.Buffers.Total(), buffered, nilHandle)
 	}
 	r := &Router{
 		cfg:          cfg,
@@ -218,18 +226,9 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		waveGa = cfg.InitInterval
 	}
 	r.waveGaOffset = sim.Ticks(waveGa) * cfg.RouterPeriod
-	// Every ring owns a span of one handle block, exactly its channel's
-	// capacity long, so no ring can reach into its neighbour.
-	var caps [vc.NumChannels]int
-	for ch := range caps {
-		caps[ch] = cfg.Buffers.Capacity(vc.Channel(ch))
-	}
-	r.handles = make([]uint16, blockLen)
-	off := 0
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for ch, c := range caps {
-			r.queues[in][ch].Init(off, c)
-			off += c
+			r.queues[in][ch].cap = uint16(c)
 		}
 		for ch := range r.lruStamp[in] {
 			r.lruStamp[in][ch] = uint64(ch)
@@ -241,7 +240,7 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 	}
 	for row := range r.waveCells {
 		for col := range r.waveCells[row] {
-			r.waveCells[row][col].pk = -1
+			r.waveCells[row][col].pk = nilHandle
 		}
 	}
 	r.routes = make([]routeEntry, torus.Nodes())
@@ -316,11 +315,17 @@ func (r *Router) injectionChannel(p *packet.Packet) vc.Channel {
 }
 
 // addPacket checks a packet into the slab and its queue, resolving the
-// outputs it may ever use.
+// outputs it may ever use. Every queue is in non-decreasing headerArrive
+// order, which findNomination's early stop relies on, so a packet whose
+// header arrived before its queue's tail panics.
 func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 	headerArrive, tailArrive, eligibleAt sim.Ticks, upstream *vc.Credits) {
-	idx := r.slab.alloc()
-	rec := &r.slab.recs[idx]
+	q := &r.queues[in][ch]
+	if q.n > 0 && headerArrive < r.slab.recs[q.tail].headerArrive {
+		panic("router: a packet's header arrives before its queue's tail — the queues' age order is broken")
+	}
+	h := r.slab.alloc()
+	rec := &r.slab.recs[h]
 	*rec = pkRec{
 		meta:         pkMeta{ch: ch, in: in, outs: r.candidateOuts(p, in)},
 		eligibleAt:   eligibleAt,
@@ -329,12 +334,12 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 		tailArrive:   tailArrive,
 		upstream:     upstream,
 	}
-	q := &r.queues[in][ch]
-	q.Push(r.handles, uint16(idx))
+	q.push(r.slab.recs, h)
 	r.occ[in] |= 1 << ch
 	r.occIns |= 1 << in
 	if q.Len() <= r.cfg.Window {
 		r.winOuts[in][ch] |= rec.meta.outs
+		r.inOuts[in] |= rec.meta.outs
 		r.lowerOldAt(rec)
 	}
 	if w := r.watch; w != nil {
@@ -345,7 +350,10 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 // Inject offers a packet to a local input port at time now. It returns
 // false when the port's buffer has no space in the packet's channel; the
 // caller (the processor model) must retry later — this backpressure is the
-// throttling path the Rotary Rule exploits.
+// throttling path the Rotary Rule exploits. The packet's header arrives
+// at now, so the packets of one (input port, channel) queue must come in
+// non-decreasing now: Inject panics on a packet stamped before the newest
+// one in its queue.
 func (r *Router) Inject(p *packet.Packet, in ports.In, now sim.Ticks) bool {
 	if in.IsNetwork() {
 		panic(fmt.Sprintf("router: cannot inject on network port %v", in))
@@ -388,7 +396,10 @@ func (r *Router) OutputCredits(out ports.Out) *vc.Credits {
 // Arrive accepts a packet from an inter-router link. The upstream output
 // port reserved a credit for targetCh before sending, so buffer space is
 // guaranteed; creditHome is that port's credit pool, released when the
-// packet leaves this router.
+// packet leaves this router. The network calls it at headerArrive, so the
+// packets of one (input port, channel) queue come in non-decreasing
+// headerArrive: Arrive panics on a packet whose header arrived before the
+// newest one in its queue.
 func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 	headerArrive sim.Ticks, creditHome *vc.Credits) {
 	if r.queues[in][targetCh].Full() {
@@ -415,7 +426,7 @@ func (r *Router) Buffered() int {
 	return n
 }
 
-// holdsPackets reports whether any input ring is non-empty.
+// holdsPackets reports whether any input queue is non-empty.
 func (r *Router) holdsPackets() bool { return r.occIns != 0 }
 
 // Draining reports whether the anti-starvation drain is active.
@@ -461,7 +472,7 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		if rings == 0 {
 			continue
 		}
-		pk, mv, ok := r.findNomination(in, rings, now, free)
+		pk, mv, ok := r.findNomination(in, rings, now, free, aging)
 		if !ok {
 			continue
 		}
@@ -487,23 +498,27 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 
 // findNomination implements the 21364 input port arbiter: the oldest
 // packet satisfying the basic constraints from the least-recently selected
-// virtual channel (§3). rings is the set of in's rings to visit (see
-// scanRings) and free the LA stage's free-for-grant output set.
-func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free ports.OutMask) (int32, move, bool) {
-	s, handles := &r.slab, r.handles
+// virtual channel (§3). rings is the set of in's queues to visit (see
+// scanRings), free the LA stage's free-for-grant output set, and aging
+// whether the stage runs at or past the aging bound. A queue is in
+// non-decreasing headerArrive order (addPacket), so before the bound,
+// where a visit colours no packet, its walk stops at the first packet
+// that arrived after the best candidate: that one and every later one
+// can at most tie on arrival, and a tie keeps the lower packet ID.
+func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free ports.OutMask, aging bool) (uint16, move, bool) {
+	recs := r.slab.recs
 	for rings != 0 {
 		ch := r.leastRecent(in, rings)
 		rings &^= 1 << ch
 		q := &r.queues[in][ch]
-		limit := q.Len()
-		if limit > r.cfg.Window {
-			limit = r.cfg.Window
-		}
-		best := int32(-1)
+		var best *pkRec
+		var bestPk uint16
 		var bestMove move
-		for i := 0; i < limit; i++ {
-			pk := int32(q.At(handles, i))
-			rec := &s.recs[pk]
+		for i, pk := min(q.Len(), r.cfg.Window), q.head; i > 0; i, pk = i-1, recs[pk].next {
+			rec := &recs[pk]
+			if best != nil && !aging && rec.headerArrive > best.headerArrive {
+				break
+			}
 			r.markOld(rec, now)
 			meta := rec.meta
 			if meta.flags&pkNominated != 0 || rec.eligibleAt > now {
@@ -512,7 +527,7 @@ func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free p
 			if r.draining && meta.flags&pkOld == 0 {
 				continue
 			}
-			if best >= 0 && !olderThan(rec, &s.recs[best]) {
+			if best != nil && !olderThan(rec, best) {
 				continue
 			}
 			if meta.outs&free == 0 {
@@ -522,13 +537,13 @@ func (r *Router) findNomination(in ports.In, rings uint32, now sim.Ticks, free p
 			if len(moves) == 0 {
 				continue
 			}
-			best, bestMove = pk, moves[0]
+			best, bestPk, bestMove = rec, pk, moves[0]
 		}
-		if best >= 0 {
-			return best, bestMove, true
+		if best != nil {
+			return bestPk, bestMove, true
 		}
 	}
-	return -1, move{}, false
+	return nilHandle, move{}, false
 }
 
 // leastRecent returns the channel in set (a non-empty channel bitmask)
@@ -576,7 +591,7 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 					w.failed(!r.outFree(out, now))
 				}
 				r.reset(&r.slab.recs[n.pk], now)
-				n.pk = -1
+				n.pk = nilHandle
 				continue
 			}
 			r.gaRows[k] = n.row
@@ -600,12 +615,12 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				r.reset(&r.slab.recs[n.pk], now)
 				r.Counters.WastedSpecReads++
 			}
-			n.pk = -1
+			n.pk = nilHandle
 		}
 	}
 	// Any nominations left unprocessed would be a bookkeeping bug.
 	for i := range due {
-		if due[i].pk >= 0 {
+		if due[i].pk != nilHandle {
 			panic("router: unresolved nomination")
 		}
 	}
@@ -656,18 +671,13 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 	}
 	free := r.freeOutputs(now + r.waveGaOffset)
 	aging := now >= r.oldAt
-	s, handles := &r.slab, r.handles
+	recs := r.slab.recs
 	for ins := r.occIns; ins != 0; ins &= ins - 1 {
 		in := ports.In(bits.TrailingZeros8(ins))
 		for w := r.scanRings(in, free, aging); w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
-			limit := q.Len()
-			if limit > r.cfg.Window {
-				limit = r.cfg.Window
-			}
-			for i := 0; i < limit; i++ {
-				pk := int32(q.At(handles, i))
-				rec := &s.recs[pk]
+			for i, pk := min(q.Len(), r.cfg.Window), q.head; i > 0; i, pk = i-1, recs[pk].next {
+				rec := &recs[pk]
 				r.markOld(rec, now)
 				meta := rec.meta
 				if meta.flags&pkNominated != 0 || rec.eligibleAt > now {
@@ -715,7 +725,7 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			rec := &s.recs[r.waveCells[row][col].pk]
+			rec := &recs[r.waveCells[row][col].pk]
 			rec.meta.flags |= pkNominated
 			r.Counters.Nominations++
 			if w := r.watch; w != nil {
@@ -767,8 +777,8 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		credits := r.outputs[out].credits
 		valid := r.outFree(out, now) &&
 			(cell.local || (credits != nil && credits.Available(cell.targetCh)))
-		if !valid || cell.pk < 0 || r.slab.recs[cell.pk].meta.flags&pkNominated == 0 {
-			if w := r.watch; w != nil && !valid && cell.pk >= 0 {
+		if !valid || cell.pk == nilHandle || r.slab.recs[cell.pk].meta.flags&pkNominated == 0 {
+			if w := r.watch; w != nil && !valid && cell.pk != nilHandle {
 				w.failed(!r.outFree(out, now))
 			}
 			continue
@@ -783,10 +793,10 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		row := bits.TrailingZeros16(rows)
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.recs[pk].meta.flags&pkNominated != 0 {
+			if pk := r.waveCells[row][col].pk; pk != nilHandle && r.slab.recs[pk].meta.flags&pkNominated != 0 {
 				r.reset(&r.slab.recs[pk], now)
 			}
-			r.waveCells[row][col] = waveCell{pk: -1}
+			r.waveCells[row][col] = waveCell{pk: nilHandle}
 			r.matrix.Clear(row, col)
 		}
 	}
@@ -796,14 +806,18 @@ func (r *Router) resolveWave(now sim.Ticks) {
 
 // ---- common ----
 
-// scanRings returns the rings of input in that a scan with free-output
+// scanRings returns the queues of input in that a scan with free-output
 // set free must visit. While aging (at or past oldAt) a visit may colour
-// a packet old, so that is every occupied ring; before the bound, a ring
-// whose window summary misses free holds no packet the scan could pick.
+// a packet old, so that is every occupied queue; before the bound, a
+// queue whose window summary misses free holds no packet the scan could
+// pick, and an input whose summaries all miss it has none to visit.
 func (r *Router) scanRings(in ports.In, free ports.OutMask, aging bool) uint32 {
 	rings := r.occ[in]
 	if aging {
 		return rings
+	}
+	if r.inOuts[in]&free == 0 {
+		return 0
 	}
 	for w := rings; w != 0; w &= w - 1 {
 		if ch := bits.TrailingZeros32(w); r.winOuts[in][ch]&free == 0 {
@@ -821,36 +835,43 @@ func (r *Router) lowerOldAt(rec *pkRec) {
 	}
 }
 
-// refreshWindow recomputes ring (in, ch)'s window summary after a
-// removal from its window, and lowers the aging bound for the packet the
-// removal moved into the window, if any.
+// refreshWindow recomputes queue (in, ch)'s window summary, and in's
+// union of them, after a removal from its window, and lowers the aging
+// bound for the packet the removal moved into the window, if any.
 func (r *Router) refreshWindow(in ports.In, ch vc.Channel) {
-	q := &r.queues[in][ch]
-	n := q.Len()
-	if n >= r.cfg.Window {
-		n = r.cfg.Window
-		r.lowerOldAt(&r.slab.recs[q.At(r.handles, n-1)])
-	}
+	q, recs := &r.queues[in][ch], r.slab.recs
+	n := min(q.Len(), r.cfg.Window)
 	var outs ports.OutMask
-	for i := 0; i < n; i++ {
-		outs |= r.slab.recs[q.At(r.handles, i)].meta.outs
+	pk := q.head
+	for i := 1; i <= n; i, pk = i+1, recs[pk].next {
+		outs |= recs[pk].meta.outs
+		if i == r.cfg.Window {
+			r.lowerOldAt(&recs[pk])
+		}
 	}
 	r.winOuts[in][ch] = outs
+	outs = 0
+	for w := r.occ[in]; w != 0; w &= w - 1 {
+		outs |= r.winOuts[in][bits.TrailingZeros32(w)]
+	}
+	r.inOuts[in] = outs
 }
 
 // recomputeOldAt sets the aging bound from the window packets that are
 // not yet old, after a scan at or past it has coloured those it reached.
+// A queue's first such packet is its oldest (addPacket keeps arrival
+// order), so each walk stops there.
 func (r *Router) recomputeOldAt() {
 	r.oldAt = never
-	s := &r.slab
+	recs := r.slab.recs
 	for ins := r.occIns; ins != 0; ins &= ins - 1 {
 		in := bits.TrailingZeros8(ins)
 		for w := r.occ[in]; w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
-			n := min(q.Len(), r.cfg.Window)
-			for i := 0; i < n; i++ {
-				if rec := &s.recs[q.At(r.handles, i)]; rec.meta.flags&pkOld == 0 {
+			for i, pk := min(q.Len(), r.cfg.Window), q.head; i > 0; i, pk = i-1, recs[pk].next {
+				if rec := &recs[pk]; rec.meta.flags&pkOld == 0 {
 					r.lowerOldAt(rec)
+					break
 				}
 			}
 		}
@@ -878,7 +899,7 @@ func (r *Router) touchVC(in ports.In, ch vc.Channel) {
 // the upstream credit), the output port goes busy for the packet's length,
 // and the packet is handed to the link or the local sink. A grant at tick
 // g puts the header on the pin at g + PostArb cycles.
-func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bool, now sim.Ticks) {
+func (r *Router) dispatch(pk uint16, out ports.Out, targetCh vc.Channel, local bool, now sim.Ticks) {
 	// The granted packet leaves the input buffer; losers of this GA round
 	// were already reset. A successful selection is what advances the
 	// input port's least-recently-selected virtual channel order.
@@ -887,9 +908,7 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bo
 	in, ch := rec.meta.in, rec.meta.ch
 	r.touchVC(in, ch)
 	q := &r.queues[in][ch]
-	if !q.Remove(r.handles, uint16(pk)) {
-		panic("router: removing packet not in queue")
-	}
+	q.unlink(r.slab.recs, pk)
 	if q.Len() == 0 {
 		if r.occ[in] &^= 1 << ch; r.occ[in] == 0 {
 			r.occIns &^= 1 << in

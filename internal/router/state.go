@@ -1,19 +1,26 @@
 package router
 
 // state.go holds the router's per-packet bookkeeping: one slab of
-// 48-byte records per router, indexed by handles drawn from a free
-// list, with per-(input port, virtual channel) queues as fixed-capacity
-// index rings in one handle block. The arbiter inner loops (SPAA
-// nomination scans, PIM1/WFA wave builds) visit only the rings the
+// 48-byte records per router, indexed by 16-bit handles. A free record
+// is linked into the slab's free list; a buffered one is linked into
+// its per-(input port, virtual channel) queue, in arrival order, so a
+// queue is an 8-byte header over its packets' records and a router
+// keeps no queue storage besides. The arbiter inner loops (SPAA
+// nomination scans, PIM1/WFA wave builds) visit only the queues the
 // router's occupancy index (Router.occ) marks non-empty and, before the
 // aging bound, whose window summary (Router.winOuts) meets the free
-// outputs; each visit reads one record instead of chasing a per-packet
-// heap object, and routes only packets whose output mask meets the free
-// outputs. The router allocates only when its slab outgrows its block:
-// records and ring storage are recycled as packets dispatch, and the
-// nomination FIFO and scan scratch are sized once by New.
+// outputs; each visit reads one record and follows its link instead of
+// chasing a per-packet heap object, and routes only packets whose
+// output mask meets the free outputs. Since a queue is in arrival
+// order, an SPAA walk before the aging bound stops at the first packet
+// younger than its best candidate. The router allocates only when
+// its slab outgrows its block: records are recycled as packets
+// dispatch, and the nomination FIFO and scan scratch are sized once by
+// New.
 
 import (
+	"math"
+
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
@@ -39,11 +46,14 @@ type pkMeta struct {
 }
 
 // pkRec is one buffered packet's state: 48 bytes, with what a scan
-// visit reads (meta, eligibleAt, headerArrive, the packet's ID) first.
+// visit reads (meta, the queue link, eligibleAt, headerArrive, the
+// packet's ID) first.
 type pkRec struct {
 	meta pkMeta
-	// next links a free record to the next free one (-1 ends the list).
-	next         int32
+	// next and prev link a buffered record into its queue, next toward
+	// the tail; next also links a free record to the next free one.
+	// nilHandle ends either list.
+	next, prev   uint16
 	eligibleAt   sim.Ticks // earliest LA participation (after DW stages)
 	headerArrive sim.Ticks // header at this router's pin (or injection time)
 	pkt          *packet.Packet
@@ -54,6 +64,12 @@ type pkRec struct {
 	upstream *vc.Credits
 }
 
+// nilHandle is the one 16-bit handle that names no record: it ends a
+// queue and the free list, and marks a wave cell or nomination that
+// holds no packet. New refuses a buffer configuration whose slab could
+// hand out a handle that large.
+const nilHandle = math.MaxUint16
+
 // slabFirst is the record count New gives every router's slab. The
 // paper's workloads hold at most a few dozen packets per router at once
 // (3–44 on a 4x4 torus from light load to saturation), and the block
@@ -63,31 +79,34 @@ const slabFirst = 32
 // pkSlab is the per-router packet-state arena: one block of records
 // indexed by handles, the free ones linked through their next
 // field. A growth is one allocation: the block doubles, the records are
-// copied (handles, not pointers, are held elsewhere, so moving them is
-// safe), and the new records join the free list. Dispatch recycles its
-// record, so a router's slab stops growing at its high-water mark.
+// copied (handles, not pointers, link them and are held elsewhere, so
+// moving them is safe), and the new records join the free list.
+// Dispatch recycles its record, so a router's slab stops growing at its
+// high-water mark.
 type pkSlab struct {
 	recs []pkRec
-	free int32 // first free record, -1 when none
+	free uint16 // first free record, nilHandle when none
 }
 
 // grow doubles the block (New's first call makes slabFirst records) and
 // links the new records, lowest first, as the free list. It runs only
-// when no record is free.
+// when no record is free. The block stops at nilHandle records, so every
+// record's handle is a valid link; New keeps a router's buffered packets
+// below that, so a block of that size never fills.
 func (s *pkSlab) grow() {
 	old := len(s.recs)
-	recs := make([]pkRec, max(2*old, slabFirst))
+	recs := make([]pkRec, min(max(2*old, slabFirst), nilHandle))
 	copy(recs, s.recs)
 	for i := old; i < len(recs)-1; i++ {
-		recs[i].next = int32(i + 1)
+		recs[i].next = uint16(i + 1)
 	}
-	recs[len(recs)-1].next = -1
-	s.recs, s.free = recs, int32(old)
+	recs[len(recs)-1].next = nilHandle
+	s.recs, s.free = recs, uint16(old)
 }
 
 // alloc returns a free record's handle; the caller fills every field.
-func (s *pkSlab) alloc() int32 {
-	if s.free < 0 {
+func (s *pkSlab) alloc() uint16 {
+	if s.free == nilHandle {
 		s.grow()
 	}
 	idx := s.free
@@ -96,9 +115,62 @@ func (s *pkSlab) alloc() int32 {
 }
 
 // release recycles a record, dropping its pointer fields for the GC.
-func (s *pkSlab) release(idx int32) {
+func (s *pkSlab) release(idx uint16) {
 	s.recs[idx] = pkRec{next: s.free}
 	s.free = idx
+}
+
+// queue is one (input port, virtual channel) buffer: its packets'
+// records, linked oldest (head) to newest (tail) through the slab. A
+// packet joins at the tail when its header arrives and may leave from
+// anywhere, since the arbiters dispatch the oldest eligible packet,
+// which need not be the head; both are O(1), and the others keep their
+// order. Every operation takes the slab's records, so the header holds
+// no pointer. The zero queue has capacity 0; New sets each capacity
+// from the buffer configuration.
+type queue struct {
+	head, tail, n, cap uint16
+}
+
+// Len returns the number of queued packets.
+func (q *queue) Len() int { return int(q.n) }
+
+// Full reports whether the queue holds its capacity.
+func (q *queue) Full() bool { return q.n == q.cap }
+
+// push links record h at the tail. It panics when the queue is full
+// (the router's credit accounting must prevent that).
+func (q *queue) push(recs []pkRec, h uint16) {
+	if q.n == q.cap {
+		panic("router: push on a full queue — credit accounting broken")
+	}
+	rec := &recs[h]
+	rec.next, rec.prev = nilHandle, nilHandle
+	if q.n == 0 {
+		q.head = h
+	} else {
+		rec.prev = q.tail
+		recs[q.tail].next = h
+	}
+	q.tail = h
+	q.n++
+}
+
+// unlink removes record h, which the queue holds, keeping the other
+// records' order.
+func (q *queue) unlink(recs []pkRec, h uint16) {
+	next, prev := recs[h].next, recs[h].prev
+	if prev == nilHandle {
+		q.head = next
+	} else {
+		recs[prev].next = next
+	}
+	if next == nilHandle {
+		q.tail = prev
+	} else {
+		recs[next].prev = prev
+	}
+	q.n--
 }
 
 // Sender forwards a dispatched packet across a link: the packet leaves

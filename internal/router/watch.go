@@ -74,7 +74,7 @@ func spaaGrant(rec *pkRec, n *nomination) SPAAGrant {
 	}
 }
 
-// buffered observes packet rec entering its input ring at its header
+// buffered observes packet rec entering its input queue at its header
 // arrival: injected on a local input port, or arrived from a link on a
 // network one.
 func (w *watch) buffered(rec *pkRec) {
@@ -164,7 +164,7 @@ func (w *watch) waveArbitrated(r *Router, now sim.Ticks, mx *core.Matrix, grants
 	}
 }
 
-// granted observes packet rec leaving its input ring at tick now for
+// granted observes packet rec leaving its input queue at tick now for
 // output out.
 func (w *watch) granted(now sim.Ticks, rec *pkRec, out ports.Out) {
 	if m := w.metrics; m != nil {

@@ -7,6 +7,12 @@
 // dimension-order routing — and the special class has a single channel.
 // The adaptive channels hold the bulk of the 316 packet buffers per input
 // port; VC0/VC1 typically have one or two buffers each (§2.1).
+//
+// The package names the channels (Channel), sizes their buffers (Config)
+// and counts their free space (Credits); it holds no packet. The router
+// keeps each (input port, channel) buffer as a queue linked through its
+// own packet records (internal/router, state.go), and the credit pools
+// keep every queue within its Config capacity.
 package vc
 
 import (
