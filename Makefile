@@ -52,7 +52,7 @@ race-pools:
 INLINE_FUNCS = \
 	'(*Router).reset' '(*Router).markOld' '(*Router).touchVC' '(*Router).lowerOldAt' \
 	'(*Router).outFree' '(*Router).freeOutputs' '(*Router).scanRings' \
-	'(*Router).leastRecent' '(*Router).holdsPackets' \
+	'(*Router).leastRecent' '(*Router).holdsPackets' 'escapeSub' \
 	'(*queue).push' '(*queue).unlink' '(*queue).Len' '(*queue).Full' \
 	'(*Credits).Available' '(*Credits).Reserve' '(*Credits).Release'
 

@@ -41,13 +41,15 @@ func TestBuildNetworkAllocs(t *testing.T) {
 
 // TestBuildNetworkBytes bounds the bytes a torus build allocates per
 // router: a router's queues are headers over its packet slab, with no
-// storage of their own. On 4x4 and 8x8 tori a build takes 11,196–11,475
-// bytes per router for SPAA and 14,940–15,395 for the wave kinds, whose
-// routers add the connection matrix and arbiter scratch; the bounds,
-// 12 KiB and 16 KiB, leave 6–7% of headroom, less than one 5 KB block
-// per router.
+// storage of their own, and its route row holds one 6-byte
+// topology.Route per node, so the row is the only part that grows with
+// the torus. On 4x4, 8x8 and 16x16 tori a build takes 9,555–10,467 bytes
+// per router for SPAA and 13,300–14,387 for the wave kinds, whose routers
+// add the connection matrix and arbiter scratch; the bounds, 12 KiB and
+// 16 KiB, leave 14–17% of headroom. At 16x16 a route row is 1,536 bytes;
+// rows of 24-byte entries would break both bounds there.
 func TestBuildNetworkBytes(t *testing.T) {
-	for _, size := range []int{4, 8} {
+	for _, size := range []int{4, 8, 16} {
 		for _, kind := range routerKinds {
 			cfg := Config{Width: size, Height: size, Router: router.DefaultConfig(kind)}
 			maxBytes := 16 << 10

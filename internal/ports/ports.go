@@ -172,9 +172,6 @@ func (cm ConnectionMatrix) LegalOuts(in In) OutMask {
 	return cm[Row(in, 0)] | cm[Row(in, 1)]
 }
 
-// Connected reports whether the crossbar joins row to out.
-func (cm ConnectionMatrix) Connected(row int, out Out) bool { return cm[row].Has(out) }
-
 // Cells returns the number of connected (unshaded) cells.
 func (cm ConnectionMatrix) Cells() int {
 	n := 0

@@ -73,7 +73,8 @@ func newTickLoad(tb testing.TB, cfg Config, rate float64) (*Router, func()) {
 	for in := ports.In(0); in < ports.NumIn; in++ {
 	nodes:
 		for dst := topology.Node(0); int(dst) < torus.Nodes(); dst++ {
-			for _, d := range torus.ProductiveDirs(node, dst) {
+			route := torus.Route(node, dst)
+			for _, d := range route.Dirs[:route.NDirs] {
 				if in.IsNetwork() && ports.OutForDir(d) == ports.Out(in) {
 					continue nodes
 				}

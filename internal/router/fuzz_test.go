@@ -69,11 +69,11 @@ func fuzzRouter(t *testing.T, kind core.Kind, seed uint16, onTick func(r *Router
 				// routing: a packet never arrives on the port it would
 				// have to exit through (no 180-degree turns exist on
 				// minimal paths).
-				dirs := h.r.torus.ProductiveDirs(h.r.Node(), dst)
+				route := h.torus.Route(h.r.Node(), dst)
 				var legal []ports.In
 				for _, in := range netIns {
 					ok := true
-					for _, d := range dirs {
+					for _, d := range route.Dirs[:route.NDirs] {
 						if ports.OutForDir(d) == ports.Out(in) {
 							ok = false
 						}

@@ -20,27 +20,14 @@ type move struct {
 	local    bool
 }
 
-// routeEntry is the precomputed static routing decision toward one
-// destination: the minimal-rectangle productive directions and the
-// dimension-order escape hop with its dateline sub-channel.
-type routeEntry struct {
-	dirs   [2]topology.Dir
-	nDirs  int
-	dor    topology.Dir
-	dorSub vc.Sub
-	dorOK  bool
-}
-
-// rowFor returns the read-port row of input in that the crossbar cm
-// connects to out, or -1 if neither read port reaches it.
-func rowFor(cm ports.ConnectionMatrix, in ports.In, out ports.Out) int {
-	if cm.Connected(ports.Row(in, 0), out) {
-		return ports.Row(in, 0)
+// escapeSub returns the deadlock-free sub-channel that route's escape
+// hop takes: VC1 while the wrap link lies ahead on the hop's ring (the
+// dateline rule), VC0 after it or when the walk never crosses it.
+func escapeSub(route *topology.Route) vc.Sub {
+	if route.Dateline {
+		return vc.VC1
 	}
-	if cm.Connected(ports.Row(in, 1), out) {
-		return ports.Row(in, 1)
-	}
-	return -1
+	return vc.VC0
 }
 
 // outFree reports whether output out will have finished its current
@@ -99,12 +86,12 @@ func (r *Router) candidateOuts(p *packet.Packet, in ports.In) ports.OutMask {
 	} else {
 		route := &r.routes[p.Dst]
 		if !p.Class.IsIO() {
-			for _, d := range route.dirs[:route.nDirs] {
+			for _, d := range route.Dirs[:route.NDirs] {
 				m = m.With(ports.OutForDir(d))
 			}
 		}
-		if route.dorOK {
-			m = m.With(ports.OutForDir(route.dor))
+		if route.EscapeOK {
+			m = m.With(ports.OutForDir(route.Escape))
 		}
 	}
 	return m & r.cfg.Conn.LegalOuts(in)
@@ -142,13 +129,13 @@ func (r *Router) readyMoves(pk uint16, free ports.OutMask, dst []move) []move {
 	route := &r.routes[p.Dst]
 	if !cls.IsIO() {
 		adaptiveCh := vc.Of(cls, vc.Adaptive)
-		dirs := route.dirs
+		dirs := route.Dirs
 		// Rotate which productive direction is preferred so traffic spreads
 		// over both minimal-rectangle sides.
-		if route.nDirs == 2 && r.dirPref[in]&1 == 1 {
+		if route.NDirs == 2 && r.dirPref[in]&1 == 1 {
 			dirs[0], dirs[1] = dirs[1], dirs[0]
 		}
-		for _, d := range dirs[:route.nDirs] {
+		for _, d := range dirs[:route.NDirs] {
 			if m, ok := r.networkMove(in, d, adaptiveCh, free); ok {
 				dst = append(dst, m)
 			}
@@ -160,10 +147,10 @@ func (r *Router) readyMoves(pk uint16, free ports.OutMask, dst []move) []move {
 
 	// Blocked in the adaptive channel (or an I/O packet): deadlock-free
 	// escape along dimension order.
-	if !route.dorOK {
+	if !route.EscapeOK {
 		return dst
 	}
-	if m, ok := r.networkMove(in, route.dor, vc.Of(cls, route.dorSub), free); ok {
+	if m, ok := r.networkMove(in, route.Escape, vc.Of(cls, escapeSub(route)), free); ok {
 		dst = append(dst, m)
 	}
 	return dst

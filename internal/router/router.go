@@ -53,10 +53,9 @@ type waveCell struct {
 // Router is one cycle-accurate 21364 router. Drive it by attaching it to a
 // sim.Engine clock domain with the router's clock period.
 type Router struct {
-	cfg   Config
-	node  topology.Node
-	torus topology.Torus
-	rng   *sim.RNG
+	cfg  Config
+	node topology.Node
+	rng  *sim.RNG
 
 	// Packet state lives in a slab of records; the per-(input port,
 	// channel) queues link their records through it in arrival order (see
@@ -90,9 +89,10 @@ type Router struct {
 	// lruClock: ascending stamp order is the least-recently-selected
 	// order over in's virtual channels. The 21364's input arbiter
 	// "selects the oldest packet ... from the least-recently selected
-	// virtual channel" (§3). New stamps channel ch with ch, so channels
-	// never selected come first, in channel order; dispatch (touchVC)
-	// is the only writer.
+	// virtual channel" (§3). Every stamp starts at zero and the first
+	// selection stamps 1, so channels never selected come first, and
+	// leastRecent's ascending scan takes the lowest of them; dispatch
+	// (touchVC) is the only writer.
 	lruStamp [ports.NumIn][vc.NumChannels]uint64
 	lruClock uint64
 	// credits holds the router's eight credit pools by value, each filled
@@ -152,13 +152,15 @@ type Router struct {
 	oldCount int
 	draining bool
 
-	// routes[dst] caches the static routing decision toward every node:
-	// productive directions, the dimension-order escape hop, and its
-	// dateline sub-channel. readyMoves consults it instead of redoing the
-	// torus offset arithmetic per scan.
-	routes []routeEntry
+	// routes[dst] is the torus's route from this node toward dst
+	// (topology.Route: the productive directions, the dimension-order
+	// escape hop and its dateline flag), 6 bytes per node, filled once by
+	// New. readyMoves reads it instead of redoing the torus offset
+	// arithmetic per scan.
+	routes []topology.Route
 	// rowOf[in][out] is the read-port row of input in that the crossbar
-	// connects to out, or -1 (see rowFor); built once from cfg.Conn.
+	// connects to out: its first read port's row when both connect, and
+	// -1 when neither does. New builds it from cfg.Conn.
 	rowOf [ports.NumIn][ports.NumOut]int8
 
 	// Derived tick quantities.
@@ -212,12 +214,10 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 	r := &Router{
 		cfg:          cfg,
 		node:         node,
-		torus:        torus,
 		rng:          sim.NewRNG(cfg.Seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
 		postArbTicks: sim.Ticks(cfg.PostArb) * cfg.RouterPeriod,
 		gaOffset:     sim.Ticks(cfg.ArbCycles-1) * cfg.RouterPeriod,
 		ageTicks:     sim.Ticks(cfg.AntiStarvationAge) * cfg.RouterPeriod,
-		lruClock:     vc.NumChannels - 1,
 		oldAt:        never,
 		busyNext:     never,
 	}
@@ -230,31 +230,21 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		for ch, c := range caps {
 			r.queues[in][ch].cap = uint16(c)
 		}
-		for ch := range r.lruStamp[in] {
-			r.lruStamp[in][ch] = uint64(ch)
-		}
+		row0, row1 := ports.Row(in, 0), ports.Row(in, 1)
 		for out := ports.Out(0); out < ports.NumOut; out++ {
-			r.rowOf[in][out] = int8(rowFor(cfg.Conn, in, out))
+			switch {
+			case cfg.Conn[row0].Has(out):
+				r.rowOf[in][out] = int8(row0)
+			case cfg.Conn[row1].Has(out):
+				r.rowOf[in][out] = int8(row1)
+			default:
+				r.rowOf[in][out] = -1
+			}
 		}
 		r.credits[in].Init(&caps)
 	}
-	for row := range r.waveCells {
-		for col := range r.waveCells[row] {
-			r.waveCells[row][col].pk = nilHandle
-		}
-	}
-	r.routes = make([]routeEntry, torus.Nodes())
-	for dst := 0; dst < torus.Nodes(); dst++ {
-		e := &r.routes[dst]
-		e.dirs, e.nDirs = torus.ProductiveDirsFixed(node, topology.Node(dst))
-		if d, ok := torus.DORDir(node, topology.Node(dst)); ok {
-			e.dorOK, e.dor = true, d
-			e.dorSub = vc.VC0
-			if torus.WrapsAhead(node, topology.Node(dst), d) {
-				e.dorSub = vc.VC1
-			}
-		}
-	}
+	r.routes = make([]topology.Route, torus.Nodes())
+	torus.RouteRow(node, r.routes)
 	r.slab.grow()
 	switch cfg.Kind {
 	case core.KindSPAABase, core.KindSPAARotary:
@@ -268,6 +258,11 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		}
 	default:
 		r.wave = true
+		for row := range r.waveCells {
+			for col := range r.waveCells[row] {
+				r.waveCells[row][col].pk = nilHandle
+			}
+		}
 		r.arb = core.New(cfg.Kind, r.rng.Split())
 		r.matrix = core.NewRouterMatrix()
 		core.Reserve(r.arb, r.matrix)
@@ -302,16 +297,14 @@ func (r *Router) ConnectLocal(out ports.Out, deliver DeliverFunc) {
 
 // injectionChannel returns the virtual channel a newly injected packet
 // enters: the adaptive channel of its class, except I/O packets, which
-// live in the deadlock-free channels only.
+// live in the deadlock-free channels only and enter the one their escape
+// hop's dateline rule picks (VC0 when the packet is addressed to this
+// node, whose route is empty).
 func (r *Router) injectionChannel(p *packet.Packet) vc.Channel {
 	if !p.Class.IsIO() {
 		return vc.Of(p.Class, vc.Adaptive)
 	}
-	sub := vc.VC0
-	if route := &r.routes[p.Dst]; route.dorOK {
-		sub = route.dorSub
-	}
-	return vc.Of(p.Class, sub)
+	return vc.Of(p.Class, escapeSub(&r.routes[p.Dst]))
 }
 
 // addPacket checks a packet into the slab and its queue, resolving the

@@ -30,6 +30,7 @@ type delivery struct {
 type harness struct {
 	eng        *sim.Engine
 	r          *Router
+	torus      topology.Torus
 	departures []departure
 	deliveries []delivery
 }
@@ -41,7 +42,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{eng: sim.NewEngine(), r: r}
+	h := &harness{eng: sim.NewEngine(), r: r, torus: torus}
 	for out := ports.Out(0); out < ports.NumOut; out++ {
 		out := out
 		if out.IsNetwork() {

@@ -240,7 +240,7 @@ func TestMatrixInvariantsDuringRun(t *testing.T) {
 				}
 				for r := 0; r < m.matrix.Rows; r++ {
 					for c := 0; c < m.matrix.Cols; c++ {
-						if m.matrix.At(r, c).Valid && !cfg.Conn.Connected(r, ports.Out(c)) {
+						if m.matrix.At(r, c).Valid && !cfg.Conn[r].Has(ports.Out(c)) {
 							t.Fatalf("cell (%d,%d) set but crossbar not connected", r, c)
 						}
 					}

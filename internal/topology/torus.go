@@ -1,8 +1,14 @@
 // Package topology models the Alpha 21364's two-dimensional torus: node
-// coordinates, wrap-around distances, the minimal ("minimum") rectangle
-// used by the 21364's adaptive routing, strict dimension-order routing for
-// the deadlock-free virtual channels, and the destination permutations used
-// by the paper's synthetic traffic patterns.
+// coordinates, wrap-around distances, the routing function, and the
+// destination permutations used by the paper's synthetic traffic
+// patterns.
+//
+// Route is the one routing function: the minimal ("minimum") rectangle
+// that the 21364's adaptive routing may use, the strict dimension-order
+// escape hop of the deadlock-free virtual channels, and the dateline rule
+// that splits them into VC0 and VC1. The router fills its route row from
+// it (RouteRow), and link-load ceilings and a channel-dependency proof of
+// deadlock freedom are to enumerate the same function.
 package topology
 
 import "fmt"
@@ -133,78 +139,82 @@ func abs(a int) int {
 	return a
 }
 
-// ProductiveDirs returns the directions that make progress toward dst
-// inside the minimal rectangle: zero directions if cur == dst, one if the
-// remaining offset is along a single dimension, otherwise two. These are
-// the (at most two) output-port choices the 21364's adaptive routing
-// permits a packet.
-func (t Torus) ProductiveDirs(cur, dst Node) []Dir {
-	fixed, n := t.ProductiveDirsFixed(cur, dst)
-	return append(make([]Dir, 0, 2), fixed[:n]...)
+// Route is the 21364's routing decision at one router for a packet
+// addressed to another node (§2.1). Dirs[:NDirs] are the productive
+// directions, X before Y: the (at most two) ways toward the destination
+// inside the minimal rectangle, which the adaptive channel may take.
+// Escape is the next hop of strict X-then-Y dimension-order routing,
+// which the deadlock-free channels VC0/VC1 take; EscapeOK is false only
+// at the destination, where the route is empty. Dateline is Dally's
+// two-channel dateline rule on Escape's ring: it is set while the rest of
+// the walk along that ring still crosses the ring's wrap link (the packet
+// takes VC1), and clear once the walk has crossed it or when it never
+// does (VC0). A Route is 6 bytes.
+type Route struct {
+	Dirs     [2]Dir
+	NDirs    uint8
+	Escape   Dir
+	EscapeOK bool
+	Dateline bool
 }
 
-// ProductiveDirsFixed is ProductiveDirs without the slice allocation: it
-// returns the (at most two) productive directions in a fixed array plus
-// the count. The router's per-scan routing loop uses it, so it must not
-// allocate.
-func (t Torus) ProductiveDirsFixed(cur, dst Node) (dirs [2]Dir, n int) {
-	dx, dy := t.Offset(cur, dst)
-	switch {
-	case dx > 0:
-		dirs[n] = East
-		n++
-	case dx < 0:
-		dirs[n] = West
-		n++
-	}
-	switch {
-	case dy > 0:
-		dirs[n] = South
-		n++
-	case dy < 0:
-		dirs[n] = North
-		n++
-	}
-	return dirs, n
-}
-
-// DORDir returns the next direction under strict X-then-Y dimension-order
-// routing, used by the deadlock-free channels VC0/VC1. It returns ok=false
-// when cur == dst.
-func (t Torus) DORDir(cur, dst Node) (Dir, bool) {
-	dx, dy := t.Offset(cur, dst)
-	switch {
-	case dx > 0:
-		return East, true
-	case dx < 0:
-		return West, true
-	case dy > 0:
-		return South, true
-	case dy < 0:
-		return North, true
-	}
-	return North, false
-}
-
-// WrapsAhead reports whether the remaining dimension-order path from cur to
-// dst, moving in direction d, crosses the torus wrap edge. It is the
-// dateline rule of Dally's two-channel scheme as the router applies it:
-// a packet uses VC1 exactly when the wrap edge lies ahead on its
-// remaining path in the routing dimension, and VC0 once it has crossed
-// the edge or when its path never does.
-func (t Torus) WrapsAhead(cur, dst Node, d Dir) bool {
+// Route returns the route at cur toward dst: one ring step per
+// dimension, the X step extended by the Y step.
+func (t Torus) Route(cur, dst Node) Route {
 	cc, dc := t.Coord(cur), t.Coord(dst)
-	switch d {
-	case East:
-		return dc.X < cc.X
-	case West:
-		return dc.X > cc.X
-	case South:
-		return dc.Y < cc.Y
-	case North:
-		return dc.Y > cc.Y
+	return ring(cc.X, dc.X, t.Width, East, West).then(ring(cc.Y, dc.Y, t.Height, South, North))
+}
+
+// RouteRow fills row[dst] with Route(cur, dst) for every node dst, and
+// panics if row holds fewer than Nodes() entries. It takes W + H - 1
+// ring steps and no division per entry: the X steps fill the routes to
+// cur's own row of the torus, the ones that stay on the X ring, and every
+// other row extends them with its one Y step.
+func (t Torus) RouteRow(cur Node, row []Route) {
+	row = row[:t.Nodes()]
+	c, w := t.Coord(cur), t.Width
+	own := row[c.Y*w : c.Y*w+w]
+	for x := range own {
+		own[x] = ring(c.X, x, w, East, West)
 	}
-	return false
+	for y := 0; y < t.Height; y++ {
+		if y == c.Y {
+			continue
+		}
+		step := ring(c.Y, y, t.Height, South, North)
+		for x, r := range own {
+			row[y*w+x] = r.then(step)
+		}
+	}
+}
+
+// ring returns the route along one ring of n nodes from coordinate a to
+// b, both in [0, n): empty when a == b, otherwise one hop in offset1's
+// minimal direction, pos (rising coordinates) or neg, so an offset of
+// exactly n/2 goes the positive way. Dateline is set when the walk to b
+// crosses the wrap link between coordinates n-1 and 0.
+func ring(a, b, n int, pos, neg Dir) Route {
+	switch d := offset1(a, b, n); {
+	case d > 0:
+		return Route{Dirs: [2]Dir{pos}, NDirs: 1, Escape: pos, EscapeOK: true, Dateline: b < a}
+	case d < 0:
+		return Route{Dirs: [2]Dir{neg}, NDirs: 1, Escape: neg, EscapeOK: true, Dateline: b > a}
+	}
+	return Route{}
+}
+
+// then extends x, a route along the X ring, with y, one along the Y ring:
+// the productive directions of both, and x's escape hop unless x is empty,
+// since dimension order resolves X before Y.
+func (x Route) then(y Route) Route {
+	switch {
+	case y.NDirs == 0:
+		return x
+	case x.NDirs == 0:
+		return y
+	}
+	x.Dirs[1], x.NDirs = y.Dirs[0], 2
+	return x
 }
 
 // BitWidth returns the number of bits needed for node ids, and ok=false if

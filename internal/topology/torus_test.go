@@ -81,14 +81,14 @@ func TestProductiveDirsReduceDistance(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := Node(int(a) % tor.Nodes())
 		dst := Node(int(b) % tor.Nodes())
-		dirs := tor.ProductiveDirs(src, dst)
+		r := tor.Route(src, dst)
 		if src == dst {
-			return len(dirs) == 0
+			return r.NDirs == 0
 		}
-		if len(dirs) == 0 || len(dirs) > 2 {
+		if r.NDirs == 0 || r.NDirs > 2 {
 			return false
 		}
-		for _, d := range dirs {
+		for _, d := range r.Dirs[:r.NDirs] {
 			next := tor.Neighbor(src, d)
 			if tor.Distance(next, dst) != tor.Distance(src, dst)-1 {
 				return false
@@ -103,12 +103,12 @@ func TestProductiveDirsReduceDistance(t *testing.T) {
 
 func TestProductiveDirsCount(t *testing.T) {
 	tor := NewTorus(4, 4)
-	// Same row: one direction. Diagonal: two.
-	if got := tor.ProductiveDirs(0, 1); len(got) != 1 || got[0] != East {
-		t.Errorf("same-row dirs = %v", got)
+	// Same row: one direction. Diagonal: two, X first.
+	if r := tor.Route(0, 1); r.NDirs != 1 || r.Dirs[0] != East {
+		t.Errorf("same-row route = %+v", r)
 	}
-	if got := tor.ProductiveDirs(0, 5); len(got) != 2 {
-		t.Errorf("diagonal dirs = %v, want 2 dirs", got)
+	if r := tor.Route(0, 5); r.NDirs != 2 || r.Dirs != [2]Dir{East, South} {
+		t.Errorf("diagonal route = %+v, want dirs east and south", r)
 	}
 }
 
@@ -121,19 +121,19 @@ func TestDORFollowsDimensionOrder(t *testing.T) {
 		hops := 0
 		sawY := false
 		for cur != dst {
-			d, ok := tor.DORDir(cur, dst)
-			if !ok {
+			r := tor.Route(cur, dst)
+			if !r.EscapeOK {
 				return false
 			}
 			// X must be fully resolved before Y moves begin.
-			if d == East || d == West {
+			if d := r.Escape; d == East || d == West {
 				if sawY {
 					return false
 				}
 			} else {
 				sawY = true
 			}
-			cur = tor.Neighbor(cur, d)
+			cur = tor.Neighbor(cur, r.Escape)
 			hops++
 			if hops > tor.Width+tor.Height {
 				return false // not minimal / diverged
@@ -148,15 +148,15 @@ func TestDORFollowsDimensionOrder(t *testing.T) {
 
 func TestDORAtDestination(t *testing.T) {
 	tor := NewTorus(4, 4)
-	if _, ok := tor.DORDir(5, 5); ok {
-		t.Error("DORDir at destination returned a direction")
+	if r := tor.Route(5, 5); r != (Route{}) {
+		t.Errorf("route at the destination = %+v, want the empty route", r)
 	}
 }
 
 // TestWrapsAheadOncePerDimension checks the deadlock-freedom precondition of
 // the two-channel dateline scheme: along any minimal dimension-order path,
-// WrapsAhead transitions from true to false at most once per dimension and
-// never back.
+// Route's Dateline flag transitions from true to false at most once per
+// dimension and never back.
 func TestWrapsAheadOncePerDimension(t *testing.T) {
 	tor := NewTorus(8, 8)
 	f := func(a, b uint8) bool {
@@ -167,13 +167,12 @@ func TestWrapsAheadOncePerDimension(t *testing.T) {
 		prev := false
 		first := true
 		for cur != dst {
-			d, _ := tor.DORDir(cur, dst)
-			w := tor.WrapsAhead(cur, dst, d)
-			if !first && w && !prev {
+			r := tor.Route(cur, dst)
+			if !first && r.Dateline && !prev {
 				transitions++ // false -> true would be a re-wrap
 			}
-			prev, first = w, false
-			cur = tor.Neighbor(cur, d)
+			prev, first = r.Dateline, false
+			cur = tor.Neighbor(cur, r.Escape)
 		}
 		// A fresh dimension may start with wrap ahead, so allow one
 		// transition when the path turns from X to Y.
@@ -186,15 +185,18 @@ func TestWrapsAheadOncePerDimension(t *testing.T) {
 
 func TestWrapsAheadRing(t *testing.T) {
 	tor := NewTorus(8, 8)
-	// From x=6 to x=1 moving east wraps; from x=1 to x=6 moving east does not
-	// (it would go west), so check the canonical cases.
+	// From x=6 to x=1 the escape hop goes east and wraps; from x=1 to x=6
+	// it goes west and wraps; from x=1 to x=3 it goes east and does not.
 	n := tor.Node(Coord{6, 0})
 	d := tor.Node(Coord{1, 0})
-	if !tor.WrapsAhead(n, d, East) {
-		t.Error("6->1 east should wrap ahead")
+	if r := tor.Route(n, d); r.Escape != East || !r.Dateline {
+		t.Errorf("6->1 route = %+v, want east with the wrap link ahead", r)
 	}
-	if tor.WrapsAhead(d, n, East) {
-		t.Error("1->6 east should not wrap ahead")
+	if r := tor.Route(d, n); r.Escape != West || !r.Dateline {
+		t.Errorf("1->6 route = %+v, want west with the wrap link ahead", r)
+	}
+	if r := tor.Route(d, tor.Node(Coord{3, 0})); r.Escape != East || r.Dateline {
+		t.Errorf("1->3 route = %+v, want east with no wrap link ahead", r)
 	}
 }
 
@@ -224,23 +226,23 @@ func wrapsOnWalk(tor Torus, cur, dst Node, d Dir) bool {
 	return wrapped
 }
 
-// TestWrapsAheadMatchesWalk pins the dateline rule the router's dorSub
-// implements: a packet takes VC1 exactly when the remaining path in its
-// dimension-order direction still crosses the wrap link, and VC0 once it
-// has crossed it or when it never will. Every (cur, dst) pair is checked
-// on square, odd and rectangular tori.
+// TestWrapsAheadMatchesWalk pins the dateline rule the router's escape
+// sub-channel follows: a packet takes VC1 exactly when the remaining path
+// in its dimension-order direction still crosses the wrap link, and VC0
+// once it has crossed it or when it never will. Every (cur, dst) pair is
+// checked on square, odd and rectangular tori.
 func TestWrapsAheadMatchesWalk(t *testing.T) {
 	for _, size := range [][2]int{{2, 2}, {3, 3}, {5, 3}, {8, 8}} {
 		tor := NewTorus(size[0], size[1])
 		for cur := Node(0); int(cur) < tor.Nodes(); cur++ {
 			for dst := Node(0); int(dst) < tor.Nodes(); dst++ {
-				d, ok := tor.DORDir(cur, dst)
-				if !ok {
+				r := tor.Route(cur, dst)
+				if !r.EscapeOK {
 					continue
 				}
-				if got, want := tor.WrapsAhead(cur, dst, d), wrapsOnWalk(tor, cur, dst, d); got != want {
-					t.Errorf("%dx%d: WrapsAhead(%v, %v, %v) = %v, walk crosses the wrap link: %v",
-						size[0], size[1], tor.Coord(cur), tor.Coord(dst), d, got, want)
+				if want := wrapsOnWalk(tor, cur, dst, r.Escape); r.Dateline != want {
+					t.Errorf("%dx%d: Route(%v, %v) = %+v, walk crosses the wrap link: %v",
+						size[0], size[1], tor.Coord(cur), tor.Coord(dst), r, want)
 				}
 			}
 		}
